@@ -27,8 +27,9 @@ reach every project definition of ``m``; bare calls reach module-level
 functions; instantiation reaches ``__init__``; a function *reference*
 passed as an argument (callback registration: ``call_soon(self._pump)``,
 ``on_reply=...``) is an edge too.  Callback attributes are resolved one
-constructor deep: ``self._emit = emit`` inside a class whose call sites
-pass ``self._emit_fea4`` makes ``self._emit(...)`` reach ``_emit_fea4``.
+constructor deep: ``self._emit_batch = emit_batch`` inside a class whose
+call sites pass ``self._emit_fea4`` makes ``self._emit_batch(...)`` reach
+``_emit_fea4``.
 Over-approximation is deliberate — a too-large hot set costs a few extra
 warnings; a too-small one misses regressions (and fails the dynamic
 agreement test in ``benchmarks/test_fig13_route_flow.py``, which asserts
@@ -92,7 +93,6 @@ BATCH_COUNTERPARTS = {
     "delete_entry6": "delete_entries6",
     "enqueue": "enqueue_batch",
     "call": "call_batch",
-    "submit": "submit_batch",
     "add": "add_batch",
     "delete": "delete_batch",
 }
@@ -100,7 +100,7 @@ BATCH_COUNTERPARTS = {
 #: pair-table entries generic enough to collide with builtins (set.add,
 #: list.append neighbours); they only fire on receivers whose attribute
 #: name marks them as route-flow machinery.
-_GENERIC_SINGULARS = frozenset({"add", "delete", "call", "submit"})
+_GENERIC_SINGULARS = frozenset({"add", "delete", "call"})
 _FLOW_RECEIVERS = frozenset({
     "driver", "flow", "txq", "sender", "backend",
 })

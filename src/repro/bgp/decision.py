@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.core.stages import RouteTableStage
+from repro.core.stages import BatchStage, RouteTableStage
 from repro.net import IPNet, IPv4
 
 
@@ -60,7 +60,7 @@ def route_ranking_key(route: Any, peer: PeerInfo) -> Tuple:
     )
 
 
-class DecisionStage(RouteTableStage):
+class DecisionStage(BatchStage):
     """Chooses the best route per prefix across all peer branches."""
 
     def __init__(self, name: str,
@@ -105,22 +105,6 @@ class DecisionStage(RouteTableStage):
         return best
 
     # -- stage messages ----------------------------------------------------
-    def add_route(self, route: Any, *,
-                  caller: Optional[RouteTableStage] = None) -> None:
-        net = route.net
-        incumbent = self.winners.get(net)
-        if not self._eligible(route):
-            return
-        if incumbent is None:
-            self.winners[net] = route
-            if self.next_table is not None:
-                self.next_table.add_route(route, caller=self)
-            return
-        if self._better(route, incumbent) is route:
-            self.winners[net] = route
-            if self.next_table is not None:
-                self.next_table.replace_route(incumbent, route, caller=self)
-
     def add_routes(self, routes: List[Any], *,
                    caller: Optional[RouteTableStage] = None) -> None:
         # A peering burst is mostly fresh winners: coalesce those into
@@ -156,31 +140,13 @@ class DecisionStage(RouteTableStage):
         if fresh:
             next_table.add_routes(fresh, caller=self)
 
-    def delete_route(self, route: Any, *,
-                     caller: Optional[RouteTableStage] = None) -> None:
-        net = route.net
-        incumbent = self.winners.get(net)
-        if incumbent is None or incumbent is not route:
-            # A non-winning alternative went away: nothing visible changes.
-            # (Identity comparison is right: the winner *is* the annotated
-            # object the branch forwarded.)
-            return
-        replacement = self._elect(net, exclude=caller)
-        if replacement is not None:
-            self.winners[net] = replacement
-            if self.next_table is not None:
-                self.next_table.replace_route(incumbent, replacement,
-                                              caller=self)
-        else:
-            del self.winners[net]
-            if self.next_table is not None:
-                self.next_table.delete_route(incumbent, caller=self)
-
     def delete_routes(self, routes: List[Any], *,
                       caller: Optional[RouteTableStage] = None) -> None:
-        # Deletes of losing alternatives vanish; deleted winners without a
-        # surviving alternative coalesce into one downstream batch, and
-        # re-elections flush the segment and emit their replace singular.
+        # Deletes of losing alternatives vanish (identity comparison is
+        # right: the winner *is* the annotated object the branch
+        # forwarded); deleted winners without a surviving alternative
+        # coalesce into one downstream batch, and re-elections flush the
+        # segment and emit their replace singular.
         winners = self.winners
         winners_get = winners.get
         next_table = self.next_table
@@ -238,7 +204,7 @@ class DecisionStage(RouteTableStage):
             return
         # Another branch revised a non-winning route: treat as an add
         # (it may now beat the incumbent).
-        self.add_route(new_route, caller=caller)
+        self.add_routes([new_route], caller=caller)
 
     def lookup_route(self, net: IPNet, *,
                      caller: Optional[RouteTableStage] = None) -> Any:

@@ -21,7 +21,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Callable, Deque, Dict, List, Optional, Set
 
-from repro.core.stages import RouteTableStage
+from repro.core.stages import BatchStage, RouteTableStage
 from repro.eventloop.tasks import TaskPriority
 from repro.net import IPNet
 from repro.trie import RouteTrie, TrieIterator
@@ -76,7 +76,7 @@ class Reader:
         return iterator.net.key()
 
 
-class FanoutQueue(RouteTableStage):
+class FanoutQueue(BatchStage):
     """Single change queue, n readers, per-reader background dumps."""
 
     def __init__(self, name: str, loop, *, bits: int = 32,
@@ -130,34 +130,24 @@ class FanoutQueue(RouteTableStage):
             self._schedule_pump(reader)
 
     # -- stage messages ----------------------------------------------------
-    def add_route(self, route: Any, *,
-                  caller: Optional[RouteTableStage] = None) -> None:
-        self.winners.insert(route.net, route)
-        self._enqueue(ADD, route, None)
-
     def add_routes(self, routes: List[Any], *,
                    caller: Optional[RouteTableStage] = None) -> None:
         insert = self.winners.insert
         for route in routes:
             insert(route.net, route)
-        self._enqueue_batch(ADD, routes)
-
-    def delete_route(self, route: Any, *,
-                     caller: Optional[RouteTableStage] = None) -> None:
-        self.winners.discard(route.net)
-        self._enqueue(DELETE, route, None)
+        self._enqueue_batch(ADD, routes, None)
 
     def delete_routes(self, routes: List[Any], *,
                       caller: Optional[RouteTableStage] = None) -> None:
         discard = self.winners.discard
         for route in routes:
             discard(route.net)
-        self._enqueue_batch(DELETE, routes)
+        self._enqueue_batch(DELETE, routes, None)
 
     def replace_route(self, old_route: Any, new_route: Any, *,
                       caller: Optional[RouteTableStage] = None) -> None:
         self.winners.insert(new_route.net, new_route)
-        self._enqueue(REPLACE, new_route, old_route)
+        self._enqueue_batch(REPLACE, [new_route], old_route)
 
     def lookup_route(self, net: IPNet, *,
                      caller: Optional[RouteTableStage] = None) -> Any:
@@ -180,34 +170,25 @@ class FanoutQueue(RouteTableStage):
                 skip.add(reader.name)
         return skip
 
-    def _enqueue(self, op: str, route: Any, old_route: Any) -> None:
-        skip = self._dump_skip_set(route.net.key())
-        entry = _QueueEntry(self._next_serial, op, route, old_route, skip)
-        self._next_serial += 1
-        self.queue.append(entry)
-        if not self.readers:
-            self.queue.clear()  # nobody will ever read this
-            return
-        for reader in self.readers.values():
-            self._schedule_pump(reader)
-
-    def _enqueue_batch(self, op: str, routes: List[Any]) -> None:
+    def _enqueue_batch(self, op: str, routes: List[Any],
+                       old_route: Any) -> None:
         """Append a whole burst, then schedule each reader's pump once.
 
         Dump front keys are computed per entry (they are monotone, and a
         dump advances only in background tasks, but prefix keys within a
         batch are not sorted so each route must be classified itself);
         the per-batch saving is the single pump scheduling pass.
+        *old_route* is None except for the one route of a REPLACE.
         """
         if not self.readers:
-            return
+            return  # nobody will ever read this
         any_dumping = any(r.dumping for r in self.readers.values())
         append = self.queue.append
         serial = self._next_serial
         for route in routes:
             skip = self._dump_skip_set(route.net.key()) if any_dumping \
                 else None
-            append(_QueueEntry(serial, op, route, None, skip))
+            append(_QueueEntry(serial, op, route, old_route, skip))
             serial += 1
         self._next_serial = serial
         for reader in self.readers.values():

@@ -27,6 +27,7 @@ from repro.bgp.messages import (
 from repro.bgp.route import BGPRoute
 from repro.bgp.session import BgpSession
 from repro.core.stages import (
+    BatchStage,
     ConsistencyCheckStage,
     DeletionStage,
     FilterStage,
@@ -63,7 +64,7 @@ class PeerConfig:
         return str(self.peer_addr)
 
 
-class PeerOutStage(RouteTableStage):
+class PeerOutStage(BatchStage):
     """Terminal output stage: packs changes into UPDATE messages.
 
     Changes arriving within one event-loop turn are coalesced into the
@@ -79,19 +80,9 @@ class PeerOutStage(RouteTableStage):
         self._flush_scheduled = False
         self.updates_sent = 0
 
-    def add_route(self, route: Any, *,
-                  caller: Optional[RouteTableStage] = None) -> None:
-        self._pending.append(("add", route, None))
-        self._schedule_flush()
-
     def add_routes(self, routes: List[Any], *,
                    caller: Optional[RouteTableStage] = None) -> None:
         self._pending.extend(("add", route, None) for route in routes)
-        self._schedule_flush()
-
-    def delete_route(self, route: Any, *,
-                     caller: Optional[RouteTableStage] = None) -> None:
-        self._pending.append(("delete", route, None))
         self._schedule_flush()
 
     def delete_routes(self, routes: List[Any], *,

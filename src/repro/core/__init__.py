@@ -16,6 +16,7 @@ Protocol-specific stages (BGP's decision process, the RIB's merge stages,
 
 from repro.core.process import Host, XorpProcess
 from repro.core.stages import (
+    BatchStage,
     ConsistencyCheckStage,
     ConsistencyError,
     DeletionStage,
@@ -25,6 +26,7 @@ from repro.core.stages import (
 )
 
 __all__ = [
+    "BatchStage",
     "ConsistencyCheckStage",
     "ConsistencyError",
     "DeletionStage",

@@ -27,6 +27,17 @@ constituent singular calls in order — that is the batch contract, and it
 is what keeps the two consistency rules meaningful under batching: a
 stage may process a batch with one downstream dispatch, but the
 per-prefix event order it emits must match the singular decomposition.
+
+Every stage implements each message **once**; the other form is derived
+here and nowhere else.  :class:`RouteTableStage` makes the singular form
+primitive (``add_routes`` decomposes into ``add_route`` calls) — the
+base for stages whose work is inherently per route (nexthop resolution,
+damping, the consistency cache, test doubles).  :class:`BatchStage`
+makes the batch form primitive (``add_route(r)`` is ``add_routes([r])``)
+— the base for the stages on the route-flow hot path, which keep only
+their amortized batch bodies.  :data:`DERIVED_FORMS` names the derived
+halves so instrumentation wraps only what a class implements.
+
 The ``caller`` argument is keyword-only on the whole message API so call
 sites read unambiguously and stages can add positional parameters
 without breaking callers.
@@ -184,15 +195,10 @@ class RouteTableStage:
             return self.parent.lookup_route(net, caller=self)
         return None
 
-    # -- the batched message API ----------------------------------------------
+    # -- the batched message API (derived: see BatchStage for the converse) ----
     def add_routes(self, routes: List[Any], *,
                    caller: Optional["RouteTableStage"] = None) -> None:
-        """Receive a burst of new routes; semantically N ``add_route`` calls.
-
-        The default decomposes into singular calls; hot stages override
-        it to amortize per-call overhead (one downstream dispatch per
-        batch) while preserving the singular per-prefix event order.
-        """
+        """Receive a burst of new routes; semantically N ``add_route`` calls."""
         for route in routes:
             self.add_route(route, caller=caller)
 
@@ -204,6 +210,45 @@ class RouteTableStage:
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.name!r}>"
+
+
+class BatchStage(RouteTableStage):
+    """Base for stages whose primitive form is the batch.
+
+    Subclasses implement ``add_routes`` / ``delete_routes`` only — one
+    pass over the burst, one downstream dispatch per segment, per-prefix
+    event order identical to the singular decomposition — and a singular
+    message is a one-route batch.  Default: pass the batch on whole.
+    """
+
+    def add_route(self, route: Any, *,
+                  caller: Optional[RouteTableStage] = None) -> None:
+        self.add_routes([route], caller=caller)
+
+    def delete_route(self, route: Any, *,
+                     caller: Optional[RouteTableStage] = None) -> None:
+        self.delete_routes([route], caller=caller)
+
+    def add_routes(self, routes: List[Any], *,
+                   caller: Optional[RouteTableStage] = None) -> None:
+        if self.next_table is not None:
+            self.next_table.add_routes(routes, caller=self)
+
+    def delete_routes(self, routes: List[Any], *,
+                      caller: Optional[RouteTableStage] = None) -> None:
+        if self.next_table is not None:
+            self.next_table.delete_routes(routes, caller=self)
+
+
+#: The derived half of every message pair, as (class, method name).  These
+#: bodies only re-express a call in the other form, so instrumentation
+#: (the stage sanitizer, the obs tracer) skips them: a derived call is
+#: observed once, at the primitive it lands on.  No class outside this
+#: set implements both forms (tests/test_core_stages.py guards that).
+DERIVED_FORMS = frozenset({
+    (RouteTableStage, "add_routes"), (RouteTableStage, "delete_routes"),
+    (BatchStage, "add_route"), (BatchStage, "delete_route"),
+})
 
 
 class OriginStage(RouteTableStage):
@@ -223,13 +268,7 @@ class OriginStage(RouteTableStage):
 
     def originate(self, route: Any) -> None:
         """Inject *route*; replaces any previous route for the same prefix."""
-        previous = self.routes.insert(route.net, route)
-        if self.next_table is None:
-            return
-        if previous is not None:
-            self.next_table.replace_route(previous, route, caller=self)
-        else:
-            self.next_table.add_route(route, caller=self)
+        self.originate_batch([route])
 
     def originate_batch(self, routes: List[Any]) -> None:
         """Inject a burst of routes with one downstream dispatch per segment.
@@ -260,16 +299,14 @@ class OriginStage(RouteTableStage):
 
     def withdraw(self, net: IPNet) -> Any:
         """Withdraw the route for *net*; returns it (KeyError if absent)."""
-        route = self.routes.remove(net)
-        if self.next_table is not None:
-            self.next_table.delete_route(route, caller=self)
-        return route
+        removed = self.withdraw_batch([net])
+        if not removed:
+            raise KeyError(net)
+        return removed[0]
 
     def withdraw_if_present(self, net: IPNet) -> Any:
-        route = self.routes.discard(net)
-        if route is not None and self.next_table is not None:
-            self.next_table.delete_route(route, caller=self)
-        return route
+        removed = self.withdraw_batch([net])
+        return removed[0] if removed else None
 
     def withdraw_batch(self, nets: List[IPNet]) -> List[Any]:
         """Withdraw a burst of prefixes (absent ones are skipped).
@@ -296,7 +333,7 @@ class OriginStage(RouteTableStage):
         return self.routes.iterator()
 
 
-class FilterStage(RouteTableStage):
+class FilterStage(BatchStage):
     """A filter bank element: drop or rewrite routes flowing downstream.
 
     *filter_fn(route)* returns None to drop, the same route to pass, or a
@@ -308,18 +345,6 @@ class FilterStage(RouteTableStage):
     def __init__(self, name: str, filter_fn: Callable[[Any], Optional[Any]]):
         super().__init__(name)
         self.filter_fn = filter_fn
-
-    def add_route(self, route: Any, *,
-                  caller: Optional[RouteTableStage] = None) -> None:
-        filtered = self.filter_fn(route)
-        if filtered is not None and self.next_table is not None:
-            self.next_table.add_route(filtered, caller=self)
-
-    def delete_route(self, route: Any, *,
-                     caller: Optional[RouteTableStage] = None) -> None:
-        filtered = self.filter_fn(route)
-        if filtered is not None and self.next_table is not None:
-            self.next_table.delete_route(filtered, caller=self)
 
     def add_routes(self, routes: List[Any], *,
                    caller: Optional[RouteTableStage] = None) -> None:
@@ -434,7 +459,7 @@ class ConsistencyCheckStage(RouteTableStage):
         return upstream
 
 
-class DeletionStage(RouteTableStage):
+class DeletionStage(BatchStage):
     """Dynamic background-deletion stage (paper §5.1.2, Figure 6).
 
     When a peering goes down, its route table is handed to a new deletion
@@ -444,6 +469,9 @@ class DeletionStage(RouteTableStage):
 
     * an ``add_route`` from upstream for a prefix still held here first
       emits the pending ``delete_route`` downstream, then the add;
+    * a ``delete_route`` from upstream refers to the origin's own
+      new-generation route — a held prefix cannot also exist upstream —
+      so it is simply forwarded;
     * ``lookup_route`` keeps answering with not-yet-deleted routes;
     * when done, the stage unplumbs and discards itself.
     """
@@ -507,20 +535,13 @@ class DeletionStage(RouteTableStage):
     def done(self) -> bool:
         return len(self.pending) == 0 and self._iterator.exhausted
 
-    def add_route(self, route: Any, *,
-                  caller: Optional[RouteTableStage] = None) -> None:
-        held = self.pending.discard(route.net)
-        if held is not None and self.next_table is not None:
-            # "first it sends a delete route downstream for the old route,
-            # and then it sends the add route for the new route."
-            self.next_table.delete_route(held, caller=self)
-        super().add_route(route, caller=caller)
-
     def add_routes(self, routes: List[Any], *,
                    caller: Optional[RouteTableStage] = None) -> None:
-        # Per prefix the delete-before-add order is preserved; across
-        # prefixes all pending deletes are grouped ahead of the adds so
-        # the batch costs two downstream dispatches, not 2N.
+        # "first it sends a delete route downstream for the old route,
+        # and then it sends the add route for the new route."  Per prefix
+        # that order is preserved; across prefixes all pending deletes are
+        # grouped ahead of the adds so the batch costs two downstream
+        # dispatches, not 2N.
         discard = self.pending.discard
         if self.next_table is None:
             for route in routes:
@@ -534,21 +555,6 @@ class DeletionStage(RouteTableStage):
         if helds:
             self.next_table.delete_routes(helds, caller=self)
         self.next_table.add_routes(routes, caller=self)
-
-    def delete_route(self, route: Any, *,
-                     caller: Optional[RouteTableStage] = None) -> None:
-        # Upstream deletes refer to its own (new-generation) routes; a held
-        # prefix can't also exist upstream, so simply forward.
-        super().delete_route(route, caller=caller)
-
-    def delete_routes(self, routes: List[Any], *,
-                      caller: Optional[RouteTableStage] = None) -> None:
-        if self.next_table is not None:
-            self.next_table.delete_routes(routes, caller=self)
-
-    def replace_route(self, old_route: Any, new_route: Any, *,
-                      caller: Optional[RouteTableStage] = None) -> None:
-        super().replace_route(old_route, new_route, caller=caller)
 
     def lookup_route(self, net: IPNet, *,
                      caller: Optional[RouteTableStage] = None) -> Any:

@@ -56,9 +56,9 @@ TRACE_ARG = "trace_ctx"
 #: stage message methods that are hops (lookup_route is a query, not a hop)
 _STAGE_METHODS = ("add_route", "delete_route", "replace_route",
                   "add_routes", "delete_routes")
-#: origin-stage injection surface (only present on OriginStage)
-_ORIGIN_METHODS = ("originate", "originate_batch", "withdraw",
-                   "withdraw_if_present", "withdraw_batch")
+#: origin-stage injection surface (only present on OriginStage): the
+#: batch forms — the singular ones are one-liners over them
+_ORIGIN_METHODS = ("originate_batch", "withdraw_batch")
 
 _armed_tracer: Optional["Tracer"] = None
 
@@ -279,8 +279,9 @@ class Tracer:
     def _instrument_stage_class(self, cls: type) -> None:
         for name in _STAGE_METHODS + _ORIGIN_METHODS:
             fn = cls.__dict__.get(name)
-            if fn is None or hasattr(fn, "_repro_obs_original"):
-                continue
+            if fn is None or hasattr(fn, "_repro_obs_original") \
+                    or (cls, name) in _stages.DERIVED_FORMS:
+                continue  # a derived call records its one span where it lands
             self._rebind(cls, name, fn, self._make_stage_wrapper(name, fn))
 
     def _make_stage_wrapper(self, name: str, original):
@@ -331,18 +332,6 @@ class Tracer:
                 return run_traced(stage, ctxs, "stage", op,
                                   lambda: original(stage, routes,
                                                    caller=caller))
-
-        elif name in ("originate", "withdraw", "withdraw_if_present"):
-            op = "originate" if name == "originate" else "withdraw"
-
-            @functools.wraps(original)
-            def wrapper(stage, arg):
-                net = arg if isinstance(arg, IPNet) else arg.net
-                ctx = tracer._by_key.get(_net_key(net))
-                if ctx is None:
-                    return original(stage, arg)
-                return run_traced(stage, [ctx], "origin", op,
-                                  lambda: original(stage, arg))
 
         else:  # originate_batch / withdraw_batch
             op = "originate" if name == "originate_batch" else "withdraw"

@@ -21,13 +21,13 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Set, Tuple
 
-from repro.core.stages import RouteTableStage
+from repro.core.stages import BatchStage, RouteTableStage
 from repro.net import IPNet
 from repro.rib.route import preferred
 from repro.trie import RouteTrie
 
 
-class ExtIntStage(RouteTableStage):
+class ExtIntStage(BatchStage):
     def __init__(self, name: str, bits: int = 32):
         super().__init__(name)
         self.bits = bits
@@ -140,8 +140,7 @@ class ExtIntStage(RouteTableStage):
                 self._reevaluate(net)
 
     # -- message handling (routes classify themselves via is_external) --------
-    def add_route(self, route: Any, *,
-                  caller: Optional[RouteTableStage] = None) -> None:
+    def _add_one(self, route: Any) -> None:
         if route.is_external:
             self.external.insert(route.net, route)
             self._index_add(route)
@@ -151,12 +150,7 @@ class ExtIntStage(RouteTableStage):
             self._reevaluate(route.net)
             self._reevaluate_externals_for(route.net)
 
-    def add_routes(self, routes: List[Any], *,
-                   caller: Optional[RouteTableStage] = None) -> None:
-        self._batch(self.add_route, routes)
-
-    def delete_route(self, route: Any, *,
-                     caller: Optional[RouteTableStage] = None) -> None:
+    def _delete_one(self, route: Any) -> None:
         if route.is_external:
             self.external.discard(route.net)
             self._index_remove(route)
@@ -166,21 +160,21 @@ class ExtIntStage(RouteTableStage):
             self._reevaluate(route.net)
             self._reevaluate_externals_for(route.net)
 
+    def add_routes(self, routes: List[Any], *,
+                   caller: Optional[RouteTableStage] = None) -> None:
+        self._batch(self._add_one, routes)
+
     def delete_routes(self, routes: List[Any], *,
                       caller: Optional[RouteTableStage] = None) -> None:
-        self._batch(self.delete_route, routes)
+        self._batch(self._delete_one, routes)
 
-    def _batch(self, singular: Any, routes: List[Any]) -> None:
-        """Run *singular* per route with emissions buffered, then flush the
-        buffer as segment-grouped downstream batches."""
-        if self._emissions is not None:  # nested batch: keep outer buffer
-            for route in routes:
-                singular(route)
-            return
+    def _batch(self, per_route: Any, routes: List[Any]) -> None:
+        """Run *per_route* over the batch with emissions buffered, then
+        flush the buffer as segment-grouped downstream batches."""
         self._emissions = []
         try:
             for route in routes:
-                singular(route)
+                per_route(route)
         finally:
             emissions, self._emissions = self._emissions, None
         self._flush_emissions(emissions)
@@ -189,8 +183,8 @@ class ExtIntStage(RouteTableStage):
                       caller: Optional[RouteTableStage] = None) -> None:
         if old_route.is_external != new_route.is_external:
             # Cannot happen with split ext/int sides, but stay safe.
-            self.delete_route(old_route, caller=caller)
-            self.add_route(new_route, caller=caller)
+            self.delete_routes([old_route], caller=caller)
+            self.add_routes([new_route], caller=caller)
             return
         if new_route.is_external:
             self._index_remove(old_route)

@@ -22,8 +22,9 @@ the transmit queue and turns that signal into *pacing*:
   determines the final table).
 
 The queue length is therefore bounded by the number of *distinct*
-prefixes in flight, not by the churn rate — the property the resilience
-benchmark asserts.
+prefixes in flight (plus at most one watermark of events not yet
+scanned), not by the churn rate — the property the resilience benchmark
+asserts.
 """
 
 from __future__ import annotations
@@ -68,6 +69,10 @@ class FeaFlowController:
         self._paused = False
         self._poll_scheduled = False
         self._pumping = False
+        #: depth above which the next shed scan runs: the high watermark,
+        #: raised by however many distinct-prefix events the last scan had
+        #: to keep beyond it (rescanning those on every intake is futile)
+        self._shed_above = high_watermark
         self.shed_total = 0
         self.polls_sent = 0
         self.peak_depth = 0
@@ -92,20 +97,31 @@ class FeaFlowController:
         return not self._queue and self._inflight == 0
 
     # -- intake ---------------------------------------------------------------
-    def submit(self, family: int, op: str, route: Any,
-               batching: bool = False) -> None:
-        self._queue.append((family, op, route, batching))
-        self._after_intake()
-
     def submit_batch(self, family: int, op: str, routes: List[Any]) -> None:
+        """Queue one stage batch, in order.
+
+        The wire-coalescing hint is decided here, once: a multi-route
+        batch shares the event-loop turn anyway, so its XRLs may be
+        coalesced into one wire flush; a lone route leaves immediately.
+        """
+        hint = len(routes) > 1
         append = self._queue.append
         for route in routes:
-            append((family, op, route, True))
+            append((family, op, route, hint))
         self._after_intake()
 
     def _after_intake(self) -> None:
-        if len(self._queue) > self.high_watermark:
+        if len(self._queue) > self._shed_above:
             self._shed()
+            kept = len(self._queue)
+            # Still above the watermark means that many *distinct*
+            # prefixes are in flight: a rescan can only pay off once a
+            # watermark's worth of new events has arrived, which keeps the
+            # scans amortised O(1) per event and the depth within one
+            # watermark of the distinct-prefix count.
+            self._shed_above = (kept + self.high_watermark
+                                if kept > self.high_watermark
+                                else self.high_watermark)
         if len(self._queue) > self.peak_depth:
             self.peak_depth = len(self._queue)
         self.pump()
@@ -117,18 +133,23 @@ class FeaFlowController:
         order — the final FIB state is unchanged because FIB operations
         are idempotent and last-writer-wins per prefix.
         """
-        newest = {}
-        for index, event in enumerate(self._queue):
-            newest[(event[0], str(event[2].net))] = index
-        kept = [event for index, event in enumerate(self._queue)
-                if newest[(event[0], str(event[2].net))] == index]
-        self.shed_total += len(self._queue) - len(kept)
-        self._queue = deque(kept)
+        queue = self._queue
+        seen = set()
+        kept = []
+        for event in reversed(queue):
+            key = (event[0], event[2].net)
+            if key not in seen:
+                seen.add(key)
+                kept.append(event)
+        self.shed_total += len(queue) - len(kept)
+        queue.clear()
+        queue.extend(reversed(kept))
 
     def reset(self) -> None:
         """Drop the backlog and unpause (a reborn FEA starts empty; the
         full-table resync that follows supersedes everything queued)."""
         self._queue.clear()
+        self._shed_above = self.high_watermark
         self._paused = False
 
     # -- the pump ---------------------------------------------------------------
@@ -153,8 +174,11 @@ class FeaFlowController:
                         and queue[0][0] == family
                         and queue[0][1] == op):
                     routes.append(popleft()[2])
-                self._inflight += len(routes)
                 count = len(routes)
+                self._inflight += count
+                # The drained events leave the kept-beyond-watermark set.
+                self._shed_above = max(self.high_watermark,
+                                       self._shed_above - count)
                 self._send_segment(
                     family, op, routes, hint,
                     lambda error, args, count=count:

@@ -15,12 +15,12 @@ from __future__ import annotations
 
 from typing import Any, List, Optional
 
-from repro.core.stages import RouteTableStage
+from repro.core.stages import BatchStage, RouteTableStage
 from repro.net import IPNet
 from repro.rib.route import preferred
 
 
-class MergeStage(RouteTableStage):
+class MergeStage(BatchStage):
     """Combines two upstream branches by administrative preference."""
 
     def __init__(self, name: str):
@@ -45,18 +45,6 @@ class MergeStage(RouteTableStage):
         )
 
     # -- message handling ----------------------------------------------------
-    def add_route(self, route: Any, *,
-                  caller: Optional[RouteTableStage] = None) -> None:
-        if self.next_table is None:
-            return
-        other = self._other_branch(caller).lookup_route(route.net, caller=self)
-        if other is None:
-            self.next_table.add_route(route, caller=self)
-        elif preferred(route, other) is route:
-            # The new route displaces the other branch's incumbent.
-            self.next_table.replace_route(other, route, caller=self)
-        # else: the other branch still wins; swallow silently.
-
     def add_routes(self, routes: List[Any], *,
                    caller: Optional[RouteTableStage] = None) -> None:
         # Segment-flush: consecutive plain adds coalesce into one
@@ -78,20 +66,9 @@ class MergeStage(RouteTableStage):
                     next_table.add_routes(plain, caller=self)
                     plain = []
                 next_table.replace_route(other, route, caller=self)
+            # else: the other branch still wins; swallow silently.
         if plain:
             next_table.add_routes(plain, caller=self)
-
-    def delete_route(self, route: Any, *,
-                     caller: Optional[RouteTableStage] = None) -> None:
-        if self.next_table is None:
-            return
-        other = self._other_branch(caller).lookup_route(route.net, caller=self)
-        if other is None:
-            self.next_table.delete_route(route, caller=self)
-        elif preferred(route, other) is route:
-            # The departing route was the winner; the other branch takes over.
-            self.next_table.replace_route(route, other, caller=self)
-        # else: the deleted route was never visible downstream.
 
     def delete_routes(self, routes: List[Any], *,
                       caller: Optional[RouteTableStage] = None) -> None:
@@ -106,10 +83,13 @@ class MergeStage(RouteTableStage):
             if other is None:
                 plain.append(route)
             elif preferred(route, other) is route:
+                # The departing route was the winner; the other branch
+                # takes over.
                 if plain:
                     next_table.delete_routes(plain, caller=self)
                     plain = []
                 next_table.replace_route(route, other, caller=self)
+            # else: the deleted route was never visible downstream.
         if plain:
             next_table.delete_routes(plain, caller=self)
 

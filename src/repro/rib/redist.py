@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, List, Optional
 
-from repro.core.stages import RouteTableStage
+from repro.core.stages import BatchStage, RouteTableStage
 from repro.net import IPNet
 from repro.trie import RouteTrie
 
@@ -37,7 +37,7 @@ class _RedistTarget:
         self.announced = RouteTrie(bits)
 
 
-class RedistStage(RouteTableStage):
+class RedistStage(BatchStage):
     def __init__(self, name: str, bits: int = 32):
         super().__init__(name)
         self.bits = bits
@@ -83,13 +83,6 @@ class RedistStage(RouteTableStage):
             target.callback("delete", known)
 
     # -- message handling ------------------------------------------------------
-    def add_route(self, route: Any, *,
-                  caller: Optional[RouteTableStage] = None) -> None:
-        self.winners.insert(route.net, route)
-        for target in self._targets.values():
-            self._offer(target, route)
-        super().add_route(route, caller=caller)
-
     def add_routes(self, routes: List[Any], *,
                    caller: Optional[RouteTableStage] = None) -> None:
         # Per-route winner/target bookkeeping, one downstream dispatch.
@@ -101,13 +94,6 @@ class RedistStage(RouteTableStage):
                 self._offer(target, route)
         if self.next_table is not None:
             self.next_table.add_routes(routes, caller=self)
-
-    def delete_route(self, route: Any, *,
-                     caller: Optional[RouteTableStage] = None) -> None:
-        self.winners.discard(route.net)
-        for target in self._targets.values():
-            self._rescind(target, route)
-        super().delete_route(route, caller=caller)
 
     def delete_routes(self, routes: List[Any], *,
                       caller: Optional[RouteTableStage] = None) -> None:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
-from repro.core.stages import RouteTableStage
+from repro.core.stages import BatchStage, RouteTableStage
 from repro.net import IPNet
 from repro.trie import RouteTrie
 
@@ -37,7 +37,7 @@ class Registration:
         self.covering_net = covering_net
 
 
-class RegisterStage(RouteTableStage):
+class RegisterStage(BatchStage):
     """Tracks winners, answers interest registrations, fires invalidations."""
 
     def __init__(self, name: str, bits: int = 32,
@@ -117,12 +117,6 @@ class RegisterStage(RouteTableStage):
                     self.invalidate_cb(client, entry.subnet)
 
     # -- message handling -----------------------------------------------------
-    def add_route(self, route: Any, *,
-                  caller: Optional[RouteTableStage] = None) -> None:
-        self.winners.insert(route.net, route)
-        self._invalidate_overlapping(route.net)
-        super().add_route(route, caller=caller)
-
     def add_routes(self, routes: List[Any], *,
                    caller: Optional[RouteTableStage] = None) -> None:
         insert = self.winners.insert
@@ -131,12 +125,6 @@ class RegisterStage(RouteTableStage):
             self._invalidate_overlapping(route.net)
         if self.next_table is not None:
             self.next_table.add_routes(routes, caller=self)
-
-    def delete_route(self, route: Any, *,
-                     caller: Optional[RouteTableStage] = None) -> None:
-        self.winners.discard(route.net)
-        self._invalidate_overlapping(route.net)
-        super().delete_route(route, caller=caller)
 
     def delete_routes(self, routes: List[Any], *,
                       caller: Optional[RouteTableStage] = None) -> None:

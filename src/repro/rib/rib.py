@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional
 
 from repro.core.process import Host, XorpProcess
-from repro.core.stages import OriginStage, RouteTableStage
+from repro.core.stages import BatchStage, OriginStage, RouteTableStage
 from repro.core.txqueue import XrlTransmitQueue
 from repro.interfaces import (
     COMMON_IDL,
@@ -32,54 +32,32 @@ from repro.xrl.error import XrlErrorCode
 from repro.xrl.xrl import Xrl
 
 
-class _FeaDistributorStage(RouteTableStage):
+class _FeaDistributorStage(BatchStage):
     """Terminal stage: pushes winning routes towards the forwarding engine."""
 
-    def __init__(self, name: str, emit, emit_batch=None):
+    def __init__(self, name: str, emit_batch):
         super().__init__(name)
-        self._emit = emit  # emit(op, route, batching=False)
-        #: emit_batch(op, routes) — one vectorized XRL per segment; when
-        #: absent, a batch decomposes into singular emits with the wire
-        #: coalescing hint set.
+        #: emit_batch(op, routes) — the whole stage batch, in order
         self._emit_batch = emit_batch
-
-    def add_route(self, route: Any, *,
-                  caller: Optional[RouteTableStage] = None) -> None:
-        self._emit("add", route)
 
     def add_routes(self, routes: List[Any], *,
                    caller: Optional[RouteTableStage] = None) -> None:
-        if self._emit_batch is not None:
-            self._emit_batch("add", list(routes))
-            return
-        # The batch hint lets the emitter coalesce the resulting XRLs
-        # into one wire flush (they share the event-loop turn anyway).
-        for route in routes:
-            self._emit("add", route, batching=True)
-
-    def delete_route(self, route: Any, *,
-                     caller: Optional[RouteTableStage] = None) -> None:
-        self._emit("delete", route)
+        self._emit_batch("add", routes)
 
     def delete_routes(self, routes: List[Any], *,
                       caller: Optional[RouteTableStage] = None) -> None:
-        if self._emit_batch is not None:
-            self._emit_batch("delete", list(routes))
-            return
-        for route in routes:
-            self._emit("delete", route, batching=True)
+        self._emit_batch("delete", routes)
 
     def replace_route(self, old_route: Any, new_route: Any, *,
                       caller: Optional[RouteTableStage] = None) -> None:
         # A FIB insert overwrites, so a replace is a single add entry.
-        self._emit("add", new_route)
+        self._emit_batch("add", [new_route])
 
 
 class _Pipeline:
     """One address family's stage network inside the RIB."""
 
-    def __init__(self, bits: int, tag: str, emit_fea, invalidate_cb,
-                 emit_fea_batch=None):
+    def __init__(self, bits: int, tag: str, emit_fea, invalidate_cb):
         self.bits = bits
         self.tag = tag
         self.origins: Dict[str, OriginStage] = {}
@@ -91,8 +69,7 @@ class _Pipeline:
         self.redist = RedistStage(f"redist{tag}", bits)
         self.register = RegisterStage(f"register{tag}", bits,
                                       invalidate_cb=invalidate_cb)
-        self.fea_sink = _FeaDistributorStage(f"to-fea{tag}", emit_fea,
-                                             emit_fea_batch)
+        self.fea_sink = _FeaDistributorStage(f"to-fea{tag}", emit_fea)
         RouteTableStage.plumb(self.extint, self.redist, self.register,
                               self.fea_sink)
         self._merge_count = 0
@@ -164,10 +141,8 @@ class RibProcess(XorpProcess):
             batch_limit=lambda: self.FEA_BATCH_LIMIT,
             **(flow_options or {}))
         self.flow.register_metrics(self.metrics)
-        self.v4 = _Pipeline(32, "4", self._emit_fea4, self._notify_invalid4,
-                            self._emit_fea4_batch)
-        self.v6 = _Pipeline(128, "6", self._emit_fea6, lambda *a: None,
-                            self._emit_fea6_batch)
+        self.v4 = _Pipeline(32, "4", self._emit_fea4, self._notify_invalid4)
+        self.v6 = _Pipeline(128, "6", self._emit_fea6, lambda *a: None)
         self.metrics.gauge("tables4", lambda: len(self.v4.origins))
         self.metrics.gauge("tables6", lambda: len(self.v6.origins))
         add_origin4 = self.v4.add_origin
@@ -202,38 +177,21 @@ class RibProcess(XorpProcess):
     #: batches are segmented so a single frame stays bounded.
     FEA_BATCH_LIMIT = 256
 
-    def _emit_fea4(self, op: str, route: Any, batching: bool = False) -> None:
-        self._emit_fea(32, op, route, batching)
+    def _emit_fea4(self, op: str, routes: List[Any]) -> None:
+        self._emit_fea(32, op, routes)
 
-    def _emit_fea6(self, op: str, route: Any, batching: bool = False) -> None:
-        self._emit_fea(128, op, route, batching)
+    def _emit_fea6(self, op: str, routes: List[Any]) -> None:
+        self._emit_fea(128, op, routes)
 
-    def _emit_fea(self, family: int, op: str, route: Any,
-                  batching: bool) -> None:
-        self._prof_queued_fea.log_op(op, route.net)
-        self.flow.submit(family, op, route, batching)
-
-    def _emit_fea4_batch(self, op: str, routes: List[Any]) -> None:
-        self._emit_fea_batch(32, op, routes)
-
-    def _emit_fea6_batch(self, op: str, routes: List[Any]) -> None:
-        self._emit_fea_batch(128, op, routes)
-
-    def _emit_fea_batch(self, family: int, op: str,
-                        routes: List[Any]) -> None:
-        """A stage batch toward the FEA: one vectorized XRL per segment.
-
-        Semantically identical to per-route :meth:`_emit_fea` calls, in
-        order — the FEA unpacks the parallel lists sequentially — but
-        amortizes the XRL header, dispatch and reply over the segment.
-        """
-        if not routes:
-            return
+    def _emit_fea(self, family: int, op: str, routes: List[Any]) -> None:
+        """A stage batch toward the FEA, in order: the flow controller
+        sends one vectorized XRL per segment (a lone route goes singular),
+        amortizing the XRL header, dispatch and reply over the segment."""
         prof = self._prof_queued_fea
         if prof.enabled:
             for route in routes:
                 prof.log_op(op, route.net)
-        self.flow.submit_batch(family, op, list(routes))
+        self.flow.submit_batch(family, op, routes)
 
     def _log_sent_fea(self, lines: List[str]) -> None:
         log = self._prof_sent_fea.log
@@ -322,9 +280,9 @@ class RibProcess(XorpProcess):
         """
         if not self.running:
             return
-        self._emit_fea4_batch(
+        self._emit_fea4(
             "add", [route for __, route in self.v4.redist.winners.items()])
-        self._emit_fea6_batch(
+        self._emit_fea6(
             "add", [route for __, route in self.v6.redist.winners.items()])
 
     def _watch_redist_class(self, target: str) -> None:

@@ -184,21 +184,18 @@ class SpawnManager(XorpProcess):
         if not self.running:
             return
         self.supervisor.stop()
-        for shell in self.modules.values():
-            if shell.popen is None:
-                continue
-            if shell.popen.poll() is None:
-                shell.popen.terminate()
-        # repro: allow[DET001] reaping real children is inherently wall-clock
-        deadline = time.monotonic() + 5.0
-        for shell in self.modules.values():
-            if shell.popen is None:
-                continue
-            remaining = max(0.0, deadline - time.monotonic())  # repro: allow[DET001]
-            try:
-                shell.popen.wait(timeout=remaining)
-            except subprocess.TimeoutExpired:
-                shell.popen.kill()
-                shell.popen.wait()
+        children = [shell.popen for shell in self.modules.values()
+                    if shell.popen is not None]
+        for child in children:
+            if child.poll() is None:
+                child.terminate()
+        # A SIGTERMed child deregisters from the Finder on its way out — a
+        # blocking RPC against *this* process — so serve I/O while waiting.
+        self._pump_until(
+            lambda: all(child.poll() is not None for child in children), 5.0)
+        for child in children:
+            if child.poll() is None:
+                child.kill()
+            child.wait()
         self.finder_server.close()
         super().shutdown()

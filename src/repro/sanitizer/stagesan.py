@@ -3,8 +3,9 @@
 The paper ships one debugging aid for the staged routing tables — a
 cache stage spliced into a single pipeline position.  This sanitizer
 generalises it: when armed it rebinds the stage-API message methods
-(singular and batch) on *every* ``RouteTableStage`` subclass (present
-and future, via the hook registry in :mod:`repro.core.stages`) and
+(whichever form — singular or batch — the class implements; the derived
+form lands on it) on *every* ``RouteTableStage`` subclass (present and
+future, via the hook registry in :mod:`repro.core.stages`) and
 shadows the route stream on every inter-stage edge, asserting both §5
 consistency rules:
 
@@ -104,7 +105,8 @@ class StageSanitizer:
     def _instrument_class(self, cls: type) -> None:
         for name in _MESSAGE_METHODS + _PLUMBING_METHODS:
             fn = cls.__dict__.get(name)
-            if fn is None or hasattr(fn, "_repro_sanitizer_original"):
+            if fn is None or hasattr(fn, "_repro_sanitizer_original") \
+                    or (cls, name) in _stages.DERIVED_FORMS:
                 continue
             wrapper = self._make_wrapper(name, fn)
             wrapper._repro_sanitizer_original = fn  # type: ignore[attr-defined]
@@ -114,20 +116,10 @@ class StageSanitizer:
     def _make_wrapper(self, name: str, original):
         sanitizer = self
 
-        if name == "add_route":
-            @functools.wraps(original)
-            def wrapper(stage, route, *, caller=None):
-                marker = id(stage)
-                if marker in sanitizer._in_flight:
-                    return original(stage, route, caller=caller)
-                sanitizer._in_flight.add(marker)
-                try:
-                    sanitizer._observe_add(stage, route, caller)
-                    return original(stage, route, caller=caller)
-                finally:
-                    sanitizer._in_flight.discard(marker)
+        if name in ("add_route", "delete_route"):
+            observe = (sanitizer._observe_add if name == "add_route"
+                       else sanitizer._observe_delete)
 
-        elif name == "delete_route":
             @functools.wraps(original)
             def wrapper(stage, route, *, caller=None):
                 marker = id(stage)
@@ -135,7 +127,7 @@ class StageSanitizer:
                     return original(stage, route, caller=caller)
                 sanitizer._in_flight.add(marker)
                 try:
-                    sanitizer._observe_delete(stage, route, caller)
+                    observe(stage, route, caller)
                     return original(stage, route, caller=caller)
                 finally:
                     sanitizer._in_flight.discard(marker)
@@ -170,7 +162,10 @@ class StageSanitizer:
                 sanitizer._observe_lookup(stage, net, caller, result)
                 return result
 
-        elif name == "add_routes":
+        elif name in ("add_routes", "delete_routes"):
+            observe = (sanitizer._observe_add if name == "add_routes"
+                       else sanitizer._observe_delete)
+
             @functools.wraps(original)
             def wrapper(stage, routes, *, caller=None):
                 marker = id(stage)
@@ -183,22 +178,7 @@ class StageSanitizer:
                 sanitizer._in_flight.add(marker)
                 try:
                     for route in routes:
-                        sanitizer._observe_add(stage, route, caller)
-                    return original(stage, routes, caller=caller)
-                finally:
-                    sanitizer._in_flight.discard(marker)
-
-        elif name == "delete_routes":
-            @functools.wraps(original)
-            def wrapper(stage, routes, *, caller=None):
-                marker = id(stage)
-                if marker in sanitizer._in_flight:
-                    return original(stage, routes, caller=caller)
-                routes = list(routes)
-                sanitizer._in_flight.add(marker)
-                try:
-                    for route in routes:
-                        sanitizer._observe_delete(stage, route, caller)
+                        observe(stage, route, caller)
                     return original(stage, routes, caller=caller)
                 finally:
                     sanitizer._in_flight.discard(marker)

@@ -34,41 +34,23 @@ from __future__ import annotations
 
 import json
 import socket
-import struct
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.xrl.error import XrlError, XrlErrorCode
 from repro.xrl.finder import BIRTH, Finder, WatchCallback
-
-
-def _frame(payload: bytes) -> bytes:
-    return struct.pack("!I", len(payload)) + payload
+from repro.xrl.transport.tcp import FrameBuffer, pack_frame
 
 
 def _encode(message: dict) -> bytes:
-    payload = json.dumps(message, separators=(",", ":")).encode("utf-8")
-    return _frame(payload)
+    return pack_frame(
+        json.dumps(message, separators=(",", ":")).encode("utf-8"))
 
 
-class _JsonFrameBuffer:
-    """Incremental length-prefixed JSON message reassembly."""
-
-    def __init__(self) -> None:
-        self._data = bytearray()
-
-    def feed(self, chunk: bytes) -> List[dict]:
-        self._data.extend(chunk)
-        messages = []
-        while True:
-            if len(self._data) < 4:
-                break
-            (length,) = struct.unpack_from("!I", self._data, 0)
-            if len(self._data) < 4 + length:
-                break
-            payload = bytes(self._data[4 : 4 + length])
-            del self._data[: 4 + length]
-            messages.append(json.loads(payload.decode("utf-8")))
-        return messages
+def _decode(buffer: FrameBuffer, chunk: bytes) -> List[dict]:
+    """The JSON messages *chunk* completed; ``ValueError`` on an oversized
+    frame, bad UTF-8 or bad JSON — the caller closes that connection."""
+    return [json.loads(payload.decode("utf-8"))
+            for payload in buffer.feed(chunk)]
 
 
 class _ResolverProxy:
@@ -93,7 +75,7 @@ class _FinderConnection:
         self._finder = server.finder
         self._loop = server.loop
         self._sock: Optional[socket.socket] = sock
-        self._buffer = _JsonFrameBuffer()
+        self._buffer = FrameBuffer()
         self._out = bytearray()
         self._writing = False
         #: components registered over this connection: instance -> secret
@@ -109,6 +91,8 @@ class _FinderConnection:
 
     # -- socket plumbing --------------------------------------------------
     def _on_readable(self) -> None:
+        if self._sock is None:
+            return  # closed (a failed DEATH push) earlier in this batch
         try:
             chunk = self._sock.recv(65536)
         except BlockingIOError:
@@ -120,7 +104,7 @@ class _FinderConnection:
             self.close()
             return
         try:
-            messages = self._buffer.feed(chunk)
+            messages = _decode(self._buffer, chunk)
         except ValueError:
             self.close()
             return
@@ -138,6 +122,8 @@ class _FinderConnection:
     push_event = _send
 
     def _flush(self) -> None:
+        if self._sock is None:
+            return  # the writer callback of a connection closed this batch
         while self._out:
             try:
                 sent = self._sock.send(self._out)
@@ -332,7 +318,7 @@ class RemoteFinder:
         self.loop = loop
         self._timeout = timeout
         self._seq = 0
-        self._buffer = _JsonFrameBuffer()
+        self._buffer = FrameBuffer()
         self._responses: Dict[int, dict] = {}
         self._pending_events: List[dict] = []
         self._drain_scheduled = False
@@ -370,7 +356,7 @@ class RemoteFinder:
                 if not chunk:
                     raise OSError("finder connection closed")
                 self._feed(chunk)
-        except OSError as exc:
+        except (OSError, ValueError) as exc:
             self._lost()
             raise XrlError(
                 XrlErrorCode.SEND_FAILED, f"finder rpc failed: {exc}") from exc
@@ -382,7 +368,7 @@ class RemoteFinder:
         return response
 
     def _feed(self, chunk: bytes) -> None:
-        for message in self._buffer.feed(chunk):
+        for message in _decode(self._buffer, chunk):
             kind = message.get("t")
             if kind == "resp":
                 self._responses[message.get("seq")] = message
@@ -404,7 +390,10 @@ class RemoteFinder:
         if not chunk:
             self._lost()
             return
-        self._feed(chunk)
+        try:
+            self._feed(chunk)
+        except ValueError:
+            self._lost()
 
     def _drain_events(self) -> None:
         self._drain_scheduled = False

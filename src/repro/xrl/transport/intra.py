@@ -18,24 +18,18 @@ from repro.xrl.error import XrlError, XrlErrorCode
 from repro.xrl.transport.base import ProtocolFamily, ReplyCallback, Sender
 
 
-class _IntraSender(Sender):
-    def __init__(self, family: "IntraProcessFamily", address: str, router):
+class DirectSender(Sender):
+    """In-interpreter delivery, shared by the intra-process and host-local
+    families: the owning family's ``target_router(address, caller)``
+    says where (and whether) *caller* may deliver."""
+
+    def __init__(self, family, address: str, router):
         self._family = family
         self._address = address
         self._caller = router
 
     def call(self, request: bytes, reply_cb: ReplyCallback) -> None:
-        entry = self._family._listeners.get(self._address)
-        if entry is None:
-            raise XrlError(
-                XrlErrorCode.SEND_FAILED, f"intra target {self._address} is gone"
-            )
-        target_router, process_token = entry
-        if process_token != self._caller.process_token:
-            raise XrlError(
-                XrlErrorCode.SEND_FAILED,
-                "intra-process family cannot cross process boundaries",
-            )
+        target_router = self._family.target_router(self._address, self._caller)
         loop = self._caller.loop
 
         def deliver() -> None:
@@ -52,17 +46,7 @@ class _IntraSender(Sender):
         in a second deferred call.  A handler that defers (an XRL
         intermediary) still answers through its own later hop.
         """
-        entry = self._family._listeners.get(self._address)
-        if entry is None:
-            raise XrlError(
-                XrlErrorCode.SEND_FAILED, f"intra target {self._address} is gone"
-            )
-        target_router, process_token = entry
-        if process_token != self._caller.process_token:
-            raise XrlError(
-                XrlErrorCode.SEND_FAILED,
-                "intra-process family cannot cross process boundaries",
-            )
+        target_router = self._family.target_router(self._address, self._caller)
         loop = self._caller.loop
         pairs = list(requests)
 
@@ -110,7 +94,21 @@ class IntraProcessFamily(ProtocolFamily):
         return address
 
     def connect(self, address: str, router) -> Sender:
-        return _IntraSender(self, address, router)
+        return DirectSender(self, address, router)
+
+    def target_router(self, address: str, caller):
+        entry = self._listeners.get(address)
+        if entry is None:
+            raise XrlError(
+                XrlErrorCode.SEND_FAILED, f"intra target {address} is gone"
+            )
+        router, process_token = entry
+        if process_token != caller.process_token:
+            raise XrlError(
+                XrlErrorCode.SEND_FAILED,
+                "intra-process family cannot cross process boundaries",
+            )
+        return router
 
     def unlisten(self, address: str) -> None:
         self._listeners.pop(address, None)

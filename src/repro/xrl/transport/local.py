@@ -14,63 +14,8 @@ import os
 from typing import Dict
 
 from repro.xrl.error import XrlError, XrlErrorCode
-from repro.xrl.transport.base import ProtocolFamily, ReplyCallback, Sender
-
-
-class _HostLocalSender(Sender):
-    def __init__(self, family: "HostLocalFamily", address: str, router):
-        self._family = family
-        self._address = address
-        self._caller = router
-
-    def call(self, request: bytes, reply_cb: ReplyCallback) -> None:
-        target_router = self._family._listeners.get(self._address)
-        if target_router is None:
-            raise XrlError(
-                XrlErrorCode.SEND_FAILED, f"local target {self._address} is gone"
-            )
-        loop = self._caller.loop
-
-        def deliver() -> None:
-            target_router.dispatch_frame_async(
-                request, lambda response: loop.call_soon(reply_cb, response))
-
-        loop.call_soon(deliver)
-
-    def call_batch(self, requests) -> None:
-        """Batch form: one delivery hop and one reply-flush hop per batch
-        (see the intra-process family for the pattern)."""
-        target_router = self._family._listeners.get(self._address)
-        if target_router is None:
-            raise XrlError(
-                XrlErrorCode.SEND_FAILED, f"local target {self._address} is gone"
-            )
-        loop = self._caller.loop
-        pairs = list(requests)
-
-        def deliver() -> None:
-            ready = []
-            collecting = True
-
-            def respond_for(reply_cb):
-                def respond(response: bytes) -> None:
-                    if collecting:
-                        ready.append((reply_cb, response))
-                    else:
-                        loop.call_soon(reply_cb, response)
-                return respond
-
-            for request, reply_cb in pairs:
-                target_router.dispatch_frame_async(request,
-                                                   respond_for(reply_cb))
-            collecting = False
-            if ready:
-                def flush() -> None:
-                    for reply_cb, response in ready:
-                        reply_cb(response)
-                loop.call_soon(flush)
-
-        loop.call_soon(deliver)
+from repro.xrl.transport.base import ProtocolFamily, Sender
+from repro.xrl.transport.intra import DirectSender
 
 
 class HostLocalFamily(ProtocolFamily):
@@ -92,7 +37,15 @@ class HostLocalFamily(ProtocolFamily):
         return address
 
     def connect(self, address: str, router) -> Sender:
-        return _HostLocalSender(self, address, router)
+        return DirectSender(self, address, router)
+
+    def target_router(self, address: str, caller):
+        router = self._listeners.get(address)
+        if router is None:
+            raise XrlError(
+                XrlErrorCode.SEND_FAILED, f"local target {address} is gone"
+            )
+        return router
 
     def unlisten(self, address: str) -> None:
         self._listeners.pop(address, None)

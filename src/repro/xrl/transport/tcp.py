@@ -39,19 +39,35 @@ from repro.xrl.error import XrlError, XrlErrorCode
 from repro.xrl.transport.base import ProtocolFamily, ReplyCallback, Sender
 
 
-class _FrameBuffer:
-    """Incremental length-prefixed frame reassembly."""
+#: Largest frame a connection will reassemble.  The ``!I`` prefix is
+#: outside input: unchecked, four bytes (``ff ff ff ff``) would make a
+#: listener buffer up to 4 GiB.  The largest legitimate frames (a
+#: vectorized 256-route FIB XRL, a Finder registration) are tens of KiB.
+MAX_FRAME_SIZE = 16 * 1024 * 1024
+
+
+class FrameBuffer:
+    """Incremental length-prefixed frame reassembly (XRL and Finder wire)."""
 
     def __init__(self) -> None:
         self._data = bytearray()
 
     def feed(self, chunk: bytes) -> list:
+        """Absorb *chunk*; return the frames it completed.
+
+        Raises ``ValueError`` on a length prefix above
+        :data:`MAX_FRAME_SIZE` — the caller closes that connection.
+        """
         self._data.extend(chunk)
         frames = []
         while True:
             if len(self._data) < 4:
                 break
             (length,) = struct.unpack_from("!I", self._data, 0)
+            if length > MAX_FRAME_SIZE:
+                self._data.clear()
+                raise ValueError(f"frame length {length} exceeds "
+                                 f"{MAX_FRAME_SIZE}")
             if len(self._data) < 4 + length:
                 break
             frames.append(bytes(self._data[4 : 4 + length]))
@@ -59,7 +75,7 @@ class _FrameBuffer:
         return frames
 
 
-def _frame(payload: bytes) -> bytes:
+def pack_frame(payload: bytes) -> bytes:
     return struct.pack("!I", len(payload)) + payload
 
 
@@ -70,20 +86,23 @@ _BINARY_PREFIX = bytes([KIND_BINARY])
 class _TcpConnection:
     """One accepted server-side connection."""
 
-    def __init__(self, family: "TcpFamily", sock: socket.socket, router):
-        self._family = family
+    def __init__(self, listener: "_TcpListener", sock: socket.socket):
+        self._listener = listener
+        self._family = listener._family
         self._sock = sock
-        self._router = router
-        self._buffer = _FrameBuffer()
+        self._router = listener._router
+        self._buffer = FrameBuffer()
         self._out = bytearray()
         self._writing = False
-        self._loop = router.loop
+        self._loop = self._router.loop
         #: per-connection binary state, created by the HELLO exchange
         self._codec: Optional[BinaryCodec] = None
         sock.setblocking(False)
         self._loop.add_reader(sock, self._on_readable)
 
     def _on_readable(self) -> None:
+        if self._sock is None:
+            return  # closed earlier in this select batch
         try:
             chunk = self._sock.recv(65536)
         except BlockingIOError:
@@ -94,7 +113,12 @@ class _TcpConnection:
         if not chunk:
             self.close()
             return
-        for frame in self._buffer.feed(chunk):
+        try:
+            frames = self._buffer.feed(chunk)
+        except ValueError:
+            self.close()
+            return
+        for frame in frames:
             self._on_frame(frame)
 
     def _on_frame(self, frame: bytes) -> None:
@@ -102,11 +126,11 @@ class _TcpConnection:
         if kind == KIND_TEXTUAL:
             self._router.dispatch_frame_async(
                 frame[1:],
-                lambda response: self._send(_frame(_TEXTUAL_PREFIX + response)))
+                lambda response: self._send(pack_frame(_TEXTUAL_PREFIX + response)))
         elif kind == KIND_BINARY and self._codec is not None:
             self._router.dispatch_frame_async(
                 frame[1:],
-                lambda response: self._send(_frame(_BINARY_PREFIX + response)),
+                lambda response: self._send(pack_frame(_BINARY_PREFIX + response)),
                 codec=self._codec)
         elif kind == KIND_HELLO:
             try:
@@ -116,14 +140,14 @@ class _TcpConnection:
             chosen = choose_codec(self._family.codecs, remote)
             if chosen == "binary":
                 self._codec = BinaryCodec()
-            self._send(_frame(bytes([KIND_HELLO_ACK]) + encode_hello([chosen])))
+            self._send(pack_frame(bytes([KIND_HELLO_ACK]) + encode_hello([chosen])))
         else:
             # Unknown kind (or binary before negotiation): the frame is
             # undecodable, so the best we can do is a seq-0 error the
             # client counts as a late reply.
             error = XrlError(XrlErrorCode.BAD_ARGS,
                              f"unknown frame kind {kind:#x}")
-            self._send(_frame(
+            self._send(pack_frame(
                 _TEXTUAL_PREFIX + TEXTUAL.encode_response(0, error, XrlArgs())))
 
     def _send(self, data: bytes) -> None:
@@ -131,6 +155,8 @@ class _TcpConnection:
         self._flush()
 
     def _flush(self) -> None:
+        if self._sock is None:
+            return  # an async dispatch replied after the peer went away
         while self._out:
             try:
                 sent = self._sock.send(self._out)
@@ -160,6 +186,7 @@ class _TcpConnection:
             self._sock.close()
         finally:
             self._sock = None
+        self._listener._connections.discard(self)
 
 
 class _TcpListener:
@@ -173,7 +200,7 @@ class _TcpListener:
         sock.setblocking(False)
         self._sock = sock
         self.address = "{}:{}".format(*sock.getsockname())
-        self._connections = []
+        self._connections = set()
         router.loop.add_reader(sock, self._on_accept)
 
     def _on_accept(self) -> None:
@@ -185,13 +212,13 @@ class _TcpListener:
             except OSError:
                 return
             conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            self._connections.append(_TcpConnection(self._family, conn, self._router))
+            self._connections.add(_TcpConnection(self, conn))
 
     def close(self) -> None:
         if self._sock is None:
             return
         self._router.loop.remove_reader(self._sock)
-        for conn in self._connections:
+        for conn in list(self._connections):
             conn.close()
         try:
             self._sock.close()
@@ -211,7 +238,7 @@ class _TcpSender(Sender):
         host, __, port_text = address.rpartition(":")
         self._loop = router.loop
         self._pending: Dict[int, ReplyCallback] = {}
-        self._buffer = _FrameBuffer()
+        self._buffer = FrameBuffer()
         self._out = bytearray()
         self._writing = False
         self._retiring = False
@@ -230,7 +257,7 @@ class _TcpSender(Sender):
         self._loop.add_reader(sock, self._on_readable)
         codecs = family.codecs
         if "binary" in codecs:
-            self._out.extend(_frame(bytes([KIND_HELLO]) + encode_hello(codecs)))
+            self._out.extend(pack_frame(bytes([KIND_HELLO]) + encode_hello(codecs)))
             self._flush()
 
     @property
@@ -260,14 +287,14 @@ class _TcpSender(Sender):
         # without re-parsing.
         (seq,) = struct.unpack_from("!I", request, 1)
         self._pending[seq] = reply_cb
-        self._out.extend(_frame(request))
+        self._out.extend(pack_frame(request))
         self._flush()
 
     def call_batch(self, requests) -> None:
         """Pipelining's batch form: N frames, one buffered write.
 
         Concatenating frames is wire-compatible — the receiver's
-        :class:`_FrameBuffer` splits on length prefixes and replies carry
+        :class:`FrameBuffer` splits on length prefixes and replies carry
         sequence numbers, so responses demux exactly as for singular calls.
         With the binary codec the whole segment is one contiguous buffer
         of compact frames sharing the connection's interned method table.
@@ -277,7 +304,7 @@ class _TcpSender(Sender):
         for request, reply_cb in requests:
             (seq,) = struct.unpack_from("!I", request, 1)
             self._pending[seq] = reply_cb
-            self._out.extend(_frame(request))
+            self._out.extend(pack_frame(request))
         self._flush()
 
     def _flush(self) -> None:
@@ -303,6 +330,8 @@ class _TcpSender(Sender):
         self._flush()
 
     def _on_readable(self) -> None:
+        if self._sock is None:
+            return  # closed (a Finder invalidation) earlier in this batch
         try:
             chunk = self._sock.recv(65536)
         except BlockingIOError:
@@ -313,7 +342,12 @@ class _TcpSender(Sender):
         if not chunk:
             self.close()
             return
-        for response in self._buffer.feed(chunk):
+        try:
+            responses = self._buffer.feed(chunk)
+        except ValueError:
+            self.close()
+            return
+        for response in responses:
             kind = response[0] if response else -1
             if kind == KIND_HELLO_ACK:
                 try:

@@ -54,10 +54,11 @@ class _StreamLog:
     def __init__(self):
         self.events = []
 
-    def emit(self, op, route, batching=False):
-        # ``batching`` only affects wire coalescing, never semantics:
-        # drop it from the comparison key on purpose.
-        self.events.append((op, str(route.net), route.protocol, route.metric))
+    def emit(self, op, routes):
+        # How the stream was batched only affects wire coalescing, never
+        # semantics: flatten it out of the comparison key on purpose.
+        self.events.extend((op, str(route.net), route.protocol, route.metric)
+                           for route in routes)
 
 
 def build_pipeline():

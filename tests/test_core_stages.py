@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core import (
+    BatchStage,
     ConsistencyCheckStage,
     ConsistencyError,
     DeletionStage,
@@ -303,3 +304,57 @@ class TestDeletionStage:
         deletion.start()
         loop.run()
         assert origin.next_table is sink
+
+
+class TestSingleMessageSurface:
+    """Every stage implements each message once; the other form is
+    derived in ``repro.core.stages`` and nowhere else."""
+
+    PAIRS = [("add_route", "add_routes"), ("delete_route", "delete_routes")]
+    ORIGIN_SINGULARS = ("originate", "withdraw", "withdraw_if_present")
+
+    @staticmethod
+    def _owner(cls, name):
+        return next(base for base in cls.__mro__ if name in vars(base))
+
+    def test_no_stage_class_implements_both_forms(self):
+        import repro.bgp  # noqa: F401  (define every stage class)
+        import repro.fea  # noqa: F401
+        import repro.rib  # noqa: F401
+        from repro.core.stages import DERIVED_FORMS, all_stage_classes
+
+        assert {cls for cls, __ in DERIVED_FORMS} == {RouteTableStage,
+                                                      BatchStage}
+        forked = []
+        for cls in all_stage_classes():
+            if not cls.__module__.startswith("repro."):
+                continue  # test doubles
+            for pair in self.PAIRS:
+                implemented = [name for name in pair
+                               if (self._owner(cls, name), name)
+                               not in DERIVED_FORMS]
+                if len(implemented) != 1:
+                    forked.append((cls.__name__, implemented))
+            if issubclass(cls, OriginStage):
+                forked += [(cls.__name__, name)
+                           for name in self.ORIGIN_SINGULARS
+                           if self._owner(cls, name) is not OriginStage]
+        assert forked == []
+
+    def test_singular_call_into_batch_stage_is_one_span(self):
+        from repro.obs.trace import Tracer
+
+        flt = FilterStage("filter", lambda route: route)
+        sink = SinkStage()
+        flt.set_next(sink)
+        route = Route("10.0.0.0/8")
+        tracer = Tracer()
+        tracer.trace(route.net)
+        with tracer:
+            flt.add_route(route)
+            flt.delete_route(route)
+        spans = tracer.context_for(route.net).spans
+        assert [(s.site, s.op) for s in spans] == [
+            ("filter", "add"), ("sink", "add"),
+            ("filter", "delete"), ("sink", "delete")]
+        assert sink.log == [("add", route), ("delete", route)]

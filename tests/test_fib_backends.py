@@ -464,7 +464,7 @@ class TestFeaFlowController:
     def test_single_event_pumps_singular_segment(self):
         fea = _FakeFea()
         __, flow = self.make(fea)
-        flow.submit(32, "add", v4_route(1))
+        flow.submit_batch(32, "add", [v4_route(1)])
         assert fea.segments == [(32, "add", ["10.0.1.0/24"])]
 
     def test_batch_segments_at_limit(self):
@@ -477,12 +477,12 @@ class TestFeaFlowController:
         fea = _FakeFea()
         fea.congested = True
         loop, flow = self.make(fea, poll_interval=0.01)
-        flow.submit(32, "add", v4_route(1))
+        flow.submit_batch(32, "add", [v4_route(1)])
         fea.flush()  # congested reply pauses; the rest queue up mixed
-        flow.submit(32, "add", v4_route(2))
-        flow.submit(32, "add", v4_route(3))
-        flow.submit(32, "delete", v4_route(1))
-        flow.submit(32, "add", v4_route(4))
+        flow.submit_batch(32, "add", [v4_route(2)])
+        flow.submit_batch(32, "add", [v4_route(3)])
+        flow.submit_batch(32, "delete", [v4_route(1)])
+        flow.submit_batch(32, "add", [v4_route(4)])
         assert len(fea.segments) == 1
         fea.congested = False
         assert loop.run_until(lambda: not flow.paused, timeout=5)
@@ -496,10 +496,10 @@ class TestFeaFlowController:
         fea = _FakeFea()
         fea.congested = True
         loop, flow = self.make(fea, poll_interval=0.01)
-        flow.submit(32, "add", v4_route(1))
+        flow.submit_batch(32, "add", [v4_route(1)])
         fea.flush()  # reply says congested
         assert flow.paused
-        flow.submit(32, "add", v4_route(2))
+        flow.submit_batch(32, "add", [v4_route(2)])
         assert len(fea.segments) == 1  # backlog held while paused
         fea.congested = False
         assert loop.run_until(lambda: not flow.paused, timeout=5)
@@ -518,6 +518,30 @@ class TestFeaFlowController:
         loop.run(duration=0.1)
         assert sum(len(n) for __f, __o, n in fea.segments) == 16
 
+    def test_shed_scans_are_amortised_over_distinct_prefixes(self):
+        """10 000 distinct prefixes into a paused controller: nothing is
+        superseded, so rescanning on every intake above the watermark
+        (~9 000 full scans of a growing queue) would buy nothing."""
+        fea = _FakeFea()
+        fea.congested = True
+        __, flow = self.make(fea, high_watermark=1024, low_watermark=256)
+        flow.submit_batch(32, "add", [v4_route(0)])
+        fea.flush()  # the congested reply pauses the pump
+        assert flow.paused
+        scans = []
+        shed = flow._shed
+        flow._shed = lambda: (scans.append(flow.depth), shed())
+        for i in range(1, 10_001):
+            flow.submit_batch(32, "add", [v4_route(i)])
+        assert flow.depth == 10_000 and flow.shed_total == 0
+        assert len(scans) <= 10_000 // 1024 + 1
+        # Still bounded by distinct prefixes: a flap of every queued
+        # prefix is shed back within one watermark of the distinct count.
+        for i in range(1, 10_001):
+            flow.submit_batch(32, "delete", [v4_route(i)])
+        assert flow.depth <= 10_000 + 1024
+        assert flow.shed_total >= 10_000 - 1024
+
     def test_shed_keeps_newest_event_per_prefix(self):
         fea = _FakeFea()
         __, flow = self.make(fea, window=1, high_watermark=6,
@@ -525,8 +549,8 @@ class TestFeaFlowController:
         # window=1: the first op goes out, the rest accumulate.
         for round_ in range(5):
             for i in range(4):
-                flow.submit(32, "add" if round_ % 2 == 0 else "delete",
-                            v4_route(i))
+                flow.submit_batch(
+                    32, "add" if round_ % 2 == 0 else "delete", [v4_route(i)])
         # 20 events over 4 prefixes: superseded ones were shed.
         assert flow.depth <= 6
         assert flow.shed_total > 0

@@ -16,6 +16,7 @@ each cleans up its children in teardown even on failure.
 import os
 import signal
 import socket
+import time
 
 import pytest
 
@@ -97,6 +98,24 @@ class TestSingleModule:
                      {"addr": "192.0.2.7"})
         assert reply.get_bool("resolves")
         assert str(reply.get_ipv4("nexthop")) == "198.51.100.1"
+
+
+class TestShutdown:
+    def test_shutdown_serves_the_childs_finder_deregistration(self):
+        """A SIGTERMed child deregisters from the Finder on its way out;
+        shutdown() must pump that RPC instead of waiting 5 s to SIGKILL."""
+        manager = SpawnManager(policy=snappy_policy())
+        try:
+            shell = manager.spawn_module("fea")
+            manager.loop.run(duration=0.3)
+            started = time.monotonic()
+            manager.shutdown()
+            elapsed = time.monotonic() - started
+        finally:
+            manager.shutdown()
+        assert elapsed < 2.0, f"shutdown took {elapsed:.1f}s"
+        assert shell.popen.returncode is not None
+        assert shell.popen.returncode != -signal.SIGKILL
 
 
 class _Router:

@@ -126,6 +126,124 @@ class TestXrlTransportRobustness:
         assert error.is_okay
         assert received == [len(blob)]
 
+    def test_sender_closed_from_a_reply_callback_in_the_same_batch(self):
+        """Two senders readable in one select batch; the first reply's
+        callback closes the other sender (what a Finder invalidation
+        does).  The loop still calls the closed sender's reader."""
+        import select
+        import socket
+        import struct
+        import types
+
+        from repro.xrl.transport.tcp import TcpFamily, _TcpSender, pack_frame
+
+        loop = EventLoop(SystemClock())
+        server = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        server.bind(("127.0.0.1", 0))
+        server.listen(2)
+        address = "127.0.0.1:{}".format(server.getsockname()[1])
+        stub_router = types.SimpleNamespace(loop=loop)
+        family = TcpFamily(codec="textual")  # no HELLO: nothing to answer
+        senders = [_TcpSender(family, address, stub_router) for __ in "ab"]
+        accepted = [server.accept()[0] for __ in senders]
+        replies = []
+        try:
+            for seq, (sender, other) in enumerate(
+                    zip(senders, reversed(senders)), start=1):
+                frame = b"\x00" + struct.pack("!I", seq)  # kind, then seq
+                sender.call(frame, lambda response, other=other:
+                            (replies.append(response), other.close()))
+                accepted[seq - 1].sendall(pack_frame(frame))
+            client_socks = [sender._sock for sender in senders]
+            for __ in range(50):
+                if len(select.select(client_socks, [], [], 0.1)[0]) == 2:
+                    break
+            loop.run_once(block=False)  # calls the closed one's reader too
+            assert len(replies) == 1
+            assert sum(sender.alive for sender in senders) == 1
+        finally:
+            for sock in accepted + [server]:
+                sock.close()
+            for sender in senders:
+                sender.close()
+
+    def test_finder_connection_closed_by_a_death_push_in_the_same_batch(self):
+        """Two children die at once (bench/deploy.py SIGKILLs them): the
+        first connection's close pushes a DEATH event at the second,
+        whose send fails and closes it before the loop reaches its
+        reader."""
+        import json
+        import select
+        import socket
+        import struct
+
+        from repro.xrl.transport.finderd import FinderServer
+        from repro.xrl.transport.tcp import pack_frame
+
+        loop = EventLoop(SystemClock())
+        server = FinderServer(Finder(), loop)
+        host, __, port_text = server.address.rpartition(":")
+        children = {}
+        try:
+            for name in ("left", "right"):
+                children[name] = socket.create_connection((host, int(port_text)))
+            for seq, (name, other) in enumerate(
+                    [("left", "right"), ("right", "left")]):
+                for request in (
+                        {"op": "register_component", "class_name": name,
+                         "singleton": True, "addresses": {}},
+                        {"op": "watch", "watcher": name, "class_name": other}):
+                    children[name].sendall(pack_frame(json.dumps(
+                        dict(request, t="req", seq=seq)).encode()))
+            assert loop.run_until(
+                lambda: [len(conn._watches) for conn in server._connections]
+                == [1, 1], timeout=5)
+            server_socks = [conn._sock for conn in server._connections]
+            for sock in children.values():  # die like SIGKILL: RST, no FIN
+                sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER,
+                                struct.pack("ii", 1, 0))
+                sock.close()
+            for __ in range(50):
+                if len(select.select(server_socks, [], [], 0.1)[0]) == 2:
+                    break
+            loop.run_once(block=False)  # calls the closed one's reader too
+            assert not server._connections
+        finally:
+            server.close()
+
+    @pytest.mark.parametrize("port", ["xrl", "finder"])
+    def test_oversized_length_prefix_closes_the_connection(self, port):
+        """Four hostile bytes must not make a listener buffer 4 GiB: the
+        connection is closed, nothing is retained, nothing is raised."""
+        import socket
+
+        from repro.xrl.transport import TcpFamily
+        from repro.xrl.transport.finderd import FinderServer
+
+        loop = EventLoop(SystemClock())
+        finder = Finder()
+        if port == "xrl":
+            family = TcpFamily()
+            XrlRouter(loop, "svc", finder, families=[family])
+            (listener,) = family._listeners.values()
+        else:
+            listener = FinderServer(finder, loop)
+        host, __, port_text = listener.address.rpartition(":")
+        hostile = socket.create_connection((host, int(port_text)))
+        try:
+            assert loop.run_until(lambda: len(listener._connections) == 1,
+                                  timeout=5)
+            (conn,) = listener._connections
+            hostile.sendall(b"\xff\xff\xff\xff" + b"x" * 4096)
+            assert loop.run_until(lambda: not listener._connections,
+                                  timeout=5)
+            assert len(conn._buffer._data) == 0
+            hostile.settimeout(5)
+            assert hostile.recv(16) == b""  # a clean close, no reply
+        finally:
+            hostile.close()
+            listener.close()
+
     def test_resolution_error_does_not_poison_cache(self):
         loop = EventLoop(SimulatedClock())
         host = Host(loop=loop)
