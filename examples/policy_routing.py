@@ -68,7 +68,7 @@ def main() -> None:
                 .add_ipv4net("net", "10.0.0.0/24").add_ipv4("nexthop", "0.0.0.0")
                 .add_u32("metric", 1).add_list("policytags", []))
         bgp.xrl.send_sync(Xrl("rib", "rib", "1.0", "add_route4", args),
-                          timeout=10)
+                          deadline=10)
     p12.enable()
     p21.enable()
     loop.run_until(lambda: p21.fsm.state == BgpState.ESTABLISHED, timeout=60)
@@ -86,7 +86,7 @@ def main() -> None:
     args = (XrlArgs().add_u32("filter_id", 1)
             .add_txt("policy_source", IMPORT_POLICY))
     error, __ = bgp2.xrl.send_sync(
-        Xrl("bgp", "policy", "0.1", "configure_filter", args), timeout=10)
+        Xrl("bgp", "policy", "0.1", "configure_filter", args), deadline=10)
     print(f"configure_filter: {'OK' if error.is_okay else error}")
     # Background re-filtering removes 203.0.113.0/24 and retags the rest.
     loop.run_until(

@@ -20,7 +20,11 @@ Roots, then transitive closure over a name-based call graph:
   ``repro.xrl`` package (frame codec, router, transports), the transmit
   queue, and the event loop's turn dispatcher (every XRL and deferred
   stage batch is dispatched from a loop turn);
-* ``FibBackend.apply`` — the dataplane sink each batch drains into.
+* ``FibBackend.apply`` — the dataplane sink each batch drains into;
+* the **feed entry point** — ``update_received`` on any class: where a
+  peer's UPDATE enters the stages, upstream of every batched message it
+  causes (the fanout reader callbacks downstream of it are reached
+  through the callback aliases).
 
 Call edges are resolved CHA-style by name: ``self.m()`` and ``x.m()``
 reach every project definition of ``m``; bare calls reach module-level
@@ -41,7 +45,9 @@ Cost rules (HOT001-HOT006)
 Over every hot function:
 
 * HOT001 (error) — singular-call fallback inside a loop where a batch
-  API exists (``t.add_route`` per route where ``add_routes`` is defined);
+  API exists (``t.add_route`` per route where ``add_routes`` is defined;
+  likewise an ``Xrl`` naming ``add_route4`` built per iteration where an
+  ``xrl_add_routes4`` handler is bound);
 * HOT002 (error) — per-item dict/list construction or ``Xrl``/``XrlArgs``
   chains inside a per-route loop (what PR 4's coalescing eliminated);
 * HOT003 (warning) — class instantiated in a hot loop without
@@ -91,6 +97,8 @@ BATCH_COUNTERPARTS = {
     "add_entry6": "add_entries6",
     "delete_entry4": "delete_entries4",
     "delete_entry6": "delete_entries6",
+    "add_route4": "add_routes4",
+    "delete_route4": "delete_routes4",
     "enqueue": "enqueue_batch",
     "call": "call_batch",
     "add": "add_batch",
@@ -124,6 +132,10 @@ STAGE_ENTRY_POINTS = frozenset({
     "replace_route", "originate", "originate_batch",
     "withdraw", "withdraw_batch",
 })
+
+#: where a peer's UPDATE enters the stages: the feed's real entry point,
+#: upstream of every batched stage message it causes
+FEED_ENTRY_POINTS = frozenset({"update_received"})
 
 #: modules rooted wholesale: the XRL frame/dispatch machinery, the
 #: transmit queue, and the event-loop turn dispatcher all run per
@@ -503,6 +515,8 @@ def _root_family(fn: HotFunction) -> Optional[str]:
     module = fn.module
     if fn.class_name is not None and fn.name in STAGE_ENTRY_POINTS:
         return "stage-entry"
+    if fn.class_name is not None and fn.name in FEED_ENTRY_POINTS:
+        return "feed-entry"
     if fn.name.startswith("xrl_"):
         return "xrl-dispatch"
     if module.package in _DISPATCH_PACKAGES \
@@ -746,6 +760,7 @@ class _FunctionScanner:
         name = _funcref_name(node.func)
         if name is not None:
             self._check_hot001(node, name)
+            self._check_hot001_wire(node, name)
             self._check_hot002_call(node, name)
             self._check_hot003(node, name)
             self._check_hot005(node, name)
@@ -846,6 +861,25 @@ class _FunctionScanner:
         self.emit(node.lineno, "HOT001",
                   f"per-route {name}() on {where!r} inside a loop — "
                   f"the batched {counterpart}() exists; send one batch")
+
+    def _check_hot001_wire(self, node: ast.Call, name: str) -> None:
+        """The same defect spelled as a wire method: an ``Xrl`` naming a
+        singular method, built per iteration, where a handler for the
+        vectorized counterpart is bound somewhere in the tree."""
+        if name != "Xrl" or not self._in_loop():
+            return
+        for arg in node.args:
+            for sub in ast.walk(arg):
+                if not (isinstance(sub, ast.Constant)
+                        and isinstance(sub.value, str)):
+                    continue
+                counterpart = BATCH_COUNTERPARTS.get(sub.value)
+                if counterpart is not None \
+                        and "xrl_" + counterpart in self.universe.fn_by_name:
+                    self.emit(node.lineno, "HOT001",
+                              f"per-route {sub.value} XRL built inside a "
+                              f"loop — the vectorized {counterpart} "
+                              "exists; send one XRL per stretch")
 
     def _check_hot002_call(self, node: ast.Call, name: str) -> None:
         if name in ("Xrl", "XrlArgs") and self._in_batchy_loop():

@@ -19,6 +19,7 @@ otherwise the dump itself will deliver the post-change state.
 from __future__ import annotations
 
 from collections import deque
+from itertools import islice
 from typing import Any, Callable, Deque, Dict, List, Optional, Set
 
 from repro.core.stages import BatchStage, RouteTableStage
@@ -47,10 +48,12 @@ class Reader:
     __slots__ = ("name", "deliver", "next_serial", "busy", "dump_iterator",
                  "dump_task", "dumped_count")
 
-    def __init__(self, name: str, deliver: Callable[[str, Any, Any], None],
+    def __init__(self, name: str,
+                 deliver: Callable[[str, List[Any], Any], None],
                  next_serial: int):
         self.name = name
-        #: deliver(op, route, old_route)
+        #: deliver(op, routes, old_route): a run of consecutive same-op
+        #: changes, in queue order; a REPLACE is a run of one
         self.deliver = deliver
         self.next_serial = next_serial
         self.busy = False
@@ -77,7 +80,19 @@ class Reader:
 
 
 class FanoutQueue(BatchStage):
-    """Single change queue, n readers, per-reader background dumps."""
+    """Single change queue, n readers, per-reader background dumps.
+
+    Readers consume *runs*: the pump groups the consecutive same-op
+    entries a reader is due (the burst one UPDATE put on the queue) into
+    one ``deliver(op, routes, old_route)`` call, so a batch that entered
+    the queue as a batch leaves it as one — towards a peer's output
+    branch and towards the RIB alike.
+    """
+
+    #: a run carries at most this many routes (one stage batch
+    #: downstream, one vectorized XRL towards the RIB); the BGP-side twin
+    #: of ``RibProcess.FEA_BATCH_LIMIT``
+    RUN_LIMIT = 256
 
     def __init__(self, name: str, loop, *, bits: int = 32,
                  dump_slice: int = 64):
@@ -92,7 +107,7 @@ class FanoutQueue(BatchStage):
 
     # -- reader management -----------------------------------------------------
     def add_reader(self, name: str,
-                   deliver: Callable[[str, Any, Any], None], *,
+                   deliver: Callable[[str, List[Any], Any], None], *,
                    dump: bool = True) -> Reader:
         """Attach a reader.
 
@@ -209,13 +224,29 @@ class FanoutQueue(BatchStage):
         reader = self.readers.get(name)
         if reader is None:
             return
-        base = self.queue[0].serial if self.queue else self._next_serial
+        queue = self.queue
+        limit = self.RUN_LIMIT
         while not reader.busy and reader.next_serial < self._next_serial:
-            entry = self.queue[reader.next_serial - base]
-            reader.next_serial += 1
-            if entry.skip_readers is not None and name in entry.skip_readers:
-                continue
-            reader.deliver(entry.op, entry.route, entry.old_route)
+            # One run: the consecutive entries of one op this reader is
+            # due.  A REPLACE carries its own old_route, so it never
+            # shares a run.
+            op = None
+            old_route = None
+            routes: List[Any] = []
+            start = reader.next_serial - queue[0].serial
+            for entry in islice(queue, start, start + limit):
+                skip = entry.skip_readers
+                if skip is not None and name in skip:
+                    reader.next_serial += 1
+                    continue
+                if op is None:
+                    op, old_route = entry.op, entry.old_route
+                elif entry.op != op or op == REPLACE:
+                    break
+                routes.append(entry.route)
+                reader.next_serial += 1
+            if routes:
+                reader.deliver(op, routes, old_route)
         self._trim()
 
     def _trim(self) -> None:
@@ -233,18 +264,25 @@ class FanoutQueue(BatchStage):
         if reader.name not in self.readers:
             return False
         budget = self.dump_slice
+        limit = self.RUN_LIMIT
         iterator = reader.dump_iterator
-        while budget > 0:
+        while budget > 0 and not iterator.exhausted:
             if reader.busy:
                 return True  # try again next idle moment
-            if iterator.exhausted:
-                break
-            if iterator.valid:
-                route = iterator.payload
-                reader.dumped_count += 1
-                reader.deliver(ADD, route, None)
-                budget -= 1
-            iterator.advance()
+            # The slice leaves as ADD runs.  The iterator is parked past
+            # a run before it is delivered, so a change the delivery
+            # provokes is classified against the dump front the reader
+            # really resumes from.
+            routes: List[Any] = []
+            room = min(budget, limit)
+            while len(routes) < room and not iterator.exhausted:
+                if iterator.valid:
+                    routes.append(iterator.payload)
+                iterator.advance()
+            if routes:
+                budget -= len(routes)
+                reader.dumped_count += len(routes)
+                reader.deliver(ADD, routes, None)
         if iterator.exhausted:
             iterator.close()
             reader.dump_iterator = None

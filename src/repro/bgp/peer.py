@@ -341,13 +341,16 @@ class PeerHandler(FsmActions):
                              name=f"refilter-out-{self.peer_id}")
 
     # -- fanout plumbing -------------------------------------------------------
-    def _fanout_deliver(self, op: str, route: Any, old_route: Any) -> None:
+    def _fanout_deliver(self, op: str, routes: List[Any],
+                        old_route: Any) -> None:
+        """Fanout reader: a run of same-op changes enters the output
+        branch as one stage batch."""
         if op == "add":
-            self.out_filter.add_route(route)
+            self.out_filter.add_routes(routes)
         elif op == "delete":
-            self.out_filter.delete_route(route)
+            self.out_filter.delete_routes(routes)
         else:
-            self.out_filter.replace_route(old_route, route)
+            self.out_filter.replace_route(old_route, routes[0])
 
     # -- FSM actions ------------------------------------------------------------
     def attach_session(self, session: BgpSession) -> None:
@@ -424,16 +427,19 @@ class PeerHandler(FsmActions):
         self.updates_received += 1
         prof = self.process.prof_ribin
         if update.withdrawn:
-            for net in update.withdrawn:
-                prof.log(f"delete {net}")
+            if prof.enabled:
+                for net in update.withdrawn:
+                    prof.log_op("delete", net)
             self.peer_in.withdraw_batch(update.withdrawn)
         if update.nlri:
+            if prof.enabled:
+                for net in update.nlri:
+                    prof.log_op("add", net)
             attributes = update.attributes
-            routes = []
-            for net in update.nlri:
-                prof.log(f"add {net}")
-                routes.append(BGPRoute(net, attributes, peer_id=self.peer_id))
-            self.peer_in.originate_batch(routes)
+            peer_id = self.peer_id
+            self.peer_in.originate_batch(
+                [BGPRoute(net, attributes, peer_id=peer_id)
+                 for net in update.nlri])
 
     # -- outbound updates -----------------------------------------------------
     def _send_update(self, update: UpdateMessage) -> None:

@@ -16,10 +16,11 @@ from repro.interfaces import (
     FEA_IFMGR_IDL,
     FEA_MFIB_IDL,
     FEA_RAWPKT4_IDL,
+    parallel_values,
 )
 from repro.net import IPNet, IPv4
 from repro.profiler import PROFILER_IDL, Profiler
-from repro.xrl import XrlArgs, XrlError
+from repro.xrl import XrlArgs, XrlAtomType, XrlError
 from repro.xrl.error import XrlErrorCode
 from repro.xrl.xrl import Xrl
 
@@ -109,8 +110,18 @@ class FeaProcess(XorpProcess):
         self._prof_kernel.log_op("delete", net)
         return self._fib_status()
 
-    def _fib_add_vector(self, nets, nexthops, ifnames) -> dict:
-        entries = [FibEntry(net.value, nexthop.value, ifname.value)
+    #: family suffix -> (net atom type, nexthop atom type)
+    _FIB_FAMILY = {
+        "4": (XrlAtomType.IPV4NET, XrlAtomType.IPV4),
+        "6": (XrlAtomType.IPV6NET, XrlAtomType.IPV6),
+    }
+
+    def _fib_add_vector(self, family, nets, nexthops, ifnames) -> dict:
+        net_type, nexthop_type = self._FIB_FAMILY[family]
+        nets, nexthops, ifnames = parallel_values(
+            "add_entries" + family, (nets, net_type),
+            (nexthops, nexthop_type), (ifnames, XrlAtomType.TXT))
+        entries = [FibEntry(net, nexthop, ifname)
                    for net, nexthop, ifname
                    in zip(nets, nexthops, ifnames)]
         prof_arrive = self._prof_arrive
@@ -125,16 +136,18 @@ class FeaProcess(XorpProcess):
                 prof_kernel.log_op("add", entry.net)
         return self._fib_status()
 
-    def _fib_delete_vector(self, nets) -> dict:
+    def _fib_delete_vector(self, family, nets) -> dict:
+        (nets,) = parallel_values("delete_entries" + family,
+                                  (nets, self._FIB_FAMILY[family][0]))
         prof_arrive = self._prof_arrive
         if prof_arrive.enabled:
             for net in nets:
-                prof_arrive.log_op("delete", net.value)
-        self.driver.delete_batch([net.value for net in nets])
+                prof_arrive.log_op("delete", net)
+        self.driver.delete_batch(nets)
         prof_kernel = self._prof_kernel
         if prof_kernel.enabled:
             for net in nets:
-                prof_kernel.log_op("delete", net.value)
+                prof_kernel.log_op("delete", net)
         return self._fib_status()
 
     def xrl_add_entry4(self, net, nexthop, ifname) -> dict:
@@ -144,10 +157,10 @@ class FeaProcess(XorpProcess):
         return self._fib_delete(net)
 
     def xrl_add_entries4(self, nets, nexthops, ifnames) -> dict:
-        return self._fib_add_vector(nets, nexthops, ifnames)
+        return self._fib_add_vector("4", nets, nexthops, ifnames)
 
     def xrl_delete_entries4(self, nets) -> dict:
-        return self._fib_delete_vector(nets)
+        return self._fib_delete_vector("4", nets)
 
     def xrl_lookup_entry4(self, addr) -> dict:
         entry = self.fib4.lookup(addr)
@@ -164,10 +177,10 @@ class FeaProcess(XorpProcess):
                 "nexthop": entry.nexthop, "ifname": ifname}
 
     def xrl_add_entries6(self, nets, nexthops, ifnames) -> dict:
-        return self._fib_add_vector(nets, nexthops, ifnames)
+        return self._fib_add_vector("6", nets, nexthops, ifnames)
 
     def xrl_delete_entries6(self, nets) -> dict:
-        return self._fib_delete_vector(nets)
+        return self._fib_delete_vector("6", nets)
 
     def xrl_add_entry6(self, net, nexthop, ifname) -> dict:
         return self._fib_add(net, nexthop, ifname)

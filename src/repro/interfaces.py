@@ -10,8 +10,9 @@ all"), and every boundary is visible in one place for review.
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Any, Dict, List, Tuple
 
+from repro.xrl.error import XrlError, XrlErrorCode
 from repro.xrl.idl import XrlInterface, parse_idl
 
 IDL_TEXT = """
@@ -28,6 +29,15 @@ interface rib/1.0 {
     add_route4     ? protocol:txt & net:ipv4net & nexthop:ipv4 & metric:u32 & policytags:list;
     replace_route4 ? protocol:txt & net:ipv4net & nexthop:ipv4 & metric:u32 & policytags:list;
     delete_route4  ? protocol:txt & net:ipv4net;
+    /* Vectorized route stream: one XRL per burst of one protocol's
+       routes.  The lists are parallel (nets[i] via nexthops[i] at
+       metrics[i]); unequal lengths or a wrong inner type are BAD_ARGS
+       and nothing is applied.  add_routes4 is an upsert, like
+       replace_route4: a prefix the protocol already filed is replaced
+       in place.  delete_routes4 skips prefixes the protocol does not
+       hold.  Both are therefore idempotent under a RetryPolicy. */
+    add_routes4    ? protocol:txt & nets:list & nexthops:list & metrics:list;
+    delete_routes4 ? protocol:txt & nets:list;
     add_route6     ? protocol:txt & net:ipv6net & nexthop:ipv6 & metric:u32 & policytags:list;
     replace_route6 ? protocol:txt & net:ipv6net & nexthop:ipv6 & metric:u32 & policytags:list;
     delete_route6  ? protocol:txt & net:ipv6net;
@@ -72,7 +82,8 @@ interface fea_fib/1.0 {
     delete_entry6 ? net:ipv6net -> queued:u32 & congested:bool;
     /* Vectorized entry points: one XRL per route segment.  The lists
        are parallel (nets[i] goes via nexthops[i] on ifnames[i]);
-       semantically identical to N singular calls, in order. */
+       semantically identical to N singular calls, in order.  Unequal
+       lengths or a wrong inner type are BAD_ARGS, nothing applied. */
     add_entries4    ? nets:list & nexthops:list & ifnames:list -> queued:u32 & congested:bool;
     delete_entries4 ? nets:list -> queued:u32 & congested:bool;
     add_entries6    ? nets:list & nexthops:list & ifnames:list -> queued:u32 & congested:bool;
@@ -295,6 +306,30 @@ def versions_by_name() -> Dict[str, Tuple[str, ...]]:
         grouped.setdefault(iface.name, []).append(iface.version)
     return {name: tuple(sorted(versions))
             for name, versions in grouped.items()}
+
+
+def parallel_values(method: str, *columns) -> List[List[Any]]:
+    """Unpack the parallel ``list`` atoms of a vectorized method.
+
+    Each column is ``(atoms, XrlAtomType)``.  The IDL types them only as
+    ``list``, so the handler checks what the catalogue's comment
+    promises: every list the same length, every inner atom of the
+    declared type — otherwise ``BAD_ARGS`` before anything is applied
+    (zipping would silently drop the tail).  Returns the bare values,
+    one list per column.
+    """
+    length = len(columns[0][0])
+    values = []
+    for atoms, atom_type in columns:
+        column = [atom.value for atom in atoms if atom.type is atom_type]
+        if len(atoms) != length or len(column) != length:
+            raise XrlError(
+                XrlErrorCode.BAD_ARGS,
+                f"{method}: parallel lists need {length} "
+                f"{atom_type.value} atoms each, got {len(column)} "
+                f"of {len(atoms)}")
+        values.append(column)
+    return values
 
 
 RIB_IDL = interface("rib/1.0")

@@ -16,7 +16,7 @@ from repro.ospf.packets import (
     decode_packet,
 )
 from repro.ospf.spf import shortest_path_routes
-from repro.xrl import XrlArgs, XrlError
+from repro.xrl import XrlArgs, XrlAtom, XrlAtomType, XrlError
 from repro.xrl.error import XrlErrorCode
 from repro.xrl.xrl import Xrl
 
@@ -266,13 +266,17 @@ class OspfProcess(XorpProcess):
         if self.rib_target is None:
             self._installed = desired
             return
-        for prefix in list(self._installed):
-            if prefix not in desired:
-                args = (XrlArgs().add_txt("protocol", "ospf")
-                        .add_ipv4net("net", prefix))
-                self.xrl.send(Xrl(self.rib_target, "rib", "1.0",
-                                  "delete_route4", args), batch=True)
+        gone = [prefix for prefix in self._installed
+                if prefix not in desired]
+        if gone:
+            # Everything one SPF run retires leaves as one XRL.
+            for prefix in gone:
                 del self._installed[prefix]
+            args = (XrlArgs().add_txt("protocol", "ospf")
+                    .add_list("nets", [XrlAtom("net", XrlAtomType.IPV4NET,
+                                               prefix) for prefix in gone]))
+            self.xrl.send(Xrl(self.rib_target, "rib", "1.0",
+                              "delete_routes4", args), batch=True)
         for prefix, (metric, nexthop) in desired.items():
             current = self._installed.get(prefix)
             if current == (metric, nexthop):

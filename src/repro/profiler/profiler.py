@@ -56,6 +56,12 @@ class ProfileVar:
         if self.enabled:
             self.entries.append((self._clock.now(), f"{op} {obj}"))
 
+    def log_each(self, records: List[str]) -> None:
+        """``log`` every record of a batch, in order (the sent-moment of
+        a vectorized XRL: still one record per route)."""
+        for data in records:
+            self.log(data)
+
     def format_entries(self) -> List[str]:
         """Render records in the paper's format: name, secs, usecs, data."""
         lines = []

@@ -18,6 +18,7 @@ from repro.interfaces import (
     REDIST4_IDL,
     RIB_CLIENT_IDL,
     RIB_IDL,
+    parallel_values,
 )
 from repro.net import IPNet, IPv4, IPv6
 from repro.profiler import PROFILER_IDL, Profiler
@@ -193,11 +194,6 @@ class RibProcess(XorpProcess):
                 prof.log_op(op, route.net)
         self.flow.submit_batch(family, op, routes)
 
-    def _log_sent_fea(self, lines: List[str]) -> None:
-        log = self._prof_sent_fea.log
-        for line in lines:
-            log(line)
-
     def _send_fea_segment(self, family: int, op: str, routes: List[Any],
                           batching: bool, on_reply) -> None:
         """Transmit one same-op run as a singular or vectorized FIB XRL."""
@@ -241,7 +237,7 @@ class RibProcess(XorpProcess):
             # only built when the profiling point is collecting.
             lines = [f"{op} {route.net}" for route in routes]
             on_sent = lambda batch_lines=lines: \
-                self._log_sent_fea(batch_lines)  # noqa: E731
+                self._prof_sent_fea.log_each(batch_lines)  # noqa: E731
         else:
             on_sent = None
         self.txq.enqueue(xrl, on_sent=on_sent, on_reply=on_reply,
@@ -383,6 +379,39 @@ class RibProcess(XorpProcess):
                 XrlErrorCode.COMMAND_FAILED,
                 f"no {protocol} route for {net}",
             )
+
+    def xrl_add_routes4(self, protocol, nets, nexthops, metrics) -> None:
+        """A burst of one protocol's routes as one origin-table batch.
+
+        An upsert, like ``replace_route4``: a prefix already filed under
+        *protocol* is replaced in place, so a retried frame is harmless.
+        """
+        origin = self.v4.origin(protocol)
+        columns = parallel_values("add_routes4",
+                                  (nets, XrlAtomType.IPV4NET),
+                                  (nexthops, XrlAtomType.IPV4),
+                                  (metrics, XrlAtomType.U32))
+        prof = self._prof_arrive
+        if prof.enabled:
+            for net in columns[0]:
+                prof.log_op("add", net)
+        external = self.v4.external_protocols.get(protocol, False)
+        origin.originate_batch(
+            [RibRoute(net, nexthop, metric, protocol, is_external=external)
+             for net, nexthop, metric in zip(*columns)])
+
+    def xrl_delete_routes4(self, protocol, nets) -> None:
+        """Withdraw a burst of *protocol*'s prefixes as one batch; absent
+        prefixes are skipped (``withdraw_batch``), so a retried frame
+        whose first reply was lost is not an error."""
+        origin = self.v4.origin(protocol)
+        (nets,) = parallel_values("delete_routes4",
+                                  (nets, XrlAtomType.IPV4NET))
+        prof = self._prof_arrive
+        if prof.enabled:
+            for net in nets:
+                prof.log_op("delete", net)
+        origin.withdraw_batch(nets)
 
     def xrl_add_route6(self, protocol, net, nexthop, metric, policytags) -> None:
         origin = self.v6.origin(protocol)

@@ -219,8 +219,8 @@ class XrlRouter:
         all ``batch=True`` sends issued within one event-loop turn that
         resolve to the same sender go to the wire as a single coalesced
         transmission (:meth:`Sender.call_batch`).  Semantics are unchanged
-        — each call still completes individually, in order — only the
-        per-call transmission overhead is amortized.
+        — each call still completes individually, in order (a plain send
+        issued behind them in the same turn joins their flush).
         """
         self._dispatch(xrl, callback, deadline=deadline, retry=retry,
                        batch=batch)
@@ -244,7 +244,7 @@ class XrlRouter:
             call.deadline_timer = self.loop.call_later(
                 deadline, lambda: self._deadline_expired(call),
                 name="xrl-deadline")
-        if batch:
+        if batch or self._batch_pending:
             self._batch_pending.append(call)
             if not self._batch_scheduled:
                 self._batch_scheduled = True
@@ -253,18 +253,18 @@ class XrlRouter:
         self._attempt(call, defer_errors=True)
 
     def _flush_batch(self) -> None:
-        """End-of-turn flush: group this turn's hinted calls by resolved
-        sender and transmit each group as one coalesced wire operation."""
+        """End-of-turn flush: transmit each run of consecutive calls to one
+        resolved sender as one coalesced wire operation, runs in order."""
         self._batch_scheduled = False
         calls, self._batch_pending = self._batch_pending, []
         if not self._alive:
             return  # shutdown already failed every pending call
-        groups: Dict[int, Tuple[Sender, List[Tuple]]] = {}
+        groups: List[Tuple[Sender, List[Tuple]]] = []
         for call in calls:
             if call.done:
                 continue
             self._attempt(call, defer_errors=True, collect=groups)
-        for sender, items in groups.values():
+        for sender, items in groups:
             if len(items) == 1:
                 call, request, on_reply = items[0]
                 try:
@@ -314,11 +314,11 @@ class XrlRouter:
                 name="xrl-attempt-timeout")
 
     def _attempt(self, call: _PendingCall, defer_errors: bool = False,
-                 collect: Optional[Dict[int, Tuple]] = None) -> None:
+                 collect: Optional[List[Tuple]] = None) -> None:
         """Dispatch one attempt of *call* (resolve, connect, transmit).
 
-        With *collect*, the encoded request is grouped by sender into the
-        given dict instead of being transmitted — :meth:`_flush_batch`
+        With *collect*, the encoded request joins the given list's last
+        same-sender run instead of being transmitted — :meth:`_flush_batch`
         performs the actual (coalesced) transmission and arms the attempt
         timer afterwards.
         """
@@ -372,9 +372,9 @@ class XrlRouter:
             request = entry.sender.encode_request(
                 next(self._seq), entry.resolved_method, xrl.args)
             if collect is not None:
-                group = collect.setdefault(id(entry.sender),
-                                           (entry.sender, []))
-                group[1].append((call, request, on_reply))
+                if not collect or collect[-1][0] is not entry.sender:
+                    collect.append((entry.sender, []))  # a new in-order run
+                collect[-1][1].append((call, request, on_reply))
                 return  # flusher transmits and arms the attempt timer
             try:
                 # repro: allow[HOT001] failover retry for ONE call, not per-route

@@ -809,6 +809,11 @@ class TestProtographGraph:
         assert ("rib", "bgp") in pairs      # redistribution back-channel
         sync_pairs = {(e.src, e.dst) for e in graph.edges.values() if e.sync}
         assert ("rtrmgr", "rib") in sync_pairs   # rtrmgr configures sync
+        # The vectorized route stream resolves from its literal method
+        # names: both frames ride the bgp -> rib edge, asynchronously.
+        stream = graph.edges[("bgp", "rib", "rib/1.0", False)]
+        assert {"add_routes4", "delete_routes4",
+                "add_route4", "delete_route4"} <= stream.methods
 
     def test_dot_export_mentions_every_package_on_an_edge(self):
         modules, _errors = collect_modules([SRC_REPRO])
@@ -863,6 +868,62 @@ class TestHotPathFixtures:
         finding = next(f for f in findings if f.rule == "HOT001")
         assert "add_routes" in finding.message
         assert finding.line == 6
+
+    WIRE_LOOP = (
+        "from repro.xrl import XrlArgs\n"
+        "from repro.xrl.xrl import Xrl\n"
+        "class Rib:\n"
+        "    def xrl_add_route4(self, protocol, net):\n"
+        "        pass\n"
+        "{vector}"
+        "class Feeder:\n"
+        "    def add_routes(self, routes, *, caller=None):\n"
+        "        args = XrlArgs()\n"
+        "        for pending in self.stretch:\n"
+        "            self.push(Xrl('rib', 'rib', '1.0', 'add_route4', args))\n"
+        "    def push(self, xrl):\n"
+        "        pass\n"
+    )
+
+    def test_singular_wire_method_in_hot_loop_hot001(self):
+        # The same defect spelled as a wire method: an Xrl naming the
+        # singular method, built per iteration, while a handler for the
+        # vectorized counterpart is bound in the tree.
+        source = self.WIRE_LOOP.format(vector=(
+            "    def xrl_add_routes4(self, protocol, nets):\n"
+            "        pass\n"))
+        findings = analyze_sources({"bgp/feed.py": source})
+        hot = [f for f in findings if f.rule.startswith("HOT")]
+        assert [f.rule for f in hot] == ["HOT001"]
+        finding = hot[0]
+        assert finding.severity == "error"
+        assert "add_route4" in finding.message
+        assert "add_routes4" in finding.message
+        assert finding.line == 12
+
+    def test_singular_wire_method_without_a_vector_handler_clean(self):
+        findings = analyze_sources(
+            {"bgp/feed.py": self.WIRE_LOOP.format(vector="")})
+        assert [f for f in findings if f.rule.startswith("HOT")] == []
+
+    def test_update_received_roots_the_feed(self):
+        # An UPDATE enters the stages here, upstream of every batched
+        # message it causes: eager per-prefix formatting is on the hot
+        # path even though no stage method is in sight.
+        source = (
+            "class Peer:\n"
+            "    def update_received(self, update):\n"
+            "        for net in update.nlri:\n"
+            "            self.prof.log(f'add {net}')\n"
+        )
+        findings = analyze_sources({"bgp/peering.py": source})
+        hot5 = [f for f in findings if f.rule == "HOT005"]
+        assert len(hot5) == 1 and hot5[0].line == 4
+        guarded = source.replace(
+            "        for net", "        if self.prof.enabled:\n          for net"
+        ).replace("            self.prof.log", "              self.prof.log")
+        findings = analyze_sources({"bgp/peering.py": guarded})
+        assert [f for f in findings if f.rule == "HOT005"] == []
 
     def test_batch_self_decomposition_clean(self):
         # add_routes looping over self.add_route IS the batch API
@@ -1073,6 +1134,30 @@ class TestHotPathMutations:
         assert errors[0].path.endswith("rib/merge.py")
         assert "add_routes" in errors[0].message
 
+    def test_per_route_add_route4_loop_in_rib_deliver_hot001(self, tmp_path):
+        # Undo the vectorized BGP→RIB stream: one add_route4 XRL per
+        # route of the stretch, as before add_routes4 existed.
+        tree = copy_tree(tmp_path)
+        process = tree / "bgp" / "process.py"
+        text = process.read_text()
+        vectorized = ("        self._rib_send(op, current, stretch)\n"
+                      "\n"
+                      "    def _rib_send(")
+        assert vectorized in text
+        process.write_text(text.replace(
+            vectorized,
+            "        for route in stretch:\n"
+            "            self.txq.enqueue(Xrl(\n"
+            "                self.rib_target, \"rib\", \"1.0\", "
+            "\"add_route4\", self._one(route)))\n"
+            "\n"
+            "    def _rib_send("))
+        findings = analyze_paths([tree])
+        errors = [f for f in findings if f.severity == "error"]
+        assert errors and {f.rule for f in errors} == {"HOT001"}
+        assert all(f.path.endswith("bgp/process.py") for f in errors)
+        assert any("add_routes4" in f.message for f in errors)
+
     def test_per_route_dict_into_fea_distributor_hot002(self, tmp_path):
         tree = copy_tree(tmp_path)
         fea = tree / "fea" / "fea.py"
@@ -1125,8 +1210,15 @@ class TestHotPathGraph:
         modules, _errors = collect_modules([SRC_REPRO])
         graph = build_hotpath(modules)
         families = set(graph.roots.values())
-        assert {"stage-entry", "xrl-dispatch", "fib-backend"} <= families
+        assert {"stage-entry", "xrl-dispatch", "fib-backend",
+                "feed-entry"} <= families
         hot_quals = {fn.qualname for fn in graph.hot.values()}
+        # The feed's real entry point and the BGP→RIB emit are hot.
+        assert graph.roots["bgp/peer.py:PeerHandler.update_received"] \
+            == "feed-entry"
+        assert {"BgpProcess._rib_deliver", "BgpProcess._rib_send",
+                "PeerHandler._fanout_deliver",
+                "RibProcess.xrl_add_routes4"} <= hot_quals
         assert "MergeStage.add_routes" in hot_quals
         assert "DecisionStage.add_routes" in hot_quals
         assert "NetlinkFibBackend.apply" in hot_quals

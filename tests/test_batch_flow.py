@@ -319,6 +319,72 @@ class TestXrlBatchHint:
         assert client.batches_sent == 0
 
 
+ORDER_IDL = """
+interface order/1.0 {
+    put  ? value:u32;
+    take ? value:u32;
+}
+"""
+
+
+class TestXrlSendOrder:
+    """One router's sends to one target arrive in send order, whatever
+    mix of methods and batch hints they carry: a vector XRL (hinted,
+    deferred to the turn's flush) followed by a lone singular one
+    (unhinted) is the BGP→RIB stream's everyday shape."""
+
+    def _pair(self):
+        loop = EventLoop(SimulatedClock())
+        finder = Finder(rng=random.Random(7))
+        family = IntraProcessFamily()
+        arrived = []
+
+        class Target:
+            def xrl_put(self, value):
+                arrived.append(("put", value))
+
+            def xrl_take(self, value):
+                arrived.append(("take", value))
+
+        server = XrlRouter(loop, "store", finder, families=[family],
+                           process_token=999)
+        server.bind(parse_idl(ORDER_IDL)["order/1.0"], Target())
+        client = XrlRouter(loop, "client", finder, families=[family],
+                           process_token=999)
+        return loop, client, arrived
+
+    @staticmethod
+    def _xrl(method, value):
+        return Xrl("store", "order", "1.0", method,
+                   XrlArgs().add_u32("value", value))
+
+    def test_plain_send_does_not_overtake_a_hinted_one(self):
+        loop, client, arrived = self._pair()
+        client.send(self._xrl("put", 1), batch=True)
+        client.send(self._xrl("take", 2))            # joins the flush
+        loop.run()
+        assert arrived == [("put", 1), ("take", 2)]
+
+    def test_flush_keeps_order_across_methods(self):
+        loop, client, arrived = self._pair()
+        script = [("put", 1, True), ("put", 2, True), ("take", 3, False),
+                  ("put", 4, True), ("take", 5, True), ("take", 6, True),
+                  ("put", 7, False)]
+        for method, value, hint in script:
+            client.send(self._xrl(method, value), batch=hint)
+        loop.run()
+        assert arrived == [(method, value) for method, value, __ in script]
+        # Consecutive calls on one sender still share a transmission.
+        assert client.batches_sent == 2
+
+    def test_plain_send_with_nothing_pending_is_immediate(self):
+        loop, client, arrived = self._pair()
+        client.send(self._xrl("put", 1))
+        assert not client._batch_pending
+        loop.run_once(block=False)
+        assert arrived == [("put", 1)]
+
+
 class TestXrlBatchFailure:
     def test_batch_to_dead_target_fails_each_call(self):
         loop, server, client = build_pair(lambda: IntraProcessFamily(),

@@ -8,7 +8,9 @@ Invariants checked:
   rules (validated by a ConsistencyCheckStage reader);
 * after quiescing, the decision's winners equal an oracle computed from
   the peers' current announcements with the documented ranking;
-* the fanout's winners trie matches the decision winners.
+* the fanout's winners trie matches the decision winners;
+* the runs a fanout reader receives, concatenated, are exactly the event
+  sequence the same schedule produces with the run cap forced to 1.
 """
 
 from hypothesis import given, settings
@@ -30,9 +32,12 @@ operations = st.lists(
     st.tuples(
         st.integers(0, len(PEERS) - 1),       # peer
         st.sampled_from(["announce", "withdraw"]),
-        st.integers(0, len(PREFIXES) - 1),    # prefix
+        # the UPDATE's prefixes: several make a burst, hence a run
+        st.lists(st.integers(0, len(PREFIXES) - 1), min_size=1, max_size=4,
+                 unique=True),
         st.integers(1, 4),                    # AS path length variant
         st.integers(0, 2),                    # MED variant
+        st.booleans(),                        # quiesce before the next op
     ),
     max_size=40,
 )
@@ -48,9 +53,10 @@ def attrs_for(peer_index: int, path_len: int, med: int) -> PathAttributeList:
     )
 
 
-@settings(max_examples=40, deadline=None)
-@given(operations)
-def test_pipeline_consistency_and_winner_oracle(ops):
+def _run_schedule(ops, run_limit=None):
+    """Drive *ops* through a fresh BGP process; returns the process, its
+    peer handlers, the checking reader, the oracle's announcement tables
+    and the reader's flattened event log."""
     host = Host()
     bgp = BgpProcess(host, local_as=65000, bgp_id=IPv4("9.9.9.9"),
                      rib_target=None)
@@ -60,35 +66,54 @@ def test_pipeline_consistency_and_winner_oracle(ops):
             IPv4(addr), 65002 + index, 65000, IPv4("10.0.0.1")))
         handlers.append(handler)
     # A consistency-checking reader on the fanout (paper's cache stage).
+    if run_limit is not None:
+        bgp.fanout.RUN_LIMIT = run_limit
     checker = ConsistencyCheckStage("reader-check")
+    events = []
 
-    def deliver(op, route, old_route):
+    def deliver(op, routes, old_route):
+        assert 1 <= len(routes) <= bgp.fanout.RUN_LIMIT
+        events.extend((op, route.net, route.peer_id, route.attributes)
+                      for route in routes)
+        # The reader takes runs; the checker sees their concatenation,
+        # which must be a consistent singular event sequence.
         if op == "add":
-            checker.add_route(route)
+            checker.add_routes(routes)
         elif op == "delete":
-            checker.delete_route(route)
+            checker.delete_routes(routes)
         else:
-            checker.replace_route(old_route, route)
+            assert len(routes) == 1, "a replace is a run of one"
+            checker.replace_route(old_route, routes[0])
 
     bgp.fanout.add_reader("checker", deliver, dump=False)
 
     # The oracle's view: per peer, prefix -> (attributes, peer_id).
     announced = [{} for __ in PEERS]
 
-    for peer_index, op, prefix_index, path_len, med in ops:
-        prefix = PREFIXES[prefix_index]
+    for peer_index, op, prefix_indices, path_len, med, quiesce in ops:
+        prefixes = [PREFIXES[index] for index in prefix_indices]
         handler = handlers[peer_index]
         if op == "announce":
             attributes = attrs_for(peer_index, path_len, med)
             handler.update_received(
-                UpdateMessage(attributes=attributes, nlri=[prefix]))
-            announced[peer_index][prefix] = attributes
+                UpdateMessage(attributes=attributes, nlri=prefixes))
+            for prefix in prefixes:
+                announced[peer_index][prefix] = attributes
         else:
-            handler.update_received(UpdateMessage(withdrawn=[prefix]))
-            announced[peer_index].pop(prefix, None)
-        host.loop.run()  # quiesce (resolver callbacks etc.)
+            handler.update_received(UpdateMessage(withdrawn=prefixes))
+            for prefix in prefixes:
+                announced[peer_index].pop(prefix, None)
+        if quiesce:
+            host.loop.run()  # resolver callbacks, fanout pumps
 
     host.loop.run()
+    return bgp, handlers, checker, announced, events
+
+
+@settings(max_examples=40, deadline=None)
+@given(operations)
+def test_pipeline_consistency_and_winner_oracle(ops):
+    bgp, handlers, checker, announced, events = _run_schedule(ops)
     # Oracle: per prefix, rank every live announcement.
     for prefix in PREFIXES:
         candidates = []
@@ -130,3 +155,6 @@ def test_pipeline_consistency_and_winner_oracle(ops):
     checker_table = {net: route for net, route in checker.cache.items()}
     assert checker_table == bgp.decision.winners
     assert checker.checks_failed == 0
+    # Runs are only a framing of the event stream: with the cap forced
+    # to 1 the reader gets the same events, one per call.
+    assert _run_schedule(ops, run_limit=1)[4] == events

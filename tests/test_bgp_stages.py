@@ -347,13 +347,19 @@ class TestFanout:
     def _build(self, loop):
         fanout = FanoutQueue("fanout", loop, dump_slice=4)
         logs = {}
+        self.runs = runs = {}
 
         def attach(name, dump=True):
             logs[name] = []
-            fanout.add_reader(
-                name,
-                lambda op, r, old, n=name: logs[n].append((op, r.net)),
-                dump=dump)
+            runs[name] = []
+
+            def deliver(op, routes, old, n=name):
+                # A reader takes runs; the flattened log is the singular
+                # event sequence the assertions below are written against.
+                runs[n].append((op, len(routes)))
+                logs[n].extend((op, r.net) for r in routes)
+
+            fanout.add_reader(name, deliver, dump=dump)
 
         return fanout, logs, attach
 
@@ -364,6 +370,51 @@ class TestFanout:
         fanout.add_route(resolved(bgp_route("10.0.0.0/8")))
         loop.run()
         assert logs["a"] == logs["b"] == [("add", net("10.0.0.0/8"))]
+
+    def test_a_turns_burst_is_one_run_per_op(self, loop):
+        fanout, logs, attach = self._build(loop)
+        attach("a", dump=False)
+        routes = [resolved(bgp_route(f"10.{i}.0.0/16")) for i in range(6)]
+        fanout.add_routes(routes[:3])
+        fanout.add_route(routes[3])          # same op: joins the run
+        fanout.delete_routes(routes[:2])
+        better = resolved(bgp_route("10.2.0.0/16", as_path=(7,)))
+        fanout.replace_route(routes[2], better)
+        fanout.replace_route(better, routes[2])
+        fanout.add_routes(routes[4:])
+        loop.run()
+        assert self.runs["a"] == [("add", 4), ("delete", 2), ("replace", 1),
+                                  ("replace", 1), ("add", 2)]
+        assert [op for op, __ in logs["a"]] == (
+            ["add"] * 4 + ["delete"] * 2 + ["replace"] * 2 + ["add"] * 2)
+
+    def test_replace_run_carries_its_old_route(self, loop):
+        fanout = FanoutQueue("fanout", loop)
+        seen = []
+        fanout.add_reader("a", lambda op, routes, old: seen.append(
+            (op, list(routes), old)), dump=False)
+        first = resolved(bgp_route("10.0.0.0/8"))
+        second = resolved(bgp_route("10.0.0.0/8", as_path=(7,)))
+        fanout.add_route(first)
+        fanout.replace_route(first, second)
+        loop.run()
+        assert seen == [("add", [first], None),
+                        ("replace", [second], first)]
+
+    def test_runs_are_capped(self, loop):
+        fanout, logs, attach = self._build(loop)
+        fanout.RUN_LIMIT = 4
+        attach("a", dump=False)
+        fanout.add_routes([resolved(bgp_route(f"10.{i}.0.0/16"))
+                           for i in range(10)])
+        loop.run()
+        assert self.runs["a"] == [("add", 4), ("add", 4), ("add", 2)]
+        fanout.dump_slice = 6   # one background slice: runs of 4 + 2
+        attach("late", dump=True)
+        loop.run_once()
+        assert self.runs["late"] == [("add", 4), ("add", 2)]
+        loop.run()
+        assert len(logs["late"]) == 10
 
     def test_busy_reader_queues(self, loop):
         fanout, logs, attach = self._build(loop)

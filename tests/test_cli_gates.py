@@ -82,6 +82,10 @@ class TestAnalysisCli:
         graph = json.loads(first.read_text())
         assert graph["schema"] == "repro.protograph/1"
         assert graph["edges"], "the shipped tree must have XRL edges"
+        stream = [edge for edge in graph["edges"]
+                  if (edge["from"], edge["to"]) == ("bgp", "rib")]
+        assert any({"add_routes4", "delete_routes4"} <= set(e["methods"])
+                   for e in stream)
         assert dot.read_text().startswith("digraph")
 
     def test_hot_report_is_byte_stable(self, tmp_path):
@@ -114,6 +118,29 @@ class TestAnalysisCli:
         result = run_cli("repro.analysis", str(tree))
         assert result.returncode == 1, result.stdout + result.stderr
         assert "HOT001" in result.stdout
+
+    def test_per_route_rib_stream_exits_nonzero(self, tmp_path):
+        # A per-route add_route4 loop back in BGP's RIB reader: the
+        # add_route4 -> add_routes4 pair must gate.
+        tree = copy_tree(tmp_path)
+        process = tree / "bgp" / "process.py"
+        text = process.read_text()
+        vectorized = ("        self._rib_send(op, current, stretch)\n"
+                      "\n"
+                      "    def _rib_send(")
+        assert vectorized in text
+        process.write_text(text.replace(
+            vectorized,
+            "        for route in stretch:\n"
+            "            self.txq.enqueue(Xrl(\n"
+            "                self.rib_target, \"rib\", \"1.0\", "
+            "\"add_route4\", self._one(route)))\n"
+            "\n"
+            "    def _rib_send("))
+        result = run_cli("repro.analysis", str(tree))
+        assert result.returncode == 1, result.stdout + result.stderr
+        assert "HOT001" in result.stdout
+        assert "add_routes4" in result.stdout
 
     def test_hot_warnings_do_not_gate(self):
         # The shipped tree still carries warning-severity hot findings

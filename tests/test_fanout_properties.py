@@ -4,6 +4,11 @@ Random interleavings of route changes, reader attachment (with background
 dumps), slow-reader busy toggling, and partial event-loop turns.  After
 quiescing, every reader's reconstructed table must equal the winners trie
 and every reader's message stream must satisfy the consistency rules.
+
+Readers take *runs* (``deliver(op, routes, old_route)``).  Runs are only
+a framing: the same schedule with the run cap forced to 1 must hand every
+reader — one attached mid-dump included — the same events in the same
+order, one per call.
 """
 
 from hypothesis import given, settings
@@ -39,12 +44,15 @@ operations = st.lists(
 )
 
 
-@settings(max_examples=60, deadline=None)
-@given(operations)
-def test_every_reader_converges_to_winners(ops):
+def _run_schedule(ops, run_limit=None):
+    """Drive *ops* through a fresh fanout; returns it, the mirror of what
+    it was told, and per reader the flattened events and the run sizes."""
     loop = EventLoop(SimulatedClock())
     fanout = FanoutQueue("fanout", loop, dump_slice=3)
+    if run_limit is not None:
+        fanout.RUN_LIMIT = run_limit
     logs = {}
+    run_sizes = {}
     version = [0]
     attached = set()
 
@@ -53,9 +61,15 @@ def test_every_reader_converges_to_winners(ops):
             return
         attached.add(name)
         logs[name] = []
-        fanout.add_reader(
-            name, lambda op, r, old, n=name: logs[n].append((op, r, old)),
-            dump=True)
+        run_sizes[name] = []
+
+        def deliver(op, routes, old, n=name):
+            assert op != "replace" or len(routes) == 1
+            assert op == "replace" or old is None
+            run_sizes[n].append(len(routes))
+            logs[n].extend((op, route, old) for route in routes)
+
+        fanout.add_reader(name, deliver, dump=True)
 
     current = {}  # index -> route (mirror of what we told the fanout)
     for op, value in ops:
@@ -92,6 +106,19 @@ def test_every_reader_converges_to_winners(ops):
     for name in attached:
         fanout.set_reader_busy(name, False)
     loop.run()
+    return fanout, current, logs, run_sizes
+
+
+def _event_keys(log):
+    return [(op, route.net, route.version, old and old.version)
+            for op, route, old in log]
+
+
+@settings(max_examples=60, deadline=None)
+@given(operations)
+def test_every_reader_converges_to_winners(ops):
+    fanout, current, logs, run_sizes = _run_schedule(ops)
+    attached = set(logs)
 
     winners = {net: route for net, route in fanout.winners.items()}
     expected = {route.net: route for route in current.values()}
@@ -115,3 +142,12 @@ def test_every_reader_converges_to_winners(ops):
         assert state == expected, f"{name}: diverged"
     # The drained queue holds nothing once every reader caught up.
     assert fanout.queue_length == 0
+
+    # Runs are only a framing of the per-reader event sequence.
+    __, __, singular_logs, singular_sizes = _run_schedule(ops, run_limit=1)
+    assert set(singular_logs) == attached
+    for name in attached:
+        assert all(size == 1 for size in singular_sizes[name])
+        assert all(1 <= size <= fanout.RUN_LIMIT for size in run_sizes[name])
+        assert _event_keys(logs[name]) == _event_keys(singular_logs[name]), (
+            f"{name}: runs do not concatenate to the singular sequence")

@@ -299,3 +299,60 @@ class TestTracedRouteFlow:
         hops_batched = self._assert_causal_tree(obs2, ctx2)
         assert hops_batched == hops_unbatched, (
             f"batched {hops_batched} != unbatched {hops_unbatched}")
+
+    def test_traced_route_inside_a_vector_frame(self, two_managed_routers):
+        """One traced prefix among 200 riding a single ``add_routes4``
+        and a single ``add_entries4`` still yields the complete causal
+        tree, hop for hop what a lone route takes; the module's armed
+        sanitizers accept both vector methods from the catalogue and the
+        static protocol graph explains every runtime edge."""
+        network, r1, r2, mgr1, mgr2 = two_managed_routers
+        cli1, cli2 = establish_bgp_pair(two_managed_routers)
+        lone_net, traced_net = net("99.0.0.0/8"), net("98.0.0.0/8")
+
+        def originate_cli(prefix):
+            out = cli1.execute(
+                'call "finder://bgp/bgp/1.0/originate_route4'
+                f'?net:ipv4net={prefix}&next_hop:ipv4=10.0.0.1'
+                '&unicast:bool=true"')
+            assert not out.startswith("error"), out
+
+        def originate_burst(prefix):
+            attributes = PathAttributeList(
+                origin=Origin.IGP, as_path=ASPath(),
+                nexthop=IPv4("10.0.0.1"))
+            burst = [IPNet(IPv4(0x61000000 + (i << 8)), 24)
+                     for i in range(199)]
+            burst.insert(77, prefix)     # somewhere inside the frame
+            mgr1.modules["bgp"].local_origin.originate_batch(
+                [BGPRoute(n, attributes, peer_id=LOCAL_PEER_ID)
+                 for n in burst])
+
+        obs1, ctx1 = self._traced_flow(
+            two_managed_routers, lone_net, originate_cli)
+        hops_lone = self._assert_causal_tree(obs1, ctx1)
+        sent2 = (mgr2.modules["bgp"].txq.sent_count,
+                 r2.rib.txq.sent_count)
+        obs2, ctx2 = self._traced_flow(
+            two_managed_routers, traced_net, originate_burst)
+        hops_vector = self._assert_causal_tree(obs2, ctx2)
+        assert hops_vector == hops_lone, (
+            f"vector {hops_vector} != singular {hops_lone}")
+        # On r2 the whole burst crossed each boundary as one XRL ...
+        assert (mgr2.modules["bgp"].txq.sent_count - sent2[0],
+                r2.rib.txq.sent_count - sent2[1]) == (1, 1)
+        assert len(r2.fea.fib4) >= 200
+        # ... and the traced route's spans name the vector methods, each
+        # send paired with its receive.
+        crossings = [(s.kind, s.site, s.op) for s in ctx2.spans
+                     if s.kind in ("xrl-send", "xrl-recv")]
+        for sender, receiver, method in (("bgp", "rib", "add_routes4"),
+                                         ("rib", "fea", "add_entries4")):
+            assert crossings.count(("xrl-send", sender, method)) == 2, (
+                crossings)  # once per router
+            assert crossings.count(("xrl-recv", receiver, method)) == 2, (
+                crossings)
+        lone_methods = {s.op for s in ctx1.spans if s.kind == "xrl-send"}
+        assert lone_methods == {"originate_route4", "add_route4",
+                                "add_entry4"}
+        assert unexplained_edges(obs2.tracer, protocol_graph()) == []

@@ -9,11 +9,15 @@ watchdog — and, as the acceptance test, the full kill-BGP-mid-session
 recovery scenario from :mod:`repro.experiments.recovery`.
 """
 
+import math
+
 import pytest
 
+from repro.bgp.fanout import FanoutQueue
 from repro.core.process import Host, XorpProcess
 from repro.experiments.recovery import run_recovery
-from repro.net import IPv4
+from repro.net import IPNet, IPv4
+from repro.rib import RibProcess
 from repro.rtrmgr import RouterManager, Supervisor, SupervisorPolicy
 from repro.xrl import XrlArgs
 from repro.xrl.error import XrlErrorCode
@@ -24,6 +28,7 @@ from repro.xrl.transport import FaultFamily
 from repro.xrl.transport.base import decode_response
 from repro.xrl.transport.kill import SIGTERM, KillFamily
 from repro.xrl.xrl import Xrl
+from tests.test_vector_route_stream import Router, spy_sends
 
 
 def _service(host, process_name="sp", class_name="svc"):
@@ -479,3 +484,38 @@ class TestRecoveryScenario:
         first = run_recovery(seed=7, drop_probability=0.10)
         other = run_recovery(seed=11, drop_probability=0.10)
         assert first.fingerprint() != other.fingerprint()
+
+
+# ---------------------------------------------------------------------------
+# BGP's resync of a restarted RIB
+# ---------------------------------------------------------------------------
+
+class TestRibResync:
+    def test_resync_rib_replays_the_table_in_vector_frames(self):
+        """The dump a reborn RIB gets is a handful of ``add_routes4``
+        frames (one per background slice), not one XRL per route."""
+        router = Router()
+        routes = 300
+        nets = [IPNet(IPv4(0x63000000 + (i << 8)), 24)
+                for i in range(routes)]
+        router.announce(0, nets[:150])
+        router.announce(1, nets[150:])
+        router.run()
+        assert router.rib.v4.origin("ebgp").route_count == routes
+        router.rib.shutdown()
+        router.run()
+        sends = spy_sends(router.bgp)
+        before = router.bgp.txq.sent_count
+        reborn = RibProcess(router.host)
+        Router.add_connected(reborn)
+        router.run()
+        assert reborn.v4.origin("ebgp").route_count == routes
+        assert len(router.fea.fib4) == routes + 1
+        slices = math.ceil(routes / router.bgp.fanout.dump_slice)
+        replay = router.bgp.txq.sent_count - before
+        assert replay <= math.ceil(routes / FanoutQueue.RUN_LIMIT) + slices
+        assert replay < routes / 10
+        streamed = {method for method, __ in sends
+                    if method not in ("add_egp_table4",
+                                      "register_interest4")}
+        assert streamed == {"add_routes4"}
