@@ -89,15 +89,18 @@ def new_process_token() -> int:
     return next(_token_counter)
 
 
-class _CacheEntry:
-    __slots__ = ("resolved_method", "sender", "family_name", "address")
+class _Resolution:
+    """What the Finder said about one (target, method): the keyed method
+    name to put on the wire and the endpoint to send it to.  Owns no
+    connection — senders are held per endpoint, see ``XrlRouter._senders``.
+    """
 
-    def __init__(self, resolved_method: str, sender: Sender, family_name: str,
-                 address: str):
+    __slots__ = ("resolved_method", "endpoint")
+
+    def __init__(self, resolved_method: str, endpoint: Tuple[str, str]):
         self.resolved_method = resolved_method
-        self.sender = sender
-        self.family_name = family_name
-        self.address = address
+        #: (family name, listener address)
+        self.endpoint = endpoint
 
 
 class _PendingCall:
@@ -164,7 +167,11 @@ class XrlRouter:
             addresses=self._addresses,
         )
         self._handlers: Dict[str, Tuple[Optional[XrlMethod], Callable]] = {}
-        self._cache: Dict[Tuple[str, str], _CacheEntry] = {}
+        #: (target, method path) -> resolution; forgotten on invalidation
+        self._cache: Dict[Tuple[str, str], _Resolution] = {}
+        #: endpoint -> the one sender carrying every call to it, in order;
+        #: lives until its connection dies, a transmit fails, or shutdown
+        self._senders: Dict[Tuple[str, str], Sender] = {}
         self._seq = itertools.count(1)
         self._alive = True
         self._pending: set = set()
@@ -254,55 +261,50 @@ class XrlRouter:
 
     def _flush_batch(self) -> None:
         """End-of-turn flush: transmit each run of consecutive calls to one
-        resolved sender as one coalesced wire operation, runs in order."""
+        sender as one coalesced wire operation, runs in order."""
         self._batch_scheduled = False
         calls, self._batch_pending = self._batch_pending, []
         if not self._alive:
             return  # shutdown already failed every pending call
-        groups: List[Tuple[Sender, List[Tuple]]] = []
+        runs: List[Tuple[Sender, Tuple[str, str], List[Tuple]]] = []
         for call in calls:
             if call.done:
                 continue
-            self._attempt(call, defer_errors=True, collect=groups)
-        for sender, items in groups:
-            if len(items) == 1:
-                call, request, on_reply = items[0]
-                try:
-                    # repro: allow[HOT001] single-member group: nothing to coalesce
-                    sender.call(request, on_reply)
-                except XrlError:
-                    self._retransmit_singular(call)
-                    continue
-                self._arm_attempt_timer(call)
-            else:
+            self._attempt(call, defer_errors=True, collect=runs)
+        for sender, endpoint, items in runs:
+            if len(items) > 1:
                 self.batches_sent += 1
-                try:
-                    sender.call_batch(
-                        [(request, on_reply) for __, request, on_reply
-                         in items])
-                except XrlError:
-                    # The shared sender broke mid-coalesce: every member
-                    # falls back to the singular path, which carries
-                    # per-endpoint failover.
-                    for call, __, __cb in items:
-                        self._retransmit_singular(call)
-                    continue
+            try:
+                sender.call_batch(
+                    [(request, on_reply) for __, request, on_reply in items])
+            except XrlError:
+                # The shared sender broke before the run left the process:
+                # every member falls back to the singular path, which
+                # carries per-endpoint failover.
+                self._drop_sender(endpoint, sender)
                 for call, __, __cb in items:
-                    self._arm_attempt_timer(call)
+                    self._retransmit_singular(call)
+                continue
+            for call, __, __cb in items:
+                self._arm_attempt_timer(call)
 
     def _retransmit_singular(self, call: _PendingCall) -> None:
-        """A coalesced transmit failed before leaving the process: drop the
-        broken sender and re-dispatch the call through the singular path
+        """A coalesced transmit failed before leaving the process: forget
+        the call's resolution and re-dispatch it through the singular path
         (the transmit never happened, so it does not count as an attempt).
         """
         if call.done:
             return
-        cache_key = (call.xrl.target, call.xrl.method_path)
-        entry = self._cache.pop(cache_key, None)
-        if entry is not None:
-            entry.sender.close()
+        self._cache.pop((call.xrl.target, call.xrl.method_path), None)
         call.attempt -= 1
         self._attempt(call, defer_errors=True)
+
+    def _drop_sender(self, endpoint: Tuple[str, str], sender: Sender) -> None:
+        """*sender* failed a transmit: close it, failing what it had on the
+        wire; the next call to *endpoint*, by any method, connects afresh."""
+        if self._senders.get(endpoint) is sender:
+            del self._senders[endpoint]
+        sender.close()
 
     def _arm_attempt_timer(self, call: _PendingCall) -> None:
         policy = call.retry
@@ -328,38 +330,40 @@ class XrlRouter:
         xrl = call.xrl
         method_path = xrl.method_path
         cache_key = (xrl.target, method_path)
-        entry = self._cache.get(cache_key)
-        if entry is not None and not entry.sender.alive:
-            entry = None
         tried: set = set()
         transport_error: Optional[XrlError] = None
-        # The sender that actually carried the transmitted frame — frames
-        # are opaque between the router and that sender (per-connection
+        # The sender that carries the transmitted frame — frames are
+        # opaque between the router and that sender (per-connection
         # codecs), so its decode_response must interpret the reply.
-        sender_cell: List[Sender] = []
+        sender: Optional[Sender] = None
 
         def on_reply(frame: Optional[bytes]) -> None:
             if call.done or call.attempt_token is not token:
-                self.late_replies += 1
+                if frame is not None:
+                    self.late_replies += 1
                 return
             if call.attempt_timer is not None:
                 call.attempt_timer.cancel()
                 call.attempt_timer = None
             if frame is None:
-                self._finish_attempt(
-                    call, XrlError(XrlErrorCode.REPLY_TIMED_OUT, str(xrl)))
+                # The transport gave up: its connection closed under the
+                # call, or (stop-and-wait UDP) no datagram came back.
+                self._finish_attempt(call, XrlError(
+                    XrlErrorCode.REPLY_TIMED_OUT if sender.alive
+                    else XrlErrorCode.SEND_FAILED, str(xrl)))
                 return
             try:
-                __, error, args = sender_cell[0].decode_response(frame)
+                __, error, args = sender.decode_response(frame)
             except XrlError as decode_error:
                 self._complete(call, decode_error, XrlArgs())
                 return
             self._complete(call, error, args)
 
         while True:
-            if entry is None:
+            resolution = self._cache.get(cache_key)
+            if resolution is None:
                 try:
-                    entry = self._resolve_and_connect(
+                    resolution = self._resolve(
                         xrl.target, method_path, exclude=tried)
                 except XrlError as error:
                     # A transport failure is more informative than the
@@ -367,26 +371,31 @@ class XrlRouter:
                     self._finish_attempt(call, transport_error or error,
                                          defer=defer_errors)
                     return
-                self._cache[cache_key] = entry
-            sender_cell[:] = (entry.sender,)
-            request = entry.sender.encode_request(
-                next(self._seq), entry.resolved_method, xrl.args)
-            if collect is not None:
-                if not collect or collect[-1][0] is not entry.sender:
-                    collect.append((entry.sender, []))  # a new in-order run
-                collect[-1][1].append((call, request, on_reply))
-                return  # flusher transmits and arms the attempt timer
+                self._cache[cache_key] = resolution
+            endpoint = resolution.endpoint
+            sender = self._senders.get(endpoint)
             try:
-                # repro: allow[HOT001] failover retry for ONE call, not per-route
-                entry.sender.call(request, on_reply)
+                if sender is None or not sender.alive:
+                    family_name, address = endpoint
+                    sender = self._senders[endpoint] = (
+                        self._families[family_name].connect(address, self))
+                request = sender.encode_request(
+                    next(self._seq), resolution.resolved_method, xrl.args)
+                if collect is not None:
+                    if not collect or collect[-1][0] is not sender:
+                        collect.append((sender, endpoint, []))  # a new run
+                    collect[-1][2].append((call, request, on_reply))
+                    return  # flusher transmits and arms the attempt timer
+                sender.call_batch(((request, on_reply),))
             except XrlError as error:
-                # The sender is broken: drop it from the cache and retry
-                # the freshly-resolved candidates, skipping endpoints that
-                # already failed within this attempt.
+                # The endpoint is unusable: forget this resolution and the
+                # broken sender, then retry the freshly-resolved
+                # candidates, skipping endpoints that already failed
+                # within this attempt.
                 self._cache.pop(cache_key, None)
-                entry.sender.close()
-                tried.add((entry.family_name, entry.address))
-                entry = None
+                if sender is not None:
+                    self._drop_sender(endpoint, sender)
+                tried.add(endpoint)
                 transport_error = error
                 continue
             break
@@ -441,8 +450,8 @@ class XrlRouter:
         else:
             call.callback(error, args)
 
-    def _resolve_and_connect(self, target: str, method_path: str, *,
-                             exclude: Optional[set] = None) -> _CacheEntry:
+    def _resolve(self, target: str, method_path: str, *,
+                 exclude: Optional[set] = None) -> _Resolution:
         resolved_method, candidates, __ = self.finder.resolve(
             self, target, method_path
         )
@@ -464,8 +473,7 @@ class XrlRouter:
             )
         usable.sort(reverse=True)
         __, family_name, address = usable[0]
-        sender = self._families[family_name].connect(address, self)
-        return _CacheEntry(resolved_method, sender, family_name, address)
+        return _Resolution(resolved_method, (family_name, address))
 
     def send_sync(self, xrl, *,
                   deadline: Optional[float] = None,
@@ -493,18 +501,18 @@ class XrlRouter:
         return box[0]
 
     def finder_cache_invalidate(self, target: str) -> None:
-        """Drop cached resolutions involving *target* (Finder callback).
+        """Forget cached resolutions involving *target* (Finder callback).
 
         Fires on birth as well as death, so after a supervised restart the
-        next call resolves the reborn instance fresh instead of riding a
-        sender towards the dead one.
+        next call resolves the reborn instance fresh instead of addressing
+        the dead one.  Connections are untouched: calls already on the
+        wire to a still-live instance complete, and a sender to a dead one
+        ends with its socket.
         """
         for cache_key in [k for k in self._cache if k[0] == target]:
-            entry = self._cache.pop(cache_key)
-            # retire, not close: requests already on the wire to a
-            # still-live instance must drain — an invalidation triggered
-            # by the target's own add_methods would otherwise abort them.
-            entry.sender.retire()
+            del self._cache[cache_key]
+        for endpoint in [e for e, s in self._senders.items() if not s.alive]:
+            del self._senders[endpoint]
 
     # -- receiving ------------------------------------------------------------
     def dispatch_frame_async(self, frame: bytes,
@@ -628,9 +636,10 @@ class XrlRouter:
                                           "router shut down"),
                            XrlArgs(), defer=True)
         self._batch_pending.clear()
-        for entry in self._cache.values():
-            entry.sender.close()
         self._cache.clear()
+        for sender in self._senders.values():
+            sender.close()
+        self._senders.clear()
         for family_name, address in self._addresses.items():
             self._families[family_name].unlisten(address)
         self.finder.deregister_component(self.instance_name, self._secret)

@@ -30,11 +30,14 @@ from repro.xrl.codec import (  # noqa: F401  (re-exported public surface)
 )
 from repro.xrl.error import XrlError
 
-ReplyCallback = Callable[[bytes], None]
+#: Receives the raw response frame, or ``None`` when the transport gives
+#: up on the call (its connection closed, a datagram was never answered).
+ReplyCallback = Callable[[Optional[bytes]], None]
 
 
 class Sender:
-    """A connection to one remote listener address.
+    """A router's one connection to one remote listener address: every
+    method it calls there travels through this sender, in send order.
 
     :meth:`call` transmits one encoded request and arranges for the raw
     response frame to reach *reply_cb*.  Whether calls pipeline (multiple
@@ -75,18 +78,6 @@ class Sender:
 
     def close(self) -> None:
         """Release transport resources (idempotent)."""
-
-    def retire(self) -> None:
-        """Stop using this sender, but let in-flight replies drain first.
-
-        The router calls this when a Finder invalidation drops a cached
-        resolution: the resolution is stale, yet requests already on the
-        wire may still complete — a re-registration (new methods, a
-        sibling birth) must not shoot down its own connection's pending
-        calls.  Stateful transports override to defer the close until the
-        last pending reply arrives.
-        """
-        self.close()
 
     @property
     def alive(self) -> bool:

@@ -111,9 +111,6 @@ class _FaultSender(Sender):
     def close(self) -> None:
         self._inner.close()
 
-    def retire(self) -> None:
-        self._inner.retire()
-
     @property
     def alive(self) -> bool:
         return self._inner.alive

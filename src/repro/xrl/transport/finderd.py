@@ -38,7 +38,7 @@ from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.xrl.error import XrlError, XrlErrorCode
 from repro.xrl.finder import BIRTH, Finder, WatchCallback
-from repro.xrl.transport.tcp import FrameBuffer, pack_frame
+from repro.xrl.transport.tcp import FrameBuffer, FramedChannel, pack_frame
 
 
 def _encode(message: dict) -> bytes:
@@ -67,17 +67,12 @@ class _ResolverProxy:
                                "target": target})
 
 
-class _FinderConnection:
+class _FinderConnection(FramedChannel):
     """One child process's Finder session (server side)."""
 
     def __init__(self, server: "FinderServer", sock: socket.socket):
         self._server = server
         self._finder = server.finder
-        self._loop = server.loop
-        self._sock: Optional[socket.socket] = sock
-        self._buffer = FrameBuffer()
-        self._out = bytearray()
-        self._writing = False
         #: components registered over this connection: instance -> secret
         self._registered: Dict[str, str] = {}
         #: watches installed over this connection: (watcher, class)
@@ -86,71 +81,23 @@ class _FinderConnection:
         self._proxies: Dict[str, _ResolverProxy] = {}
         #: True while a watch RPC suppresses the synchronous birth replay
         self._suppress_watch_replay = False
-        sock.setblocking(False)
-        self._loop.add_reader(sock, self._on_readable)
+        super().__init__(server.loop, sock)
 
-    # -- socket plumbing --------------------------------------------------
-    def _on_readable(self) -> None:
-        if self._sock is None:
-            return  # closed (a failed DEATH push) earlier in this batch
+    def _on_frame(self, payload: bytes) -> None:
         try:
-            chunk = self._sock.recv(65536)
-        except BlockingIOError:
-            return
-        except OSError:
-            self.close()
-            return
-        if not chunk:
-            self.close()
-            return
-        try:
-            messages = _decode(self._buffer, chunk)
+            message = json.loads(payload.decode("utf-8"))
         except ValueError:
             self.close()
             return
-        for message in messages:
-            if self._sock is None:
-                break
-            self._on_message(message)
+        self._on_message(message)
 
     def _send(self, message: dict) -> None:
-        if self._sock is None:
-            return
-        self._out.extend(_encode(message))
-        self._flush()
+        self._transmit(_encode(message))
 
     push_event = _send
 
-    def _flush(self) -> None:
-        if self._sock is None:
-            return  # the writer callback of a connection closed this batch
-        while self._out:
-            try:
-                sent = self._sock.send(self._out)
-            except BlockingIOError:
-                if not self._writing:
-                    self._writing = True
-                    self._loop.add_writer(self._sock, self._flush)
-                return
-            except OSError:
-                self.close()
-                return
-            del self._out[:sent]
-        if self._writing:
-            self._writing = False
-            self._loop.remove_writer(self._sock)
-
-    def close(self) -> None:
+    def _on_closed(self) -> None:
         """Connection death == component death (the liveness lease)."""
-        if self._sock is None:
-            return
-        self._loop.remove_reader(self._sock)
-        if self._writing:
-            self._loop.remove_writer(self._sock)
-        try:
-            self._sock.close()
-        finally:
-            self._sock = None
         self._server._connections.discard(self)
         for watcher, class_name in self._watches:
             self._finder.unwatch(watcher, class_name)
@@ -412,8 +359,10 @@ class RemoteFinder:
                     router.finder_cache_invalidate(target)
 
     def _lost(self) -> None:
-        """The parent is gone: a child without a Finder cannot run."""
+        """The parent is gone: a child without a Finder cannot run, so its
+        loop stops and ``ChildRuntime.run`` shuts the process down."""
         self.close()
+        self.loop.stop()
 
     def close(self) -> None:
         if self._sock is None:

@@ -21,7 +21,7 @@ from __future__ import annotations
 import os
 import socket
 import struct
-from typing import Callable, Dict, Optional
+from typing import Dict, List, Optional
 
 from repro.xrl.args import XrlArgs
 from repro.xrl.codec import (
@@ -44,6 +44,11 @@ from repro.xrl.transport.base import ProtocolFamily, ReplyCallback, Sender
 #: listener buffer up to 4 GiB.  The largest legitimate frames (a
 #: vectorized 256-route FIB XRL, a Finder registration) are tens of KiB.
 MAX_FRAME_SIZE = 16 * 1024 * 1024
+
+#: Reply bytes a serving connection lets a peer leave unread before it
+#: stops reading that peer's requests (it resumes once they drain), so a
+#: client that pipelines and never reads is held to this plus one reply.
+MAX_UNSENT_BYTES = 1024 * 1024
 
 
 class FrameBuffer:
@@ -83,33 +88,55 @@ _TEXTUAL_PREFIX = bytes([KIND_TEXTUAL])
 _BINARY_PREFIX = bytes([KIND_BINARY])
 
 
-class _TcpConnection:
-    """One accepted server-side connection."""
+class FramedChannel:
+    """One non-blocking TCP connection of ``!I``-length-prefixed frames.
 
-    def __init__(self, listener: "_TcpListener", sock: socket.socket):
-        self._listener = listener
-        self._family = listener._family
-        self._sock = sock
-        self._router = listener._router
+    The single socket state machine behind the XRL listener's accepted
+    connections, the XRL sender and the Finder server's sessions.
+    Subclasses implement :meth:`_on_frame` (one complete inbound frame)
+    and :meth:`_on_closed` (runs once, however the connection ended).
+    """
+
+    #: A serving connection stops reading requests while more than
+    #: :data:`MAX_UNSENT_BYTES` of its replies wait for the peer to read.
+    #: A client never pauses: reading a reply queues no output here, and
+    #: two ends that each refuse to read until written to would deadlock.
+    serving = True
+
+    def __init__(self, loop, sock: socket.socket):
+        self._loop = loop
+        self._sock: Optional[socket.socket] = sock
         self._buffer = FrameBuffer()
+        #: complete frames held back while reading is paused
+        self._parked: List[bytes] = []
         self._out = bytearray()
+        #: bytes of ``_out`` already written to the socket
+        self._sent = 0
+        self._reading = True
         self._writing = False
-        self._loop = self._router.loop
-        #: per-connection binary state, created by the HELLO exchange
-        self._codec: Optional[BinaryCodec] = None
         sock.setblocking(False)
-        self._loop.add_reader(sock, self._on_readable)
+        loop.add_reader(sock, self._on_readable)
+
+    @property
+    def alive(self) -> bool:
+        return self._sock is not None
+
+    def _on_frame(self, frame: bytes) -> None:
+        raise NotImplementedError
+
+    def _on_closed(self) -> None:
+        """The connection is gone (EOF, error, oversized frame or close())."""
 
     def _on_readable(self) -> None:
-        if self._sock is None:
+        sock = self._sock
+        if sock is None:
             return  # closed earlier in this select batch
         try:
-            chunk = self._sock.recv(65536)
+            chunk = sock.recv(65536)
         except BlockingIOError:
             return
         except OSError:
-            self.close()
-            return
+            chunk = b""
         if not chunk:
             self.close()
             return
@@ -118,19 +145,96 @@ class _TcpConnection:
         except ValueError:
             self.close()
             return
+        self._deliver(frames)
+
+    def _deliver(self, frames: List[bytes]) -> None:
         for frame in frames:
-            self._on_frame(frame)
+            if self._reading:
+                self._on_frame(frame)
+            else:  # paused (or closed) by an earlier frame of this chunk
+                self._parked.append(frame)
+
+    def _transmit(self, data: bytes) -> None:
+        """Queue already-framed *data* and write what the socket takes."""
+        if self._sock is None:
+            return  # a deferred reply, or a push, after the peer went away
+        self._out += data
+        self._flush()
+
+    def _flush(self) -> None:
+        sock = self._sock
+        if sock is None:
+            return  # closed earlier in this select batch
+        out = self._out
+        while self._sent < len(out):
+            try:
+                if self._sent:  # resume mid-buffer without copying the rest
+                    with memoryview(out) as view, view[self._sent:] as unsent:
+                        self._sent += sock.send(unsent)
+                else:
+                    self._sent = sock.send(out)
+            except BlockingIOError:
+                if not self._writing:
+                    self._writing = True
+                    self._loop.add_writer(sock, self._flush)
+                if (self.serving and self._reading
+                        and len(out) - self._sent > MAX_UNSENT_BYTES):
+                    self._reading = False
+                    self._loop.remove_reader(sock)
+                return
+            except OSError:
+                self.close()
+                return
+        out.clear()
+        self._sent = 0
+        if self._writing:
+            self._writing = False
+            self._loop.remove_writer(sock)
+        if not self._reading:
+            self._reading = True
+            self._loop.add_reader(sock, self._on_readable)
+            parked, self._parked = self._parked, []
+            self._deliver(parked)
+
+    def close(self) -> None:
+        sock = self._sock
+        if sock is None:
+            return
+        self._sock = None
+        if self._reading:
+            self._reading = False
+            self._loop.remove_reader(sock)
+        if self._writing:
+            self._loop.remove_writer(sock)
+        try:
+            sock.close()
+        finally:
+            self._on_closed()
+
+
+class _TcpConnection(FramedChannel):
+    """One accepted server-side connection."""
+
+    def __init__(self, listener: "_TcpListener", sock: socket.socket):
+        self._listener = listener
+        self._family = listener._family
+        self._router = listener._router
+        #: per-connection binary state, created by the HELLO exchange
+        self._codec: Optional[BinaryCodec] = None
+        super().__init__(self._router.loop, sock)
 
     def _on_frame(self, frame: bytes) -> None:
         kind = frame[0] if frame else -1
         if kind == KIND_TEXTUAL:
             self._router.dispatch_frame_async(
                 frame[1:],
-                lambda response: self._send(pack_frame(_TEXTUAL_PREFIX + response)))
+                lambda response: self._transmit(
+                    pack_frame(_TEXTUAL_PREFIX + response)))
         elif kind == KIND_BINARY and self._codec is not None:
             self._router.dispatch_frame_async(
                 frame[1:],
-                lambda response: self._send(pack_frame(_BINARY_PREFIX + response)),
+                lambda response: self._transmit(
+                    pack_frame(_BINARY_PREFIX + response)),
                 codec=self._codec)
         elif kind == KIND_HELLO:
             try:
@@ -140,52 +244,18 @@ class _TcpConnection:
             chosen = choose_codec(self._family.codecs, remote)
             if chosen == "binary":
                 self._codec = BinaryCodec()
-            self._send(pack_frame(bytes([KIND_HELLO_ACK]) + encode_hello([chosen])))
+            self._transmit(
+                pack_frame(bytes([KIND_HELLO_ACK]) + encode_hello([chosen])))
         else:
             # Unknown kind (or binary before negotiation): the frame is
             # undecodable, so the best we can do is a seq-0 error the
             # client counts as a late reply.
             error = XrlError(XrlErrorCode.BAD_ARGS,
                              f"unknown frame kind {kind:#x}")
-            self._send(pack_frame(
+            self._transmit(pack_frame(
                 _TEXTUAL_PREFIX + TEXTUAL.encode_response(0, error, XrlArgs())))
 
-    def _send(self, data: bytes) -> None:
-        self._out.extend(data)
-        self._flush()
-
-    def _flush(self) -> None:
-        if self._sock is None:
-            return  # an async dispatch replied after the peer went away
-        while self._out:
-            try:
-                sent = self._sock.send(self._out)
-            except BlockingIOError:
-                if not self._writing:
-                    self._writing = True
-                    self._loop.add_writer(self._sock, self._on_writable)
-                return
-            except OSError:
-                self.close()
-                return
-            del self._out[:sent]
-        if self._writing:
-            self._writing = False
-            self._loop.remove_writer(self._sock)
-
-    def _on_writable(self) -> None:
-        self._flush()
-
-    def close(self) -> None:
-        if self._sock is None:
-            return
-        self._loop.remove_reader(self._sock)
-        if self._writing:
-            self._loop.remove_writer(self._sock)
-        try:
-            self._sock.close()
-        finally:
-            self._sock = None
+    def _on_closed(self) -> None:
         self._listener._connections.discard(self)
 
 
@@ -226,22 +296,21 @@ class _TcpListener:
             self._sock = None
 
 
-class _TcpSender(Sender):
-    """Client side: pipelined requests over one connection.
+class _TcpSender(FramedChannel, Sender):
+    """Client side: every call one router makes to one listener address,
+    pipelined over one connection.
 
     Requests transmit textual until the server's HELLO-ACK selects the
     binary codec; replies are decoded per-frame by their kind byte, so
     the transition is seamless for in-flight calls.
     """
 
+    serving = False
+
     def __init__(self, family: "TcpFamily", address: str, router):
         host, __, port_text = address.rpartition(":")
-        self._loop = router.loop
+        #: reply callbacks of the calls on the wire, by seq, in send order
         self._pending: Dict[int, ReplyCallback] = {}
-        self._buffer = FrameBuffer()
-        self._out = bytearray()
-        self._writing = False
-        self._retiring = False
         self._codec: Optional[BinaryCodec] = None
         sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         try:
@@ -252,17 +321,10 @@ class _TcpSender(Sender):
                 XrlErrorCode.SEND_FAILED, f"tcp connect to {address} failed: {exc}"
             ) from exc
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        sock.setblocking(False)
-        self._sock: Optional[socket.socket] = sock
-        self._loop.add_reader(sock, self._on_readable)
+        super().__init__(router.loop, sock)
         codecs = family.codecs
         if "binary" in codecs:
-            self._out.extend(pack_frame(bytes([KIND_HELLO]) + encode_hello(codecs)))
-            self._flush()
-
-    @property
-    def alive(self) -> bool:
-        return self._sock is not None
+            self._transmit(pack_frame(bytes([KIND_HELLO]) + encode_hello(codecs)))
 
     # -- codec surface ----------------------------------------------------
     def encode_request(self, seq: int, resolved_method: str,
@@ -280,113 +342,49 @@ class _TcpSender(Sender):
 
     # -- transmission -----------------------------------------------------
     def call(self, request: bytes, reply_cb: ReplyCallback) -> None:
-        if self._sock is None:
-            raise XrlError(XrlErrorCode.SEND_FAILED, "tcp sender is closed")
-        # The frame already carries a sequence number assigned by the
-        # router (after the kind byte); we track it for reply matching
-        # without re-parsing.
-        (seq,) = struct.unpack_from("!I", request, 1)
-        self._pending[seq] = reply_cb
-        self._out.extend(pack_frame(request))
-        self._flush()
+        self.call_batch(((request, reply_cb),))
 
     def call_batch(self, requests) -> None:
-        """Pipelining's batch form: N frames, one buffered write.
+        """Pipelining: N frames, one buffered write.
 
         Concatenating frames is wire-compatible — the receiver's
         :class:`FrameBuffer` splits on length prefixes and replies carry
-        sequence numbers, so responses demux exactly as for singular calls.
-        With the binary codec the whole segment is one contiguous buffer
-        of compact frames sharing the connection's interned method table.
+        sequence numbers, so responses demux per call.  With the binary
+        codec the whole segment is one contiguous buffer of compact
+        frames sharing the connection's interned method table.
         """
         if self._sock is None:
             raise XrlError(XrlErrorCode.SEND_FAILED, "tcp sender is closed")
         for request, reply_cb in requests:
+            # The frame already carries a sequence number assigned by the
+            # router (after the kind byte); we track it for reply matching
+            # without re-parsing.
             (seq,) = struct.unpack_from("!I", request, 1)
             self._pending[seq] = reply_cb
-            self._out.extend(pack_frame(request))
+            self._out += pack_frame(request)
         self._flush()
 
-    def _flush(self) -> None:
-        if self._sock is None:
-            return
-        while self._out:
+    def _on_frame(self, response: bytes) -> None:
+        kind = response[0] if response else -1
+        if kind == KIND_HELLO_ACK:
             try:
-                sent = self._sock.send(self._out)
-            except BlockingIOError:
-                if not self._writing:
-                    self._writing = True
-                    self._loop.add_writer(self._sock, self._flush_writable)
-                return
-            except OSError:
-                self.close()
-                return
-            del self._out[:sent]
-        if self._writing:
-            self._writing = False
-            self._loop.remove_writer(self._sock)
-
-    def _flush_writable(self) -> None:
-        self._flush()
-
-    def _on_readable(self) -> None:
-        if self._sock is None:
-            return  # closed (a Finder invalidation) earlier in this batch
-        try:
-            chunk = self._sock.recv(65536)
-        except BlockingIOError:
+                chosen = decode_hello(response[1:])
+            except XrlError:
+                chosen = []
+            if "binary" in chosen:
+                self._codec = BinaryCodec()
             return
-        except OSError:
-            self.close()
-            return
-        if not chunk:
-            self.close()
-            return
-        try:
-            responses = self._buffer.feed(chunk)
-        except ValueError:
-            self.close()
-            return
-        for response in responses:
-            kind = response[0] if response else -1
-            if kind == KIND_HELLO_ACK:
-                try:
-                    chosen = decode_hello(response[1:])
-                except XrlError:
-                    chosen = []
-                if "binary" in chosen:
-                    self._codec = BinaryCodec()
-                continue
-            (seq,) = struct.unpack_from("!I", response, 1)
-            reply_cb = self._pending.pop(seq, None)
-            if reply_cb is not None:
-                reply_cb(response)
-        if self._retiring and not self._pending:
-            self.close()
+        (seq,) = struct.unpack_from("!I", response, 1)
+        reply_cb = self._pending.pop(seq, None)
+        if reply_cb is not None:
+            reply_cb(response)
 
-    def retire(self) -> None:
-        """Close once every in-flight reply has arrived (or on EOF).
-
-        A Finder invalidation — a re-registration adding methods, a
-        sibling instance appearing — retires this sender while requests
-        may still be on the wire; dropping the connection under them
-        would turn a benign cache refresh into spurious timeouts.
-        """
-        if self._pending:
-            self._retiring = True
-        else:
-            self.close()
-
-    def close(self) -> None:
-        if self._sock is None:
-            return
-        self._loop.remove_reader(self._sock)
-        if self._writing:
-            self._loop.remove_writer(self._sock)
-        try:
-            self._sock.close()
-        finally:
-            self._sock = None
+    def _on_closed(self) -> None:
+        """No reply can arrive any more: fail the calls on the wire, in
+        send order, from the loop (a close may come from inside a send)."""
+        pending, self._pending = self._pending, {}
+        for reply_cb in pending.values():
+            self._loop.call_soon(reply_cb, None)
 
 
 class TcpFamily(ProtocolFamily):

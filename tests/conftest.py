@@ -1,4 +1,5 @@
-"""Shared fixtures: opt-in runtime sanitizers for integration tests.
+"""Shared fixtures: opt-in runtime sanitizers for integration tests, and
+one analysed copy of ``src/repro`` for the analysers' tests of themselves.
 
 ``runtime_sanitizers`` arms the stage-graph consistency sanitizer and
 the XRL dispatch sanitizer (see :mod:`repro.sanitizer`) around a test
@@ -8,9 +9,20 @@ opt in with ``pytest.mark.usefixtures("runtime_sanitizers")`` (or a
 module-level ``pytestmark``); everything else runs uninstrumented.
 """
 
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+from types import SimpleNamespace
+
 import pytest
 
+from repro.analysis import analyze_paths
 from repro.sanitizer import RuntimeSanitizer
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
+SRC_REPRO = REPO_ROOT / "src" / "repro"
 
 
 @pytest.fixture
@@ -24,3 +36,57 @@ def runtime_sanitizers():
     rendered = "\n".join(v.render() for v in sanitizer.violations)
     assert not sanitizer.violations, (
         f"runtime sanitizer violations:\n{rendered}")
+
+
+@pytest.fixture(scope="session")
+def analysis_tree(tmp_path_factory):
+    """A copy of ``src/repro`` (keeping the 'repro' path anchor), parsed
+    and checked once: the analyser's caches are keyed by path, so every
+    test that analyses this one copy re-does only what it changed."""
+    tree = tmp_path_factory.mktemp("analysis") / "repro"
+    shutil.copytree(SRC_REPRO, tree,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    analyze_paths([tree])
+    return tree
+
+
+@pytest.fixture
+def mutable_tree(analysis_tree):
+    """The shared copy, for a test that seeds a defect into it.  Whatever
+    the test wrote is put back afterwards, modification time included, so
+    the cached parse of every file it left alone still matches."""
+    before = {path: path.stat() for path in analysis_tree.rglob("*.py")}
+    yield analysis_tree
+    for path in analysis_tree.rglob("*.py"):
+        was, now = before.get(path), path.stat()
+        if was is None:
+            path.unlink()
+        elif (was.st_mtime_ns, was.st_size) != (now.st_mtime_ns, now.st_size):
+            original = SRC_REPRO / path.relative_to(analysis_tree)
+            path.write_bytes(original.read_bytes())
+            os.utime(path, ns=(was.st_atime_ns, was.st_mtime_ns))
+
+
+@pytest.fixture(scope="session")
+def analysis_cli_runs(tmp_path_factory):
+    """``python -m repro.analysis src/repro`` on the pristine tree, twice,
+    every report written: run 0 prints text, run 1 json.  Each clean-tree
+    CLI assertion reads these two runs."""
+    out = tmp_path_factory.mktemp("analysis-cli")
+    runs = []
+    for index, fmt in enumerate(("text", "json")):
+        files = {name: out / f"{name}{index}" for name in
+                 ("graph", "graph_dot", "hot", "hot_dot")}
+        result = subprocess.run(
+            [sys.executable, "-m", "repro.analysis", str(SRC_REPRO),
+             "--format", fmt,
+             "--graph-out", str(files["graph"]),
+             "--graph-dot", str(files["graph_dot"]),
+             "--hot-report", str(files["hot"]),
+             "--hot-dot", str(files["hot_dot"])],
+            capture_output=True, text=True,
+            env={"PYTHONPATH": str(REPO_ROOT / "src"), "PATH": "/usr/bin"})
+        runs.append(SimpleNamespace(returncode=result.returncode,
+                                    stdout=result.stdout,
+                                    stderr=result.stderr, **files))
+    return runs

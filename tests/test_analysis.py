@@ -15,7 +15,6 @@ Four layers:
 """
 
 import json
-import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -32,7 +31,6 @@ from repro.analysis.core import RULES, scan_suppressions
 from repro.analysis.runner import clear_module_cache
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
-SRC_REPRO = REPO_ROOT / "src" / "repro"
 
 
 def rules_of(findings):
@@ -602,17 +600,9 @@ class TestSuppressions:
 # The CI gate and the acceptance-criteria mutations
 # ---------------------------------------------------------------------------
 
-def copy_tree(tmp_path: Path) -> Path:
-    """Copy src/repro to a tmp dir (keeping the 'repro' path anchor)."""
-    dest = tmp_path / "repro"
-    shutil.copytree(SRC_REPRO, dest,
-                    ignore=shutil.ignore_patterns("__pycache__"))
-    return dest
-
-
 class TestTreeGate:
-    def test_shipped_tree_has_no_errors(self):
-        findings = analyze_paths([SRC_REPRO])
+    def test_shipped_tree_has_no_errors(self, analysis_tree):
+        findings = analyze_paths([analysis_tree])
         errors = [f for f in findings if f.severity == "error"]
         assert errors == [], "\n".join(f.render() for f in errors)
         # warnings/info are allowed on the shipped tree, but only the
@@ -622,16 +612,12 @@ class TestTreeGate:
             "PRO004", "PRO005", "PRO006", "HOT003", "HOT004", "HOT005",
         }
 
-    def test_cli_exits_zero_on_clean_tree(self):
-        result = subprocess.run(
-            [sys.executable, "-m", "repro.analysis", str(SRC_REPRO)],
-            capture_output=True, text=True,
-            env={"PYTHONPATH": str(REPO_ROOT / "src"), "PATH": "/usr/bin"},
-        )
+    def test_cli_exits_zero_on_clean_tree(self, analysis_cli_runs):
+        result = analysis_cli_runs[0]
         assert result.returncode == 0, result.stdout + result.stderr
 
-    def test_misspelled_xrl_method_one_finding(self, tmp_path):
-        tree = copy_tree(tmp_path)
+    def test_misspelled_xrl_method_one_finding(self, mutable_tree):
+        tree = mutable_tree
         rib = tree / "rib" / "rib.py"
         text = rib.read_text()
         assert '"add_entry4"' in text
@@ -648,8 +634,8 @@ class TestTreeGate:
         assert finding.line == mutated_line
         assert "add_entyr4" in finding.message
 
-    def test_inserted_sleep_one_finding(self, tmp_path):
-        tree = copy_tree(tmp_path)
+    def test_inserted_sleep_one_finding(self, mutable_tree):
+        tree = mutable_tree
         bgp = tree / "bgp" / "process.py"
         lines = bgp.read_text().splitlines(keepends=True)
         anchor = next(i for i, l in enumerate(lines)
@@ -677,8 +663,8 @@ class TestTreeGate:
 class TestProtographMutations:
     """Each seeded mutation must be caught by exactly its intended rule."""
 
-    def test_deleted_bind_pro001(self, tmp_path):
-        tree = copy_tree(tmp_path)
+    def test_deleted_bind_pro001(self, mutable_tree):
+        tree = mutable_tree
         rib = tree / "rib" / "rib.py"
         text = rib.read_text()
         assert "self.xrl.bind(RIB_IDL, self)" in text
@@ -691,11 +677,11 @@ class TestProtographMutations:
         assert {f.rule for f in errors} == {"PRO001"}
         assert any("rib/1.0" in f.message for f in errors)
 
-    def test_sync_back_call_pro002(self, tmp_path):
+    def test_sync_back_call_pro002(self, mutable_tree):
         # rib -> fea is an existing async edge; a synchronous FEA -> rib
         # call closes an inter-process request cycle — the deadlock the
         # multi-process split (ROADMAP item 2) cannot tolerate.
-        tree = copy_tree(tmp_path)
+        tree = mutable_tree
         fea = tree / "fea" / "fea.py"
         fea.write_text(fea.read_text() + (
             "\n\n"
@@ -716,8 +702,8 @@ class TestProtographMutations:
         assert "fea -> rib" in errors[0].message
         assert "cycle" in errors[0].message
 
-    def test_renamed_reply_atom_pro003(self, tmp_path):
-        tree = copy_tree(tmp_path)
+    def test_renamed_reply_atom_pro003(self, mutable_tree):
+        tree = mutable_tree
         supervisor = tree / "rtrmgr" / "supervisor.py"
         text = supervisor.read_text()
         assert 'get_txt("status")' in text
@@ -793,15 +779,15 @@ class TestProtographFixtures:
 
 
 class TestProtographGraph:
-    def test_graph_json_is_byte_stable(self):
-        modules, errors = collect_modules([SRC_REPRO])
+    def test_graph_json_is_byte_stable(self, analysis_tree):
+        modules, errors = collect_modules([analysis_tree])
         assert errors == []
         first = build_protocol_graph(modules).to_json()
         second = build_protocol_graph(modules).to_json()
         assert first == second
 
-    def test_graph_has_expected_edges(self):
-        modules, _errors = collect_modules([SRC_REPRO])
+    def test_graph_has_expected_edges(self, analysis_tree):
+        modules, _errors = collect_modules([analysis_tree])
         graph = build_protocol_graph(modules)
         pairs = {(e.src, e.dst) for e in graph.edges.values()}
         assert ("bgp", "rib") in pairs      # BGP feeds the RIB
@@ -815,8 +801,8 @@ class TestProtographGraph:
         assert {"add_routes4", "delete_routes4",
                 "add_route4", "delete_route4"} <= stream.methods
 
-    def test_dot_export_mentions_every_package_on_an_edge(self):
-        modules, _errors = collect_modules([SRC_REPRO])
+    def test_dot_export_mentions_every_package_on_an_edge(self, analysis_tree):
+        modules, _errors = collect_modules([analysis_tree])
         graph = build_protocol_graph(modules)
         dot = graph.to_dot()
         for edge in graph.edges.values():
@@ -1115,8 +1101,8 @@ class TestHotPathFixtures:
 class TestHotPathMutations:
     """Seeded hot-path regressions against copies of the real tree."""
 
-    def test_singular_send_into_batched_stage_hot001(self, tmp_path):
-        tree = copy_tree(tmp_path)
+    def test_singular_send_into_batched_stage_hot001(self, mutable_tree):
+        tree = mutable_tree
         merge = tree / "rib" / "merge.py"
         text = merge.read_text()
         batched = ("        if plain:\n"
@@ -1134,10 +1120,10 @@ class TestHotPathMutations:
         assert errors[0].path.endswith("rib/merge.py")
         assert "add_routes" in errors[0].message
 
-    def test_per_route_add_route4_loop_in_rib_deliver_hot001(self, tmp_path):
+    def test_per_route_add_route4_loop_in_rib_deliver_hot001(self, mutable_tree):
         # Undo the vectorized BGP→RIB stream: one add_route4 XRL per
         # route of the stretch, as before add_routes4 existed.
-        tree = copy_tree(tmp_path)
+        tree = mutable_tree
         process = tree / "bgp" / "process.py"
         text = process.read_text()
         vectorized = ("        self._rib_send(op, current, stretch)\n"
@@ -1158,8 +1144,8 @@ class TestHotPathMutations:
         assert all(f.path.endswith("bgp/process.py") for f in errors)
         assert any("add_routes4" in f.message for f in errors)
 
-    def test_per_route_dict_into_fea_distributor_hot002(self, tmp_path):
-        tree = copy_tree(tmp_path)
+    def test_per_route_dict_into_fea_distributor_hot002(self, mutable_tree):
+        tree = mutable_tree
         fea = tree / "fea" / "fea.py"
         text = fea.read_text()
         anchor = "                   in zip(nets, nexthops, ifnames)]\n"
@@ -1175,8 +1161,8 @@ class TestHotPathMutations:
         assert errors[0].rule == "HOT002"
         assert errors[0].path.endswith("fea/fea.py")
 
-    def test_quadratic_rescan_in_merge_hot006(self, tmp_path):
-        tree = copy_tree(tmp_path)
+    def test_quadratic_rescan_in_merge_hot006(self, mutable_tree):
+        tree = mutable_tree
         merge = tree / "rib" / "merge.py"
         text = merge.read_text()
         anchor = "        for route in routes:\n"
@@ -1196,8 +1182,8 @@ class TestHotPathMutations:
 
 
 class TestHotPathGraph:
-    def test_hot_report_json_is_byte_stable(self):
-        modules, errors = collect_modules([SRC_REPRO])
+    def test_hot_report_json_is_byte_stable(self, analysis_tree):
+        modules, errors = collect_modules([analysis_tree])
         assert errors == []
         first = build_hotpath(modules).to_json()
         second = build_hotpath(modules).to_json()
@@ -1206,8 +1192,8 @@ class TestHotPathGraph:
         assert payload["schema"] == "repro.hotpath/1"
         assert payload["stats"]["hot_functions"] > 0
 
-    def test_hot_set_roots_and_members(self):
-        modules, _errors = collect_modules([SRC_REPRO])
+    def test_hot_set_roots_and_members(self, analysis_tree):
+        modules, _errors = collect_modules([analysis_tree])
         graph = build_hotpath(modules)
         families = set(graph.roots.values())
         assert {"stage-entry", "xrl-dispatch", "fib-backend",
@@ -1226,8 +1212,8 @@ class TestHotPathGraph:
         assert all(not key.startswith(("analysis/", "obs/", "sanitizer/"))
                    for key in graph.hot)
 
-    def test_dot_export_mentions_every_root_family(self):
-        modules, _errors = collect_modules([SRC_REPRO])
+    def test_dot_export_mentions_every_root_family(self, analysis_tree):
+        modules, _errors = collect_modules([analysis_tree])
         graph = build_hotpath(modules)
         dot = graph.to_dot()
         for family in set(graph.roots.values()):
@@ -1243,18 +1229,18 @@ class TestFindingsCacheRuleset:
     rule's output.
     """
 
-    def _seeded_tree(self, tmp_path):
-        tree = copy_tree(tmp_path)
+    def _seeded_tree(self, tree):
+        # Both caches work file by file, so one package exercises them.
         bgp = tree / "bgp" / "process.py"
         lines = bgp.read_text().splitlines(keepends=True)
         anchor = next(i for i, line in enumerate(lines)
                       if "self.xrl.bind(BGP_IDL, self)" in line)
         lines.insert(anchor, "        import time; time.sleep(0.1)\n")
         bgp.write_text("".join(lines))
-        return tree
+        return tree / "bgp"
 
-    def test_rule_filter_then_full_run_sees_everything(self, tmp_path):
-        tree = self._seeded_tree(tmp_path)
+    def test_rule_filter_then_full_run_sees_everything(self, mutable_tree):
+        tree = self._seeded_tree(mutable_tree)
         clear_module_cache()
         filtered = analyze_paths([tree], rules=["DET002"])
         assert rules_of(filtered) == ["DET002"]
@@ -1268,8 +1254,8 @@ class TestFindingsCacheRuleset:
         narrowed = analyze_paths([tree], rules=["DET002"])
         assert rules_of(narrowed) == ["DET002"]
 
-    def test_same_ruleset_rerun_is_check_cached(self, tmp_path):
-        tree = self._seeded_tree(tmp_path)
+    def test_same_ruleset_rerun_is_check_cached(self, mutable_tree):
+        tree = self._seeded_tree(mutable_tree)
         clear_module_cache()
         analyze_paths([tree], rules=["DET002"])
         warm: dict = {}
@@ -1282,8 +1268,10 @@ class TestFindingsCacheRuleset:
 
 
 class TestAstCache:
-    def test_second_pass_is_fully_cached(self, tmp_path):
-        tree = copy_tree(tmp_path)
+    # One package of the shared copy: the parse cache works file by file.
+
+    def test_second_pass_is_fully_cached(self, mutable_tree):
+        tree = mutable_tree / "bgp"
         clear_module_cache()
         cold: dict = {}
         analyze_paths([tree], stats=cold)
@@ -1294,11 +1282,11 @@ class TestAstCache:
         assert warm["parse_cached"] == warm["files"]
         assert warm["parsed"] == 0
 
-    def test_cache_invalidated_on_edit(self, tmp_path):
-        tree = copy_tree(tmp_path)
+    def test_cache_invalidated_on_edit(self, mutable_tree):
+        tree = mutable_tree / "bgp"
         clear_module_cache()
         analyze_paths([tree])
-        target = tree / "bgp" / "process.py"
+        target = tree / "process.py"
         target.write_text(target.read_text() + "\n# touched\n")
         stats: dict = {}
         analyze_paths([tree], stats=stats)

@@ -374,8 +374,8 @@ class TestXrlSendOrder:
             client.send(self._xrl(method, value), batch=hint)
         loop.run()
         assert arrived == [(method, value) for method, value, __ in script]
-        # Consecutive calls on one sender still share a transmission.
-        assert client.batches_sent == 2
+        # One sender carries both methods, so the turn is one transmission.
+        assert client.batches_sent == 1
 
     def test_plain_send_with_nothing_pending_is_immediate(self):
         loop, client, arrived = self._pair()

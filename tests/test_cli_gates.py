@@ -38,9 +38,9 @@ def run_cli(module, *argv, pythonpath=None):
 
 
 class TestAnalysisCli:
-    def test_clean_tree_exits_zero(self):
-        result = run_cli("repro.analysis", str(SRC_REPRO))
-        assert result.returncode == 0, result.stdout + result.stderr
+    def test_clean_tree_exits_zero(self, analysis_cli_runs):
+        for result in analysis_cli_runs:
+            assert result.returncode == 0, result.stdout + result.stderr
 
     def test_seeded_defect_exits_nonzero(self, tmp_path):
         tree = copy_tree(tmp_path)
@@ -50,10 +50,10 @@ class TestAnalysisCli:
         assert result.returncode == 1, result.stdout + result.stderr
         assert "DET002" in result.stdout
 
-    def test_warnings_do_not_gate(self):
+    def test_warnings_do_not_gate(self, analysis_cli_runs):
         # The shipped tree carries PRO004/PRO006 warnings & info — they
         # must be reported without flipping the exit code.
-        result = run_cli("repro.analysis", str(SRC_REPRO))
+        result = analysis_cli_runs[0]
         assert result.returncode == 0
         assert "PRO004" in result.stdout
         assert "[warning]" in result.stdout
@@ -70,14 +70,9 @@ class TestAnalysisCli:
         assert result.returncode == 1, result.stdout + result.stderr
         assert "PRO001" in result.stdout
 
-    def test_graph_out_is_byte_stable(self, tmp_path):
-        first, second = tmp_path / "g1.json", tmp_path / "g2.json"
-        dot = tmp_path / "g.dot"
-        for out in (first, second):
-            result = run_cli("repro.analysis", str(SRC_REPRO),
-                             "--graph-out", str(out),
-                             "--graph-dot", str(dot))
-            assert result.returncode == 0, result.stdout + result.stderr
+    def test_graph_out_is_byte_stable(self, analysis_cli_runs):
+        first, second = (run.graph for run in analysis_cli_runs)
+        dot = analysis_cli_runs[0].graph_dot
         assert first.read_bytes() == second.read_bytes()
         graph = json.loads(first.read_text())
         assert graph["schema"] == "repro.protograph/1"
@@ -88,14 +83,9 @@ class TestAnalysisCli:
                    for e in stream)
         assert dot.read_text().startswith("digraph")
 
-    def test_hot_report_is_byte_stable(self, tmp_path):
-        first, second = tmp_path / "h1.json", tmp_path / "h2.json"
-        dot = tmp_path / "h.dot"
-        for out in (first, second):
-            result = run_cli("repro.analysis", str(SRC_REPRO),
-                             "--hot-report", str(out),
-                             "--hot-dot", str(dot))
-            assert result.returncode == 0, result.stdout + result.stderr
+    def test_hot_report_is_byte_stable(self, analysis_cli_runs):
+        first, second = (run.hot for run in analysis_cli_runs)
+        dot = analysis_cli_runs[0].hot_dot
         assert first.read_bytes() == second.read_bytes()
         report = json.loads(first.read_text())
         assert report["schema"] == "repro.hotpath/1"
@@ -142,16 +132,15 @@ class TestAnalysisCli:
         assert "HOT001" in result.stdout
         assert "add_routes4" in result.stdout
 
-    def test_hot_warnings_do_not_gate(self):
+    def test_hot_warnings_do_not_gate(self, analysis_cli_runs):
         # The shipped tree still carries warning-severity hot findings
         # (HOT003/HOT004 on config-time classes) — reported, exit 0.
-        result = run_cli("repro.analysis", str(SRC_REPRO))
+        result = analysis_cli_runs[0]
         assert result.returncode == 0
         assert "HOT004" in result.stdout
 
-    def test_json_format_reports_timing(self):
-        result = run_cli("repro.analysis", str(SRC_REPRO),
-                         "--format", "json")
+    def test_json_format_reports_timing(self, analysis_cli_runs):
+        result = analysis_cli_runs[1]
         assert result.returncode == 0, result.stdout + result.stderr
         payload = json.loads(result.stdout)
         timing = payload["timing"]

@@ -59,6 +59,32 @@ def call(manager: SpawnManager, target: str, interface, method: str,
     return reply
 
 
+def xrl_connections(client_pid: int, finder, target: str) -> int:
+    """Established TCP connections from OS process *client_pid* to
+    *target*'s XRL listener, read from /proc the way ``ss -tnp`` does."""
+    __, candidates, __cls = finder.resolve(
+        "test", target, "common/0.1/get_status")
+    port = int(dict(candidates)["stcp"].rpartition(":")[2])
+    inodes = set()
+    for fd in os.listdir(f"/proc/{client_pid}/fd"):
+        try:
+            link = os.readlink(f"/proc/{client_pid}/fd/{fd}")
+        except OSError:
+            continue  # closed since listdir
+        if link.startswith("socket:["):
+            inodes.add(link[len("socket:["):-1])
+    count = 0
+    with open("/proc/net/tcp") as table:
+        next(table)  # header
+        for line in table:
+            fields = line.split()
+            established = fields[3] == "01"
+            remote_port = int(fields[2].rpartition(":")[2], 16)
+            if established and remote_port == port and fields[9] in inodes:
+                count += 1
+    return count
+
+
 class TestSingleModule:
     """One supervised RIB child: register, call, SIGKILL, reconverge."""
 
@@ -116,6 +142,21 @@ class TestShutdown:
         assert elapsed < 2.0, f"shutdown took {elapsed:.1f}s"
         assert shell.popen.returncode is not None
         assert shell.popen.returncode != -signal.SIGKILL
+
+
+class TestFinderLoss:
+    def test_child_exits_when_its_finder_goes_away(self):
+        """SIGKILL of the rtrmgr looks like this to a child: the Finder
+        connection drops.  The child must shut down, not run orphaned."""
+        manager = SpawnManager(policy=snappy_policy())
+        try:
+            shell = manager.spawn_module("rib")
+            manager.loop.run(duration=0.3)
+            assert shell.alive
+            manager.finder_server.close()
+            assert shell.popen.wait(timeout=5) is not None
+        finally:
+            manager.shutdown()
 
 
 class _Router:
@@ -198,6 +239,15 @@ class TestTwoRouterDeployment:
             assert loop.run_until(
                 lambda: r2.fib_resolves("203.0.113.7"), timeout=60), \
                 "route never reached r2's FEA"
+
+            # One ordered channel per directed process pair, however many
+            # methods cross it (bgp -> rib alone uses six).
+            for router in (r1, r2):
+                pids = {name: shell.pid for name, shell
+                        in router.manager.modules.items()}
+                finder = router.manager.host.finder
+                assert xrl_connections(pids["bgp"], finder, "rib") == 1
+                assert xrl_connections(pids["rib"], finder, "fea") == 1
 
             # Chaos: SIGKILL r1's BGP. The supervisor must notice via the
             # Finder connection death, respawn it, replay the peering and

@@ -1,6 +1,8 @@
 """Fault injection and robustness: corrupt wire data, dead transports,
 IPv6 paths, hold timers over real session plumbing."""
 
+import time
+
 import pytest
 
 from repro.bgp import BgpProcess, BgpState
@@ -10,7 +12,7 @@ from repro.core.process import Host
 from repro.eventloop import EventLoop, SimulatedClock, SystemClock
 from repro.net import IPNet, IPv4, IPv6
 from repro.xrl import Finder, Xrl, XrlArgs, XrlRouter
-from repro.xrl.error import XrlErrorCode
+from repro.xrl.error import XrlError, XrlErrorCode
 
 
 def bgp_pair(loop, holdtime=90):
@@ -242,6 +244,107 @@ class TestXrlTransportRobustness:
             assert hostile.recv(16) == b""  # a clean close, no reply
         finally:
             hostile.close()
+            listener.close()
+
+    def test_peer_death_fails_the_calls_on_the_wire(self):
+        """A transmit queue passes no deadline (BGP's and the RIB's do
+        not): when the peer dies with the window full, the calls it will
+        never answer fail, in send order, and the queue drains."""
+        from repro.core.txqueue import XrlTransmitQueue
+        from repro.xrl.router import DeferredReply
+        from repro.xrl.transport import TcpFamily
+
+        loop = EventLoop(SystemClock())
+        finder = Finder()
+        family = TcpFamily()
+        server = XrlRouter(loop, "svc", finder, families=[family])
+        parked = []
+
+        def never(args):
+            parked.append(DeferredReply())
+            return parked[-1]
+
+        server.register_raw_method("svc/1.0/never", never)
+        client = XrlRouter(loop, "cli", finder, families=[family])
+        failed = []
+        queue = XrlTransmitQueue(
+            client, window=2,
+            on_error=lambda xrl, error: failed.append(
+                (xrl.args.get_u32("n"), error.code)))
+        for n in range(4):
+            queue.enqueue(Xrl("svc", "svc", "1.0", "never",
+                              XrlArgs().add_u32("n", n)))
+        assert loop.run_until(lambda: len(parked) == 2, timeout=5)
+        assert (queue.inflight, len(queue)) == (2, 2)
+
+        family.unlisten(server._addresses["stcp"])  # the process is gone
+        assert loop.run_until(lambda: queue.idle, timeout=5), \
+            f"inflight {queue.inflight}, queued {len(queue)}"
+        assert failed[:2] == [(0, XrlErrorCode.SEND_FAILED),
+                              (1, XrlErrorCode.SEND_FAILED)]
+        assert [n for n, __ in failed] == [0, 1, 2, 3]
+
+    def test_peer_that_never_reads_replies_stops_being_served(self):
+        """Pipelined requests from a client that reads nothing: the
+        connection buffers at most MAX_UNSENT_BYTES plus one reply, stops
+        reading, and picks up where it left off once the client reads."""
+        import socket
+
+        from repro.xrl.transport import TcpFamily
+        from repro.xrl.transport.base import encode_request, encode_response
+        from repro.xrl.transport.tcp import (FrameBuffer, MAX_UNSENT_BYTES,
+                                             pack_frame)
+
+        loop = EventLoop(SystemClock())
+        finder = Finder()
+        family = TcpFamily()
+        server = XrlRouter(loop, "svc", finder, families=[family])
+        blob = XrlArgs().add_binary("blob", bytes(64 * 1024))
+        served = []
+
+        def big(args):
+            served.append(args)
+            return blob
+
+        server.register_raw_method("svc/1.0/big", big)
+        (listener,) = family._listeners.values()
+        resolved, __, __cls = finder.resolve("hog", "svc", "svc/1.0/big")
+        one_reply = len(pack_frame(b"\x00" + encode_response(
+            0, XrlError.okay(), blob)))
+        calls = 400                                  # >= 25 MiB of replies
+        host, __, port_text = listener.address.rpartition(":")
+        hog = socket.create_connection((host, int(port_text)))
+        try:
+            hog.sendall(b"".join(
+                pack_frame(b"\x00" + encode_request(seq, resolved, XrlArgs()))
+                for seq in range(calls)))
+            assert loop.run_until(lambda: len(listener._connections) == 1,
+                                  timeout=5)
+            (conn,) = listener._connections
+
+            def unsent():
+                return len(conn._out) - conn._sent
+
+            assert loop.run_until(lambda: not conn._reading, timeout=5)
+            loop.run(duration=0.3)                   # and it stays paused
+            assert not conn._reading
+            assert 0 < len(served) < calls
+            assert unsent() <= MAX_UNSENT_BYTES + one_reply
+
+            hog.settimeout(0.1)
+            frames = FrameBuffer()
+            replies = 0
+            give_up = time.monotonic() + 30
+            while replies < calls and time.monotonic() < give_up:
+                loop.run_once(block=False)
+                assert unsent() <= MAX_UNSENT_BYTES + one_reply
+                try:
+                    replies += len(frames.feed(hog.recv(1 << 20)))
+                except socket.timeout:
+                    pass
+            assert replies == len(served) == calls
+        finally:
+            hog.close()
             listener.close()
 
     def test_resolution_error_does_not_poison_cache(self):

@@ -17,6 +17,7 @@ from repro.bgp.attributes import ASPath, Origin, PathAttributeList
 from repro.bgp.messages import UpdateMessage
 from repro.bgp.peer import PeerConfig
 from repro.core.process import Host, XorpProcess
+from repro.eventloop import EventLoop, SystemClock
 from repro.fea import FeaProcess
 from repro.net import IPNet, IPv4, IPv6
 from repro.rib import RibProcess
@@ -25,7 +26,7 @@ from repro.sanitizer import RuntimeSanitizer
 from repro.xrl import Xrl, XrlArgs, XrlAtom, XrlAtomType
 from repro.xrl.error import XrlErrorCode
 from repro.xrl.retry import RetryPolicy
-from repro.xrl.transport import FaultFamily
+from repro.xrl.transport import FaultFamily, TcpFamily
 
 LOCAL_AS = 65000
 #: (peer address, peer AS): two EBGP peers and one IBGP peer, so a
@@ -36,10 +37,13 @@ PREFIXES = [IPNet.parse(f"99.{i}.0.0/16") for i in range(8)]
 
 class Router:
     """FEA + RIB + BGP on one simulated-clock host, driven by handing
-    decoded UPDATEs to the peer handlers (no sessions needed)."""
+    decoded UPDATEs to the peer handlers (no sessions needed).  With
+    *tcp* the three talk over real sockets on a wall-clock loop."""
 
-    def __init__(self, *, run_limit=None, retry=None, fault=None):
-        self.host = Host()
+    def __init__(self, *, run_limit=None, retry=None, fault=None, tcp=False):
+        self.tcp = tcp
+        self.host = (Host(EventLoop(SystemClock()),
+                          extra_families=[TcpFamily()]) if tcp else Host())
         self.fault = (FaultFamily.wrap_host(self.host, **fault)
                       if fault is not None else None)
         self.fea = FeaProcess(self.host)
@@ -63,7 +67,17 @@ class Router:
             ifname="eth0"))
 
     def run(self):
-        self.host.loop.run()
+        loop = self.host.loop
+        if not self.tcp:
+            loop.run()
+            return
+        # Sockets never quiesce a wall-clock loop: wait for every queue
+        # between the UPDATE and the FIB to drain instead.
+        assert loop.run_until(
+            lambda: not (loop.pending_events() or loop.tasks.have_work()
+                         or self.bgp.fanout.queue_length)
+            and self.bgp.txq.idle and self.rib.txq.idle
+            and self.fea.driver.settled, timeout=30)
 
     def announce(self, peer, prefixes, path_len=1):
         asn = PEERS[peer][1]
@@ -127,9 +141,9 @@ schedule = st.lists(
 )
 
 
-def run_schedule(ops, run_limit=None):
+def run_schedule(ops, run_limit=None, tcp=False):
     with RuntimeSanitizer() as sanitizer:
-        router = Router(run_limit=run_limit)
+        router = Router(run_limit=run_limit, tcp=tcp)
         vectors = spy_sends(router.bgp)
         for op in ops:
             if op[0] == "announce":
@@ -173,6 +187,31 @@ class TestVectorEqualsPerRouteStream:
         bgp_nets = set(tables.get("ebgp", {})) | set(tables.get("ibgp", {}))
         assert bgp_nets == set(winners)
         assert set(fib) == bgp_nets | {"10.0.0.0/8"}
+
+    def test_same_over_tcp_between_the_three_processes(self):
+        """One fixed schedule with BGP, RIB and FEA joined by TcpFamily:
+        six methods cross bgp→rib and four cross rib→fea, and the FIB
+        is only right if each pair's frames are read in send order."""
+        ops = [("announce", 0, [0, 1, 2, 3, 4, 5], 3),
+               ("announce", 1, [2, 3, 4], 2),
+               ("turns", 1),
+               ("announce", 2, [0, 1, 2, 3], 1),   # ebgp → ibgp replaces
+               ("withdraw", 0, [0, 1, 2]),
+               ("announce", 0, [1, 6, 7], 1),
+               ("turns", 2),
+               ("down", 1),
+               ("withdraw", 2, [0, 3]),
+               ("quiesce",),
+               ("withdraw", 0, [6, 7]),
+               ("announce", 1, [0, 3, 5], 1),
+               ("down", 2)]
+        state, winners, verdicts, sends = run_schedule(ops, tcp=True)
+        assert run_schedule(ops, run_limit=1, tcp=True)[:3] == (
+            state, winners, verdicts)
+        assert run_schedule(ops)[:3] == (state, winners, verdicts)
+        assert verdicts == []
+        assert {"add_routes4", "delete_routes4", "add_route4",
+                "delete_route4"} <= {method for method, __ in sends}
 
     def test_withdraw_and_reannounce_in_one_update_keeps_order(self):
         """A vector frame is deferred to the turn's flush, a lone route

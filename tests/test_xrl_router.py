@@ -189,6 +189,94 @@ class TestResolutionAndSecurity:
             XrlRouter(loop, "rib", finder, singleton=True, families=[])
 
 
+class TestOneChannelPerEndpoint:
+    """The XRL ordering contract (DESIGN.md, "Multi-process deployment"):
+    whatever one router sends to one endpoint — any mix of methods —
+    travels over one sender and is dispatched in send order."""
+
+    METHODS = ("put", "take", "peek")
+
+    def _store(self):
+        loop = EventLoop(SystemClock())
+        finder = Finder(rng=random.Random(7))
+        family = TcpFamily()
+        arrived = []
+        server = XrlRouter(loop, "store", finder, families=[family])
+        for method in self.METHODS:
+            server.register_raw_method(
+                f"order/1.0/{method}",
+                lambda args, method=method: arrived.append(
+                    (method, args.get_u32("value"))))
+        listener = family._listeners[server._addresses["stcp"]]
+        return loop, finder, family, server, listener, arrived
+
+    @staticmethod
+    def _xrl(method, value):
+        return Xrl("store", "order", "1.0", method,
+                   XrlArgs().add_u32("value", value))
+
+    def test_two_methods_in_one_turn_are_dispatched_in_send_order(self):
+        loop, finder, family, __, __listener, arrived = self._store()
+        client = XrlRouter(loop, "client", finder, families=[family])
+        script = [(self.METHODS[i % 2], i) for i in range(200)]
+        outcomes = []
+        for method, value in script:                  # unhinted, one turn
+            client.send(self._xrl(method, value),
+                        lambda error, args: outcomes.append(error))
+        assert loop.run_until(lambda: len(outcomes) == len(script), timeout=10)
+        assert all(error.is_okay for error in outcomes)
+        assert arrived == script
+
+    def test_one_sender_per_endpoint_one_connection_per_caller(self):
+        loop, finder, family, __, listener, __arrived = self._store()
+        callers = [XrlRouter(loop, f"client{i}", finder, families=[family])
+                   for i in range(2)]
+        for caller in callers:
+            for value, method in enumerate(self.METHODS):
+                error, __ = caller.send_sync(self._xrl(method, value),
+                                             deadline=10)
+                assert error.is_okay
+        for caller in callers:
+            assert len(caller._cache) == len(self.METHODS)
+            assert list(caller._senders) == [("stcp", listener.address)]
+        assert len(listener._connections) == len(callers)
+
+    def test_targets_own_add_methods_leaves_calls_on_the_wire(self):
+        """A child's trailing ``add_methods`` invalidates the resolutions
+        of a caller whose request it has not answered yet.  Only the
+        resolutions go: the call completes, and the next one re-resolves
+        onto the connection that is already there."""
+        from repro.xrl.router import DeferredReply
+
+        loop, finder, family, server, listener, __arrived = self._store()
+        parked = []
+
+        def slow(args):
+            parked.append(DeferredReply())
+            return parked[0]
+
+        server.register_raw_method("order/1.0/slow", slow)
+        client = XrlRouter(loop, "client", finder, families=[family])
+        outcomes = []
+        client.send(Xrl("store", "order", "1.0", "slow"),
+                    lambda error, args: outcomes.append(error))
+        assert loop.run_until(lambda: bool(parked), timeout=10)
+        (sender,) = client._senders.values()
+
+        server.register_raw_method("order/1.0/late", lambda args: None)
+        assert not client._cache            # the invalidation reached us
+        assert sender.alive and not outcomes
+        parked[0].reply(None)
+        assert loop.run_until(lambda: bool(outcomes), timeout=10)
+        assert outcomes[0].is_okay
+
+        error, __ = client.send_sync(Xrl("store", "order", "1.0", "late"),
+                                     deadline=10)
+        assert error.is_okay
+        assert list(client._senders.values()) == [sender]
+        assert len(listener._connections) == 1
+
+
 class TestLifetimeNotification:
     def test_birth_and_death_events(self):
         loop = EventLoop(SimulatedClock())
