@@ -13,7 +13,7 @@ Each peering owns (paper Figures 4-6):
 
 from __future__ import annotations
 
-from typing import Any, Callable, List, Optional
+from typing import Any, Callable, List, Optional, Tuple
 
 from repro.bgp.attributes import PathAttributeList
 from repro.bgp.damping import DampingStage
@@ -37,6 +37,9 @@ from repro.core.stages import (
 )
 from repro.net import IPNet, IPv4
 from repro.trie import RouteTrie
+
+
+_AttrMemo = Tuple[Optional[PathAttributeList], Optional[PathAttributeList]]
 
 
 class PeerConfig:
@@ -158,6 +161,12 @@ class PeerHandler(FsmActions):
         self._reader = MessageReader()
         self.info = PeerInfo(self.peer_id, config.is_ibgp,
                              bgp_id=IPv4(0), peer_addr=config.peer_addr)
+        #: one-entry identity memos, (attribute list in, rewritten list
+        #: out): the routes of one UPDATE share one immutable attribute
+        #: list, so the import default and the eBGP export rewrite build
+        #: one new list per UPDATE instead of one per route
+        self._import_memo: _AttrMemo = (None, None)
+        self._export_memo: _AttrMemo = (None, None)
         self._build_input_branch()
         self._build_output_branch()
         self.enabled = False
@@ -211,10 +220,14 @@ class PeerHandler(FsmActions):
             route = policy(route, self)
             if route is None:
                 return None
-        if route.attributes.local_pref is None:
+        attrs = route.attributes
+        if attrs.local_pref is None:
             # Default applied only where policy did not set one.
-            route = route.with_attributes(
-                route.attributes.replace(local_pref=100))
+            seen, defaulted = self._import_memo
+            if seen is not attrs:
+                defaulted = attrs.replace(local_pref=100)
+                self._import_memo = (attrs, defaulted)
+            route = route.with_attributes(defaulted)
         return route
 
     def _export_filter(self, route: BGPRoute) -> Optional[BGPRoute]:
@@ -231,14 +244,17 @@ class PeerHandler(FsmActions):
             route = policy(route, self)
             if route is None:
                 return None
-        attrs = route.attributes
         if not self.config.is_ibgp:
-            attrs = attrs.replace(
-                as_path=attrs.as_path.prepend(self.config.local_as),
-                nexthop=self.config.local_addr,
-                local_pref=None,
-            )
-            route = route.with_attributes(attrs)
+            attrs = route.attributes
+            seen, rewritten = self._export_memo
+            if seen is not attrs:
+                rewritten = attrs.replace(
+                    as_path=attrs.as_path.prepend(self.config.local_as),
+                    nexthop=self.config.local_addr,
+                    local_pref=None,
+                )
+                self._export_memo = (attrs, rewritten)
+            route = route.with_attributes(rewritten)
         return route
 
     # -- dynamic policy re-filtering (paper §5.1.2) ---------------------------

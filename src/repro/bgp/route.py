@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional, Sequence, Tuple
 
 from repro.bgp.attributes import PathAttributeList
 from repro.net import IPNet
@@ -23,13 +23,16 @@ class BGPRoute:
                  peer_id: str = "",
                  igp_metric: Optional[int] = None,
                  resolvable: Optional[bool] = None,
-                 policytags: Optional[List[int]] = None):
+                 policytags: Optional[Sequence[int]] = None):
         self.net = net
         self.attributes = attributes
         self.peer_id = peer_id
         self.igp_metric = igp_metric
         self.resolvable = resolvable
-        self.policytags = list(policytags) if policytags else []
+        #: a tuple, the shared ``()`` for the untagged common case: an
+        #: empty list per route is one more object for the GC to track
+        self.policytags: Tuple[int, ...] = (
+            tuple(policytags) if policytags else ())
 
     @property
     def nexthop(self):

@@ -112,10 +112,9 @@ class BgpVarRW(VarRW):
         route = self._route.with_attributes(attrs.replace(**replacements))
         if "tag" in self._changes:
             value = self._changes["tag"]
-            route.policytags = (list(value) if isinstance(value, (list, tuple))
-                                else [int(value)])
-        else:
-            route.policytags = list(self._route.policytags)
+            route.policytags = (tuple(value)
+                                if isinstance(value, (list, tuple))
+                                else (int(value),))
         return route
 
 
@@ -155,10 +154,10 @@ class RibVarRW(VarRW):
             return self._route
         tags = self._changes.get("tag", self._route.policytags)
         if not isinstance(tags, (list, tuple)):
-            tags = [int(tags)]
+            tags = (int(tags),)
         # The route rebuilds itself (RibRoute.replaced): policy is shared
         # library code and must not import RIB internals.
         return self._route.replaced(
             metric=int(self._changes.get("metric", self._route.metric)),
-            policytags=list(tags),
+            policytags=tags,
         )

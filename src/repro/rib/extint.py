@@ -31,12 +31,13 @@ class ExtIntStage(BatchStage):
     def __init__(self, name: str, bits: int = 32):
         super().__init__(name)
         self.bits = bits
-        #: internal-side winners by prefix (the resolution substrate)
+        #: internal-side winners by prefix (the resolution substrate: the
+        #: one table here that answers longest-match questions)
         self.internal = RouteTrie(bits)
         #: external-side winners by prefix (announced only if resolvable)
-        self.external = RouteTrie(bits)
+        self.external: Dict[IPNet, Any] = {}
         #: everything announced downstream (consistency rule 2 source)
-        self.announced = RouteTrie(bits)
+        self.announced: Dict[IPNet, Any] = {}
         #: nexthop address -> set of external prefixes using it
         self._nexthop_index: Dict[Any, Set[IPNet]] = {}
         #: batch emission buffer; None outside add_routes/delete_routes
@@ -53,7 +54,11 @@ class ExtIntStage(BatchStage):
                 if not self._resolves(route)}
 
     def _index_add(self, route: Any) -> None:
-        self._nexthop_index.setdefault(route.nexthop, set()).add(route.net)
+        nets = self._nexthop_index.get(route.nexthop)
+        if nets is None:
+            self._nexthop_index[route.nexthop] = {route.net}
+        else:
+            nets.add(route.net)
 
     def _index_remove(self, route: Any) -> None:
         nets = self._nexthop_index.get(route.nexthop)
@@ -109,22 +114,22 @@ class ExtIntStage(BatchStage):
 
     # -- winner computation -------------------------------------------------
     def _reevaluate(self, net: IPNet) -> None:
-        external = self.external.exact(net)
+        external = self.external.get(net)
         if external is not None and not self._resolves(external):
             external = None  # unusable: the internal alternative may win
         internal = self.internal.exact(net)
         winner = preferred(external, internal)
-        current = self.announced.exact(net)
+        current = self.announced.get(net)
         if winner is None:
             if current is not None:
-                self.announced.discard(net)
+                del self.announced[net]
                 self._emit("delete", current)
             return
         if current is None:
-            self.announced.insert(net, winner)
+            self.announced[net] = winner
             self._emit("add", winner)
         elif current is not winner:
-            self.announced.insert(net, winner)
+            self.announced[net] = winner
             self._emit("replace", winner, current)
 
     def _reevaluate_externals_for(self, changed_net: IPNet) -> None:
@@ -142,7 +147,7 @@ class ExtIntStage(BatchStage):
     # -- message handling (routes classify themselves via is_external) --------
     def _add_one(self, route: Any) -> None:
         if route.is_external:
-            self.external.insert(route.net, route)
+            self.external[route.net] = route
             self._index_add(route)
             self._reevaluate(route.net)
         else:
@@ -152,7 +157,7 @@ class ExtIntStage(BatchStage):
 
     def _delete_one(self, route: Any) -> None:
         if route.is_external:
-            self.external.discard(route.net)
+            self.external.pop(route.net, None)
             self._index_remove(route)
             self._reevaluate(route.net)
         else:
@@ -188,7 +193,7 @@ class ExtIntStage(BatchStage):
             return
         if new_route.is_external:
             self._index_remove(old_route)
-            self.external.insert(new_route.net, new_route)
+            self.external[new_route.net] = new_route
             self._index_add(new_route)
             self._reevaluate(new_route.net)
         else:
@@ -198,4 +203,4 @@ class ExtIntStage(BatchStage):
 
     def lookup_route(self, net: IPNet, *,
                      caller: Optional[RouteTableStage] = None) -> Any:
-        return self.announced.exact(net)
+        return self.announced.get(net)

@@ -18,7 +18,6 @@ from typing import Any, Callable, Dict, List, Optional
 
 from repro.core.stages import BatchStage, RouteTableStage
 from repro.net import IPNet
-from repro.trie import RouteTrie
 
 #: redistribution event callback: (event, route) with event "add"|"delete"
 RedistCallback = Callable[[str, Any], None]
@@ -28,29 +27,32 @@ class _RedistTarget:
     __slots__ = ("name", "predicate", "callback", "announced")
 
     def __init__(self, name: str, predicate: Callable[[Any], bool],
-                 callback: RedistCallback, bits: int):
+                 callback: RedistCallback):
         self.name = name
         self.predicate = predicate
         self.callback = callback
         #: which prefixes this target currently knows (for clean deletes
         #: when a replace changes whether the predicate matches)
-        self.announced = RouteTrie(bits)
+        self.announced: Dict[IPNet, Any] = {}
 
 
 class RedistStage(BatchStage):
     def __init__(self, name: str, bits: int = 32):
         super().__init__(name)
         self.bits = bits
-        self.winners = RouteTrie(bits)
+        #: final winners by prefix; only ever asked for the route at one
+        #: prefix or dumped whole, so a dict (dumps run in insertion order)
+        self.winners: Dict[IPNet, Any] = {}
         self._targets: Dict[str, _RedistTarget] = {}
 
     # -- target management -------------------------------------------------
     def add_target(self, name: str, predicate: Callable[[Any], bool],
                    callback: RedistCallback) -> None:
         """Register a redistribution target; dumps existing winners."""
-        target = _RedistTarget(name, predicate, callback, self.bits)
+        target = _RedistTarget(name, predicate, callback)
         self._targets[name] = target
-        for net, route in self.winners.items():
+        # Snapshot: the callback may feed a route back into this RIB.
+        for route in list(self.winners.values()):
             self._offer(target, route)
 
     def remove_target(self, name: str) -> None:
@@ -59,14 +61,14 @@ class RedistStage(BatchStage):
     def resync_target(self, name: str) -> None:
         """Re-dump every winner to *name* (its consumer was restarted).
 
-        The reborn consumer has empty state, so the announced-trie is
+        The reborn consumer has empty state, so the announced table is
         rebuilt from scratch rather than diffed against it.
         """
         target = self._targets.get(name)
         if target is None:
             return
-        target.announced = RouteTrie(self.bits)
-        for __, route in self.winners.items():
+        target.announced = {}
+        for route in list(self.winners.values()):
             self._offer(target, route)
 
     def has_target(self, name: str) -> bool:
@@ -74,11 +76,11 @@ class RedistStage(BatchStage):
 
     def _offer(self, target: _RedistTarget, route: Any) -> None:
         if target.predicate(route):
-            target.announced.insert(route.net, route)
+            target.announced[route.net] = route
             target.callback("add", route)
 
     def _rescind(self, target: _RedistTarget, route: Any) -> None:
-        known = target.announced.discard(route.net)
+        known = target.announced.pop(route.net, None)
         if known is not None:
             target.callback("delete", known)
 
@@ -87,9 +89,9 @@ class RedistStage(BatchStage):
                    caller: Optional[RouteTableStage] = None) -> None:
         # Per-route winner/target bookkeeping, one downstream dispatch.
         targets = self._targets.values()
-        insert = self.winners.insert
+        winners = self.winners
         for route in routes:
-            insert(route.net, route)
+            winners[route.net] = route
             for target in targets:
                 self._offer(target, route)
         if self.next_table is not None:
@@ -98,9 +100,9 @@ class RedistStage(BatchStage):
     def delete_routes(self, routes: List[Any], *,
                       caller: Optional[RouteTableStage] = None) -> None:
         targets = self._targets.values()
-        discard = self.winners.discard
+        winners = self.winners
         for route in routes:
-            discard(route.net)
+            winners.pop(route.net, None)
             for target in targets:
                 self._rescind(target, route)
         if self.next_table is not None:
@@ -108,12 +110,12 @@ class RedistStage(BatchStage):
 
     def replace_route(self, old_route: Any, new_route: Any, *,
                       caller: Optional[RouteTableStage] = None) -> None:
-        self.winners.insert(new_route.net, new_route)
+        self.winners[new_route.net] = new_route
         for target in self._targets.values():
-            matched_before = target.announced.exact(old_route.net) is not None
+            matched_before = old_route.net in target.announced
             matches_now = target.predicate(new_route)
             if matched_before and matches_now:
-                target.announced.insert(new_route.net, new_route)
+                target.announced[new_route.net] = new_route
                 target.callback("delete", old_route)
                 target.callback("add", new_route)
             elif matched_before:
@@ -124,4 +126,4 @@ class RedistStage(BatchStage):
 
     def lookup_route(self, net: IPNet, *,
                      caller: Optional[RouteTableStage] = None) -> Any:
-        return self.winners.exact(net)
+        return self.winners.get(net)

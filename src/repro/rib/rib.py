@@ -276,10 +276,8 @@ class RibProcess(XorpProcess):
         """
         if not self.running:
             return
-        self._emit_fea4(
-            "add", [route for __, route in self.v4.redist.winners.items()])
-        self._emit_fea6(
-            "add", [route for __, route in self.v6.redist.winners.items()])
+        self._emit_fea4("add", list(self.v4.redist.winners.values()))
+        self._emit_fea6("add", list(self.v6.redist.winners.values()))
 
     def _watch_redist_class(self, target: str) -> None:
         if target in self._redist_down:
@@ -339,7 +337,7 @@ class RibProcess(XorpProcess):
 
     def _make_route(self, pipeline: _Pipeline, protocol: str, net: IPNet,
                     nexthop, metric: int, policytags) -> RibRoute:
-        tags = [atom.value for atom in policytags] if policytags else []
+        tags = [atom.value for atom in policytags] if policytags else ()
         return RibRoute(
             net, nexthop, metric, protocol,
             is_external=pipeline.external_protocols.get(protocol, False),

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Optional, Sequence, Tuple
 
 from repro.net import IPNet
 
@@ -41,7 +41,7 @@ class RibRoute:
                  admin_distance: Optional[int] = None,
                  is_external: Optional[bool] = None,
                  ifname: str = "",
-                 policytags: Optional[List[int]] = None):
+                 policytags: Optional[Sequence[int]] = None):
         self.net = net
         self.nexthop = nexthop
         self.metric = metric
@@ -55,10 +55,13 @@ class RibRoute:
             else protocol in EXTERNAL_PROTOCOLS
         )
         self.ifname = ifname
-        self.policytags = list(policytags) if policytags else []
+        #: a tuple, the shared ``()`` for the untagged common case: an
+        #: empty list per route is one more object for the GC to track
+        self.policytags: Tuple[int, ...] = (
+            tuple(policytags) if policytags else ())
 
     def replaced(self, *, metric: Optional[int] = None,
-                 policytags: Optional[List[int]] = None) -> "RibRoute":
+                 policytags: Optional[Sequence[int]] = None) -> "RibRoute":
         """A copy with the policy-writable fields overridden.
 
         This is the hook the policy VM rewrites routes through
@@ -72,8 +75,7 @@ class RibRoute:
             admin_distance=self.admin_distance,
             is_external=self.is_external,
             ifname=self.ifname,
-            policytags=self.policytags if policytags is None
-            else list(policytags),
+            policytags=self.policytags if policytags is None else policytags,
         )
 
     def sort_key(self) -> Tuple[int, int, str]:

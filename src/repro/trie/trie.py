@@ -1,10 +1,22 @@
 """Path-compressed binary trie keyed by IP prefix, plus safe iterators.
 
-The trie is the storage behind every origin table (BGP PeerIn, RIB origin
-stages) and behind the RIB's interest-registration arithmetic.  Nodes are
-ordered so that a preorder walk yields prefixes in ``(network, prefix-len)``
-order — the order :class:`repro.net.IPNet` sorts in — which the fanout
-dump logic relies on.
+The trie backs the tables that are asked longest-match questions (the
+RIB's internal side and interest-registration arithmetic, the FIB) or that
+hand out iterators a background task parks on (BGP PeerIn and the RIB's
+origin tables, the fanout's winners).  A table that is only ever asked
+for the route at exactly one prefix is a ``dict`` instead — DESIGN.md,
+"Which table is which structure", lists every table.  Nodes are ordered
+so that a preorder walk yields prefixes in ``(network, prefix-len)`` order
+— the order :class:`repro.net.IPNet` sorts in — which the fanout dump
+logic relies on.
+
+Lookups descend Patricia-style: a walk follows the key's bits from node
+to node without looking at the prefixes on the way, and compares the key
+once, against the node it arrives at.  That is sound because every node
+contains all of its descendants: a node off the key's true path can only
+lead to an arrival that fails the comparison.  Only ``insert`` tests
+containment at each level, because it has to find where a new prefix
+diverges.
 
 Iterator safety follows the paper exactly: each node carries a reference
 count of iterators currently pointing at it; deleting a route whose node is
@@ -17,30 +29,6 @@ from __future__ import annotations
 from typing import Any, Callable, Iterator, List, Optional, Tuple
 
 from repro.net import IPNet
-
-
-def _contains(bits: int, value_a: int, plen_a: int, value_b: int, plen_b: int) -> bool:
-    """True if prefix A (value_a/plen_a) contains prefix B."""
-    if plen_b < plen_a:
-        return False
-    shift = bits - plen_a
-    return (value_a >> shift) == (value_b >> shift)
-
-
-def _common_prefix(bits: int, value_a: int, plen_a: int,
-                   value_b: int, plen_b: int) -> Tuple[int, int]:
-    """The longest prefix containing both A and B, as ``(value, plen)``."""
-    max_plen = min(plen_a, plen_b)
-    diff = value_a ^ value_b
-    if diff:
-        first_diff_bit = bits - diff.bit_length()
-        plen = min(max_plen, first_diff_bit)
-    else:
-        plen = max_plen
-    if plen == 0:
-        return 0, 0
-    mask = ~((1 << (bits - plen)) - 1)
-    return value_a & mask, plen
 
 
 class TrieNode:
@@ -88,12 +76,17 @@ class RouteTrie:
 
         Returns the previous payload, or None if the prefix was new.
         """
-        if net.bits != self.bits:
-            raise ValueError(f"prefix {net} does not fit a {self.bits}-bit trie")
+        bits = self.bits
+        if net.bits != bits:
+            raise ValueError(f"prefix {net} does not fit a {bits}-bit trie")
         value, plen = net.key()
+        top_bit = bits - 1
         node = self._root
         while True:
-            if node.value == value and node.plen == plen:
+            # node's prefix contains the target here, by construction, so
+            # an equal length is the target's own node.
+            node_plen = node.plen
+            if node_plen == plen:
                 previous = node.payload if node.has_payload else None
                 if not node.has_payload:
                     self._count += 1
@@ -102,8 +95,7 @@ class RouteTrie:
                 if node.net is None:
                     node.net = net
                 return previous
-            # node.net contains the target here, by construction
-            child_bit = (value >> (self.bits - 1 - node.plen)) & 1
+            child_bit = (value >> (top_bit - node_plen)) & 1
             child = node.right if child_bit else node.left
             if child is None:
                 fresh = TrieNode(value, plen, net)
@@ -112,10 +104,13 @@ class RouteTrie:
                 self._attach(node, fresh, child_bit)
                 self._count += 1
                 return None
-            if _contains(self.bits, child.value, child.plen, value, plen):
-                node = child
-                continue
-            if _contains(self.bits, value, plen, child.value, child.plen):
+            child_plen = child.plen
+            diff = child.value ^ value
+            if child_plen <= plen:
+                if not diff >> (bits - child_plen):
+                    node = child  # child contains the target
+                    continue
+            elif not diff >> (bits - plen):
                 # New prefix sits between node and child.
                 fresh = TrieNode(value, plen, net)
                 fresh.payload = payload
@@ -123,17 +118,17 @@ class RouteTrie:
                 self._splice_between(node, child, fresh, child_bit)
                 self._count += 1
                 return None
-            # Diverging prefixes: manufacture a join node above both.
-            join_value, join_plen = _common_prefix(
-                self.bits, value, plen, child.value, child.plen
-            )
-            join = TrieNode(join_value, join_plen, None)
+            # Diverging prefixes: manufacture a join node above both, as
+            # long as the bits they share (at least one below node).
+            join_plen = bits - diff.bit_length()
+            join_shift = bits - join_plen
+            join = TrieNode((value >> join_shift) << join_shift, join_plen,
+                            None)
             self._splice_between(node, child, join, child_bit)
             fresh = TrieNode(value, plen, net)
             fresh.payload = payload
             fresh.has_payload = True
-            fresh_bit = (value >> (self.bits - 1 - join_plen)) & 1
-            self._attach(join, fresh, fresh_bit)
+            self._attach(join, fresh, (value >> (top_bit - join_plen)) & 1)
             self._count += 1
             return None
 
@@ -152,18 +147,18 @@ class RouteTrie:
 
     # -- lookup -------------------------------------------------------------
     def _find_node(self, value: int, plen: int) -> Optional[TrieNode]:
+        """The node at exactly ``value/plen``: follow the key's bits down
+        and compare once, on arrival."""
+        top_bit = self.bits - 1
         node = self._root
         while node is not None:
-            if node.plen == plen and node.value == value:
-                return node
-            if node.plen >= plen:
+            node_plen = node.plen
+            if node_plen >= plen:
+                if node_plen == plen and node.value == value:
+                    return node
                 return None
-            child_bit = (value >> (self.bits - 1 - node.plen)) & 1
-            node = node.right if child_bit else node.left
-            if node is not None and not _contains(
-                self.bits, node.value, node.plen, value, plen
-            ) and not _contains(self.bits, value, plen, node.value, node.plen):
-                return None
+            node = node.right if (value >> (top_bit - node_plen)) & 1 \
+                else node.left
         return None
 
     def exact(self, net: IPNet) -> Any:
@@ -177,20 +172,27 @@ class RouteTrie:
     def __contains__(self, net: IPNet) -> bool:
         return self.exact(net) is not None
 
+    # The three covering walks below follow the key's bits the same way.
+    # Containment only matters at a node that holds a route, and the nodes
+    # on a path that contain the key are a prefix of that path — so the
+    # walk tests route nodes alone and stops at the first that fails.
     def best_match(self, addr) -> Optional[Tuple[IPNet, Any]]:
         """Longest-prefix match for address *addr*: ``(net, payload)``."""
         value = addr.to_int()
+        bits = self.bits
+        top_bit = bits - 1
         node = self._root
         best: Optional[TrieNode] = None
         while node is not None:
-            if not _contains(self.bits, node.value, node.plen, value, self.bits):
-                break
+            node_plen = node.plen
             if node.has_payload:
+                if (node.value ^ value) >> (bits - node_plen):
+                    break
                 best = node
-            if node.plen == self.bits:
+            if node_plen == bits:
                 break
-            child_bit = (value >> (self.bits - 1 - node.plen)) & 1
-            node = node.right if child_bit else node.left
+            node = node.right if (value >> (top_bit - node_plen)) & 1 \
+                else node.left
         if best is None:
             return None
         return best.net, best.payload
@@ -198,15 +200,20 @@ class RouteTrie:
     def find_less_specific(self, net: IPNet) -> Optional[Tuple[IPNet, Any]]:
         """Most specific route *strictly containing* *net*."""
         value, plen = net.key()
+        bits = self.bits
+        top_bit = bits - 1
         node = self._root
         best: Optional[TrieNode] = None
-        while node is not None and node.plen < plen:
-            if not _contains(self.bits, node.value, node.plen, value, plen):
+        while node is not None:
+            node_plen = node.plen
+            if node_plen >= plen:
                 break
             if node.has_payload:
+                if (node.value ^ value) >> (bits - node_plen):
+                    break
                 best = node
-            child_bit = (value >> (self.bits - 1 - node.plen)) & 1
-            node = node.right if child_bit else node.left
+            node = node.right if (value >> (top_bit - node_plen)) & 1 \
+                else node.left
         if best is None:
             return None
         return best.net, best.payload
@@ -214,26 +221,36 @@ class RouteTrie:
     def covering(self, net: IPNet) -> Iterator[Tuple[IPNet, Any]]:
         """All routes containing *net*, shortest prefix first (incl. equal)."""
         value, plen = net.key()
-        node = self._root
-        while node is not None and node.plen <= plen:
-            if not _contains(self.bits, node.value, node.plen, value, plen):
-                break
-            if node.has_payload:
-                yield node.net, node.payload
-            if node.plen == plen:
-                break
-            child_bit = (value >> (self.bits - 1 - node.plen)) & 1
-            node = node.right if child_bit else node.left
-
-    def _covered_root(self, value: int, plen: int) -> Optional[TrieNode]:
+        bits = self.bits
+        top_bit = bits - 1
         node = self._root
         while node is not None:
-            if _contains(self.bits, value, plen, node.value, node.plen):
+            node_plen = node.plen
+            if node_plen > plen:
+                break
+            if node.has_payload:
+                if (node.value ^ value) >> (bits - node_plen):
+                    break
+                yield node.net, node.payload
+            if node_plen == plen:
+                break
+            node = node.right if (value >> (top_bit - node_plen)) & 1 \
+                else node.left
+
+    def _covered_root(self, value: int, plen: int) -> Optional[TrieNode]:
+        """The topmost node inside ``value/plen``: the first node the
+        key's bits lead to that is at least as long as the key."""
+        bits = self.bits
+        top_bit = bits - 1
+        node = self._root
+        while node is not None:
+            node_plen = node.plen
+            if node_plen >= plen:
+                if (node.value ^ value) >> (bits - plen):
+                    return None
                 return node
-            if not _contains(self.bits, node.value, node.plen, value, plen):
-                return None
-            child_bit = (value >> (self.bits - 1 - node.plen)) & 1
-            node = node.right if child_bit else node.left
+            node = node.right if (value >> (top_bit - node_plen)) & 1 \
+                else node.left
         return None
 
     def covered(self, net: IPNet) -> Iterator[Tuple[IPNet, Any]]:

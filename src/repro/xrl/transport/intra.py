@@ -28,6 +28,12 @@ class DirectSender(Sender):
         self._address = address
         self._caller = router
 
+    @property
+    def alive(self) -> bool:
+        """False once the listener behind the address is gone, so the
+        router drops this sender when the peer restarts at a new address."""
+        return self._family.reachable(self._address, self._caller)
+
     def call(self, request: bytes, reply_cb: ReplyCallback) -> None:
         target_router = self._family.target_router(self._address, self._caller)
         loop = self._caller.loop

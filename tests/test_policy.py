@@ -211,7 +211,7 @@ class TestBgpVarRW:
     def test_tag_write(self):
         varrw = BgpVarRW(bgp_route())
         varrw.write("tag", 42)
-        assert varrw.result().policytags == [42]
+        assert varrw.result().policytags == (42,)
 
     def test_readonly_rejected(self):
         varrw = BgpVarRW(bgp_route())

@@ -1,10 +1,21 @@
 """Unit tests for the RIB stages: merge, extint, redist, register."""
 
+import random
+
 import pytest
 
+from repro.core.process import Host
 from repro.core.stages import OriginStage, RouteTableStage
+from repro.fea import FeaProcess
 from repro.net import IPNet, IPv4
-from repro.rib import ExtIntStage, MergeStage, RedistStage, RegisterStage, RibRoute
+from repro.rib import (
+    ExtIntStage,
+    MergeStage,
+    RedistStage,
+    RegisterStage,
+    RibProcess,
+    RibRoute,
+)
 from repro.rib.route import preferred
 
 # Arm the runtime sanitizers (stage-graph consistency + XRL
@@ -223,6 +234,42 @@ class TestExtIntStage:
         self.extint.replace_route(old, new)
         assert self.sink.current()[new.net] is new
 
+    def test_external_follows_its_nexthop_through_flaps(self):
+        """Withdrawn each time the nexthop stops resolving, re-announced
+        each time it resolves again — once, and with the route that was
+        announced."""
+        igp = route("1.1.1.0/24", "rip")
+        bgp = route("20.0.0.0/8", "ebgp", nexthop="1.1.1.1")
+        self.extint.add_route(bgp)
+        for __ in range(2):
+            self.extint.add_route(igp)
+            assert self.extint.lookup_route(bgp.net) is bgp
+            self.extint.delete_route(igp)
+            assert self.extint.lookup_route(bgp.net) is None
+        self.extint.delete_route(bgp)
+        assert self.sink.log == 2 * [
+            ("add", igp), ("add", bgp), ("delete", igp), ("delete", bgp)]
+        assert not self.extint.unresolved
+
+    def test_internal_alternative_stands_in_while_external_is_unusable(self):
+        igp = route("1.1.1.0/24", "rip")
+        bgp = route("20.0.0.0/8", "ebgp", nexthop="1.1.1.1")
+        fallback = route("20.0.0.0/8", "rip", metric=9)
+        # Two sides, as in Figure 7: one prefix arrives on both edges.
+        int_side, ext_side = OriginStage("int"), OriginStage("ext")
+        self.extint.add_route(igp, caller=int_side)
+        self.extint.add_route(fallback, caller=int_side)
+        self.extint.add_route(bgp, caller=ext_side)
+        assert self.extint.lookup_route(bgp.net) is bgp
+        self.extint.delete_route(igp, caller=int_side)
+        assert self.extint.lookup_route(bgp.net) is fallback
+        self.extint.add_route(igp, caller=int_side)
+        assert self.extint.lookup_route(bgp.net) is bgp
+        assert self.sink.log == [
+            ("add", igp), ("add", fallback), ("replace", fallback, bgp),
+            ("delete", igp), ("replace", bgp, fallback),
+            ("add", igp), ("replace", fallback, bgp)]
+
 
 class TestRedistStage:
     def setup_method(self):
@@ -278,6 +325,93 @@ class TestRedistStage:
         self.redist.remove_target("t")
         self.redist.add_route(route("10.0.0.0/8", "rip"))
         assert self.events == []
+
+
+INSTALL_ORDERS = {
+    "ascending": sorted,
+    "descending": lambda nets: sorted(nets, reverse=True),
+    "shuffled": lambda nets: random.Random(5).sample(nets, len(nets)),
+}
+
+
+@pytest.mark.parametrize("order", sorted(INSTALL_ORDERS))
+class TestWholeTableDumps:
+    """The three dumps of the final winners — a redist target's initial
+    dump, its resync, the FEA resync — walk a table that keeps no prefix
+    order: each must deliver every current winner exactly once, whatever
+    order the winners were installed in."""
+
+    @pytest.fixture
+    def rib(self):
+        host = Host()
+        FeaProcess(host)
+        rib = RibProcess(host)
+        rib.v4.add_origin("rip", external=False)
+        yield rib
+        host.shutdown()
+
+    def _churn(self, rib, order):
+        """40 static and 40 overlapping rip routes installed in *order*,
+        a third of each withdrawn, some of those put back with another
+        metric; returns the winners a reference dict model expects."""
+        nets = INSTALL_ORDERS[order](
+            [net(f"10.{i}.0.0/16") for i in range(60)])
+        tables = {"static": {}, "rip": {}}
+        for protocol, mine in (("static", nets[:40]), ("rip", nets[20:])):
+            origin = rib.v4.origin(protocol)
+            origin.originate_batch(
+                [route(str(n), protocol) for n in mine])
+            tables[protocol] = dict.fromkeys(mine, 1)
+            gone = mine[::3]
+            origin.withdraw_batch(gone)
+            for n in gone:
+                del tables[protocol][n]
+            origin.originate_batch(
+                [route(str(n), protocol, metric=7) for n in gone[::2]])
+            tables[protocol].update(dict.fromkeys(gone[::2], 7))
+        rib.loop.run()
+        expected = {n: ("rip", metric) for n, metric in tables["rip"].items()}
+        expected.update(
+            {n: ("static", metric) for n, metric in tables["static"].items()})
+        return expected
+
+    @staticmethod
+    def _delivered(routes):
+        assert len({r.net for r in routes}) == len(routes), "delivered twice"
+        return {r.net: (r.protocol, r.metric) for r in routes}
+
+    def test_target_added_after_churn_gets_each_winner_once(self, rib, order):
+        expected = self._churn(rib, order)
+        events = []
+        rib.v4.redist.add_target(
+            "t", lambda r: True, lambda op, r: events.append((op, r)))
+        assert {op for op, __ in events} == {"add"}
+        assert self._delivered([r for __, r in events]) == expected
+
+    def test_resync_target_redelivers_each_winner_once(self, rib, order):
+        events = []
+        rib.v4.redist.add_target(
+            "t", lambda r: r.protocol == "rip",
+            lambda op, r: events.append((op, r)))
+        expected = self._churn(rib, order)
+        del events[:]
+        rib.v4.redist.resync_target("t")
+        assert {op for op, __ in events} == {"add"}
+        assert self._delivered([r for __, r in events]) == {
+            n: won for n, won in expected.items() if won[0] == "rip"}
+        # The rebuilt bookkeeping still rescinds what it re-announced.
+        rip_net = next(n for n, won in expected.items() if won[0] == "rip")
+        rib.v4.origin("rip").withdraw(rip_net)
+        assert [(op, r.net) for op, r in events[-1:]] == [("delete", rip_net)]
+
+    def test_resync_fea_replays_each_winner_once(self, rib, order):
+        expected = self._churn(rib, order)
+        replayed = []
+        rib._emit_fea4 = lambda op, routes: replayed.append((op, routes))
+        rib.resync_fea()
+        ((op, routes),) = replayed
+        assert op == "add"
+        assert self._delivered(routes) == expected
 
 
 class TestRegisterStage:

@@ -260,31 +260,108 @@ prefix_strategy = st.builds(
     st.integers(min_value=0, max_value=32),
 )
 
+#: few distinct prefixes, nested eight deep, so a run of operations keeps
+#: arriving at the same nodes: a removal under a parked iterator, a
+#: re-insert into the payload-less node that leaves, a join losing a child
+dense_prefix_strategy = st.builds(
+    lambda v, p: IPNet(IPv4(v << 24), p),
+    st.integers(min_value=0, max_value=255),
+    st.integers(min_value=0, max_value=8),
+)
+
 ops_strategy = st.lists(
-    st.tuples(st.sampled_from(["insert", "remove"]), prefix_strategy,
-              st.integers()),
+    st.one_of(
+        st.tuples(st.sampled_from(["insert", "remove"]),
+                  st.one_of(prefix_strategy, dense_prefix_strategy),
+                  st.integers()),
+        # park an iterator on the first route, of the table or of a scope
+        st.tuples(st.just("park"),
+                  st.one_of(st.none(), dense_prefix_strategy), st.just(0)),
+        # move or close the n-th parked iterator
+        st.tuples(st.sampled_from(["advance", "close"]),
+                  st.integers(min_value=0, max_value=7), st.just(0)),
+    ),
     max_size=80,
 )
 
 
+def _containing(oracle, prefix, *, strictly=False):
+    """Oracle prefixes containing *prefix*, shortest first."""
+    return sorted((p for p in oracle
+                   if p.contains(prefix) and not (strictly and p == prefix)),
+                  key=lambda p: p.prefix_len)
+
+
+def _check_against_oracle(trie, oracle, removed, parked):
+    assert len(trie) == len(oracle)
+    for prefix, payload in oracle.items():
+        assert trie.exact(prefix) == payload
+        assert prefix in trie
+    for prefix in removed:      # its node may live on under an iterator
+        assert trie.exact(prefix) is None
+        assert prefix not in trie
+    got = list(trie.items())
+    assert [n for n, __ in got] == sorted(oracle, key=lambda n: n.key())
+    for it in parked:
+        if it.valid:
+            assert oracle[it.net] == it.payload
+    for prefix in list(oracle) + list(removed):
+        covering = _containing(oracle, prefix)
+        assert [n for n, __ in trie.covering(prefix)] == covering
+        less = _containing(oracle, prefix, strictly=True)
+        found = trie.find_less_specific(prefix)
+        assert (found[0] if found else None) == (less[-1] if less else None)
+        host = IPNet(prefix.network, 32)
+        best = trie.best_match(prefix.network)
+        matching = _containing(oracle, host)
+        assert (best[0] if best else None) == (
+            matching[-1] if matching else None)
+
+
+def _assert_compact(trie):
+    """With no iterator left, no payload-less node outlives its purpose:
+    each one below the root is a join with two children."""
+    stack = [trie._root]
+    while stack:
+        node = stack.pop()
+        assert node.iter_refs == 0
+        children = [c for c in (node.left, node.right) if c is not None]
+        assert all(child.parent is node for child in children)
+        if node is not trie._root and not node.has_payload:
+            assert len(children) == 2
+        stack.extend(children)
+
+
 class TestPropertyOracle:
-    @settings(max_examples=60)
+    @settings(max_examples=60, deadline=None)
     @given(ops_strategy)
     def test_matches_dict_oracle(self, ops):
         trie = RouteTrie(32)
         oracle = {}
-        for op, prefix, payload in ops:
+        removed = set()
+        parked = []
+        for op, arg, payload in ops:
             if op == "insert":
-                trie.insert(prefix, payload)
-                oracle[prefix] = payload
-            else:
-                trie.discard(prefix)
-                oracle.pop(prefix, None)
-        assert len(trie) == len(oracle)
-        for prefix, payload in oracle.items():
-            assert trie.exact(prefix) == payload
-        got = list(trie.items())
-        assert [n for n, __ in got] == sorted(oracle, key=lambda n: n.key())
+                trie.insert(arg, payload)
+                oracle[arg] = payload
+                removed.discard(arg)
+            elif op == "remove":
+                assert trie.discard(arg) == oracle.pop(arg, None)
+                removed.add(arg)
+            elif op == "park":
+                parked.append(trie.iterator(arg))
+            elif parked:
+                it = parked[arg % len(parked)]
+                if op == "advance":
+                    it.advance()
+                else:
+                    it.close()
+                    parked.remove(it)
+            _check_against_oracle(trie, oracle, removed, parked)
+        for it in parked:
+            it.close()
+        _check_against_oracle(trie, oracle, removed, ())
+        _assert_compact(trie)
 
     @settings(max_examples=60)
     @given(st.lists(prefix_strategy, min_size=1, max_size=40),

@@ -10,6 +10,7 @@ from repro.xrl.call_xrl import call_xrl, call_xrl_checked
 from repro.xrl.error import XrlErrorCode
 from repro.xrl.finder import BIRTH, DEATH
 from repro.xrl.transport import IntraProcessFamily, SimFamily, TcpFamily, UdpFamily
+from repro.xrl.transport.local import HostLocalFamily
 
 TEST_IDL = """
 interface test/1.0 {
@@ -174,6 +175,33 @@ class TestResolutionAndSecurity:
         error, args = client.send_sync(xrl)
         assert error.is_okay
         assert args.get_u32("value") == 1
+
+    def test_restarted_in_process_peer_leaves_one_sender(self):
+        """A restarted peer listens at a new host-local address.  The
+        sender to its old address is dead and the invalidation prunes it:
+        ``_senders`` must not grow by one per restart."""
+        loop = EventLoop(SimulatedClock())
+        finder = Finder(rng=random.Random(3))
+        family = HostLocalFamily()
+        client = XrlRouter(loop, "client", finder, families=[family])
+        xrl = Xrl("echo", "test", "1.0", "echo", XrlArgs().add_u32("value", 1))
+        incarnations = []
+        for restart in range(3):
+            served = []
+            server = XrlRouter(loop, "echo", finder, families=[family])
+            server.register_raw_method(
+                "test/1.0/echo", lambda args, served=served:
+                    served.append(args.get_u32("value")))
+            incarnations.append(served)
+            error, __ = client.send_sync(xrl)
+            assert error.is_okay
+            assert incarnations[-1] == [1]      # the new incarnation got it
+            (sender,) = client._senders.values()
+            assert sender.alive
+            server.shutdown()                   # unlisten + invalidation
+            assert not sender.alive
+            assert not client._senders
+        assert incarnations == [[1], [1], [1]]
 
     def test_send_after_shutdown_fails(self):
         loop, __, __, client, __ = build_pair(IntraProcessFamily, None, True)
