@@ -15,8 +15,13 @@ process, so they must not reach into any process package either
 
 The composition harnesses (``experiments``, ``simnet``) assemble whole
 multi-process routers by design — the analogue of XORP's test scripts —
-and are exempt.  The Router Manager's module launcher is the one
-legitimate in-process exception and carries explicit suppressions.
+and are exempt.  The Router Manager imports no process package: its
+in-process launcher loads a module's package *by name* when the module is
+first started (``rtrmgr/launcher.py``, the composition root — the same
+``repro.<package>`` its process launcher hands to ``python -m``), and the
+manager reaches what it started through XRLs only.  ``rtrmgr/cli.py``'s
+``show`` commands are the package's one reader of module objects, and
+say so.
 """
 
 from __future__ import annotations

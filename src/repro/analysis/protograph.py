@@ -10,7 +10,7 @@ what callers actually read.
 
 It attributes every send construction (``Xrl(...)`` constructors, client
 stubs, textual ``call_xrl`` literals, and one level of helper wrappers
-like ``RouterManager._call``) and every registration (``bind()``,
+like ``Cli._sync``) and every registration (``bind()``,
 ``register_raw_method``) to its owning process package, joins them
 through the :mod:`repro.interfaces` catalogue, and materialises the
 process-interaction graph.  Rules on that graph:
@@ -95,6 +95,8 @@ class SendSite:
     target: Optional[str] = None   # literal target, when constant
     #: caller-side reply reads: (atom-name, getter-type-or-None)
     reads: List[Tuple[str, Optional[str]]] = field(default_factory=list)
+    #: a send call was matched to this construction
+    sent: bool = False
 
 
 @dataclass
@@ -143,6 +145,8 @@ class ProtocolGraph:
         self.dynamic_sites: List[DynamicSite] = []
         self.edges: Dict[Tuple[str, str, str, bool], Edge] = {}
         self.class_map: Dict[str, str] = {}     # router class name -> package
+        #: packages with a ``send_sync`` of an Xrl built somewhere else
+        self.deferred_sync: Set[str] = set()
         self.consumed_atoms: Set[str] = set()   # every atom name read anywhere
 
     # -- derived views ----------------------------------------------------
@@ -501,7 +505,9 @@ class _Collector:
                 pending_sends.append((node, fn, cls, list(ancestry)))
 
         for call, fn, cls, ancestry in pending_sends:
-            self._attach_send(call, fn, cls, ancestry, ctors)
+            if not self._attach_send(call, fn, cls, ancestry, ctors) \
+                    and call.func.attr == "send_sync":
+                graph.deferred_sync.add(package)
         graph.send_sites.extend(ctors.values())
 
     def _map_class(self, name: str, package: str) -> None:
@@ -542,7 +548,8 @@ class _Collector:
     # -- send attachment (sync flag + reply reads) ------------------------
     def _attach_send(self, call: ast.Call, fn: Optional[ast.AST],
                      cls: Optional[ast.ClassDef], ancestry: List[ast.AST],
-                     ctors: Dict[int, SendSite]) -> None:
+                     ctors: Dict[int, SendSite]) -> bool:
+        """Match a send call to the constructor of what it sends."""
         xrl_node: Optional[ast.AST] = call.args[0]
         site = ctors.get(id(xrl_node))
         if site is None and isinstance(xrl_node, ast.Name) \
@@ -551,7 +558,8 @@ class _Collector:
             if assign is not None:
                 site = ctors.get(id(assign.value))
         if site is None:
-            return
+            return False
+        site.sent = True
         attr = call.func.attr  # type: ignore[union-attr]
         if attr == "send_sync":
             site.sync = True
@@ -565,7 +573,7 @@ class _Collector:
                         site.reads.extend(
                             _window_reads(fn, reply_var, node.lineno))
                     break
-            return
+            return True
         callback: Optional[ast.AST] = None
         if attr == "send" and len(call.args) > 1:
             callback = call.args[1]
@@ -573,6 +581,7 @@ class _Collector:
             if keyword.arg in ("callback", "on_reply"):
                 callback = keyword.value
         site.reads.extend(_callback_reads(callback, fn, cls, self.project))
+        return True
 
     # -- bind(...) registrations ------------------------------------------
     def _collect_bind(self, module: ModuleInfo, package: str, call: ast.Call,
@@ -771,6 +780,12 @@ def build_protocol_graph(modules: Sequence[ModuleInfo],
     graph.class_map = {name: pkg for name, pkg in graph.class_map.items()
                        if pkg != "?"}
     for site in graph.send_sites:
+        # An Xrl built in one place and sent in another (the rtrmgr's
+        # translation): if its package sends such Xrls synchronously it
+        # may be this one, and for PRO002 "may block" is what counts.
+        if site.via == "ctor" and not site.sent \
+                and site.package in graph.deferred_sync:
+            site.sync = True
         binders = {b.package for b in graph.binders(site.interface)}
         if not binders:
             continue

@@ -39,6 +39,7 @@ class BgpProcess(XorpProcess):
     """BGP as a XORP process."""
 
     process_name = "bgp"
+    version = "repro-bgp/1.0"
 
     def __init__(self, host: Host, *, local_as: int = 65000,
                  bgp_id: Optional[IPv4] = None,
@@ -398,19 +399,6 @@ class BgpProcess(XorpProcess):
 
     def xrl_get_route_count(self) -> dict:
         return {"count": self.decision.route_count}
-
-    # -- common/0.1 -----------------------------------------------------------
-    def xrl_get_target_name(self) -> dict:
-        return {"name": self.xrl.instance_name}
-
-    def xrl_get_version(self) -> dict:
-        return {"version": "repro-bgp/1.0"}
-
-    def xrl_get_status(self) -> dict:
-        return {"status": "running" if self.running else "shutdown"}
-
-    def xrl_shutdown(self) -> None:
-        self.loop.call_soon(self.shutdown)
 
     def shutdown(self) -> None:
         for handler in list(self.peers.values()):

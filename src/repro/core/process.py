@@ -68,6 +68,8 @@ class XorpProcess:
 
     #: the component class name this process registers under
     process_name = "process"
+    #: what ``common/0.1 get_version`` answers
+    version = "repro/1.0"
 
     def __init__(self, host: Host, name: Optional[str] = None):
         self.host = host
@@ -132,6 +134,20 @@ class XorpProcess:
             router.shutdown()
         self.host.kill_family.unlisten(self._kill_address)
         self.host.processes.pop(self.name, None)
+
+    # -- common/0.1: what the Router Manager's supervisor asks of every
+    # process it manages, for whichever component binds ``COMMON_IDL`` ------
+    def xrl_get_target_name(self) -> dict:
+        return {"name": self.routers[0].instance_name}
+
+    def xrl_get_version(self) -> dict:
+        return {"version": self.version}
+
+    def xrl_get_status(self) -> dict:
+        return {"status": "running" if self.running else "shutdown"}
+
+    def xrl_shutdown(self) -> None:
+        self.loop.call_soon(self.shutdown)
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.name!r}>"

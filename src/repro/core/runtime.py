@@ -12,8 +12,9 @@ point (§6.1): processes do not know or care which side of a process
 boundary their peers live on.
 
 Only the process-agnostic plumbing lives here; each module's argv
-surface is its own ``__main__`` (``repro/rib/__main__.py``, ...), so
-this shared package never imports process packages.
+surface is its own ``__main__`` (``repro/bgp/__main__.py``; the RIB and
+the FEA have none beyond :func:`run_child`), so this shared package
+never imports process packages.
 """
 
 from __future__ import annotations
@@ -64,15 +65,13 @@ def base_parser(prog: str) -> argparse.ArgumentParser:
     return parser
 
 
-def parse_ifaddr(spec: str) -> Tuple[str, str, int, int]:
-    """``eth0=10.0.0.1/24`` or ``eth0=10.0.0.1/24:5`` (with cost)."""
-    name, __, rest = spec.partition("=")
-    addr_part, __, cost_part = rest.partition(":")
-    addr, __, plen = addr_part.partition("/")
-    if not name or not addr or not plen:
-        raise argparse.ArgumentTypeError(
-            f"bad --ifaddr {spec!r}; expected IF=ADDR/PREFIXLEN[:COST]")
-    return name, addr, int(plen), int(cost_part) if cost_part else 1
+def run_child(prog: str, process_class) -> None:
+    """The whole ``__main__`` of a module with no argv of its own."""
+    args = base_parser(prog).parse_args()
+    runtime = ChildRuntime(args.finder, codec=args.codec)
+    process_class(runtime.host)
+    runtime.install_signal_handlers()
+    runtime.run()
 
 
 def parse_endpoint(spec: str) -> Tuple[str, Tuple[str, int]]:

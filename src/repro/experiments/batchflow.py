@@ -185,8 +185,10 @@ def run_subprocess_route_point(route_count: int = 512, *,
 
     manager = SpawnManager()
     try:
-        manager.spawn_module("fea", args=["--ifaddr", "eth0=10.0.0.1/24"])
-        manager.spawn_module("rib")
+        # Any configuration starts the FEA and RIB children; this one
+        # gives the routes' nexthop an interface to resolve through.
+        manager.load("interfaces { interface eth0 { address: 10.0.0.1 } }")
+        manager.commit()
         manager.loop.run(duration=0.5)
 
         routes = _sweep_routes(route_count)

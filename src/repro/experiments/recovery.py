@@ -7,8 +7,9 @@ drops a fraction of the frames on the bgp↔rib and rib↔fea XRL streams.
 Mid-session the BGP process is killed through the kill protocol family.
 The :class:`~repro.rtrmgr.supervisor.Supervisor` must notice the death,
 flush BGP's routes from the RIB, restart the module through the Router
-Manager (which replays the committed peer configuration), and both the
-local FIB and the remote peer must re-converge to the pre-crash routes.
+Manager (which replays the committed configuration — the peering and the
+originated ``network``), and both the local FIB and the remote peer must
+re-converge to the pre-crash routes.
 
 Everything runs on one :class:`~repro.eventloop.clock.SimulatedClock`
 and every random decision (fault injection, retry jitter, supervisor
@@ -30,7 +31,7 @@ from repro.eventloop import EventLoop, SimulatedClock
 from repro.fea import FeaProcess
 from repro.net import IPNet, IPv4
 from repro.rib import RibProcess, RibRoute
-from repro.rtrmgr import RouterManager, Supervisor, SupervisorPolicy
+from repro.rtrmgr import RouterManager, SupervisorPolicy
 from repro.xrl.finder import DEATH
 from repro.xrl.retry import RetryPolicy
 from repro.xrl.transport import FaultFamily
@@ -98,7 +99,17 @@ def run_recovery(*, seed: int = 7, drop_probability: float = 0.10,
                         seed=seed + 1)
     fea = FeaProcess(host)
     rib = RibProcess(host, retry_policy=retry)
-    manager = RouterManager(host, module_retry=retry)
+    manager = RouterManager(host, policy=policy if policy is not None else
+                            SupervisorPolicy(ping_period=1.0,
+                                             ping_timeout=0.5,
+                                             backoff_initial=0.2,
+                                             backoff_max=2.0,
+                                             stable_after=5.0,
+                                             seed=seed + 2))
+    # The BGP module's route stream rides the same retry policy as the RIB's.
+    manager.register_module_factory(
+        "bgp", lambda **params: BgpProcess(host, retry_policy=retry, **params))
+    supervisor = manager.supervisor
 
     # The peers' addresses resolve through this connected route.
     rib.v4.origin("connected").originate(
@@ -113,11 +124,12 @@ def run_recovery(*, seed: int = 7, drop_probability: float = 0.10,
         IPv4("10.0.0.1"), 65001, 65002, IPv4("10.0.0.2"), holdtime=90))
     remote_peer.enable()
 
-    # (Re)wire the session whenever the manager (re)creates the peering —
-    # the initial commit and every supervised restart go through here.
+    # (Re)wire the session whenever the manager (re)creates the BGP
+    # module — after the initial commit and after every supervised restart.
     wires = []
 
-    def rewire(peer_id, handler) -> None:
+    def rewire(name, process) -> None:     # bgp: the one supervised module
+        handler = process.peers["10.0.0.2"]
         if wires:
             old_local, old_remote = wires[-1]
             old_local._peer = None
@@ -130,7 +142,7 @@ def run_recovery(*, seed: int = 7, drop_probability: float = 0.10,
         remote_peer.disable()
         remote_peer.enable()
 
-    manager.on_peer_added = rewire
+    supervisor.on_restarted = rewire
 
     # Sever the live wire the instant the local BGP process dies, the
     # way a real TCP connection dies with its process.  Without this the
@@ -148,12 +160,12 @@ def run_recovery(*, seed: int = 7, drop_probability: float = 0.10,
     manager.set("protocols bgp bgp-id", "1.1.1.1")
     manager.set("protocols bgp peer 10.0.0.2 as", 65002)
     manager.set("protocols bgp peer 10.0.0.2 local-ip", "10.0.0.1")
+    manager.set(f"protocols bgp network {LOCAL_NET} next-hop", "10.0.0.1")
     manager.commit()
+    rewire("bgp", manager.modules["bgp"])
 
     remote.xrl_originate_route4(IPNet.parse(REMOTE_NET),
                                 IPv4("10.0.0.2"), True)
-    manager.modules["bgp"].xrl_originate_route4(IPNet.parse(LOCAL_NET),
-                                                IPv4("10.0.0.1"), True)
 
     def converged() -> bool:
         return (fea.fib4.lookup(IPv4(REMOTE_PROBE)) is not None
@@ -163,23 +175,6 @@ def run_recovery(*, seed: int = 7, drop_probability: float = 0.10,
     if not loop.run_until(converged, timeout=120.0):
         raise RuntimeError("initial convergence failed")
 
-    supervisor = Supervisor(manager, policy if policy is not None else
-                            SupervisorPolicy(ping_period=1.0,
-                                             ping_timeout=0.5,
-                                             backoff_initial=0.2,
-                                             backoff_max=2.0,
-                                             stable_after=5.0,
-                                             seed=seed + 2))
-    supervisor.supervise_modules()
-
-    # Locally-originated routes are runtime state (a real config would
-    # replay them through a static-route applier); re-inject on restart.
-    def restored(name, process) -> None:
-        if name == "bgp":
-            process.xrl_originate_route4(IPNet.parse(LOCAL_NET),
-                                         IPv4("10.0.0.1"), True)
-
-    supervisor.on_restarted = restored
     supervisor.start()
 
     # Kill the BGP process through the kill protocol family (§6.3).

@@ -1,25 +1,11 @@
-"""``python -m repro.fea`` — the FEA as a standalone OS process."""
+"""``python -m repro.fea`` — the FEA as a standalone OS process.
 
-import sys
-from typing import List, Optional
+Interfaces arrive over ``fea_ifmgr/1.0 create_interface``, from the
+rtrmgr's configuration, like everything else a process is told.
+"""
 
-from repro.core.runtime import ChildRuntime, base_parser, parse_ifaddr
+from repro.core.runtime import run_child
 from repro.fea import FeaProcess
 
-
-def main(argv: Optional[List[str]] = None) -> None:
-    parser = base_parser("repro.fea")
-    parser.add_argument("--ifaddr", action="append", default=[],
-                        type=parse_ifaddr, metavar="IF=ADDR/PREFIXLEN[:COST]",
-                        help="interface to create at startup (repeatable)")
-    args = parser.parse_args(argv)
-    runtime = ChildRuntime(args.finder, codec=args.codec)
-    fea = FeaProcess(runtime.host)
-    for name, addr, prefix_len, cost in args.ifaddr:
-        fea.ifmgr.create(name, addr, prefix_len, cost=cost)
-    runtime.install_signal_handlers()
-    runtime.run()
-
-
 if __name__ == "__main__":  # pragma: no cover - exercised as subprocess
-    main(sys.argv[1:])
+    run_child("repro.fea", FeaProcess)

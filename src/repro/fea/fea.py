@@ -44,6 +44,7 @@ class FeaProcess(XorpProcess):
     """Forwarding Engine Abstraction as a XORP process."""
 
     process_name = "fea"
+    version = "repro-fea/1.0"
 
     def __init__(self, host: Host, *, packet_io: Optional[PacketIO] = None,
                  backend: Union[str, FibBackend] = "trie",
@@ -202,6 +203,16 @@ class FeaProcess(XorpProcess):
         return {"adds": adds, "deletes": deletes}
 
     # -- fea_ifmgr/1.0 ---------------------------------------------------
+    def xrl_create_interface(self, ifname, addr, prefix_len) -> None:
+        existing = self.ifmgr.find(ifname)
+        if existing is None:
+            self.ifmgr.create(ifname, addr, prefix_len)
+        elif (existing.addr, existing.prefix_len) != (addr, prefix_len):
+            raise XrlError(
+                XrlErrorCode.COMMAND_FAILED,
+                f"interface {ifname!r} exists as "
+                f"{existing.addr}/{existing.prefix_len}")
+
     def xrl_get_interfaces(self) -> dict:
         return {"ifnames": ",".join(self.ifmgr.names())}
 
@@ -301,16 +312,3 @@ class FeaProcess(XorpProcess):
 
     def xrl_delete_mfc4(self, source, group) -> None:
         self.mfib.pop((source.to_int(), group.to_int()), None)
-
-    # -- common/0.1 ---------------------------------------------------------
-    def xrl_get_target_name(self) -> dict:
-        return {"name": self.xrl.instance_name}
-
-    def xrl_get_version(self) -> dict:
-        return {"version": "repro-fea/1.0"}
-
-    def xrl_get_status(self) -> dict:
-        return {"status": "running" if self.running else "shutdown"}
-
-    def xrl_shutdown(self) -> None:
-        self.loop.call_soon(self.shutdown)

@@ -96,6 +96,9 @@ interface fea_fib/1.0 {
 }
 
 interface fea_ifmgr/1.0 {
+    /* Idempotent for an identical interface (a replayed configuration);
+       COMMAND_FAILED when the name exists with another address. */
+    create_interface ? ifname:txt & addr:ipv4 & prefix_len:u32;
     get_interfaces -> ifnames:txt;
     get_interface_addr4 ? ifname:txt -> addr:ipv4 & prefix_len:u32;
     set_interface_enabled ? ifname:txt & enabled:bool;

@@ -74,6 +74,7 @@ class Mld6igmpProcess(XorpProcess):
     """Tracks (interface, group) memberships; notifies routing clients."""
 
     process_name = "mld6igmp"
+    version = "repro-mld6igmp/1.0"
 
     def __init__(self, host: Host, *,
                  notify_targets: Optional[List[str]] = None):
@@ -127,16 +128,3 @@ class Mld6igmpProcess(XorpProcess):
     def xrl_list_memberships4(self, ifname: str) -> dict:
         groups = sorted(self.memberships.get(ifname, set()))
         return {"groups": ",".join(str(IPv4(g)) for g in groups)}
-
-    # -- common/0.1 ------------------------------------------------------------
-    def xrl_get_target_name(self) -> dict:
-        return {"name": self.xrl.instance_name}
-
-    def xrl_get_version(self) -> dict:
-        return {"version": "repro-mld6igmp/1.0"}
-
-    def xrl_get_status(self) -> dict:
-        return {"status": "running" if self.running else "shutdown"}
-
-    def xrl_shutdown(self) -> None:
-        self.loop.call_soon(self.shutdown)

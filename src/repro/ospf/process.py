@@ -60,6 +60,7 @@ class OspfProcess(XorpProcess):
     """OSPF-lite as a XORP process."""
 
     process_name = "ospf"
+    version = "repro-ospf/0.1"
 
     def __init__(self, host: Host, router_id: IPv4, *,
                  fea_target: str = "fea", rib_target: Optional[str] = "rib",
@@ -289,19 +290,6 @@ class OspfProcess(XorpProcess):
             self.xrl.send(Xrl(self.rib_target, "rib", "1.0", method, args),
                           batch=True)
             self._installed[prefix] = (metric, nexthop)
-
-    # -- common/0.1 ------------------------------------------------------------
-    def xrl_get_target_name(self) -> dict:
-        return {"name": self.xrl.instance_name}
-
-    def xrl_get_version(self) -> dict:
-        return {"version": "repro-ospf/0.1"}
-
-    def xrl_get_status(self) -> dict:
-        return {"status": "running" if self.running else "shutdown"}
-
-    def xrl_shutdown(self) -> None:
-        self.loop.call_soon(self.shutdown)
 
     def shutdown(self) -> None:
         for interface in self.interfaces.values():

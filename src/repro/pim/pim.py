@@ -54,6 +54,7 @@ class PimProcess(XorpProcess):
     """PIM-SM-lite as a XORP process."""
 
     process_name = "pim"
+    version = "repro-pim/1.0"
 
     def __init__(self, host: Host, *, rib_target: str = "rib",
                  fea_target: str = "fea"):
@@ -195,16 +196,3 @@ class PimProcess(XorpProcess):
         state.installed = True
         self.xrl.send(Xrl(self.fea_target, "fea_mfib", "1.0",
                           "add_mfc4", args))
-
-    # -- common/0.1 ------------------------------------------------------------
-    def xrl_get_target_name(self) -> dict:
-        return {"name": self.xrl.instance_name}
-
-    def xrl_get_version(self) -> dict:
-        return {"version": "repro-pim/1.0"}
-
-    def xrl_get_status(self) -> dict:
-        return {"status": "running" if self.running else "shutdown"}
-
-    def xrl_shutdown(self) -> None:
-        self.loop.call_soon(self.shutdown)

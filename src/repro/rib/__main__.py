@@ -1,19 +1,7 @@
 """``python -m repro.rib`` — the RIB as a standalone OS process."""
 
-import sys
-from typing import List, Optional
-
-from repro.core.runtime import ChildRuntime, base_parser
+from repro.core.runtime import run_child
 from repro.rib import RibProcess
 
-
-def main(argv: Optional[List[str]] = None) -> None:
-    args = base_parser("repro.rib").parse_args(argv)
-    runtime = ChildRuntime(args.finder, codec=args.codec)
-    RibProcess(runtime.host)
-    runtime.install_signal_handlers()
-    runtime.run()
-
-
 if __name__ == "__main__":  # pragma: no cover - exercised as subprocess
-    main(sys.argv[1:])
+    run_child("repro.rib", RibProcess)

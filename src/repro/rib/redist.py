@@ -37,9 +37,8 @@ class _RedistTarget:
 
 
 class RedistStage(BatchStage):
-    def __init__(self, name: str, bits: int = 32):
+    def __init__(self, name: str):
         super().__init__(name)
-        self.bits = bits
         #: final winners by prefix; only ever asked for the route at one
         #: prefix or dumped whole, so a dict (dumps run in insertion order)
         self.winners: Dict[IPNet, Any] = {}

@@ -67,7 +67,7 @@ class _Pipeline:
         self.head_int: Optional[RouteTableStage] = None
         self.head_ext: Optional[RouteTableStage] = None
         self.extint = ExtIntStage(f"extint{tag}", bits)
-        self.redist = RedistStage(f"redist{tag}", bits)
+        self.redist = RedistStage(f"redist{tag}")
         self.register = RegisterStage(f"register{tag}", bits,
                                       invalidate_cb=invalidate_cb)
         self.fea_sink = _FeaDistributorStage(f"to-fea{tag}", emit_fea)
@@ -114,6 +114,7 @@ class RibProcess(XorpProcess):
     """The RIB as a XORP process."""
 
     process_name = "rib"
+    version = "repro-rib/1.0"
 
     #: protocols given tables automatically (always present on a router)
     BUILTIN_IGP_TABLES = ("connected", "static")
@@ -488,19 +489,6 @@ class RibProcess(XorpProcess):
     def xrl_get_protocol_admin_distance(self, protocol: str) -> dict:
         return {"admin_distance":
                 ADMIN_DISTANCES.get(protocol, ADMIN_DISTANCES["unknown"])}
-
-    # -- common/0.1 ----------------------------------------------------------
-    def xrl_get_target_name(self) -> dict:
-        return {"name": self.xrl.instance_name}
-
-    def xrl_get_version(self) -> dict:
-        return {"version": "repro-rib/1.0"}
-
-    def xrl_get_status(self) -> dict:
-        return {"status": "running" if self.running else "shutdown"}
-
-    def xrl_shutdown(self) -> None:
-        self.loop.call_soon(self.shutdown)
 
 
 def _tag_atoms(tags):

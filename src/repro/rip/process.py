@@ -74,6 +74,7 @@ class RipProcess(XorpProcess):
     """RIP as a XORP process, sandboxed behind the FEA relay."""
 
     process_name = "rip"
+    version = "repro-rip/1.0"
 
     def __init__(self, host: Host, *, fea_target: str = "fea",
                  rib_target: Optional[str] = "rib",
@@ -390,19 +391,6 @@ class RipProcess(XorpProcess):
                 .add_binary("payload", packet.encode()))
         self.xrl.send(Xrl(self.fea_target, "fea_rawpkt4", "1.0",
                           "send_udp", args))
-
-    # -- common/0.1 -----------------------------------------------------------
-    def xrl_get_target_name(self) -> dict:
-        return {"name": self.xrl.instance_name}
-
-    def xrl_get_version(self) -> dict:
-        return {"version": "repro-rip/1.0"}
-
-    def xrl_get_status(self) -> dict:
-        return {"status": "running" if self.running else "shutdown"}
-
-    def xrl_shutdown(self) -> None:
-        self.loop.call_soon(self.shutdown)
 
     def shutdown(self) -> None:
         for port in self.ports.values():

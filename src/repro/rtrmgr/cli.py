@@ -1,8 +1,13 @@
 """A small scriptable CLI over the Router Manager.
 
-Operational commands route through XRLs ("providing operators with
-unified management interfaces"); configuration commands edit the
-candidate tree until ``commit``.
+Configuration commands edit the candidate tree until ``commit``;
+``show modules``/``configuration``, ``call`` and part of ``show bgp``/
+``ospf`` route through XRLs ("providing operators with unified management
+interfaces").  The rest of ``show bgp``/``rip``/``ospf``/``route`` reads
+the module objects in ``rtrmgr.modules`` and ``host.processes`` directly
+— the one place in this package that touches a managed process's state,
+and so the one part that works under the in-process launcher only, until
+those reads have XRLs of their own (ROADMAP item 4).
 """
 
 from __future__ import annotations

@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.rtrmgr.template import TemplateError, TemplateNode
 
 
 class ConfigError(ValueError):
     """Invalid configuration operation."""
+
+
+class CommitError(RuntimeError):
+    """A configuration could not be applied; the commit was rolled back."""
 
 
 class ConfigNode:
@@ -38,16 +42,20 @@ class ConfigNode:
 
 
 class ConfigTree:
-    """A validated configuration tree with set/delete/render/parse/diff."""
+    """A validated configuration tree with set/delete/render/parse/copy."""
 
     def __init__(self, template: TemplateNode):
         self.template = template
         self.root = ConfigNode(template)
 
     # -- path navigation ------------------------------------------------------
-    def _descend(self, path: List[str], create: bool) -> ConfigNode:
-        """Walk *path*, where tag nodes consume the following segment as key."""
-        node = self.root
+    def _walk(self, path: List[str], create: bool
+              ) -> Tuple[Optional[ConfigNode], Any, ConfigNode]:
+        """Walk *path*, where tag nodes consume the following segment as key.
+
+        Returns ``(parent, key in parent.children, node)``.
+        """
+        parent, key, node = None, None, self.root
         index = 0
         while index < len(path):
             name = path[index]
@@ -58,25 +66,22 @@ class ConfigTree:
                     raise ConfigError(
                         f"{name!r} needs an identifier (e.g. '{name} <value>')"
                     )
-                raw_key = path[index]
+                key_value = template.validate_value(path[index])
                 index += 1
-                key_value = template.validate_value(raw_key)
                 key = node.child_key(name, key_value)
-                child = node.children.get(key)
-                if child is None:
-                    if not create:
-                        raise ConfigError(f"no such node: {name} {raw_key}")
-                    child = ConfigNode(template, tag_value=key_value)
-                    node.children[key] = child
             else:
-                child = node.children.get(name)
-                if child is None:
-                    if not create:
-                        raise ConfigError(f"no such node: {name}")
-                    child = ConfigNode(template)
-                    node.children[name] = child
-            node = child
-        return node
+                key_value, key = None, name
+            child = node.children.get(key)
+            if child is None:
+                if not create:
+                    raise ConfigError(f"no such node: {' '.join(path[:index])}")
+                child = ConfigNode(template, tag_value=key_value)
+                node.children[key] = child
+            parent, node = node, child
+        return parent, key, node
+
+    def _descend(self, path: List[str], create: bool) -> ConfigNode:
+        return self._walk(path, create)[2]
 
     def set(self, path: List[str], value: Any = None) -> ConfigNode:
         """Create/modify the node at *path*; leaves take *value*."""
@@ -92,31 +97,8 @@ class ConfigTree:
     def delete(self, path: List[str]) -> None:
         if not path:
             raise ConfigError("cannot delete the root")
-        target = self._descend(path, create=False)
-        # Find the parent by walking again minus the consumed segments.
-        parent, key = self._locate_parent(path)
+        parent, key, __ = self._walk(path, create=False)
         del parent.children[key]
-
-    def _locate_parent(self, path: List[str]) -> Tuple[ConfigNode, Any]:
-        node = self.root
-        index = 0
-        last_parent: Optional[ConfigNode] = None
-        last_key: Any = None
-        while index < len(path):
-            name = path[index]
-            template = node.template.child(name)
-            index += 1
-            if template.is_tag:
-                raw_key = path[index]
-                index += 1
-                key = node.child_key(name, template.validate_value(raw_key))
-            else:
-                key = name
-            if key not in node.children:
-                raise ConfigError(f"no such node: {' '.join(path)}")
-            last_parent, last_key = node, key
-            node = node.children[key]
-        return last_parent, last_key
 
     def get(self, path: List[str]) -> ConfigNode:
         return self._descend(path, create=False)
@@ -155,21 +137,6 @@ class ConfigTree:
             return False
 
     # -- iteration ---------------------------------------------------------
-    def walk(self) -> Iterator[Tuple[Tuple[str, ...], ConfigNode]]:
-        """Yield (path, node) for every configured node, depth-first."""
-
-        def recurse(node: ConfigNode, path: Tuple[str, ...]):
-            for key, child in sorted(node.children.items(),
-                                     key=lambda kv: str(kv[0])):
-                if isinstance(key, tuple):
-                    child_path = path + (key[0], key[1])
-                else:
-                    child_path = path + (key,)
-                yield child_path, child
-                yield from recurse(child, child_path)
-
-        yield from recurse(self.root, ())
-
     def tag_instances(self, path: List[str]) -> List[ConfigNode]:
         """All instances of the tag node named by the last path segment.
 
@@ -214,6 +181,12 @@ class ConfigTree:
         recurse(self.root, 0)
         return "\n".join(lines) + ("\n" if lines else "")
 
+    def copy(self) -> "ConfigTree":
+        """A detached tree with the same contents."""
+        fresh = ConfigTree(self.template)
+        fresh.load(self.render())
+        return fresh
+
     def load(self, text: str) -> None:
         """Parse braces-syntax configuration text into this tree."""
         from repro.rtrmgr.template import _tokenize
@@ -256,19 +229,3 @@ class ConfigTree:
         if path:
             raise ConfigError("missing '}' in configuration text")
         return index
-
-    # -- diffing (for commit) ---------------------------------------------------
-    def snapshot(self) -> Dict[Tuple[str, ...], Any]:
-        """Flatten to {path: value} for diffing."""
-        return {path: node.value for path, node in self.walk()}
-
-    @staticmethod
-    def diff(old: Dict[Tuple[str, ...], Any],
-             new: Dict[Tuple[str, ...], Any]):
-        """Return (created, changed, deleted) path sets."""
-        old_paths, new_paths = set(old), set(new)
-        created = sorted(new_paths - old_paths)
-        deleted = sorted(old_paths - new_paths, reverse=True)
-        changed = sorted(p for p in new_paths & old_paths
-                         if old[p] != new[p])
-        return created, changed, deleted

@@ -1,18 +1,23 @@
 """Router Manager: module lifecycle and configuration commit.
 
-The Router Manager owns the candidate and committed configuration trees.
-On commit it:
+The Router Manager owns the candidate and committed configuration trees
+and reaches the processes it manages only through XRLs.  On commit it:
 
-1. starts any modules (processes) the new configuration requires — each
-   through a pluggable factory, so third-party protocols register here
-   exactly like BGP and RIP do;
+1. starts the modules the new configuration requires and the Finder does
+   not already know, through its launcher (:mod:`repro.rtrmgr.launcher`)
+   — the one thing that differs between the single-interpreter and the
+   OS-process deployment;
 2. installs Finder ACLs for each started module (paper §7: "The Finder is
    configured with a set of XRLs that each process is allowed to call,
    and a set of targets that each process is allowed to communicate
    with");
-3. diffs committed vs. candidate state per subsystem and drives the
-   managed processes via XRLs;
+3. sends ``translate(committed, candidate)`` in order
+   (:mod:`repro.rtrmgr.translate`);
 4. on failure, rolls the candidate back to the committed tree.
+
+Restarting a module (the :class:`~repro.rtrmgr.supervisor.Supervisor`'s
+entry point) is a relaunch plus the translation of the whole committed
+tree, filtered to the XRLs whose target is that module.
 
 "XORP centralizes all configuration information in the Router Manager,
 so no XORP process needs to access the filesystem to load or save its
@@ -21,14 +26,17 @@ configuration."
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.core.process import Host, XorpProcess
 from repro.interfaces import COMMON_IDL, RTRMGR_IDL
 from repro.net import IPv4
-from repro.rtrmgr.config_tree import ConfigError, ConfigTree
+from repro.rtrmgr.config_tree import CommitError, ConfigError, ConfigTree
+from repro.rtrmgr.launcher import InProcessLauncher
+from repro.rtrmgr.supervisor import Supervisor, SupervisorPolicy
 from repro.rtrmgr.template import DEFAULT_TEMPLATE, parse_template
-from repro.xrl import XrlArgs, XrlError
+from repro.rtrmgr.translate import translate
+from repro.xrl import XrlArgs, XrlError, XrlErrorCode
 from repro.xrl.retry import RetryPolicy
 from repro.xrl.xrl import Xrl
 
@@ -42,19 +50,36 @@ MODULE_ACLS = {
     "mld6igmp": {"pim"},
 }
 
+#: what calls for each module, in start order: a router always has an
+#: FEA and a RIB, and a protocol when its subtree is configured
+MODULE_SUBTREES = (
+    ("fea", ()),
+    ("rib", ()),
+    ("bgp", ("protocols", "bgp")),
+    ("rip", ("protocols", "rip")),
+    ("ospf", ("protocols", "ospf")),
+    ("static_routes", ("protocols", "static")),
+    ("mld6igmp", ("protocols", "pim")),
+    ("pim", ("protocols", "pim")),
+)
 
-class CommitError(RuntimeError):
-    """A commit failed and was rolled back."""
+#: start-up parameters — what a module is constructed with rather than
+#: configured with: module -> ((keyword, configuration path, mandatory), ...).
+#: A launcher renders them as constructor keywords or as ``--key-word`` argv.
+MODULE_PARAMS = {
+    "bgp": (("local_as", ("protocols", "bgp", "local-as"), True),
+            ("bgp_id", ("protocols", "bgp", "bgp-id"), False)),
+    "ospf": (("router_id", ("protocols", "ospf", "router-id"), True),),
+}
 
 
 class RouterManager(XorpProcess):
     process_name = "rtrmgr"
+    version = "repro-rtrmgr/1.0"
 
     def __init__(self, host: Host, *, template_text: Optional[str] = None,
-                 module_retry: Optional["RetryPolicy"] = None):
+                 launcher=None, policy: Optional[SupervisorPolicy] = None):
         super().__init__(host)
-        #: retry policy handed to modules for their idempotent route streams
-        self.module_retry = module_retry
         self.template = parse_template(
             template_text if template_text is not None else DEFAULT_TEMPLATE)
         self.config = ConfigTree(self.template)      # candidate
@@ -62,17 +87,21 @@ class RouterManager(XorpProcess):
         self.xrl = self.create_router("rtrmgr", singleton=True)
         self.xrl.bind(RTRMGR_IDL, self)
         self.xrl.bind(COMMON_IDL, self)
-        self.modules: Dict[str, XorpProcess] = {}
-        self.module_factories: Dict[str, Callable] = {
-            "bgp": self._make_bgp,
-            "rip": self._make_rip,
-            "static_routes": self._make_static,
-            "ospf": self._make_ospf,
-            "pim": self._make_pim,
-            "mld6igmp": self._make_mld6igmp,
-        }
-        #: hook fired after a BGP peer is configured: (peer_addr, handler)
-        self.on_peer_added: Optional[Callable] = None
+        self.launcher = launcher if launcher is not None \
+            else InProcessLauncher(host)
+        #: whatever the launcher returned: the process object in-process,
+        #: a pid/alive/popen shell for a child
+        self.modules: Dict[str, Any] = {}
+        #: the XRL class a module registers under, where not its own name
+        self.class_names: Dict[str, str] = {}
+        self.supervisor = Supervisor(self, policy)
+        #: An XRL that does not *resolve* was never sent, so trying again
+        #: is safe whatever the method.  It rides out a module that has
+        #: registered with the Finder but is still declaring its methods (a
+        #: child does so one blocking RPC at a time), and a restart under way.
+        self._retry = RetryPolicy(
+            max_attempts=8, attempt_timeout=None,
+            codes=frozenset({XrlErrorCode.RESOLVE_FAILED}))
         self.commit_count = 0
         self.metrics.gauge("modules", lambda: len(self.modules))
         self.metrics.gauge("commits", lambda: self.commit_count)
@@ -96,311 +125,103 @@ class RouterManager(XorpProcess):
     def show_candidate(self) -> str:
         return self.config.render()
 
-    # -- module factories -------------------------------------------------------
-    def _make_bgp(self) -> XorpProcess:
-        from repro.bgp import BgpProcess  # repro: allow[ISO001] composition root: launches the module, never touches its state
-
-        local_as = self.config.get_value(["protocols", "bgp", "local-as"])
-        if local_as is None:
-            raise CommitError("protocols bgp local-as must be set")
-        bgp_id = self.config.get_value(["protocols", "bgp", "bgp-id"],
-                                       IPv4("127.0.0.1"))
-        return BgpProcess(self.host, local_as=int(local_as),
-                          bgp_id=IPv4(bgp_id), retry_policy=self.module_retry)
-
-    def _make_rip(self) -> XorpProcess:
-        from repro.rip import RipProcess  # repro: allow[ISO001] composition root: launches the module, never touches its state
-
-        return RipProcess(self.host)
-
-    def _make_ospf(self) -> XorpProcess:
-        from repro.ospf import OspfProcess  # repro: allow[ISO001] composition root: launches the module, never touches its state
-
-        router_id = self.config.get_value(["protocols", "ospf", "router-id"])
-        if router_id is None:
-            raise CommitError("protocols ospf router-id must be set")
-        return OspfProcess(self.host, IPv4(router_id))
-
-    def _make_static(self) -> XorpProcess:
-        from repro.staticroutes import StaticRoutesProcess  # repro: allow[ISO001] composition root: launches the module, never touches its state
-
-        return StaticRoutesProcess(self.host)
-
-    def _make_pim(self) -> XorpProcess:
-        from repro.pim import PimProcess  # repro: allow[ISO001] composition root: launches the module, never touches its state
-
-        return PimProcess(self.host)
-
-    def _make_mld6igmp(self) -> XorpProcess:
-        from repro.mld6igmp import Mld6igmpProcess  # repro: allow[ISO001] composition root: launches the module, never touches its state
-
-        return Mld6igmpProcess(self.host)
-
+    # -- module lifecycle -------------------------------------------------------
     def register_module_factory(self, name: str, factory: Callable, *,
                                 allowed_targets: Optional[set] = None) -> None:
-        """Extension point: third-party protocols plug in here."""
-        self.module_factories[name] = factory
+        """Extension point: third-party protocols plug in here.
+
+        *factory* is called with the module's start-up parameters as
+        keywords (none, unless ``MODULE_PARAMS`` names the module).
+        """
+        self.launcher.factories[name] = factory
         if allowed_targets is not None:
             MODULE_ACLS[name] = set(allowed_targets)
 
-    # -- commit -------------------------------------------------------------
-    def _required_modules(self) -> List[str]:
-        required = []
-        if self.config.exists(["protocols", "bgp"]):
-            required.append("bgp")
-        if self.config.exists(["protocols", "rip"]):
-            required.append("rip")
-        if self.config.exists(["protocols", "ospf"]):
-            required.append("ospf")
-        if self.config.exists(["protocols", "static"]):
-            required.append("static_routes")
-        if self.config.exists(["protocols", "pim"]):
-            required.extend(["mld6igmp", "pim"])
-        return required
+    def start_module(self, name: str, *, supervise: bool = True):
+        """Launch *name* for the first time, under the candidate tree."""
+        handle = self._launch(name, self.config)
+        if supervise:
+            self.supervisor.add_module(
+                name, class_name=self.class_names.get(name, name),
+                restart=lambda: self.restart_module(name))
+        return handle
 
-    def _start_module(self, name: str) -> XorpProcess:
-        factory = self.module_factories.get(name)
-        if factory is None:
-            raise CommitError(f"no module factory for {name!r}")
-        process = factory()
-        self.modules[name] = process
+    def _launch(self, name: str, tree: ConfigTree):
+        params = {}
+        for keyword, path, __mandatory in MODULE_PARAMS.get(name, ()):
+            value = tree.get_value(list(path))
+            if value is not None:
+                params[keyword] = value
+        class_name = self.class_names.get(name, name)
+        handle = self.launcher.start(name, class_name, params)
+        self.modules[name] = handle
         acl = MODULE_ACLS.get(name)
         if acl is not None:
-            for router in process.routers:
-                self.host.finder.set_acl(router.instance_name,
-                                         allowed_targets=set(acl))
-        return process
+            for instance in self.host.finder.class_instances(class_name):
+                self.host.finder.set_acl(instance, allowed_targets=set(acl))
+        return handle
 
-    #: applier replayed per module by :meth:`reapply_module`
-    _MODULE_APPLIERS = {
-        "bgp": "_apply_bgp",
-        "static_routes": "_apply_static",
-        "rip": "_apply_rip",
-        "ospf": "_apply_ospf",
-        "pim": "_apply_pim",
-        "mld6igmp": "_apply_pim",
-    }
+    def restart_module(self, name: str):
+        """Replace a dead (or wedged) module and replay its configuration.
 
-    def restart_module(self, name: str) -> XorpProcess:
-        """Restart a dead (or wedged) module and replay its configuration.
-
-        The supervisor's entry point: tears down whatever is left of the
-        old instance, starts a fresh one through the normal factory, and
-        re-drives the committed configuration at it — the new process has
-        empty state, so the applier's diff re-adds every peer, route, and
-        policy it is supposed to carry.
+        The new process has empty state, so what it must be told is the
+        translation of the whole committed tree from nothing — the part
+        of it addressed to this module.
         """
         old = self.modules.pop(name, None)
-        if old is not None and old.running:
-            old.shutdown()
-        self._start_module(name)
-        self.reapply_module(name)
-        return self.modules[name]
+        if old is not None:
+            self.launcher.stop(old)
+        handle = self._launch(name, self.committed)
+        class_name = self.class_names.get(name, name)
+        for xrl in translate(ConfigTree(self.template), self.committed,
+                             self._ifaddr):
+            if xrl.target == class_name:
+                self._send(xrl)
+        return handle
 
-    def reapply_module(self, name: str) -> None:
-        """Re-drive committed configuration at one (restarted) module."""
-        applier_name = self._MODULE_APPLIERS.get(name)
-        if applier_name is not None:
-            getattr(self, applier_name)()
-
+    # -- commit -------------------------------------------------------------
     def commit(self) -> None:
         """Apply the candidate configuration; roll back on failure."""
         try:
-            for name in self._required_modules():
-                if name not in self.modules:
-                    self._start_module(name)
-            self._apply_interfaces()
-            self._apply_policy()
-            self._apply_bgp()
-            self._apply_static()
-            self._apply_rip()
-            self._apply_ospf()
-            self._apply_pim()
+            for name, subtree in MODULE_SUBTREES:
+                if name in self.modules \
+                        or not self.config.exists(list(subtree)) \
+                        or self.host.finder.known_target(name):
+                    continue
+                for __, path, mandatory in MODULE_PARAMS.get(name, ()):
+                    if mandatory and self.config.get_value(list(path)) is None:
+                        raise CommitError(f"{' '.join(path)} must be set")
+                self.start_module(name)
+            for xrl in translate(self.committed, self.config, self._ifaddr):
+                self._send(xrl)
         except (XrlError, CommitError, ConfigError) as exc:
-            # Roll back the candidate to the running configuration.
-            rollback = ConfigTree(self.template)
-            rendered = self.committed.render()
-            if rendered.strip():
-                rollback.load(rendered)
-            self.config = rollback
+            self.config = self.committed.copy()
             raise CommitError(f"commit failed, rolled back: {exc}") from exc
-        # Promote candidate -> committed (fresh copy keeps them detached).
-        promoted = ConfigTree(self.template)
-        rendered = self.config.render()
-        if rendered.strip():
-            promoted.load(rendered)
-        self.committed = promoted
+        # Promote a copy, so later edits of the candidate stay detached.
+        self.committed = self.config.copy()
         self.commit_count += 1
 
-    def _call(self, target: str, interface: str, version: str, method: str,
-              args: XrlArgs) -> XrlArgs:
-        error, result = self.xrl.send_sync(
-            Xrl(target, interface, version, method, args), deadline=30)
+    def _send(self, xrl: Xrl) -> XrlArgs:
+        error, result = self.xrl.send_sync(xrl, deadline=30,
+                                           retry=self._retry)
         if not error.is_okay:
-            raise CommitError(f"{target}/{method}: {error}")
+            raise CommitError(f"{xrl.target}/{xrl.method}: {error}")
         return result
 
-    # -- per-subsystem appliers ------------------------------------------------
-    def _apply_interfaces(self) -> None:
-        fea = self.host.processes.get("fea")
-        if fea is None:
+    def _ifaddr(self, ifname: str) -> Tuple[IPv4, int]:
+        """An interface the configuration does not itself define: ask the FEA."""
+        reply = self._send(Xrl("fea", "fea_ifmgr", "1.0", "get_interface_addr4",
+                               XrlArgs().add_txt("ifname", ifname)))
+        return reply.get_ipv4("addr"), reply.get_u32("prefix_len")
+
+    def shutdown(self) -> None:
+        if not self.running:
             return
-        for node in self.config.tag_instances(["interfaces", "interface"]):
-            ifname = node.tag_value
-            base = ["interfaces", "interface", str(ifname)]
-            addr = self.config.get_value(base + ["address"])
-            if fea.ifmgr.find(str(ifname)) is None and addr is not None:
-                prefix_len = int(self.config.get_value(
-                    base + ["prefix-length"], 24))
-                fea.ifmgr.create(str(ifname), addr, prefix_len)
-            enabled = self.config.get_value(base + ["enabled"], True)
-            interface = fea.ifmgr.find(str(ifname))
-            if interface is not None:
-                interface.enabled = bool(enabled)
-
-    def _policy_source(self, name: str) -> Optional[str]:
-        if self.config.exists(["policy", "statement", name]):
-            return self.config.get_value(
-                ["policy", "statement", name, "source"])
-        return None
-
-    def _apply_policy(self) -> None:
-        pass  # sources are pulled on demand by _apply_bgp
-
-    def _apply_bgp(self) -> None:
-        if "bgp" not in self.modules:
-            return
-        bgp = self.modules["bgp"]
-        # Policies first: they affect routes from new peers.
-        for direction, filter_id in (("import-policy", 1), ("export-policy", 4)):
-            name = self.config.get_value(["protocols", "bgp", direction])
-            if name is not None:
-                source = self._policy_source(str(name))
-                if source is None:
-                    raise CommitError(f"policy statement {name!r} not defined")
-                args = (XrlArgs().add_u32("filter_id", filter_id)
-                        .add_txt("policy_source", source))
-                self._call("bgp", "policy", "0.1", "configure_filter", args)
-        wanted = {}
-        for node in self.config.tag_instances(["protocols", "bgp", "peer"]):
-            addr = node.tag_value
-            base = ["protocols", "bgp", "peer", str(addr)]
-            peer_as = self.config.get_value(base + ["as"])
-            local_ip = self.config.get_value(base + ["local-ip"])
-            holdtime = int(self.config.get_value(base + ["holdtime"], 90))
-            if peer_as is None or local_ip is None:
-                raise CommitError(
-                    f"peer {addr}: 'as' and 'local-ip' are mandatory")
-            wanted[str(addr)] = (addr, int(peer_as), local_ip, holdtime)
-        existing = set(bgp.peers)
-        for peer_id in existing - set(wanted):
-            args = XrlArgs().add_ipv4("peer", IPv4(peer_id))
-            self._call("bgp", "bgp", "1.0", "delete_peer", args)
-        for peer_id, (addr, peer_as, local_ip, holdtime) in wanted.items():
-            if peer_id in existing:
-                continue
-            args = XrlArgs()
-            args.add_ipv4("peer", addr)
-            from repro.xrl.types import XrlAtom, XrlAtomType
-
-            args.add(XrlAtom("as", XrlAtomType.U32, peer_as))
-            args.add_ipv4("next_hop", local_ip)
-            args.add_u32("holdtime", holdtime)
-            self._call("bgp", "bgp", "1.0", "add_peer", args)
-            if self.on_peer_added is not None:
-                self.on_peer_added(peer_id, bgp.peers[peer_id])
-
-    def _apply_static(self) -> None:
-        if "static_routes" not in self.modules:
-            return
-        static = self.modules["static_routes"]
-        wanted: Dict[str, Tuple] = {}
-        for node in self.config.tag_instances(["protocols", "static", "route"]):
-            net = node.tag_value
-            base = ["protocols", "static", "route", str(net)]
-            nexthop = self.config.get_value(base + ["next-hop"])
-            if nexthop is None:
-                raise CommitError(f"static route {net}: next-hop is mandatory")
-            metric = int(self.config.get_value(base + ["metric"], 1))
-            wanted[str(net)] = (net, nexthop, metric)
-        existing = {str(net) for net in static.routes}
-        for net_text in existing - set(wanted):
-            args = XrlArgs().add_ipv4net("net", net_text)
-            self._call("static_routes", "static_routes", "0.1",
-                       "delete_route4", args)
-        for net_text, (net, nexthop, metric) in wanted.items():
-            current = static.routes.get(net)
-            if current == (nexthop, metric):
-                continue
-            args = (XrlArgs().add_ipv4net("net", net)
-                    .add_ipv4("nexthop", nexthop).add_u32("metric", metric))
-            self._call("static_routes", "static_routes", "0.1",
-                       "add_route4", args)
-
-    def _apply_rip(self) -> None:
-        if "rip" not in self.modules:
-            return
-        rip = self.modules["rip"]
-        fea = self.host.processes.get("fea")
-        wanted = {}
-        for node in self.config.tag_instances(["protocols", "rip", "interface"]):
-            ifname = str(node.tag_value)
-            cost = int(self.config.get_value(
-                ["protocols", "rip", "interface", ifname, "cost"], 1))
-            wanted[ifname] = cost
-        for ifname in set(rip.ports) - set(wanted):
-            args = (XrlArgs().add_txt("ifname", ifname)
-                    .add_ipv4("addr", rip.ports[ifname].addr))
-            self._call("rip", "rip", "1.0", "remove_rip_address", args)
-        for ifname, cost in wanted.items():
-            if ifname not in rip.ports:
-                if fea is None or fea.ifmgr.find(ifname) is None:
-                    raise CommitError(f"rip interface {ifname!r} does not exist")
-                addr = fea.ifmgr.get(ifname).addr
-                args = XrlArgs().add_txt("ifname", ifname).add_ipv4("addr", addr)
-                self._call("rip", "rip", "1.0", "add_rip_address", args)
-            if rip.ports[ifname].cost != cost:
-                args = XrlArgs().add_txt("ifname", ifname).add_u32("cost", cost)
-                self._call("rip", "rip", "1.0", "set_cost", args)
-        for node in self.config.tag_instances(
-                ["protocols", "rip", "redistribute"]):
-            args = (XrlArgs().add_txt("target", "rip")
-                    .add_txt("from_protocol", str(node.tag_value)))
-            self._call("rib", "rib", "1.0", "redist_enable4", args)
-
-    def _apply_ospf(self) -> None:
-        if "ospf" not in self.modules:
-            return
-        ospf = self.modules["ospf"]
-        fea = self.host.processes.get("fea")
-        for node in self.config.tag_instances(
-                ["protocols", "ospf", "interface"]):
-            ifname = str(node.tag_value)
-            if ifname in ospf.interfaces:
-                continue
-            if fea is None or fea.ifmgr.find(ifname) is None:
-                raise CommitError(f"ospf interface {ifname!r} does not exist")
-            interface = fea.ifmgr.get(ifname)
-            cost = int(self.config.get_value(
-                ["protocols", "ospf", "interface", ifname, "cost"], 1))
-            args = (XrlArgs().add_txt("ifname", ifname)
-                    .add_ipv4("addr", interface.addr)
-                    .add_u32("prefix_len", interface.prefix_len)
-                    .add_u32("cost", cost))
-            self._call("ospf", "ospf", "0.1", "add_ospf_interface", args)
-
-    def _apply_pim(self) -> None:
-        if "pim" not in self.modules:
-            return
-        for node in self.config.tag_instances(["protocols", "pim", "rp"]):
-            prefix = node.tag_value
-            rp_addr = self.config.get_value(
-                ["protocols", "pim", "rp", str(prefix), "address"])
-            if rp_addr is None:
-                raise CommitError(f"pim rp {prefix}: address is mandatory")
-            args = (XrlArgs().add_ipv4net("group_prefix", prefix)
-                    .add_ipv4("rp", rp_addr))
-            self._call("pim", "pim", "0.1", "set_rp", args)
+        self.supervisor.stop()
+        for handle in self.modules.values():
+            self.launcher.stop(handle)
+        self.launcher.close()
+        super().shutdown()
 
     # -- rtrmgr/1.0 -----------------------------------------------------------
     def xrl_get_config(self) -> dict:
@@ -408,16 +229,3 @@ class RouterManager(XorpProcess):
 
     def xrl_get_modules(self) -> dict:
         return {"modules": ",".join(sorted(self.modules))}
-
-    # -- common/0.1 ------------------------------------------------------------
-    def xrl_get_target_name(self) -> dict:
-        return {"name": self.xrl.instance_name}
-
-    def xrl_get_version(self) -> dict:
-        return {"version": "repro-rtrmgr/1.0"}
-
-    def xrl_get_status(self) -> dict:
-        return {"status": "running" if self.running else "shutdown"}
-
-    def xrl_shutdown(self) -> None:
-        self.loop.call_soon(self.shutdown)

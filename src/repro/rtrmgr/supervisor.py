@@ -133,11 +133,10 @@ class _ModuleState:
 class Supervisor:
     """Watchdog over the Router Manager's modules (and friends).
 
-    ``supervise_modules()`` adopts everything the manager has started;
-    :meth:`add_module` registers extra processes (the RIB or FEA are
-    normally created outside the manager) with a custom restart callable.
-    Call :meth:`start` once after registering; :meth:`stop` cancels every
-    timer and watch.
+    The manager owns one and registers every module it starts;
+    :meth:`add_module` also takes processes created outside the manager
+    (a harness's own RIB or FEA) with a custom restart callable.  Call
+    :meth:`start` once; :meth:`stop` cancels every timer and watch.
     """
 
     def __init__(self, manager, policy: Optional[SupervisorPolicy] = None):
@@ -171,17 +170,6 @@ class Supervisor:
         self._modules[name] = state
         if self._running:
             self._watch(state)
-
-    def supervise_modules(self) -> None:
-        """Adopt every module the Router Manager currently runs."""
-        for name in self.manager.modules:
-            if name not in self._modules:
-                self.add_module(
-                    name,
-                    restart=self._manager_restart(name))
-
-    def _manager_restart(self, name: str) -> Callable:
-        return lambda: self.manager.restart_module(name)
 
     # -- lifecycle ----------------------------------------------------------
     def start(self) -> None:

@@ -192,6 +192,10 @@ protocols {
             holdtime: u32 = 90;
             local-ip: ipv4;
             damping: bool = false;
+            enabled: bool = false;
+        }
+        network @ : ipv4net {
+            next-hop: ipv4;
         }
     }
     rip {

@@ -19,6 +19,7 @@ from repro.xrl.xrl import Xrl
 
 class StaticRoutesProcess(XorpProcess):
     process_name = "static_routes"
+    version = "repro-static/1.0"
 
     def __init__(self, host: Host, *, rib_target: str = "rib"):
         super().__init__(host)
@@ -47,16 +48,3 @@ class StaticRoutesProcess(XorpProcess):
         args = (XrlArgs().add_txt("protocol", "static")
                 .add_ipv4net("net", net))
         self.xrl.send(Xrl(self.rib_target, "rib", "1.0", "delete_route4", args))
-
-    # -- common/0.1 -----------------------------------------------------------
-    def xrl_get_target_name(self) -> dict:
-        return {"name": self.xrl.instance_name}
-
-    def xrl_get_version(self) -> dict:
-        return {"version": "repro-static/1.0"}
-
-    def xrl_get_status(self) -> dict:
-        return {"status": "running" if self.running else "shutdown"}
-
-    def xrl_shutdown(self) -> None:
-        self.loop.call_soon(self.shutdown)

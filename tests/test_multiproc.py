@@ -4,10 +4,12 @@ Children here are genuine ``python -m repro.<module>`` subprocesses: they
 connect to the parent's Finder daemon over TCP, register their
 components, and serve XRLs over the negotiated TCP transport.  The
 acceptance scenario runs two routers — BGP, RIB, and FEA each as a
-separate OS process under a :class:`~repro.rtrmgr.spawn.SpawnManager` —
+separate OS process under a :class:`~repro.rtrmgr.spawn.SpawnManager`,
+each router built from configuration text and ``commit()`` alone —
 peers them over a real BGP TCP session, SIGKILLs a child mid-flow, and
-asserts the supervisor's death-watch/restart/replay machinery brings the
-forwarding state back.
+asserts the supervisor's death-watch/restart machinery and the manager's
+filtered re-translation of the committed tree bring the forwarding state
+back.
 
 These tests fork real processes and use generous wall-clock timeouts;
 each cleans up its children in teardown even on failure.
@@ -22,7 +24,7 @@ import pytest
 
 from repro.core.process import Host
 from repro.eventloop import EventLoop, SystemClock
-from repro.interfaces import BGP_IDL, COMMON_IDL, FEA_FIB_IDL, RIB_IDL
+from repro.interfaces import COMMON_IDL, FEA_FIB_IDL, RIB_IDL
 from repro.rtrmgr.spawn import SpawnManager
 from repro.rtrmgr.supervisor import UP, SupervisorPolicy
 from repro.xrl import XrlArgs
@@ -103,27 +105,35 @@ class TestSingleModule:
         assert reply.get_txt("status") == "running"
 
     def test_sigkill_triggers_restart_and_replay(self, manager):
-        shell = manager.spawn_module("rib")
+        manager.load("""
+            interfaces { interface eth0 { address: 192.0.2.1 } }
+        """)
+        manager.commit()        # needs, so starts, an FEA and a RIB
         manager.supervisor.start()
         manager.loop.run(duration=0.3)
-        manager.provision("rib", Xrl(
-            "rib", "rib", "1.0", "add_route4",
-            RIB_IDL.method("add_route4").build_args({
-                "protocol": "static", "net": "192.0.2.0/24",
-                "nexthop": "198.51.100.1", "metric": 1, "policytags": []})))
+        restarted = []
+        manager.supervisor.on_restarted = (
+            lambda name, shell: restarted.append(name))
 
-        first_pid = shell.pid
+        first_pid = manager.modules["rib"].pid
         os.kill(first_pid, signal.SIGKILL)
-        assert manager.loop.run_until(
-            lambda: shell.alive and shell.pid != first_pid
-            and manager.supervisor.status("rib") == UP, timeout=30)
-        assert manager.restart_log == ["rib"]
 
-        # The replayed provisioning is visible in the reborn child.
+        def reborn():
+            shell = manager.modules.get("rib")
+            return (shell is not None and shell.alive
+                    and shell.pid != first_pid
+                    and manager.supervisor.status("rib") == UP)
+
+        assert manager.loop.run_until(reborn, timeout=30)
+        assert restarted == ["rib"]
+
+        # The committed configuration, re-translated for the RIB alone, is
+        # visible in the reborn child: the interface's connected route.
         reply = call(manager, "rib", RIB_IDL, "lookup_route_by_dest4",
                      {"addr": "192.0.2.7"})
         assert reply.get_bool("resolves")
-        assert str(reply.get_ipv4("nexthop")) == "198.51.100.1"
+        assert str(reply.get_ipv4net("net")) == "192.0.2.0/24"
+        assert reply.get_txt("protocol") == "connected"
 
 
 class TestShutdown:
@@ -153,55 +163,43 @@ class TestFinderLoss:
             shell = manager.spawn_module("rib")
             manager.loop.run(duration=0.3)
             assert shell.alive
-            manager.finder_server.close()
+            manager.launcher.finder_server.close()
             assert shell.popen.wait(timeout=5) is not None
         finally:
             manager.shutdown()
 
 
 class _Router:
-    """One simulated chassis: fea + rib + bgp children under one manager."""
+    """One simulated chassis: fea + rib + bgp children under one manager,
+    brought up from configuration text.  The only thing not in it is the
+    launcher's deployment wiring: which TCP port BGP listens on or dials."""
 
-    def __init__(self, name, loop, *, addr, local_as, bgp_listen=None,
-                 bgp_connect=None):
-        self.name = name
-        self.addr = addr
+    def __init__(self, loop, *, addr, local_as, peer, peer_as, bgp_args,
+                 network=None):
         host = Host(loop, Finder(), extra_families=[TcpFamily()])
         self.manager = SpawnManager(host, policy=snappy_policy())
-        self.manager.spawn_module(
-            "fea", args=["--ifaddr", f"eth0={addr}/24"])
-        self.manager.spawn_module("rib")
-        bgp_args = ["--local-as", str(local_as), "--bgp-id", addr]
-        if bgp_listen is not None:
-            bgp_args += ["--bgp-listen", str(bgp_listen)]
-        for peer, endpoint in (bgp_connect or {}).items():
-            bgp_args += ["--bgp-connect", f"{peer}={endpoint}"]
-        self.manager.spawn_module("bgp", args=bgp_args)
+        self.manager.launcher.args["bgp"] = bgp_args
+        originate = (f"network {network} {{ next-hop: {addr} }}"
+                     if network is not None else "")
+        self.manager.load(f"""
+            interfaces {{
+                interface eth0 {{ address: {addr} prefix-length: 24 }}
+            }}
+            protocols {{
+                bgp {{
+                    local-as: {local_as}
+                    bgp-id: {addr}
+                    peer {peer} {{
+                        as: {peer_as}
+                        local-ip: {addr}
+                        enabled: true
+                    }}
+                    {originate}
+                }}
+            }}
+        """)
+        self.manager.commit()
         self.manager.supervisor.start()
-
-    def provision_connected_route(self):
-        subnet = self.addr.rsplit(".", 1)[0] + ".0/24"
-        self.manager.provision("rib", Xrl(
-            "rib", "rib", "1.0", "add_route4",
-            RIB_IDL.method("add_route4").build_args({
-                "protocol": "connected", "net": subnet,
-                "nexthop": "0.0.0.0", "metric": 0, "policytags": []})))
-
-    def provision_peer(self, peer_addr, peer_as):
-        self.manager.provision("bgp", Xrl(
-            "bgp", "bgp", "1.0", "add_peer",
-            BGP_IDL.method("add_peer").build_args({
-                "peer": peer_addr, "as": peer_as,
-                "next_hop": self.addr, "holdtime": 90})))
-        self.manager.provision("bgp", Xrl(
-            "bgp", "bgp", "1.0", "enable_peer",
-            BGP_IDL.method("enable_peer").build_args({"peer": peer_addr})))
-
-    def originate(self, net):
-        self.manager.provision("bgp", Xrl(
-            "bgp", "bgp", "1.0", "originate_route4",
-            BGP_IDL.method("originate_route4").build_args({
-                "net": net, "next_hop": self.addr, "unicast": True})))
 
     def fib_resolves(self, addr) -> bool:
         args = FEA_FIB_IDL.method("lookup_entry4").build_args({"addr": addr})
@@ -221,17 +219,14 @@ class TestTwoRouterDeployment:
         r1_port = free_port()
         r1 = r2 = None
         try:
-            r1 = _Router("r1", loop, addr="10.0.0.1", local_as=65001,
-                         bgp_listen=r1_port)
-            r2 = _Router("r2", loop, addr="10.0.0.2", local_as=65002,
-                         bgp_connect={"10.0.0.1": f"127.0.0.1:{r1_port}"})
-            loop.run(duration=0.5)
-
-            for router in (r1, r2):
-                router.provision_connected_route()
-            r1.provision_peer("10.0.0.2", 65002)
-            r2.provision_peer("10.0.0.1", 65001)
-            r1.originate("203.0.113.0/24")
+            r1 = _Router(loop, addr="10.0.0.1", local_as=65001,
+                         peer="10.0.0.2", peer_as=65002,
+                         network="203.0.113.0/24",
+                         bgp_args=["--bgp-listen", str(r1_port)])
+            r2 = _Router(loop, addr="10.0.0.2", local_as=65002,
+                         peer="10.0.0.1", peer_as=65001,
+                         bgp_args=["--bgp-connect",
+                                   f"10.0.0.1=127.0.0.1:{r1_port}"])
 
             # BGP peers over a real TCP session between the two bgp
             # processes; the route then flows bgp -> rib -> fea inside
@@ -250,14 +245,18 @@ class TestTwoRouterDeployment:
                 assert xrl_connections(pids["rib"], finder, "fea") == 1
 
             # Chaos: SIGKILL r1's BGP. The supervisor must notice via the
-            # Finder connection death, respawn it, replay the peering and
-            # originated route, and r2 must reconverge.
-            bgp_shell = r1.manager.modules["bgp"]
-            old_pid = bgp_shell.pid
+            # Finder connection death, respawn it, re-translate the
+            # committed peering and network for it, and r2 must reconverge.
+            old_pid = r1.manager.modules["bgp"].pid
             os.kill(old_pid, signal.SIGKILL)
-            assert loop.run_until(
-                lambda: bgp_shell.alive and bgp_shell.pid != old_pid
-                and r1.manager.supervisor.status("bgp") == UP, timeout=30)
+
+            def reborn():
+                shell = r1.manager.modules.get("bgp")
+                return (shell is not None and shell.alive
+                        and shell.pid != old_pid
+                        and r1.manager.supervisor.status("bgp") == UP)
+
+            assert loop.run_until(reborn, timeout=30)
 
             # r2's dial timer reconnects to the reborn listener; the
             # replayed originate_route4 re-advertises; forwarding state
@@ -265,7 +264,7 @@ class TestTwoRouterDeployment:
             assert loop.run_until(
                 lambda: r2.fib_resolves("203.0.113.7"), timeout=60), \
                 "route did not reconverge after SIGKILL"
-            assert "bgp" in r1.manager.restart_log
+            assert r1.manager.supervisor.restarts == 1
         finally:
             for router in (r1, r2):
                 if router is not None:

@@ -119,14 +119,6 @@ class TestConfigTree:
         assert self.tree.get_value(["protocols", "bgp", "local-as"]) == 65001
         assert self.tree.exists(["protocols", "bgp", "peer", "10.0.0.2"])
 
-    def test_diff(self):
-        old = {("a",): 1, ("b",): 2}
-        new = {("a",): 1, ("b",): 3, ("c",): 4}
-        created, changed, deleted = ConfigTree.diff(old, new)
-        assert created == [("c",)]
-        assert changed == [("b",)]
-        assert deleted == []
-
 
 @pytest.fixture
 def managed_router():
@@ -220,7 +212,7 @@ class TestCommit:
 
         rtrmgr.register_module_factory("toy", lambda: ToyProtocol(),
                                        allowed_targets={"rib"})
-        rtrmgr._start_module("toy")
+        rtrmgr.start_module("toy")
         assert created and "toy" in rtrmgr.modules
 
 

@@ -18,7 +18,7 @@ from repro.core.process import Host, XorpProcess
 from repro.experiments.recovery import run_recovery
 from repro.net import IPNet, IPv4
 from repro.rib import RibProcess
-from repro.rtrmgr import RouterManager, Supervisor, SupervisorPolicy
+from repro.rtrmgr import RouterManager, SupervisorPolicy
 from repro.xrl import XrlArgs
 from repro.xrl.error import XrlErrorCode
 from repro.xrl.finder import BIRTH, DEATH
@@ -317,12 +317,12 @@ def _flappy_factory(host, name):
 class TestSupervisor:
     def test_restart_after_death(self):
         host = Host()
-        manager = RouterManager(host)
-        make = _flappy_factory(host, "flappy")
-        make()
-        supervisor = Supervisor(manager, SupervisorPolicy(
+        manager = RouterManager(host, policy=SupervisorPolicy(
             ping_period=0, backoff_initial=0.1, jitter=0, stable_after=0,
             seed=0))
+        make = _flappy_factory(host, "flappy")
+        make()
+        supervisor = manager.supervisor
         supervisor.add_module("flappy", restart=make)
         supervisor.start()
         assert supervisor.status("flappy") == "up"
@@ -335,13 +335,13 @@ class TestSupervisor:
 
     def test_storm_budget_gives_up(self):
         host = Host()
-        manager = RouterManager(host)
-        make = _flappy_factory(host, "flappy")
-        make()
-        supervisor = Supervisor(manager, SupervisorPolicy(
+        manager = RouterManager(host, policy=SupervisorPolicy(
             ping_period=0, backoff_initial=0.1, backoff_multiplier=1.0,
             jitter=0, stable_after=0, storm_window=1000.0, storm_budget=3,
             seed=0))
+        make = _flappy_factory(host, "flappy")
+        make()
+        supervisor = manager.supervisor
         gave_up = []
         supervisor.on_gave_up = lambda name, reason: gave_up.append(reason)
         supervisor.add_module("flappy", restart=make)
@@ -360,12 +360,12 @@ class TestSupervisor:
 
     def test_backoff_grows_between_attempts(self):
         host = Host()
-        manager = RouterManager(host)
-        make = _flappy_factory(host, "flappy")
-        make()
-        supervisor = Supervisor(manager, SupervisorPolicy(
+        manager = RouterManager(host, policy=SupervisorPolicy(
             ping_period=0, backoff_initial=0.2, backoff_multiplier=2.0,
             jitter=0, stable_after=0, storm_budget=10, seed=0))
+        make = _flappy_factory(host, "flappy")
+        make()
+        supervisor = manager.supervisor
         supervisor.add_module("flappy", restart=make)
         supervisor.start()
         restart_times = []
@@ -388,7 +388,9 @@ class TestSupervisor:
 
     def test_dependency_restarted_first(self):
         host = Host()
-        manager = RouterManager(host)
+        manager = RouterManager(host, policy=SupervisorPolicy(
+            ping_period=0, backoff_initial=0.1, jitter=0, stable_after=0,
+            seed=0))
         order = []
 
         def make(name):
@@ -402,9 +404,7 @@ class TestSupervisor:
         make("ribx")()
         make("bgpx")()
         order.clear()
-        supervisor = Supervisor(manager, SupervisorPolicy(
-            ping_period=0, backoff_initial=0.1, jitter=0, stable_after=0,
-            seed=0))
+        supervisor = manager.supervisor
         supervisor.add_module("ribx", restart=make("ribx"))
         supervisor.add_module("bgpx", restart=make("bgpx"),
                               depends_on=("ribx",))
@@ -420,7 +420,9 @@ class TestSupervisor:
 
     def test_ping_detects_wedged_module(self):
         host = Host()
-        manager = RouterManager(host)
+        manager = RouterManager(host, policy=SupervisorPolicy(
+            ping_period=0.5, ping_timeout=0.2, ping_failures=2,
+            backoff_initial=0.1, jitter=0, stable_after=0, seed=0))
         state = {"wedged": False}
 
         def make():
@@ -443,9 +445,7 @@ class TestSupervisor:
             return make()
 
         make()
-        supervisor = Supervisor(manager, SupervisorPolicy(
-            ping_period=0.5, ping_timeout=0.2, ping_failures=2,
-            backoff_initial=0.1, jitter=0, stable_after=0, seed=0))
+        supervisor = manager.supervisor
         supervisor.add_module("wsvc", restart=restart)
         supervisor.start()
         host.loop.run(duration=2.0)
