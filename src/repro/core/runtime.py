@@ -2,14 +2,14 @@
 
 ``python -m repro.bgp --finder 127.0.0.1:PORT ...`` (likewise
 ``repro.rib`` and ``repro.fea``) builds a :class:`ChildRuntime` — a
-real-clock event loop, a
-:class:`~repro.xrl.transport.finderd.RemoteFinder` connected to the
-parent rtrmgr's Finder daemon, and a :class:`~repro.core.process.Host`
-whose transport set includes :class:`~repro.xrl.transport.tcp.TcpFamily`
-so XRLs cross the OS-process boundary — then instantiates exactly the
-same process class the single-interpreter deployment uses.  The paper's
-point (§6.1): processes do not know or care which side of a process
-boundary their peers live on.
+real-clock event loop, a :class:`~repro.core.process.Host` whose
+transport set includes :class:`~repro.xrl.transport.tcp.TcpFamily` so
+XRLs cross the OS-process boundary, and a
+:class:`~repro.xrl.finder_client.RemoteFinder`, an XRL client of the
+parent rtrmgr's Finder target over that same family — then instantiates
+exactly the same process class the single-interpreter deployment uses.
+The paper's point (§6.1): processes do not know or care which side of a
+process boundary their peers live on.
 
 Only the process-agnostic plumbing lives here; each module's argv
 surface is its own ``__main__`` (``repro/bgp/__main__.py``; the RIB and
@@ -26,7 +26,7 @@ from typing import Optional, Tuple
 from repro.core.process import Host
 from repro.eventloop import EventLoop
 from repro.eventloop.clock import SystemClock
-from repro.xrl.transport.finderd import RemoteFinder
+from repro.xrl.finder_client import RemoteFinder
 from repro.xrl.transport.tcp import TcpFamily
 
 
@@ -35,8 +35,8 @@ class ChildRuntime:
 
     def __init__(self, finder_address: str, *, codec: Optional[str] = None):
         self.loop = EventLoop(SystemClock())
-        self.finder = RemoteFinder(finder_address, self.loop)
         self.tcp_family = TcpFamily(codec=codec)
+        self.finder = RemoteFinder(finder_address, self.loop, self.tcp_family)
         self.host = Host(self.loop, finder=self.finder,
                          extra_families=[self.tcp_family])
 
@@ -58,7 +58,7 @@ class ChildRuntime:
 def base_parser(prog: str) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog=prog)
     parser.add_argument("--finder", required=True, metavar="HOST:PORT",
-                        help="address of the rtrmgr's Finder daemon")
+                        help="where the rtrmgr's Finder target listens")
     parser.add_argument("--codec", default=None,
                         choices=("binary", "textual"),
                         help="XRL frame codec preference for TCP transport")

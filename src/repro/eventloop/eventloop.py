@@ -145,7 +145,7 @@ class EventLoop:
 
         Unlike :meth:`run_once` this never runs timers or deferred
         callbacks, so it is safe to call from *inside* a timer callback —
-        the spawn manager uses it to pump Finder-daemon traffic while it
+        the spawn manager uses it to serve Finder and XRL traffic while it
         blocks waiting for a freshly forked child to register.
         """
         if not self._fd_count:

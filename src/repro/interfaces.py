@@ -14,6 +14,7 @@ from typing import Any, Dict, List, Tuple
 
 from repro.xrl.error import XrlError, XrlErrorCode
 from repro.xrl.idl import XrlInterface, parse_idl
+from repro.xrl.types import XrlAtom, XrlAtomType
 
 IDL_TEXT = """
 /* ---- Routing Information Base ------------------------------------- */
@@ -219,13 +220,33 @@ interface profile/1.0 {
     get_entries ? pname:txt -> entries:txt;
 }
 
-/* ---- Finder (resolution exposed over XRL, paper 6.2) ------------------- */
+/* ---- Finder (paper 6.3: "addressable through XRLs, just as any other
+   XORP component").  The first four methods answer anyone; the rest
+   belong to a *session*, the connection the request arrived on, which
+   alone may speak for what it registered (ACCESS_DENIED otherwise) and
+   whose end deregisters it.  families/addresses are parallel lists of
+   txt, methods a list of method paths. */
 
 interface finder/1.0 {
     resolve_xrl ? xrl:txt -> resolved:txt;
     get_target_list -> targets:txt;
     get_class_instances ? class_name:txt -> instances:txt;
     target_exists ? target:txt -> exists:bool;
+
+    /* The component is born with its whole method list, under the
+       instance name and access key it picked itself. */
+    register_target ? class_name:txt & instance_name:txt & singleton:bool & key:txt & families:list & addresses:list & methods:list;
+    add_methods       ? instance_name:txt & methods:list;
+    deregister_target ? instance_name:txt;
+    /* caller is a component of the calling session; its ACL applies. */
+    resolve ? caller:txt & target:txt & method_path:txt
+        -> resolved_method:txt & families:list & addresses:list & target_class:txt;
+    watch   ? class_name:txt;
+    unwatch ? class_name:txt;
+    /* Answered once the session has events (a client keeps one parked).
+       kinds[i] is birth or death, of instances[i] of watched class
+       classes[i], or invalidate: forget resolutions of classes[i]. */
+    next_events -> kinds:list & classes:list & instances:list;
 }
 
 /* ---- Observability (the repro.obs scrape surface) ---------------------
@@ -333,6 +354,17 @@ def parallel_values(method: str, *columns) -> List[List[Any]]:
                 f"of {len(atoms)}")
         values.append(column)
     return values
+
+
+def txt_atoms(name: str, values) -> List[XrlAtom]:
+    """A column of strings as the payload of a ``list`` atom."""
+    return [XrlAtom(name, XrlAtomType.TXT, value) for value in values]
+
+
+def txt_values(method: str, *columns) -> List[List[str]]:
+    """:func:`parallel_values` of ``list`` atoms that all hold ``txt``."""
+    return parallel_values(
+        method, *((atoms, XrlAtomType.TXT) for atoms in columns))
 
 
 RIB_IDL = interface("rib/1.0")

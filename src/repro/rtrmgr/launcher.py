@@ -8,8 +8,8 @@ restart replays — is the same in every deployment.
 * :class:`InProcessLauncher` calls a factory: the module is an object on
   the manager's own event loop, and the handle is that object.
 * :class:`ProcessLauncher` runs ``python -m repro.<M> --finder … P`` as
-  an OS process (paper §6.1), serves the Finder over TCP so the child can
-  register, and the handle is a :class:`ChildProcess` shell.
+  an OS process (paper §6.1), binds the Finder's XRL target so the child
+  can register, and the handle is a :class:`ChildProcess` shell.
 
 Both render the same parameters — constructor keywords for one, argv for
 the other — and both return from :meth:`start` only once the module is
@@ -27,7 +27,7 @@ from typing import Any, Callable, Dict, List, Optional
 
 from repro.core.process import Host
 from repro.rtrmgr.config_tree import CommitError
-from repro.xrl.transport.finderd import FinderServer
+from repro.xrl.finder_target import bind_finder_target
 
 #: stock modules: the package under ``repro`` that implements each, and
 #: the process class in it
@@ -90,7 +90,7 @@ class ChildProcess:
 
 
 class ProcessLauncher:
-    """Modules are ``python -m`` children registering over a Finder socket."""
+    """Modules are ``python -m`` children registering over ``finder/1.0``."""
 
     #: how long a child has to register with (or vanish from) the Finder
     REGISTER_TIMEOUT = 30.0
@@ -103,7 +103,9 @@ class ProcessLauncher:
         self.host = host
         self._codec = codec
         self._python = python
-        self.finder_server = FinderServer(host.finder, host.loop)
+        #: ``finder/1.0`` on the host's families; where it listens over
+        #: TCP is the children's ``--finder`` bootstrap address
+        self.finder_target = bind_finder_target(host)
         #: the ``python -m`` module behind each module name
         self.programs: Dict[str, str] = {
             name: f"repro.{name}" for name in ("fea", "rib", "bgp")}
@@ -129,7 +131,7 @@ class ProcessLauncher:
                 f"module {name!r} has no 'python -m' entry point; it runs "
                 f"under the in-process launcher only")
         argv = [self._python, "-m", program,
-                "--finder", self.finder_server.address]
+                "--finder", self.finder_target.address]
         if self._codec is not None:
             argv += ["--codec", self._codec]
         for keyword, value in params.items():
@@ -149,10 +151,10 @@ class ProcessLauncher:
     def stop(self, child: ChildProcess) -> None:
         """SIGTERM, then SIGKILL what outlives the grace period; reap.
 
-        A SIGTERMed child deregisters from the Finder on its way out — a
-        blocking RPC against *this* process — so I/O is served meanwhile;
-        and the next :meth:`start` must not find the stale registration of
-        a child that died without saying so, so wait for that to drain too.
+        A child leaves the Finder when its session's connection ends —
+        an event on *this* process's loop — so I/O is served meanwhile: the
+        next :meth:`start` must not find the registration of a child that
+        is gone.
         """
         if child.alive:
             child.popen.terminate()
@@ -165,7 +167,7 @@ class ProcessLauncher:
             self.DEREGISTER_TIMEOUT)
 
     def close(self) -> None:
-        self.finder_server.close()
+        self.finder_target.router.shutdown()
 
     def _pump_until(self, predicate: Callable[[], bool],
                     timeout: float) -> bool:

@@ -36,8 +36,7 @@ from repro.rtrmgr.launcher import InProcessLauncher
 from repro.rtrmgr.supervisor import Supervisor, SupervisorPolicy
 from repro.rtrmgr.template import DEFAULT_TEMPLATE, parse_template
 from repro.rtrmgr.translate import translate
-from repro.xrl import XrlArgs, XrlError, XrlErrorCode
-from repro.xrl.retry import RetryPolicy
+from repro.xrl import XrlArgs, XrlError
 from repro.xrl.xrl import Xrl
 
 #: Finder ACLs installed per module class (target classes it may resolve)
@@ -95,13 +94,6 @@ class RouterManager(XorpProcess):
         #: the XRL class a module registers under, where not its own name
         self.class_names: Dict[str, str] = {}
         self.supervisor = Supervisor(self, policy)
-        #: An XRL that does not *resolve* was never sent, so trying again
-        #: is safe whatever the method.  It rides out a module that has
-        #: registered with the Finder but is still declaring its methods (a
-        #: child does so one blocking RPC at a time), and a restart under way.
-        self._retry = RetryPolicy(
-            max_attempts=8, attempt_timeout=None,
-            codes=frozenset({XrlErrorCode.RESOLVE_FAILED}))
         self.commit_count = 0
         self.metrics.gauge("modules", lambda: len(self.modules))
         self.metrics.gauge("commits", lambda: self.commit_count)
@@ -202,8 +194,7 @@ class RouterManager(XorpProcess):
         self.commit_count += 1
 
     def _send(self, xrl: Xrl) -> XrlArgs:
-        error, result = self.xrl.send_sync(xrl, deadline=30,
-                                           retry=self._retry)
+        error, result = self.xrl.send_sync(xrl, deadline=30)
         if not error.is_okay:
             raise CommitError(f"{xrl.target}/{xrl.method}: {error}")
         return result

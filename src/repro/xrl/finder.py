@@ -22,15 +22,28 @@ from __future__ import annotations
 
 import fnmatch
 import random
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.xrl.error import XrlError, XrlErrorCode
 
 #: lifetime notification events
 BIRTH = "birth"
 DEATH = "death"
+#: the third kind of event ``finder/1.0 next_events`` carries to another
+#: OS process: forget what you resolved for this target
+INVALIDATE = "invalidate"
 
 WatchCallback = Callable[[str, str, str], None]  # (event, class, instance)
+
+#: what a resolution is: (keyed method, [(family, address), ...], class)
+Resolution = Tuple[str, List[Tuple[str, str]], str]
+#: how ``resolve_async`` answers: (error, None) or (None, resolution)
+ResolveDone = Callable[[Optional[XrlError], Optional[Resolution]], None]
+
+#: The access key of the Finder's own XRL target (class ``finder``): a
+#: process reaches the Finder before it can resolve anything, so this one
+#: key is well known rather than the outcome of a resolution.
+FINDER_KEY = "f" * 32
 
 
 class _ComponentEntry:
@@ -87,11 +100,16 @@ class Finder:
     def register_component(self, class_name: str, *,
                            instance_name: Optional[str] = None,
                            singleton: bool = False,
-                           addresses: Dict[str, str]) -> Tuple[str, str, str]:
+                           addresses: Dict[str, str],
+                           key: Optional[str] = None,
+                           methods: Sequence[str] = ()
+                           ) -> Tuple[str, str, str]:
         """Register a component; return ``(instance_name, key, secret)``.
 
         *key* is the 16-byte random access key embedded in resolved method
         names; *secret* authenticates the component in later Finder calls.
+        ``finder/1.0 register_target`` passes the *key* a remote component
+        picked and its *methods*, so BIRTH finds the method set complete.
         """
         existing = self._classes.get(class_name, [])
         if singleton and existing:
@@ -113,10 +131,14 @@ class Finder:
                 XrlErrorCode.COMMAND_FAILED,
                 f"instance name {instance_name!r} already registered",
             )
-        key = "%032x" % self._rng.getrandbits(128)
+        if class_name == "finder":
+            key = FINDER_KEY
+        elif key is None:
+            key = "%032x" % self._rng.getrandbits(128)
         secret = "%032x" % self._rng.getrandbits(128)
         entry = _ComponentEntry(class_name, instance_name, singleton, key,
                                 addresses, secret)
+        entry.methods.update(methods)
         self._instances[instance_name] = entry
         self._classes.setdefault(class_name, []).append(instance_name)
         self._invalidate(class_name)
@@ -155,8 +177,7 @@ class Finder:
         return entry
 
     # -- resolution -------------------------------------------------------
-    def resolve(self, caller, target: str,
-                method_path: str) -> Tuple[str, List[Tuple[str, str]], str]:
+    def resolve(self, caller, target: str, method_path: str) -> Resolution:
         """Resolve (*target*, *method_path*) for *caller* (an XrlRouter).
 
         Returns ``(resolved_method, [(family, address), ...], target_class)``
@@ -178,12 +199,23 @@ class Finder:
             )
         # Track the caller so a later (de)registration invalidates its cache.
         if hasattr(caller, "finder_cache_invalidate"):
-            self._resolver_clients.setdefault(entry.class_name, set()).add(caller)
-            if entry.class_name != target:
-                self._resolver_clients.setdefault(target, set()).add(caller)
+            self.remember_resolver_client(caller, entry.class_name, target)
         resolved_method = f"{entry.key}/{method_path}"
         candidates = sorted(entry.addresses.items())
         return resolved_method, candidates, entry.class_name
+
+    def resolve_async(self, caller, target: str, method_path: str,
+                      done: ResolveDone) -> None:
+        """:meth:`resolve`, answered through *done(error, resolution)* —
+        the form :class:`~repro.xrl.router.XrlRouter` calls, whichever side
+        of a process boundary its Finder is on.  This one knows the answer
+        at once: *done* has run by the time the call returns."""
+        try:
+            resolution = self.resolve(caller, target, method_path)
+        except XrlError as error:
+            done(error, None)
+        else:
+            done(None, resolution)
 
     def _lookup_target(self, target: str) -> _ComponentEntry:
         entry = self._instances.get(target)
@@ -208,9 +240,18 @@ class Finder:
     def class_instances(self, class_name: str) -> List[str]:
         return list(self._classes.get(class_name, []))
 
+    def classes(self) -> List[str]:
+        """Every component class with a live instance, sorted."""
+        return sorted(self._classes)
+
     def _invalidate(self, class_name: str) -> None:
         for router in list(self._resolver_clients.get(class_name, ())):
             router.finder_cache_invalidate(class_name)
+
+    def remember_resolver_client(self, client, *targets: str) -> None:
+        """Invalidate *client* when a registration under *targets* changes."""
+        for target in targets:
+            self._resolver_clients.setdefault(target, set()).add(client)
 
     def forget_resolver_client(self, client) -> None:
         """Drop *client* from every invalidation set (its process died)."""

@@ -48,7 +48,7 @@ class RetryPolicy:
     """
 
     __slots__ = ("max_attempts", "backoff", "multiplier", "max_backoff",
-                 "jitter", "codes", "attempt_timeout", "_rng")
+                 "jitter", "attempt_timeout", "_rng")
 
     def __init__(self, max_attempts: int = 4, *,
                  backoff: float = 0.05,
@@ -56,7 +56,6 @@ class RetryPolicy:
                  max_backoff: float = 2.0,
                  jitter: float = 0.1,
                  attempt_timeout: Optional[float] = 1.0,
-                 codes: Optional[FrozenSet[XrlErrorCode]] = None,
                  seed: int = 0):
         if max_attempts < 1:
             raise ValueError(f"max_attempts must be >= 1, got {max_attempts}")
@@ -66,11 +65,10 @@ class RetryPolicy:
         self.max_backoff = max_backoff
         self.jitter = jitter
         self.attempt_timeout = attempt_timeout
-        self.codes = codes if codes is not None else RETRYABLE_CODES
         self._rng = random.Random(seed)
 
     def retryable(self, code: XrlErrorCode) -> bool:
-        return code in self.codes
+        return code in RETRYABLE_CODES
 
     def delay(self, attempt: int) -> float:
         """Backoff before retry number *attempt* (1 = first retry)."""

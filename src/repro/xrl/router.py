@@ -114,7 +114,8 @@ class _PendingCall:
     """
 
     __slots__ = ("xrl", "callback", "retry", "attempt", "attempt_token",
-                 "deadline_timer", "attempt_timer", "retry_timer", "done")
+                 "failed", "deadline_timer", "attempt_timer", "retry_timer",
+                 "done")
 
     def __init__(self, xrl, callback: ResponseCallback,
                  retry: Optional[RetryPolicy]):
@@ -123,6 +124,9 @@ class _PendingCall:
         self.retry = retry
         self.attempt = 0
         self.attempt_token: Optional[object] = None
+        #: endpoint -> its transport error, for those that failed within
+        #: the current attempt (the re-resolution between may be awaited)
+        self.failed: Optional[Dict[Tuple[str, str], XrlError]] = None
         self.deadline_timer = None
         self.attempt_timer = None
         self.retry_timer = None
@@ -138,6 +142,11 @@ class _PendingCall:
 
 class XrlRouter:
     """One component's sending and receiving endpoint."""
+
+    #: the connection whose requests are being dispatched, when the
+    #: transport has connections — for a handler whose state belongs to
+    #: one (``finder/1.0``'s sessions)
+    dispatch_channel: Optional[Any] = None
 
     def __init__(self, loop: EventLoop, class_name: str, finder: Finder, *,
                  instance_name: Optional[str] = None,
@@ -172,6 +181,9 @@ class XrlRouter:
         #: endpoint -> the one sender carrying every call to it, in order;
         #: lives until its connection dies, a transmit fails, or shutdown
         self._senders: Dict[Tuple[str, str], Sender] = {}
+        #: target -> the calls waiting for the Finder's answer about it, in
+        #: send order; the first is the one whose method was asked about
+        self._resolving: Dict[str, List[_PendingCall]] = {}
         self._seq = itertools.count(1)
         self._alive = True
         self._pending: set = set()
@@ -324,14 +336,17 @@ class XrlRouter:
         performs the actual (coalesced) transmission and arms the attempt
         timer afterwards.
         """
+        xrl = call.xrl
+        target = xrl.target
+        if self._resolving and target in self._resolving:
+            # Transmitting now, even on a cached resolution, would overtake
+            # the calls waiting for the Finder's answer about this target.
+            self._resolving[target].append(call)
+            return
         call.attempt += 1
         token = object()
         call.attempt_token = token
-        xrl = call.xrl
-        method_path = xrl.method_path
-        cache_key = (xrl.target, method_path)
-        tried: set = set()
-        transport_error: Optional[XrlError] = None
+        cache_key = (target, xrl.method_path)
         # The sender that carries the transmitted frame — frames are
         # opaque between the router and that sender (per-connection
         # codecs), so its decode_response must interpret the reply.
@@ -362,16 +377,9 @@ class XrlRouter:
         while True:
             resolution = self._cache.get(cache_key)
             if resolution is None:
-                try:
-                    resolution = self._resolve(
-                        xrl.target, method_path, exclude=tried)
-                except XrlError as error:
-                    # A transport failure is more informative than the
-                    # resulting "no family left" resolution failure.
-                    self._finish_attempt(call, transport_error or error,
-                                         defer=defer_errors)
-                    return
-                self._cache[cache_key] = resolution
+                resolution = self._resolve(call, defer_errors)
+                if resolution is None:
+                    return  # refused, or parked until the Finder answers
             endpoint = resolution.endpoint
             sender = self._senders.get(endpoint)
             try:
@@ -395,11 +403,63 @@ class XrlRouter:
                 self._cache.pop(cache_key, None)
                 if sender is not None:
                     self._drop_sender(endpoint, sender)
-                tried.add(endpoint)
-                transport_error = error
+                if call.failed is None:
+                    call.failed = {}
+                call.failed[endpoint] = error
                 continue
             break
         self._arm_attempt_timer(call)
+
+    def _resolve(self, call: _PendingCall,
+                 defer_errors: bool) -> Optional[_Resolution]:
+        """Ask the Finder about *call*'s (target, method) — the one
+        resolution path, wherever the Finder lives.
+
+        An in-process Finder answers before ``resolve_async`` returns: so
+        does this, with the resolution (cached), or None and the attempt
+        finished by the refusal.  A remote one answers in a later turn:
+        None now, and *call* heads ``_resolving[target]``, which every
+        later call to the target joins (:meth:`_attempt`) and the answer
+        replays in send order — what keeps "dispatched in send order per
+        endpoint" true.  A waiting call's deadline still fires.
+        """
+        xrl = call.xrl
+        target = xrl.target
+        waiting = self._resolving[target] = [call]
+        resolution: Optional[_Resolution] = None
+        inline = True
+
+        def answered(error: Optional[XrlError], found) -> None:
+            nonlocal resolution
+            if self._resolving.get(target) is not waiting:
+                return  # the router shut down while the Finder was asked
+            del self._resolving[target]
+            if error is None:
+                try:
+                    resolution = self._cache[(target, xrl.method_path)] = (
+                        self._usable(call, found))
+                except XrlError as none_usable:
+                    error = none_usable
+            if error is not None:
+                # A transport failure is more informative than the
+                # resulting "no family left" resolution failure.
+                if call.failed:
+                    error = next(reversed(call.failed.values()))
+                self._finish_attempt(call, error,
+                                     defer=defer_errors and inline)
+            if inline:
+                return
+            if resolution is None:
+                del waiting[0]
+            else:
+                call.attempt -= 1  # resumed below, not attempted anew
+            # Whatever is pending was sent after these: they go first.
+            self._batch_pending[:0] = waiting
+            self._flush_batch()
+
+        self.finder.resolve_async(self, target, xrl.method_path, answered)
+        inline = False
+        return resolution
 
     def _expire_attempt(self, call: _PendingCall, token: object) -> None:
         if call.done or call.attempt_token is not token:
@@ -417,6 +477,7 @@ class XrlRouter:
                 and policy.retryable(error.code)
                 and call.attempt < policy.max_attempts):
             call.attempt_token = None  # late replies for this attempt drop
+            call.failed = None  # the next attempt may try every endpoint
             self.retries_performed += 1
             call.retry_timer = self.loop.call_later(
                 policy.delay(call.attempt),
@@ -450,17 +511,17 @@ class XrlRouter:
         else:
             call.callback(error, args)
 
-    def _resolve(self, target: str, method_path: str, *,
-                 exclude: Optional[set] = None) -> _Resolution:
-        resolved_method, candidates, __ = self.finder.resolve(
-            self, target, method_path
-        )
+    def _usable(self, call: _PendingCall, found) -> _Resolution:
+        """The best candidate of the Finder's answer *found* that this
+        router has a family for and that has not failed *call* already."""
+        resolved_method, candidates, __ = found
+        failed = call.failed
         usable: List[Tuple[int, str, str]] = []
         for family_name, address in candidates:
             family = self._families.get(family_name)
             if family is None:
                 continue
-            if exclude and (family_name, address) in exclude:
+            if failed and (family_name, address) in failed:
                 continue
             reachable = getattr(family, "reachable", None)
             if reachable is not None and not reachable(address, self):
@@ -469,7 +530,8 @@ class XrlRouter:
         if not usable:
             raise XrlError(
                 XrlErrorCode.SEND_FAILED,
-                f"no mutually supported protocol family for target {target!r}",
+                "no mutually supported protocol family for target "
+                f"{call.xrl.target!r}",
             )
         usable.sort(reverse=True)
         __, family_name, address = usable[0]
@@ -623,6 +685,10 @@ class XrlRouter:
     def alive(self) -> bool:
         return self._alive
 
+    def listen_address(self, family_name: str) -> Optional[str]:
+        """Where this router listens in *family_name*, if it has it."""
+        return self._addresses.get(family_name)
+
     def shutdown(self) -> None:
         """Deregister from the Finder and release all transports."""
         if not self._alive:
@@ -636,6 +702,7 @@ class XrlRouter:
                                           "router shut down"),
                            XrlArgs(), defer=True)
         self._batch_pending.clear()
+        self._resolving.clear()
         self._cache.clear()
         for sender in self._senders.values():
             sender.close()

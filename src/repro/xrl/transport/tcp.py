@@ -21,7 +21,7 @@ from __future__ import annotations
 import os
 import socket
 import struct
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from repro.xrl.args import XrlArgs
 from repro.xrl.codec import (
@@ -52,7 +52,7 @@ MAX_UNSENT_BYTES = 1024 * 1024
 
 
 class FrameBuffer:
-    """Incremental length-prefixed frame reassembly (XRL and Finder wire)."""
+    """Incremental length-prefixed frame reassembly."""
 
     def __init__(self) -> None:
         self._data = bytearray()
@@ -92,7 +92,8 @@ class FramedChannel:
     """One non-blocking TCP connection of ``!I``-length-prefixed frames.
 
     The single socket state machine behind the XRL listener's accepted
-    connections, the XRL sender and the Finder server's sessions.
+    connections and the XRL sender (the Finder is an XRL target and its
+    client an XRL sender, so its sessions are these too).
     Subclasses implement :meth:`_on_frame` (one complete inbound frame)
     and :meth:`_on_closed` (runs once, however the connection ended).
     """
@@ -221,7 +222,22 @@ class _TcpConnection(FramedChannel):
         self._router = listener._router
         #: per-connection binary state, created by the HELLO exchange
         self._codec: Optional[BinaryCodec] = None
+        #: called once when the connection has ended, for a handler that
+        #: keeps state per connection (the Finder: a session is a lease)
+        self.on_close: Optional[Callable[[], None]] = None
         super().__init__(self._router.loop, sock)
+
+    def _deliver(self, frames: List[bytes]) -> None:
+        # Handlers can read which connection is dispatching; restored, not
+        # cleared: a handler's push may drain another connection, which
+        # then delivers its parked frames from inside this call.
+        router = self._router
+        previous = router.dispatch_channel
+        router.dispatch_channel = self
+        try:
+            super()._deliver(frames)
+        finally:
+            router.dispatch_channel = previous
 
     def _on_frame(self, frame: bytes) -> None:
         kind = frame[0] if frame else -1
@@ -257,6 +273,8 @@ class _TcpConnection(FramedChannel):
 
     def _on_closed(self) -> None:
         self._listener._connections.discard(self)
+        if self.on_close is not None:
+            self.on_close()
 
 
 class _TcpListener:

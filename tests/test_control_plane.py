@@ -158,6 +158,9 @@ class TestDeploymentEquivalence:
             try:
                 results[deployment] = self.run_commits(manager)
                 assert sorted(manager.modules) == ["bgp", "fea", "rib"]
+                # A module the Finder knows has declared every method:
+                # nothing the manager sent needed a second try.
+                assert manager.xrl.retries_performed == 0
             finally:
                 manager.shutdown()
                 manager.host.shutdown()

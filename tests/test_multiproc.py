@@ -1,8 +1,8 @@
 """Real OS multi-process deployment tests (paper §6.1).
 
 Children here are genuine ``python -m repro.<module>`` subprocesses: they
-connect to the parent's Finder daemon over TCP, register their
-components, and serve XRLs over the negotiated TCP transport.  The
+register their components by XRL with the parent's Finder target, and
+serve XRLs over the negotiated TCP transport.  The
 acceptance scenario runs two routers — BGP, RIB, and FEA each as a
 separate OS process under a :class:`~repro.rtrmgr.spawn.SpawnManager`,
 each router built from configuration text and ``commit()`` alone —
@@ -139,7 +139,7 @@ class TestSingleModule:
 class TestShutdown:
     def test_shutdown_serves_the_childs_finder_deregistration(self):
         """A SIGTERMed child deregisters from the Finder on its way out;
-        shutdown() must pump that RPC instead of waiting 5 s to SIGKILL."""
+        shutdown() must serve that instead of waiting 5 s to SIGKILL."""
         manager = SpawnManager(policy=snappy_policy())
         try:
             shell = manager.spawn_module("fea")
@@ -163,7 +163,8 @@ class TestFinderLoss:
             shell = manager.spawn_module("rib")
             manager.loop.run(duration=0.3)
             assert shell.alive
-            manager.launcher.finder_server.close()
+            # Closing the Finder router's listener closes its sessions.
+            manager.launcher.finder_target.router.shutdown()
             assert shell.popen.wait(timeout=5) is not None
         finally:
             manager.shutdown()

@@ -174,33 +174,56 @@ class TestXrlTransportRobustness:
         first connection's close pushes a DEATH event at the second,
         whose send fails and closes it before the loop reaches its
         reader."""
-        import json
         import select
         import socket
         import struct
 
-        from repro.xrl.transport.finderd import FinderServer
+        from repro.interfaces import txt_atoms
+        from repro.xrl.codec import TEXTUAL
+        from repro.xrl.finder import FINDER_KEY
+        from repro.xrl.finder_target import FinderTarget
+        from repro.xrl.transport import TcpFamily
         from repro.xrl.transport.tcp import pack_frame
 
         loop = EventLoop(SystemClock())
-        server = FinderServer(Finder(), loop)
-        host, __, port_text = server.address.rpartition(":")
+        finder = Finder()
+        family = TcpFamily()
+        target = FinderTarget(
+            finder, XrlRouter(loop, "finder", finder, families=[family]))
+        (listener,) = family._listeners.values()
+        host, __, port_text = target.address.rpartition(":")
         children = {}
+        seq = iter(range(1, 100))
+
+        def send(name, method, args=None):
+            children[name].sendall(pack_frame(b"\x00" + TEXTUAL.encode_request(
+                next(seq), f"{FINDER_KEY}/finder/1.0/{method}",
+                args if args is not None else XrlArgs())))
+
         try:
             for name in ("left", "right"):
                 children[name] = socket.create_connection((host, int(port_text)))
-            for seq, (name, other) in enumerate(
-                    [("left", "right"), ("right", "left")]):
-                for request in (
-                        {"op": "register_component", "class_name": name,
-                         "singleton": True, "addresses": {}},
-                        {"op": "watch", "watcher": name, "class_name": other}):
-                    children[name].sendall(pack_frame(json.dumps(
-                        dict(request, t="req", seq=seq)).encode()))
+            for name, other in [("left", "right"), ("right", "left")]:
+                send(name, "register_target",
+                     XrlArgs().add_txt("class_name", name)
+                     .add_txt("instance_name", name)
+                     .add_bool("singleton", True).add_txt("key", "k" * 32)
+                     .add_list("families", []).add_list("addresses", [])
+                     .add_list("methods", txt_atoms("method", ["a/1.0/b"])))
+                send(name, "watch", XrlArgs().add_txt("class_name", other))
+            sessions = target._sessions
             assert loop.run_until(
-                lambda: [len(conn._watches) for conn in server._connections]
+                lambda: [len(session.watched) for session in sessions.values()]
                 == [1, 1], timeout=5)
-            server_socks = [conn._sock for conn in server._connections]
+            # Each holds the other's birth: the first poll collects it, the
+            # second parks, so a DEATH is written the moment it happens.
+            for name in children:
+                send(name, "next_events")
+                send(name, "next_events")
+            assert loop.run_until(
+                lambda: all(session.poll is not None and not session.events
+                            for session in sessions.values()), timeout=5)
+            server_socks = [conn._sock for conn in listener._connections]
             for sock in children.values():  # die like SIGKILL: RST, no FIN
                 sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER,
                                 struct.pack("ii", 1, 0))
@@ -209,9 +232,11 @@ class TestXrlTransportRobustness:
                 if len(select.select(server_socks, [], [], 0.1)[0]) == 2:
                     break
             loop.run_once(block=False)  # calls the closed one's reader too
-            assert not server._connections
+            assert not listener._connections
+            assert not sessions
+            assert finder.classes() == ["finder"]
         finally:
-            server.close()
+            listener.close()
 
     @pytest.mark.parametrize("port", ["xrl", "finder"])
     def test_oversized_length_prefix_closes_the_connection(self, port):
@@ -219,17 +244,17 @@ class TestXrlTransportRobustness:
         connection is closed, nothing is retained, nothing is raised."""
         import socket
 
+        from repro.xrl.finder_target import FinderTarget
         from repro.xrl.transport import TcpFamily
-        from repro.xrl.transport.finderd import FinderServer
 
         loop = EventLoop(SystemClock())
         finder = Finder()
-        if port == "xrl":
-            family = TcpFamily()
-            XrlRouter(loop, "svc", finder, families=[family])
-            (listener,) = family._listeners.values()
-        else:
-            listener = FinderServer(finder, loop)
+        family = TcpFamily()
+        router = XrlRouter(loop, "finder" if port == "finder" else "svc",
+                           finder, families=[family])
+        if port == "finder":
+            FinderTarget(finder, router)
+        (listener,) = family._listeners.values()
         host, __, port_text = listener.address.rpartition(":")
         hostile = socket.create_connection((host, int(port_text)))
         try:
