@@ -15,7 +15,7 @@ from pathlib import Path
 
 from conftest import FIG13_ROUTES
 
-from repro.core import stages as stages_module
+from repro.core import taps
 from repro.core.stages import RouteTableStage
 from repro.eventloop.eventloop import EventLoop
 from repro.experiments.routeflow import run_route_flow
@@ -66,13 +66,15 @@ def test_fig13_sanitizer_overhead(benchmark):
 
     Both timings land in the pytest-benchmark JSON output via
     ``extra_info``.  The ≤2% disabled-path guarantee is structural, not
-    statistical: arming rebinds the stage methods and ``XrlRouter.send``
-    and disarming restores the *original function objects*, so the
-    disabled hot path is byte-for-byte the uninstrumented code — no
-    residual ``if sanitizer:`` checks, i.e. exactly 0% overhead.  We
-    assert that identity below, and additionally measure adjacent
-    before/after-flip pair ratios as a wall-clock backstop against a
-    reintroduced hot-path guard.
+    statistical: armed, the sanitizers are taps on the instrumentation
+    seam (``repro.core.taps``), and with the last tap gone the seam has
+    put the *original function objects* back, so the disabled hot path
+    is byte-for-byte the uninstrumented code — no residual
+    ``if sanitizer:`` checks, i.e. exactly 0% overhead.  That identity is
+    gated in tier-1 (``tests/test_taps.py``, every arm/disarm order) and
+    spot-checked below; what this test adds is adjacent before/after-flip
+    pair ratios as a wall-clock backstop against a reintroduced hot-path
+    guard.
     """
     routes = min(FIG13_ROUTES, 64)
     pristine_methods = {
@@ -121,23 +123,14 @@ def test_fig13_sanitizer_overhead(benchmark):
     armed = [timed(run_on) for _ in range(3)]
 
     # Structural no-op proof — the actual ≤2% disabled-path gate: after
-    # disarm every instrumented method is the pristine function object
-    # again, no stage class anywhere retains a sanitizer wrapper, and
-    # the instrumentation-hook registry is empty.  The disabled path is
-    # byte-for-byte the uninstrumented code, i.e. exactly 0% overhead.
+    # disarm the seam holds no tap on any class and every method we
+    # sampled is the pristine function object again.  The disabled path
+    # is byte-for-byte the uninstrumented code, i.e. exactly 0% overhead.
+    assert taps.installed() == []
     for name, fn in pristine_methods.items():
         assert RouteTableStage.__dict__[name] is fn, (
             f"{name} not restored after disarm")
     assert XrlRouter.__dict__["send"] is pristine_send
-    for cls in stages_module.all_stage_classes():
-        for name in ("add_route", "delete_route", "replace_route",
-                     "lookup_route", "add_routes", "delete_routes",
-                     "insert_downstream", "unplumb"):
-            fn = cls.__dict__.get(name)
-            assert fn is None or not hasattr(
-                fn, "_repro_sanitizer_original"), (
-                f"{cls.__name__}.{name} still wrapped after disarm")
-    assert not stages_module._instrumentation_hooks
 
     # Best pair = the one window free of CPU-noise bursts; same-code
     # pairs reliably land near 1.0 there, while genuine residual
@@ -173,28 +166,24 @@ def test_fig13_obs_overhead(benchmark):
     """Route flow with the observability layer (repro.obs) off vs on.
 
     Same methodology as ``test_fig13_sanitizer_overhead``: the ≤2%
-    disarmed-path guarantee is structural — arming rebinds stage
-    methods, ``XrlRouter.send``/``dispatch_frame_async``,
-    ``EventLoop.call_soon`` and ``Fib.insert``/``remove``; disarming
-    restores the original function objects, so the disarmed hot path is
-    byte-for-byte the uninstrumented code.  We assert that identity
-    below and measure adjacent before/after-flip pair ratios as a
-    wall-clock backstop.  Both off and on timings land in the
+    disarmed-path guarantee is structural — armed, the tracer taps the
+    stage methods, ``XrlRouter.send``/``dispatch_request``,
+    ``EventLoop.call_soon`` and ``Fib.insert``/``remove`` through the
+    seam; disarmed, the original function objects are back, so the
+    disarmed hot path is byte-for-byte the uninstrumented code.  We
+    spot-check that identity below (tier-1 gates it) and measure
+    adjacent before/after-flip pair ratios as a wall-clock backstop.  Both off and on timings land in the
     pytest-benchmark JSON via ``extra_info`` (the acceptance artifact
     for the tracing layer's overhead).
     """
     routes = min(FIG13_ROUTES, 64)
-    stage_methods = ("add_route", "delete_route", "replace_route",
-                     "add_routes", "delete_routes", "originate",
-                     "originate_batch", "withdraw", "withdraw_if_present",
-                     "withdraw_batch")
     pristine_methods = {
         name: RouteTableStage.__dict__[name]
-        for name in stage_methods
-        if name in RouteTableStage.__dict__
+        for name in ("add_route", "delete_route", "replace_route",
+                     "add_routes", "delete_routes")
     }
     pristine_send = XrlRouter.__dict__["send"]
-    pristine_dispatch = XrlRouter.__dict__["dispatch_frame_async"]
+    pristine_dispatch = XrlRouter.__dict__["dispatch_request"]
     pristine_call_soon = EventLoop.__dict__["call_soon"]
     pristine_fib = {name: Fib.__dict__[name] for name in ("insert", "remove")}
 
@@ -235,20 +224,15 @@ def test_fig13_obs_overhead(benchmark):
     armed = [timed(run_on) for _ in range(3)]
 
     # Structural no-op proof — the actual ≤2% disarmed-path gate.
+    assert taps.installed() == []
     for name, fn in pristine_methods.items():
         assert RouteTableStage.__dict__[name] is fn, (
             f"{name} not restored after disarm")
     assert XrlRouter.__dict__["send"] is pristine_send
-    assert XrlRouter.__dict__["dispatch_frame_async"] is pristine_dispatch
+    assert XrlRouter.__dict__["dispatch_request"] is pristine_dispatch
     assert EventLoop.__dict__["call_soon"] is pristine_call_soon
     for name, fn in pristine_fib.items():
         assert Fib.__dict__[name] is fn, f"Fib.{name} not restored"
-    for cls in stages_module.all_stage_classes():
-        for name in stage_methods:
-            fn = cls.__dict__.get(name)
-            assert fn is None or not hasattr(fn, "_repro_obs_original"), (
-                f"{cls.__name__}.{name} still obs-wrapped after disarm")
-    assert not stages_module._instrumentation_hooks
 
     disabled_ratio = min(pair_ratios)
     benchmark.extra_info["routes"] = routes

@@ -55,21 +55,21 @@ class ConsistencyError(AssertionError):
     """A stage observed a violation of the consistency rules."""
 
 
-# -- opt-in instrumentation (the repro.sanitizer hook point) -----------------
+# -- what repro.core.taps listens on -----------------------------------------
 #
-# The sanitizer must cost nothing when disarmed, so there is no
-# ``if instrumented:`` branch anywhere in the message hot path.  Instead a
-# hook receives every stage *class* — existing subclasses when installed,
-# future ones as they are defined (via ``__init_subclass__``) — and may
-# rebind methods on it; uninstalling is the hook owner's job (it restores
-# the originals it saved).  ``stream_reset`` is the one cooperative
-# notification: code that legitimately wipes per-stage state without
-# emitting deletes (e.g. BGP tearing down a peering's output branch on
-# session loss) announces it so shadow state tracking the §5 consistency
-# rules can be dropped there instead of misreported as violations.
+# Observers must cost nothing when none is attached, so there is no
+# ``if instrumented:`` branch anywhere in the message hot path.  Instead
+# the instrumentation seam (:mod:`repro.core.taps`, the only writer of
+# these two lists) is told of every stage *class* defined while it has a
+# tap attached and taps the class's methods; with no tap the lists are
+# empty.  ``stream_reset`` is the one cooperative notification: code that
+# legitimately wipes per-stage state without emitting deletes (e.g. BGP
+# tearing down a peering's output branch on session loss) announces it so
+# shadow state tracking the §5 consistency rules can be dropped there
+# instead of misreported as violations.
 
-_instrumentation_hooks: List[Callable[[type], None]] = []
-_stream_reset_listeners: List[Callable[[tuple], None]] = []
+class_hooks: List[Callable[[type], None]] = []
+reset_listeners: List[Callable[[tuple], None]] = []
 
 
 def all_stage_classes() -> List[type]:
@@ -87,28 +87,9 @@ def all_stage_classes() -> List[type]:
     return seen
 
 
-def install_stage_instrumentation(hook: Callable[[type], None]) -> None:
-    """Register *hook* and apply it to every stage class, present and future."""
-    _instrumentation_hooks.append(hook)
-    for cls in all_stage_classes():
-        hook(cls)
-
-
-def uninstall_stage_instrumentation(hook: Callable[[type], None]) -> None:
-    _instrumentation_hooks.remove(hook)
-
-
-def add_stream_reset_listener(listener: Callable[[tuple], None]) -> None:
-    _stream_reset_listeners.append(listener)
-
-
-def remove_stream_reset_listener(listener: Callable[[tuple], None]) -> None:
-    _stream_reset_listeners.remove(listener)
-
-
 def stream_reset(*stages: "RouteTableStage") -> None:
     """Announce that *stages* dropped route state without emitting deletes."""
-    for listener in list(_stream_reset_listeners):
+    for listener in list(reset_listeners):
         listener(stages)
 
 
@@ -128,9 +109,9 @@ class RouteTableStage:
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        # Classes defined while a sanitizer is armed get instrumented too
+        # Classes defined while a tap is attached are tapped too
         # (test-local stage subclasses, dynamically created stages).
-        for hook in _instrumentation_hooks:
+        for hook in class_hooks:
             hook(cls)
 
     # -- plumbing ------------------------------------------------------------
@@ -241,10 +222,10 @@ class BatchStage(RouteTableStage):
 
 
 #: The derived half of every message pair, as (class, method name).  These
-#: bodies only re-express a call in the other form, so instrumentation
-#: (the stage sanitizer, the obs tracer) skips them: a derived call is
-#: observed once, at the primitive it lands on.  No class outside this
-#: set implements both forms (tests/test_core_stages.py guards that).
+#: bodies only re-express a call in the other form, so the instrumentation
+#: seam (repro.core.taps) skips them: a derived call is observed once, at
+#: the primitive it lands on.  No class outside this set implements both
+#: forms (tests/test_core_stages.py guards that).
 DERIVED_FORMS = frozenset({
     (RouteTableStage, "add_routes"), (RouteTableStage, "delete_routes"),
     (BatchStage, "add_route"), (BatchStage, "delete_route"),

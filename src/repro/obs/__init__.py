@@ -19,10 +19,12 @@ Two pieces:
   across process boundaries, so one route's journey BGP peer-in →
   decision → RIB merge → FEA FIB reconstructs as a span tree.
 
-Both arm by method rebinding (the sanitizer's pattern): when disarmed the
-pristine functions are back on the classes and the hot paths carry zero
-residual overhead — no branches, no indirection (see the fig13 benchmark
-gate).
+The registry is plain objects a process increments itself.  The tracer
+observes through the instrumentation seam (:mod:`repro.core.taps`), like
+the sanitizers and in any order with them: disarmed, the pristine
+functions are back on the classes and the hot paths carry zero residual
+overhead — no branches, no indirection (``tests/test_taps.py`` gates the
+identity, the fig13 benchmark the wall clock).
 """
 
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry

@@ -3,10 +3,10 @@
 Mirrors :class:`repro.sanitizer.runtime.RuntimeSanitizer`: one object the
 tests, the CLI and harnesses arm/disarm (or use as a context manager).
 
-Arming order matters when sanitizers are also armed: arm sanitizers
-first, then observability, and disarm in LIFO order (observability
-first).  Both instruments rebind ``XrlRouter.send``; LIFO disarm makes
-each restore exactly what it saved.
+It composes with armed sanitizers in either order, armed and disarmed:
+both tap ``XrlRouter.send`` and the stage surface through the one
+instrumentation seam (:mod:`repro.core.taps`), which rebuilds each chain
+from the pristine function whenever an observer comes or goes.
 """
 
 from __future__ import annotations

@@ -27,39 +27,33 @@ while hops separated by a queue or a wire chain through the context's
 clocks out of shared code); the default is a logical counter, so span
 order is always meaningful even unclocked.
 
-Arming rebinds methods on the stage classes (via the hook registry in
-:mod:`repro.core.stages`), on :class:`~repro.xrl.router.XrlRouter`, on
-:class:`~repro.eventloop.eventloop.EventLoop` and — only if the FEA is
-loaded — on :class:`repro.fea.fib.Fib`; disarming restores the saved
-originals, so the disarmed hot paths are the pristine functions (the
-zero-overhead contract the fig13 benchmark gates).
+The tracer is a plain observer of the instrumentation seam
+(:mod:`repro.core.taps`): armed, it is a stage tap and five ``around``
+functions — on :class:`~repro.xrl.router.XrlRouter` ``send`` /
+``dispatch_request``, :class:`~repro.eventloop.eventloop.EventLoop`
+``call_soon`` and, only if the FEA is loaded, :class:`repro.fea.fib.Fib`
+``insert`` / ``remove``.  It rebinds nothing itself; the seam puts the
+pristine functions back when the last observer leaves (the zero-overhead
+contract ``tests/test_taps.py`` gates), in whatever order they leave.
 """
 
 from __future__ import annotations
 
-import functools
 import sys
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.core import stages as _stages
+from repro.core import taps
 from repro.eventloop.eventloop import EventLoop
 from repro.net import IPNet
 from repro.obs.metrics import MetricsRegistry
 from repro.xrl import XrlArgs, XrlError, XrlRouter
-from repro.xrl.codec import TEXTUAL as TEXTUAL_CODEC
 
 #: the reserved XRL argument carrying trace contexts across frames.
 #: The dispatch sanitizer treats it like ``bench/1.0`` traffic: stripped
 #: before SAN103 argument checking, never part of any IDL signature.
 TRACE_ARG = "trace_ctx"
 
-#: stage message methods that are hops (lookup_route is a query, not a hop)
-_STAGE_METHODS = ("add_route", "delete_route", "replace_route",
-                  "add_routes", "delete_routes")
-#: origin-stage injection surface (only present on OriginStage): the
-#: batch forms — the singular ones are one-liners over them
-_ORIGIN_METHODS = ("originate_batch", "withdraw_batch")
-
+#: two armed tracers would both stamp ``trace_ctx`` on a frame
 _armed_tracer: Optional["Tracer"] = None
 
 
@@ -118,7 +112,7 @@ def _net_key(net: IPNet) -> Tuple:
     return (net.bits,) + tuple(net.key())
 
 
-class Tracer:
+class Tracer(taps.StageTap):
     """Records causal spans for registered prefixes while armed.
 
     *clock* is a zero-argument callable returning the current time; pass
@@ -137,7 +131,6 @@ class Tracer:
         self._traces: Dict[int, TraceContext] = {}
         self._by_key: Dict[Tuple, TraceContext] = {}
         self._next_trace_id = 1
-        self._wrapped: List[Tuple[type, str, Any]] = []
         self._armed = False
         self._sends = self.metrics.counter("xrl.sends")
         self._traced_frames = self.metrics.counter("xrl.traced_frames")
@@ -237,6 +230,19 @@ class Tracer:
         return {"spans": "\n".join(s.to_text() for s in ctx.spans)}
 
     # -- lifecycle ---------------------------------------------------------
+    def _points(self) -> List[Tuple[type, str, Callable]]:
+        points = [(XrlRouter, "send", self._around_send),
+                  (XrlRouter, "dispatch_request", self._around_dispatch),
+                  (EventLoop, "call_soon", self._around_call_soon)]
+        # The FEA is a process package, so shared code must not import it
+        # (isolation rule ISO002).  If it is loaded in this interpreter we
+        # tap its Fib class; if not, there is no FIB to trace.
+        fib_module = sys.modules.get("repro.fea.fib")
+        if fib_module is not None:
+            points += [(fib_module.Fib, name, self._around_fib)
+                       for name in ("insert", "remove")]
+        return points
+
     def arm(self) -> None:
         global _armed_tracer
         if self._armed:
@@ -245,19 +251,17 @@ class Tracer:
             raise RuntimeError("another Tracer is already armed")
         _armed_tracer = self
         self._armed = True
-        _stages.install_stage_instrumentation(self._instrument_stage_class)
-        self._instrument_xrl_router()
-        self._instrument_eventloop()
-        self._instrument_fib()
+        taps.attach(self)
+        for point in self._points():
+            taps.wrap(*point)
 
     def disarm(self) -> None:
         global _armed_tracer
         if not self._armed:
             return
-        _stages.uninstall_stage_instrumentation(self._instrument_stage_class)
-        for cls, name, original in reversed(self._wrapped):
-            setattr(cls, name, original)
-        self._wrapped.clear()
+        taps.detach(self)
+        for point in self._points():
+            taps.unwrap(*point)
         for ctx in self._traces.values():
             ctx.stack.clear()
         self._armed = False
@@ -270,83 +274,24 @@ class Tracer:
     def __exit__(self, *exc_info) -> None:
         self.disarm()
 
-    def _rebind(self, cls: type, name: str, original, wrapper) -> None:
-        wrapper._repro_obs_original = original  # type: ignore[attr-defined]
-        setattr(cls, name, wrapper)
-        self._wrapped.append((cls, name, original))
+    # -- the stage surface (a taps.StageTap) --------------------------------
+    def stage_message(self, stage, op, items, caller):
+        if op == "lookup":
+            return None  # a query, not a hop
+        ctxs = self._contexts_for_nets(
+            i if isinstance(i, IPNet) else i.net for i in items)
+        if not ctxs:
+            return None
+        kind = "origin" if op in ("originate", "withdraw") else "stage"
+        site = getattr(stage, "name", "") or type(stage).__name__
+        for ctx in ctxs:
+            self._enter(ctx, kind, site, op)
 
-    # -- stage instrumentation ---------------------------------------------
-    def _instrument_stage_class(self, cls: type) -> None:
-        for name in _STAGE_METHODS + _ORIGIN_METHODS:
-            fn = cls.__dict__.get(name)
-            if fn is None or hasattr(fn, "_repro_obs_original") \
-                    or (cls, name) in _stages.DERIVED_FORMS:
-                continue  # a derived call records its one span where it lands
-            self._rebind(cls, name, fn, self._make_stage_wrapper(name, fn))
+        def leave(result):
+            for ctx in reversed(ctxs):
+                self._exit(ctx)
 
-    def _make_stage_wrapper(self, name: str, original):
-        tracer = self
-
-        def run_traced(stage, ctxs, kind, op, call):
-            for ctx in ctxs:
-                tracer._enter(ctx, kind, getattr(stage, "name", "") or
-                              type(stage).__name__, op)
-            try:
-                return call()
-            finally:
-                for ctx in reversed(ctxs):
-                    tracer._exit(ctx)
-
-        if name in ("add_route", "delete_route"):
-            op = "add" if name == "add_route" else "delete"
-
-            @functools.wraps(original)
-            def wrapper(stage, route, *, caller=None):
-                ctx = tracer._by_key.get(_net_key(route.net))
-                if ctx is None:
-                    return original(stage, route, caller=caller)
-                return run_traced(stage, [ctx], "stage", op,
-                                  lambda: original(stage, route,
-                                                   caller=caller))
-
-        elif name == "replace_route":
-            @functools.wraps(original)
-            def wrapper(stage, old_route, new_route, *, caller=None):
-                ctx = tracer._by_key.get(_net_key(new_route.net))
-                if ctx is None:
-                    return original(stage, old_route, new_route,
-                                    caller=caller)
-                return run_traced(stage, [ctx], "stage", "replace",
-                                  lambda: original(stage, old_route,
-                                                   new_route, caller=caller))
-
-        elif name in ("add_routes", "delete_routes"):
-            op = "add" if name == "add_routes" else "delete"
-
-            @functools.wraps(original)
-            def wrapper(stage, routes, *, caller=None):
-                routes = list(routes)
-                ctxs = tracer._contexts_for_nets(r.net for r in routes)
-                if not ctxs:
-                    return original(stage, routes, caller=caller)
-                return run_traced(stage, ctxs, "stage", op,
-                                  lambda: original(stage, routes,
-                                                   caller=caller))
-
-        else:  # originate_batch / withdraw_batch
-            op = "originate" if name == "originate_batch" else "withdraw"
-
-            @functools.wraps(original)
-            def wrapper(stage, items):
-                items = list(items)
-                nets = (i if isinstance(i, IPNet) else i.net for i in items)
-                ctxs = tracer._contexts_for_nets(nets)
-                if not ctxs:
-                    return original(stage, items)
-                return run_traced(stage, ctxs, "origin", op,
-                                  lambda: original(stage, items))
-
-        return wrapper
+        return leave
 
     def _contexts_for_nets(self, nets) -> List[TraceContext]:
         ctxs: List[TraceContext] = []
@@ -361,7 +306,7 @@ class Tracer:
                 ctxs.append(ctx)
         return ctxs
 
-    # -- XRL instrumentation -----------------------------------------------
+    # -- XRL send / dispatch -------------------------------------------------
     def _contexts_in_args(self, args: XrlArgs) -> List[TraceContext]:
         ctxs: List[TraceContext] = []
         for atom in args:
@@ -379,45 +324,30 @@ class Tracer:
                             ctxs.append(ctx)
         return ctxs
 
-    def _instrument_xrl_router(self) -> None:
-        tracer = self
-        original_send = XrlRouter.__dict__["send"]
+    def _around_send(self, call, router, xrl, *args, **kwargs):
+        self._sends.inc()
+        ctxs = self._contexts_in_args(xrl.args)
+        if ctxs and not xrl.args.has(TRACE_ARG):
+            entries = []
+            for ctx in ctxs:
+                span = self._record(ctx, "xrl-send", router.class_name,
+                                    xrl.method, ctx.next_parent())
+                entries.append(f"{ctx.trace_id}:{span.span_id}")
+            augmented = XrlArgs(list(xrl.args))
+            augmented.add_txt(TRACE_ARG, ";".join(entries))
+            xrl = xrl.with_args(augmented)
+            self._traced_frames.inc()
+        return call(router, xrl, *args, **kwargs)
 
-        @functools.wraps(original_send)
-        def send(router, xrl, callback=None, *, deadline=None, retry=None,
-                 batch=False):
-            tracer._sends.inc()
-            ctxs = tracer._contexts_in_args(xrl.args)
-            if ctxs and not xrl.args.has(TRACE_ARG):
-                entries = []
-                for ctx in ctxs:
-                    span = tracer._record(
-                        ctx, "xrl-send", router.class_name, xrl.method,
-                        ctx.next_parent())
-                    entries.append(f"{ctx.trace_id}:{span.span_id}")
-                augmented = XrlArgs(list(xrl.args))
-                augmented.add_txt(TRACE_ARG, ";".join(entries))
-                xrl = xrl.with_args(augmented)
-                tracer._traced_frames.inc()
-            return original_send(router, xrl, callback, deadline=deadline,
-                                 retry=retry, batch=batch)
-
-        self._rebind(XrlRouter, "send", original_send, send)
-
-        # Wrap the post-decode dispatch hook, not dispatch_frame_async:
-        # the frame may have travelled in a stateful per-connection codec,
-        # so the span is recorded (and the trace atom stripped) on the
+    def _around_dispatch(self, call, router, seq, resolved_method, args,
+                         *rest, **kwargs):
+        # The post-decode dispatch hook, not dispatch_frame_async: the
+        # frame may have travelled in a stateful per-connection codec, so
+        # the span is recorded (and the trace atom stripped) on the
         # decoded arguments instead of re-encoding the frame.
-        original_dispatch = XrlRouter.__dict__["dispatch_request"]
-
-        @functools.wraps(original_dispatch)
-        def dispatch_request(router, seq, resolved_method, args, respond, *,
-                             codec=TEXTUAL_CODEC):
-            if not args.has(TRACE_ARG):
-                return original_dispatch(router, seq, resolved_method, args,
-                                         respond, codec=codec)
+        if args.has(TRACE_ARG):
             entries = args.get_txt(TRACE_ARG)
-            clean = XrlArgs([a for a in args if a.name != TRACE_ARG])
+            args = XrlArgs([a for a in args if a.name != TRACE_ARG])
             op = resolved_method.rsplit("/", 1)[-1]
             for entry in entries.split(";"):
                 trace_part, __, parent_part = entry.partition(":")
@@ -426,65 +356,29 @@ class Tracer:
                     parent_id = int(parent_part)
                 except ValueError:
                     continue
-                ctx = tracer._traces.get(trace_id)
+                ctx = self._traces.get(trace_id)
                 if ctx is None:
                     continue
-                tracer._record(ctx, "xrl-recv", router.class_name, op,
-                               parent_id)
-            return original_dispatch(router, seq, resolved_method, clean,
-                                     respond, codec=codec)
+                self._record(ctx, "xrl-recv", router.class_name, op,
+                             parent_id)
+        return call(router, seq, resolved_method, args, *rest, **kwargs)
 
-        self._rebind(XrlRouter, "dispatch_request", original_dispatch,
-                     dispatch_request)
+    # -- event-loop dispatch latency -----------------------------------------
+    def _around_call_soon(self, call, loop, cb, *args):
+        enqueued = loop.clock.now()
 
-    # -- event-loop instrumentation ----------------------------------------
-    def _instrument_eventloop(self) -> None:
-        tracer = self
-        original = EventLoop.__dict__["call_soon"]
+        def timed(*cb_args):
+            self._dispatch_latency.observe(loop.clock.now() - enqueued)
+            return cb(*cb_args)
 
-        @functools.wraps(original)
-        def call_soon(loop, cb, *args):
-            enqueued = loop.clock.now()
+        return call(loop, timed, *args)
 
-            def timed(*cb_args):
-                tracer._dispatch_latency.observe(loop.clock.now() - enqueued)
-                return cb(*cb_args)
-
-            return original(loop, timed, *args)
-
-        self._rebind(EventLoop, "call_soon", original, call_soon)
-
-    # -- FIB instrumentation -----------------------------------------------
-    def _instrument_fib(self) -> None:
-        # The FEA is a process package, so shared code must not import it
-        # (isolation rule ISO002).  If it is loaded in this interpreter we
-        # instrument its Fib class; if not, there is no FIB to trace.
-        fib_module = sys.modules.get("repro.fea.fib")
-        if fib_module is None:
-            return
-        fib_cls = fib_module.Fib
-        tracer = self
-
-        original_insert = fib_cls.__dict__["insert"]
-
-        @functools.wraps(original_insert)
-        def insert(fib, entry):
-            ctx = tracer._by_key.get(_net_key(entry.net))
-            if ctx is not None:
-                site = "fib4" if entry.net.bits == 32 else "fib6"
-                tracer._record(ctx, "fib", site, "insert", ctx.next_parent())
-            return original_insert(fib, entry)
-
-        self._rebind(fib_cls, "insert", original_insert, insert)
-
-        original_remove = fib_cls.__dict__["remove"]
-
-        @functools.wraps(original_remove)
-        def remove(fib, net):
-            ctx = tracer._by_key.get(_net_key(net))
-            if ctx is not None:
-                site = "fib4" if net.bits == 32 else "fib6"
-                tracer._record(ctx, "fib", site, "remove", ctx.next_parent())
-            return original_remove(fib, net)
-
-        self._rebind(fib_cls, "remove", original_remove, remove)
+    # -- the FIB: insert(entry) / remove(net) --------------------------------
+    def _around_fib(self, call, fib, item):
+        # *call* carries the name of the method it continues (the op)
+        net = getattr(item, "net", item)
+        ctx = self._by_key.get(_net_key(net))
+        if ctx is not None:
+            self._record(ctx, "fib", "fib4" if net.bits == 32 else "fib6",
+                         call.__name__, ctx.next_parent())
+        return call(fib, item)

@@ -1,7 +1,9 @@
 """repro.sanitizer — runtime twin of the static lint suite.
 
-Three cooperating pieces, all reporting through the shared rule
-catalogue in :mod:`repro.analysis.core`:
+Four cooperating pieces, all reporting through the shared rule
+catalogue in :mod:`repro.analysis.core`; the first three observe the
+router through the instrumentation seam (:mod:`repro.core.taps`) and so
+arm and disarm in any order, with each other and with :mod:`repro.obs`:
 
 * :mod:`repro.sanitizer.stagesan` — §5 consistency rules checked on
   every live stage-graph edge (SAN001–004);

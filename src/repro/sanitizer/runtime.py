@@ -25,11 +25,7 @@ class RuntimeSanitizer:
 
     def arm(self) -> None:
         self.stages.arm()
-        try:
-            self.xrl.arm()
-        except Exception:
-            self.stages.disarm()
-            raise
+        self.xrl.arm()
 
     def disarm(self) -> None:
         self.xrl.disarm()

@@ -5,11 +5,12 @@ that share a deadline, two callbacks deferred in the same iteration, or
 two runnable background tasks at one priority.  Correct code therefore
 must not care — and this module exists to find the code that does.
 
-A :class:`ScheduleShuffler` patches the three dispatch points of one run
-(the deferred-callback drain, the expired-timer batch, and the
-background-task pick) to permute *only* the choices the contract leaves
-open, driven by a seeded :class:`random.Random`.  Every choice made is
-recorded, so a run is fully described by its scenario plus its seed.
+A :class:`ScheduleShuffler` stands in for the three dispatch points of
+one run (the deferred-callback drain, the expired-timer batch, and the
+background-task pick; installed through :mod:`repro.core.taps`) to
+permute *only* the choices the contract leaves open, driven by a seeded
+:class:`random.Random`.  Every choice made is recorded, so a run is
+fully described by its scenario plus its seed.
 
 :func:`explore` executes a scenario under the identity schedule and
 under N seeded permutations, fingerprints the final state of each run,
@@ -28,6 +29,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.core import taps
 from repro.eventloop.eventloop import EventLoop
 from repro.eventloop.tasks import TaskScheduler
 from repro.eventloop.timers import TimerList
@@ -74,7 +76,6 @@ class ScheduleShuffler:
         self.seed = seed
         self.rng = random.Random(seed) if seed is not None else None
         self.trace: List[ChoicePoint] = []
-        self._saved: List[Tuple[type, str, Any]] = []
         self._armed = False
 
     # -- choices -----------------------------------------------------------
@@ -92,25 +93,27 @@ class ScheduleShuffler:
         return order
 
     # -- arming ------------------------------------------------------------
+    def _points(self) -> List[Tuple[type, str, Callable]]:
+        return [(EventLoop, "_drain_deferred", self._drain_deferred),
+                (TimerList, "run_expired", self._run_expired),
+                (TaskScheduler, "run_one_slice", self._run_one_slice)]
+
     def arm(self) -> None:
         if self._armed:
             return
+        # A dispatch point already stood in for cannot be stood in for again.
+        if (EventLoop, "_drain_deferred") in taps.installed():
+            raise RuntimeError("another ScheduleShuffler is already armed")
         self._armed = True
-        self._patch(EventLoop, "_drain_deferred", self._make_drain())
-        self._patch(TimerList, "run_expired", self._make_run_expired())
-        self._patch(TaskScheduler, "run_one_slice", self._make_run_one_slice())
+        for point in self._points():
+            taps.wrap(*point)
 
     def disarm(self) -> None:
         if not self._armed:
             return
-        for cls, name, original in reversed(self._saved):
-            setattr(cls, name, original)
-        self._saved.clear()
+        for point in self._points():
+            taps.unwrap(*point)
         self._armed = False
-
-    def _patch(self, cls: type, name: str, replacement) -> None:
-        self._saved.append((cls, name, cls.__dict__[name]))
-        setattr(cls, name, replacement)
 
     def __enter__(self) -> "ScheduleShuffler":
         self.arm()
@@ -119,94 +122,81 @@ class ScheduleShuffler:
     def __exit__(self, *exc_info) -> None:
         self.disarm()
 
-    # -- the three patched dispatch points ---------------------------------
-    def _make_drain(self):
-        shuffler = self
+    # -- the three dispatch points -----------------------------------------
+    # Each stands in for the loop's own: *call*, the pristine function, is
+    # never continued to.
+    def _drain_deferred(self, call, loop: EventLoop) -> None:
+        batch = []
+        for __ in range(len(loop._deferred)):
+            if not loop._deferred:
+                break
+            batch.append(loop._deferred.popleft())
+        if len(batch) > 1:
+            order = self._choose(
+                "deferred", loop.clock.now(),
+                [_callback_name(cb) for cb, __ in batch])
+            batch = [batch[i] for i in order]
+        for cb, args in batch:
+            cb(*args)
 
-        def _drain_deferred(loop: EventLoop) -> None:
-            batch = []
-            for __ in range(len(loop._deferred)):
-                if not loop._deferred:
-                    break
-                batch.append(loop._deferred.popleft())
-            if len(batch) > 1:
-                order = shuffler._choose(
-                    "deferred", loop.clock.now(),
-                    [_callback_name(cb) for cb, __ in batch])
-                batch = [batch[i] for i in order]
-            for cb, args in batch:
-                cb(*args)
+    def _run_expired(self, call, timers: TimerList, limit: int = 64) -> int:
+        now = timers.clock.now()
+        entries = []
+        while len(entries) < limit:
+            entry = timers._pop_ready(now)
+            if entry is None:
+                break
+            entries.append(entry)
+        # Permute within runs of equal expiry only: ordering between
+        # *different* deadlines is guaranteed and must be preserved.
+        order: List[int] = []
+        start = 0
+        while start < len(entries):
+            stop = start
+            expiry = entries[start][0]._expiry
+            while (stop < len(entries)
+                   and entries[stop][0]._expiry == expiry):
+                stop += 1
+            group = list(range(start, stop))
+            if len(group) > 1:
+                perm = self._choose(
+                    "timer", expiry,
+                    [entries[i][0].name for i in group])
+                group = [group[i] for i in perm]
+            order.extend(group)
+            start = stop
+        fired = 0
+        for index in order:
+            timer, gen = entries[index]
+            # An earlier sibling may have cancelled or rescheduled
+            # this timer after we popped it; honour that.
+            if not timer._scheduled or timer._gen != gen:
+                continue
+            if timer._interval is None:
+                timer._scheduled = False
+            timer._fire()
+            fired += 1
+        return fired
 
-        return _drain_deferred
-
-    def _make_run_expired(self):
-        shuffler = self
-
-        def run_expired(timers: TimerList, limit: int = 64) -> int:
-            now = timers.clock.now()
-            entries = []
-            while len(entries) < limit:
-                entry = timers._pop_ready(now)
-                if entry is None:
-                    break
-                entries.append(entry)
-            # Permute within runs of equal expiry only: ordering between
-            # *different* deadlines is guaranteed and must be preserved.
-            order: List[int] = []
-            start = 0
-            while start < len(entries):
-                stop = start
-                expiry = entries[start][0]._expiry
-                while (stop < len(entries)
-                       and entries[stop][0]._expiry == expiry):
-                    stop += 1
-                group = list(range(start, stop))
-                if len(group) > 1:
-                    perm = shuffler._choose(
-                        "timer", expiry,
-                        [entries[i][0].name for i in group])
-                    group = [group[i] for i in perm]
-                order.extend(group)
-                start = stop
-            fired = 0
-            for index in order:
-                timer, gen = entries[index]
-                # An earlier sibling may have cancelled or rescheduled
-                # this timer after we popped it; honour that.
-                if not timer._scheduled or timer._gen != gen:
-                    continue
-                if timer._interval is None:
-                    timer._scheduled = False
-                timer._fire()
-                fired += 1
-            return fired
-
-        return run_expired
-
-    def _make_run_one_slice(self):
-        shuffler = self
-
-        def run_one_slice(scheduler: TaskScheduler) -> bool:
-            for priority in sorted(scheduler._queues):
-                queue = scheduler._queues[priority]
-                alive = [t for t in queue if t.alive]
-                if not alive:
-                    queue.clear()
-                    continue
-                index = 0
-                if len(alive) > 1:
-                    order = shuffler._choose(
-                        "task", -1.0, [t.name for t in alive])
-                    index = order[0]
-                task = alive[index]
-                queue.remove(task)
-                more = task._run_slice()
-                if more and task.alive:
-                    queue.append(task)
-                return True
-            return False
-
-        return run_one_slice
+    def _run_one_slice(self, call, scheduler: TaskScheduler) -> bool:
+        for priority in sorted(scheduler._queues):
+            queue = scheduler._queues[priority]
+            alive = [t for t in queue if t.alive]
+            if not alive:
+                queue.clear()
+                continue
+            index = 0
+            if len(alive) > 1:
+                order = self._choose(
+                    "task", -1.0, [t.name for t in alive])
+                index = order[0]
+            task = alive[index]
+            queue.remove(task)
+            more = task._run_slice()
+            if more and task.alive:
+                queue.append(task)
+            return True
+        return False
 
     def trace_dicts(self) -> List[Dict[str, Any]]:
         return [point.to_dict() for point in self.trace]

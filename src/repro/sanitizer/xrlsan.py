@@ -11,24 +11,24 @@ reports at the boundary — the analogue of XORP's marshaling checks.
 ``bench/1.0`` is exempt by default: the scaling experiments deliberately
 serve it raw with varying atoms (see ``repro.interfaces``).
 
-Arming replaces ``XrlRouter.send`` at class level; disarming restores
-the original, so the disarmed path carries zero overhead.
+Armed, it is one ``around`` function on ``XrlRouter.send``, installed
+and removed by the instrumentation seam (:mod:`repro.core.taps`), so it
+composes with the tracer's in either order and the disarmed path is the
+pristine function.
 """
 
 from __future__ import annotations
 
-import functools
 from typing import Dict, FrozenSet, Optional
 
 from repro import interfaces
+from repro.core import taps
 from repro.obs.trace import TRACE_ARG
 from repro.sanitizer.report import ViolationLog
 from repro.xrl import Xrl, XrlArgs, XrlError, XrlInterface, XrlRouter
 
 #: interfaces intentionally dispatched without IDL conformance
 DEFAULT_EXEMPT: FrozenSet[str] = frozenset({"bench/1.0"})
-
-_armed_sanitizer: Optional["XrlDispatchSanitizer"] = None
 
 
 class XrlDispatchSanitizer:
@@ -40,41 +40,21 @@ class XrlDispatchSanitizer:
         self.exempt = frozenset(exempt)
         self.checked = 0
         self._catalogue: Dict[str, XrlInterface] = {}
-        self._original_send = None
         self._armed = False
 
     # -- lifecycle ---------------------------------------------------------
     def arm(self) -> None:
-        global _armed_sanitizer
         if self._armed:
             return
-        if _armed_sanitizer is not None:
-            raise RuntimeError("another XrlDispatchSanitizer is already armed")
-        _armed_sanitizer = self
         self._armed = True
         self._catalogue = interfaces.catalogue()
-        original = XrlRouter.__dict__["send"]
-        self._original_send = original
-        sanitizer = self
-
-        @functools.wraps(original)
-        def send(router, xrl, callback=None, *, deadline=None, retry=None,
-                 batch=False):
-            sanitizer._observe(router, xrl)
-            return original(router, xrl, callback,
-                            deadline=deadline, retry=retry, batch=batch)
-
-        send._repro_sanitizer_original = original  # type: ignore[attr-defined]
-        XrlRouter.send = send
+        taps.wrap(XrlRouter, "send", self._around_send)
 
     def disarm(self) -> None:
-        global _armed_sanitizer
         if not self._armed:
             return
-        XrlRouter.send = self._original_send
-        self._original_send = None
+        taps.unwrap(XrlRouter, "send", self._around_send)
         self._armed = False
-        _armed_sanitizer = None
 
     def __enter__(self) -> "XrlDispatchSanitizer":
         self.arm()
@@ -88,6 +68,10 @@ class XrlDispatchSanitizer:
         return self.log.violations
 
     # -- the check ---------------------------------------------------------
+    def _around_send(self, call, router, xrl, *args, **kwargs):
+        self._observe(router, xrl)
+        return call(router, xrl, *args, **kwargs)
+
     def _observe(self, router: XrlRouter, xrl: Xrl) -> None:
         fullname = f"{xrl.interface}/{xrl.version}"
         if fullname in self.exempt:

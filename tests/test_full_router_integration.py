@@ -187,9 +187,8 @@ class TestTracedRouteFlow:
         """Originate *prefix* on r1 via *originate*, follow it to r2's
         FIB under an armed tracer; returns the trace context."""
         network, r1, r2, mgr1, mgr2 = two_managed_routers
-        # Arm *after* the module fixture armed the sanitizers: wrappers
-        # are method rebinds, so disarm order must be LIFO (the obs
-        # context exits inside the test body, sanitizers at teardown).
+        # The module fixture armed the sanitizers first; the seam lets
+        # the two compose in either order (tests/test_taps.py).
         obs = Observability(clock=network.loop.clock.now)
         obs.trace(prefix)
         host_addr = IPv4(prefix.network.to_int() + 0x00010101)  # x.1.1.1

@@ -11,8 +11,6 @@ across repeated runs.
 import json
 import random
 
-import pytest
-
 from repro.core.stages import (
     DeletionStage,
     FilterStage,
@@ -122,6 +120,27 @@ class TestStageSanitizer:
             sink.add_route(r, caller=upstream)
             assert upstream.lookup_route(net("10.0.0.0/8"), caller=sink) is None
         assert rules_of(san.violations) == ["SAN004"]
+
+    def test_lookup_asked_during_an_in_flight_add_is_checked(self):
+        """Rule 2 at the moment downstream stages ask: from inside their
+        own add_route, of a parent that is still inside its own."""
+        class Forgetful(RouteTableStage):
+            def lookup_route(self, net_, *, caller=None):
+                return None  # bug: denies what it is announcing
+
+        class Asker(RouteTableStage):
+            def add_route(self, r, *, caller=None):
+                during.append(rules_of(san.violations))
+                self.parent.lookup_route(r.net, caller=self)
+                during.append(rules_of(san.violations))
+
+        during = []
+        with StageSanitizer() as san:
+            up, asker = Forgetful("forgetful"), Asker("asker")
+            up.set_next(asker)
+            up.add_route(route("10.0.0.0/8"))
+        assert during == [[], ["SAN004"]]
+        assert san.violations[0].origin == "forgetful->asker"
 
     def test_consistent_lookup_is_clean(self):
         with StageSanitizer() as san:
@@ -400,8 +419,3 @@ class TestRuntimeSanitizerComposite:
             loop.run()
         assert rules_of(san.violations) == ["SAN002", "SAN102"]
         assert [v.seq for v in san.violations] == [1, 2]
-
-    def test_only_one_sanitizer_can_be_armed(self):
-        with StageSanitizer():
-            with pytest.raises(RuntimeError):
-                StageSanitizer().arm()
