@@ -27,8 +27,10 @@ def test_fig09_xrl_throughput(benchmark):
     print()
     print(result.table())
     # §8.1 footnote: two processes on one host are "very slightly worse"
-    # than intra-process (allowing noise headroom).
-    assert result.mean("local", 0) < result.mean("intra", 0) * 1.15
+    # than intra-process.  Here the two families share one sender, so
+    # the reading is a band around level, not an ordering.
+    ratio = result.mean("local", 0) / result.mean("intra", 0)
+    assert 1 / 1.15 < ratio < 1.15, f"local/intra at 0 args: {ratio:.2f}"
 
     # Shape assertions, per the paper's findings.
     for arg_count in ARG_COUNTS:
@@ -39,8 +41,8 @@ def test_fig09_xrl_throughput(benchmark):
         # UDP (unpipelined) is the slowest family at every size.
         assert udp < tcp, f"args={arg_count}: udp {udp} !< tcp {tcp}"
         assert udp < intra, f"args={arg_count}: udp {udp} !< intra {intra}"
-    # Intra-process wins with few arguments...
-    assert result.mean("intra", 0) > result.mean("tcp", 0)
+        # Figure 9's ordering: nothing beats a call that crosses no socket.
+        assert intra >= tcp, f"args={arg_count}: intra {intra} < tcp {tcp}"
     # ...and the intra/TCP gap narrows as marshaling dominates.
     gap_small = result.mean("intra", 0) / result.mean("tcp", 0)
     gap_large = result.mean("intra", 25) / result.mean("tcp", 25)

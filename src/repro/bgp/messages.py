@@ -71,9 +71,11 @@ def _decode_prefixes(data: bytes, what: str) -> List[IPNet]:
                 f"truncated prefix in {what}",
                 ErrorCode.UPDATE_MESSAGE_ERROR, 10,
             )
-        addr_bytes = data[offset : offset + byte_count] + b"\x00" * (4 - byte_count)
-        offset += byte_count
-        prefixes.append(IPNet(IPv4(addr_bytes), plen))
+        end = offset + byte_count
+        # The octets present are the high end of the 32-bit network word.
+        word = int.from_bytes(data[offset:end], "big") << (32 - 8 * byte_count)
+        offset = end
+        prefixes.append(IPNet.from_packed4(word, plen))
     return prefixes
 
 

@@ -18,6 +18,10 @@ class AddressError(ValueError):
     """Raised when an address or prefix cannot be parsed or is malformed."""
 
 
+#: ``MASKS4[n]`` keeps the top *n* of 32 bits
+MASKS4 = tuple((0xFFFFFFFF << (32 - n)) & 0xFFFFFFFF for n in range(33))
+
+
 def _parse_ipv4(text: str) -> int:
     try:
         packed = socket.inet_aton(text)
@@ -70,6 +74,15 @@ class IPv4:
         else:
             raise AddressError(f"cannot build IPv4 from {type(value).__name__}")
 
+    @classmethod
+    def _of(cls, value: int) -> "IPv4":
+        """Trusted constructor for decoders and prefix math: *value* is
+        already an int in ``[0, MAX]`` (a masked word, an unpacked
+        ``!I``), so the type ladder of ``__init__`` is skipped."""
+        self = object.__new__(cls)
+        self._value = value
+        return self
+
     # -- conversions ----------------------------------------------------
     def to_int(self) -> int:
         """Return the address as a host-order integer."""
@@ -111,12 +124,9 @@ class IPv4:
     # -- arithmetic used by prefix math ----------------------------------
     def mask_by_prefix_len(self, prefix_len: int) -> "IPv4":
         """Return the address with all bits below *prefix_len* cleared."""
-        if not 0 <= prefix_len <= self.BITS:
+        if not 0 <= prefix_len <= 32:
             raise AddressError(f"bad IPv4 prefix length {prefix_len}")
-        if prefix_len == 0:
-            return IPv4(0)
-        mask = (self.MAX << (self.BITS - prefix_len)) & self.MAX
-        return IPv4(self._value & mask)
+        return IPv4._of(self._value & MASKS4[prefix_len])
 
     def bit(self, index: int) -> int:
         """Return bit *index*, counting 0 as the most significant bit."""

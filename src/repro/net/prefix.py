@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Generic, Iterator, Tuple, Type, TypeVar, Union
 
-from repro.net.addr import AddressError, IPv4, IPv6
+from repro.net.addr import MASKS4, AddressError, IPv4, IPv6
 
 A = TypeVar("A", IPv4, IPv6)
 
@@ -52,6 +52,19 @@ class IPNet(Generic[A]):
         else:
             addr = IPv4(addr_text)
         return cls(addr, prefix_len)
+
+    @classmethod
+    def from_packed4(cls, word: int, prefix_len: int) -> "IPNet[IPv4]":
+        """An IPv4 prefix from its wire form: the network as a 32-bit
+        word (host bits are masked off) and the length octet.  *word* is
+        trusted to be an unpacked ``!I``; the length is checked here."""
+        if not 0 <= prefix_len <= 32:
+            raise AddressError(f"bad IPv4 prefix length {prefix_len}")
+        net = object.__new__(cls)
+        net._masked = masked = IPv4._of(word & MASKS4[prefix_len])
+        net._prefix_len = prefix_len
+        net._hash = hash((masked, prefix_len))
+        return net
 
     @classmethod
     def default_route(cls, addr_cls: Type[A]) -> "IPNet[A]":

@@ -6,7 +6,6 @@ by a dispatched method.
 
 from __future__ import annotations
 
-import struct
 from typing import Any, Dict, Iterator, List, Optional
 
 from repro.net import IPNet, IPv4, IPv6, Mac
@@ -150,24 +149,6 @@ class XrlArgs:
             return args
         for chunk in text.split("&"):
             args.add(XrlAtom.from_text(chunk))
-        return args
-
-    def to_binary(self) -> bytes:
-        parts = [struct.pack("!I", len(self._atoms))]
-        parts.extend(atom.to_binary() for atom in self._atoms)
-        return b"".join(parts)
-
-    @classmethod
-    def from_binary(cls, data: bytes, offset: int = 0) -> "XrlArgs":
-        try:
-            (count,) = struct.unpack_from("!I", data, offset)
-        except struct.error as exc:
-            raise XrlError(XrlErrorCode.BAD_ARGS, "truncated args") from exc
-        offset += 4
-        args = cls()
-        for __ in range(count):
-            atom, offset = XrlAtom.from_binary(data, offset)
-            args.add(atom)
         return args
 
     # -- dunder -----------------------------------------------------------

@@ -1,22 +1,31 @@
-"""XRL frame codecs: the textual baseline and the negotiated binary form.
+"""XRL frame codecs: one atom wire encoding under two frame headers.
 
-Two frame codecs share the request/response surface:
+Every argument list on every transport is written by :func:`_encode_atoms`
+and read by :func:`_decode_atoms` ("internally XRLs are encoded more
+efficiently", paper §3.1): varint lengths, one-byte small integers, and a
+**column** form for the lists vectorised XRLs carry — two or more atoms
+that share one name and one of ``u32 | ipv4 | ipv4net | ipv6 | ipv6net |
+mac | txt`` travel as name and tag once, a count, and the bare payloads.
+The encoder picks the form from the list it is handed; any other list
+keeps the general form (a count, then full atoms).  Decoding validates
+structure as it reads — atom-name rule, integer ranges, prefix lengths,
+UTF-8, duplicate argument names, truncation at every offset — so what it
+returns would pass ``XrlAtom(name, type, value)`` unchanged and is not
+validated a second time; anything else is ``BAD_ARGS``.
 
-* **textual** — the original frame layout every transport speaks by
-  default (the paper's "canonical" form; still self-describing and
-  stateless):
+Two frame codecs put a header in front of the atoms:
 
-  - request:  ``!I seq  !H len(method)  method-utf8  args-binary``
-  - response: ``!I seq  !I errcode  !H len(note)  note-utf8  args-binary``
+* **textual** — the stateless layout every transport speaks by default
+  (it keeps the name of the paper's "canonical" form it once carried):
+
+  - request:  ``!I seq  !H len(method)  method-utf8  atoms``
+  - response: ``!I seq  !I errcode  !H len(note)  note-utf8  atoms``
 
 * **binary** — a per-connection stateful codec negotiated over TCP via a
-  hello/capability exchange ("internally XRLs are encoded more
-  efficiently", paper §3.1).  Msgpack-style self-describing atoms with
-  varint lengths and one-byte small-integer packing, plus per-connection
-  **method interning**: the resolved method string (a 16-byte access key
-  + interface/version/method, ~55 bytes) is transmitted once and then
-  referenced by a 1–2 byte id.  Decode bypasses per-atom validation —
-  the producer validated on encode and TCP preserves bytes.
+  hello/capability exchange.  It differs by **method interning** only:
+  the resolved method string (a 16-byte access key +
+  interface/version/method, ~55 bytes) is transmitted once and then
+  referenced by a 1–2 byte id.
 
 The *method* string on the wire is the **resolved** method name, i.e. the
 Finder-issued 16-byte access key followed by ``interface/version/method``
@@ -44,12 +53,16 @@ from __future__ import annotations
 
 import json
 import struct
+from itertools import repeat, starmap
 from typing import Dict, List, Optional, Tuple
 
-from repro.net import AddressError, IPNet, IPv4, IPv6, Mac
+from repro.net import IPNet, IPv4, IPv6, Mac
 from repro.xrl.args import XrlArgs
 from repro.xrl.error import XrlError, XrlErrorCode
-from repro.xrl.types import XrlAtom, XrlAtomType
+from repro.xrl.types import (
+    BINARY, BOOL, I32, I64, IPV4, IPV4NET, IPV6, IPV6NET, LIST, MAC, TXT, U32,
+    U64, CHECKED_NAMES, XrlAtom, XrlAtomType, check_name,
+)
 
 # -- frame kinds (transport prefix, one byte) ---------------------------------
 
@@ -57,92 +70,6 @@ KIND_TEXTUAL = 0x00
 KIND_BINARY = 0x01
 KIND_HELLO = 0x7E
 KIND_HELLO_ACK = 0x7F
-
-
-# -- the textual codec (module functions: the historical public surface) ------
-
-def encode_request(seq: int, resolved_method: str, args: XrlArgs) -> bytes:
-    method_bytes = resolved_method.encode("utf-8")
-    return (
-        struct.pack("!IH", seq & 0xFFFFFFFF, len(method_bytes))
-        + method_bytes
-        + args.to_binary()
-    )
-
-
-def decode_request(data: bytes) -> Tuple[int, str, XrlArgs]:
-    try:
-        seq, method_len = struct.unpack_from("!IH", data, 0)
-        offset = 6
-        method = data[offset : offset + method_len].decode("utf-8")
-        offset += method_len
-        args = XrlArgs.from_binary(data, offset)
-    except (struct.error, UnicodeDecodeError) as exc:
-        raise XrlError(XrlErrorCode.BAD_ARGS, f"corrupt request frame: {exc}") from exc
-    return seq, method, args
-
-
-def encode_response(seq: int, error: XrlError, args: Optional[XrlArgs]) -> bytes:
-    note_bytes = error.note.encode("utf-8")
-    body = (args if args is not None else XrlArgs()).to_binary()
-    return (
-        struct.pack("!IIH", seq & 0xFFFFFFFF, int(error.code), len(note_bytes))
-        + note_bytes
-        + body
-    )
-
-
-def decode_response(data: bytes) -> Tuple[int, XrlError, XrlArgs]:
-    try:
-        seq, code, note_len = struct.unpack_from("!IIH", data, 0)
-        offset = 10
-        note = data[offset : offset + note_len].decode("utf-8")
-        offset += note_len
-        args = XrlArgs.from_binary(data, offset)
-        error = XrlError(XrlErrorCode(code), note)
-    except (struct.error, ValueError, UnicodeDecodeError) as exc:
-        raise XrlError(
-            XrlErrorCode.BAD_ARGS, f"corrupt response frame: {exc}"
-        ) from exc
-    return seq, error, args
-
-
-class FrameCodec:
-    """Encode/decode one direction-pair of XRL frames for one connection."""
-
-    name: str = "?"
-    #: the frame-kind byte codec-aware transports prefix bodies with
-    kind: int = KIND_TEXTUAL
-
-    def encode_request(self, seq: int, resolved_method: str,
-                       args: XrlArgs) -> bytes:
-        raise NotImplementedError
-
-    def decode_request(self, data: bytes) -> Tuple[int, str, XrlArgs]:
-        raise NotImplementedError
-
-    def encode_response(self, seq: int, error: XrlError,
-                        args: Optional[XrlArgs]) -> bytes:
-        raise NotImplementedError
-
-    def decode_response(self, data: bytes) -> Tuple[int, XrlError, XrlArgs]:
-        raise NotImplementedError
-
-
-class TextualCodec(FrameCodec):
-    """Stateless delegate to the canonical frame functions above."""
-
-    name = "textual"
-    kind = KIND_TEXTUAL
-
-    encode_request = staticmethod(encode_request)
-    decode_request = staticmethod(decode_request)
-    encode_response = staticmethod(encode_response)
-    decode_response = staticmethod(decode_response)
-
-
-#: the shared stateless instance every non-negotiating transport uses
-TEXTUAL = TextualCodec()
 
 
 # -- varints ------------------------------------------------------------------
@@ -176,7 +103,7 @@ def _unzigzag(value: int) -> int:
     return (value >> 1) ^ -(value & 1)
 
 
-# -- binary atom tags ---------------------------------------------------------
+# -- atom tags ----------------------------------------------------------------
 
 _TAG_I32 = 0x01
 _TAG_U32 = 0x02
@@ -192,24 +119,46 @@ _TAG_IPV6NET = 0x0B
 _TAG_MAC = 0x0C
 _TAG_BINARY = 0x0D
 _TAG_LIST = 0x0E
+#: a list in column form: element name, element tag, count, bare payloads
+_TAG_COLUMN = 0x0F
 #: ``0x80 | v`` packs a u32 in [0, 0x7F] into the tag byte itself
 _TAG_FIXU32 = 0x80
 
-_PLAIN_TAGS: Dict[XrlAtomType, int] = {
-    XrlAtomType.I32: _TAG_I32,
-    XrlAtomType.U32: _TAG_U32,
-    XrlAtomType.I64: _TAG_I64,
-    XrlAtomType.U64: _TAG_U64,
-    XrlAtomType.TXT: _TAG_TXT,
-    XrlAtomType.IPV4: _TAG_IPV4,
-    XrlAtomType.IPV6: _TAG_IPV6,
-    XrlAtomType.IPV4NET: _TAG_IPV4NET,
-    XrlAtomType.IPV6NET: _TAG_IPV6NET,
-    XrlAtomType.MAC: _TAG_MAC,
-    XrlAtomType.BINARY: _TAG_BINARY,
-    XrlAtomType.LIST: _TAG_LIST,
+#: varint integers: tag -> (atom type, largest wire value, zigzag-signed)
+_VARINTS = {
+    _TAG_U32: (U32, (1 << 32) - 1, False),
+    _TAG_I32: (I32, (1 << 32) - 1, True),
+    _TAG_U64: (U64, (1 << 64) - 1, False),
+    _TAG_I64: (I64, (1 << 64) - 1, True),
 }
+_VARINT_TAGS = {atom_type: (tag, signed)
+                for tag, (atom_type, __, signed) in _VARINTS.items()}
 
+_U32 = struct.Struct("!I")
+
+#: Fixed-width payloads, one record layout each whether alone or as a row
+#: of a column: atom type -> (tag, layout, value -> fields, fields ->
+#: value).  The v4 readers are ``repro.net``'s trusted constructors (any
+#: 32-bit word is an address, ``from_packed4`` checks the length octet);
+#: the others validate as usual.  A lone ``u32`` is a varint instead.
+_FIXED = {
+    U32: (_TAG_U32, _U32, lambda value: (value,), int),
+    MAC: (_TAG_MAC, struct.Struct("!6s"), lambda mac: (mac.to_bytes(),), Mac),
+    IPV4: (_TAG_IPV4, _U32, lambda addr: (addr.to_int(),), IPv4._of),
+    IPV4NET: (_TAG_IPV4NET, struct.Struct("!IB"),
+              IPNet.key, IPNet.from_packed4),
+    IPV6: (_TAG_IPV6, struct.Struct("!16s"),
+           lambda addr: (addr.to_bytes(),), IPv6),
+    IPV6NET: (_TAG_IPV6NET, struct.Struct("!16sB"),
+              lambda net: (net.network.to_bytes(), net.prefix_len),
+              lambda raw, length: IPNet(IPv6(raw), length)),
+}
+_FIXED_TAGS = {tag: (atom_type, layout, from_fields)
+               for atom_type, (tag, layout, __, from_fields)
+               in _FIXED.items()}
+
+
+# -- encoding -----------------------------------------------------------------
 
 def _encode_atoms(buf: bytearray, atoms: List[XrlAtom]) -> None:
     write_uvarint(buf, len(atoms))
@@ -219,59 +168,79 @@ def _encode_atoms(buf: bytearray, atoms: List[XrlAtom]) -> None:
         buf += name_bytes
         t = atom.type
         value = atom.value
-        if t is XrlAtomType.U32:
-            if value < 0x80:
-                buf.append(_TAG_FIXU32 | value)
-            else:
-                buf.append(_TAG_U32)
-                write_uvarint(buf, value)
-        elif t is XrlAtomType.TXT:
+        if t is U32 and value < 0x80:
+            buf.append(_TAG_FIXU32 | value)
+        elif t is TXT:
             data = value.encode("utf-8")
             buf.append(_TAG_TXT)
             write_uvarint(buf, len(data))
             buf += data
-        elif t is XrlAtomType.BOOL:
+        elif t is LIST:
+            if len(value) < 2 or not _encode_column(buf, value):
+                buf.append(_TAG_LIST)
+                _encode_atoms(buf, value)
+        elif t is BOOL:
             buf.append(_TAG_BOOL_TRUE if value else _TAG_BOOL_FALSE)
-        elif t is XrlAtomType.I32:
-            buf.append(_TAG_I32)
-            write_uvarint(buf, _zigzag(value))
-        elif t is XrlAtomType.I64:
-            buf.append(_TAG_I64)
-            write_uvarint(buf, _zigzag(value))
-        elif t is XrlAtomType.U64:
-            buf.append(_TAG_U64)
-            write_uvarint(buf, value)
-        elif t is XrlAtomType.IPV4:
-            buf.append(_TAG_IPV4)
-            buf += value.to_bytes()
-        elif t is XrlAtomType.IPV6:
-            buf.append(_TAG_IPV6)
-            buf += value.to_bytes()
-        elif t is XrlAtomType.IPV4NET:
-            buf.append(_TAG_IPV4NET)
-            buf += value.network.to_bytes()
-            buf.append(value.prefix_len)
-        elif t is XrlAtomType.IPV6NET:
-            buf.append(_TAG_IPV6NET)
-            buf += value.network.to_bytes()
-            buf.append(value.prefix_len)
-        elif t is XrlAtomType.MAC:
-            buf.append(_TAG_MAC)
-            buf += value.to_bytes()
-        elif t is XrlAtomType.BINARY:
+        elif t in _VARINT_TAGS:
+            tag, signed = _VARINT_TAGS[t]
+            buf.append(tag)
+            write_uvarint(buf, _zigzag(value) if signed else value)
+        elif t in _FIXED:
+            tag, layout, to_fields, __ = _FIXED[t]
+            buf.append(tag)
+            buf += layout.pack(*to_fields(value))
+        elif t is BINARY:
             buf.append(_TAG_BINARY)
             write_uvarint(buf, len(value))
             buf += value
-        elif t is XrlAtomType.LIST:
-            buf.append(_TAG_LIST)
-            _encode_atoms(buf, value)
-        else:  # pragma: no cover - the tag table covers every atom type
+        else:  # pragma: no cover - the branches cover every atom type
             raise XrlError(XrlErrorCode.INTERNAL_ERROR, f"unencodable type {t}")
 
 
+def _encode_column(buf: bytearray, atoms: List[XrlAtom]) -> bool:
+    """Append *atoms* in column form if they share one name and one
+    columnar type; ``False`` (nothing written) sends the caller to the
+    general list form."""
+    name = atoms[0].name
+    t = atoms[0].type
+    if t is not TXT and t not in _FIXED:
+        return False
+    values = [atom.value for atom in atoms
+              if atom.type is t and atom.name == name]
+    if len(values) != len(atoms):
+        return False
+    if t is TXT:
+        # One NUL-separated string; a value holding a NUL cannot travel so.
+        text = "\0".join(values)
+        if text.count("\0") != len(values) - 1:
+            return False
+        tag = _TAG_TXT
+        payload = text.encode("utf-8")
+    else:
+        tag, layout, to_fields, __ = _FIXED[t]
+        payload = b"".join(starmap(layout.pack, map(to_fields, values)))
+    name_bytes = name.encode("utf-8")
+    buf.append(_TAG_COLUMN)
+    write_uvarint(buf, len(name_bytes))
+    buf += name_bytes
+    buf.append(tag)
+    write_uvarint(buf, len(values))
+    if tag == _TAG_TXT:
+        write_uvarint(buf, len(payload))
+    buf += payload
+    return True
+
+
+# -- decoding -----------------------------------------------------------------
+
+#: what corrupt bytes can raise out of the readers below (bad UTF-8 and
+#: ``AddressError`` are ``ValueError``s; ``RecursionError`` is a frame of
+#: nothing but list openings)
+_CORRUPT = (struct.error, ValueError, IndexError, RecursionError)
+
 def _new_atom(name: str, atom_type: XrlAtomType, value) -> XrlAtom:
-    # Trusted fast path: the producing side ran full validation in
-    # XrlAtom.__init__ and TCP preserves bytes, so decode skips it.
+    # The readers below have checked name and value as XrlAtom.__init__
+    # would, so it is not run over them a second time.
     atom = XrlAtom.__new__(XrlAtom)
     atom.name = name
     atom.type = atom_type
@@ -283,80 +252,177 @@ def _decode_atoms(data: bytes, offset: int) -> Tuple[List[XrlAtom], int]:
     count, offset = read_uvarint(data, offset)
     atoms: List[XrlAtom] = []
     append = atoms.append
+    checked_names = CHECKED_NAMES
     for __ in range(count):
         name_len, offset = read_uvarint(data, offset)
         end = offset + name_len
         name = data[offset:end].decode("utf-8")
+        if name not in checked_names:
+            check_name(name)
         tag = data[end]
         offset = end + 1
         if tag >= _TAG_FIXU32:
-            append(_new_atom(name, XrlAtomType.U32, tag & 0x7F))
-        elif tag == _TAG_U32:
+            append(_new_atom(name, U32, tag & 0x7F))
+        elif tag in _VARINTS:
+            atom_type, limit, signed = _VARINTS[tag]
             value, offset = read_uvarint(data, offset)
-            append(_new_atom(name, XrlAtomType.U32, value))
+            if value > limit:
+                raise ValueError(f"{atom_type.value} out of range")
+            append(_new_atom(name, atom_type,
+                             _unzigzag(value) if signed else value))
         elif tag == _TAG_TXT:
             length, offset = read_uvarint(data, offset)
             end = offset + length
             if end > len(data):
                 raise ValueError("truncated txt payload")
-            append(_new_atom(name, XrlAtomType.TXT,
-                             data[offset:end].decode("utf-8")))
+            append(_new_atom(name, TXT, data[offset:end].decode("utf-8")))
             offset = end
+        elif tag == _TAG_COLUMN:
+            value, offset = _decode_column(data, offset)
+            append(_new_atom(name, LIST, value))
         elif tag == _TAG_BOOL_TRUE:
-            append(_new_atom(name, XrlAtomType.BOOL, True))
+            append(_new_atom(name, BOOL, True))
         elif tag == _TAG_BOOL_FALSE:
-            append(_new_atom(name, XrlAtomType.BOOL, False))
-        elif tag == _TAG_I32:
-            value, offset = read_uvarint(data, offset)
-            append(_new_atom(name, XrlAtomType.I32, _unzigzag(value)))
-        elif tag == _TAG_I64:
-            value, offset = read_uvarint(data, offset)
-            append(_new_atom(name, XrlAtomType.I64, _unzigzag(value)))
-        elif tag == _TAG_U64:
-            value, offset = read_uvarint(data, offset)
-            append(_new_atom(name, XrlAtomType.U64, value))
-        elif tag == _TAG_IPV4:
-            end = offset + 4
-            append(_new_atom(name, XrlAtomType.IPV4, IPv4(data[offset:end])))
-            offset = end
-        elif tag == _TAG_IPV6:
-            end = offset + 16
-            append(_new_atom(name, XrlAtomType.IPV6, IPv6(data[offset:end])))
-            offset = end
-        elif tag == _TAG_IPV4NET:
-            end = offset + 4
-            append(_new_atom(name, XrlAtomType.IPV4NET,
-                             IPNet(IPv4(data[offset:end]), data[end])))
-            offset = end + 1
-        elif tag == _TAG_IPV6NET:
-            end = offset + 16
-            append(_new_atom(name, XrlAtomType.IPV6NET,
-                             IPNet(IPv6(data[offset:end]), data[end])))
-            offset = end + 1
-        elif tag == _TAG_MAC:
-            end = offset + 6
-            append(_new_atom(name, XrlAtomType.MAC, Mac(data[offset:end])))
-            offset = end
+            append(_new_atom(name, BOOL, False))
+        elif tag in _FIXED_TAGS:
+            atom_type, layout, from_fields = _FIXED_TAGS[tag]
+            append(_new_atom(name, atom_type, from_fields(
+                *layout.unpack_from(data, offset))))
+            offset += layout.size
         elif tag == _TAG_BINARY:
             length, offset = read_uvarint(data, offset)
             end = offset + length
             if end > len(data):
                 raise ValueError("truncated binary payload")
-            append(_new_atom(name, XrlAtomType.BINARY, bytes(data[offset:end])))
+            append(_new_atom(name, BINARY, data[offset:end]))
             offset = end
         elif tag == _TAG_LIST:
             value, offset = _decode_atoms(data, offset)
-            append(_new_atom(name, XrlAtomType.LIST, value))
+            append(_new_atom(name, LIST, value))
         else:
             raise ValueError(f"unknown atom tag {tag:#x}")
     return atoms, offset
 
 
-def _args_from_atoms(atoms: List[XrlAtom]) -> XrlArgs:
+def _decode_column(data: bytes, offset: int) -> Tuple[List[XrlAtom], int]:
+    name_len, offset = read_uvarint(data, offset)
+    end = offset + name_len
+    name = data[offset:end].decode("utf-8")
+    if name not in CHECKED_NAMES:
+        check_name(name)
+    tag = data[end]
+    count, offset = read_uvarint(data, end + 1)
+    if tag == _TAG_TXT:
+        atom_type = TXT
+        length, offset = read_uvarint(data, offset)
+        end = offset + length
+        values = data[offset:end].decode("utf-8").split("\0")
+        if end > len(data) or len(values) != count:
+            raise ValueError("truncated or miscounted txt column")
+    elif tag in _FIXED_TAGS:
+        atom_type, layout, from_fields = _FIXED_TAGS[tag]
+        end = offset + count * layout.size
+        if end > len(data):
+            raise ValueError("truncated column")
+        values = starmap(from_fields, layout.iter_unpack(data[offset:end]))
+    else:
+        raise ValueError(f"tag {tag:#x} has no column form")
+    return list(map(_new_atom, repeat(name), repeat(atom_type), values)), end
+
+
+def _decode_args(data: bytes, offset: int) -> XrlArgs:
+    """The argument list that fills the rest of *data* from *offset*."""
+    atoms, offset = _decode_atoms(data, offset)
+    if offset != len(data):
+        raise ValueError(f"{len(data) - offset} trailing bytes")
     args = XrlArgs.__new__(XrlArgs)
     args._atoms = atoms
     args._index = {atom.name: atom for atom in atoms}
+    if len(args._index) != len(atoms):
+        raise ValueError("duplicate atom name")
     return args
+
+
+# -- frame codecs -------------------------------------------------------------
+
+class FrameCodec:
+    """Encode/decode one direction-pair of XRL frames for one connection."""
+
+    name: str = "?"
+    #: the frame-kind byte codec-aware transports prefix bodies with
+    kind: int = KIND_TEXTUAL
+
+    def encode_request(self, seq: int, resolved_method: str,
+                       args: XrlArgs) -> bytes:
+        raise NotImplementedError
+
+    def decode_request(self, data: bytes) -> Tuple[int, str, XrlArgs]:
+        raise NotImplementedError
+
+    def encode_response(self, seq: int, error: XrlError,
+                        args: Optional[XrlArgs]) -> bytes:
+        raise NotImplementedError
+
+    def decode_response(self, data: bytes) -> Tuple[int, XrlError, XrlArgs]:
+        raise NotImplementedError
+
+
+class TextualCodec(FrameCodec):
+    """The stateless frames: the method string travels in every request."""
+
+    name = "textual"
+    kind = KIND_TEXTUAL
+
+    def encode_request(self, seq: int, resolved_method: str,
+                       args: XrlArgs) -> bytes:
+        method_bytes = resolved_method.encode("utf-8")
+        buf = bytearray(struct.pack("!IH", seq & 0xFFFFFFFF,
+                                    len(method_bytes)))
+        buf += method_bytes
+        _encode_atoms(buf, args._atoms)
+        return bytes(buf)
+
+    def decode_request(self, data: bytes) -> Tuple[int, str, XrlArgs]:
+        try:
+            seq, method_len = struct.unpack_from("!IH", data, 0)
+            end = 6 + method_len
+            method = data[6:end].decode("utf-8")
+            args = _decode_args(data, end)
+        except _CORRUPT as exc:
+            raise XrlError(XrlErrorCode.BAD_ARGS,
+                           f"corrupt request frame: {exc}") from exc
+        return seq, method, args
+
+    def encode_response(self, seq: int, error: XrlError,
+                        args: Optional[XrlArgs]) -> bytes:
+        note_bytes = error.note.encode("utf-8")
+        buf = bytearray(struct.pack("!IIH", seq & 0xFFFFFFFF,
+                                    int(error.code), len(note_bytes)))
+        buf += note_bytes
+        _encode_atoms(buf, args._atoms if args is not None else [])
+        return bytes(buf)
+
+    def decode_response(self, data: bytes) -> Tuple[int, XrlError, XrlArgs]:
+        try:
+            seq, code, note_len = struct.unpack_from("!IIH", data, 0)
+            end = 10 + note_len
+            note = data[10:end].decode("utf-8")
+            args = _decode_args(data, end)
+            error = XrlError(XrlErrorCode(code), note)
+        except _CORRUPT as exc:
+            raise XrlError(XrlErrorCode.BAD_ARGS,
+                           f"corrupt response frame: {exc}") from exc
+        return seq, error, args
+
+
+#: the shared stateless instance every non-negotiating transport uses
+TEXTUAL = TextualCodec()
+
+# The stateless frame functions: the historical public surface.
+encode_request = TEXTUAL.encode_request
+decode_request = TEXTUAL.decode_request
+encode_response = TEXTUAL.encode_response
+decode_response = TEXTUAL.decode_response
 
 
 class BinaryCodec(FrameCodec):
@@ -414,15 +480,12 @@ class BinaryCodec(FrameCodec):
                 offset = end
             else:
                 method = self._methods_in[token - 1]
-            atoms, offset = _decode_atoms(data, offset)
-            if offset != len(data):
-                raise ValueError(f"{len(data) - offset} trailing bytes")
-        except (struct.error, ValueError, IndexError, UnicodeDecodeError,
-                AddressError) as exc:
+            args = _decode_args(data, offset)
+        except _CORRUPT as exc:
             raise XrlError(
                 XrlErrorCode.BAD_ARGS, f"corrupt binary request frame: {exc}"
             ) from exc
-        return seq, method, _args_from_atoms(atoms)
+        return seq, method, args
 
     # -- responses --------------------------------------------------------
     def encode_response(self, seq: int, error: XrlError,
@@ -444,16 +507,13 @@ class BinaryCodec(FrameCodec):
             if end > len(data):
                 raise ValueError("truncated error note")
             note = data[offset:end].decode("utf-8")
-            atoms, offset = _decode_atoms(data, end)
-            if offset != len(data):
-                raise ValueError(f"{len(data) - offset} trailing bytes")
+            args = _decode_args(data, end)
             error = XrlError(XrlErrorCode(code), note)
-        except (struct.error, ValueError, IndexError, UnicodeDecodeError,
-                AddressError) as exc:
+        except _CORRUPT as exc:
             raise XrlError(
                 XrlErrorCode.BAD_ARGS, f"corrupt binary response frame: {exc}"
             ) from exc
-        return seq, error, _args_from_atoms(atoms)
+        return seq, error, args
 
 
 # -- negotiation --------------------------------------------------------------

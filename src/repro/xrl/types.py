@@ -4,20 +4,17 @@
     throughout XORP, including network addresses, numbers, strings,
     booleans, binary arrays, and lists of these primitives."  (paper §6.1)
 
-Each argument is an :class:`XrlAtom` — a ``name:type=value`` triple.  Two
-encodings are implemented:
-
-* **textual** — the canonical, human-readable, scriptable form used in XRL
-  strings and by ``call_xrl``;
-* **binary** — the compact form the TCP/UDP protocol families put on the
-  wire ("Internally XRLs are encoded more efficiently").
+Each argument is an :class:`XrlAtom` — a ``name:type=value`` triple.  This
+module holds the in-memory model and the **textual** encoding — the
+canonical, human-readable, scriptable form used in XRL strings and by
+``call_xrl``.  The one wire encoding ("Internally XRLs are encoded more
+efficiently") is :mod:`repro.xrl.codec`'s.
 """
 
 from __future__ import annotations
 
-import struct
 from enum import Enum
-from typing import Any, List, Tuple
+from typing import Any, List
 
 from repro.net import IPNet, IPv4, IPv6, Mac
 from repro.xrl.error import XrlError, XrlErrorCode
@@ -41,11 +38,17 @@ class XrlAtomType(str, Enum):
     LIST = "list"
 
 
+# Looking a member up on an Enum class goes through its metaclass
+# (0.1 µs each); the per-atom paths compare against these constants
+# (unpacked in the definition order above).
+(I32, U32, I64, U64, TXT, BOOL, IPV4, IPV6, IPV4NET, IPV6NET, MAC, BINARY,
+ LIST) = XrlAtomType
+
 _INT_RANGES = {
-    XrlAtomType.I32: (-(1 << 31), (1 << 31) - 1),
-    XrlAtomType.U32: (0, (1 << 32) - 1),
-    XrlAtomType.I64: (-(1 << 63), (1 << 63) - 1),
-    XrlAtomType.U64: (0, (1 << 64) - 1),
+    I32: (-(1 << 31), (1 << 31) - 1),
+    U32: (0, (1 << 32) - 1),
+    I64: (-(1 << 63), (1 << 63) - 1),
+    U64: (0, (1 << 64) - 1),
 }
 
 # Characters with structural meaning in XRL text; %-escaped in values.
@@ -95,11 +98,11 @@ def _validate(atom_type: XrlAtomType, value: Any) -> Any:
             if not lo <= value <= hi:
                 raise ValueError(f"{value} outside [{lo}, {hi}]")
             return value
-        if atom_type == XrlAtomType.TXT:
+        if atom_type is TXT:
             if not isinstance(value, str):
                 raise ValueError(f"txt atom needs str, got {type(value).__name__}")
             return value
-        if atom_type == XrlAtomType.BOOL:
+        if atom_type is BOOL:
             if isinstance(value, str):
                 lowered = value.lower()
                 if lowered in ("true", "1"):
@@ -108,23 +111,23 @@ def _validate(atom_type: XrlAtomType, value: Any) -> Any:
                     return False
                 raise ValueError(f"bad bool text {value!r}")
             return bool(value)
-        if atom_type == XrlAtomType.IPV4:
+        if atom_type is IPV4:
             return value if isinstance(value, IPv4) else IPv4(value)
-        if atom_type == XrlAtomType.IPV6:
+        if atom_type is IPV6:
             return value if isinstance(value, IPv6) else IPv6(value)
-        if atom_type in (XrlAtomType.IPV4NET, XrlAtomType.IPV6NET):
+        if atom_type is IPV4NET or atom_type is IPV6NET:
             net = value if isinstance(value, IPNet) else IPNet.parse(value)
-            want_v4 = atom_type == XrlAtomType.IPV4NET
+            want_v4 = atom_type is IPV4NET
             if net.is_ipv4() != want_v4:
                 raise ValueError(f"{net} is the wrong family for {atom_type.value}")
             return net
-        if atom_type == XrlAtomType.MAC:
+        if atom_type is MAC:
             return value if isinstance(value, Mac) else Mac(value)
-        if atom_type == XrlAtomType.BINARY:
+        if atom_type is BINARY:
             if isinstance(value, str):
                 return bytes.fromhex(value)
             return bytes(value)
-        if atom_type == XrlAtomType.LIST:
+        if atom_type is LIST:
             if not isinstance(value, (list, tuple)):
                 raise ValueError("list atom needs a list of XrlAtom")
             items = list(value)
@@ -142,17 +145,43 @@ def _validate(atom_type: XrlAtomType, value: Any) -> Any:
     raise XrlError(XrlErrorCode.BAD_ARGS, f"unknown atom type {atom_type!r}")
 
 
+#: names that already passed :func:`check_name`, so the per-atom paths pay
+#: a set lookup; bounded because the wire decoder feeds it the peer's names
+CHECKED_NAMES: set = set()
+_CHECKED_NAMES_MAX = 4096
+
+
+def check_name(name: str) -> None:
+    """The atom-name rule: non-empty, no XRL-structural character.
+    A name that passes is remembered in :data:`CHECKED_NAMES`."""
+    if not name or any(c in _ESCAPE_CHARS for c in name):
+        raise XrlError(XrlErrorCode.BAD_ARGS, f"bad atom name {name!r}")
+    if len(CHECKED_NAMES) < _CHECKED_NAMES_MAX:
+        CHECKED_NAMES.add(name)
+
+
+#: atom types whose every value of exactly this class is valid as it
+#: stands, so construction need not run :func:`_validate` over it
+_VALID_AS_IS = {TXT: str, BOOL: bool, IPV4: IPv4, IPV6: IPv6, MAC: Mac,
+                BINARY: bytes}
+
+
 class XrlAtom:
     """One named, typed XRL argument."""
 
     __slots__ = ("name", "type", "value")
 
     def __init__(self, name: str, atom_type: XrlAtomType, value: Any):
-        if not name or any(c in _ESCAPE_CHARS for c in name):
-            raise XrlError(XrlErrorCode.BAD_ARGS, f"bad atom name {name!r}")
+        if name not in CHECKED_NAMES:
+            check_name(name)
+        if atom_type.__class__ is not XrlAtomType:
+            atom_type = XrlAtomType(atom_type)
         self.name = name
-        self.type = XrlAtomType(atom_type)
-        self.value = _validate(self.type, value)
+        self.type = atom_type
+        if value.__class__ is _VALID_AS_IS.get(atom_type):
+            self.value = value
+        else:
+            self.value = _validate(atom_type, value)
 
     # -- textual form -----------------------------------------------------
     def to_text(self) -> str:
@@ -160,11 +189,11 @@ class XrlAtom:
         return f"{self.name}:{self.type.value}={self._value_text()}"
 
     def _value_text(self) -> str:
-        if self.type == XrlAtomType.BOOL:
+        if self.type is BOOL:
             return "true" if self.value else "false"
-        if self.type == XrlAtomType.BINARY:
+        if self.type is BINARY:
             return self.value.hex()
-        if self.type == XrlAtomType.LIST:
+        if self.type is LIST:
             return ",".join(escape_text(a.to_text()) for a in self.value)
         return escape_text(str(self.value))
 
@@ -183,116 +212,13 @@ class XrlAtom:
             raise XrlError(
                 XrlErrorCode.BAD_ARGS, f"unknown atom type {type_tag!r}"
             ) from exc
-        if atom_type == XrlAtomType.LIST:
+        if atom_type is LIST:
             items = []
             if raw_value:
                 for chunk in raw_value.split(","):
                     items.append(cls.from_text(unescape_text(chunk)))
             return cls(name, atom_type, items)
         return cls(name, atom_type, unescape_text(raw_value))
-
-    # -- binary form --------------------------------------------------------
-    def to_binary(self) -> bytes:
-        """Compact wire encoding (type tag + name + payload)."""
-        name_bytes = self.name.encode("utf-8")
-        header = struct.pack("!BB", _TYPE_CODES[self.type], len(name_bytes))
-        return header + name_bytes + self._payload_binary()
-
-    def _payload_binary(self) -> bytes:
-        t = self.type
-        if t == XrlAtomType.I32:
-            return struct.pack("!i", self.value)
-        if t == XrlAtomType.U32:
-            return struct.pack("!I", self.value)
-        if t == XrlAtomType.I64:
-            return struct.pack("!q", self.value)
-        if t == XrlAtomType.U64:
-            return struct.pack("!Q", self.value)
-        if t == XrlAtomType.BOOL:
-            return b"\x01" if self.value else b"\x00"
-        if t == XrlAtomType.TXT:
-            data = self.value.encode("utf-8")
-            return struct.pack("!I", len(data)) + data
-        if t == XrlAtomType.IPV4:
-            return self.value.to_bytes()
-        if t == XrlAtomType.IPV6:
-            return self.value.to_bytes()
-        if t == XrlAtomType.IPV4NET:
-            return self.value.network.to_bytes() + bytes([self.value.prefix_len])
-        if t == XrlAtomType.IPV6NET:
-            return self.value.network.to_bytes() + bytes([self.value.prefix_len])
-        if t == XrlAtomType.MAC:
-            return self.value.to_bytes()
-        if t == XrlAtomType.BINARY:
-            return struct.pack("!I", len(self.value)) + self.value
-        if t == XrlAtomType.LIST:
-            parts = [struct.pack("!I", len(self.value))]
-            parts.extend(a.to_binary() for a in self.value)
-            return b"".join(parts)
-        raise XrlError(XrlErrorCode.INTERNAL_ERROR, f"unencodable type {t}")
-
-    @classmethod
-    def from_binary(cls, data: bytes, offset: int = 0) -> Tuple["XrlAtom", int]:
-        """Decode one atom at *offset*; return ``(atom, next_offset)``."""
-        from repro.net import AddressError
-
-        try:
-            type_code, name_len = struct.unpack_from("!BB", data, offset)
-            offset += 2
-            name = data[offset : offset + name_len].decode("utf-8")
-            offset += name_len
-            atom_type = _CODE_TYPES[type_code]
-            value, offset = cls._payload_from_binary(atom_type, data, offset)
-        except (struct.error, KeyError, IndexError, UnicodeDecodeError,
-                AddressError) as exc:
-            raise XrlError(
-                XrlErrorCode.BAD_ARGS, f"truncated or corrupt atom: {exc}"
-            ) from exc
-        return cls(name, atom_type, value), offset
-
-    @staticmethod
-    def _payload_from_binary(atom_type: XrlAtomType, data: bytes,
-                             offset: int) -> Tuple[Any, int]:
-        t = atom_type
-        if t == XrlAtomType.I32:
-            return struct.unpack_from("!i", data, offset)[0], offset + 4
-        if t == XrlAtomType.U32:
-            return struct.unpack_from("!I", data, offset)[0], offset + 4
-        if t == XrlAtomType.I64:
-            return struct.unpack_from("!q", data, offset)[0], offset + 8
-        if t == XrlAtomType.U64:
-            return struct.unpack_from("!Q", data, offset)[0], offset + 8
-        if t == XrlAtomType.BOOL:
-            return data[offset] != 0, offset + 1
-        if t == XrlAtomType.TXT:
-            (length,) = struct.unpack_from("!I", data, offset)
-            offset += 4
-            return data[offset : offset + length].decode("utf-8"), offset + length
-        if t == XrlAtomType.IPV4:
-            return IPv4(data[offset : offset + 4]), offset + 4
-        if t == XrlAtomType.IPV6:
-            return IPv6(data[offset : offset + 16]), offset + 16
-        if t == XrlAtomType.IPV4NET:
-            addr = IPv4(data[offset : offset + 4])
-            return IPNet(addr, data[offset + 4]), offset + 5
-        if t == XrlAtomType.IPV6NET:
-            addr = IPv6(data[offset : offset + 16])
-            return IPNet(addr, data[offset + 16]), offset + 17
-        if t == XrlAtomType.MAC:
-            return Mac(data[offset : offset + 6]), offset + 6
-        if t == XrlAtomType.BINARY:
-            (length,) = struct.unpack_from("!I", data, offset)
-            offset += 4
-            return bytes(data[offset : offset + length]), offset + length
-        if t == XrlAtomType.LIST:
-            (count,) = struct.unpack_from("!I", data, offset)
-            offset += 4
-            items = []
-            for __ in range(count):
-                atom, offset = XrlAtom.from_binary(data, offset)
-                items.append(atom)
-            return items, offset
-        raise XrlError(XrlErrorCode.BAD_ARGS, f"undecodable type {t}")
 
     # -- dunder -----------------------------------------------------------
     def __eq__(self, other: object) -> bool:
@@ -305,7 +231,3 @@ class XrlAtom:
 
     def __repr__(self) -> str:
         return f"XrlAtom({self.to_text()!r})"
-
-
-_TYPE_CODES = {t: i for i, t in enumerate(XrlAtomType, start=1)}
-_CODE_TYPES = {i: t for t, i in _TYPE_CODES.items()}

@@ -29,7 +29,6 @@ from repro.mld6igmp.igmp import IgmpPacket, IgmpPacketError
 from repro.net import IPNet, IPv4
 from repro.ospf.packets import OspfDecodeError, decode_packet
 from repro.rip.packets import RipPacket, RipPacketError
-from repro.xrl.args import XrlArgs
 from repro.xrl.error import XrlError
 from repro.xrl.transport.base import decode_request, decode_response
 from repro.xrl.types import XrlAtom
@@ -206,8 +205,9 @@ class TestXrlFuzz:
     @settings(max_examples=200)
     @given(raw_bytes)
     def test_args_binary_random(self, data):
+        # The argument list alone: the bytes after an empty-method header.
         try:
-            XrlArgs.from_binary(data)
+            decode_request(b"\x00\x00\x00\x01\x00\x00" + data)
         except XrlError:
             pass
 

@@ -19,7 +19,7 @@ from repro.experiments.recovery import run_recovery
 from repro.net import IPNet, IPv4
 from repro.rib import RibProcess
 from repro.rtrmgr import RouterManager, SupervisorPolicy
-from repro.xrl import XrlArgs
+from repro.xrl import XrlArgs, XrlAtom, XrlAtomType, XrlError
 from repro.xrl.error import XrlErrorCode
 from repro.xrl.finder import BIRTH, DEATH
 from repro.xrl.retry import RetryPolicy
@@ -142,6 +142,35 @@ class TestFaultFamily:
         fault.corrupt_probability = 0.0
         error, __ = client.send_sync(_ping_xrl(), deadline=1.0)
         assert error.is_okay
+
+    def test_corrupted_column_frames_surface_only_xrl_errors(self):
+        """A flipped byte in a vectorised frame is a structured error or
+        a well-formed (if different) argument list — never a traceback
+        out of the loop, never a malformed atom in a handler's hands."""
+        nets = [XrlAtom("net", XrlAtomType.IPV4NET, f"20.0.{i}.0/24")
+                for i in range(32)]
+        ifnames = [XrlAtom("ifname", XrlAtomType.TXT, "eth0")] * 32
+        xrl = Xrl("svc", "svc", "1.0", "load",
+                  XrlArgs().add_list("nets", nets).add_list("ifnames", ifnames))
+        outcomes = []
+        for seed in range(4):
+            host = Host()
+            FaultFamily.wrap_host(host, seed=seed, corrupt_probability=0.5)
+            __, service = _service(host)
+            handed = []
+            service.register_raw_method("svc/1.0/load", handed.append)
+            __, client = _client(host)
+            for __unused in range(25):
+                error, __ = client.send_sync(xrl, deadline=1.0)
+                assert isinstance(error, XrlError)
+                outcomes.append(error.is_okay)
+            for args in handed:
+                for atom in args:
+                    assert atom == XrlAtom(atom.name, atom.type, atom.value)
+                    for inner in atom.value:
+                        assert inner == XrlAtom(inner.name, inner.type,
+                                                inner.value)
+        assert any(outcomes) and not all(outcomes)
 
     def test_delay_defers_delivery(self):
         host = Host()

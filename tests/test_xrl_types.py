@@ -6,6 +6,12 @@ from hypothesis import strategies as st
 
 from repro.net import IPNet, IPv4, IPv6, Mac
 from repro.xrl import Xrl, XrlArgs, XrlAtom, XrlAtomType, XrlError
+from repro.xrl.codec import (
+    _decode_atoms,
+    _encode_atoms,
+    decode_request,
+    encode_request,
+)
 from repro.xrl.types import escape_text, unescape_text
 
 
@@ -123,12 +129,19 @@ atom_strategy = st.one_of(
 )
 
 
+def _wire(args):
+    """*args* as the bytes of the one atom wire encoding."""
+    buf = bytearray()
+    _encode_atoms(buf, list(args))
+    return bytes(buf)
+
+
 class TestBinaryCodec:
     @given(atom_strategy)
     def test_atom_round_trip(self, atom):
-        decoded, offset = XrlAtom.from_binary(atom.to_binary())
-        assert decoded == atom
-        assert offset == len(atom.to_binary())
+        decoded, offset = _decode_atoms(_wire([atom]), 0)
+        assert decoded == [atom]
+        assert offset == len(_wire([atom]))
 
     @given(atom_strategy)
     def test_text_round_trip(self, atom):
@@ -138,13 +151,13 @@ class TestBinaryCodec:
         inner = [XrlAtom("x", XrlAtomType.IPV4, "1.2.3.4")]
         atom = XrlAtom("l", XrlAtomType.LIST,
                        [XrlAtom("n", XrlAtomType.LIST, inner)])
-        decoded, __ = XrlAtom.from_binary(atom.to_binary())
-        assert decoded == atom
+        decoded, __ = _decode_atoms(_wire([atom]), 0)
+        assert decoded == [atom]
 
     def test_truncated_binary_raises(self):
-        atom = XrlAtom("x", XrlAtomType.U32, 5)
+        args = XrlArgs().add_u32("x", 5)
         with pytest.raises(XrlError):
-            XrlAtom.from_binary(atom.to_binary()[:-2])
+            decode_request(encode_request(1, "m", args)[:-2])
 
 
 class TestXrlArgs:
@@ -175,11 +188,11 @@ class TestXrlArgs:
     def test_binary_round_trip(self):
         args = (XrlArgs().add_u64("big", 1 << 40).add_binary("blob", b"\x01\x02")
                 .add_ipv6("v6", "2001:db8::1"))
-        assert XrlArgs.from_binary(args.to_binary()) == args
+        assert decode_request(encode_request(1, "m", args))[2] == args
 
     def test_empty(self):
         assert XrlArgs.from_text("") == XrlArgs()
-        assert XrlArgs.from_binary(XrlArgs().to_binary()) == XrlArgs()
+        assert decode_request(encode_request(1, "m", XrlArgs()))[2] == XrlArgs()
 
     def test_preserves_order(self):
         args = XrlArgs().add_u32("z", 1).add_u32("a", 2)
