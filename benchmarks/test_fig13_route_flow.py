@@ -11,7 +11,6 @@ sink records per-route propagation delay.  Expected shape:
 
 import gc
 import time
-from pathlib import Path
 
 from conftest import FIG13_ROUTES
 
@@ -254,68 +253,3 @@ def test_fig13_obs_overhead(benchmark):
         "hot-path guard was likely reintroduced")
 
     benchmark.pedantic(run_off, rounds=1, iterations=1)
-
-
-def test_fig13_hotpath_agreement(benchmark):
-    """Static hot set vs the sampled runtime hot set.
-
-    ``repro.analysis.hotpath`` *derives* the hot-path function set
-    statically (reachability from the batched stage entry points, the
-    XRL dispatch surface and the FIB backends).  Here a sampling
-    profiler measures where the fig13 route flow actually spends its
-    time, and we assert the static set covers >=80% of the samples that
-    land in repro code — the analyzer lints the code the router really
-    executes, not a guessed set.
-
-    A sample is *considered* when at least one frame executes in a
-    non-exempt repro module; it is *covered* when any such frame is in
-    the static hot set (see ``repro.analysis.profile``).
-    """
-    import repro
-    from repro.analysis.hotpath import build_hotpath
-    from repro.analysis.profile import SamplingProfiler, coverage_against
-    from repro.analysis.runner import collect_modules
-
-    src_root = Path(repro.__file__).resolve().parent
-    modules, parse_findings = collect_modules([src_root])
-    assert not parse_findings, [f.render() for f in parse_findings]
-    graph = build_hotpath(modules)
-    assert graph.hot, "static hot set is empty"
-
-    routes = FIG13_ROUTES
-    min_samples = 200
-
-    def run_once():
-        run_route_flow(kinds=["xorp"], route_count=routes)
-
-    # Warm caches (imports, type-attribute cache) before sampling so
-    # first-run one-time work doesn't pollute the measured hot set.
-    run_once()
-    profiler = SamplingProfiler(interval=0.001)
-    with profiler:
-        for _ in range(20):
-            run_once()
-            covered, considered = coverage_against(profiler.samples, graph)
-            if considered >= min_samples:
-                break
-    covered, considered = coverage_against(profiler.samples, graph)
-    assert considered >= min_samples, (
-        f"only {considered} in-repro samples collected "
-        f"({len(profiler.samples)} total) — workload too small to judge")
-    coverage = covered / considered
-
-    benchmark.extra_info["routes"] = routes
-    benchmark.extra_info["hot_functions"] = len(graph.hot)
-    benchmark.extra_info["samples_total"] = len(profiler.samples)
-    benchmark.extra_info["samples_considered"] = considered
-    benchmark.extra_info["samples_covered"] = covered
-    benchmark.extra_info["hotpath_coverage"] = round(coverage, 4)
-    print(f"\nhot set {len(graph.hot)} functions; "
-          f"{covered}/{considered} in-repro samples covered "
-          f"({coverage:.1%}, {len(profiler.samples)} samples total)")
-    assert coverage >= 0.8, (
-        f"static hot set covers only {coverage:.1%} of profile samples "
-        f"({covered}/{considered}) — hot-root derivation has drifted "
-        "from the measured runtime hot path")
-
-    benchmark.pedantic(run_once, rounds=1, iterations=1)

@@ -57,7 +57,7 @@ from repro.net import IPNet, IPv4
 
 class UnslottedUpdate:
     # Dynamically-dict'd twin of UpdateMessage: same three fields, no
-    # __slots__ — what the class looked like before HOT003 flagged it.
+    # __slots__ — what the class looked like before it was slotted.
     def __init__(self, withdrawn=None, attributes=None, nlri=None):
         self.withdrawn = list(withdrawn) if withdrawn else []
         self.attributes = attributes
@@ -87,10 +87,10 @@ def _slots_child(mode: str, count: int) -> dict:
 def test_memory_footprint_update_message_slots(benchmark):
     """RSS delta of ``__slots__`` on the hot BGP message classes.
 
-    HOT003 flagged ``UpdateMessage`` (one instance per peer per flush on
-    the announce path) as instantiated on the hot path without
-    ``__slots__``.  This bench allocates the same population of the now
-    slotted class and of an unslotted twin in two fresh subprocesses and
+    ``UpdateMessage`` (one instance per peer per flush on the announce
+    path) used to be instantiated on the hot path without ``__slots__``.
+    This bench allocates the same population of the now slotted class
+    and of an unslotted twin in two fresh subprocesses and
     records the before/after resident-memory delta of each — the
     acceptance artifact for the satellite that slotted the route and
     message classes.

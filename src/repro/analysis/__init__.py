@@ -8,7 +8,7 @@ keeps none of those guarantees for free — interface drift, cross-process
 imports, and wall-clock calls all slip in silently and only surface when a
 test happens to exercise them.
 
-This package restores the guarantees statically.  Four AST-based checkers
+This package restores the guarantees statically.  AST-based checkers
 run over the tree:
 
 ``xrl-conformance`` (XRL001–XRL006)
@@ -24,7 +24,7 @@ run over the tree:
     internals; everything crosses via ``repro.xrl`` / ``repro.interfaces``.
     Shared library packages must not reach into process packages either.
 
-``determinism`` (DET001–DET004)
+``determinism`` (DET001–DET005)
     No wall-clock reads, blocking sleeps, unseeded randomness, or blocking
     socket work outside ``eventloop/`` and ``xrl/transport/`` — these
     break :class:`~repro.eventloop.SimulatedClock` reproducibility and the
@@ -36,40 +36,34 @@ run over the tree:
     paper's §4 stale-callback discipline already practised by
     ``txqueue``/``kill.py``.
 
-On top of the per-module checkers, one **interprocedural** pass runs
-over the whole tree at once:
+``stage-message`` (STG001) and ``backend`` (BKD001)
+    Stage messages pass ``caller`` by keyword only (§5); FEA code selects
+    a FIB backend through ``make_backend(name)`` rather than constructing
+    one (§3).
 
-``protocol-graph`` (PRO001–PRO006)
-    :mod:`repro.analysis.protograph` attributes every XRL send site and
-    every ``bind()`` registration to its owning process package and joins
-    them through the IDL catalogue into the whole-system process
-    interaction graph — the static twin of the paper's Figure 2.  On that
-    graph it reports sends nobody handles (PRO001), synchronous request
-    cycles that deadlock once processes become OS subprocesses (PRO002),
-    reply atoms read but never produced (PRO003), dead handlers
-    (PRO004, warning), coexisting interface versions (PRO005, warning)
-    and unconsumed reply atoms (PRO006, info).  ``python -m
-    repro.analysis --graph-out g.json --graph-dot g.dot`` exports the
-    graph itself (byte-stable JSON / Graphviz), and
-    :mod:`repro.sanitizer.protocheck` asserts at runtime that every
-    traced XRL edge is a subset of this static graph.
+The XRL rules read one **site model** (:mod:`repro.analysis.sites`): a
+single walk per module types every ``Xrl(...)`` construction, client-stub
+call, textual literal, helper-wrapper call, ``bind()`` and raw
+registration, resolving names through a per-function assignment index.
+On top of the per-module checkers, one **interprocedural** pass joins
+every module's sites:
 
-``hotpath`` (HOT001–HOT006)
-    :mod:`repro.analysis.hotpath` derives the **hot-path function set**
-    interprocedurally — everything reachable from the batched stage
-    entry points (``add_routes``/``delete_routes`` and friends), the
-    XRL dispatch surface and the FIB backends' ``apply`` — and runs
-    allocation/complexity cost rules only on that set: singular calls
-    where a batch API exists (HOT001), per-route dict/list/``XrlArgs``
-    construction (HOT002), un-slotted hot allocations (HOT003,
-    warning), re-resolved attribute chains (HOT004, warning), eager
-    log formatting (HOT005, warning) and quadratic nested scans
-    (HOT006).  ``python -m repro.analysis --hot-report h.json
-    --hot-dot h.dot`` exports the hot set itself (byte-stable JSON /
-    Graphviz), and a sampling profiler
-    (:mod:`repro.analysis.profile`) validates the derivation against
-    the measured fig13 runtime hot set.
+``protocol-graph`` (PRO001–PRO003)
+    :mod:`repro.analysis.protograph` attributes every send site and every
+    registration to its owning process package and joins them through
+    the IDL catalogue into the whole-system process interaction graph —
+    the static twin of the paper's Figure 2.  On that graph it reports
+    sends nobody handles (PRO001), synchronous request cycles that
+    deadlock once processes become OS subprocesses (PRO002) and reply
+    atoms read but never produced (PRO003).  ``python -m repro.analysis
+    --graph-out g.json --graph-dot g.dot`` exports the graph itself
+    (byte-stable JSON / Graphviz), and :mod:`repro.sanitizer.protocheck`
+    asserts at runtime that every traced XRL edge is a subset of this
+    static graph.
 
+Every finding is an error: a clean tree prints nothing and exits 0.
+What a route costs is not linted here; it is counted and measured (see
+DESIGN.md, "Where cost is gated").
 Findings are suppressed per line with ``# repro: allow[RULE] reason``;
 suppressions that no longer suppress anything are themselves flagged
 (SUP002).  The suite runs as a pytest gate (``tests/test_analysis.py``)
@@ -77,15 +71,8 @@ so drift fails the build the way XORP's xrlc did.
 """
 
 from repro.analysis.core import Finding, ModuleInfo, RULES, Rule
-from repro.analysis.hotpath import (
-    HotPathChecker,
-    HotPathGraph,
-    build_hotpath,
-    check_hotpath,
-)
 from repro.analysis.protograph import (
     ProtocolGraph,
-    ProtocolGraphChecker,
     build_protocol_graph,
     check_protocol_graph,
 )
@@ -99,19 +86,14 @@ from repro.analysis.runner import (
 
 __all__ = [
     "Finding",
-    "HotPathChecker",
-    "HotPathGraph",
     "ModuleInfo",
     "ProtocolGraph",
-    "ProtocolGraphChecker",
     "RULES",
     "Rule",
     "analyze_paths",
     "analyze_source",
     "analyze_sources",
-    "build_hotpath",
     "build_protocol_graph",
-    "check_hotpath",
     "check_protocol_graph",
     "collect_modules",
     "run_checkers",

@@ -1,16 +1,13 @@
 """CLI: ``python -m repro.analysis [paths...]``.
 
-Exit status 0 when the tree is clean, 1 when any **error**-severity
-finding survives suppression — the same contract as XORP's build-time
-xrlc check, so CI wires this straight into the gate.  Warnings (PRO004,
-PRO005) and info findings (PRO006) are reported but never gate.
+Exit status 0 when the tree is clean, 1 when any finding survives
+suppression — the same contract as XORP's build-time xrlc check, so CI
+wires this straight into the gate.  Every finding is an error: a clean
+tree prints nothing.
 
 ``--graph-out``/``--graph-dot`` additionally export the whole-system
-protocol graph (byte-stable JSON / Graphviz dot) built by
-:mod:`repro.analysis.protograph` from the same parsed modules;
-``--hot-report``/``--hot-dot`` do the same for the hot-path function
-set and its per-function static cost annotations
-(:mod:`repro.analysis.hotpath`, schema ``repro.hotpath/1``).
+protocol graph (byte-stable JSON / Graphviz dot) the PRO rules ran over
+(:mod:`repro.analysis.protograph`).
 """
 
 from __future__ import annotations
@@ -22,12 +19,9 @@ import time
 from pathlib import Path
 
 from repro.analysis.core import RULES
+from repro.analysis.protograph import build_protocol_graph
 from repro.analysis.report import FORMATS, render_findings
-from repro.analysis.runner import (
-    collect_modules,
-    default_project_checkers,
-    run_checkers,
-)
+from repro.analysis.runner import collect_modules, run_checkers
 
 
 def _default_root() -> Path:
@@ -54,11 +48,6 @@ def main(argv=None) -> int:
                         help="write the protocol graph as byte-stable JSON")
     parser.add_argument("--graph-dot", type=Path, metavar="FILE",
                         help="write the protocol graph as Graphviz dot")
-    parser.add_argument("--hot-report", type=Path, metavar="FILE",
-                        help="write the hot-path set + static cost "
-                             "annotations as byte-stable JSON")
-    parser.add_argument("--hot-dot", type=Path, metavar="FILE",
-                        help="write the hot-path call graph as Graphviz dot")
     parser.add_argument("--list-rules", action="store_true",
                         help="print the rule catalogue and exit")
     args = parser.parse_args(argv)
@@ -72,29 +61,15 @@ def main(argv=None) -> int:
     stats: dict = {}
     modules, errors = collect_modules(paths, stats=stats)
     started = time.perf_counter()  # repro: allow[DET001] tooling timing
-    findings = errors + run_checkers(
-        modules, rules=args.rules,
-        project_checkers=default_project_checkers(), stats=stats)
+    graph = build_protocol_graph(modules)
+    findings = errors + run_checkers(modules, rules=args.rules, graph=graph)
     stats["check_seconds"] = stats.get("check_seconds", 0.0) \
         + (time.perf_counter() - started)  # repro: allow[DET001] tooling timing
 
-    if args.graph_out or args.graph_dot:
-        from repro.analysis.protograph import build_protocol_graph
-
-        graph = build_protocol_graph(modules)
-        if args.graph_out:
-            args.graph_out.write_text(graph.to_json(), encoding="utf-8")
-        if args.graph_dot:
-            args.graph_dot.write_text(graph.to_dot(), encoding="utf-8")
-
-    if args.hot_report or args.hot_dot:
-        from repro.analysis.hotpath import build_hotpath
-
-        hot_graph = build_hotpath(modules)
-        if args.hot_report:
-            args.hot_report.write_text(hot_graph.to_json(), encoding="utf-8")
-        if args.hot_dot:
-            args.hot_dot.write_text(hot_graph.to_dot(), encoding="utf-8")
+    if args.graph_out:
+        args.graph_out.write_text(graph.to_json(), encoding="utf-8")
+    if args.graph_dot:
+        args.graph_dot.write_text(graph.to_dot(), encoding="utf-8")
 
     if args.format == "json":
         payload = {
@@ -103,7 +78,6 @@ def main(argv=None) -> int:
                 "files": stats.get("files", 0),
                 "parsed": stats.get("parsed", 0),
                 "parse_cached": stats.get("parse_cached", 0),
-                "check_cached": stats.get("check_cached", 0),
                 "parse_seconds": round(stats.get("parse_seconds", 0.0), 6),
                 "check_seconds": round(stats.get("check_seconds", 0.0), 6),
             },
@@ -113,11 +87,9 @@ def main(argv=None) -> int:
         rendered = render_findings(findings, args.format)
         if rendered:
             print(rendered)
-    error_count = sum(1 for f in findings if f.severity == "error")
     if findings and args.format == "text":
-        print(f"{len(findings)} finding(s), {error_count} error(s)",
-              file=sys.stderr)
-    return 1 if error_count else 0
+        print(f"{len(findings)} finding(s)", file=sys.stderr)
+    return 1 if findings else 0
 
 
 if __name__ == "__main__":

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import ast
 import re
-from typing import Iterator, List, Optional
+from typing import Dict, Iterator, List, Optional
 
 from repro.analysis.core import (
     Checker,
@@ -35,6 +35,7 @@ from repro.analysis.core import (
     enclosing_function,
     walk_with_scopes,
 )
+from repro.analysis.sites import sites_of
 
 _DEFER_METHODS = {"call_soon": 0, "call_later": 1}
 
@@ -54,6 +55,7 @@ class CallbackSafetyChecker(Checker):
         if module.logical[:1] == ("eventloop",):
             return
         path = str(module.path)
+        scopes = sites_of(module).scopes
         for node, ancestry in walk_with_scopes(module.tree):
             if not (isinstance(node, ast.Call)
                     and isinstance(node.func, ast.Attribute)
@@ -65,7 +67,8 @@ class CallbackSafetyChecker(Checker):
             callback = node.args[cb_index]
             fn = enclosing_function(ancestry)
             cls = enclosing_class(ancestry)
-            verdict = _callback_guarded(callback, fn, cls, project)
+            local_defs = scopes[fn].defs if fn is not None else {}
+            verdict = _callback_guarded(callback, local_defs, cls, project)
             if verdict is False:
                 yield Finding(
                     path, node.lineno, "CB001",
@@ -75,11 +78,11 @@ class CallbackSafetyChecker(Checker):
                     "\"Static guarantees\")")
 
 
-def _callback_guarded(callback: ast.AST, fn: Optional[ast.AST],
+def _callback_guarded(callback: ast.AST, local_defs: Dict[str, ast.AST],
                       cls: Optional[ast.ClassDef],
                       project: ProjectIndex) -> Optional[bool]:
     """True = guarded, False = unguarded self-capture, None = not in scope."""
-    bodies = _callback_bodies(callback, fn, cls, project)
+    bodies = _callback_bodies(callback, local_defs, cls, project)
     if bodies is None:
         return None
     captures_self = any(_references_self(body) for body in bodies)
@@ -100,7 +103,7 @@ def _callback_guarded(callback: ast.AST, fn: Optional[ast.AST],
     return False
 
 
-def _callback_bodies(callback: ast.AST, fn: Optional[ast.AST],
+def _callback_bodies(callback: ast.AST, local_defs: Dict[str, ast.AST],
                      cls: Optional[ast.ClassDef],
                      project: ProjectIndex) -> Optional[List[ast.AST]]:
     """The AST bodies the deferred callback will execute, if resolvable."""
@@ -113,12 +116,9 @@ def _callback_bodies(callback: ast.AST, fn: Optional[ast.AST],
             target, __ = project.find_method(cls, callback.attr)
             return [target] if target is not None else None
         return None
-    if isinstance(callback, ast.Name) and fn is not None:
-        for node in ast.walk(fn):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
-                    and node.name == callback.id:
-                return [node]
-        return None
+    if isinstance(callback, ast.Name):
+        target = local_defs.get(callback.id)
+        return [target] if target is not None else None
     if isinstance(callback, ast.Call):
         # functools.partial(self.method, ...) and friends
         func = callback.func
@@ -126,7 +126,8 @@ def _callback_bodies(callback: ast.AST, fn: Optional[ast.AST],
             (isinstance(func, ast.Name) and func.id == "partial")
             or (isinstance(func, ast.Attribute) and func.attr == "partial"))
         if partial_like and callback.args:
-            return _callback_bodies(callback.args[0], fn, cls, project)
+            return _callback_bodies(callback.args[0], local_defs, cls,
+                                    project)
         return None
     return None
 

@@ -70,26 +70,6 @@ RULES: Dict[str, Rule] = {
                        "real OS subprocess", "§4"),
         Rule("PRO003", "caller reads a reply atom the handler's IDL reply "
                        "spec never produces", "§6.1"),
-        Rule("PRO004", "handler bound but no process ever sends it that "
-                       "XRL (dead protocol surface; warning)", "§6.1"),
-        Rule("PRO005", "multiple versions of one interface are live "
-                       "simultaneously (warning)", "§6.2"),
-        Rule("PRO006", "declared reply atom that no caller anywhere reads "
-                       "(info twin of PRO003)", "§6.1"),
-        # Hot-path cost rules (repro.analysis.hotpath): interprocedural,
-        # run only over the derived hot-path function set.
-        Rule("HOT001", "singular call inside a loop where a batched API "
-                       "exists (per-route add_route vs add_routes)", "§5"),
-        Rule("HOT002", "per-item dict/list/XrlArgs construction inside a "
-                       "per-route batch loop", "§6.1"),
-        Rule("HOT003", "class instantiated on the hot path without "
-                       "__slots__ (warning)", "§5"),
-        Rule("HOT004", "attribute chain re-resolved >=2 deep inside a loop "
-                       "body (warning)", "§5"),
-        Rule("HOT005", "eagerly formatted string passed to logging/trace "
-                       "emission on the hot path (warning)", "§8"),
-        Rule("HOT006", "nested table/batch iteration inside per-route "
-                       "processing (quadratic batch handling)", "§5"),
         # Runtime rules: emitted by repro.sanitizer, never by the static
         # checkers.  They live in the same catalogue so reports, formats
         # and suppressions share one namespace.
@@ -129,11 +109,6 @@ RULES: Dict[str, Rule] = {
 }
 
 
-#: finding severities, most serious first.  Only ``error`` findings fail
-#: the CLI gate; ``warning``/``info`` surface in reports and annotations.
-SEVERITIES = ("error", "warning", "info")
-
-
 @dataclass(frozen=True)
 class Finding:
     """One structured lint result: where, which rule, and why."""
@@ -142,11 +117,9 @@ class Finding:
     line: int
     rule: str
     message: str
-    severity: str = "error"
 
     def render(self) -> str:
-        tag = "" if self.severity == "error" else f" [{self.severity}]"
-        return f"{self.path}:{self.line}: {self.rule}{tag} {self.message}"
+        return f"{self.path}:{self.line}: {self.rule} {self.message}"
 
 
 _ALLOW_RE = re.compile(r"#\s*repro:\s*allow\[([A-Za-z0-9_,\s]+)\]")
@@ -174,6 +147,8 @@ def scan_allow_comments(source: str) -> List["AllowComment"]:
     import tokenize
 
     comments: List[AllowComment] = []
+    if "repro:" not in source:          # tokenizing is the slow half of a parse
+        return comments
     try:
         tokens = list(tokenize.generate_tokens(io.StringIO(source).readline))
     except (tokenize.TokenError, IndentationError):
@@ -196,13 +171,18 @@ def scan_allow_comments(source: str) -> List["AllowComment"]:
     return comments
 
 
-def scan_suppressions(source: str) -> Dict[int, Set[str]]:
-    """Per-line rule suppressions, built from :func:`scan_allow_comments`."""
+def _suppression_table(comments: Iterable[AllowComment]
+                       ) -> Dict[int, Set[str]]:
     table: Dict[int, Set[str]] = {}
-    for comment in scan_allow_comments(source):
+    for comment in comments:
         for lineno in comment.covers:
             table.setdefault(lineno, set()).update(comment.rules)
     return table
+
+
+def scan_suppressions(source: str) -> Dict[int, Set[str]]:
+    """Per-line rule suppressions, built from :func:`scan_allow_comments`."""
+    return _suppression_table(scan_allow_comments(source))
 
 
 @dataclass
@@ -218,6 +198,11 @@ class ModuleInfo:
     tree: ast.Module
     suppressions: Dict[int, Set[str]] = field(default_factory=dict)
     allow_comments: List[AllowComment] = field(default_factory=list)
+    #: every class defined in the file, nested ones included
+    classes: List[ast.ClassDef] = field(default_factory=list)
+    #: the module's XRL send/bind sites, filled in on first use by
+    #: :func:`repro.analysis.sites.sites_of` — cached with the parse
+    sites: Optional[object] = None
 
     @property
     def package(self) -> str:
@@ -233,12 +218,11 @@ class ModuleInfo:
             logical = logical_parts(path)
         tree = ast.parse(source, filename=str(path))
         comments = scan_allow_comments(source)
-        table: Dict[int, Set[str]] = {}
-        for comment in comments:
-            for lineno in comment.covers:
-                table.setdefault(lineno, set()).update(comment.rules)
         return cls(path=path, logical=logical, source=source, tree=tree,
-                   suppressions=table, allow_comments=comments)
+                   suppressions=_suppression_table(comments),
+                   allow_comments=comments,
+                   classes=[node for node in ast.walk(tree)
+                            if isinstance(node, ast.ClassDef)])
 
 
 def logical_parts(path: Path) -> Tuple[str, ...]:
@@ -262,22 +246,6 @@ class Checker:
         raise NotImplementedError
 
 
-class ProjectChecker:
-    """A whole-project pass: sees every module at once.
-
-    Per-module :class:`Checker`\\ s stay O(file); anything interprocedural
-    (the protocol graph) implements this interface instead and is run by
-    the runner after per-module checks, over the same parsed modules.
-    """
-
-    name = "project-checker"
-    rules: Sequence[str] = ()
-
-    def check_project(self, modules: Sequence[ModuleInfo],
-                      project: "ProjectIndex") -> Iterable[Finding]:
-        raise NotImplementedError
-
-
 class ProjectIndex:
     """Cross-module lookups the checkers share.
 
@@ -290,9 +258,8 @@ class ProjectIndex:
         self.modules = list(modules)
         self.classes: Dict[str, List[Tuple[ModuleInfo, ast.ClassDef]]] = {}
         for module in self.modules:
-            for node in ast.walk(module.tree):
-                if isinstance(node, ast.ClassDef):
-                    self.classes.setdefault(node.name, []).append((module, node))
+            for node in module.classes:
+                self.classes.setdefault(node.name, []).append((module, node))
 
     def class_def(self, name: str) -> Optional[ast.ClassDef]:
         entries = self.classes.get(name)
@@ -337,50 +304,16 @@ class ProjectIndex:
         return None, complete
 
 
-def resolve_str_values(node: Optional[ast.AST],
-                       fn: Optional[ast.AST],
-                       before_line: int) -> List[Tuple[str, int]]:
-    """Statically resolve *node* to its possible string constants.
-
-    Handles constants, ``"a" if c else "b"`` conditionals, and simple
-    names assigned a resolvable value earlier in the enclosing function
-    (closest assignment before *before_line* wins).  Returns
-    ``(value, line-of-the-constant)`` pairs; empty when unresolvable.
-    """
-    if node is None:
-        return []
-    if isinstance(node, ast.Constant) and isinstance(node.value, str):
-        return [(node.value, node.lineno)]
-    if isinstance(node, ast.IfExp):
-        return (resolve_str_values(node.body, fn, before_line)
-                + resolve_str_values(node.orelse, fn, before_line))
-    if isinstance(node, ast.Name) and fn is not None:
-        assign = closest_assignment(fn, node.id, before_line)
-        if assign is not None:
-            return resolve_str_values(assign.value, fn, assign.lineno)
-    return []
-
-
-def closest_assignment(fn: ast.AST, name: str,
-                       before_line: int) -> Optional[ast.Assign]:
-    """The latest ``name = ...`` in *fn* strictly before *before_line*."""
-    best: Optional[ast.Assign] = None
-    for node in ast.walk(fn):
-        if not isinstance(node, ast.Assign) or node.lineno >= before_line:
-            continue
-        for target in node.targets:
-            if isinstance(target, ast.Name) and target.id == name:
-                if best is None or node.lineno > best.lineno:
-                    best = node
-    return best
-
-
 def walk_with_scopes(tree: ast.Module):
-    """Yield every (node, ancestry) pair; ancestry is outermost-first."""
+    """Yield every (node, ancestry) pair; ancestry is outermost-first.
+
+    *ancestry* is the walker's own stack, valid until the next pair is
+    drawn: copy it to keep it.
+    """
     stack: List[ast.AST] = []
 
     def visit(node: ast.AST):
-        yield node, list(stack)
+        yield node, stack
         stack.append(node)
         for child in ast.iter_child_nodes(node):
             yield from visit(child)

@@ -32,14 +32,9 @@ def _escape_property(value: str) -> str:
     return (_escape_data(value).replace(":", "%3A").replace(",", "%2C"))
 
 
-#: finding severity -> GitHub workflow-command level
-_GITHUB_LEVELS = {"error": "error", "warning": "warning", "info": "notice"}
-
-
 def github_annotation(finding: Finding) -> str:
-    level = _GITHUB_LEVELS.get(finding.severity, "error")
     return (
-        f"::{level} file={_escape_property(finding.path)},"
+        f"::error file={_escape_property(finding.path)},"
         f"line={max(finding.line, 1)},"
         f"title={_escape_property(finding.rule)}::"
         f"{_escape_data(f'{finding.rule} {finding.message}')}"

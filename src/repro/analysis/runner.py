@@ -8,11 +8,14 @@ rule ids inside a suppression are themselves reported (SUP001) so typos
 cannot silently disable enforcement, and suppressions that suppressed
 nothing are reported (SUP002) so stale allows cannot rot silently.
 
-Parsing happens once per file per process: every checker — and the
-interprocedural protocol-graph pass — shares one :class:`ModuleInfo`
-per file, memoised across runs keyed on ``(mtime_ns, size)``.  The wall
-time spent parsing vs checking (and the cache hit count) is recorded
-into the *stats* dict the CLI surfaces under ``--format json``.
+There is one cache: the parsed :class:`ModuleInfo` per file, memoised
+across runs keyed on ``(mtime_ns, size)``, which carries the module's own
+XRL sites (:mod:`repro.analysis.sites`).  Every rule is re-evaluated on
+every run — a verdict may depend on another file (a handler inherited
+from a base class, a bind in another package), so none is kept — and a
+``rules`` selection only filters what is reported.  The wall time spent
+parsing vs checking is recorded into the *stats* dict the CLI surfaces
+under ``--format json``.
 """
 
 from __future__ import annotations
@@ -25,34 +28,21 @@ from repro.analysis.core import (
     Checker,
     Finding,
     ModuleInfo,
-    ProjectChecker,
     ProjectIndex,
     RULES,
+)
+from repro.analysis.protograph import (
+    ProtocolGraph,
+    build_protocol_graph,
+    check_protocol_graph,
 )
 
 #: path -> ((mtime_ns, size), ModuleInfo): the single-parse AST cache.
 _MODULE_CACHE: Dict[str, Tuple[Tuple[int, int], ModuleInfo]] = {}
 
-#: (path, ruleset fingerprint) -> (module, per-module findings).  The
-#: AST cache alone is rule-blind: reusing a finding list computed under
-#: one ``--rule`` selection for a different selection would serve stale
-#: results, so the fingerprint is part of the key and a hit additionally
-#: requires the *same* parsed module object (a reparse invalidates it).
-_FINDINGS_CACHE: Dict[Tuple[str, str],
-                      Tuple[ModuleInfo, List[Finding]]] = {}
-
 
 def clear_module_cache() -> None:
     _MODULE_CACHE.clear()
-    _FINDINGS_CACHE.clear()
-
-
-def ruleset_fingerprint(checkers: Sequence[Checker],
-                        wanted: Optional[Iterable[str]]) -> str:
-    """Stable identity of "which rules could this run emit"."""
-    names = ",".join(sorted(type(checker).__name__ for checker in checkers))
-    selection = "*" if wanted is None else ",".join(sorted(wanted))
-    return f"{names}|{selection}"
 
 
 def default_checkers() -> List[Checker]:
@@ -71,13 +61,6 @@ def default_checkers() -> List[Checker]:
         StageMessageChecker(),
         BackendConstructionChecker(),
     ]
-
-
-def default_project_checkers() -> List[ProjectChecker]:
-    from repro.analysis.hotpath import HotPathChecker
-    from repro.analysis.protograph import ProtocolGraphChecker
-
-    return [ProtocolGraphChecker(), HotPathChecker()]
 
 
 def collect_modules(paths: Sequence[Path],
@@ -140,40 +123,23 @@ def collect_modules(paths: Sequence[Path],
 def run_checkers(modules: Sequence[ModuleInfo],
                  checkers: Optional[Sequence[Checker]] = None,
                  rules: Optional[Iterable[str]] = None,
-                 project_checkers: Sequence[ProjectChecker] = (),
-                 stats: Optional[dict] = None,
+                 graph: Optional[ProtocolGraph] = None,
                  ) -> List[Finding]:
-    """Run *checkers* over prepared modules; apply suppressions."""
+    """Run *checkers* over prepared modules; apply suppressions.
+
+    With a *graph* of the same modules the whole-system PRO rules run
+    over it too.  *rules* selects which rule ids are reported.
+    """
     if checkers is None:
         checkers = default_checkers()
-    wanted = set(rules) if rules is not None else None
     project = ProjectIndex(modules)
     findings: List[Finding] = []
     module_by_path = {str(m.path): m for m in modules}
-    fingerprint = ruleset_fingerprint(checkers, wanted)
-    check_cached = 0
     for module in modules:
-        cache_key = (str(module.path), fingerprint)
-        entry = _FINDINGS_CACHE.get(cache_key)
-        if entry is not None and entry[0] is module:
-            findings.extend(entry[1])
-            check_cached += 1
-            continue
-        module_findings: List[Finding] = []
         for checker in checkers:
-            for finding in checker.check(module, project):
-                if wanted is not None and finding.rule not in wanted:
-                    continue
-                module_findings.append(finding)
-        _FINDINGS_CACHE[cache_key] = (module, module_findings)
-        findings.extend(module_findings)
-    if stats is not None:
-        stats["check_cached"] = stats.get("check_cached", 0) + check_cached
-    for project_checker in project_checkers:
-        for finding in project_checker.check_project(modules, project):
-            if wanted is not None and finding.rule not in wanted:
-                continue
-            findings.append(finding)
+            findings.extend(checker.check(module, project))
+    if graph is not None:
+        findings.extend(check_protocol_graph(graph))
     kept: List[Finding] = []
     used_suppressions: set = set()
     for finding in findings:
@@ -189,25 +155,25 @@ def run_checkers(modules: Sequence[ModuleInfo],
                     kept.append(Finding(
                         str(module.path), line, "SUP001",
                         f"suppression names unknown rule {rule_id!r}"))
-    if wanted is None:
-        # Only meaningful on full-rule runs: under a --rule filter the
-        # discarded findings would make every other allow[] look unused.
-        for module in modules:
-            path = str(module.path)
-            for comment in module.allow_comments:
-                for rule_id in comment.rules:
-                    if rule_id not in RULES:
-                        continue           # SUP001 already reported it
-                    if any((path, line, rule_id) in used_suppressions
-                           for line in comment.covers):
-                        continue
-                    kept.append(Finding(
-                        path, comment.line, "SUP002",
-                        f"allow[{rule_id}] suppresses nothing here — "
-                        f"remove the stale suppression"))
+    for module in modules:
+        path = str(module.path)
+        for comment in module.allow_comments:
+            for rule_id in comment.rules:
+                if rule_id not in RULES:
+                    continue           # SUP001 already reported it
+                if any((path, line, rule_id) in used_suppressions
+                       for line in comment.covers):
+                    continue
+                kept.append(Finding(
+                    path, comment.line, "SUP002",
+                    f"allow[{rule_id}] suppresses nothing here — "
+                    f"remove the stale suppression"))
     # SUP001/SUP002 appear once per distinct comment even when a line is
     # covered twice (own line + comment-above), hence the dedup.
     kept = list(dict.fromkeys(kept))
+    if rules is not None:
+        wanted = set(rules)
+        kept = [finding for finding in kept if finding.rule in wanted]
     kept.sort(key=lambda f: (f.path, f.line, f.rule))
     return kept
 
@@ -224,8 +190,7 @@ def analyze_paths(paths: Sequence[Path],
     modules, errors = collect_modules(paths, stats=stats)
     started = time.perf_counter()  # repro: allow[DET001] tooling timing
     findings = run_checkers(modules, rules=rules,
-                            project_checkers=default_project_checkers(),
-                            stats=stats)
+                            graph=build_protocol_graph(modules))
     if stats is not None:
         stats["check_seconds"] = stats.get("check_seconds", 0.0) \
             + (time.perf_counter() - started)  # repro: allow[DET001] tooling timing
@@ -252,4 +217,4 @@ def analyze_sources(sources: Dict[str, str],
         for relpath, source in sorted(sources.items())
     ]
     return run_checkers(modules, rules=rules,
-                        project_checkers=default_project_checkers())
+                        graph=build_protocol_graph(modules))

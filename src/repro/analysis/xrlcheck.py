@@ -1,471 +1,121 @@
-"""XRL conformance: every call site and handler against the IDL catalogue.
+"""XRL conformance: every send and bind site against the IDL catalogue.
 
 This is the static half of what XORP's ``xrlc`` did at build time
 (paper §6.1: "interface specification, automatic stub code generation,
 and basic error checking").  The runtime already rejects bad calls when
-they happen; this checker rejects them when they are *written*:
+they happen; this checker rejects them when they are *written*.  The
+sites come from :mod:`repro.analysis.sites`; each rule is a function of
+one site, the catalogue and (for handlers) the class index:
 
-* ``Xrl(target, "iface", "ver", "method", args)`` constructions —
-  interface/version existence (XRL001), method existence (XRL002), and,
-  when the ``XrlArgs`` build chain is statically resolvable, argument
-  names/types/arity (XRL003);
-* ``SOME_IDL.client(...)`` stubs and the proxy method calls made on them
-  (XRL002/XRL003 with keyword arguments);
-* ``register_raw_method("iface/ver/method", ...)`` paths (XRL001/XRL002);
-* textual ``call_xrl``/``Xrl.from_text`` literals (XRL006 + the above);
-* ``bind(SOME_IDL, impl)`` registrations — the implementation class must
-  provide a handler for every declared method (XRL004) with a signature
-  that can accept the declared parameters (XRL005).
+* a :class:`~repro.analysis.sites.SendSite` — ``Xrl(...)`` construction,
+  client-stub call, textual literal, helper-wrapper call — must name an
+  interface/version the catalogue has (XRL001) and methods it declares
+  (XRL002), and where its arguments resolve statically they must match
+  the declared names/types/arity (XRL003);
+* a :class:`~repro.analysis.sites.BindSite` must name a known interface
+  (XRL001); a raw registration a declared method (XRL002); a ``bind()``
+  an implementation class with a handler for every declared method
+  (XRL004) whose signature can accept the declared parameters (XRL005);
+* a textual XRL or raw method path that does not parse is XRL006.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, Iterator, Optional
 
-from repro.analysis.core import (
-    Checker,
-    Finding,
-    ModuleInfo,
-    ProjectIndex,
-    closest_assignment,
-    enclosing_class as _enclosing_class,
-    enclosing_function as _enclosing_function,
-    resolve_str_values,
-    walk_with_scopes as _walk_with_scopes,
+from repro.analysis.core import Checker, Finding, ModuleInfo, ProjectIndex
+from repro.analysis.sites import (
+    Atom,
+    BindSite,
+    SendSite,
+    load_catalogue,
+    sites_of,
 )
-
-#: XrlArgs builder method -> IDL type tag
-_ADDER_TYPES = {
-    "add_i32": "i32", "add_u32": "u32", "add_i64": "i64", "add_u64": "u64",
-    "add_txt": "txt", "add_bool": "bool", "add_ipv4": "ipv4",
-    "add_ipv6": "ipv6", "add_ipv4net": "ipv4net", "add_ipv6net": "ipv6net",
-    "add_mac": "mac", "add_binary": "binary", "add_list": "list",
-}
-
-_IDL_NAME_SUFFIX = "_IDL"
-
-
-def _is_idl_name(node: ast.AST) -> Optional[str]:
-    if isinstance(node, ast.Name) and node.id.endswith(_IDL_NAME_SUFFIX):
-        return node.id
-    if isinstance(node, ast.Attribute) and node.attr.endswith(_IDL_NAME_SUFFIX):
-        return node.attr
-    return None
-
-
-def _const_str(node: Optional[ast.AST]) -> Optional[str]:
-    if isinstance(node, ast.Constant) and isinstance(node.value, str):
-        return node.value
-    return None
-
-
-class _ArgChain:
-    """A statically resolved ``XrlArgs()...`` build chain."""
-
-    __slots__ = ("atoms",)
-
-    def __init__(self, atoms: List[Tuple[str, str]]):
-        self.atoms = atoms  # [(name, idl type tag), ...]
-
-    def describe(self) -> str:
-        return "&".join(f"{n}:{t}" for n, t in self.atoms) or "<none>"
-
-
-def _parse_arg_chain(node: ast.AST) -> Optional[_ArgChain]:
-    """``XrlArgs().add_txt("a", x).add_u32("b", y)`` -> atom list, else None."""
-    adders: List[Tuple[str, str]] = []
-    current = node
-    while True:
-        if isinstance(current, ast.Call) and isinstance(current.func, ast.Name) \
-                and current.func.id == "XrlArgs":
-            if current.args or current.keywords:
-                return None
-            adders.reverse()
-            return _ArgChain(adders)
-        if not (isinstance(current, ast.Call)
-                and isinstance(current.func, ast.Attribute)):
-            return None
-        attr = current.func.attr
-        if attr in _ADDER_TYPES:
-            name = _const_str(current.args[0]) if current.args else None
-            if name is None:
-                return None
-            adders.append((name, _ADDER_TYPES[attr]))
-        elif attr == "add":
-            atom = _parse_xrl_atom(current.args[0]) if current.args else None
-            if atom is None:
-                return None
-            adders.append(atom)
-        else:
-            return None
-        current = current.func.value
-
-
-def _parse_xrl_atom(node: ast.AST) -> Optional[Tuple[str, str]]:
-    """``XrlAtom("name", XrlAtomType.U32, v)`` -> ("name", "u32")."""
-    if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-            and node.func.id == "XrlAtom" and len(node.args) >= 2):
-        return None
-    name = _const_str(node.args[0])
-    type_node = node.args[1]
-    if name is None or not isinstance(type_node, ast.Attribute):
-        return None
-    try:
-        from repro.xrl.types import XrlAtomType
-        return name, XrlAtomType[type_node.attr].value
-    except KeyError:
-        return None
-
-
-def _name_is_mutated(fn: ast.AST, name: str, assign_line: int) -> bool:
-    """True when ``name.add*`` is called outside its build chain."""
-    for node in ast.walk(fn):
-        if (isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr.startswith("add")
-                and isinstance(node.func.value, ast.Name)
-                and node.func.value.id == name
-                and node.lineno != assign_line):
-            return True
-    return False
 
 
 class XrlConformanceChecker(Checker):
     name = "xrl-conformance"
     rules = ("XRL001", "XRL002", "XRL003", "XRL004", "XRL005", "XRL006")
 
-    def __init__(self, catalogue: Optional[Dict[str, object]] = None,
-                 idl_constants: Optional[Dict[str, object]] = None):
-        if catalogue is None or idl_constants is None:
-            loaded_cat, loaded_consts = load_catalogue()
-            catalogue = catalogue or loaded_cat
-            idl_constants = idl_constants or loaded_consts
-        self.catalogue = catalogue
-        self.idl_constants = idl_constants
-
-    # -- entry point -------------------------------------------------------
     def check(self, module: ModuleInfo, project: ProjectIndex
               ) -> Iterator[Finding]:
-        path = str(module.path)
-        for node, ancestry in _walk_with_scopes(module.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            fn = _enclosing_function(ancestry)
-            cls = _enclosing_class(ancestry)
-            yield from self._check_xrl_ctor(path, node, fn)
-            yield from self._check_bind(path, node, fn, cls, project, module)
-            yield from self._check_raw_register(path, node)
-            yield from self._check_textual(path, node)
-            yield from self._check_stub_call(path, node, fn, cls, project)
+        catalogue = load_catalogue()[0]
+        sites = sites_of(module)
+        yield from sites.errors
+        for send in sites.sends:
+            yield from check_send(send, catalogue)
+        for bind in sites.binds:
+            yield from check_bind(bind, catalogue, project)
 
-    # -- Xrl(...) constructions -------------------------------------------
-    def _check_xrl_ctor(self, path: str, call: ast.Call,
-                        fn: Optional[ast.AST]) -> Iterator[Finding]:
-        if not (isinstance(call.func, ast.Name) and call.func.id == "Xrl"
-                and len(call.args) >= 4):
-            return
-        iface_name = _const_str(call.args[1])
-        version = _const_str(call.args[2])
-        if iface_name is None or version is None:
-            return
-        fullname = f"{iface_name}/{version}"
-        iface = self.catalogue.get(fullname)
-        if iface is None:
-            yield Finding(path, call.args[1].lineno, "XRL001",
-                          f"unknown interface {fullname!r}")
-            return
-        methods = resolve_str_values(call.args[3], fn, call.lineno)
-        known: List[str] = []
-        for method_name, line in methods:
-            if method_name not in iface.methods:
-                yield Finding(path, line, "XRL002",
-                              f"{fullname} declares no method {method_name!r}")
-            else:
-                known.append(method_name)
-        if not known or len(known) != len(methods):
-            return
-        args_node = call.args[4] if len(call.args) >= 5 else None
-        for keyword in call.keywords:
-            if keyword.arg == "args":
-                args_node = keyword.value
-        chain = self._resolve_chain(args_node, fn, call.lineno)
-        if chain is None:
-            return
-        got = set(chain.atoms)
-        matches_any = any(
-            got == set(iface.methods[m].signature[0])
-            for m in known
-        )
-        if not matches_any:
-            want = " | ".join(
-                "&".join(f"{n}:{t}" for n, t in iface.methods[m].signature[0])
-                or "<none>" for m in known
-            )
-            line = args_node.lineno if args_node is not None else call.lineno
-            yield Finding(
-                path, line, "XRL003",
-                f"arguments {chain.describe()} do not match "
-                f"{fullname}/{'|'.join(known)} ({want})")
 
-    def _resolve_chain(self, node: Optional[ast.AST], fn: Optional[ast.AST],
-                       before_line: int) -> Optional[_ArgChain]:
-        if node is None:
-            return _ArgChain([])
-        chain = _parse_arg_chain(node)
-        if chain is not None:
-            return chain
-        if isinstance(node, ast.Name) and fn is not None:
-            assign = closest_assignment(fn, node.id, before_line)
-            if assign is None:
-                return None
-            chain = _parse_arg_chain(assign.value)
-            if chain is None:
-                return None
-            if _name_is_mutated(fn, node.id, assign.lineno):
-                return None
-            return chain
-        return None
+def _describe(atoms: Iterable[Atom]) -> str:
+    return "&".join(f"{n}:{t}" if t else n for n, t in atoms) or "<none>"
 
-    # -- bind(...) registrations ------------------------------------------
-    def _check_bind(self, path: str, call: ast.Call, fn: Optional[ast.AST],
-                    cls: Optional[ast.ClassDef], project: ProjectIndex,
-                    module: ModuleInfo) -> Iterator[Finding]:
-        bind_attr = resolve_bind_attr(call, fn)
-        if bind_attr is None:
-            return
-        iface_node: Optional[ast.AST] = None
-        iface_index = -1
-        receiver_name = _is_idl_name(bind_attr.value)
-        if receiver_name is not None:
-            iface_node = bind_attr.value
-        else:
-            for index, arg in enumerate(call.args):
-                if _is_idl_name(arg) is not None or _is_interface_call(arg):
-                    iface_node = arg
-                    iface_index = index
-                    break
-        if iface_node is None:
-            return
-        iface = self._resolve_idl_node(iface_node)
-        if iface is None:
-            yield Finding(
-                path, iface_node.lineno, "XRL001",
-                f"interface constant "
-                f"{_is_idl_name(iface_node) or ast.dump(iface_node)[:40]!r} "
-                f"is not in the repro.interfaces catalogue")
-            return
-        impl_node: Optional[ast.AST] = None
-        if receiver_name is not None:
-            impl_node = call.args[1] if len(call.args) > 1 else None
-        elif iface_index + 1 < len(call.args):
-            impl_node = call.args[iface_index + 1]
-        impl_cls = self._resolve_impl_class(impl_node, fn, cls, project,
-                                            call.lineno)
-        if impl_cls is None:
-            return
-        for method in iface.methods.values():
-            handler, complete = project.find_method(
-                impl_cls, f"xrl_{method.name}", method.name)
-            if handler is None:
-                if complete:
-                    yield Finding(
-                        path, call.lineno, "XRL004",
-                        f"{impl_cls.name} implements no handler for "
-                        f"{iface.fullname}/{method.name}")
-                continue
-            problem = _handler_signature_problem(handler, method)
-            if problem is not None:
+
+def check_send(site: SendSite, catalogue: Dict[str, object]
+               ) -> Iterator[Finding]:
+    """XRL001–XRL003 for one send site."""
+    iface = catalogue.get(site.interface)
+    if iface is None:
+        yield Finding(site.path, site.iface_line, "XRL001",
+                      f"unknown interface {site.interface!r}")
+        return
+    unknown = [(m, line) for m, line in site.method_lines
+               if m not in iface.methods]
+    for method, line in unknown:
+        yield Finding(site.path, line, "XRL002",
+                      f"{site.interface} declares no method {method!r}")
+    if unknown or not site.method_lines or site.atoms is None:
+        return
+    # Stub keywords carry names only: compare on what the site knows.
+    typed = all(tag is not None for _name, tag in site.atoms)
+    wanted = [[(n, t if typed else None)
+               for n, t in iface.methods[m].signature[0]]
+              for m in site.methods]
+    if not any(set(site.atoms) == set(want) for want in wanted):
+        yield Finding(
+            site.path, site.args_line, "XRL003",
+            f"arguments {_describe(site.atoms)} do not match "
+            f"{site.interface}/{'|'.join(site.methods)} "
+            f"({' | '.join(map(_describe, wanted))})")
+
+
+def check_bind(site: BindSite, catalogue: Dict[str, object],
+               project: ProjectIndex) -> Iterator[Finding]:
+    """XRL001/XRL002 for a registration, XRL004/XRL005 for its handlers."""
+    iface = catalogue.get(site.interface)
+    if iface is None:
+        yield Finding(site.path, site.iface_line, "XRL001",
+                      f"unknown interface {site.interface!r}")
+        return
+    if site.methods is not None:        # a raw registration: no class to check
+        for method in site.methods:
+            if method not in iface.methods:
                 yield Finding(
-                    path, call.lineno, "XRL005",
-                    f"{impl_cls.name}.{handler.name} cannot accept "
-                    f"{iface.fullname}/{method.name}: {problem}")
-
-    def _resolve_idl_node(self, node: ast.AST):
-        name = _is_idl_name(node)
-        if name is not None:
-            return self.idl_constants.get(name)
-        if _is_interface_call(node):
-            fullname = _const_str(node.args[0]) if node.args else None
-            if fullname is not None:
-                return self.catalogue.get(fullname)
-        return None
-
-    def _resolve_impl_class(self, node: Optional[ast.AST],
-                            fn: Optional[ast.AST],
-                            cls: Optional[ast.ClassDef],
-                            project: ProjectIndex,
-                            before_line: int) -> Optional[ast.ClassDef]:
-        if node is None or (isinstance(node, ast.Constant)
-                            and node.value is None):
-            return cls
-        if isinstance(node, ast.Name):
-            if node.id == "self":
-                return cls
-            if fn is not None:
-                assign = closest_assignment(fn, node.id, before_line)
-                if assign is not None and isinstance(assign.value, ast.Call) \
-                        and isinstance(assign.value.func, ast.Name):
-                    return project.class_def(assign.value.func.id)
-            return None
-        if isinstance(node, ast.Attribute) \
-                and isinstance(node.value, ast.Name) \
-                and node.value.id == "self" and cls is not None:
-            for stmt in ast.walk(cls):
-                if (isinstance(stmt, ast.Assign)
-                        and any(isinstance(t, ast.Attribute)
-                                and isinstance(t.value, ast.Name)
-                                and t.value.id == "self"
-                                and t.attr == node.attr
-                                for t in stmt.targets)
-                        and isinstance(stmt.value, ast.Call)
-                        and isinstance(stmt.value.func, ast.Name)):
-                    return project.class_def(stmt.value.func.id)
-        return None
-
-    # -- raw registrations -------------------------------------------------
-    def _check_raw_register(self, path: str, call: ast.Call
-                            ) -> Iterator[Finding]:
-        if not (isinstance(call.func, ast.Attribute)
-                and call.func.attr == "register_raw_method" and call.args):
-            return
-        method_path = _const_str(call.args[0])
-        if method_path is None:
-            return
-        parts = method_path.split("/")
-        if len(parts) != 3:
-            yield Finding(path, call.args[0].lineno, "XRL006",
-                          f"malformed method path {method_path!r} "
-                          "(want interface/version/method)")
-            return
-        fullname = f"{parts[0]}/{parts[1]}"
-        iface = self.catalogue.get(fullname)
-        if iface is None:
-            yield Finding(path, call.args[0].lineno, "XRL001",
-                          f"unknown interface {fullname!r}")
-        elif parts[2] not in iface.methods:
-            yield Finding(path, call.args[0].lineno, "XRL002",
-                          f"{fullname} declares no method {parts[2]!r}")
-
-    # -- textual XRLs ------------------------------------------------------
-    def _check_textual(self, path: str, call: ast.Call) -> Iterator[Finding]:
-        is_call_xrl = (
-            (isinstance(call.func, ast.Name)
-             and call.func.id in ("call_xrl", "call_xrl_checked"))
-            or (isinstance(call.func, ast.Attribute)
-                and call.func.attr in ("call_xrl", "call_xrl_checked")))
-        is_from_text = (isinstance(call.func, ast.Attribute)
-                        and call.func.attr == "from_text"
-                        and isinstance(call.func.value, ast.Name)
-                        and call.func.value.id == "Xrl")
-        if not (is_call_xrl or is_from_text):
-            return
-        text_node = call.args[1] if is_call_xrl and len(call.args) > 1 else (
-            call.args[0] if is_from_text and call.args else None)
-        text = _const_str(text_node)
-        if text is None:
-            return
-        from repro.xrl.error import XrlError
-        from repro.xrl.xrl import Xrl
-        try:
-            xrl = Xrl.from_text(text)
-        except XrlError as exc:
-            yield Finding(path, text_node.lineno, "XRL006",
-                          f"bad XRL literal: {exc}")
-            return
-        fullname = f"{xrl.interface}/{xrl.version}"
-        iface = self.catalogue.get(fullname)
-        if iface is None:
-            yield Finding(path, text_node.lineno, "XRL001",
-                          f"unknown interface {fullname!r}")
-            return
-        if xrl.method not in iface.methods:
-            yield Finding(path, text_node.lineno, "XRL002",
-                          f"{fullname} declares no method {xrl.method!r}")
-            return
-        got = {(atom.name, atom.type.value) for atom in xrl.args}
-        want = set(iface.methods[xrl.method].signature[0])
-        if got != want:
+                    site.path, site.iface_line, "XRL002",
+                    f"{site.interface} declares no method {method!r}")
+        return
+    impl = project.class_def(site.impl) if isinstance(site.impl, str) \
+        else site.impl
+    if impl is None:
+        return
+    for method in iface.methods.values():
+        handler, complete = project.find_method(
+            impl, f"xrl_{method.name}", method.name)
+        if handler is None:
+            if complete:
+                yield Finding(
+                    site.path, site.line, "XRL004",
+                    f"{impl.name} implements no handler for "
+                    f"{iface.fullname}/{method.name}")
+            continue
+        problem = _handler_signature_problem(handler, method)
+        if problem is not None:
             yield Finding(
-                path, text_node.lineno, "XRL003",
-                f"arguments {sorted(got)} do not match "
-                f"{fullname}/{xrl.method} signature {sorted(want)}")
-
-    # -- client stubs ------------------------------------------------------
-    def _check_stub_call(self, path: str, call: ast.Call,
-                         fn: Optional[ast.AST], cls: Optional[ast.ClassDef],
-                         project: ProjectIndex) -> Iterator[Finding]:
-        """``stub = X_IDL.client(...); stub.method(cb, name=...)`` checks."""
-        if not isinstance(call.func, ast.Attribute):
-            return
-        receiver = call.func.value
-        iface = None
-        if isinstance(receiver, ast.Name) and fn is not None:
-            assign = closest_assignment(fn, receiver.id, call.lineno)
-            if assign is not None:
-                iface = self._client_interface(assign.value)
-        elif isinstance(receiver, ast.Attribute) \
-                and isinstance(receiver.value, ast.Name) \
-                and receiver.value.id == "self" and cls is not None:
-            for stmt in ast.walk(cls):
-                if (isinstance(stmt, ast.Assign)
-                        and any(isinstance(t, ast.Attribute)
-                                and isinstance(t.value, ast.Name)
-                                and t.value.id == "self"
-                                and t.attr == receiver.attr
-                                for t in stmt.targets)):
-                    iface = self._client_interface(stmt.value)
-                    if iface is not None:
-                        break
-        if iface is None:
-            return
-        method_name = call.func.attr
-        if method_name not in iface.methods:
-            yield Finding(path, call.lineno, "XRL002",
-                          f"{iface.fullname} declares no method "
-                          f"{method_name!r}")
-            return
-        if not call.keywords or any(k.arg is None for k in call.keywords):
-            return
-        got = {k.arg for k in call.keywords}
-        want = {n for n, _t in iface.methods[method_name].signature[0]}
-        if got != want:
-            yield Finding(
-                path, call.lineno, "XRL003",
-                f"stub call keywords {sorted(got)} do not match "
-                f"{iface.fullname}/{method_name} parameters {sorted(want)}")
-
-    def _client_interface(self, node: ast.AST):
-        """``X_IDL.client(router, target)`` -> the interface, else None."""
-        if (isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr == "client"):
-            return self._resolve_idl_node(node.func.value)
-        return None
-
-
-def _is_interface_call(node: ast.AST) -> bool:
-    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-            and node.func.id == "interface")
-
-
-def resolve_bind_attr(call: ast.Call,
-                      fn: Optional[ast.AST]) -> Optional[ast.Attribute]:
-    """The ``<router>.bind`` attribute a call registers through, else None.
-
-    Covers the direct form (``router.bind(...)``, ``IDL.bind(router, ...)``,
-    helper wrappers like ``XorpProcess.bind``) and one level of local
-    aliasing — ``register = router.bind; register(IDL, self)`` — so the
-    bind inventory stays complete when code names the bound method first.
-    """
-    if isinstance(call.func, ast.Attribute) and call.func.attr == "bind":
-        return call.func
-    if isinstance(call.func, ast.Name) and fn is not None:
-        assign = closest_assignment(fn, call.func.id, call.lineno)
-        if assign is not None and isinstance(assign.value, ast.Attribute) \
-                and assign.value.attr == "bind":
-            return assign.value
-    return None
+                site.path, site.line, "XRL005",
+                f"{impl.name}.{handler.name} cannot accept "
+                f"{iface.fullname}/{method.name}: {problem}")
 
 
 def _handler_signature_problem(handler: ast.FunctionDef,
@@ -492,15 +142,3 @@ def _handler_signature_problem(handler: ast.FunctionDef,
     if extra:
         return f"requires undeclared parameters {extra}"
     return None
-
-
-def load_catalogue() -> Tuple[Dict[str, object], Dict[str, object]]:
-    """The IDL catalogue plus the ``*_IDL`` constant-name map."""
-    import repro.interfaces as interfaces
-    from repro.xrl.idl import XrlInterface
-
-    constants = {
-        name: value for name, value in vars(interfaces).items()
-        if name.endswith(_IDL_NAME_SUFFIX) and isinstance(value, XrlInterface)
-    }
-    return interfaces.catalogue(), constants

@@ -95,13 +95,11 @@ class BgpProcess(XorpProcess):
         self.xrl.bind(RIB_CLIENT_IDL, self)
         self.xrl.bind(PROFILER_IDL, self.profiler)
         self.xrl.bind(COMMON_IDL, self)
-        self._rib_down = False
         if rib_target is not None:
             self._register_rib_tables()
             # Watch the RIB's lifetime: when it dies and comes back we
             # must re-seed it (tables, interest, and every best route).
-            host.finder.watch(self._rib_watcher_name(), rib_target,
-                              self._rib_lifetime)
+            self.watch_rebirth(rib_target, self.resync_rib)
 
     # -- peer info for the decision process ------------------------------------
     def peer_info(self, peer_id: str) -> PeerInfo:
@@ -136,21 +134,6 @@ class BgpProcess(XorpProcess):
             send(Xrl(self.rib_target, "rib", "1.0",
                      "add_egp_table4", args),
                  retry=self.retry_policy)
-
-    def _rib_watcher_name(self) -> str:
-        return f"bgp-ribwatch:{self.xrl.instance_name}"
-
-    def _rib_lifetime(self, event: str, class_name: str,
-                      instance: str) -> None:
-        from repro.xrl.finder import BIRTH, DEATH
-
-        if event == DEATH:
-            self._rib_down = True
-        elif event == BIRTH and self._rib_down and self.running:
-            self._rib_down = False
-            # Deferred: at BIRTH the reborn RIB has registered its
-            # component but not yet bound its interfaces.
-            self.loop.call_soon(self.resync_rib)
 
     def resync_rib(self) -> None:
         """Re-seed a restarted RIB (the resync contract in DESIGN.md).
@@ -403,7 +386,4 @@ class BgpProcess(XorpProcess):
     def shutdown(self) -> None:
         for handler in list(self.peers.values()):
             handler.tear_down()
-        if self.rib_target is not None:
-            self.host.finder.unwatch(self._rib_watcher_name(),
-                                     self.rib_target)
         super().shutdown()

@@ -18,12 +18,13 @@ event loop, the Finder, and the protocol family instances.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from repro.eventloop import EventLoop, SimulatedClock
 from repro.interfaces import METRICS_IDL
 from repro.obs.metrics import MetricsRegistry
 from repro.xrl import Finder, XrlRouter
+from repro.xrl.finder import BIRTH, DEATH
 from repro.xrl.idl import XrlInterface
 from repro.xrl.router import new_process_token
 from repro.xrl.transport import IntraProcessFamily, KillFamily
@@ -83,6 +84,9 @@ class XorpProcess:
         self.loop.register_metrics(self.metrics)
         self._kill_address = host.kill_family.listen(self)
         self._running = True
+        #: classes watched by :meth:`watch_rebirth` -> a death was seen
+        #: and the resync is still due
+        self._rebirth_due: Dict[str, bool] = {}
         host.add_process(self)
 
     # -- component management ------------------------------------------------
@@ -121,6 +125,34 @@ class XorpProcess:
     def running(self) -> bool:
         return self._running
 
+    def watch_rebirth(self, class_name: str, resync: Callable[[], None],
+                      at_birth: Optional[Callable[[], None]] = None) -> None:
+        """Run *resync* whenever *class_name* dies and is born again while
+        this process runs (the resync contract in DESIGN.md).
+
+        *resync* is deferred one loop turn past BIRTH: a reborn process has
+        registered its component by then but not yet bound its interfaces.
+        *at_birth* runs at BIRTH itself.  Watching a class again is a no-op.
+        """
+        if class_name in self._rebirth_due:
+            return
+        self._rebirth_due[class_name] = False
+
+        def lifetime(event: str, _class_name: str, _instance: str) -> None:
+            if event == DEATH:
+                self._rebirth_due[class_name] = True
+            elif event == BIRTH and self._rebirth_due[class_name] \
+                    and self.running:
+                self._rebirth_due[class_name] = False
+                if at_birth is not None:
+                    at_birth()
+                self.loop.call_soon(resync)
+
+        self.host.finder.watch(self._rebirth_watcher(), class_name, lifetime)
+
+    def _rebirth_watcher(self) -> str:
+        return f"{self.name}-rebirth:{self.process_token}"
+
     def on_signal(self, signal_number: int) -> None:
         """Kill protocol family entry point."""
         self.shutdown()
@@ -130,6 +162,8 @@ class XorpProcess:
         if not self._running:
             return
         self._running = False
+        for class_name in self._rebirth_due:
+            self.host.finder.unwatch(self._rebirth_watcher(), class_name)
         for router in self.routers:
             router.shutdown()
         self.host.kill_family.unlisten(self._kill_address)

@@ -312,7 +312,7 @@ def request_spec(fullname: str, method: str) -> Tuple[Tuple[str, str], ...]:
 def reply_spec(fullname: str, method: str) -> Tuple[Tuple[str, str], ...]:
     """``((atom, idl-type), ...)`` the handler's reply carries for *method*.
 
-    This is what the protocol-graph conformance pass (PRO003/PRO006 in
+    This is what the protocol-graph conformance pass (PRO003 in
     ``repro.analysis.protograph``) checks caller-side reads against.
     """
     return tuple(_CATALOGUE[fullname].methods[method].signature[1])

@@ -8,6 +8,7 @@ over pipelined XRLs.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Any, Dict, List, Optional
 
 from repro.core.process import Host, XorpProcess
@@ -156,12 +157,12 @@ class RibProcess(XorpProcess):
         self.xrl.bind(PROFILER_IDL, self.profiler)
         self.xrl.bind(COMMON_IDL, self)
         self._redist_targets: Dict[str, str] = {}
-        #: redist consumer classes we watch; value = death seen, resync due
-        self._redist_down: Dict[str, bool] = {}
-        self._fea_down = False
         # Watch the FEA's lifetime so a reborn (empty) FIB is re-seeded.
-        host.finder.watch(self._watcher_name(), fea_target,
-                          self._fea_lifetime)
+        # It starts from an empty FIB: the backlog (and any congestion
+        # pause against the dead incarnation) is superseded by the
+        # full-table resync, so the flow queue is reset at BIRTH itself.
+        self.watch_rebirth(fea_target, self.resync_fea,
+                           at_birth=self.flow.reset)
 
     # -- FEA distribution ----------------------------------------------------
     # Both families flow through one emit helper into the flow controller,
@@ -250,25 +251,6 @@ class RibProcess(XorpProcess):
         self.txq.enqueue(xrl, on_reply=on_reply)
 
     # -- resync after consumer restarts (the DESIGN.md failure model) --------
-    def _watcher_name(self) -> str:
-        return f"rib-watch:{self.xrl.instance_name}"
-
-    def _fea_lifetime(self, event: str, class_name: str,
-                      instance: str) -> None:
-        from repro.xrl.finder import BIRTH, DEATH
-
-        if event == DEATH:
-            self._fea_down = True
-        elif event == BIRTH and self._fea_down and self.running:
-            self._fea_down = False
-            # The reborn FEA starts from an empty FIB: the backlog (and
-            # any congestion pause against the dead incarnation) is
-            # superseded by the full-table resync.
-            self.flow.reset()
-            # Deferred past BIRTH: the reborn FEA binds its interfaces
-            # only after registering its component.
-            self.loop.call_soon(self.resync_fea)
-
     def resync_fea(self) -> None:
         """Replay every winning route at a restarted FEA.
 
@@ -280,25 +262,6 @@ class RibProcess(XorpProcess):
         self._emit_fea4("add", list(self.v4.redist.winners.values()))
         self._emit_fea6("add", list(self.v6.redist.winners.values()))
 
-    def _watch_redist_class(self, target: str) -> None:
-        if target in self._redist_down:
-            return
-        self._redist_down[target] = False
-        self.host.finder.watch(
-            self._watcher_name(), target,
-            lambda event, cls, instance, t=target:
-                self._redist_lifetime(t, event))
-
-    def _redist_lifetime(self, target: str, event: str) -> None:
-        from repro.xrl.finder import BIRTH, DEATH
-
-        if event == DEATH:
-            self._redist_down[target] = True
-        elif event == BIRTH and self._redist_down.get(target) \
-                and self.running:
-            self._redist_down[target] = False
-            self.loop.call_soon(self._resync_redist, target)
-
     def _resync_redist(self, target: str) -> None:
         """Replay redistribution to a reborn consumer process."""
         if not self.running:
@@ -307,15 +270,6 @@ class RibProcess(XorpProcess):
         for key, key_target in self._redist_targets.items():
             if key_target == target:
                 resync(key)
-
-    def shutdown(self) -> None:
-        if self.running:
-            watcher = self._watcher_name()
-            unwatch = self.host.finder.unwatch
-            unwatch(watcher, self.fea_target)
-            for target in self._redist_down:
-                unwatch(watcher, target)
-        super().shutdown()
 
     # -- invalidation notifications (paper §5.2.1) ----------------------------
     def _notify_invalid4(self, client: str, subnet: IPNet) -> None:
@@ -459,7 +413,7 @@ class RibProcess(XorpProcess):
         if self.v4.redist.has_target(key):
             return
         self._redist_targets[key] = target
-        self._watch_redist_class(target)
+        self.watch_rebirth(target, partial(self._resync_redist, target))
         self.v4.redist.add_target(
             key,
             predicate=lambda route: route.protocol == from_protocol,

@@ -76,14 +76,12 @@ def analysis_cli_runs(tmp_path_factory):
     runs = []
     for index, fmt in enumerate(("text", "json")):
         files = {name: out / f"{name}{index}" for name in
-                 ("graph", "graph_dot", "hot", "hot_dot")}
+                 ("graph", "graph_dot")}
         result = subprocess.run(
             [sys.executable, "-m", "repro.analysis", str(SRC_REPRO),
              "--format", fmt,
              "--graph-out", str(files["graph"]),
-             "--graph-dot", str(files["graph_dot"]),
-             "--hot-report", str(files["hot"]),
-             "--hot-dot", str(files["hot_dot"])],
+             "--graph-dot", str(files["graph_dot"])],
             capture_output=True, text=True,
             env={"PYTHONPATH": str(REPO_ROOT / "src"), "PATH": "/usr/bin"})
         runs.append(SimpleNamespace(returncode=result.returncode,

@@ -10,8 +10,7 @@ Four layers:
   synchronous back-call, and a renamed reply atom against copies of the
   *real* source tree must each be caught by exactly its intended rule;
 * the protocol graph itself — byte-stable export, correct edges;
-* the CI gate — the shipped ``src/repro`` tree has zero error-severity
-  findings (PRO004/PRO005 warnings and PRO006 info are allowed).
+* the CI gate — the shipped ``src/repro`` tree has no findings at all.
 """
 
 import json
@@ -23,7 +22,6 @@ from repro.analysis import (
     analyze_paths,
     analyze_source,
     analyze_sources,
-    build_hotpath,
     build_protocol_graph,
     collect_modules,
 )
@@ -35,10 +33,6 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 
 def rules_of(findings):
     return [f.rule for f in findings]
-
-
-def errors_of(findings):
-    return [f.rule for f in findings if f.severity == "error"]
 
 
 # ---------------------------------------------------------------------------
@@ -100,6 +94,20 @@ class TestXrlConformance:
         )
         findings = analyze_source(source, logical=("rip", "process.py"))
         assert rules_of(findings) == ["XRL003"]
+
+    def test_annotated_args_assignment_xrl003(self):
+        # ``args: XrlArgs = ...`` is the same build chain as ``args = ...``.
+        source = (
+            "from repro.xrl import XrlArgs\n"
+            "from repro.xrl.xrl import Xrl\n"
+            "def go(router, x):\n"
+            "    args: XrlArgs = XrlArgs().add_txt('nme', x)\n"
+            "    router.send(Xrl('rib', 'rib', '1.0', 'add_igp_table4',"
+            " args))\n"
+        )
+        findings = analyze_source(source, logical=("rip", "process.py"))
+        assert rules_of(findings) == ["XRL003"]
+        assert "nme" in findings[0].message
 
     def test_mutated_args_not_checked(self):
         # The chain resolver must bail out (no XRL003) when the args
@@ -603,14 +611,7 @@ class TestSuppressions:
 class TestTreeGate:
     def test_shipped_tree_has_no_errors(self, analysis_tree):
         findings = analyze_paths([analysis_tree])
-        errors = [f for f in findings if f.severity == "error"]
-        assert errors == [], "\n".join(f.render() for f in errors)
-        # warnings/info are allowed on the shipped tree, but only the
-        # dead-surface/unread-reply rules and the warning-severity
-        # hot-path cost rules should produce any
-        assert {f.rule for f in findings} <= {
-            "PRO004", "PRO005", "PRO006", "HOT003", "HOT004", "HOT005",
-        }
+        assert findings == [], "\n".join(f.render() for f in findings)
 
     def test_cli_exits_zero_on_clean_tree(self, analysis_cli_runs):
         result = analysis_cli_runs[0]
@@ -625,8 +626,7 @@ class TestTreeGate:
             i for i, line in enumerate(text.splitlines(), start=1)
             if '"add_entry4"' in line)
         rib.write_text(text.replace('"add_entry4"', '"add_entyr4"', 1))
-        findings = analyze_paths([tree])
-        errors = [f for f in findings if f.severity == "error"]
+        errors = analyze_paths([tree])
         assert len(errors) == 1
         finding = errors[0]
         assert finding.rule == "XRL002"
@@ -642,13 +642,43 @@ class TestTreeGate:
                       if "self.xrl.bind(BGP_IDL, self)" in l)
         lines.insert(anchor, "        import time; time.sleep(0.1)\n")
         bgp.write_text("".join(lines))
-        findings = analyze_paths([tree])
-        errors = [f for f in findings if f.severity == "error"]
+        errors = analyze_paths([tree])
         assert len(errors) == 1
         finding = errors[0]
         assert finding.rule == "DET002"
         assert finding.path.endswith("bgp/process.py")
         assert finding.line == anchor + 1
+
+    def test_handler_deleted_from_base_class_in_another_file(self, mutable_tree):
+        # A bind's verdict depends on every file its class inherits from:
+        # editing only the base must change it, without clearing any cache.
+        tree = mutable_tree
+        base = tree / "rip" / "base.py"
+        handlers = (
+            "class Base:\n"
+            "    def xrl_get_target_name(self):\n"
+            "        return 'p'\n"
+            "    def xrl_get_version(self):\n"
+            "        return '1'\n"
+            "    def xrl_get_status(self):\n"
+            "        return 'READY'\n"
+        )
+        shutdown = ("    def xrl_shutdown(self):\n"
+                    "        pass\n")
+        base.write_text(handlers + shutdown)
+        (tree / "rip" / "bound.py").write_text(
+            "from repro.interfaces import COMMON_IDL\n"
+            "from repro.rip.base import Base\n"
+            "class P(Base):\n"
+            "    def __init__(self, xrl):\n"
+            "        xrl.bind(COMMON_IDL, self)\n"
+        )
+        assert analyze_paths([tree]) == []
+        base.write_text(handlers)
+        findings = analyze_paths([tree])
+        assert rules_of(findings) == ["XRL004"]
+        assert findings[0].path.endswith("rip/bound.py")
+        assert "shutdown" in findings[0].message
 
     def test_rule_registry_documented(self):
         for rule_id, rule in RULES.items():
@@ -657,7 +687,7 @@ class TestTreeGate:
 
 
 # ---------------------------------------------------------------------------
-# The whole-system protocol graph (PRO001–PRO006)
+# The whole-system protocol graph (PRO001–PRO003)
 # ---------------------------------------------------------------------------
 
 class TestProtographMutations:
@@ -671,8 +701,7 @@ class TestProtographMutations:
         rib.write_text("\n".join(
             line for line in text.splitlines()
             if "self.xrl.bind(RIB_IDL, self)" not in line) + "\n")
-        findings = analyze_paths([tree])
-        errors = [f for f in findings if f.severity == "error"]
+        errors = analyze_paths([tree])
         assert errors, "deleting the RIB bind must break resolution"
         assert {f.rule for f in errors} == {"PRO001"}
         assert any("rib/1.0" in f.message for f in errors)
@@ -695,8 +724,7 @@ class TestProtographMutations:
             '                XrlArgs().add_ipv4("addr", addr)),\n'
             "            deadline=5)\n"
         ))
-        findings = analyze_paths([tree])
-        errors = [f for f in findings if f.severity == "error"]
+        errors = analyze_paths([tree])
         assert len(errors) == 1
         assert errors[0].rule == "PRO002"
         assert "fea -> rib" in errors[0].message
@@ -709,8 +737,7 @@ class TestProtographMutations:
         assert 'get_txt("status")' in text
         supervisor.write_text(
             text.replace('get_txt("status")', 'get_txt("statuz")', 1))
-        findings = analyze_paths([tree])
-        errors = [f for f in findings if f.severity == "error"]
+        errors = analyze_paths([tree])
         assert len(errors) == 1
         assert errors[0].rule == "PRO003"
         assert "'statuz'" in errors[0].message
@@ -745,7 +772,7 @@ class TestProtographFixtures:
             " args))\n"
         )
         findings = analyze_sources({"bgp/feed.py": sender})
-        assert errors_of(findings) == ["PRO001"]
+        assert rules_of(findings) == ["PRO001"]
 
     def test_send_with_bind_resolves(self):
         sender = (
@@ -755,27 +782,7 @@ class TestProtographFixtures:
         )
         findings = analyze_sources({"bgp/probe.py": sender,
                                     "rib/p.py": self.BINDER})
-        assert errors_of(findings) == []
-
-    def test_dead_handlers_pro004_warning(self):
-        findings = analyze_sources({"rib/p.py": self.BINDER})
-        assert errors_of(findings) == []
-        dead = [f for f in findings if f.rule == "PRO004"]
-        assert len(dead) == 4          # all four common/0.1 methods
-        assert all(f.severity == "warning" for f in dead)
-
-    def test_mixed_versions_pro005_warning(self):
-        sender = (
-            "from repro.xrl.xrl import Xrl\n"
-            "def go(router):\n"
-            "    router.send(Xrl('rib', 'rib', '1.0', 'add_igp_table4'))\n"
-            "    router.send(Xrl('rib', 'rib', '2.0', 'add_igp_table4'))\n"
-        )
-        findings = analyze_sources({"bgp/feed.py": sender},
-                                   rules=["PRO005"])
-        assert rules_of(findings) == ["PRO005"]
-        assert "1.0" in findings[0].message
-        assert "2.0" in findings[0].message
+        assert rules_of(findings) == []
 
 
 class TestProtographGraph:
@@ -810,427 +817,17 @@ class TestProtographGraph:
             assert f'"{edge.dst}"' in dot
 
 
-# ---------------------------------------------------------------------------
-# Hot-path cost analysis (HOT001–HOT006)
-# ---------------------------------------------------------------------------
-
-class TestHotPathFixtures:
-    """Small closed fixtures: each cost rule, a good and a bad case.
-
-    A method named ``add_routes`` on a class is a stage-entry hot root,
-    so these fixtures become hot without needing the real stage tree.
-    """
-
-    def test_cold_function_not_linted(self):
-        # The same singular-call loop OUTSIDE the hot set: no findings —
-        # the analyzer lints the hot path, not the whole tree.
-        source = (
-            "class Sink:\n"
-            "    def add_routes(self, routes, *, caller=None):\n"
-            "        pass\n"
-            "    def add_route(self, route, *, caller=None):\n"
-            "        pass\n"
-            "class Rebuilder:\n"
-            "    def rebuild(self, routes, sink):\n"
-            "        for route in routes:\n"
-            "            sink.add_route(route)\n"
-        )
-        findings = analyze_sources({"rib/table.py": source})
-        assert [f for f in findings if f.rule.startswith("HOT")] == []
-
-    def test_singular_call_in_hot_loop_hot001(self):
-        source = (
-            "class MergeTable:\n"
-            "    def __init__(self, next_table):\n"
-            "        self.next_table = next_table\n"
-            "    def add_routes(self, routes, *, caller=None):\n"
-            "        for route in routes:\n"
-            "            self.next_table.add_route(route, caller=self)\n"
-            "    def add_route(self, route, *, caller=None):\n"
-            "        pass\n"
-        )
-        findings = analyze_sources({"rib/table.py": source})
-        assert errors_of(findings) == ["HOT001"]
-        finding = next(f for f in findings if f.rule == "HOT001")
-        assert "add_routes" in finding.message
-        assert finding.line == 6
-
-    WIRE_LOOP = (
-        "from repro.xrl import XrlArgs\n"
-        "from repro.xrl.xrl import Xrl\n"
-        "class Rib:\n"
-        "    def xrl_add_route4(self, protocol, net):\n"
-        "        pass\n"
-        "{vector}"
-        "class Feeder:\n"
-        "    def add_routes(self, routes, *, caller=None):\n"
-        "        args = XrlArgs()\n"
-        "        for pending in self.stretch:\n"
-        "            self.push(Xrl('rib', 'rib', '1.0', 'add_route4', args))\n"
-        "    def push(self, xrl):\n"
-        "        pass\n"
-    )
-
-    def test_singular_wire_method_in_hot_loop_hot001(self):
-        # The same defect spelled as a wire method: an Xrl naming the
-        # singular method, built per iteration, while a handler for the
-        # vectorized counterpart is bound in the tree.
-        source = self.WIRE_LOOP.format(vector=(
-            "    def xrl_add_routes4(self, protocol, nets):\n"
-            "        pass\n"))
-        findings = analyze_sources({"bgp/feed.py": source})
-        hot = [f for f in findings if f.rule.startswith("HOT")]
-        assert [f.rule for f in hot] == ["HOT001"]
-        finding = hot[0]
-        assert finding.severity == "error"
-        assert "add_route4" in finding.message
-        assert "add_routes4" in finding.message
-        assert finding.line == 12
-
-    def test_singular_wire_method_without_a_vector_handler_clean(self):
-        findings = analyze_sources(
-            {"bgp/feed.py": self.WIRE_LOOP.format(vector="")})
-        assert [f for f in findings if f.rule.startswith("HOT")] == []
-
-    def test_update_received_roots_the_feed(self):
-        # An UPDATE enters the stages here, upstream of every batched
-        # message it causes: eager per-prefix formatting is on the hot
-        # path even though no stage method is in sight.
-        source = (
-            "class Peer:\n"
-            "    def update_received(self, update):\n"
-            "        for net in update.nlri:\n"
-            "            self.prof.log(f'add {net}')\n"
-        )
-        findings = analyze_sources({"bgp/peering.py": source})
-        hot5 = [f for f in findings if f.rule == "HOT005"]
-        assert len(hot5) == 1 and hot5[0].line == 4
-        guarded = source.replace(
-            "        for net", "        if self.prof.enabled:\n          for net"
-        ).replace("            self.prof.log", "              self.prof.log")
-        findings = analyze_sources({"bgp/peering.py": guarded})
-        assert [f for f in findings if f.rule == "HOT005"] == []
-
-    def test_batch_self_decomposition_clean(self):
-        # add_routes looping over self.add_route IS the batch API
-        # decomposing itself — the one legitimate singular loop.
-        source = (
-            "class Stage:\n"
-            "    def add_routes(self, routes, *, caller=None):\n"
-            "        for route in routes:\n"
-            "            self.add_route(route, caller=caller)\n"
-            "    def add_route(self, route, *, caller=None):\n"
-            "        pass\n"
-        )
-        findings = analyze_sources({"rib/table.py": source})
-        assert errors_of(findings) == []
-
-    def test_per_route_dict_hot002(self):
-        source = (
-            "class Distributor:\n"
-            "    def add_routes(self, routes, *, caller=None):\n"
-            "        for route in routes:\n"
-            "            message = {'net': route}\n"
-            "            self.emit(message)\n"
-            "    def emit(self, message):\n"
-            "        pass\n"
-        )
-        findings = analyze_sources({"fea/push.py": source})
-        assert errors_of(findings) == ["HOT002"]
-
-    def test_per_route_xrlargs_hot002(self):
-        source = (
-            "from repro.xrl import XrlArgs\n"
-            "class Sender:\n"
-            "    def add_routes(self, routes, *, caller=None):\n"
-            "        for route in routes:\n"
-            "            self.push(XrlArgs().add_txt('net', route))\n"
-            "    def push(self, args):\n"
-            "        pass\n"
-        )
-        findings = analyze_sources({"rib/send.py": source})
-        assert errors_of(findings) == ["HOT002"]
-
-    def test_hoisted_batch_build_clean(self):
-        source = (
-            "class Sender:\n"
-            "    def add_routes(self, routes, *, caller=None):\n"
-            "        nets = []\n"
-            "        for route in routes:\n"
-            "            nets.append(route)\n"
-            "        self.push(nets)\n"
-            "    def push(self, nets):\n"
-            "        pass\n"
-        )
-        findings = analyze_sources({"rib/send.py": source})
-        assert [f for f in findings if f.rule.startswith("HOT")] == []
-
-    def test_unslotted_hot_allocation_hot003(self):
-        source = (
-            "class Held:\n"
-            "    def __init__(self, net):\n"
-            "        self.net = net\n"
-            "class Table:\n"
-            "    def add_routes(self, routes, *, caller=None):\n"
-            "        for route in routes:\n"
-            "            self.store(Held(route))\n"
-            "    def store(self, held):\n"
-            "        pass\n"
-        )
-        findings = analyze_sources({"rib/table.py": source})
-        assert errors_of(findings) == []          # HOT003 is a warning
-        hot3 = [f for f in findings if f.rule == "HOT003"]
-        assert len(hot3) == 1
-        assert hot3[0].severity == "warning"
-        assert "Held" in hot3[0].message
-
-    def test_slotted_hot_allocation_clean(self):
-        source = (
-            "class Held:\n"
-            "    __slots__ = ('net',)\n"
-            "    def __init__(self, net):\n"
-            "        self.net = net\n"
-            "class Table:\n"
-            "    def add_routes(self, routes, *, caller=None):\n"
-            "        for route in routes:\n"
-            "            self.store(Held(route))\n"
-            "    def store(self, held):\n"
-            "        pass\n"
-        )
-        findings = analyze_sources({"rib/table.py": source})
-        assert [f for f in findings if f.rule == "HOT003"] == []
-
-    def test_exception_class_in_raise_not_hot003(self):
-        source = (
-            "class TableError(Exception):\n"
-            "    pass\n"
-            "class Table:\n"
-            "    def add_routes(self, routes, *, caller=None):\n"
-            "        for route in routes:\n"
-            "            if route is None:\n"
-            "                raise TableError('nil route')\n"
-        )
-        findings = analyze_sources({"rib/table.py": source})
-        assert [f for f in findings if f.rule == "HOT003"] == []
-
-    def test_deep_attr_chain_in_loop_hot004(self):
-        source = (
-            "class Fanout:\n"
-            "    def add_routes(self, routes, *, caller=None):\n"
-            "        for route in routes:\n"
-            "            self.peer.txq.append(route)\n"
-        )
-        findings = analyze_sources({"bgp/fan.py": source})
-        hot4 = [f for f in findings if f.rule == "HOT004"]
-        assert len(hot4) == 1
-        assert hot4[0].severity == "warning"
-        assert "self.peer.txq" in hot4[0].message
-
-    def test_hoisted_attr_chain_clean(self):
-        source = (
-            "class Fanout:\n"
-            "    def add_routes(self, routes, *, caller=None):\n"
-            "        enqueue = self.peer.txq.append\n"
-            "        for route in routes:\n"
-            "            enqueue(route)\n"
-        )
-        findings = analyze_sources({"bgp/fan.py": source})
-        assert [f for f in findings if f.rule == "HOT004"] == []
-
-    def test_eager_log_format_hot005(self):
-        source = (
-            "class Stage:\n"
-            "    def add_routes(self, routes, *, caller=None):\n"
-            "        for route in routes:\n"
-            "            self.log.debug(f'adding {route}')\n"
-        )
-        findings = analyze_sources({"rib/table.py": source})
-        hot5 = [f for f in findings if f.rule == "HOT005"]
-        assert len(hot5) == 1
-        assert hot5[0].severity == "warning"
-
-    def test_enabled_guarded_log_clean(self):
-        source = (
-            "class Stage:\n"
-            "    def add_routes(self, routes, *, caller=None):\n"
-            "        if self.log.enabled:\n"
-            "            for route in routes:\n"
-            "                self.log.debug(f'adding {route}')\n"
-        )
-        findings = analyze_sources({"rib/table.py": source})
-        assert [f for f in findings if f.rule == "HOT005"] == []
-
-    def test_nested_table_scan_hot006(self):
-        source = (
-            "class Merge:\n"
-            "    def add_routes(self, routes, *, caller=None):\n"
-            "        for route in routes:\n"
-            "            for net, held in self.index.items():\n"
-            "                pass\n"
-        )
-        findings = analyze_sources({"rib/merge2.py": source})
-        assert errors_of(findings) == ["HOT006"]
-
-    def test_per_item_subiteration_clean(self):
-        # Iterating something carried BY the route is linear, not a
-        # rescan of the whole table.
-        source = (
-            "class Merge:\n"
-            "    def add_routes(self, routes, *, caller=None):\n"
-            "        for route in routes:\n"
-            "            for hop in route.hops:\n"
-            "                pass\n"
-        )
-        findings = analyze_sources({"rib/merge2.py": source})
-        assert [f for f in findings if f.rule == "HOT006"] == []
-
-    def test_hot_rules_suppressible(self):
-        source = (
-            "class MergeTable:\n"
-            "    def add_routes(self, routes, *, caller=None):\n"
-            "        for route in routes:\n"
-            "            self.nt.add_route(route)"
-            "  # repro: allow[HOT001] ordering\n"
-            "    def add_route(self, route, *, caller=None):\n"
-            "        pass\n"
-        )
-        findings = analyze_sources({"rib/table.py": source})
-        assert errors_of(findings) == []
-
-
-class TestHotPathMutations:
-    """Seeded hot-path regressions against copies of the real tree."""
-
-    def test_singular_send_into_batched_stage_hot001(self, mutable_tree):
-        tree = mutable_tree
-        merge = tree / "rib" / "merge.py"
-        text = merge.read_text()
-        batched = ("        if plain:\n"
-                   "            next_table.add_routes(plain, caller=self)\n")
-        assert batched in text
-        text = text.replace(
-            batched,
-            "        for route in plain:\n"
-            "            next_table.add_route(route, caller=self)\n")
-        merge.write_text(text)
-        findings = analyze_paths([tree])
-        errors = [f for f in findings if f.severity == "error"]
-        assert len(errors) == 1
-        assert errors[0].rule == "HOT001"
-        assert errors[0].path.endswith("rib/merge.py")
-        assert "add_routes" in errors[0].message
-
-    def test_per_route_add_route4_loop_in_rib_deliver_hot001(self, mutable_tree):
-        # Undo the vectorized BGP→RIB stream: one add_route4 XRL per
-        # route of the stretch, as before add_routes4 existed.
-        tree = mutable_tree
-        process = tree / "bgp" / "process.py"
-        text = process.read_text()
-        vectorized = ("        self._rib_send(op, current, stretch)\n"
-                      "\n"
-                      "    def _rib_send(")
-        assert vectorized in text
-        process.write_text(text.replace(
-            vectorized,
-            "        for route in stretch:\n"
-            "            self.txq.enqueue(Xrl(\n"
-            "                self.rib_target, \"rib\", \"1.0\", "
-            "\"add_route4\", self._one(route)))\n"
-            "\n"
-            "    def _rib_send("))
-        findings = analyze_paths([tree])
-        errors = [f for f in findings if f.severity == "error"]
-        assert errors and {f.rule for f in errors} == {"HOT001"}
-        assert all(f.path.endswith("bgp/process.py") for f in errors)
-        assert any("add_routes4" in f.message for f in errors)
-
-    def test_per_route_dict_into_fea_distributor_hot002(self, mutable_tree):
-        tree = mutable_tree
-        fea = tree / "fea" / "fea.py"
-        text = fea.read_text()
-        anchor = "                   in zip(nets, nexthops, ifnames)]\n"
-        assert anchor in text
-        text = text.replace(
-            anchor,
-            anchor + ("        for net in nets:\n"
-                      "            _shadow = {'net': net.value}\n"))
-        fea.write_text(text)
-        findings = analyze_paths([tree])
-        errors = [f for f in findings if f.severity == "error"]
-        assert len(errors) == 1
-        assert errors[0].rule == "HOT002"
-        assert errors[0].path.endswith("fea/fea.py")
-
-    def test_quadratic_rescan_in_merge_hot006(self, mutable_tree):
-        tree = mutable_tree
-        merge = tree / "rib" / "merge.py"
-        text = merge.read_text()
-        anchor = "        for route in routes:\n"
-        assert anchor in text
-        text = text.replace(
-            anchor,
-            anchor + ("            for __net, __stale in "
-                      "self.index.items():\n"
-                      "                pass\n"),
-            1)
-        merge.write_text(text)
-        findings = analyze_paths([tree])
-        errors = [f for f in findings if f.severity == "error"]
-        assert len(errors) == 1
-        assert errors[0].rule == "HOT006"
-        assert errors[0].path.endswith("rib/merge.py")
-
-
-class TestHotPathGraph:
-    def test_hot_report_json_is_byte_stable(self, analysis_tree):
-        modules, errors = collect_modules([analysis_tree])
-        assert errors == []
-        first = build_hotpath(modules).to_json()
-        second = build_hotpath(modules).to_json()
-        assert first == second
-        payload = json.loads(first)
-        assert payload["schema"] == "repro.hotpath/1"
-        assert payload["stats"]["hot_functions"] > 0
-
-    def test_hot_set_roots_and_members(self, analysis_tree):
-        modules, _errors = collect_modules([analysis_tree])
-        graph = build_hotpath(modules)
-        families = set(graph.roots.values())
-        assert {"stage-entry", "xrl-dispatch", "fib-backend",
-                "feed-entry"} <= families
-        hot_quals = {fn.qualname for fn in graph.hot.values()}
-        # The feed's real entry point and the BGP→RIB emit are hot.
-        assert graph.roots["bgp/peer.py:PeerHandler.update_received"] \
-            == "feed-entry"
-        assert {"BgpProcess._rib_deliver", "BgpProcess._rib_send",
-                "PeerHandler._fanout_deliver",
-                "RibProcess.xrl_add_routes4"} <= hot_quals
-        assert "MergeStage.add_routes" in hot_quals
-        assert "DecisionStage.add_routes" in hot_quals
-        assert "NetlinkFibBackend.apply" in hot_quals
-        # exempt harness packages never enter the hot set
-        assert all(not key.startswith(("analysis/", "obs/", "sanitizer/"))
-                   for key in graph.hot)
-
-    def test_dot_export_mentions_every_root_family(self, analysis_tree):
-        modules, _errors = collect_modules([analysis_tree])
-        graph = build_hotpath(modules)
-        dot = graph.to_dot()
-        for family in set(graph.roots.values()):
-            assert family in dot
-
-
 class TestFindingsCacheRuleset:
-    """The findings cache must key on the selected rule set.
+    """A rule selection only filters the report.
 
-    Regression: the per-module findings cache ignored ``--rule``
-    filters, so a filtered run poisoned the cache and a later full run
-    replayed the filtered findings — silently dropping every other
-    rule's output.
+    Regression: a per-module findings cache once ignored ``--rule``
+    filters, so a filtered run poisoned it and a later full run replayed
+    the filtered findings — silently dropping every other rule's output.
+    No findings are cached now; the selection must still not leak.
     """
 
     def _seeded_tree(self, tree):
-        # Both caches work file by file, so one package exercises them.
+        # One package is enough: the parse cache works file by file.
         bgp = tree / "bgp" / "process.py"
         lines = bgp.read_text().splitlines(keepends=True)
         anchor = next(i for i, line in enumerate(lines)
@@ -1253,18 +850,6 @@ class TestFindingsCacheRuleset:
         # and narrowing again still works after the full run
         narrowed = analyze_paths([tree], rules=["DET002"])
         assert rules_of(narrowed) == ["DET002"]
-
-    def test_same_ruleset_rerun_is_check_cached(self, mutable_tree):
-        tree = self._seeded_tree(mutable_tree)
-        clear_module_cache()
-        analyze_paths([tree], rules=["DET002"])
-        warm: dict = {}
-        analyze_paths([tree], rules=["DET002"], stats=warm)
-        assert warm["check_cached"] == warm["files"] > 0
-        # a different rule set is a cache miss, not a replay
-        cold: dict = {}
-        analyze_paths([tree], rules=["XRL002"], stats=cold)
-        assert cold["check_cached"] == 0
 
 
 class TestAstCache:

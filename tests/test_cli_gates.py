@@ -50,15 +50,6 @@ class TestAnalysisCli:
         assert result.returncode == 1, result.stdout + result.stderr
         assert "DET002" in result.stdout
 
-    def test_warnings_do_not_gate(self, analysis_cli_runs):
-        # The shipped tree carries PRO004/PRO006 warnings & info — they
-        # must be reported without flipping the exit code.
-        result = analysis_cli_runs[0]
-        assert result.returncode == 0
-        assert "PRO004" in result.stdout
-        assert "[warning]" in result.stdout
-        assert "0 error(s)" in result.stderr
-
     def test_deleted_bind_exits_nonzero(self, tmp_path):
         tree = copy_tree(tmp_path)
         rib = tree / "rib" / "rib.py"
@@ -82,62 +73,6 @@ class TestAnalysisCli:
         assert any({"add_routes4", "delete_routes4"} <= set(e["methods"])
                    for e in stream)
         assert dot.read_text().startswith("digraph")
-
-    def test_hot_report_is_byte_stable(self, analysis_cli_runs):
-        first, second = (run.hot for run in analysis_cli_runs)
-        dot = analysis_cli_runs[0].hot_dot
-        assert first.read_bytes() == second.read_bytes()
-        report = json.loads(first.read_text())
-        assert report["schema"] == "repro.hotpath/1"
-        assert report["stats"]["hot_functions"] > 0
-        assert report["roots"], "hot roots must be exported"
-        assert dot.read_text().startswith("digraph hotpath")
-
-    def test_seeded_hot_defect_exits_nonzero(self, tmp_path):
-        # De-batch the merge stage's segment flush: HOT001 must gate.
-        tree = copy_tree(tmp_path)
-        merge = tree / "rib" / "merge.py"
-        text = merge.read_text()
-        batched = ("        if plain:\n"
-                   "            next_table.add_routes(plain, caller=self)\n")
-        assert batched in text
-        merge.write_text(text.replace(
-            batched,
-            "        for route in plain:\n"
-            "            next_table.add_route(route, caller=self)\n"))
-        result = run_cli("repro.analysis", str(tree))
-        assert result.returncode == 1, result.stdout + result.stderr
-        assert "HOT001" in result.stdout
-
-    def test_per_route_rib_stream_exits_nonzero(self, tmp_path):
-        # A per-route add_route4 loop back in BGP's RIB reader: the
-        # add_route4 -> add_routes4 pair must gate.
-        tree = copy_tree(tmp_path)
-        process = tree / "bgp" / "process.py"
-        text = process.read_text()
-        vectorized = ("        self._rib_send(op, current, stretch)\n"
-                      "\n"
-                      "    def _rib_send(")
-        assert vectorized in text
-        process.write_text(text.replace(
-            vectorized,
-            "        for route in stretch:\n"
-            "            self.txq.enqueue(Xrl(\n"
-            "                self.rib_target, \"rib\", \"1.0\", "
-            "\"add_route4\", self._one(route)))\n"
-            "\n"
-            "    def _rib_send("))
-        result = run_cli("repro.analysis", str(tree))
-        assert result.returncode == 1, result.stdout + result.stderr
-        assert "HOT001" in result.stdout
-        assert "add_routes4" in result.stdout
-
-    def test_hot_warnings_do_not_gate(self, analysis_cli_runs):
-        # The shipped tree still carries warning-severity hot findings
-        # (HOT003/HOT004 on config-time classes) — reported, exit 0.
-        result = analysis_cli_runs[0]
-        assert result.returncode == 0
-        assert "HOT004" in result.stdout
 
     def test_json_format_reports_timing(self, analysis_cli_runs):
         result = analysis_cli_runs[1]

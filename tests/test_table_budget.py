@@ -9,14 +9,26 @@ register stage's winners, the FEA's ``Fib`` and the FIB backend — and in
 dicts everywhere else, so a table that quietly becomes a trie again, or a
 per-route allocation that comes back, fails here before it shows up as
 throughput or footprint.
+
+Stage messages are counted the same way, through a
+:class:`repro.core.taps.StageTap`: a RIB stage handles one message per
+UPDATE whatever the UPDATE's size (a stage that decomposes a batch for
+its downstream fails here by name), and the BGP stages behind the
+nexthop resolver, which still work route by route, have their per-route
+counts written down as the budget to lower.
 """
 
 import gc
+from collections import Counter
 
 import pytest
 
 from repro.bgp.attributes import PathAttributeList
+from repro.bgp.decision import DecisionStage
+from repro.bgp.fanout import FanoutQueue
+from repro.bgp.nexthop import NexthopResolverStage
 from repro.bgp.route import BGPRoute
+from repro.core import taps
 from repro.net import IPNet, IPv4
 from repro.rib.route import RibRoute
 from repro.trie import RouteTrie, TrieNode
@@ -31,11 +43,11 @@ UPDATES = 5
 WARM_UP = [IPNet(IPv4((30 << 24) | (i << 8)), 24) for i in range(UPDATE_SIZE)]
 
 
-def update_prefixes(index):
+def update_prefixes(index, size=UPDATE_SIZE):
     """The /24s of UPDATE *index*: spread over two /16s per UPDATE, so the
     tries hold join nodes as well as leaves."""
     return [IPNet(IPv4((20 << 24) | (index << 17) | (i << 8)), 24)
-            for i in range(UPDATE_SIZE)]
+            for i in range(size)]
 
 
 def live(cls):
@@ -111,3 +123,71 @@ def test_no_route_holds_a_list_for_empty_tags(router):
     assert len(routes) >= 3 * UPDATES * UPDATE_SIZE
     assert all(route.policytags == () and type(route.policytags) is tuple
                for route in routes)
+
+
+#: stage messages per route in the BGP stages behind the nexthop resolver,
+#: as the tree has them today: each handles a batch one route at a time,
+#: and a withdrawal asks the resolver three questions per route.
+BGP_MESSAGES_PER_ROUTE = {
+    "announce": {(NexthopResolverStage, "add"): 1,
+                 (DecisionStage, "add"): 1,
+                 (FanoutQueue, "add"): 1},
+    "withdraw": {(NexthopResolverStage, "delete"): 1,
+                 (NexthopResolverStage, "lookup"): 3,
+                 (DecisionStage, "delete"): 1,
+                 (FanoutQueue, "delete"): 1},
+}
+
+
+class MessageCount(taps.StageTap):
+    def __init__(self):
+        self.seen = Counter()
+
+    def stage_message(self, stage, op, items, caller):
+        self.seen[type(stage), op] += 1
+
+
+@pytest.fixture
+def stage_messages(router):
+    """``count(index, size)``: the (stage class, op) messages one UPDATE of
+    *size* routes costs, announced and then withdrawn."""
+    tap = MessageCount()
+    taps.attach(tap)
+
+    def count(index, size):
+        costs = {}
+        for name, send in (("announce", router.announce),
+                           ("withdraw", router.withdraw)):
+            tap.seen.clear()
+            send(0, update_prefixes(index, size))
+            router.run()
+            costs[name] = dict(tap.seen)
+        return costs
+
+    yield count
+    taps.detach(tap)
+
+
+def owned_by(costs, *packages):
+    return {key: n for key, n in costs.items()
+            if key[0].__module__.startswith(packages)}
+
+
+def test_rib_stages_handle_one_message_per_update(stage_messages):
+    small, large = stage_messages(0, 50), stage_messages(1, 200)
+    for direction in ("announce", "withdraw"):
+        at_50 = owned_by(small[direction], "repro.rib", "repro.fea")
+        at_200 = owned_by(large[direction], "repro.rib", "repro.fea")
+        assert {cls.__name__ for cls, _op in at_50} >= {
+            "MergeStage", "ExtIntStage", "RegisterStage", "RedistStage",
+            "_FeaDistributorStage"}
+        assert at_50 == at_200, direction
+        assert set(at_50.values()) == {1}, direction
+
+
+def test_bgp_stages_behind_the_resolver_cost_per_route(stage_messages):
+    for index, size in enumerate((50, 200)):
+        costs = stage_messages(index, size)
+        for direction, per_route in BGP_MESSAGES_PER_ROUTE.items():
+            assert owned_by(costs[direction], "repro.bgp") == {
+                key: n * size for key, n in per_route.items()}, direction
