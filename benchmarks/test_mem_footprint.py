@@ -19,7 +19,7 @@ import sys
 from conftest import FEED_ROUTES
 
 _CHILD = r"""
-import json, sys
+import json, sys, time
 
 def rss_mb():
     with open("/proc/self/status") as f:
@@ -30,12 +30,19 @@ def rss_mb():
 
 feed_routes = int(sys.argv[1])
 before = rss_mb()
+from repro.eventloop import collector
 from repro.experiments.latency import run_latency_experiment
 imported = rss_mb()
+started = time.perf_counter()
 run_latency_experiment(initial_routes=feed_routes, same_peering=True,
                        test_routes=1)
+load_s = time.perf_counter() - started
 after = rss_mb()
-print(json.dumps({"before": before, "imported": imported, "after": after}))
+print(json.dumps({"before": before, "imported": imported, "after": after,
+                  "load_s": load_s,
+                  "full_collections": collector.collections[2],
+                  "full_gc_s": collector.seconds[2],
+                  "young_gc_s": collector.seconds[0] + collector.seconds[1]}))
 """
 
 
@@ -143,6 +150,12 @@ def test_memory_footprint_full_table(benchmark):
     print(f"table cost: {growth:.0f} MB "
           f"(~{kb_per_route:.1f} KB/route across "
           f"all stage copies; paper: ~180 MB total for BGP + RIB in C++)")
+    print(f"load: {stats['load_s']:.1f} s, of which "
+          f"{stats['full_collections']} full collections "
+          f"{stats['full_gc_s']:.1f} s and young collections "
+          f"{stats['young_gc_s']:.1f} s")
+    benchmark.extra_info["load_s"] = round(stats["load_s"], 1)
+    benchmark.extra_info["full_gc_s"] = round(stats["full_gc_s"], 1)
     # A route is stored in six tries and otherwise in dicts (DESIGN.md,
     # "Which table is which structure"): 2.8 KB/route measured.  With
     # nine tries and a list per route for empty tags it was 3.7, so the

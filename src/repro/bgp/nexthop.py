@@ -20,9 +20,10 @@ advantages" the paper describes.
 from __future__ import annotations
 
 import bisect
+from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
-from repro.core.stages import RouteTableStage
+from repro.core.stages import BatchStage, RouteTableStage
 from repro.net import IPNet, IPv4
 
 
@@ -113,12 +114,19 @@ class NexthopResolver:
     def register_stage(self, stage: "NexthopResolverStage") -> None:
         self._stages.append(stage)
 
-    def resolve(self, nexthop: IPv4, callback: AnswerCallback) -> bool:
-        """Resolve *nexthop*; True if answered synchronously from cache."""
+    def cached(self, nexthop: IPv4) -> Optional[CacheEntry]:
+        """The cache's answer for *nexthop*, counted as a hit and as a
+        user of the entry; None on a miss."""
         entry = self.cache.lookup(nexthop)
         if entry is not None:
             self.cache_hits += 1
             entry.users.add(nexthop.to_int())
+        return entry
+
+    def resolve(self, nexthop: IPv4, callback: AnswerCallback) -> bool:
+        """Resolve *nexthop*; True if answered synchronously from cache."""
+        entry = self.cached(nexthop)
+        if entry is not None:
             callback(entry.resolvable, entry.metric)
             return True
         key = nexthop.to_int()
@@ -178,7 +186,7 @@ class NexthopResolver:
             stage.reresolve(nexthop, resolvable, metric)
 
 
-class NexthopResolverStage(RouteTableStage):
+class NexthopResolverStage(BatchStage):
     """Annotates routes flowing down one peer branch.
 
     Holds a route when its nexthop answer is outstanding; guarantees the
@@ -212,36 +220,66 @@ class NexthopResolverStage(RouteTableStage):
             if not nets:
                 del self._nexthop_index[route.nexthop]
 
+    def _answered_add(self, net: IPNet, resolvable: bool,
+                      metric: int) -> None:
+        parked = self.waiting.pop(net, None)
+        if parked is None:
+            return  # cancelled by a delete while parked
+        self._forward_add(parked, resolvable, metric)
+
     # -- stage messages ---------------------------------------------------
-    def add_route(self, route: Any, *,
-                  caller: Optional[RouteTableStage] = None) -> None:
-        net = route.net
-        if net in self.waiting:
-            self.waiting[net] = route  # superseded while parked
-            return
+    def add_routes(self, routes: List[Any], *,
+                   caller: Optional[RouteTableStage] = None) -> None:
+        # The routes of one UPDATE share one attribute list, hence one
+        # nexthop object: one cache lookup per run of it, and every hit
+        # of the batch goes downstream in one dispatch.  A miss parks
+        # its route exactly as a singular add would; its answer forwards
+        # it alone, whenever that arrives.
+        resolver = self.resolver
+        waiting = self.waiting
+        forwarded = self.forwarded
+        ready: List[Any] = []
+        nexthop = entry = nets = None
+        for route in routes:
+            net = route.net
+            if net in waiting:
+                waiting[net] = route  # superseded while parked
+                continue
+            if route.nexthop is not nexthop:
+                nexthop = route.nexthop
+                entry = resolver.cached(nexthop)
+                if entry is not None:
+                    nets = self._nexthop_index.setdefault(nexthop, set())
+            if entry is None:
+                waiting[net] = route
+                resolver.resolve(nexthop, partial(self._answered_add, net))
+                nexthop = None  # the answer may be in the cache by now
+                continue
+            annotated = route.annotated(igp_metric=entry.metric,
+                                        resolvable=entry.resolvable)
+            forwarded[net] = annotated
+            nets.add(net)
+            ready.append(annotated)
+        if ready and self.next_table is not None:
+            self.next_table.add_routes(ready, caller=self)
 
-        def answered(resolvable: bool, metric: int) -> None:
-            parked = self.waiting.pop(net, None)
-            if parked is None:
-                return  # cancelled by a delete while parked
-            self._forward_add(parked, resolvable, metric)
-
-        self.waiting[net] = route
-        synchronous = self.resolver.resolve(route.nexthop, answered)
-        # On a cache hit `answered` already ran; nothing more to do.
-
-    def delete_route(self, route: Any, *,
-                     caller: Optional[RouteTableStage] = None) -> None:
-        net = route.net
-        if net in self.waiting:
-            del self.waiting[net]  # never made it downstream
-            return
-        annotated = self.forwarded.pop(net, None)
-        if annotated is None:
-            return  # consistency: nothing to delete downstream
-        self._unindex(annotated)
-        if self.next_table is not None:
-            self.next_table.delete_route(annotated, caller=self)
+    def delete_routes(self, routes: List[Any], *,
+                      caller: Optional[RouteTableStage] = None) -> None:
+        waiting = self.waiting
+        forwarded_pop = self.forwarded.pop
+        gone: List[Any] = []
+        for route in routes:
+            net = route.net
+            if net in waiting:
+                del waiting[net]  # never made it downstream
+                continue
+            annotated = forwarded_pop(net, None)
+            if annotated is None:
+                continue  # consistency: nothing to delete downstream
+            self._unindex(annotated)
+            gone.append(annotated)
+        if gone and self.next_table is not None:
+            self.next_table.delete_routes(gone, caller=self)
 
     def replace_route(self, old_route: Any, new_route: Any, *,
                       caller: Optional[RouteTableStage] = None) -> None:

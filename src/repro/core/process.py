@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional
 
-from repro.eventloop import EventLoop, SimulatedClock
+from repro.eventloop import EventLoop, SimulatedClock, collector
 from repro.interfaces import METRICS_IDL
 from repro.obs.metrics import MetricsRegistry
 from repro.xrl import Finder, XrlRouter
@@ -55,6 +55,9 @@ class Host:
     def shutdown(self) -> None:
         for process in list(self.processes.values()):
             process.shutdown()
+        # What was just torn down is cyclic garbage and this loop may
+        # never turn again: CPython runs the full collection until one does.
+        collector.hand_back()
 
 
 class XorpProcess:

@@ -31,8 +31,8 @@ per-prefix event order it emits must match the singular decomposition.
 Every stage implements each message **once**; the other form is derived
 here and nowhere else.  :class:`RouteTableStage` makes the singular form
 primitive (``add_routes`` decomposes into ``add_route`` calls) — the
-base for stages whose work is inherently per route (nexthop resolution,
-damping, the consistency cache, test doubles).  :class:`BatchStage`
+base for stages whose work is inherently per route (damping, the
+consistency cache, test doubles).  :class:`BatchStage`
 makes the batch form primitive (``add_route(r)`` is ``add_routes([r])``)
 — the base for the stages on the route-flow hot path, which keep only
 their amortized batch bodies.  :data:`DERIVED_FORMS` names the derived

@@ -16,7 +16,9 @@ import selectors
 from collections import deque
 from typing import Any, Callable, Deque, Optional, Tuple
 
+from repro.eventloop import collector
 from repro.eventloop.clock import Clock, SimulatedClock, SystemClock
+from repro.eventloop.collector import PROMOTIONS_PER_FULL
 from repro.eventloop.tasks import BackgroundTask, TaskPriority, TaskScheduler
 from repro.eventloop.timers import Timer, TimerList
 
@@ -43,13 +45,15 @@ class EventLoop:
 
     # -- observability -----------------------------------------------------
     def register_metrics(self, registry) -> None:
-        """Expose queue depths as gauges on *registry* (a
-        :class:`repro.obs.metrics.MetricsRegistry`).  Gauges are read only
-        at scrape time, so registering costs the loop nothing.
+        """Expose queue depths and the collector's accounting as gauges
+        on *registry* (a :class:`repro.obs.metrics.MetricsRegistry`).
+        Gauges are read only at scrape time, so registering costs the
+        loop nothing.
         """
         registry.gauge("eventloop.deferred", lambda: len(self._deferred))
         registry.gauge("eventloop.timers", lambda: len(self.timers))
         registry.gauge("eventloop.tasks", self.tasks.pending_count)
+        collector.register_metrics(registry)
 
     # -- deferred callbacks -------------------------------------------------
     def call_soon(self, cb: Callable, *args: Any) -> None:
@@ -164,8 +168,12 @@ class EventLoop:
         Order per iteration: deferred callbacks, expired timers, I/O events,
         then — only if none of those produced work — one background-task
         slice.  With a :class:`SimulatedClock` and no ready work, virtual
-        time jumps to the next timer deadline.
+        time jumps to the next timer deadline.  Before any of it, between
+        two events, the full garbage collection gets its turn if it is
+        due (:mod:`repro.eventloop.collector`).
         """
+        if collector.promoted >= PROMOTIONS_PER_FULL:
+            collector.between_events()
         ran = False
 
         if self._deferred:

@@ -60,12 +60,17 @@ class ObsFlowReport:
         self.findings: List[Finding] = []
 
     def to_dict(self) -> dict:
+        """The byte-stable form: everything but the collector's ``gc.*``
+        gauges, which read real time whatever clock the loop runs on."""
         return {
             "route_count": self.route_count,
             "spans": {str(k): v for k, v in sorted(self.spans.items())},
             "hop_sequences": {str(k): v for k, v
                               in sorted(self.hop_sequences.items())},
-            "scrapes": dict(sorted(self.scrapes.items())),
+            "scrapes": {
+                target: "".join(line for line in text.splitlines(True)
+                                if ".gc." not in line.split(" ", 1)[0])
+                for target, text in sorted(self.scrapes.items())},
             "findings": [f.__dict__ for f in self.findings],
         }
 

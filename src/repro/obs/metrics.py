@@ -20,7 +20,9 @@ touches a hot path while disarmed.
 Rendering is deterministic (sorted names, fixed float formatting):
 under a simulated clock two identical runs scrape byte-identical
 reports, which is what the CLI's ``--json`` byte-stability contract
-rests on.
+rests on — the one exception being the collector's ``gc.*`` gauges
+(:mod:`repro.eventloop.collector`), which read real time under any clock
+and which that JSON therefore leaves out.
 """
 
 from __future__ import annotations

@@ -13,16 +13,50 @@ import os
 import shutil
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
 from repro.analysis import analyze_paths
+from repro.eventloop import collector
 from repro.sanitizer import RuntimeSanitizer
+from repro.xrl import XrlRouter
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SRC_REPRO = REPO_ROOT / "src" / "repro"
+
+
+@pytest.fixture(autouse=True)
+def routers_shut_down(monkeypatch):
+    """Every ``XrlRouter`` a test builds is shut down when the test ends,
+    and the full collection goes back to CPython.
+
+    Full collections are minutes apart under a large table
+    (``repro.eventloop.collector``), so a listener or channel that only
+    the collector closes is a leaked descriptor.  With every router shut
+    down here, ``-W error::ResourceWarning`` has one meaning: some code
+    path dropped a socket without closing it.
+    """
+    built = []  # weakly: a test may be about a router going away
+    construct = XrlRouter.__init__
+
+    def tracked(self, *args, **kwargs):
+        built.append(weakref.ref(self))
+        construct(self, *args, **kwargs)
+
+    monkeypatch.setattr(XrlRouter, "__init__", tracked)
+    yield
+    for ref in reversed(built):
+        router = ref()
+        if router is not None:
+            router.shutdown()
+    # A test that has ended turns no loop any more.  Most never call
+    # ``Host.shutdown()``, the signal a program gives; without it the
+    # next loop-less test (hypothesis, the analysers) would allocate
+    # with nobody running the full collection.
+    collector.hand_back()
 
 
 @pytest.fixture

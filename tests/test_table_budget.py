@@ -13,9 +13,10 @@ throughput or footprint.
 Stage messages are counted the same way, through a
 :class:`repro.core.taps.StageTap`: a RIB stage handles one message per
 UPDATE whatever the UPDATE's size (a stage that decomposes a batch for
-its downstream fails here by name), and the BGP stages behind the
-nexthop resolver, which still work route by route, have their per-route
-counts written down as the budget to lower.
+its downstream fails here by name), and so do the nexthop resolver and
+the BGP stages behind it; what still costs per route there — the
+decision process asking every branch about each withdrawn prefix — is
+written down as the budget to lower.
 """
 
 import gc
@@ -125,18 +126,20 @@ def test_no_route_holds_a_list_for_empty_tags(router):
                for route in routes)
 
 
-#: stage messages per route in the BGP stages behind the nexthop resolver,
-#: as the tree has them today: each handles a batch one route at a time,
-#: and a withdrawal asks the resolver three questions per route.
-BGP_MESSAGES_PER_ROUTE = {
+#: stage messages per UPDATE in the nexthop resolver and the BGP stages
+#: behind it: one each, whatever the UPDATE's size ...
+BGP_MESSAGES_PER_UPDATE = {
     "announce": {(NexthopResolverStage, "add"): 1,
                  (DecisionStage, "add"): 1,
                  (FanoutQueue, "add"): 1},
     "withdraw": {(NexthopResolverStage, "delete"): 1,
-                 (NexthopResolverStage, "lookup"): 3,
                  (DecisionStage, "delete"): 1,
                  (FanoutQueue, "delete"): 1},
 }
+#: ... and what a withdrawal still costs per route, as the tree has it
+#: today: the decision process asks each of its three branches' resolver
+#: stages for an alternative.
+BGP_MESSAGES_PER_WITHDRAWN_ROUTE = {(NexthopResolverStage, "lookup"): 3}
 
 
 class MessageCount(taps.StageTap):
@@ -188,6 +191,9 @@ def test_rib_stages_handle_one_message_per_update(stage_messages):
 def test_bgp_stages_behind_the_resolver_cost_per_route(stage_messages):
     for index, size in enumerate((50, 200)):
         costs = stage_messages(index, size)
-        for direction, per_route in BGP_MESSAGES_PER_ROUTE.items():
-            assert owned_by(costs[direction], "repro.bgp") == {
-                key: n * size for key, n in per_route.items()}, direction
+        per_route = {key: n * size for key, n
+                     in BGP_MESSAGES_PER_WITHDRAWN_ROUTE.items()}
+        assert owned_by(costs["announce"], "repro.bgp") == \
+            BGP_MESSAGES_PER_UPDATE["announce"]
+        assert owned_by(costs["withdraw"], "repro.bgp") == {
+            **BGP_MESSAGES_PER_UPDATE["withdraw"], **per_route}

@@ -1,6 +1,8 @@
 """Integration tests: XrlRouter + Finder + protocol families end to end."""
 
+import gc
 import random
+import socket
 
 import pytest
 
@@ -97,6 +99,29 @@ class TestEndToEnd:
                 (i, err.is_okay, args.get_u32("value") if err.is_okay else None)))
         assert loop.run_until(lambda: len(results) == 50, timeout=15)
         assert all(ok and got == i for i, ok, got in results)
+
+
+@pytest.mark.parametrize("factory", [TcpFamily, UdpFamily])
+def test_shutdown_closes_every_socket(factory):
+    """Nothing is left for the collector to close: with full collections
+    minutes apart (``repro.eventloop.collector``) that would be a leaked
+    descriptor.  ``tests/conftest.py`` shuts every router down, so the
+    suite under ``-W error::ResourceWarning`` holds the same for every
+    other path that owns a socket."""
+    def open_sockets():
+        return {id(obj) for obj in gc.get_objects()
+                if isinstance(obj, socket.socket) and obj.fileno() != -1}
+
+    before = open_sockets()
+    loop, __, server, client, __ = build_pair(factory, SystemClock())
+    xrl = Xrl("echo", "test", "1.0", "echo", XrlArgs().add_u32("value", 1))
+    error, __ = client.send_sync(xrl, deadline=10)
+    assert error.is_okay
+    # A listener each, the client's sender and (TCP) the accepted channel.
+    assert len(open_sockets() - before) >= 3
+    client.shutdown()
+    server.shutdown()
+    assert open_sockets() <= before
 
 
 class TestResolutionAndSecurity:
