@@ -12,36 +12,19 @@ Two numbers behind the pluggable-FIB robustness story:
   backend; the congested latch plus the RIB's flow controller must keep
   the FEA's un-acked queue under ``high_watermark + window`` no matter
   the table size.
-
-Both land in the committed ``BENCH_backend.json`` trajectory so future
-PRs regress against recorded numbers.
-
-Knobs: ``REPRO_RESIL_SEED`` (default 7), ``REPRO_RESIL_ROUTES``
-(default 64), ``REPRO_FLUSH_ROUTES`` (default 256),
-``REPRO_FLUSH_SLOWDOWN`` (default 10).
 """
-
-from pathlib import Path
 
 import pytest
 
-from conftest import env_int
-
-from repro.experiments.batchflow import record_trajectory
 from repro.experiments.resilience import (
     run_backend_resilience,
     run_throttled_flush,
 )
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
-
-RESIL_SEED = env_int("REPRO_RESIL_SEED", 7)
-RESIL_ROUTES = env_int("REPRO_RESIL_ROUTES", 64)
-FLUSH_ROUTES = env_int("REPRO_FLUSH_ROUTES", 256)
-FLUSH_SLOWDOWN = env_int("REPRO_FLUSH_SLOWDOWN", 10)
-
-ISSUE = 6
-LABEL = "pluggable FIB backends: ack/nack, backpressure, reconciliation"
+RESIL_SEED = 7
+RESIL_ROUTES = 64
+FLUSH_ROUTES = 256
+FLUSH_SLOWDOWN = 10
 
 
 @pytest.mark.chaos
@@ -84,29 +67,6 @@ def test_backend_blackhole_time(benchmark):
     benchmark.extra_info["blackhole_ms"] = round(
         result.blackhole_time * 1000, 3)
     benchmark.extra_info["flush_peak_pending"] = flush.peak_pending
-
-    entry = {
-        "issue": ISSUE,
-        "label": LABEL,
-        "seed": RESIL_SEED,
-        "routes": RESIL_ROUTES,
-        "blackhole_ms": round(result.blackhole_time * 1000, 3),
-        "repair_ms": round(result.repair_time * 1000, 3),
-        "reconcile_adds": result.reconcile_adds,
-        "reconcile_deletes": result.reconcile_deletes,
-        "deferred_writes": result.deferred,
-        "flush": {
-            "routes": FLUSH_ROUTES,
-            "slowdown": FLUSH_SLOWDOWN,
-            "peak_pending": flush.peak_pending,
-            "pending_bound": flush.pending_bound,
-            "elapsed_virtual_s": round(flush.elapsed, 6),
-        },
-    }
-    record_trajectory(REPO_ROOT / "BENCH_backend.json", "backend",
-                      "dataplane blackhole ms (virtual) across "
-                      "crash/reattach; peak un-acked queue on a "
-                      "throttled flush", entry)
 
 
 @pytest.mark.chaos

@@ -46,91 +46,6 @@ print(json.dumps({"before": before, "imported": imported, "after": after,
 """
 
 
-_SLOTS_CHILD = r"""
-import gc, json, sys
-
-def rss_kb():
-    with open("/proc/self/status") as f:
-        for line in f:
-            if line.startswith("VmRSS:"):
-                return int(line.split()[1])
-    return 0
-
-mode = sys.argv[1]
-count = int(sys.argv[2])
-
-from repro.bgp.messages import UpdateMessage
-from repro.net import IPNet, IPv4
-
-class UnslottedUpdate:
-    # Dynamically-dict'd twin of UpdateMessage: same three fields, no
-    # __slots__ — what the class looked like before it was slotted.
-    def __init__(self, withdrawn=None, attributes=None, nlri=None):
-        self.withdrawn = list(withdrawn) if withdrawn else []
-        self.attributes = attributes
-        self.nlri = list(nlri) if nlri else []
-
-factory = UpdateMessage if mode == "slotted" else UnslottedUpdate
-net = IPNet(IPv4("198.18.0.0"), 24)
-warmup = [factory(withdrawn=[net]) for __ in range(1024)]
-del warmup
-gc.collect()
-before = rss_kb()
-keep = [factory(withdrawn=[net]) for __ in range(count)]
-gc.collect()
-after = rss_kb()
-print(json.dumps({"mode": mode, "count": len(keep),
-                  "delta_kb": after - before}))
-"""
-
-
-def _slots_child(mode: str, count: int) -> dict:
-    output = subprocess.run(
-        [sys.executable, "-c", _SLOTS_CHILD, mode, str(count)],
-        capture_output=True, text=True, check=True, timeout=600)
-    return json.loads(output.stdout.strip().splitlines()[-1])
-
-
-def test_memory_footprint_update_message_slots(benchmark):
-    """RSS delta of ``__slots__`` on the hot BGP message classes.
-
-    ``UpdateMessage`` (one instance per peer per flush on the announce
-    path) used to be instantiated on the hot path without ``__slots__``.
-    This bench allocates the same population of the now slotted class
-    and of an unslotted twin in two fresh subprocesses and
-    records the before/after resident-memory delta of each — the
-    acceptance artifact for the satellite that slotted the route and
-    message classes.
-    """
-    count = 200_000
-    box = {}
-
-    def run():
-        box["slotted"] = _slots_child("slotted", count)
-        box["unslotted"] = _slots_child("unslotted", count)
-
-    benchmark.pedantic(run, rounds=1, iterations=1)
-    slotted_kb = box["slotted"]["delta_kb"]
-    unslotted_kb = box["unslotted"]["delta_kb"]
-    saved_kb = unslotted_kb - slotted_kb
-    per_instance = saved_kb * 1024.0 / count
-    benchmark.extra_info["instances"] = count
-    benchmark.extra_info["slotted_delta_kb"] = slotted_kb
-    benchmark.extra_info["unslotted_delta_kb"] = unslotted_kb
-    benchmark.extra_info["saved_bytes_per_instance"] = round(per_instance, 1)
-    print(f"\n{count} UpdateMessages: slotted {slotted_kb / 1024.0:.1f} MB, "
-          f"unslotted twin {unslotted_kb / 1024.0:.1f} MB "
-          f"(~{per_instance:.0f} B/instance saved)")
-    # The __dict__ a slotted instance no longer pays is worth well over
-    # this floor even with key-sharing dicts; the margin absorbs
-    # allocator noise between the two subprocesses.
-    assert slotted_kb < unslotted_kb, (
-        f"slotted {slotted_kb} KB >= unslotted {unslotted_kb} KB — "
-        "did UpdateMessage lose its __slots__?")
-    assert per_instance > 8, (
-        f"only {per_instance:.1f} B/instance saved — suspiciously small")
-
-
 def test_memory_footprint_full_table(benchmark):
     box = {}
 

@@ -6,21 +6,14 @@ the supervisor restarts it and the router re-converges.  The benchmark
 reports the wall-clock cost of driving one full recovery through the
 simulator, and prints the *virtual* recovery timeline — the number the
 paper's robustness story actually cares about.
-
-Knobs: ``REPRO_RECOVERY_SEED`` (default 7), ``REPRO_RECOVERY_DROP``
-(frame-loss percentage, default 10).
 """
-
-import os
 
 import pytest
 
-from conftest import env_int
-
 from repro.experiments.recovery import run_recovery
 
-RECOVERY_SEED = env_int("REPRO_RECOVERY_SEED", 7)
-RECOVERY_DROP = env_int("REPRO_RECOVERY_DROP", 10)
+RECOVERY_SEED = 7
+RECOVERY_DROP = 10  # frame-loss percentage
 
 
 @pytest.mark.chaos

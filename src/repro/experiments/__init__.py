@@ -1,6 +1,8 @@
 """Experiment harnesses reproducing the paper's evaluation (§8).
 
-One module per experiment family:
+One module per experiment family; ``benchmarks/`` turns each into a
+pass/fail gate on the figure's shape, and ``python -m bench`` is where
+throughput, latency and memory are measured:
 
 * :mod:`repro.experiments.xrlperf`   — Figure 9: XRL throughput vs
   argument count for the Intra-Process, TCP and UDP protocol families;
@@ -10,9 +12,6 @@ One module per experiment family:
 * :mod:`repro.experiments.routeflow` — Figure 13: per-route propagation
   delay through a router under test (XORP stack vs. event-driven and
   30-second-scanner baselines);
-* :mod:`repro.experiments.batchflow` — batch-size sweeps of the two hot
-  paths (Fig. 9 coalesced XRLs, Fig. 13 vectorized route flow) and the
-  ``BENCH_fig09.json`` / ``BENCH_fig13.json`` perf trajectory;
 * :mod:`repro.experiments.synth`     — synthetic backbone feed generator
   (the stand-in for the paper's 146,515-route Internet feed);
 * :mod:`repro.experiments.recovery`  — supervised crash recovery: kill
@@ -22,12 +21,6 @@ One module per experiment family:
   bound on a full-table flush into a slow backend.
 """
 
-from repro.experiments.batchflow import (
-    BATCH_SIZES,
-    record_trajectory,
-    run_route_batch_sweep,
-    run_xrl_batch_sweep,
-)
 from repro.experiments.synth import synthetic_feed
 from repro.experiments.xrlperf import XrlPerfResult, run_xrl_throughput
 from repro.experiments.latency import LatencyResult, run_latency_experiment
@@ -41,21 +34,17 @@ from repro.experiments.resilience import (
 from repro.experiments.routeflow import RouteFlowResult, run_route_flow
 
 __all__ = [
-    "BATCH_SIZES",
     "LatencyResult",
     "RecoveryResult",
     "ResilienceResult",
     "RouteFlowResult",
     "ThrottledFlushResult",
     "XrlPerfResult",
-    "record_trajectory",
     "run_backend_resilience",
     "run_latency_experiment",
     "run_recovery",
     "run_throttled_flush",
-    "run_route_batch_sweep",
     "run_route_flow",
-    "run_xrl_batch_sweep",
     "run_xrl_throughput",
     "synthetic_feed",
 ]

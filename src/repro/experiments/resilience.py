@@ -23,9 +23,8 @@ Two scenarios behind the pluggable-FIB robustness story:
 Everything runs on one :class:`~repro.eventloop.clock.SimulatedClock`
 and all fault decisions come from the seeded
 :class:`~repro.fea.backends.netlink.BackendFaultPlan`, so a given seed
-reproduces the whole timeline exactly.  Used by
-``benchmarks/test_backend_resilience.py`` (the BENCH_backend.json
-trajectory) and the chaos tests.
+reproduces the whole timeline exactly.  Used by the
+``benchmarks/test_backend_resilience.py`` gate and the chaos tests.
 """
 
 from __future__ import annotations

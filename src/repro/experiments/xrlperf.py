@@ -17,19 +17,8 @@ import time
 from typing import Dict, List, Optional
 
 from repro.eventloop import EventLoop, SystemClock
-from repro.xrl import Finder, Xrl, XrlArgs, XrlRouter, parse_idl
+from repro.xrl import Finder, Xrl, XrlArgs, XrlRouter
 from repro.xrl.transport import IntraProcessFamily, TcpFamily, UdpFamily
-
-ECHO_IDL = parse_idl("""
-interface bench/1.0 {
-    noargs;
-}
-""")["bench/1.0"]
-
-
-class _EchoTarget:
-    def xrl_noargs(self):
-        return None
 
 
 class XrlPerfResult:
@@ -64,35 +53,21 @@ class XrlPerfResult:
 
 def _measure_transaction(loop: EventLoop, client: XrlRouter, target: str,
                          arg_count: int, transaction_size: int,
-                         window: int, batch_size: int = 1) -> float:
-    """One transaction; returns XRLs/sec (wall clock).
-
-    With *batch_size* > 1 the sender issues requests in groups of that
-    size with the ``batch=`` hint set, so the router coalesces each
-    group into one wire flush; ``batch_size=1`` is the original
-    one-frame-per-XRL pipeline.
-    """
+                         window: int) -> float:
+    """One transaction; returns XRLs/sec (wall clock)."""
     args = XrlArgs()
     for index in range(arg_count):
         args.add_u32(f"a{index}", index)
     xrl = Xrl(target, "bench", "1.0", "noargs", args)
-    group = max(1, batch_size)
     completed = [0]
-    outstanding = [0]
     sent = [0]
 
     def pump() -> None:
-        while sent[0] < transaction_size:
-            chunk = min(group, transaction_size - sent[0])
-            if window - outstanding[0] < chunk:
-                break
-            for __ in range(chunk):
-                sent[0] += 1
-                outstanding[0] += 1
-                client.send(xrl, on_reply, batch=group > 1)
+        while sent[0] < transaction_size and sent[0] - completed[0] < window:
+            sent[0] += 1
+            client.send(xrl, on_reply)
 
     def on_reply(error, response) -> None:
-        outstanding[0] -= 1
         completed[0] += 1
         pump()
 
@@ -113,18 +88,13 @@ def run_xrl_throughput(arg_counts: Optional[List[int]] = None, *,
                        transaction_size: int = 10000,
                        window: int = 100,
                        repetitions: int = 1,
-                       families: Optional[List[str]] = None,
-                       batch_size: int = 1,
-                       codec: Optional[str] = None) -> XrlPerfResult:
+                       families: Optional[List[str]] = None
+                       ) -> XrlPerfResult:
     """Run the Figure 9 experiment; returns the rate table.
 
     The receiving target ignores its arguments (the paper measures
     marshal + transport + dispatch, not handler work), so one ``noargs``
     method accepts any argument list via a raw registration.
-    *batch_size* > 1 sends in coalesced groups (the batched-API sweep);
-    the default keeps the paper's one-frame-per-XRL pipeline.
-    *codec* pins the TCP family's frame codec (``"binary"`` /
-    ``"textual"``); ``None`` keeps the environment default.
     """
     if arg_counts is None:
         arg_counts = [0, 5, 10, 15, 20, 25]
@@ -145,7 +115,7 @@ def run_xrl_throughput(arg_counts: Optional[List[int]] = None, *,
             family = HostLocalFamily()
             token = None
         elif family_name == "tcp":
-            family = TcpFamily(codec=codec)
+            family = TcpFamily()
             token = None
         elif family_name == "udp":
             family = UdpFamily()
@@ -158,14 +128,13 @@ def run_xrl_throughput(arg_counts: Optional[List[int]] = None, *,
         server.register_raw_method("bench/1.0/noargs", lambda args: None)
         client = XrlRouter(loop, "caller", finder, families=[family],
                            process_token=token)
-        effective_window = window if family_name != "udp" else window
-        # (The UDP family itself serialises on the wire; the window only
-        # bounds how many requests queue inside the sender.)
+        # The UDP family serialises on the wire itself; for it the window
+        # only bounds how many requests queue inside the sender.
         for arg_count in arg_counts:
             for __ in range(repetitions):
                 rate = _measure_transaction(
                     loop, client, "bench", arg_count, transaction_size,
-                    effective_window, batch_size)
+                    window)
                 result.record(family_name, arg_count, rate)
         client.shutdown()
         server.shutdown()

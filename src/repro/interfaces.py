@@ -389,4 +389,3 @@ PROFILER_IDL = interface("profile/1.0")
 FINDER_IDL = interface("finder/1.0")
 METRICS_IDL = interface("metrics/1.0")
 TRACE_IDL = interface("trace/1.0")
-BENCH_IDL = interface("bench/1.0")

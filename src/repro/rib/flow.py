@@ -50,16 +50,13 @@ class FeaFlowController:
                  poll_status: PollStatus,
                  batch_limit: Callable[[], int],
                  window: int = 512,
-                 high_watermark: int = 1024, low_watermark: int = 256,
+                 high_watermark: int = 1024,
                  poll_interval: float = 0.05):
-        if low_watermark > high_watermark:
-            raise ValueError("low_watermark must be <= high_watermark")
         if poll_interval <= 0:
             raise ValueError("poll_interval must be > 0")
         self.loop = loop
         self.window = window
         self.high_watermark = high_watermark
-        self.low_watermark = low_watermark
         self.poll_interval = poll_interval
         self._send_segment = send_segment
         self._poll_status = poll_status

@@ -262,3 +262,14 @@ class TestMessageReader:
         raw[17] = 0xFF
         with pytest.raises(BGPDecodeError):
             MessageReader().feed(bytes(raw))
+
+
+def test_messages_and_reader_have_no_instance_dict():
+    """One UpdateMessage per peer per flush rides the announce path, so no
+    message class, nor the reader, may grow a per-instance ``__dict__``."""
+    instances = [UpdateMessage(withdrawn=[IPNet.parse("10.0.0.0/8")]),
+                 OpenMessage(65001, 90, IPv4("1.2.3.4")),
+                 NotificationMessage(ErrorCode.CEASE),
+                 KeepaliveMessage(), MessageReader()]
+    assert [type(m).__name__ for m in instances
+            if hasattr(m, "__dict__")] == []

@@ -473,6 +473,18 @@ class TestMethodInterning:
         args_bytes = len(stateless) - 6 - len(method)
         assert len(second) - args_bytes <= 6
 
+    def test_interned_ten_u32_request_is_smaller_than_textual(self):
+        """Fig 9's ten-``u32`` call, from the second call on a connection:
+        interning is what the binary frames buy (46 B against 96)."""
+        args = XrlArgs()
+        for index in range(10):
+            args.add_u32(f"a{index}", index)
+        method = "0" * 32 + "/bench/1.0/noargs"
+        binary = BinaryCodec()
+        binary.encode_request(1, method, args)
+        assert (len(binary.encode_request(2, method, args))
+                < len(TEXTUAL.encode_request(2, method, args)))
+
     def test_paired_decoder_follows_the_table(self):
         encoder, decoder = BinaryCodec(), BinaryCodec()
         for seq, method in enumerate(["a/1.0/x", "b/1.0/y", "a/1.0/x",

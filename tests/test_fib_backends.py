@@ -524,7 +524,7 @@ class TestFeaFlowController:
         (~9 000 full scans of a growing queue) would buy nothing."""
         fea = _FakeFea()
         fea.congested = True
-        __, flow = self.make(fea, high_watermark=1024, low_watermark=256)
+        __, flow = self.make(fea, high_watermark=1024)
         flow.submit_batch(32, "add", [v4_route(0)])
         fea.flush()  # the congested reply pauses the pump
         assert flow.paused
@@ -544,8 +544,7 @@ class TestFeaFlowController:
 
     def test_shed_keeps_newest_event_per_prefix(self):
         fea = _FakeFea()
-        __, flow = self.make(fea, window=1, high_watermark=6,
-                             low_watermark=2)
+        __, flow = self.make(fea, window=1, high_watermark=6)
         # window=1: the first op goes out, the rest accumulate.
         for round_ in range(5):
             for i in range(4):
