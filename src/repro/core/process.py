@@ -27,7 +27,7 @@ from repro.xrl import Finder, XrlRouter
 from repro.xrl.finder import BIRTH, DEATH
 from repro.xrl.idl import XrlInterface
 from repro.xrl.router import new_process_token
-from repro.xrl.transport import IntraProcessFamily, KillFamily
+from repro.xrl.transport import IntraProcessFamily, KillFamily, TcpFamily
 from repro.xrl.transport.base import ProtocolFamily
 from repro.xrl.transport.local import HostLocalFamily
 
@@ -85,6 +85,13 @@ class XorpProcess:
         #: every component created below serves it over ``metrics/1.0``.
         self.metrics = MetricsRegistry(self.name)
         self.loop.register_metrics(self.metrics)
+        # Frames per write is what pipelining over TCP buys (paper §6.3);
+        # a host without the family reads zero.
+        tcp = [f for f in host.families if isinstance(f, TcpFamily)]
+        self.metrics.gauge("xrl.tcp.writes",
+                           lambda: sum(f.writes for f in tcp))
+        self.metrics.gauge("xrl.tcp.frames_out",
+                           lambda: sum(f.frames_out for f in tcp))
         self._kill_address = host.kill_family.listen(self)
         self._running = True
         #: classes watched by :meth:`watch_rebirth` -> a death was seen

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import selectors
 from collections import deque
-from typing import Any, Callable, Deque, Optional, Tuple
+from typing import Any, Callable, Deque, List, Optional, Tuple
 
 from repro.eventloop import collector
 from repro.eventloop.clock import Clock, SimulatedClock, SystemClock
@@ -38,6 +38,11 @@ class EventLoop:
         self._selector = selectors.DefaultSelector()
         self._fd_count = 0
         self._stopping = False
+        #: flushes of the channels delivering a received chunk, which hold
+        #: their writes until it is done (``xrl/transport/tcp.py``); a turn
+        #: entered from inside a delivery runs them first — a nested
+        #: ``send_sync`` would otherwise wait on a request never written
+        self.corked: List[Callable[[], None]] = []
 
     # -- time -------------------------------------------------------------
     def now(self) -> float:
@@ -152,6 +157,8 @@ class EventLoop:
         the spawn manager uses it to serve Finder and XRL traffic while it
         blocks waiting for a freshly forked child to register.
         """
+        if self.corked:
+            self._write_corked()
         if not self._fd_count:
             return False
         ran = False
@@ -170,8 +177,11 @@ class EventLoop:
         slice.  With a :class:`SimulatedClock` and no ready work, virtual
         time jumps to the next timer deadline.  Before any of it, between
         two events, the full garbage collection gets its turn if it is
-        due (:mod:`repro.eventloop.collector`).
+        due (:mod:`repro.eventloop.collector`), and a turn nested inside a
+        delivery writes what the delivering channels hold (:attr:`corked`).
         """
+        if self.corked:
+            self._write_corked()
         if collector.promoted >= PROMOTIONS_PER_FULL:
             collector.between_events()
         ran = False
@@ -203,6 +213,10 @@ class EventLoop:
                     return True
             return False
         return ran
+
+    def _write_corked(self) -> None:
+        for flush in list(self.corked):
+            flush()
 
     def _io_timeout(self) -> Optional[float]:
         expiry = self.timers.next_expiry()

@@ -61,7 +61,8 @@ class ObsFlowReport:
 
     def to_dict(self) -> dict:
         """The byte-stable form: everything but the collector's ``gc.*``
-        gauges, which read real time whatever clock the loop runs on."""
+        gauges, which read real time whatever clock the loop runs on, and
+        ``xrl.tcp.*``, whose frames per write depend on socket timing."""
         return {
             "route_count": self.route_count,
             "spans": {str(k): v for k, v in sorted(self.spans.items())},
@@ -69,10 +70,15 @@ class ObsFlowReport:
                               in sorted(self.hop_sequences.items())},
             "scrapes": {
                 target: "".join(line for line in text.splitlines(True)
-                                if ".gc." not in line.split(" ", 1)[0])
+                                if not _timing_dependent(line))
                 for target, text in sorted(self.scrapes.items())},
             "findings": [f.__dict__ for f in self.findings],
         }
+
+
+def _timing_dependent(line: str) -> bool:
+    name = line.split(" ", 1)[0]
+    return ".gc." in name or ".xrl.tcp." in name
 
 
 def _audit_spans(obs: Observability, report: ObsFlowReport) -> None:

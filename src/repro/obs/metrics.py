@@ -20,9 +20,10 @@ touches a hot path while disarmed.
 Rendering is deterministic (sorted names, fixed float formatting):
 under a simulated clock two identical runs scrape byte-identical
 reports, which is what the CLI's ``--json`` byte-stability contract
-rests on — the one exception being the collector's ``gc.*`` gauges
-(:mod:`repro.eventloop.collector`), which read real time under any clock
-and which that JSON therefore leaves out.
+rests on — the exceptions being the collector's ``gc.*`` gauges
+(:mod:`repro.eventloop.collector`), which read real time under any clock,
+and ``xrl.tcp.*``, whose writes depend on socket timing; that JSON
+therefore leaves them out.
 """
 
 from __future__ import annotations

@@ -50,6 +50,11 @@ MAX_FRAME_SIZE = 16 * 1024 * 1024
 #: client that pipelines and never reads is held to this plus one reply.
 MAX_UNSENT_BYTES = 1024 * 1024
 
+#: What one ``recv`` takes, and the most a channel holds back unwritten
+#: while it delivers that chunk (``FramedChannel._corked``); at most
+#: :data:`MAX_UNSENT_BYTES`, so the slow-reader pause still comes in time.
+CHUNK_BYTES = 64 * 1024
+
 
 class FrameBuffer:
     """Incremental length-prefixed frame reassembly."""
@@ -95,7 +100,16 @@ class FramedChannel:
     connections and the XRL sender (the Finder is an XRL target and its
     client an XRL sender, so its sessions are these too).
     Subclasses implement :meth:`_on_frame` (one complete inbound frame)
-    and :meth:`_on_closed` (runs once, however the connection ended).
+    and :meth:`_on_closed` (runs once, however the connection ended), and
+    set ``_family`` (the :class:`TcpFamily` counting writes and frames).
+
+    While it delivers a received chunk of several frames the channel is
+    *corked*: what its handlers transmit on it (replies, and the requests
+    a reply callback pipelines behind them) collects in ``_out`` and goes
+    out in one ``send()`` when the chunk is done, or early once more than
+    :data:`CHUNK_BYTES` wait.  A loop turn entered from inside the
+    delivery writes it first (``EventLoop.corked``): a nested
+    ``send_sync`` must not wait for a reply to a request still held here.
     """
 
     #: A serving connection stops reading requests while more than
@@ -103,6 +117,8 @@ class FramedChannel:
     #: A client never pauses: reading a reply queues no output here, and
     #: two ends that each refuse to read until written to would deadlock.
     serving = True
+
+    _family: "TcpFamily"
 
     def __init__(self, loop, sock: socket.socket):
         self._loop = loop
@@ -115,6 +131,8 @@ class FramedChannel:
         self._sent = 0
         self._reading = True
         self._writing = False
+        #: delivering a chunk of several frames: writes wait for its end
+        self._corked = False
         sock.setblocking(False)
         loop.add_reader(sock, self._on_readable)
 
@@ -133,7 +151,7 @@ class FramedChannel:
         if sock is None:
             return  # closed earlier in this select batch
         try:
-            chunk = sock.recv(65536)
+            chunk = sock.recv(CHUNK_BYTES)
         except BlockingIOError:
             return
         except OSError:
@@ -149,24 +167,47 @@ class FramedChannel:
         self._deliver(frames)
 
     def _deliver(self, frames: List[bytes]) -> None:
-        for frame in frames:
-            if self._reading:
-                self._on_frame(frame)
-            else:  # paused (or closed) by an earlier frame of this chunk
-                self._parked.append(frame)
+        # A lone frame's handler has no other handler's write to share a
+        # send() with, so stop-and-wait traffic skips the cork's cost.
+        outermost = not self._corked and len(frames) > 1
+        if outermost:
+            self._corked = True
+            self._loop.corked.append(self._flush)
+        try:
+            for frame in frames:
+                if self._reading:
+                    self._on_frame(frame)
+                else:  # paused (or closed) by an earlier frame of this chunk
+                    self._parked.append(frame)
+        finally:
+            if outermost:
+                self._corked = False
+                self._loop.corked.pop()
+                if len(self._out) > self._sent:
+                    self._flush()
 
-    def _transmit(self, data: bytes) -> None:
-        """Queue already-framed *data* and write what the socket takes."""
+    def _transmit(self, frame: bytes) -> None:
+        """Queue one already-framed *frame* (see :meth:`_queued`)."""
         if self._sock is None:
             return  # a deferred reply, or a push, after the peer went away
-        self._out += data
-        self._flush()
+        self._out += frame
+        self._family.frames_out += 1
+        self._queued()
+
+    def _queued(self) -> None:
+        """Frames joined ``_out``: write now, or, while corked, once more
+        than :data:`CHUNK_BYTES` wait — so a chunk of requests whose
+        replies the peer does not read still meets the pause in
+        :meth:`_flush`."""
+        if not self._corked or len(self._out) - self._sent > CHUNK_BYTES:
+            self._flush()
 
     def _flush(self) -> None:
         sock = self._sock
         if sock is None:
             return  # closed earlier in this select batch
         out = self._out
+        family = self._family
         while self._sent < len(out):
             try:
                 if self._sent:  # resume mid-buffer without copying the rest
@@ -174,6 +215,7 @@ class FramedChannel:
                         self._sent += sock.send(unsent)
                 else:
                     self._sent = sock.send(out)
+                family.writes += 1
             except BlockingIOError:
                 if not self._writing:
                     self._writing = True
@@ -327,6 +369,7 @@ class _TcpSender(FramedChannel, Sender):
 
     def __init__(self, family: "TcpFamily", address: str, router):
         host, __, port_text = address.rpartition(":")
+        self._family = family
         #: reply callbacks of the calls on the wire, by seq, in send order
         self._pending: Dict[int, ReplyCallback] = {}
         self._codec: Optional[BinaryCodec] = None
@@ -363,7 +406,8 @@ class _TcpSender(FramedChannel, Sender):
         self.call_batch(((request, reply_cb),))
 
     def call_batch(self, requests) -> None:
-        """Pipelining: N frames, one buffered write.
+        """Pipelining: N frames, one buffered write — shared with whatever
+        else is sent here while a chunk of replies is delivered.
 
         Concatenating frames is wire-compatible — the receiver's
         :class:`FrameBuffer` splits on length prefixes and replies carry
@@ -373,14 +417,18 @@ class _TcpSender(FramedChannel, Sender):
         """
         if self._sock is None:
             raise XrlError(XrlErrorCode.SEND_FAILED, "tcp sender is closed")
+        out = self._out
+        frames = 0
         for request, reply_cb in requests:
             # The frame already carries a sequence number assigned by the
             # router (after the kind byte); we track it for reply matching
             # without re-parsing.
             (seq,) = struct.unpack_from("!I", request, 1)
             self._pending[seq] = reply_cb
-            self._out += pack_frame(request)
-        self._flush()
+            out += pack_frame(request)
+            frames += 1
+        self._family.frames_out += frames
+        self._queued()
 
     def _on_frame(self, response: bytes) -> None:
         kind = response[0] if response else -1
@@ -418,6 +466,10 @@ class TcpFamily(ProtocolFamily):
         #: codecs this family negotiates, most preferred first
         self.codecs = (("binary", "textual") if codec == "binary"
                        else ("textual",))
+        #: successful ``send()`` calls and frames queued, over every
+        #: connection of this family; frames per write is the coalescing
+        self.writes = 0
+        self.frames_out = 0
 
     def listen(self, router) -> str:
         listener = _TcpListener(self, router)
