@@ -5,9 +5,8 @@ Each peering owns (paper Figures 4-6):
 * an input branch — PeerIn (stores the *original* routes), an optional
   damping stage, the import filter bank, and a nexthop resolver stage —
   feeding the shared decision process;
-* an output branch — export filter bank, optional consistency-checking
-  cache stage, and the PeerOut which packs route changes into UPDATE
-  messages — fed from the shared fanout queue;
+* an output branch — export filter bank and the PeerOut which packs
+  route changes into UPDATE messages — fed from the shared fanout queue;
 * dynamic deletion stages spliced in after PeerIn when the session drops.
 """
 
@@ -28,7 +27,6 @@ from repro.bgp.route import BGPRoute
 from repro.bgp.session import BgpSession
 from repro.core.stages import (
     BatchStage,
-    ConsistencyCheckStage,
     DeletionStage,
     FilterStage,
     OriginStage,
@@ -197,15 +195,7 @@ class PeerHandler(FsmActions):
                                       self._export_filter)
         self.peer_out = PeerOutStage(f"peer-out-{self.peer_id}", self.loop,
                                      self._send_update)
-        stages: List[RouteTableStage] = [self.out_filter]
-        if self.process.debug_cache_stages:
-            # Paper §5.1: "This cache stage, just after the outgoing filter
-            # bank in the output pipeline to each peer, has helped us
-            # discover many subtle bugs."
-            self.out_cache = ConsistencyCheckStage(f"out-cache-{self.peer_id}")
-            stages.append(self.out_cache)
-        stages.append(self.peer_out)
-        RouteTableStage.plumb(*stages)
+        RouteTableStage.plumb(self.out_filter, self.peer_out)
 
     # -- policy filters (the built-in BGP propagation rules) -------------------
     def _import_filter(self, route: BGPRoute) -> Optional[BGPRoute]:
@@ -404,13 +394,9 @@ class PeerHandler(FsmActions):
         # Reset the output branch: its state described the dead session.
         # The fresh dump at the next establishment repopulates it.
         self.peer_out._pending.clear()
-        if self.process.debug_cache_stages:
-            self.out_cache.cache.clear()
         # Tell any armed sanitizer the output branch's streams restarted:
         # the wipe above is a legitimate reset, not missed deletes.
         stream_reset(self.out_filter, self.peer_out)
-        if self.process.debug_cache_stages:
-            stream_reset(self.out_cache)
         if self.peer_in.route_count == 0:
             return
         old_routes = self.peer_in.routes

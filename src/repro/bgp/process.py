@@ -45,13 +45,11 @@ class BgpProcess(XorpProcess):
                  bgp_id: Optional[IPv4] = None,
                  rib_target: Optional[str] = "rib",
                  window: int = 100,
-                 retry_policy=None,
-                 debug_cache_stages: bool = False):
+                 retry_policy=None):
         super().__init__(host)
         self.local_as = local_as
         self.bgp_id = bgp_id if bgp_id is not None else IPv4("127.0.0.1")
         self.rib_target = rib_target
-        self.debug_cache_stages = debug_cache_stages
         self.xrl = self.create_router("bgp", singleton=True)
         self.profiler = Profiler(self.loop.clock)
         self.prof_ribin = self.profiler.create("route_ribin")

@@ -1,15 +1,16 @@
 """BGP session transports.
 
-The peer handler talks to an abstract byte-stream session; concrete
-implementations are the in-memory pair below (unit tests, single-host
-experiments) and the simulated-network channel adapter in
-:mod:`repro.simnet`.  Both carry the *real* encoded BGP messages.
+The peer handler talks to an abstract byte stream: the in-memory pair
+below (tests, one-host experiments), :mod:`repro.simnet`'s channel
+adapter or :class:`TcpSession` (separate processes), all carrying the
+*real* encoded BGP messages.
 """
 
 from __future__ import annotations
 
-import socket as _socket
 from typing import Callable, Optional
+
+from repro.eventloop.stream import StreamChannel, StreamListener
 
 
 class BgpSession:
@@ -94,161 +95,58 @@ def session_pair(loop, latency: float = 0.0):
     return a, b
 
 
-class TcpSession(BgpSession):
-    """A BGP session over a real TCP socket (multi-process deployment).
+class TcpSession(StreamChannel, BgpSession):
+    """A BGP session over TCP: an accepted socket, or one :meth:`connect`
+    dials (again after each close).  ``on_closed`` reports a lost
+    connection or a refused dial, not our own :meth:`close`."""
 
-    Either wraps an already-accepted socket (passive side) or dials out
-    on :meth:`connect` (active side).  All I/O is nonblocking through the
-    event loop's readiness callbacks.
-    """
+    #: Never pauses reading: a paused peer's KEEPALIVEs would sit unread
+    #: until its hold timer fired.  Slow peers are the fanout queue's job.
+    serving = False
+    writes = 0  # this session's send() calls, not the XRL family's
 
     def __init__(self, loop, *, sock=None, remote=None):
-        super().__init__()
-        self._loop = loop
+        BgpSession.__init__(self)
+        self._stats = self
         self._remote = remote  # (host, port) for the active side
-        self._sock = None
-        self._out = bytearray()
-        self._writing = False
-        self._connected = False
+        StreamChannel.__init__(self, loop, sock)
         if sock is not None:
-            self._adopt(sock, established=True)
+            loop.call_soon(self._on_connected)
 
     @property
     def connected(self) -> bool:
-        return self._connected
-
-    def _adopt(self, sock, *, established: bool) -> None:
-        sock.setblocking(False)
-        try:
-            sock.setsockopt(_socket.IPPROTO_TCP, _socket.TCP_NODELAY, 1)
-        except OSError:
-            pass
-        self._sock = sock
-        self._connected = established
-        self._loop.add_reader(sock, self._on_readable)
-        if established:
-            self._loop.call_soon(self._notify_connected)
-
-    def _notify_connected(self) -> None:
-        if self._connected and self.on_connected is not None:
-            self.on_connected()
+        return self._reading  # never paused: reading exactly while up
 
     def connect(self) -> None:
-        if self._sock is not None or self._remote is None:
-            return
-        sock = _socket.socket(_socket.AF_INET, _socket.SOCK_STREAM)
-        sock.setblocking(False)
-        try:
-            sock.connect(self._remote)
-        except BlockingIOError:
-            pass
-        except OSError:
-            sock.close()
-            if self.on_closed is not None:
-                self._loop.call_soon(self.on_closed)
-            return
-        self._sock = sock
-        # Writability signals connection completion (or refusal).
-        self._writing = True
-        self._loop.add_writer(sock, self._on_connect_ready)
+        if self._sock is None and self._remote is not None:
+            self._dial(self._remote)
 
-    def _on_connect_ready(self) -> None:
-        self._loop.remove_writer(self._sock)
-        self._writing = False
-        error = self._sock.getsockopt(_socket.SOL_SOCKET, _socket.SO_ERROR)
-        if error:
-            self._teardown(notify=True)
-            return
-        try:
-            self._sock.setsockopt(_socket.IPPROTO_TCP, _socket.TCP_NODELAY, 1)
-        except OSError:
-            pass
-        self._connected = True
-        self._loop.add_reader(self._sock, self._on_readable)
-        self._notify_connected()
+    def _on_connected(self) -> None:
+        if self._reading and self.on_connected is not None:
+            self.on_connected()
 
-    def _on_readable(self) -> None:
-        try:
-            chunk = self._sock.recv(65536)
-        except BlockingIOError:
-            return
-        except OSError:
-            self._teardown(notify=True)
-            return
-        if not chunk:
-            self._teardown(notify=True)
-            return
-        if self.on_data is not None:
-            self.on_data(chunk)
+    def _on_chunk(self, chunk: bytes) -> None:
+        on_data = self.on_data  # an instance attribute observers rebind
+        if on_data is not None:
+            on_data(chunk)
 
-    def send(self, data: bytes) -> None:
-        if not self._connected:
-            return
-        self._out.extend(data)
-        self._flush()
-
-    def _flush(self) -> None:
-        while self._out:
-            try:
-                sent = self._sock.send(self._out)
-            except BlockingIOError:
-                if not self._writing:
-                    self._writing = True
-                    self._loop.add_writer(self._sock, self._flush)
-                return
-            except OSError:
-                self._teardown(notify=True)
-                return
-            del self._out[:sent]
-        if self._writing:
-            self._writing = False
-            self._loop.remove_writer(self._sock)
-
-    def _teardown(self, *, notify: bool) -> None:
-        sock, self._sock = self._sock, None
-        self._connected = False
-        self._out.clear()
-        if sock is not None:
-            self._loop.remove_reader(sock)
-            if self._writing:
-                self._loop.remove_writer(sock)
-                self._writing = False
-            sock.close()
-        # A failed dial reports the same as a close: connection_failed.
-        if notify and self.on_closed is not None:
+    def _on_closed(self) -> None:
+        if self.on_closed is not None:
             self.on_closed()
 
+    def send(self, data: bytes) -> None:
+        if self._reading:
+            self._out += data
+            self._flush()
+
     def close(self) -> None:
-        self._teardown(notify=False)
+        self._release()
 
 
-class TcpSessionListener:
+class TcpSessionListener(StreamListener):
     """Accepts inbound BGP TCP connections and hands off TcpSessions."""
 
-    def __init__(self, loop, on_session: Callable[["TcpSession"], None], *,
+    def __init__(self, loop, on_session: Callable[[TcpSession], None], *,
                  host: str = "127.0.0.1", port: int = 0):
-        self._loop = loop
-        self._on_session = on_session
-        sock = _socket.socket(_socket.AF_INET, _socket.SOCK_STREAM)
-        sock.setsockopt(_socket.SOL_SOCKET, _socket.SO_REUSEADDR, 1)
-        sock.bind((host, port))
-        sock.listen(16)
-        sock.setblocking(False)
-        self._sock = sock
-        self.port = sock.getsockname()[1]
-        loop.add_reader(sock, self._on_accept)
-
-    def _on_accept(self) -> None:
-        while True:
-            try:
-                conn, __ = self._sock.accept()
-            except (BlockingIOError, OSError):
-                return
-            self._on_session(TcpSession(self._loop, sock=conn))
-
-    def close(self) -> None:
-        if self._sock is None:
-            return
-        self._loop.remove_reader(self._sock)
-        self._sock.close()
-        self._sock = None
+        super().__init__(loop, host, port, lambda sock: on_session(
+            TcpSession(loop, sock=sock)))

@@ -17,8 +17,6 @@ Protocol-specific stages (BGP's decision process, the RIB's merge stages,
 from repro.core.process import Host, XorpProcess
 from repro.core.stages import (
     BatchStage,
-    ConsistencyCheckStage,
-    ConsistencyError,
     DeletionStage,
     FilterStage,
     OriginStage,
@@ -27,8 +25,6 @@ from repro.core.stages import (
 
 __all__ = [
     "BatchStage",
-    "ConsistencyCheckStage",
-    "ConsistencyError",
     "DeletionStage",
     "FilterStage",
     "Host",

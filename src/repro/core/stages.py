@@ -51,10 +51,6 @@ from repro.net import IPNet
 from repro.trie import RouteTrie
 
 
-class ConsistencyError(AssertionError):
-    """A stage observed a violation of the consistency rules."""
-
-
 # -- what repro.core.taps listens on -----------------------------------------
 #
 # Observers must cost nothing when none is attached, so there is no
@@ -366,78 +362,6 @@ class FilterStage(BatchStage):
         if route is None:
             return None
         return self.filter_fn(route)
-
-
-class ConsistencyCheckStage(RouteTableStage):
-    """The paper's debugging *cache stage* (§5.1).
-
-    "we have developed an extra consistency checking stage for debugging
-    purposes. ... [it] has helped us discover many subtle bugs that would
-    otherwise have gone undetected."
-
-    It caches every route announced downstream and raises
-    :class:`ConsistencyError` when the rules are violated.  It answers
-    ``lookup_route`` from the cache.
-    """
-
-    def __init__(self, name: str, bits: int = 32, *, strict_lookup: bool = False):
-        super().__init__(name)
-        self.cache = RouteTrie(bits)
-        self.checks_failed = 0
-        self.strict_lookup = strict_lookup
-
-    def add_route(self, route: Any, *,
-                  caller: Optional[RouteTableStage] = None) -> None:
-        if self.cache.exact(route.net) is not None:
-            self.checks_failed += 1
-            raise ConsistencyError(
-                f"{self.name}: add_route for {route.net} but it was already "
-                "added and never deleted (rule 1)"
-            )
-        self.cache.insert(route.net, route)
-        super().add_route(route, caller=caller)
-
-    def delete_route(self, route: Any, *,
-                     caller: Optional[RouteTableStage] = None) -> None:
-        cached = self.cache.exact(route.net)
-        if cached is None:
-            self.checks_failed += 1
-            raise ConsistencyError(
-                f"{self.name}: delete_route for {route.net} without a "
-                "corresponding add_route (rule 1)"
-            )
-        self.cache.remove(route.net)
-        super().delete_route(route, caller=caller)
-
-    def replace_route(self, old_route: Any, new_route: Any, *,
-                      caller: Optional[RouteTableStage] = None) -> None:
-        cached = self.cache.exact(old_route.net)
-        if cached is None:
-            self.checks_failed += 1
-            raise ConsistencyError(
-                f"{self.name}: replace_route for {old_route.net} but that "
-                "prefix was never added (rule 1)"
-            )
-        self.cache.remove(old_route.net)
-        self.cache.insert(new_route.net, new_route)
-        super().replace_route(old_route, new_route, caller=caller)
-
-    def lookup_route(self, net: IPNet, *,
-                     caller: Optional[RouteTableStage] = None) -> Any:
-        cached = self.cache.exact(net)
-        if cached is not None:
-            return cached
-        # Rule 2: upstream must agree with what we've seen flow past.  In
-        # strict mode (single-branch pipelines) a route upstream that was
-        # never announced downstream is a violation; in multi-branch
-        # pipelines lookups legitimately see unannounced alternatives.
-        upstream = super().lookup_route(net, caller=caller)
-        if upstream is not None and self.strict_lookup:
-            raise ConsistencyError(
-                f"{self.name}: lookup_route({net}) found an upstream route "
-                "that was never announced downstream (rule 2)"
-            )
-        return upstream
 
 
 class DeletionStage(BatchStage):

@@ -17,10 +17,9 @@ from repro.sanitizer.xrlsan import XrlDispatchSanitizer
 class RuntimeSanitizer:
     """Arms/disarms the stage-graph and XRL-dispatch sanitizers together."""
 
-    def __init__(self, *, strict_lookup: bool = False,
-                 log: Optional[ViolationLog] = None):
+    def __init__(self, *, log: Optional[ViolationLog] = None):
         self.log = log if log is not None else ViolationLog()
-        self.stages = StageSanitizer(self.log, strict_lookup=strict_lookup)
+        self.stages = StageSanitizer(self.log)
         self.xrl = XrlDispatchSanitizer(self.log)
 
     def arm(self) -> None:

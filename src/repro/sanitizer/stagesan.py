@@ -1,13 +1,13 @@
 """Stage-graph consistency sanitizer (paper §5's rules, every edge).
 
-The paper ships one debugging aid for the staged routing tables — a
-cache stage spliced into a single pipeline position.  This sanitizer
-generalises it: armed, it is a stage tap on the instrumentation seam
-(:mod:`repro.core.taps`), which hands it every message on *every*
-``RouteTableStage`` subclass, present and future, once — a batch as its
-singular decomposition, so verdicts are identical batched or unbatched —
-and it shadows the route stream on every inter-stage edge, asserting
-both §5 consistency rules:
+The paper debugs the staged routing tables with a cache stage just
+after each peer's outgoing filter bank (§5.1).  This sanitizer is that
+cache stage, on that edge and on every other: armed, it is a stage tap
+on the instrumentation seam (:mod:`repro.core.taps`), which hands it
+every message on *every* ``RouteTableStage`` subclass, present and
+future, once — a batch as its singular decomposition, so verdicts are
+identical batched or unbatched — and it shadows the route stream on
+every inter-stage edge, asserting both §5 consistency rules:
 
 1. no ``add_route`` for a prefix already live on that edge without an
    intervening ``delete_route``, and every ``delete_route`` /
@@ -50,10 +50,8 @@ def _label(stage: Any) -> str:
 class StageSanitizer(taps.StageTap):
     """Arms §5 consistency checking on every stage edge."""
 
-    def __init__(self, log: Optional[ViolationLog] = None, *,
-                 strict_lookup: bool = False):
+    def __init__(self, log: Optional[ViolationLog] = None):
         self.log = log if log is not None else ViolationLog()
-        self.strict_lookup = strict_lookup
         #: (caller, receiver) -> {net: route} — the live set per edge
         self._edges: Dict[Tuple[Any, Any], Dict[Any, Any]] = {}
         self._seen: Set[Tuple[str, str, str]] = set()
@@ -182,8 +180,3 @@ class StageSanitizer(taps.StageTap):
                     f"{getattr(result, 'net', None)}, inconsistent with the "
                     f"announced route for {expected.net} (rule 2)",
                     net=str(net))
-        elif self.strict_lookup and result is not None:
-            self._record(
-                "SAN004", origin,
-                f"lookup_route({net}) found a route never announced on "
-                "this edge (rule 2, strict)", net=str(net))

@@ -1,19 +1,14 @@
 """TCP protocol family — XORP's default transport, with pipelining and a
 negotiated binary frame codec.
 
-Frames are length-prefixed (``!I`` byte count); the first payload byte is
-the frame *kind* (see :mod:`repro.xrl.codec`): a codec tag for
-request/response bodies, or a HELLO / HELLO-ACK control frame.  A sender
-may have many requests outstanding; responses carry the request sequence
-number (always the first four body bytes, in either codec), so replies
-are matched even if a future implementation reorders them.
-
-Codec negotiation: the client opens with HELLO listing its codecs; the
-server picks the best common one, answers HELLO-ACK, and each side
-switches its *transmit* codec only after the exchange completes.  Both
-directions accept either codec per-frame throughout, so in-flight
-textual frames are unaffected and an endpoint that never acks simply
-stays textual — the transparent fallback.
+Frames are ``!I``-length-prefixed; the first payload byte is the frame
+*kind* (:mod:`repro.xrl.codec`): a codec tag, or HELLO / HELLO-ACK.  A
+sender may have many requests outstanding; a response carries its
+request's sequence number (the first four body bytes in either codec).
+The client opens with HELLO listing its codecs, the server answers
+HELLO-ACK with the best common one, and each side switches its
+*transmit* codec only then.  Both accept either codec per frame
+throughout, so an endpoint that never acks simply stays textual.
 """
 
 from __future__ import annotations
@@ -23,6 +18,7 @@ import socket
 import struct
 from typing import Callable, Dict, List, Optional
 
+from repro.eventloop.stream import CHUNK_BYTES, StreamChannel, StreamListener
 from repro.xrl.args import XrlArgs
 from repro.xrl.codec import (
     KIND_BINARY,
@@ -39,21 +35,10 @@ from repro.xrl.error import XrlError, XrlErrorCode
 from repro.xrl.transport.base import ProtocolFamily, ReplyCallback, Sender
 
 
-#: Largest frame a connection will reassemble.  The ``!I`` prefix is
-#: outside input: unchecked, four bytes (``ff ff ff ff``) would make a
-#: listener buffer up to 4 GiB.  The largest legitimate frames (a
-#: vectorized 256-route FIB XRL, a Finder registration) are tens of KiB.
+#: Largest frame a connection will reassemble: unchecked, four outside
+#: bytes (``ff ff ff ff``) would make a listener buffer up to 4 GiB.  The
+#: largest legitimate frames (a 256-route FIB XRL) are tens of KiB.
 MAX_FRAME_SIZE = 16 * 1024 * 1024
-
-#: Reply bytes a serving connection lets a peer leave unread before it
-#: stops reading that peer's requests (it resumes once they drain), so a
-#: client that pipelines and never reads is held to this plus one reply.
-MAX_UNSENT_BYTES = 1024 * 1024
-
-#: What one ``recv`` takes, and the most a channel holds back unwritten
-#: while it delivers that chunk (``FramedChannel._corked``); at most
-#: :data:`MAX_UNSENT_BYTES`, so the slow-reader pause still comes in time.
-CHUNK_BYTES = 64 * 1024
 
 
 class FrameBuffer:
@@ -63,16 +48,11 @@ class FrameBuffer:
         self._data = bytearray()
 
     def feed(self, chunk: bytes) -> list:
-        """Absorb *chunk*; return the frames it completed.
-
-        Raises ``ValueError`` on a length prefix above
-        :data:`MAX_FRAME_SIZE` — the caller closes that connection.
-        """
+        """Absorb *chunk*; return the frames it completed.  Raises
+        ``ValueError`` on a length above :data:`MAX_FRAME_SIZE`."""
         self._data.extend(chunk)
         frames = []
-        while True:
-            if len(self._data) < 4:
-                break
+        while len(self._data) >= 4:
             (length,) = struct.unpack_from("!I", self._data, 0)
             if length > MAX_FRAME_SIZE:
                 self._data.clear()
@@ -93,78 +73,41 @@ _TEXTUAL_PREFIX = bytes([KIND_TEXTUAL])
 _BINARY_PREFIX = bytes([KIND_BINARY])
 
 
-class FramedChannel:
-    """One non-blocking TCP connection of ``!I``-length-prefixed frames.
+class FramedChannel(StreamChannel):
+    """A stream of ``!I``-length-prefixed frames: the listener's accepted
+    connections and the XRL sender (so the Finder's sessions too).
+    Subclasses implement ``_on_frame(frame)`` and set ``_family`` (the
+    :class:`TcpFamily` counting writes and frames) before this runs.
 
-    The single socket state machine behind the XRL listener's accepted
-    connections and the XRL sender (the Finder is an XRL target and its
-    client an XRL sender, so its sessions are these too).
-    Subclasses implement :meth:`_on_frame` (one complete inbound frame)
-    and :meth:`_on_closed` (runs once, however the connection ended), and
-    set ``_family`` (the :class:`TcpFamily` counting writes and frames).
-
-    While it delivers a received chunk of several frames the channel is
-    *corked*: what its handlers transmit on it (replies, and the requests
-    a reply callback pipelines behind them) collects in ``_out`` and goes
-    out in one ``send()`` when the chunk is done, or early once more than
-    :data:`CHUNK_BYTES` wait.  A loop turn entered from inside the
-    delivery writes it first (``EventLoop.corked``): a nested
-    ``send_sync`` must not wait for a reply to a request still held here.
-    """
-
-    #: A serving connection stops reading requests while more than
-    #: :data:`MAX_UNSENT_BYTES` of its replies wait for the peer to read.
-    #: A client never pauses: reading a reply queues no output here, and
-    #: two ends that each refuse to read until written to would deadlock.
-    serving = True
+    While it delivers a chunk of several frames the channel is *corked*:
+    what its handlers transmit goes out in one ``send()`` when the chunk
+    is done, or once more than :data:`CHUNK_BYTES` wait, and a loop turn
+    entered from inside the delivery writes it first (``EventLoop
+    .corked``).  A client never pauses: two ends that each refuse to
+    read would deadlock."""
 
     _family: "TcpFamily"
 
     def __init__(self, loop, sock: socket.socket):
-        self._loop = loop
-        self._sock: Optional[socket.socket] = sock
+        self._stats = self._family
         self._buffer = FrameBuffer()
         #: complete frames held back while reading is paused
         self._parked: List[bytes] = []
-        self._out = bytearray()
-        #: bytes of ``_out`` already written to the socket
-        self._sent = 0
-        self._reading = True
-        self._writing = False
         #: delivering a chunk of several frames: writes wait for its end
         self._corked = False
-        sock.setblocking(False)
-        loop.add_reader(sock, self._on_readable)
+        super().__init__(loop, sock)
 
-    @property
-    def alive(self) -> bool:
-        return self._sock is not None
-
-    def _on_frame(self, frame: bytes) -> None:
-        raise NotImplementedError
-
-    def _on_closed(self) -> None:
-        """The connection is gone (EOF, error, oversized frame or close())."""
-
-    def _on_readable(self) -> None:
-        sock = self._sock
-        if sock is None:
-            return  # closed earlier in this select batch
-        try:
-            chunk = sock.recv(CHUNK_BYTES)
-        except BlockingIOError:
-            return
-        except OSError:
-            chunk = b""
-        if not chunk:
-            self.close()
-            return
+    def _on_chunk(self, chunk: bytes) -> None:
         try:
             frames = self._buffer.feed(chunk)
         except ValueError:
             self.close()
             return
         self._deliver(frames)
+
+    def _on_resumed(self) -> None:
+        parked, self._parked = self._parked, []
+        self._deliver(parked)
 
     def _deliver(self, frames: List[bytes]) -> None:
         # A lone frame's handler has no other handler's write to share a
@@ -195,64 +138,10 @@ class FramedChannel:
         self._queued()
 
     def _queued(self) -> None:
-        """Frames joined ``_out``: write now, or, while corked, once more
-        than :data:`CHUNK_BYTES` wait — so a chunk of requests whose
-        replies the peer does not read still meets the pause in
-        :meth:`_flush`."""
+        """Frames joined ``_out``: write now or, corked, once more than
+        :data:`CHUNK_BYTES` wait, so an unread peer still meets the pause."""
         if not self._corked or len(self._out) - self._sent > CHUNK_BYTES:
             self._flush()
-
-    def _flush(self) -> None:
-        sock = self._sock
-        if sock is None:
-            return  # closed earlier in this select batch
-        out = self._out
-        family = self._family
-        while self._sent < len(out):
-            try:
-                if self._sent:  # resume mid-buffer without copying the rest
-                    with memoryview(out) as view, view[self._sent:] as unsent:
-                        self._sent += sock.send(unsent)
-                else:
-                    self._sent = sock.send(out)
-                family.writes += 1
-            except BlockingIOError:
-                if not self._writing:
-                    self._writing = True
-                    self._loop.add_writer(sock, self._flush)
-                if (self.serving and self._reading
-                        and len(out) - self._sent > MAX_UNSENT_BYTES):
-                    self._reading = False
-                    self._loop.remove_reader(sock)
-                return
-            except OSError:
-                self.close()
-                return
-        out.clear()
-        self._sent = 0
-        if self._writing:
-            self._writing = False
-            self._loop.remove_writer(sock)
-        if not self._reading:
-            self._reading = True
-            self._loop.add_reader(sock, self._on_readable)
-            parked, self._parked = self._parked, []
-            self._deliver(parked)
-
-    def close(self) -> None:
-        sock = self._sock
-        if sock is None:
-            return
-        self._sock = None
-        if self._reading:
-            self._reading = False
-            self._loop.remove_reader(sock)
-        if self._writing:
-            self._loop.remove_writer(sock)
-        try:
-            sock.close()
-        finally:
-            self._on_closed()
 
 
 class _TcpConnection(FramedChannel):
@@ -264,15 +153,13 @@ class _TcpConnection(FramedChannel):
         self._router = listener._router
         #: per-connection binary state, created by the HELLO exchange
         self._codec: Optional[BinaryCodec] = None
-        #: called once when the connection has ended, for a handler that
-        #: keeps state per connection (the Finder: a session is a lease)
+        #: called once the connection ended (the Finder: a session's lease)
         self.on_close: Optional[Callable[[], None]] = None
         super().__init__(self._router.loop, sock)
 
     def _deliver(self, frames: List[bytes]) -> None:
-        # Handlers can read which connection is dispatching; restored, not
-        # cleared: a handler's push may drain another connection, which
-        # then delivers its parked frames from inside this call.
+        # Restored, not cleared: a handler's push may drain another
+        # connection, which then delivers its parked frames in this call.
         router = self._router
         previous = router.dispatch_channel
         router.dispatch_channel = self
@@ -305,9 +192,8 @@ class _TcpConnection(FramedChannel):
             self._transmit(
                 pack_frame(bytes([KIND_HELLO_ACK]) + encode_hello([chosen])))
         else:
-            # Unknown kind (or binary before negotiation): the frame is
-            # undecodable, so the best we can do is a seq-0 error the
-            # client counts as a late reply.
+            # Unknown kind (or binary before negotiation): undecodable, so
+            # a seq-0 error the client counts as a late reply.
             error = XrlError(XrlErrorCode.BAD_ARGS,
                              f"unknown frame kind {kind:#x}")
             self._transmit(pack_frame(
@@ -319,51 +205,27 @@ class _TcpConnection(FramedChannel):
             self.on_close()
 
 
-class _TcpListener:
+class _TcpListener(StreamListener):
     def __init__(self, family: "TcpFamily", router):
         self._family = family
         self._router = router
-        sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        sock.bind((family.bind_host, 0))
-        sock.listen(64)
-        sock.setblocking(False)
-        self._sock = sock
-        self.address = "{}:{}".format(*sock.getsockname())
         self._connections = set()
-        router.loop.add_reader(sock, self._on_accept)
+        super().__init__(router.loop, family.bind_host, 0, self._accept)
+        self.address = f"{self.host}:{self.port}"
 
-    def _on_accept(self) -> None:
-        while True:
-            try:
-                conn, __ = self._sock.accept()
-            except BlockingIOError:
-                return
-            except OSError:
-                return
-            conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            self._connections.add(_TcpConnection(self, conn))
+    def _accept(self, sock: socket.socket) -> None:
+        self._connections.add(_TcpConnection(self, sock))
 
     def close(self) -> None:
-        if self._sock is None:
-            return
-        self._router.loop.remove_reader(self._sock)
         for conn in list(self._connections):
             conn.close()
-        try:
-            self._sock.close()
-        finally:
-            self._sock = None
+        super().close()
 
 
 class _TcpSender(FramedChannel, Sender):
     """Client side: every call one router makes to one listener address,
-    pipelined over one connection.
-
-    Requests transmit textual until the server's HELLO-ACK selects the
-    binary codec; replies are decoded per-frame by their kind byte, so
-    the transition is seamless for in-flight calls.
-    """
+    pipelined over one connection.  Requests go textual until HELLO-ACK
+    selects binary; replies decode per frame by their kind byte."""
 
     serving = False
 
@@ -381,7 +243,6 @@ class _TcpSender(FramedChannel, Sender):
             raise XrlError(
                 XrlErrorCode.SEND_FAILED, f"tcp connect to {address} failed: {exc}"
             ) from exc
-        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         super().__init__(router.loop, sock)
         codecs = family.codecs
         if "binary" in codecs:
@@ -407,22 +268,14 @@ class _TcpSender(FramedChannel, Sender):
 
     def call_batch(self, requests) -> None:
         """Pipelining: N frames, one buffered write — shared with whatever
-        else is sent here while a chunk of replies is delivered.
-
-        Concatenating frames is wire-compatible — the receiver's
-        :class:`FrameBuffer` splits on length prefixes and replies carry
-        sequence numbers, so responses demux per call.  With the binary
-        codec the whole segment is one contiguous buffer of compact
-        frames sharing the connection's interned method table.
-        """
+        else is sent here while a chunk of replies is delivered.  The
+        receiver splits on length prefixes; replies demux by sequence."""
         if self._sock is None:
             raise XrlError(XrlErrorCode.SEND_FAILED, "tcp sender is closed")
         out = self._out
         frames = 0
         for request, reply_cb in requests:
-            # The frame already carries a sequence number assigned by the
-            # router (after the kind byte); we track it for reply matching
-            # without re-parsing.
+            # the router's sequence number, after the kind byte
             (seq,) = struct.unpack_from("!I", request, 1)
             self._pending[seq] = reply_cb
             out += pack_frame(request)
@@ -466,8 +319,7 @@ class TcpFamily(ProtocolFamily):
         #: codecs this family negotiates, most preferred first
         self.codecs = (("binary", "textual") if codec == "binary"
                        else ("textual",))
-        #: successful ``send()`` calls and frames queued, over every
-        #: connection of this family; frames per write is the coalescing
+        #: ``send()`` calls and frames queued over every connection
         self.writes = 0
         self.frames_out = 0
 

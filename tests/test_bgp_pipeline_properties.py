@@ -4,8 +4,8 @@ Random interleavings of announcements and withdrawals from several peers
 flow through PeerIn -> filters -> nexthop resolvers -> decision -> fanout.
 Invariants checked:
 
-* the message stream leaving the pipeline obeys the paper's consistency
-  rules (validated by a ConsistencyCheckStage reader);
+* every stage edge, and the message stream a fanout reader receives,
+  obey the paper's consistency rules (the stage sanitizer, armed);
 * after quiescing, the decision's winners equal an oracle computed from
   the peers' current announcements with the documented ranking;
 * the fanout's winners trie matches the decision winners;
@@ -22,8 +22,9 @@ from repro.bgp.decision import route_ranking_key
 from repro.bgp.messages import UpdateMessage
 from repro.bgp.peer import PeerConfig
 from repro.core.process import Host
-from repro.core.stages import ConsistencyCheckStage
+from repro.core.stages import RouteTableStage
 from repro.net import IPNet, IPv4
+from repro.sanitizer import StageSanitizer
 
 PREFIXES = [IPNet.parse(f"99.{i}.0.0/16") for i in range(6)]
 PEERS = ["10.0.0.2", "10.0.1.2", "10.0.2.2"]
@@ -54,9 +55,15 @@ def attrs_for(peer_index: int, path_len: int, med: int) -> PathAttributeList:
 
 
 def _run_schedule(ops, run_limit=None):
-    """Drive *ops* through a fresh BGP process; returns the process, its
-    peer handlers, the checking reader, the oracle's announcement tables
-    and the reader's flattened event log."""
+    """Drive *ops* through a fresh BGP process under an armed stage
+    sanitizer; returns the process, its peer handlers, the reader's
+    table, the oracle's announcement tables, the reader's flattened event
+    log and the sanitizer's violations."""
+    with StageSanitizer() as sanitizer:
+        return _schedule(ops, run_limit) + (sanitizer.violations,)
+
+
+def _schedule(ops, run_limit):
     host = Host()
     bgp = BgpProcess(host, local_as=65000, bgp_id=IPv4("9.9.9.9"),
                      rib_target=None)
@@ -65,25 +72,30 @@ def _run_schedule(ops, run_limit=None):
         handler = bgp.add_peer(PeerConfig(
             IPv4(addr), 65002 + index, 65000, IPv4("10.0.0.1")))
         handlers.append(handler)
-    # A consistency-checking reader on the fanout (paper's cache stage).
     if run_limit is not None:
         bgp.fanout.RUN_LIMIT = run_limit
-    checker = ConsistencyCheckStage("reader-check")
+    # A fanout reader that hands its runs to a stage: the sanitizer then
+    # checks their concatenation as one singular event sequence.
+    checker = RouteTableStage("reader-check")
+    reader_table = {}
     events = []
 
     def deliver(op, routes, old_route):
         assert 1 <= len(routes) <= bgp.fanout.RUN_LIMIT
         events.extend((op, route.net, route.peer_id, route.attributes)
                       for route in routes)
-        # The reader takes runs; the checker sees their concatenation,
-        # which must be a consistent singular event sequence.
         if op == "add":
             checker.add_routes(routes)
+            reader_table.update((route.net, route) for route in routes)
         elif op == "delete":
             checker.delete_routes(routes)
+            for route in routes:
+                reader_table.pop(route.net, None)
         else:
             assert len(routes) == 1, "a replace is a run of one"
             checker.replace_route(old_route, routes[0])
+            del reader_table[old_route.net]
+            reader_table[routes[0].net] = routes[0]
 
     bgp.fanout.add_reader("checker", deliver, dump=False)
 
@@ -107,13 +119,15 @@ def _run_schedule(ops, run_limit=None):
             host.loop.run()  # resolver callbacks, fanout pumps
 
     host.loop.run()
-    return bgp, handlers, checker, announced, events
+    return bgp, handlers, reader_table, announced, events
 
 
 @settings(max_examples=40, deadline=None)
 @given(operations)
 def test_pipeline_consistency_and_winner_oracle(ops):
-    bgp, handlers, checker, announced, events = _run_schedule(ops)
+    bgp, handlers, reader_table, announced, events, violations = \
+        _run_schedule(ops)
+    assert not violations, "\n".join(v.render() for v in violations)
     # Oracle: per prefix, rank every live announcement.
     for prefix in PREFIXES:
         candidates = []
@@ -151,10 +165,8 @@ def test_pipeline_consistency_and_winner_oracle(ops):
     # The fanout's winners trie mirrors the decision.
     fanout_winners = {net: route for net, route in bgp.fanout.winners.items()}
     assert fanout_winners == bgp.decision.winners
-    # And the checker reader's reconstructed table matches too.
-    checker_table = {net: route for net, route in checker.cache.items()}
-    assert checker_table == bgp.decision.winners
-    assert checker.checks_failed == 0
+    # And the reader's reconstructed table matches too.
+    assert reader_table == bgp.decision.winners
     # Runs are only a framing of the event stream: with the cap forced
     # to 1 the reader gets the same events, one per call.
     assert _run_schedule(ops, run_limit=1)[4] == events

@@ -17,6 +17,9 @@ from repro.net import IPNet, IPv4
 from repro.rib import RibProcess
 from repro.xrl import Xrl, XrlArgs
 
+# Every stage edge of every router is checked against the §5 rules.
+pytestmark = pytest.mark.usefixtures("runtime_sanitizers")
+
 
 def net(text):
     return IPNet.parse(text)
@@ -30,8 +33,7 @@ class Router:
         self.fea = FeaProcess(self.host)
         self.rib = RibProcess(self.host)
         self.bgp = BgpProcess(self.host, local_as=local_as,
-                              bgp_id=IPv4(router_id),
-                              debug_cache_stages=True)
+                              bgp_id=IPv4(router_id))
         self.local_as = local_as
 
     def add_static(self, net_text, nexthop):

@@ -4,8 +4,6 @@ import pytest
 
 from repro.core import (
     BatchStage,
-    ConsistencyCheckStage,
-    ConsistencyError,
     DeletionStage,
     FilterStage,
     OriginStage,
@@ -172,55 +170,6 @@ class TestFilterStage:
         RouteTableStage.plumb(origin, fltr, sink)
         origin.routes.insert(IPNet.parse("10.0.0.0/8"), Route("10.0.0.0/8", metric=99))
         assert sink.lookup_route(IPNet.parse("10.0.0.0/8")) is None
-
-
-class TestConsistencyCheckStage:
-    def test_passes_consistent_flow(self):
-        check, sink = ConsistencyCheckStage("c"), SinkStage()
-        RouteTableStage.plumb(check, sink)
-        route = Route("10.0.0.0/8")
-        check.add_route(route)
-        check.delete_route(route)
-        check.add_route(route)
-        assert check.checks_failed == 0
-        assert len(sink.log) == 3
-
-    def test_detects_double_add(self):
-        check = ConsistencyCheckStage("c")
-        check.add_route(Route("10.0.0.0/8"))
-        with pytest.raises(ConsistencyError):
-            check.add_route(Route("10.0.0.0/8"))
-
-    def test_detects_spurious_delete(self):
-        check = ConsistencyCheckStage("c")
-        with pytest.raises(ConsistencyError):
-            check.delete_route(Route("10.0.0.0/8"))
-
-    def test_detects_spurious_replace(self):
-        check = ConsistencyCheckStage("c")
-        with pytest.raises(ConsistencyError):
-            check.replace_route(Route("10.0.0.0/8"), Route("10.0.0.0/8", "new"))
-
-    def test_replace_tracked(self):
-        check = ConsistencyCheckStage("c")
-        old, new = Route("10.0.0.0/8", "a"), Route("10.0.0.0/8", "b")
-        check.add_route(old)
-        check.replace_route(old, new)
-        check.delete_route(new)  # must not raise
-
-    def test_lookup_from_cache(self):
-        check = ConsistencyCheckStage("c")
-        route = Route("10.0.0.0/8")
-        check.add_route(route)
-        assert check.lookup_route(route.net) is route
-
-    def test_strict_lookup_flags_unannounced_upstream(self):
-        origin = OriginStage("o")
-        check = ConsistencyCheckStage("c", strict_lookup=True)
-        RouteTableStage.plumb(origin, check)
-        origin.routes.insert(IPNet.parse("10.0.0.0/8"), Route("10.0.0.0/8"))
-        with pytest.raises(ConsistencyError):
-            check.lookup_route(IPNet.parse("10.0.0.0/8"))
 
 
 class TestDeletionStage:

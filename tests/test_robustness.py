@@ -50,6 +50,68 @@ class TestBgpWireRobustness:
             lambda: peer_a.fsm.state == BgpState.ESTABLISHED
             and peer_b.fsm.state == BgpState.ESTABLISHED, timeout=300)
 
+    @pytest.mark.parametrize("hostile", [
+        b"GET / HTTP/1.1\r\nHost: router\r\n\r\n" * 2,
+        b"\xff" * 16 + b"\xff\xff" + b"\x02",  # a header declaring 0xFFFF
+    ], ids=["garbage", "length-0xffff"])
+    def test_hostile_bytes_at_the_tcp_listener(self, hostile, monkeypatch):
+        """A raw socket at the listener ``wire_sessions`` opens gets a
+        NOTIFICATION or a clean close; the peer is back in Idle/Active."""
+        import socket
+        from types import SimpleNamespace
+
+        import repro.bgp.__main__ as bgp_main
+        from repro.bgp.messages import MessageType
+
+        listeners = []
+
+        class Listener(bgp_main.TcpSessionListener):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                listeners.append(self)
+
+        monkeypatch.setattr(bgp_main, "TcpSessionListener", Listener)
+        loop = EventLoop(SystemClock())
+        host = Host(loop=loop)
+        bgp = BgpProcess(host, local_as=65000, bgp_id=IPv4("1.1.1.1"),
+                         rib_target=None)
+        peer = bgp.add_peer(PeerConfig(IPv4("127.0.0.2"), 65001, 65000,
+                                       IPv4("127.0.0.1")))
+        peer.enable()
+        bgp_main.wire_sessions(SimpleNamespace(loop=loop), bgp, 0, {})
+        (listener,) = listeners
+        raw = socket.create_connection(("127.0.0.1", listener.port))
+        received = bytearray()
+        try:
+            raw.setblocking(False)
+            assert loop.run_until(
+                lambda: peer.fsm.state == BgpState.OPENSENT, timeout=5)
+            raw.sendall(hostile)
+
+            def closed() -> bool:
+                try:
+                    chunk = raw.recv(4096)
+                except BlockingIOError:
+                    return False
+                received.extend(chunk)
+                return not chunk
+
+            assert loop.run_until(closed, timeout=5)
+            assert peer.fsm.state in (BgpState.IDLE, BgpState.ACTIVE)
+            # Whatever came back is whole BGP messages: the OPEN, then
+            # at most a NOTIFICATION.
+            types = []
+            while received:
+                length = int.from_bytes(received[16:18], "big")
+                types.append(received[18])
+                del received[:length]
+            assert types in ([MessageType.OPEN],
+                             [MessageType.OPEN, MessageType.NOTIFICATION])
+        finally:
+            raw.close()
+            listener.close()
+            host.shutdown()
+
     def test_truncated_stream_does_not_crash(self):
         loop = EventLoop(SimulatedClock())
         bgp_a, bgp_b, peer_a, peer_b, s1, s2 = bgp_pair(loop)
@@ -317,8 +379,8 @@ class TestXrlTransportRobustness:
 
         from repro.xrl.transport import TcpFamily
         from repro.xrl.transport.base import encode_request, encode_response
-        from repro.xrl.transport.tcp import (FrameBuffer, MAX_UNSENT_BYTES,
-                                             pack_frame)
+        from repro.eventloop.stream import MAX_UNSENT_BYTES
+        from repro.xrl.transport.tcp import FrameBuffer, pack_frame
 
         loop = EventLoop(SystemClock())
         finder = Finder()

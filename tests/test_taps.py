@@ -16,12 +16,7 @@ import pytest
 import repro.bgp  # noqa: F401  (define every stage class)
 import repro.rib  # noqa: F401
 from repro.core import stages, taps
-from repro.core.stages import (
-    ConsistencyCheckStage,
-    FilterStage,
-    OriginStage,
-    RouteTableStage,
-)
+from repro.core.stages import FilterStage, OriginStage, RouteTableStage
 from repro.eventloop import EventLoop, SimulatedClock
 from repro.eventloop.tasks import TaskScheduler
 from repro.eventloop.timers import TimerList
@@ -69,6 +64,13 @@ class Sink(RouteTableStage):
 
     def delete_route(self, r, *, caller=None):
         self.log.append(("delete", r.net))
+
+
+class Passing(RouteTableStage):
+    """Ends its add_route in ``super().add_route``: a super() chain."""
+
+    def add_route(self, r, *, caller=None):
+        super().add_route(r, caller=caller)
 
 
 class Recorder(taps.StageTap):
@@ -232,7 +234,7 @@ def test_a_message_is_delivered_once_where_it_lands():
     taps.attach(recorder)
     try:
         flt = FilterStage("filter", lambda x: x)
-        cache = ConsistencyCheckStage("cache")
+        cache = Passing("cache")
         sink = Sink()
         RouteTableStage.plumb(flt, cache, sink)
         a, b = route("10.0.0.0/8"), route("20.0.0.0/8")
