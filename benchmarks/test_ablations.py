@@ -40,7 +40,7 @@ def test_ablation_fanout_single_queue_memory(benchmark):
             fanout.set_reader_busy(f"peer{index}", True)  # all slow
         changes = 2000
         for index in range(changes):
-            fanout.add_route(_Route(IPNet(IPv4(0x0A000000 + (index << 8)), 24)))
+            fanout.add_routes([_Route(IPNet(IPv4(0x0A000000 + (index << 8)), 24))])
         shared_entries = fanout.queue_length
         per_peer_entries = shared_entries * n_peers  # the alternative design
         return shared_entries, per_peer_entries
@@ -83,8 +83,8 @@ def test_ablation_background_deletion_responsiveness(benchmark):
         origin = OriginStage("peer-in")
         deleted = []
         sink = RouteTableStage("sink")
-        sink.delete_route = lambda route, caller=None: deleted.append(route)
-        sink.add_route = lambda route, caller=None: None
+        sink.delete_routes = lambda routes, caller=None: deleted.extend(routes)
+        sink.add_routes = lambda routes, caller=None: None
         RouteTableStage.plumb(origin, sink)
         for index in range(20000):
             origin.originate(_Route(IPNet(IPv4(0x0B000000 + (index << 8)), 24)))

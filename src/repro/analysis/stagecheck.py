@@ -8,10 +8,9 @@ where a stage was expected reads fine at the call site and explodes two
 stages downstream.  The API therefore makes ``caller`` keyword-only,
 and this checker enforces the convention statically:
 
-* a call to ``add_route``/``delete_route``/``lookup_route`` (or the
-  batch forms ``add_routes``/``delete_routes``) with more than one
-  positional argument, or to ``replace_route`` with more than two, is
-  passing ``caller`` positionally (STG001);
+* a call to ``add_routes``/``delete_routes``/``lookup_route`` with more
+  than one positional argument, or to ``replace_route`` with more than
+  two, is passing ``caller`` positionally (STG001);
 * a ``def`` of one of those methods that declares ``caller`` as a
   positional parameter re-opens the hole for every caller (STG001).
 """
@@ -25,8 +24,6 @@ from repro.analysis.core import Checker, Finding, ModuleInfo, ProjectIndex
 
 #: message name -> number of route/net positional operands it takes
 _MESSAGE_ARITY = {
-    "add_route": 1,
-    "delete_route": 1,
     "lookup_route": 1,
     "add_routes": 1,
     "delete_routes": 1,

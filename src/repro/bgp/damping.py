@@ -15,7 +15,7 @@ threshold.
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, Optional
+from typing import Any, Dict, List, Optional
 
 from repro.core.stages import RouteTableStage
 from repro.net import IPNet
@@ -81,46 +81,53 @@ class DampingStage(RouteTableStage):
         return self._decayed(info) if info is not None else 0.0
 
     # -- stage messages ------------------------------------------------------
-    def add_route(self, route: Any, *,
-                  caller: Optional[RouteTableStage] = None) -> None:
-        info = self.info.get(route.net)
+    def _info_for(self, net: IPNet) -> DampInfo:
+        info = self.info.get(net)
         if info is None:
             info = DampInfo()
             info.last_update = self.loop.now()
-            self.info[route.net] = info
-        if info.suppressed:
-            info.held_route = route  # still suppressed: swallow
-            return
-        if self._decayed(info) >= self.suppress_threshold:
-            info.suppressed = True
-            info.held_route = route
-            self.suppress_count += 1
-            return
-        info.announced = True
-        info.held_route = None
-        super().add_route(route, caller=caller)
+            self.info[net] = info
+        return info
 
-    def delete_route(self, route: Any, *,
-                     caller: Optional[RouteTableStage] = None) -> None:
-        info = self.info.get(route.net)
-        if info is None:
-            super().delete_route(route, caller=caller)
-            return
-        self._charge(info, WITHDRAWAL_PENALTY)
-        if info.suppressed:
-            info.held_route = None  # withdrawn while suppressed
-            return
-        if info.announced:
-            info.announced = False
-            super().delete_route(route, caller=caller)
+    def add_routes(self, routes: List[Any], *,
+                   caller: Optional[RouteTableStage] = None) -> None:
+        passed: List[Any] = []
+        for route in routes:
+            info = self._info_for(route.net)
+            if info.suppressed:
+                info.held_route = route  # still suppressed: swallow
+                continue
+            if self._decayed(info) >= self.suppress_threshold:
+                info.suppressed = True
+                info.held_route = route
+                self.suppress_count += 1
+                continue
+            info.announced = True
+            info.held_route = None
+            passed.append(route)
+        if passed:
+            super().add_routes(passed, caller=caller)
+
+    def delete_routes(self, routes: List[Any], *,
+                      caller: Optional[RouteTableStage] = None) -> None:
+        passed: List[Any] = []
+        for route in routes:
+            info = self.info.get(route.net)
+            if info is None:
+                passed.append(route)
+                continue
+            self._charge(info, WITHDRAWAL_PENALTY)
+            if info.suppressed:
+                info.held_route = None  # withdrawn while suppressed
+            elif info.announced:
+                info.announced = False
+                passed.append(route)
+        if passed:
+            super().delete_routes(passed, caller=caller)
 
     def replace_route(self, old_route: Any, new_route: Any, *,
                       caller: Optional[RouteTableStage] = None) -> None:
-        info = self.info.get(new_route.net)
-        if info is None:
-            info = DampInfo()
-            info.last_update = self.loop.now()
-            self.info[new_route.net] = info
+        info = self._info_for(new_route.net)
         self._charge(info, ATTRIBUTE_CHANGE_PENALTY)
         if info.suppressed:
             info.held_route = new_route
@@ -131,7 +138,7 @@ class DampingStage(RouteTableStage):
             info.held_route = new_route
             info.announced = False
             self.suppress_count += 1
-            super().delete_route(old_route, caller=caller)
+            super().delete_routes([old_route], caller=caller)
             return
         info.announced = True
         super().replace_route(old_route, new_route, caller=caller)
@@ -145,6 +152,7 @@ class DampingStage(RouteTableStage):
 
     # -- reuse ----------------------------------------------------------------
     def _reuse_scan(self) -> None:
+        reused: List[Any] = []
         for net, info in list(self.info.items()):
             if info.suppressed and self._decayed(info) < self.reuse_threshold:
                 info.suppressed = False
@@ -152,7 +160,9 @@ class DampingStage(RouteTableStage):
                 info.held_route = None
                 if held is not None:
                     info.announced = True
-                    super().add_route(held, caller=None)
+                    reused.append(held)
             if (not info.suppressed and not info.announced
                     and self._decayed(info) < 1.0):
                 del self.info[net]  # fully decayed; forget the prefix
+        if reused:
+            super().add_routes(reused, caller=None)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.core.stages import BatchStage, RouteTableStage
+from repro.core.stages import RouteTableStage
 from repro.net import IPNet, IPv4
 
 
@@ -60,7 +60,7 @@ def route_ranking_key(route: Any, peer: PeerInfo) -> Tuple:
     )
 
 
-class DecisionStage(BatchStage):
+class DecisionStage(RouteTableStage):
     """Chooses the best route per prefix across all peer branches."""
 
     def __init__(self, name: str,
@@ -108,8 +108,9 @@ class DecisionStage(BatchStage):
     def add_routes(self, routes: List[Any], *,
                    caller: Optional[RouteTableStage] = None) -> None:
         # A peering burst is mostly fresh winners: coalesce those into
-        # one downstream batch; displacements flush and go out singular,
-        # keeping the per-prefix event order of the singular decomposition.
+        # one downstream batch; displacements flush and go out as a
+        # replace, keeping the per-prefix event order of the routes sent
+        # one at a time.
         winners = self.winners
         winners_get = winners.get
         next_table = self.next_table
@@ -146,7 +147,7 @@ class DecisionStage(BatchStage):
         # right: the winner *is* the annotated object the branch
         # forwarded); deleted winners without a surviving alternative
         # coalesce into one downstream batch, and re-elections flush the
-        # segment and emit their replace singular.
+        # segment and emit their replace.
         winners = self.winners
         winners_get = winners.get
         next_table = self.next_table
@@ -193,7 +194,7 @@ class DecisionStage(BatchStage):
             if not candidates:
                 del self.winners[net]
                 if self.next_table is not None:
-                    self.next_table.delete_route(incumbent, caller=self)
+                    self.next_table.delete_routes([incumbent], caller=self)
                 return
             winner = candidates[0]
             for candidate in candidates[1:]:

@@ -22,7 +22,7 @@ from collections import deque
 from itertools import islice
 from typing import Any, Callable, Deque, Dict, List, Optional, Set
 
-from repro.core.stages import BatchStage, RouteTableStage
+from repro.core.stages import RouteTableStage
 from repro.eventloop.tasks import TaskPriority
 from repro.net import IPNet
 from repro.trie import RouteTrie, TrieIterator
@@ -79,7 +79,7 @@ class Reader:
         return iterator.net.key()
 
 
-class FanoutQueue(BatchStage):
+class FanoutQueue(RouteTableStage):
     """Single change queue, n readers, per-reader background dumps.
 
     Readers consume *runs*: the pump groups the consecutive same-op
@@ -273,12 +273,7 @@ class FanoutQueue(BatchStage):
             # a run before it is delivered, so a change the delivery
             # provokes is classified against the dump front the reader
             # really resumes from.
-            routes: List[Any] = []
-            room = min(budget, limit)
-            while len(routes) < room and not iterator.exhausted:
-                if iterator.valid:
-                    routes.append(iterator.payload)
-                iterator.advance()
+            routes = iterator.take(min(budget, limit))
             if routes:
                 budget -= len(routes)
                 reader.dumped_count += len(routes)

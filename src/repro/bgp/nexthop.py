@@ -21,9 +21,9 @@ from __future__ import annotations
 
 import bisect
 from functools import partial
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Set
 
-from repro.core.stages import BatchStage, RouteTableStage
+from repro.core.stages import RouteTableStage
 from repro.net import IPNet, IPv4
 
 
@@ -140,13 +140,6 @@ class NexthopResolver:
                        self._answered(nexthop, subnet, resolvable, metric))
         return False
 
-    def lookup_sync(self, nexthop: IPv4) -> Tuple[bool, int]:
-        """Cache-only lookup for decision-time queries (no RIB round trip)."""
-        entry = self.cache.lookup(nexthop)
-        if entry is None:
-            return False, 0
-        return entry.resolvable, entry.metric
-
     def _answered(self, nexthop: IPv4, subnet: IPNet, resolvable: bool,
                   metric: int) -> None:
         entry = self.cache.insert(subnet, resolvable, metric)
@@ -186,7 +179,7 @@ class NexthopResolver:
             stage.reresolve(nexthop, resolvable, metric)
 
 
-class NexthopResolverStage(BatchStage):
+class NexthopResolverStage(RouteTableStage):
     """Annotates routes flowing down one peer branch.
 
     Holds a route when its nexthop answer is outstanding; guarantees the
@@ -211,7 +204,7 @@ class NexthopResolverStage(BatchStage):
         self.forwarded[route.net] = annotated
         self._nexthop_index.setdefault(route.nexthop, set()).add(route.net)
         if self.next_table is not None:
-            self.next_table.add_route(annotated, caller=self)
+            self.next_table.add_routes([annotated], caller=self)
 
     def _unindex(self, route: Any) -> None:
         nets = self._nexthop_index.get(route.nexthop)
@@ -233,8 +226,7 @@ class NexthopResolverStage(BatchStage):
         # The routes of one UPDATE share one attribute list, hence one
         # nexthop object: one cache lookup per run of it, and every hit
         # of the batch goes downstream in one dispatch.  A miss parks
-        # its route exactly as a singular add would; its answer forwards
-        # it alone, whenever that arrives.
+        # its route; its answer forwards it alone, whenever that arrives.
         resolver = self.resolver
         waiting = self.waiting
         forwarded = self.forwarded
@@ -289,7 +281,7 @@ class NexthopResolverStage(BatchStage):
             return
         previous = self.forwarded.get(net)
         if previous is None:
-            self.add_route(new_route, caller=caller)
+            self.add_routes([new_route], caller=caller)
             return
 
         def answered(resolvable: bool, metric: int) -> None:

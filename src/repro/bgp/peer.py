@@ -26,7 +26,6 @@ from repro.bgp.messages import (
 from repro.bgp.route import BGPRoute
 from repro.bgp.session import BgpSession
 from repro.core.stages import (
-    BatchStage,
     DeletionStage,
     FilterStage,
     OriginStage,
@@ -65,7 +64,7 @@ class PeerConfig:
         return str(self.peer_addr)
 
 
-class PeerOutStage(BatchStage):
+class PeerOutStage(RouteTableStage):
     """Terminal output stage: packs changes into UPDATE messages.
 
     Changes arriving within one event-loop turn are coalesced into the
@@ -248,103 +247,58 @@ class PeerHandler(FsmActions):
         return route
 
     # -- dynamic policy re-filtering (paper §5.1.2) ---------------------------
-    def refilter_imports(self, old_policy) -> None:
-        """Policy changed: re-run the import path over stored routes.
+    def _refilter(self, old_policy, *, export: bool) -> None:
+        """Policy changed: reconcile one filter bank's output with it.
 
         "We use the ability to add dynamic stages for many background
         tasks, such as when routing policy filters are changed by the
         operator and many routes need to be refiltered and reevaluated."
-        A background task walks the PeerIn table with a safe iterator and
-        reconciles the old filter's output with the new filter's.
+        A background task walks the filter's source table — PeerIn for
+        the import bank, the fanout's winners for the export bank of an
+        established peering — with a safe iterator, and sends downstream
+        of the filter the difference between the old policy's output and
+        the filter's output now.
         """
-        from repro.eventloop.tasks import TaskPriority
-
-        iterator = self.peer_in.routes.iterator()
-        downstream = self.in_filter.next_table
-
-        def run_slice() -> bool:
-            deleted: list = []
-            added: list = []
-            done = False
-            new_policy = self.process.import_policy
-            for __ in range(64):
-                if iterator.exhausted:
-                    iterator.close()
-                    done = True
-                    break
-                if not iterator.valid:
-                    iterator.advance()
-                    continue
-                route = iterator.payload
-                iterator.advance()
-                old_out = self._import_with(route, old_policy)
-                new_out = self._import_with(route, new_policy)
-                if downstream is None:
-                    continue
-                if old_out is not None and new_out is not None:
-                    if old_out != new_out:
-                        downstream.replace_route(old_out, new_out,
-                                                 caller=self.in_filter)
-                elif old_out is not None:
-                    deleted.append(old_out)
-                elif new_out is not None:
-                    added.append(new_out)
-            if downstream is not None:
-                if deleted:
-                    downstream.delete_routes(deleted, caller=self.in_filter)
-                if added:
-                    downstream.add_routes(added, caller=self.in_filter)
-            return not done
-
-        self.loop.spawn_task(run_slice, priority=TaskPriority.BACKGROUND,
-                             name=f"refilter-{self.peer_id}")
-
-    def refilter_exports(self, old_policy) -> None:
-        """Export policy changed: reconcile this peer's announced routes."""
         from repro.bgp.fsm import BgpState
         from repro.eventloop.tasks import TaskPriority
 
-        if self.fsm.state != BgpState.ESTABLISHED:
-            return
-        iterator = self.process.fanout.winners.iterator()
-        downstream = self.out_filter.next_table
+        if export:
+            if self.fsm.state != BgpState.ESTABLISHED:
+                return
+            table, stage, apply = (self.process.fanout.winners,
+                                   self.out_filter, self._export_with)
+        else:
+            table, stage, apply = (self.peer_in.routes, self.in_filter,
+                                   self._import_with)
+        iterator = table.iterator()
+        downstream = stage.next_table
 
         def run_slice() -> bool:
             deleted: list = []
             added: list = []
-            done = False
-            new_policy = self.process.export_policy
-            for __ in range(64):
-                if iterator.exhausted:
-                    iterator.close()
-                    done = True
-                    break
-                if not iterator.valid:
-                    iterator.advance()
-                    continue
-                route = iterator.payload
-                iterator.advance()
-                old_out = self._export_with(route, old_policy)
-                new_out = self._export_with(route, new_policy)
-                if downstream is None:
-                    continue
+            for route in iterator.take(64):
+                old_out = apply(route, old_policy)
+                new_out = stage.filter_fn(route)
                 if old_out is not None and new_out is not None:
                     if old_out != new_out:
                         downstream.replace_route(old_out, new_out,
-                                                 caller=self.out_filter)
+                                                 caller=stage)
                 elif old_out is not None:
                     deleted.append(old_out)
                 elif new_out is not None:
                     added.append(new_out)
-            if downstream is not None:
-                if deleted:
-                    downstream.delete_routes(deleted, caller=self.out_filter)
-                if added:
-                    downstream.add_routes(added, caller=self.out_filter)
-            return not done
+            if deleted:
+                downstream.delete_routes(deleted, caller=stage)
+            if added:
+                downstream.add_routes(added, caller=stage)
+            if iterator.exhausted:
+                iterator.close()
+                return False
+            return True
 
-        self.loop.spawn_task(run_slice, priority=TaskPriority.BACKGROUND,
-                             name=f"refilter-out-{self.peer_id}")
+        self.loop.spawn_task(
+            run_slice, priority=TaskPriority.BACKGROUND,
+            name=f"refilter-{'out-' if export else ''}{self.peer_id}")
 
     # -- fanout plumbing -------------------------------------------------------
     def _fanout_deliver(self, op: str, routes: List[Any],

@@ -111,19 +111,6 @@ class BgpProcess(XorpProcess):
                             peer_addr=IPv4.all_ones())
         return handler.info
 
-    # -- policy hooks ------------------------------------------------------------
-    def apply_import_policy(self, route: BGPRoute,
-                            peer: PeerHandler) -> Optional[BGPRoute]:
-        if self.import_policy is None:
-            return route
-        return self.import_policy(route, peer)
-
-    def apply_export_policy(self, route: BGPRoute,
-                            peer: PeerHandler) -> Optional[BGPRoute]:
-        if self.export_policy is None:
-            return route
-        return self.export_policy(route, peer)
-
     # -- RIB interaction ------------------------------------------------------
     def _register_rib_tables(self) -> None:
         send = self.xrl.send
@@ -290,24 +277,26 @@ class BgpProcess(XorpProcess):
                 return None
             return varrw.result()
 
+        self._install_filter(filter_id, hook)
+
+    def xrl_reset_filter(self, filter_id: int) -> None:
+        self._install_filter(filter_id, None)
+
+    def _install_filter(self, filter_id: int,
+                        hook: Optional[PolicyHook]) -> None:
+        """Swap one policy hook and re-filter every peering against it."""
         if filter_id == self.FILTER_IMPORT:
             old_policy, self.import_policy = self.import_policy, hook
-            for handler in self.peers.values():
-                handler.refilter_imports(old_policy)
+            export = False
         elif filter_id in (self.FILTER_EXPORT, self.FILTER_SOURCEMATCH):
             old_policy, self.export_policy = self.export_policy, hook
-            for handler in self.peers.values():
-                handler.refilter_exports(old_policy)
+            export = True
         else:
             raise XrlError(
                 XrlErrorCode.COMMAND_FAILED, f"unknown filter id {filter_id}"
             )
-
-    def xrl_reset_filter(self, filter_id: int) -> None:
-        if filter_id == self.FILTER_IMPORT:
-            self.import_policy = None
-        elif filter_id in (self.FILTER_EXPORT, self.FILTER_SOURCEMATCH):
-            self.export_policy = None
+        for handler in self.peers.values():
+            handler._refilter(old_policy, export=export)
 
     # -- rib_client/0.1 ------------------------------------------------------
     def xrl_route_info_invalid4(self, subnet) -> None:

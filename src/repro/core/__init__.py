@@ -7,8 +7,8 @@ Two pieces live here:
   *process* communicating only via XRLs (paper §4);
 * :mod:`repro.core.stages` — the staged routing-table framework: routing
   tables as networks of pluggable stages through which routes flow, with
-  the paper's message API (``add_route`` / ``delete_route`` /
-  ``lookup_route``) and consistency rules (paper §5).
+  the paper's message API (``add_routes`` / ``delete_routes`` /
+  ``replace_route`` / ``lookup_route``) and consistency rules (paper §5).
 
 Protocol-specific stages (BGP's decision process, the RIB's merge stages,
 …) subclass these in their own packages.
@@ -16,7 +16,6 @@ Protocol-specific stages (BGP's decision process, the RIB's merge stages,
 
 from repro.core.process import Host, XorpProcess
 from repro.core.stages import (
-    BatchStage,
     DeletionStage,
     FilterStage,
     OriginStage,
@@ -24,7 +23,6 @@ from repro.core.stages import (
 )
 
 __all__ = [
-    "BatchStage",
     "DeletionStage",
     "FilterStage",
     "Host",

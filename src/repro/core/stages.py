@@ -6,37 +6,28 @@
     but rather a network of pluggable routing stages, each implementing
     the same interface."
 
-The stage API is exactly the paper's:
+The stage API is the paper's, with add and delete carrying a batch:
 
-* ``add_route`` — a preceding stage is sending a new route downstream;
-* ``delete_route`` — a preceding stage is withdrawing an old route;
+* ``add_routes`` — a preceding stage is sending new routes downstream;
+* ``delete_routes`` — a preceding stage is withdrawing old routes;
+* ``replace_route`` — one prefix's route changes (one old/new pair);
 * ``lookup_route`` — a *later* stage is asking upstream for the route to a
   destination subnet.
 
 with the two consistency rules:
 
-1. any ``delete_route`` must correspond to a previous ``add_route``;
+1. any delete must correspond to a previous add;
 2. the result of ``lookup_route`` must be consistent with previous
-   ``add_route`` / ``delete_route`` messages sent downstream.
+   add / delete messages sent downstream.
 
 Routes are any objects with a ``.net`` attribute (an :class:`IPNet`).
 
-Batched flow: ``add_routes`` / ``delete_routes`` carry a whole burst of
-routes in one call.  A batch is *semantically identical* to issuing its
-constituent singular calls in order — that is the batch contract, and it
-is what keeps the two consistency rules meaningful under batching: a
-stage may process a batch with one downstream dispatch, but the
-per-prefix event order it emits must match the singular decomposition.
-
-Every stage implements each message **once**; the other form is derived
-here and nowhere else.  :class:`RouteTableStage` makes the singular form
-primitive (``add_routes`` decomposes into ``add_route`` calls) — the
-base for stages whose work is inherently per route (damping, the
-consistency cache, test doubles).  :class:`BatchStage`
-makes the batch form primitive (``add_route(r)`` is ``add_routes([r])``)
-— the base for the stages on the route-flow hot path, which keep only
-their amortized batch bodies.  :data:`DERIVED_FORMS` names the derived
-halves so instrumentation wraps only what a class implements.
+The paper's ``add_route(r)`` is ``add_routes([r])``: a batch is the only
+form of add and delete.  A batch is *semantically identical* to its
+routes sent one at a time, in order — that is the batch contract, and it
+is what keeps the two consistency rules meaningful: a stage may process a
+batch with one downstream dispatch, but the per-prefix event order it
+emits must match the one-route-at-a-time decomposition.
 
 The ``caller`` argument is keyword-only on the whole message API so call
 sites read unambiguously and stages can add positional parameters
@@ -143,21 +134,21 @@ class RouteTableStage:
         self.next_table = None
 
     # -- the stage message API (paper §5.1) -----------------------------------
-    def add_route(self, route: Any, *,
-                  caller: Optional["RouteTableStage"] = None) -> None:
-        """Receive a new route from upstream; default: pass it on."""
+    def add_routes(self, routes: List[Any], *,
+                   caller: Optional["RouteTableStage"] = None) -> None:
+        """Receive a burst of new routes from upstream; default: pass it on."""
         if self.next_table is not None:
-            self.next_table.add_route(route, caller=self)
+            self.next_table.add_routes(routes, caller=self)
 
-    def delete_route(self, route: Any, *,
-                     caller: Optional["RouteTableStage"] = None) -> None:
-        """Receive a withdrawal from upstream; default: pass it on."""
+    def delete_routes(self, routes: List[Any], *,
+                      caller: Optional["RouteTableStage"] = None) -> None:
+        """Receive a burst of withdrawals from upstream; default: pass it on."""
         if self.next_table is not None:
-            self.next_table.delete_route(route, caller=self)
+            self.next_table.delete_routes(routes, caller=self)
 
     def replace_route(self, old_route: Any, new_route: Any, *,
                       caller: Optional["RouteTableStage"] = None) -> None:
-        """Atomic delete+add for the same prefix; default decomposition."""
+        """Atomic delete+add for the same prefix; default: pass it on."""
         if self.next_table is not None:
             self.next_table.replace_route(old_route, new_route, caller=self)
 
@@ -172,60 +163,8 @@ class RouteTableStage:
             return self.parent.lookup_route(net, caller=self)
         return None
 
-    # -- the batched message API (derived: see BatchStage for the converse) ----
-    def add_routes(self, routes: List[Any], *,
-                   caller: Optional["RouteTableStage"] = None) -> None:
-        """Receive a burst of new routes; semantically N ``add_route`` calls."""
-        for route in routes:
-            self.add_route(route, caller=caller)
-
-    def delete_routes(self, routes: List[Any], *,
-                      caller: Optional["RouteTableStage"] = None) -> None:
-        """Receive a burst of withdrawals; semantically N ``delete_route``."""
-        for route in routes:
-            self.delete_route(route, caller=caller)
-
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.name!r}>"
-
-
-class BatchStage(RouteTableStage):
-    """Base for stages whose primitive form is the batch.
-
-    Subclasses implement ``add_routes`` / ``delete_routes`` only — one
-    pass over the burst, one downstream dispatch per segment, per-prefix
-    event order identical to the singular decomposition — and a singular
-    message is a one-route batch.  Default: pass the batch on whole.
-    """
-
-    def add_route(self, route: Any, *,
-                  caller: Optional[RouteTableStage] = None) -> None:
-        self.add_routes([route], caller=caller)
-
-    def delete_route(self, route: Any, *,
-                     caller: Optional[RouteTableStage] = None) -> None:
-        self.delete_routes([route], caller=caller)
-
-    def add_routes(self, routes: List[Any], *,
-                   caller: Optional[RouteTableStage] = None) -> None:
-        if self.next_table is not None:
-            self.next_table.add_routes(routes, caller=self)
-
-    def delete_routes(self, routes: List[Any], *,
-                      caller: Optional[RouteTableStage] = None) -> None:
-        if self.next_table is not None:
-            self.next_table.delete_routes(routes, caller=self)
-
-
-#: The derived half of every message pair, as (class, method name).  These
-#: bodies only re-express a call in the other form, so the instrumentation
-#: seam (repro.core.taps) skips them: a derived call is observed once, at
-#: the primitive it lands on.  No class outside this set implements both
-#: forms (tests/test_core_stages.py guards that).
-DERIVED_FORMS = frozenset({
-    (RouteTableStage, "add_routes"), (RouteTableStage, "delete_routes"),
-    (BatchStage, "add_route"), (BatchStage, "delete_route"),
-})
 
 
 class OriginStage(RouteTableStage):
@@ -252,8 +191,8 @@ class OriginStage(RouteTableStage):
 
         Fresh prefixes accumulate into ``add_routes`` batches; a route
         that replaces a stored one flushes the accumulated segment first
-        and then emits the singular ``replace_route``, so the downstream
-        per-prefix event order is exactly the singular decomposition.
+        and then emits its ``replace_route``, so the downstream per-prefix
+        event order is exactly that of the routes sent one at a time.
         """
         insert = self.routes.insert
         next_table = self.next_table
@@ -305,18 +244,14 @@ class OriginStage(RouteTableStage):
                      caller: Optional[RouteTableStage] = None) -> Any:
         return self.routes.exact(net)
 
-    # Origin stages answer dumps: iterate stored routes safely.
-    def route_iterator(self):
-        return self.routes.iterator()
 
-
-class FilterStage(BatchStage):
+class FilterStage(RouteTableStage):
     """A filter bank element: drop or rewrite routes flowing downstream.
 
     *filter_fn(route)* returns None to drop, the same route to pass, or a
     modified route.  The function must be deterministic, so a later
-    ``delete_route`` for the original route maps to the same output the
-    earlier ``add_route`` produced — preserving consistency rule 1.
+    delete of the original route maps to the same output the earlier add
+    produced — preserving consistency rule 1.
     """
 
     def __init__(self, name: str, filter_fn: Callable[[Any], Optional[Any]]):
@@ -350,9 +285,9 @@ class FilterStage(BatchStage):
             self.next_table.replace_route(old_filtered, new_filtered,
                                           caller=self)
         elif old_filtered is not None:
-            self.next_table.delete_route(old_filtered, caller=self)
+            self.next_table.delete_routes([old_filtered], caller=self)
         elif new_filtered is not None:
-            self.next_table.add_route(new_filtered, caller=self)
+            self.next_table.add_routes([new_filtered], caller=self)
 
     def lookup_route(self, net: IPNet, *,
                      caller: Optional[RouteTableStage] = None) -> Any:
@@ -364,7 +299,7 @@ class FilterStage(BatchStage):
         return self.filter_fn(route)
 
 
-class DeletionStage(BatchStage):
+class DeletionStage(RouteTableStage):
     """Dynamic background-deletion stage (paper §5.1.2, Figure 6).
 
     When a peering goes down, its route table is handed to a new deletion
@@ -372,9 +307,9 @@ class DeletionStage(BatchStage):
     starts fresh and empty, while this stage deletes the old routes in
     background slices — preserving consistency throughout:
 
-    * an ``add_route`` from upstream for a prefix still held here first
-      emits the pending ``delete_route`` downstream, then the add;
-    * a ``delete_route`` from upstream refers to the origin's own
+    * an add from upstream for a prefix still held here first emits the
+      pending delete downstream, then the add;
+    * a delete from upstream refers to the origin's own
       new-generation route — a held prefix cannot also exist upstream —
       so it is simply forwarded;
     * ``lookup_route`` keeps answering with not-yet-deleted routes;
@@ -402,28 +337,14 @@ class DeletionStage(BatchStage):
         )
 
     def _run_slice(self) -> bool:
-        budget = self.slice_size
-        iterator = self._iterator
+        deleted = self._iterator.take(self.slice_size)
         discard = self.pending.discard
-        deleted: List[Any] = []
-        exhausted = False
-        while budget > 0:
-            if iterator.exhausted:
-                exhausted = True
-                break
-            if not iterator.valid:
-                iterator.advance()
-                continue
-            net = iterator.net
-            route = iterator.payload
-            iterator.advance()
-            discard(net)
-            deleted.append(route)
-            budget -= 1
+        for route in deleted:
+            discard(route.net)
         # One batched downstream dispatch per slice, not one per route.
         if deleted and self.next_table is not None:
             self.next_table.delete_routes(deleted, caller=self)
-        if exhausted or (len(self.pending) == 0 and iterator.exhausted):
+        if self._iterator.exhausted:
             self._finish()
             return False
         return True

@@ -14,10 +14,9 @@ has two surfaces, both order-free:
   in any order, and with none left the class attribute is the original
   object again: the untapped path is the uninstrumented code.
 * :func:`attach` / :func:`detach` give a :class:`StageTap` every stage
-  message once, normalised, at the primitive it lands on, plus pipeline
+  message once, normalised, at the stage it lands on, plus pipeline
   rewiring and ``stream_reset``.  The seam alone knows the method names,
-  skips :data:`~repro.core.stages.DERIVED_FORMS`, follows classes defined
-  later, and holds the one re-entrancy guard.
+  follows classes defined later, and holds the one re-entrancy guard.
 """
 
 from __future__ import annotations
@@ -114,7 +113,7 @@ def detach(tap: StageTap) -> None:
 
 def _tap_class(cls: type, change: Callable = wrap) -> None:
     for name, around in _AROUNDS.items():
-        if name in vars(cls) and (cls, name) not in _stages.DERIVED_FORMS:
+        if name in vars(cls):
             change(cls, name, around)
 
 
@@ -171,8 +170,7 @@ def _plumbed(old_edge, new_edge) -> None:
 
 #: stage method -> its around; a message's knows (op, argument is a list)
 _AROUNDS = {name: partial(_message, op, batch) for name, op, batch in (
-    ("add_route", "add", False), ("add_routes", "add", True),
-    ("delete_route", "delete", False), ("delete_routes", "delete", True),
+    ("add_routes", "add", True), ("delete_routes", "delete", True),
     ("replace_route", "replace", False), ("lookup_route", "lookup", False),
     ("originate_batch", "originate", True),
     ("withdraw_batch", "withdraw", True))}

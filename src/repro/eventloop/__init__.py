@@ -11,7 +11,6 @@ deterministic virtual time, which the latency experiments (paper Figures
 10-13) use so that a 500-second experiment runs in milliseconds.
 """
 
-from repro.eventloop.callbacks import Callback, callback
 from repro.eventloop.clock import Clock, SimulatedClock, SystemClock
 from repro.eventloop.eventloop import EventLoop
 from repro.eventloop.tasks import BackgroundTask, TaskPriority
@@ -19,12 +18,10 @@ from repro.eventloop.timers import Timer
 
 __all__ = [
     "BackgroundTask",
-    "Callback",
     "Clock",
     "EventLoop",
     "SimulatedClock",
     "SystemClock",
     "TaskPriority",
     "Timer",
-    "callback",
 ]

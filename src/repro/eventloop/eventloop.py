@@ -23,10 +23,6 @@ from repro.eventloop.tasks import BackgroundTask, TaskPriority, TaskScheduler
 from repro.eventloop.timers import Timer, TimerList
 
 
-class EventLoopExit(Exception):
-    """Raised internally to leave :meth:`EventLoop.run`."""
-
-
 class EventLoop:
     """Select-based event loop with timers and background tasks."""
 

@@ -44,10 +44,6 @@ class Timer:
     def scheduled(self) -> bool:
         return self._scheduled
 
-    @property
-    def is_periodic(self) -> bool:
-        return self._interval is not None
-
     def cancel(self) -> None:
         """Unschedule the timer; a periodic timer stops recurring."""
         self._scheduled = False

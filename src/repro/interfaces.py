@@ -10,7 +10,7 @@ all"), and every boundary is visible in one place for review.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Tuple
+from typing import Any, Dict, List
 
 from repro.xrl.error import XrlError, XrlErrorCode
 from repro.xrl.idl import XrlInterface, parse_idl
@@ -293,43 +293,6 @@ def catalogue() -> Dict[str, XrlInterface]:
     files at build time.
     """
     return dict(_CATALOGUE)
-
-
-def describe_catalogue() -> Dict[str, Dict[str, Dict[str, Tuple[Tuple[str, str], ...]]]]:
-    """Plain-data rendering of the catalogue (no repro.xrl objects)."""
-    return {name: iface.describe() for name, iface in _CATALOGUE.items()}
-
-
-def request_spec(fullname: str, method: str) -> Tuple[Tuple[str, str], ...]:
-    """``((atom, idl-type), ...)`` a caller must send for *method*.
-
-    Raises ``KeyError`` for unknown interfaces or methods — tooling that
-    wants a soft miss should pre-check with :func:`catalogue`.
-    """
-    return tuple(_CATALOGUE[fullname].methods[method].signature[0])
-
-
-def reply_spec(fullname: str, method: str) -> Tuple[Tuple[str, str], ...]:
-    """``((atom, idl-type), ...)`` the handler's reply carries for *method*.
-
-    This is what the protocol-graph conformance pass (PRO003 in
-    ``repro.analysis.protograph``) checks caller-side reads against.
-    """
-    return tuple(_CATALOGUE[fullname].methods[method].signature[1])
-
-
-def reply_atom_types(fullname: str, method: str) -> Dict[str, str]:
-    """Reply atoms of *method* as ``{atom-name: idl-type}``."""
-    return dict(reply_spec(fullname, method))
-
-
-def versions_by_name() -> Dict[str, Tuple[str, ...]]:
-    """Interface name -> every version the catalogue declares, sorted."""
-    grouped: Dict[str, list] = {}
-    for iface in _CATALOGUE.values():
-        grouped.setdefault(iface.name, []).append(iface.version)
-    return {name: tuple(sorted(versions))
-            for name, versions in grouped.items()}
 
 
 def parallel_values(method: str, *columns) -> List[List[Any]]:

@@ -45,9 +45,6 @@ class Mac:
     def is_multicast(self) -> bool:
         return bool((self._value >> 40) & 1)
 
-    def is_broadcast(self) -> bool:
-        return self._value == self.MAX
-
     def __str__(self) -> str:
         raw = f"{self._value:012x}"
         return ":".join(raw[i : i + 2] for i in range(0, 12, 2))

@@ -7,7 +7,7 @@ as a :class:`Span`:
 * ``origin`` — an :class:`~repro.core.stages.OriginStage` injected or
   withdrew the route (``originate``/``withdraw``/batch variants);
 * ``stage`` — the route flowed through a stage message method
-  (``add_route``/``delete_route``/``replace_route``/batch variants);
+  (``add_routes``/``delete_routes``/``replace_route``);
 * ``xrl-send`` / ``xrl-recv`` — the route crossed a process boundary.
   The sending side appends a reserved ``txt`` atom (:data:`TRACE_ARG`,
   value ``trace_id:parent_span_id[;...]``) to the XRL's arguments; the
@@ -20,7 +20,7 @@ as a :class:`Span`:
   (:class:`repro.fea.fib.Fib`), the end of the paper's latency runs.
 
 Parenting uses a per-context stack: nested synchronous hops (a stage
-forwarding downstream inside its own ``add_route``) become children,
+forwarding downstream inside its own ``add_routes``) become children,
 while hops separated by a queue or a wire chain through the context's
 ``last_span_id``.  Timestamps come from an injected clock callable
 (tests pass the event-loop clock — determinism rule DET001 keeps wall
@@ -201,7 +201,7 @@ class Tracer(taps.StageTap):
 
         This is the batched-vs-unbatched invariant: a route delivered in
         a batch takes exactly the same hop sequence as the same route
-        delivered singularly (the batch contract), while xrl-kind spans —
+        delivered alone (the batch contract), while xrl-kind spans —
         whose count legitimately differs under coalescing — are excluded.
         """
         ctx = self._traces.get(trace_id)

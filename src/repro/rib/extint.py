@@ -21,13 +21,13 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Set, Tuple
 
-from repro.core.stages import BatchStage, RouteTableStage
+from repro.core.stages import RouteTableStage
 from repro.net import IPNet
 from repro.rib.route import preferred
 from repro.trie import RouteTrie
 
 
-class ExtIntStage(BatchStage):
+class ExtIntStage(RouteTableStage):
     def __init__(self, name: str, bits: int = 32):
         super().__init__(name)
         self.bits = bits
@@ -40,8 +40,8 @@ class ExtIntStage(BatchStage):
         self.announced: Dict[IPNet, Any] = {}
         #: nexthop address -> set of external prefixes using it
         self._nexthop_index: Dict[Any, Set[IPNet]] = {}
-        #: batch emission buffer; None outside add_routes/delete_routes
-        self._emissions: Optional[List[Tuple[str, Any, Any]]] = None
+        #: what the message being handled emits, flushed when it is done
+        self._emissions: List[Tuple[str, Any, Any]] = []
 
     # -- helpers ------------------------------------------------------------
     def _resolves(self, route: Any) -> bool:
@@ -67,20 +67,7 @@ class ExtIntStage(BatchStage):
             if not nets:
                 del self._nexthop_index[route.nexthop]
 
-    # -- emission (direct, or buffered during a batch) ----------------------
-    def _emit(self, op: str, route: Any, old_route: Any = None) -> None:
-        if self._emissions is not None:
-            self._emissions.append((op, route, old_route))
-            return
-        if self.next_table is None:
-            return
-        if op == "add":
-            self.next_table.add_route(route, caller=self)
-        elif op == "delete":
-            self.next_table.delete_route(route, caller=self)
-        else:
-            self.next_table.replace_route(old_route, route, caller=self)
-
+    # -- emission (collected per message, then flushed) ---------------------
     def _flush_emissions(self, emissions: List[Tuple[str, Any, Any]]) -> None:
         """Replay buffered emissions in order, grouping runs of same-op
         add/delete into one downstream batch each."""
@@ -123,14 +110,14 @@ class ExtIntStage(BatchStage):
         if winner is None:
             if current is not None:
                 del self.announced[net]
-                self._emit("delete", current)
+                self._emissions.append(("delete", current, None))
             return
         if current is None:
             self.announced[net] = winner
-            self._emit("add", winner)
+            self._emissions.append(("add", winner, None))
         elif current is not winner:
             self.announced[net] = winner
-            self._emit("replace", winner, current)
+            self._emissions.append(("replace", winner, current))
 
     def _reevaluate_externals_for(self, changed_net: IPNet) -> None:
         """Internal routing under *changed_net* changed: resolvability of
@@ -165,41 +152,36 @@ class ExtIntStage(BatchStage):
             self._reevaluate(route.net)
             self._reevaluate_externals_for(route.net)
 
+    def _replace_one(self, pair: Tuple[Any, Any]) -> None:
+        old_route, new_route = pair
+        if old_route.is_external != new_route.is_external:
+            # Cannot happen with split ext/int sides, but stay safe.
+            self._delete_one(old_route)
+        elif old_route.is_external:
+            self._index_remove(old_route)
+        self._add_one(new_route)
+
     def add_routes(self, routes: List[Any], *,
                    caller: Optional[RouteTableStage] = None) -> None:
-        self._batch(self._add_one, routes)
+        self._collect(self._add_one, routes)
 
     def delete_routes(self, routes: List[Any], *,
                       caller: Optional[RouteTableStage] = None) -> None:
-        self._batch(self._delete_one, routes)
-
-    def _batch(self, per_route: Any, routes: List[Any]) -> None:
-        """Run *per_route* over the batch with emissions buffered, then
-        flush the buffer as segment-grouped downstream batches."""
-        self._emissions = []
-        try:
-            for route in routes:
-                per_route(route)
-        finally:
-            emissions, self._emissions = self._emissions, None
-        self._flush_emissions(emissions)
+        self._collect(self._delete_one, routes)
 
     def replace_route(self, old_route: Any, new_route: Any, *,
                       caller: Optional[RouteTableStage] = None) -> None:
-        if old_route.is_external != new_route.is_external:
-            # Cannot happen with split ext/int sides, but stay safe.
-            self.delete_routes([old_route], caller=caller)
-            self.add_routes([new_route], caller=caller)
-            return
-        if new_route.is_external:
-            self._index_remove(old_route)
-            self.external[new_route.net] = new_route
-            self._index_add(new_route)
-            self._reevaluate(new_route.net)
-        else:
-            self.internal.insert(new_route.net, new_route)
-            self._reevaluate(new_route.net)
-            self._reevaluate_externals_for(new_route.net)
+        self._collect(self._replace_one, [(old_route, new_route)])
+
+    def _collect(self, per_item: Any, items: List[Any]) -> None:
+        """Run *per_item* over the message with its emissions collected,
+        then flush them as segment-grouped downstream batches."""
+        try:
+            for item in items:
+                per_item(item)
+        finally:
+            emissions, self._emissions = self._emissions, []
+        self._flush_emissions(emissions)
 
     def lookup_route(self, net: IPNet, *,
                      caller: Optional[RouteTableStage] = None) -> Any:

@@ -15,12 +15,12 @@ from __future__ import annotations
 
 from typing import Any, List, Optional
 
-from repro.core.stages import BatchStage, RouteTableStage
+from repro.core.stages import RouteTableStage
 from repro.net import IPNet
 from repro.rib.route import preferred
 
 
-class MergeStage(BatchStage):
+class MergeStage(RouteTableStage):
     """Combines two upstream branches by administrative preference."""
 
     def __init__(self, name: str):

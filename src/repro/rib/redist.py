@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, List, Optional
 
-from repro.core.stages import BatchStage, RouteTableStage
+from repro.core.stages import RouteTableStage
 from repro.net import IPNet
 
 #: redistribution event callback: (event, route) with event "add"|"delete"
@@ -36,7 +36,7 @@ class _RedistTarget:
         self.announced: Dict[IPNet, Any] = {}
 
 
-class RedistStage(BatchStage):
+class RedistStage(RouteTableStage):
     def __init__(self, name: str):
         super().__init__(name)
         #: final winners by prefix; only ever asked for the route at one

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
-from repro.core.stages import BatchStage, RouteTableStage
+from repro.core.stages import RouteTableStage
 from repro.net import IPNet
 from repro.trie import RouteTrie
 
@@ -37,7 +37,7 @@ class Registration:
         self.covering_net = covering_net
 
 
-class RegisterStage(BatchStage):
+class RegisterStage(RouteTableStage):
     """Tracks winners, answers interest registrations, fires invalidations."""
 
     def __init__(self, name: str, bits: int = 32,

@@ -12,7 +12,7 @@ from functools import partial
 from typing import Any, Dict, List, Optional
 
 from repro.core.process import Host, XorpProcess
-from repro.core.stages import BatchStage, OriginStage, RouteTableStage
+from repro.core.stages import OriginStage, RouteTableStage
 from repro.core.txqueue import XrlTransmitQueue
 from repro.interfaces import (
     COMMON_IDL,
@@ -34,7 +34,7 @@ from repro.xrl.error import XrlErrorCode
 from repro.xrl.xrl import Xrl
 
 
-class _FeaDistributorStage(BatchStage):
+class _FeaDistributorStage(RouteTableStage):
     """Terminal stage: pushes winning routes towards the forwarding engine."""
 
     def __init__(self, name: str, emit_batch):

@@ -5,16 +5,17 @@ after each peer's outgoing filter bank (§5.1).  This sanitizer is that
 cache stage, on that edge and on every other: armed, it is a stage tap
 on the instrumentation seam (:mod:`repro.core.taps`), which hands it
 every message on *every* ``RouteTableStage`` subclass, present and
-future, once — a batch as its singular decomposition, so verdicts are
-identical batched or unbatched — and it shadows the route stream on
-every inter-stage edge, asserting both §5 consistency rules:
+future, once — a batch as its routes one at a time, in order, so
+verdicts do not depend on how routes were grouped — and it shadows the
+route stream on every inter-stage edge, asserting both §5 consistency
+rules:
 
-1. no ``add_route`` for a prefix already live on that edge without an
-   intervening ``delete_route``, and every ``delete_route`` /
-   ``replace_route`` names a previously propagated route (SAN001–003);
+1. no add for a prefix already live on that edge without an
+   intervening delete, and every delete / ``replace_route`` names a
+   previously propagated route (SAN001–003);
 2. ``lookup_route`` answers agree with the messages previously sent
    down the same edge (SAN004) — also for a question asked of a stage
-   while it is inside its own ``add_route``, which is when downstream
+   while it is inside its own ``add_routes``, which is when downstream
    stages ask.
 
 Shadow state is keyed per *(caller, receiver)* edge, because

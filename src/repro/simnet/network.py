@@ -115,9 +115,6 @@ class SimRouter:
         origin.originate(RibRoute(subnet, IPv4(0), 0, "connected",
                                   ifname=ifname))
 
-    def interface_addr(self, ifname: str) -> IPv4:
-        return self.fea.ifmgr.get(ifname).addr
-
     def fib_lookup(self, addr: IPv4):
         return self.fea.fib4.lookup(addr)
 

@@ -391,12 +391,9 @@ class TrieIterator:
 
         it = table.iterator()
         def slice():
-            for _ in range(64):
-                if not it.valid:
-                    return False       # done
-                process(it.net, it.payload)
-                it.advance()
-            return True                # more work
+            for payload in it.take(64):
+                process(payload)
+            return not it.exhausted    # more work?
     """
 
     __slots__ = ("_trie", "_node", "_scope")
@@ -460,6 +457,19 @@ class TrieIterator:
             nxt.iter_refs += 1
         self._release(old)
         return nxt is not None
+
+    def take(self, n: int) -> List[Any]:
+        """Up to *n* live payloads from here on, moving past each of them
+        and past any route deleted while the iterator was parked.
+
+        Returns ``[]`` only at the end of the table.
+        """
+        taken: List[Any] = []
+        while len(taken) < n and self._node is not None:
+            if self._node.has_payload:
+                taken.append(self._node.payload)
+            self.advance()
+        return taken
 
     def close(self) -> None:
         """Release references early (also safe to call repeatedly)."""

@@ -296,6 +296,3 @@ class Finder:
             set(allowed_targets) if allowed_targets is not None else None,
             set(allowed_xrls) if allowed_xrls is not None else None,
         )
-
-    def clear_acl(self, instance_name: str) -> None:
-        self._acls.pop(instance_name, None)

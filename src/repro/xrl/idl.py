@@ -178,16 +178,6 @@ class XrlInterface:
     def fullname(self) -> str:
         return f"{self.name}/{self.version}"
 
-    def describe(self) -> Dict[str, Dict[str, Tuple[Tuple[str, str], ...]]]:
-        """Machine-readable catalogue entry: method -> params/returns."""
-        return {
-            method.name: {
-                "params": method.signature[0],
-                "returns": method.signature[1],
-            }
-            for method in self.methods.values()
-        }
-
     def add_method(self, method: XrlMethod) -> None:
         if method.name in self.methods:
             raise IdlError(f"duplicate method {method.name!r} in {self.fullname}")

@@ -163,9 +163,6 @@ class FaultFamily(ProtocolFamily):
         """Silently drop all frames between two component classes."""
         self._partitions.add(_pair(class_a, class_b))
 
-    def heal(self, class_a: str, class_b: str) -> None:
-        self._partitions.discard(_pair(class_a, class_b))
-
     def heal_all(self) -> None:
         self._partitions.clear()
 

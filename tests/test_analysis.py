@@ -409,8 +409,8 @@ class TestCallbackSafety:
 class TestStageMessageChecker:
     def test_positional_caller_call_stg001(self):
         source = (
-            "def go(stage, route, origin):\n"
-            "    stage.add_route(route, origin)\n"
+            "def go(stage, routes, origin):\n"
+            "    stage.delete_routes(routes, origin)\n"
         )
         findings = analyze_source(source, logical=("rib", "rib.py"))
         assert rules_of(findings) == ["STG001"]
@@ -436,7 +436,7 @@ class TestStageMessageChecker:
     def test_keyword_caller_clean(self):
         source = (
             "def go(stage, route, routes, origin):\n"
-            "    stage.add_route(route, caller=origin)\n"
+            "    stage.add_routes(routes, caller=origin)\n"
             "    stage.delete_routes(routes, caller=origin)\n"
             "    stage.replace_route(route, route, caller=origin)\n"
             "    stage.lookup_route(route, caller=origin)\n"
@@ -446,7 +446,7 @@ class TestStageMessageChecker:
     def test_positional_caller_def_stg001(self):
         source = (
             "class S:\n"
-            "    def add_route(self, route, caller=None):\n"
+            "    def add_routes(self, routes, caller=None):\n"
             "        pass\n"
         )
         findings = analyze_source(source, logical=("rib", "rib.py"))

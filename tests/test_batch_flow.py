@@ -176,8 +176,8 @@ class TestSanitizerBatchEquivalence:
 
         def singular():
             sink = SinkStage()
-            sink.add_route(route, caller=None)
-            sink.add_route(route, caller=None)
+            sink.add_routes([route], caller=None)
+            sink.add_routes([route], caller=None)
 
         def batched():
             sink = SinkStage()
@@ -191,7 +191,7 @@ class TestSanitizerBatchEquivalence:
         route = make_route(PREFIXES[1], "rip")
 
         def singular():
-            SinkStage().delete_route(route, caller=None)
+            SinkStage().delete_routes([route], caller=None)
 
         def batched():
             SinkStage().delete_routes([route], caller=None)
@@ -213,9 +213,9 @@ class TestSanitizerBatchEquivalence:
                 for op, i in script:
                     r = routes[PREFIXES[i]]
                     if op == "add":
-                        sink.add_route(r, caller=None)
+                        sink.add_routes([r], caller=None)
                     else:
-                        sink.delete_route(r, caller=None)
+                        sink.delete_routes([r], caller=None)
 
             def batched():
                 sink = SinkStage()

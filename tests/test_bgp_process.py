@@ -175,6 +175,43 @@ class TestTwoRouters:
         assert route.attributes.as_path.as_list() == [65002, 65001]
 
 
+class TestExportRefilter:
+    """An export policy change on an established peering (paper §5.1.2):
+    the background re-filter sends the peer exactly the difference."""
+
+    REJECT = ("policy-statement hide { term t { "
+              "from { network4 orlonger 99.2.0.0/16; } then { reject; } } }")
+
+    def _announce_two(self, two_routers):
+        loop, a, b, peer_ab, peer_ba = two_routers
+        a.originate("99.1.0.0/16", "10.0.0.1")
+        a.originate("99.2.0.0/16", "10.0.0.1")
+        assert loop.run_until(lambda: b.bgp.decision.route_count == 2,
+                              timeout=30)
+        loop.run(duration=5)
+
+    def test_rejecting_one_prefix_withdraws_exactly_it(self, two_routers):
+        loop, a, b, peer_ab, peer_ba = two_routers
+        self._announce_two(two_routers)
+        updates = peer_ba.updates_received
+        a.bgp.xrl_configure_filter(a.bgp.FILTER_EXPORT, self.REJECT)
+        loop.run(duration=5)
+        assert set(b.bgp.decision.winners) == {net("99.1.0.0/16")}
+        assert peer_ba.updates_received == updates + 1
+
+    def test_reset_filter_announces_it_again(self, two_routers):
+        loop, a, b, peer_ab, peer_ba = two_routers
+        self._announce_two(two_routers)
+        a.bgp.xrl_configure_filter(a.bgp.FILTER_EXPORT, self.REJECT)
+        loop.run(duration=5)
+        updates = peer_ba.updates_received
+        a.bgp.xrl_reset_filter(a.bgp.FILTER_EXPORT)
+        loop.run(duration=5)
+        assert set(b.bgp.decision.winners) == {net("99.1.0.0/16"),
+                                               net("99.2.0.0/16")}
+        assert peer_ba.updates_received == updates + 1
+
+
 class TestThreeRouterChain:
     def test_transit_propagation(self):
         loop = EventLoop(SimulatedClock())

@@ -30,11 +30,11 @@ class SinkStage(RouteTableStage):
         super().__init__("sink")
         self.log = []
 
-    def add_route(self, route, caller=None):
-        self.log.append(("add", route))
+    def add_routes(self, routes, caller=None):
+        self.log.extend(("add", route) for route in routes)
 
-    def delete_route(self, route, caller=None):
-        self.log.append(("delete", route))
+    def delete_routes(self, routes, caller=None):
+        self.log.extend(("delete", route) for route in routes)
 
     def replace_route(self, old, new, caller=None):
         self.log.append(("replace", old, new))
@@ -131,7 +131,7 @@ class TestNexthopResolverStage:
 
     def test_add_waits_for_answer(self, loop):
         answers, resolver, stage, sink = self._build(loop)
-        stage.add_route(bgp_route("20.0.0.0/8", nexthop="1.1.1.1"))
+        stage.add_routes([bgp_route("20.0.0.0/8", nexthop="1.1.1.1")])
         assert sink.log == []  # parked
         answers.answer_all(resolvable=True, metric=7)
         assert len(sink.log) == 1
@@ -140,9 +140,9 @@ class TestNexthopResolverStage:
 
     def test_cache_hit_is_synchronous(self, loop):
         answers, resolver, stage, sink = self._build(loop)
-        stage.add_route(bgp_route("20.0.0.0/8", nexthop="1.1.1.1"))
+        stage.add_routes([bgp_route("20.0.0.0/8", nexthop="1.1.1.1")])
         answers.answer_all(metric=3)
-        stage.add_route(bgp_route("21.0.0.0/8", nexthop="1.1.1.2"))
+        stage.add_routes([bgp_route("21.0.0.0/8", nexthop="1.1.1.2")])
         assert len(sink.log) == 2  # same /24 answer covers 1.1.1.2
         assert resolver.cache_hits == 1
         assert len(answers.queries) == 1
@@ -150,30 +150,30 @@ class TestNexthopResolverStage:
     def test_delete_while_parked_cancels(self, loop):
         answers, resolver, stage, sink = self._build(loop)
         route = bgp_route("20.0.0.0/8", nexthop="1.1.1.1")
-        stage.add_route(route)
-        stage.delete_route(route)
+        stage.add_routes([route])
+        stage.delete_routes([route])
         answers.answer_all()
         assert sink.log == []
 
     def test_delete_forwards_annotated_version(self, loop):
         answers, resolver, stage, sink = self._build(loop)
         route = bgp_route("20.0.0.0/8", nexthop="1.1.1.1")
-        stage.add_route(route)
+        stage.add_routes([route])
         answers.answer_all()
         annotated = sink.log[0][1]
-        stage.delete_route(route)
+        stage.delete_routes([route])
         assert sink.log[1] == ("delete", annotated)
 
     def test_unresolvable_annotation(self, loop):
         answers, resolver, stage, sink = self._build(loop)
-        stage.add_route(bgp_route("20.0.0.0/8", nexthop="1.1.1.1"))
+        stage.add_routes([bgp_route("20.0.0.0/8", nexthop="1.1.1.1")])
         answers.answer_all(resolvable=False)
         assert sink.log[0][1].resolvable is False
 
     def test_replace_produces_replace(self, loop):
         answers, resolver, stage, sink = self._build(loop)
         old = bgp_route("20.0.0.0/8", nexthop="1.1.1.1")
-        stage.add_route(old)
+        stage.add_routes([old])
         answers.answer_all()
         new = bgp_route("20.0.0.0/8", nexthop="1.1.1.1", med=9)
         stage.replace_route(old, new)
@@ -183,7 +183,7 @@ class TestNexthopResolverStage:
 
     def test_reresolve_pushes_replacements(self, loop):
         answers, resolver, stage, sink = self._build(loop)
-        stage.add_route(bgp_route("20.0.0.0/8", nexthop="1.1.1.1"))
+        stage.add_routes([bgp_route("20.0.0.0/8", nexthop="1.1.1.1")])
         answers.answer_all(metric=5)
         # The RIB invalidates the covering subnet; new answer metric=9.
         resolver.invalidate(net("1.1.1.0/24"))
@@ -194,7 +194,7 @@ class TestNexthopResolverStage:
     def test_lookup_returns_forwarded(self, loop):
         answers, resolver, stage, sink = self._build(loop)
         route = bgp_route("20.0.0.0/8", nexthop="1.1.1.1")
-        stage.add_route(route)
+        stage.add_routes([route])
         assert stage.lookup_route(route.net) is None  # still parked
         answers.answer_all()
         assert stage.lookup_route(route.net).resolvable
@@ -367,7 +367,7 @@ class TestFanout:
         fanout, logs, attach = self._build(loop)
         attach("a", dump=False)
         attach("b", dump=False)
-        fanout.add_route(resolved(bgp_route("10.0.0.0/8")))
+        fanout.add_routes([resolved(bgp_route("10.0.0.0/8"))])
         loop.run()
         assert logs["a"] == logs["b"] == [("add", net("10.0.0.0/8"))]
 
@@ -376,7 +376,7 @@ class TestFanout:
         attach("a", dump=False)
         routes = [resolved(bgp_route(f"10.{i}.0.0/16")) for i in range(6)]
         fanout.add_routes(routes[:3])
-        fanout.add_route(routes[3])          # same op: joins the run
+        fanout.add_routes([routes[3]])          # same op: joins the run
         fanout.delete_routes(routes[:2])
         better = resolved(bgp_route("10.2.0.0/16", as_path=(7,)))
         fanout.replace_route(routes[2], better)
@@ -395,7 +395,7 @@ class TestFanout:
             (op, list(routes), old)), dump=False)
         first = resolved(bgp_route("10.0.0.0/8"))
         second = resolved(bgp_route("10.0.0.0/8", as_path=(7,)))
-        fanout.add_route(first)
+        fanout.add_routes([first])
         fanout.replace_route(first, second)
         loop.run()
         assert seen == [("add", [first], None),
@@ -422,7 +422,7 @@ class TestFanout:
         attach("b", dump=False)
         fanout.set_reader_busy("b", True)
         for i in range(5):
-            fanout.add_route(resolved(bgp_route(f"10.{i}.0.0/16")))
+            fanout.add_routes([resolved(bgp_route(f"10.{i}.0.0/16"))])
         loop.run()
         assert len(logs["a"]) == 5
         assert logs["b"] == []
@@ -439,14 +439,14 @@ class TestFanout:
             attach(name, dump=False)
             fanout.set_reader_busy(name, True)
         for i in range(100):
-            fanout.add_route(resolved(bgp_route(f"10.{i}.0.0/16")))
+            fanout.add_routes([resolved(bgp_route(f"10.{i}.0.0/16"))])
         assert fanout.queue_length == 100  # not 300
 
     def test_late_reader_gets_background_dump(self, loop):
         fanout, logs, attach = self._build(loop)
         attach("early", dump=False)
         for i in range(10):
-            fanout.add_route(resolved(bgp_route(f"10.{i}.0.0/16")))
+            fanout.add_routes([resolved(bgp_route(f"10.{i}.0.0/16"))])
         loop.run()
         attach("late", dump=True)
         loop.run()
@@ -458,14 +458,14 @@ class TestFanout:
         fanout, logs, attach = self._build(loop)
         attach("early", dump=False)
         for i in range(20):
-            fanout.add_route(resolved(bgp_route(f"10.{i}.0.0/16")))
+            fanout.add_routes([resolved(bgp_route(f"10.{i}.0.0/16"))])
         loop.run()
         attach("late", dump=True)
         # While the dump is in progress, delete some routes and add others.
         loop.run_once()  # one dump slice (4 routes)
-        fanout.delete_route(fanout.winners.exact(net("10.1.0.0/16")))
-        fanout.delete_route(fanout.winners.exact(net("10.19.0.0/16")))
-        fanout.add_route(resolved(bgp_route("10.99.0.0/16")))
+        fanout.delete_routes([fanout.winners.exact(net("10.1.0.0/16"))])
+        fanout.delete_routes([fanout.winners.exact(net("10.19.0.0/16"))])
+        fanout.add_routes([resolved(bgp_route("10.99.0.0/16"))])
         loop.run()
         # Reconstruct the late reader's table; must equal current winners.
         state = set()
@@ -486,7 +486,7 @@ class TestFanout:
         attach("a", dump=False)
         attach("b", dump=False)
         fanout.set_reader_busy("b", True)
-        fanout.add_route(resolved(bgp_route("10.0.0.0/8")))
+        fanout.add_routes([resolved(bgp_route("10.0.0.0/8"))])
         loop.run()
         assert fanout.queue_length == 1
         fanout.remove_reader("b")
@@ -502,15 +502,15 @@ class TestFanout:
 class TestDamping:
     def _flap(self, loop, stage, route, times):
         for __ in range(times):
-            stage.add_route(route)
-            stage.delete_route(route)
+            stage.add_routes([route])
+            stage.delete_routes([route])
 
     def test_stable_route_unaffected(self, loop):
         stage = DampingStage("damp", loop, suppress_threshold=2000)
         sink = SinkStage()
         stage.set_next(sink)
         route = resolved(bgp_route("10.0.0.0/8"))
-        stage.add_route(route)
+        stage.add_routes([route])
         assert sink.table()[route.net] is route
         assert stage.suppress_count == 0
 
@@ -521,7 +521,7 @@ class TestDamping:
         stage.set_next(sink)
         route = resolved(bgp_route("10.0.0.0/8"))
         self._flap(loop, stage, route, 3)  # 3000 penalty
-        stage.add_route(route)
+        stage.add_routes([route])
         assert stage.suppress_count >= 1 or route.net not in sink.table()
         assert route.net not in sink.table()
 
@@ -532,7 +532,7 @@ class TestDamping:
         stage.set_next(sink)
         route = resolved(bgp_route("10.0.0.0/8"))
         self._flap(loop, stage, route, 3)
-        stage.add_route(route)
+        stage.add_routes([route])
         assert route.net not in sink.table()
         # Half-life 10s: penalty 3000 -> below 750 within ~25s.
         loop.run(duration=40)
@@ -545,8 +545,8 @@ class TestDamping:
         stage.set_next(sink)
         route = resolved(bgp_route("10.0.0.0/8"))
         self._flap(loop, stage, route, 3)
-        stage.add_route(route)   # suppressed, held
-        stage.delete_route(route)  # withdrawn while suppressed
+        stage.add_routes([route])   # suppressed, held
+        stage.delete_routes([route])  # withdrawn while suppressed
         loop.run(duration=60)
         assert route.net not in sink.table()  # never resurrected
 
@@ -555,11 +555,38 @@ class TestDamping:
         sink = SinkStage()
         stage.set_next(sink)
         route = resolved(bgp_route("10.0.0.0/8"))
-        stage.add_route(route)
-        stage.delete_route(route)
+        stage.add_routes([route])
+        stage.delete_routes([route])
         p0 = stage.penalty_of(route.net)
         loop.clock.advance(10.0)
         assert stage.penalty_of(route.net) == pytest.approx(p0 / 2, rel=0.01)
+
+    def test_batches_leave_as_batches(self, loop):
+        """Three routes in with one suppressed: one two-route batch out.
+        The reuse scan re-announces everything it held in one batch."""
+        stage = DampingStage("damp", loop, suppress_threshold=2000,
+                             reuse_threshold=750, half_life=10.0)
+        batches = []
+
+        class BatchLog(RouteTableStage):
+            def add_routes(self, routes, *, caller=None):
+                batches.append(list(routes))
+
+        stage.set_next(BatchLog("log"))
+        first, second = (resolved(bgp_route(p))
+                         for p in ("10.0.0.0/8", "20.0.0.0/8"))
+        self._flap(loop, stage, first, 3)  # 3000 penalty: suppressed next
+        self._flap(loop, stage, second, 3)
+        batches.clear()
+        a, b = (resolved(bgp_route(p)) for p in ("11.0.0.0/8", "12.0.0.0/8"))
+        stage.add_routes([a, first, b])
+        assert batches == [[a, b]]
+        stage.add_routes([second])
+        assert batches == [[a, b]]
+        # Half-life 10 s: 3000 falls below 750 by the scan at 30 s.
+        loop.run(duration=40)
+        assert batches == [[a, b], [first, second]]
+        assert stage.suppress_count == 2
 
     def test_other_stages_unaware(self, loop):
         """Paper: 'The code does not impact other stages.'"""

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core import (
-    BatchStage,
     DeletionStage,
     FilterStage,
     OriginStage,
@@ -36,11 +35,11 @@ class SinkStage(RouteTableStage):
         super().__init__("sink")
         self.log = []
 
-    def add_route(self, route, caller=None):
-        self.log.append(("add", route))
+    def add_routes(self, routes, caller=None):
+        self.log.extend(("add", route) for route in routes)
 
-    def delete_route(self, route, caller=None):
-        self.log.append(("delete", route))
+    def delete_routes(self, routes, caller=None):
+        self.log.extend(("delete", route) for route in routes)
 
     def replace_route(self, old, new, caller=None):
         self.log.append(("replace", old, new))
@@ -77,8 +76,8 @@ class TestPlumbing:
         a, b = RouteTableStage("a"), RouteTableStage("b")
         RouteTableStage.plumb(a, b, sink)
         route = Route("10.0.0.0/8")
-        a.add_route(route)
-        a.delete_route(route)
+        a.add_routes([route])
+        a.delete_routes([route])
         assert sink.log == [("add", route), ("delete", route)]
 
     def test_lookup_flows_upstream(self):
@@ -129,8 +128,8 @@ class TestFilterStage:
         sink = SinkStage()
         fltr = FilterStage("f", lambda r: None if r.metric > 10 else r)
         RouteTableStage.plumb(fltr, sink)
-        fltr.add_route(Route("10.0.0.0/8", metric=20))
-        fltr.add_route(Route("11.0.0.0/8", metric=5))
+        fltr.add_routes([Route("10.0.0.0/8", metric=20)])
+        fltr.add_routes([Route("11.0.0.0/8", metric=5)])
         assert len(sink.log) == 1
         assert sink.log[0][1].net == IPNet.parse("11.0.0.0/8")
 
@@ -139,8 +138,8 @@ class TestFilterStage:
         fltr = FilterStage("f", lambda r: Route(str(r.net), r.tag, r.metric + 1))
         RouteTableStage.plumb(fltr, sink)
         route = Route("10.0.0.0/8", metric=1)
-        fltr.add_route(route)
-        fltr.delete_route(route)
+        fltr.add_routes([route])
+        fltr.delete_routes([route])
         (op1, added), (op2, deleted) = sink.log
         assert (op1, op2) == ("add", "delete")
         assert added == deleted  # deterministic rewrite keeps rule 1
@@ -217,6 +216,15 @@ class TestDeletionStage:
         deletes = [e for e in sink.log if e[0] == "delete"]
         assert len(deletes) == 5  # old4 deleted exactly once
 
+    def test_slice_resumes_past_a_parked_route_readded_upstream(self, loop):
+        origin, deletion, sink = self._setup(loop, count=6, slice_size=2)
+        loop.run_once()  # deletes 10.0/16 and 10.1/16, parks on 10.2/16
+        origin.originate(Route("10.2.0.0/16", "new2"))
+        sink.log.clear()
+        loop.run_once()
+        assert sink.log == [("delete", Route("10.3.0.0/16", "old3")),
+                            ("delete", Route("10.4.0.0/16", "old4"))]
+
     def test_lookup_during_deletion_sees_undeleted_routes(self, loop):
         origin, deletion, sink = self._setup(loop, count=5, slice_size=1)
         loop.run_once()  # deletes 10.0/16
@@ -256,39 +264,8 @@ class TestDeletionStage:
 
 
 class TestSingleMessageSurface:
-    """Every stage implements each message once; the other form is
-    derived in ``repro.core.stages`` and nowhere else."""
-
-    PAIRS = [("add_route", "add_routes"), ("delete_route", "delete_routes")]
-    ORIGIN_SINGULARS = ("originate", "withdraw", "withdraw_if_present")
-
-    @staticmethod
-    def _owner(cls, name):
-        return next(base for base in cls.__mro__ if name in vars(base))
-
-    def test_no_stage_class_implements_both_forms(self):
-        import repro.bgp  # noqa: F401  (define every stage class)
-        import repro.fea  # noqa: F401
-        import repro.rib  # noqa: F401
-        from repro.core.stages import DERIVED_FORMS, all_stage_classes
-
-        assert {cls for cls, __ in DERIVED_FORMS} == {RouteTableStage,
-                                                      BatchStage}
-        forked = []
-        for cls in all_stage_classes():
-            if not cls.__module__.startswith("repro."):
-                continue  # test doubles
-            for pair in self.PAIRS:
-                implemented = [name for name in pair
-                               if (self._owner(cls, name), name)
-                               not in DERIVED_FORMS]
-                if len(implemented) != 1:
-                    forked.append((cls.__name__, implemented))
-            if issubclass(cls, OriginStage):
-                forked += [(cls.__name__, name)
-                           for name in self.ORIGIN_SINGULARS
-                           if self._owner(cls, name) is not OriginStage]
-        assert forked == []
+    """Add and delete exist only as batches; a one-route batch is one
+    message."""
 
     def test_singular_call_into_batch_stage_is_one_span(self):
         from repro.obs.trace import Tracer
@@ -300,8 +277,8 @@ class TestSingleMessageSurface:
         tracer = Tracer()
         tracer.trace(route.net)
         with tracer:
-            flt.add_route(route)
-            flt.delete_route(route)
+            flt.add_routes([route])
+            flt.delete_routes([route])
         spans = tracer.context_for(route.net).spans
         assert [(s.site, s.op) for s in spans] == [
             ("filter", "add"), ("sink", "add"),

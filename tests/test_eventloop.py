@@ -5,12 +5,10 @@ import socket
 import pytest
 
 from repro.eventloop import (
-    Callback,
     EventLoop,
     SimulatedClock,
     SystemClock,
     TaskPriority,
-    callback,
 )
 
 
@@ -44,36 +42,6 @@ class TestClock:
     def test_simulated_flag(self):
         assert SimulatedClock().is_simulated
         assert not SystemClock().is_simulated
-
-
-class TestCallback:
-    def test_currying(self):
-        seen = []
-        cb = callback(lambda a, b: seen.append((a, b)), 1)
-        cb(2)
-        assert seen == [(1, 2)]
-
-    def test_invalidate(self):
-        seen = []
-        cb = callback(seen.append)
-        cb.invalidate()
-        cb(1)
-        assert seen == []
-        assert not cb.is_valid
-
-    def test_kwargs_merge(self):
-        result = Callback(lambda a, b=0, c=0: (a, b, c), 1, b=2)(c=3)
-        assert result == (1, 2, 3)
-
-    def test_rejects_non_callable(self):
-        with pytest.raises(TypeError):
-            Callback(42)
-
-    def test_repr_names_target(self):
-        def my_handler():
-            pass
-
-        assert "my_handler" in repr(callback(my_handler))
 
 
 class TestTimers:

@@ -80,9 +80,9 @@ def _run_schedule(ops, run_limit=None):
             if existing is None:
                 fresh = _Route(index, version[0])
                 current[index] = fresh
-                fanout.add_route(fresh)
+                fanout.add_routes([fresh])
             elif version[0] % 3 == 0:
-                fanout.delete_route(existing)
+                fanout.delete_routes([existing])
                 del current[index]
             else:
                 fresh = _Route(index, version[0])

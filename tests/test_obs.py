@@ -30,18 +30,18 @@ def route(net_text, metric=1):
 
 
 class Sink(RouteTableStage):
-    def add_route(self, r, *, caller=None):
+    def add_routes(self, routes, *, caller=None):
         pass
 
-    def delete_route(self, r, *, caller=None):
+    def delete_routes(self, routes, *, caller=None):
         pass
 
 
 class Passing(RouteTableStage):
-    """Ends its add_route in ``super().add_route``: a super() chain."""
+    """Ends its add_routes in ``super().add_routes``: a super() chain."""
 
-    def add_route(self, r, *, caller=None):
-        super().add_route(r, caller=caller)
+    def add_routes(self, routes, *, caller=None):
+        super().add_routes(routes, caller=caller)
 
 
 def rows(tracer, net):
@@ -75,7 +75,7 @@ class TestStageSpans:
         assert tracer.context_for(r.net).stack == []
 
     def test_one_span_per_stage_through_a_super_chain(self):
-        """Passing.add_route ends in super().add_route: two tapped
+        """Passing.add_routes ends in super().add_routes: two tapped
         functions, one message."""
         origin = OriginStage("origin")
         RouteTableStage.plumb(origin, Passing("cache"),

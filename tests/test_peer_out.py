@@ -35,22 +35,22 @@ class TestPeerOut:
         loop, out, sent = stage
         shared = attrs()
         for i in range(5):
-            out.add_route(route(i, shared))
+            out.add_routes([route(i, shared)])
         loop.run_once()
         assert len(sent) == 1
         assert len(sent[0].nlri) == 5
 
     def test_different_attributes_split_updates(self, stage):
         loop, out, sent = stage
-        out.add_route(route(0, attrs(med=1)))
-        out.add_route(route(1, attrs(med=2)))
+        out.add_routes([route(0, attrs(med=1))])
+        out.add_routes([route(1, attrs(med=2))])
         loop.run_once()
         assert len(sent) == 2
 
     def test_withdrawals_batched(self, stage):
         loop, out, sent = stage
         for i in range(10):
-            out.delete_route(route(i))
+            out.delete_routes([route(i)])
         loop.run_once()
         assert len(sent) == 1
         assert len(sent[0].withdrawn) == 10
@@ -69,7 +69,7 @@ class TestPeerOut:
         loop, out, sent = stage
         shared = attrs()
         for i in range(5000):
-            out.add_route(route(i, shared))
+            out.add_routes([route(i, shared)])
         loop.run_once()
         assert len(sent) > 1
         for update in sent:
@@ -82,7 +82,7 @@ class TestPeerOut:
     def test_large_withdrawal_batches_chunked(self, stage):
         loop, out, sent = stage
         for i in range(3000):
-            out.delete_route(route(i))
+            out.delete_routes([route(i)])
         loop.run_once()
         assert sum(len(u.withdrawn) for u in sent) == 3000
         for update in sent:
@@ -90,14 +90,14 @@ class TestPeerOut:
 
     def test_flush_is_deferred_within_one_turn(self, stage):
         loop, out, sent = stage
-        out.add_route(route(0))
+        out.add_routes([route(0)])
         assert sent == []  # nothing leaves until the loop turns
         loop.run_once()
         assert len(sent) == 1
 
     def test_updates_sent_counter(self, stage):
         loop, out, sent = stage
-        out.add_route(route(0))
-        out.delete_route(route(1))
+        out.add_routes([route(0)])
+        out.delete_routes([route(1)])
         loop.run_once()
         assert out.updates_sent == 2

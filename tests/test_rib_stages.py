@@ -40,11 +40,11 @@ class SinkStage(RouteTableStage):
         super().__init__("sink")
         self.log = []
 
-    def add_route(self, r, caller=None):
-        self.log.append(("add", r))
+    def add_routes(self, routes, caller=None):
+        self.log.extend(("add", r) for r in routes)
 
-    def delete_route(self, r, caller=None):
-        self.log.append(("delete", r))
+    def delete_routes(self, routes, caller=None):
+        self.log.extend(("delete", r) for r in routes)
 
     def replace_route(self, old, new, caller=None):
         self.log.append(("replace", old, new))
@@ -170,7 +170,7 @@ class TestMergeStage:
         a, b, merge, sink = merged_pair()
         stranger = OriginStage("x")
         with pytest.raises(AssertionError):
-            merge.add_route(route("10.0.0.0/8", "rip"), caller=stranger)
+            merge.add_routes([route("10.0.0.0/8", "rip")], caller=stranger)
 
 
 class TestExtIntStage:
@@ -181,56 +181,56 @@ class TestExtIntStage:
 
     def test_internal_passes(self):
         r = route("10.0.0.0/8", "rip")
-        self.extint.add_route(r)
+        self.extint.add_routes([r])
         assert self.sink.current() == {r.net: r}
 
     def test_unresolvable_external_held(self):
         bgp = route("20.0.0.0/8", "ebgp", nexthop="1.1.1.1")
-        self.extint.add_route(bgp)
+        self.extint.add_routes([bgp])
         assert self.sink.current() == {}
         assert bgp.net in self.extint.unresolved
 
     def test_external_resolves_via_internal(self):
         igp = route("1.1.1.0/24", "rip", nexthop="0.0.0.0")
-        self.extint.add_route(igp)
+        self.extint.add_routes([igp])
         bgp = route("20.0.0.0/8", "ebgp", nexthop="1.1.1.1")
-        self.extint.add_route(bgp)
+        self.extint.add_routes([bgp])
         assert self.sink.current()[bgp.net] is bgp
 
     def test_held_external_released_when_igp_appears(self):
         bgp = route("20.0.0.0/8", "ebgp", nexthop="1.1.1.1")
-        self.extint.add_route(bgp)
-        self.extint.add_route(route("1.1.1.0/24", "rip"))
+        self.extint.add_routes([bgp])
+        self.extint.add_routes([route("1.1.1.0/24", "rip")])
         assert self.sink.current()[bgp.net] is bgp
         assert not self.extint.unresolved
 
     def test_external_withdrawn_when_igp_goes(self):
         igp = route("1.1.1.0/24", "rip")
         bgp = route("20.0.0.0/8", "ebgp", nexthop="1.1.1.1")
-        self.extint.add_route(igp)
-        self.extint.add_route(bgp)
-        self.extint.delete_route(igp)
+        self.extint.add_routes([igp])
+        self.extint.add_routes([bgp])
+        self.extint.delete_routes([igp])
         assert bgp.net not in self.sink.current()
         assert bgp.net in self.extint.unresolved
 
     def test_delete_held_external(self):
         bgp = route("20.0.0.0/8", "ebgp", nexthop="1.1.1.1")
-        self.extint.add_route(bgp)
-        self.extint.delete_route(bgp)
+        self.extint.add_routes([bgp])
+        self.extint.delete_routes([bgp])
         assert not self.extint.unresolved
         assert self.sink.current() == {}
 
     def test_lookup_consistent_with_announcements(self):
         bgp = route("20.0.0.0/8", "ebgp", nexthop="1.1.1.1")
-        self.extint.add_route(bgp)
+        self.extint.add_routes([bgp])
         assert self.extint.lookup_route(bgp.net) is None  # held, not announced
-        self.extint.add_route(route("1.1.1.0/24", "rip"))
+        self.extint.add_routes([route("1.1.1.0/24", "rip")])
         assert self.extint.lookup_route(bgp.net) is bgp
 
     def test_replace_internal(self):
         old = route("10.0.0.0/8", "rip", metric=2)
         new = route("10.0.0.0/8", "rip", metric=5)
-        self.extint.add_route(old)
+        self.extint.add_routes([old])
         self.extint.replace_route(old, new)
         assert self.sink.current()[new.net] is new
 
@@ -240,13 +240,13 @@ class TestExtIntStage:
         announced."""
         igp = route("1.1.1.0/24", "rip")
         bgp = route("20.0.0.0/8", "ebgp", nexthop="1.1.1.1")
-        self.extint.add_route(bgp)
+        self.extint.add_routes([bgp])
         for __ in range(2):
-            self.extint.add_route(igp)
+            self.extint.add_routes([igp])
             assert self.extint.lookup_route(bgp.net) is bgp
-            self.extint.delete_route(igp)
+            self.extint.delete_routes([igp])
             assert self.extint.lookup_route(bgp.net) is None
-        self.extint.delete_route(bgp)
+        self.extint.delete_routes([bgp])
         assert self.sink.log == 2 * [
             ("add", igp), ("add", bgp), ("delete", igp), ("delete", bgp)]
         assert not self.extint.unresolved
@@ -257,13 +257,13 @@ class TestExtIntStage:
         fallback = route("20.0.0.0/8", "rip", metric=9)
         # Two sides, as in Figure 7: one prefix arrives on both edges.
         int_side, ext_side = OriginStage("int"), OriginStage("ext")
-        self.extint.add_route(igp, caller=int_side)
-        self.extint.add_route(fallback, caller=int_side)
-        self.extint.add_route(bgp, caller=ext_side)
+        self.extint.add_routes([igp], caller=int_side)
+        self.extint.add_routes([fallback], caller=int_side)
+        self.extint.add_routes([bgp], caller=ext_side)
         assert self.extint.lookup_route(bgp.net) is bgp
-        self.extint.delete_route(igp, caller=int_side)
+        self.extint.delete_routes([igp], caller=int_side)
         assert self.extint.lookup_route(bgp.net) is fallback
-        self.extint.add_route(igp, caller=int_side)
+        self.extint.add_routes([igp], caller=int_side)
         assert self.extint.lookup_route(bgp.net) is bgp
         assert self.sink.log == [
             ("add", igp), ("add", fallback), ("replace", fallback, bgp),
@@ -287,28 +287,28 @@ class TestRedistStage:
         self._target("rip")
         rip = route("10.0.0.0/8", "rip")
         static = route("11.0.0.0/8", "static")
-        self.redist.add_route(rip)
-        self.redist.add_route(static)
+        self.redist.add_routes([rip])
+        self.redist.add_routes([static])
         assert self.events == [("add", rip)]
 
     def test_initial_dump(self):
         rip = route("10.0.0.0/8", "rip")
-        self.redist.add_route(rip)
+        self.redist.add_routes([rip])
         self._target("rip")
         assert self.events == [("add", rip)]
 
     def test_delete_propagates(self):
         self._target("rip")
         rip = route("10.0.0.0/8", "rip")
-        self.redist.add_route(rip)
-        self.redist.delete_route(rip)
+        self.redist.add_routes([rip])
+        self.redist.delete_routes([rip])
         assert self.events == [("add", rip), ("delete", rip)]
 
     def test_replace_crossing_predicate(self):
         self._target("rip")
         rip = route("10.0.0.0/8", "rip")
         static = route("10.0.0.0/8", "static")
-        self.redist.add_route(rip)
+        self.redist.add_routes([rip])
         self.redist.replace_route(rip, static)  # no longer matches
         assert self.events == [("add", rip), ("delete", rip)]
         self.redist.replace_route(static, rip)  # matches again
@@ -317,13 +317,13 @@ class TestRedistStage:
     def test_messages_still_flow_downstream(self):
         self._target("rip")
         rip = route("10.0.0.0/8", "rip")
-        self.redist.add_route(rip)
+        self.redist.add_routes([rip])
         assert self.sink.current() == {rip.net: rip}
 
     def test_remove_target(self):
         self._target("rip")
         self.redist.remove_target("t")
-        self.redist.add_route(route("10.0.0.0/8", "rip"))
+        self.redist.add_routes([route("10.0.0.0/8", "rip")])
         assert self.events == []
 
 
@@ -423,7 +423,7 @@ class TestRegisterStage:
             "reg", invalidate_cb=lambda c, s: self.invalidations.append((c, s)))
         for prefix in ("128.16.0.0/16", "128.16.0.0/18",
                        "128.16.128.0/17", "128.16.192.0/18"):
-            self.register.add_route(route(prefix, "rip"))
+            self.register.add_routes([route(prefix, "rip")])
 
     def test_figure8_simple_case(self):
         """128.16.32.1 matches 128.16.0.0/18, valid for the whole /18."""
@@ -460,23 +460,23 @@ class TestRegisterStage:
 
     def test_invalidation_on_overlapping_change(self):
         subnet, __ = self.register.register_interest("bgp", IPv4("128.16.32.1"))
-        self.register.add_route(route("128.16.32.0/24", "static"))
+        self.register.add_routes([route("128.16.32.0/24", "static")])
         assert ("bgp", subnet) in self.invalidations
 
     def test_no_invalidation_for_unrelated_change(self):
         self.register.register_interest("bgp", IPv4("128.16.32.1"))
-        self.register.add_route(route("99.0.0.0/8", "static"))
+        self.register.add_routes([route("99.0.0.0/8", "static")])
         assert self.invalidations == []
 
     def test_invalidation_on_delete(self):
         subnet, matched = self.register.register_interest(
             "bgp", IPv4("128.16.32.1"))
-        self.register.delete_route(matched)
+        self.register.delete_routes([matched])
         assert ("bgp", subnet) in self.invalidations
 
     def test_reregistration_after_invalidation(self):
         subnet, __ = self.register.register_interest("bgp", IPv4("128.16.32.1"))
-        self.register.add_route(route("128.16.32.0/24", "static"))
+        self.register.add_routes([route("128.16.32.0/24", "static")])
         new_subnet, matched = self.register.register_interest(
             "bgp", IPv4("128.16.32.1"))
         assert matched.net == net("128.16.32.0/24")
@@ -485,14 +485,14 @@ class TestRegisterStage:
         s1, __ = self.register.register_interest("bgp", IPv4("128.16.32.1"))
         s2, __ = self.register.register_interest("pim", IPv4("128.16.32.1"))
         assert s1 == s2
-        self.register.add_route(route("128.16.32.0/24", "static"))
+        self.register.add_routes([route("128.16.32.0/24", "static")])
         clients = {c for c, __ in self.invalidations}
         assert clients == {"bgp", "pim"}
 
     def test_deregister(self):
         subnet, __ = self.register.register_interest("bgp", IPv4("128.16.32.1"))
         assert self.register.deregister_interest("bgp", subnet)
-        self.register.add_route(route("128.16.32.0/24", "static"))
+        self.register.add_routes([route("128.16.32.0/24", "static")])
         assert self.invalidations == []
 
     def test_lookup_by_dest(self):
@@ -501,7 +501,7 @@ class TestRegisterStage:
         assert self.register.lookup_by_dest(IPv4("9.9.9.9")) is None
 
     def test_host_route_interest(self):
-        self.register.add_route(route("5.5.5.5/32", "static"))
+        self.register.add_routes([route("5.5.5.5/32", "static")])
         subnet, matched = self.register.register_interest("x", IPv4("5.5.5.5"))
         assert subnet == net("5.5.5.5/32")
         assert matched.net == net("5.5.5.5/32")

@@ -45,11 +45,11 @@ class SinkStage(RouteTableStage):
         super().__init__(name)
         self.log = []
 
-    def add_route(self, r, caller=None):
-        self.log.append(("add", r.net))
+    def add_routes(self, routes, caller=None):
+        self.log.extend(("add", r.net) for r in routes)
 
-    def delete_route(self, r, caller=None):
-        self.log.append(("delete", r.net))
+    def delete_routes(self, routes, caller=None):
+        self.log.extend(("delete", r.net) for r in routes)
 
 
 def pipeline():
@@ -79,15 +79,15 @@ class TestStageSanitizer:
         with StageSanitizer() as san:
             origin, flt, sink = pipeline()
             r = route("10.0.0.0/8")
-            flt.add_route(r, caller=origin)
-            flt.add_route(r, caller=origin)
+            flt.add_routes([r], caller=origin)
+            flt.add_routes([r], caller=origin)
         assert rules_of(san.violations) == ["SAN001"]
         assert "already live" in san.violations[0].message
 
     def test_delete_without_add_reports_san002(self):
         with StageSanitizer() as san:
             origin, flt, sink = pipeline()
-            flt.delete_route(route("10.0.0.0/8"), caller=origin)
+            flt.delete_routes([route("10.0.0.0/8")], caller=origin)
         assert rules_of(san.violations) == ["SAN002"]
 
     def test_replace_of_never_added_reports_san003(self):
@@ -103,8 +103,8 @@ class TestStageSanitizer:
             a, b = OriginStage("a"), OriginStage("b")
             sink = SinkStage()
             r = route("10.0.0.0/8")
-            sink.add_route(r, caller=a)
-            sink.add_route(r, caller=b)  # different edge: not a violation
+            sink.add_routes([r], caller=a)
+            sink.add_routes([r], caller=b)  # different edge: not a violation
         assert san.violations == []
 
     def test_lookup_denying_live_route_reports_san004(self):
@@ -117,28 +117,29 @@ class TestStageSanitizer:
             sink = SinkStage()
             upstream.set_next(sink)
             r = route("10.0.0.0/8")
-            sink.add_route(r, caller=upstream)
+            sink.add_routes([r], caller=upstream)
             assert upstream.lookup_route(net("10.0.0.0/8"), caller=sink) is None
         assert rules_of(san.violations) == ["SAN004"]
 
     def test_lookup_asked_during_an_in_flight_add_is_checked(self):
         """Rule 2 at the moment downstream stages ask: from inside their
-        own add_route, of a parent that is still inside its own."""
+        own add_routes, of a parent that is still inside its own."""
         class Forgetful(RouteTableStage):
             def lookup_route(self, net_, *, caller=None):
                 return None  # bug: denies what it is announcing
 
         class Asker(RouteTableStage):
-            def add_route(self, r, *, caller=None):
-                during.append(rules_of(san.violations))
-                self.parent.lookup_route(r.net, caller=self)
-                during.append(rules_of(san.violations))
+            def add_routes(self, routes, *, caller=None):
+                for r in routes:
+                    during.append(rules_of(san.violations))
+                    self.parent.lookup_route(r.net, caller=self)
+                    during.append(rules_of(san.violations))
 
         during = []
         with StageSanitizer() as san:
             up, asker = Forgetful("forgetful"), Asker("asker")
             up.set_next(asker)
-            up.add_route(route("10.0.0.0/8"))
+            up.add_routes([route("10.0.0.0/8")])
         assert during == [[], ["SAN004"]]
         assert san.violations[0].origin == "forgetful->asker"
 
@@ -183,18 +184,19 @@ class TestStageSanitizer:
             origin.originate(route("10.0.0.0/8"))
             stream_reset(flt, sink)
             # After the declared reset a fresh add is not a double add.
-            flt.add_route(route("10.0.0.0/8"), caller=origin)
+            flt.add_routes([route("10.0.0.0/8")], caller=origin)
         assert san.violations == []
 
     def test_disarm_restores_pristine_methods(self):
         originals = {
             name: RouteTableStage.__dict__[name]
-            for name in ("add_route", "delete_route", "replace_route",
+            for name in ("add_routes", "delete_routes", "replace_route",
                          "lookup_route", "insert_downstream", "unplumb")
         }
         san = StageSanitizer()
         san.arm()
-        assert RouteTableStage.__dict__["add_route"] is not originals["add_route"]
+        assert (RouteTableStage.__dict__["add_routes"]
+                is not originals["add_routes"])
         san.disarm()
         for name, fn in originals.items():
             assert RouteTableStage.__dict__[name] is fn
@@ -202,13 +204,13 @@ class TestStageSanitizer:
     def test_classes_defined_while_armed_are_instrumented(self):
         with StageSanitizer() as san:
             class LateStage(RouteTableStage):
-                def add_route(self, r, caller=None):
+                def add_routes(self, routes, caller=None):
                     pass
 
             late = LateStage("late")
             r = route("10.0.0.0/8")
-            late.add_route(r, caller=None)
-            late.add_route(r, caller=None)
+            late.add_routes([r], caller=None)
+            late.add_routes([r], caller=None)
         assert rules_of(san.violations) == ["SAN001"]
 
 
@@ -220,7 +222,7 @@ class TestSeededStageMutation:
             self.routes.insert(r.net, r)
             if self.next_table is not None:
                 # Bug under test: ignores the previous route and re-adds.
-                self.next_table.add_route(r, caller=self)
+                self.next_table.add_routes([r], caller=self)
 
         monkeypatch.setattr(OriginStage, "originate", buggy_originate)
         with StageSanitizer() as san:
@@ -414,7 +416,7 @@ class TestRuntimeSanitizerComposite:
                            families=[IntraProcessFamily()])
         with RuntimeSanitizer() as san:
             origin, flt, sink = pipeline()
-            flt.delete_route(route("10.0.0.0/8"), caller=origin)
+            flt.delete_routes([route("10.0.0.0/8")], caller=origin)
             client.send(Xrl("rib", "rib", "1.0", "add_rote4", XrlArgs()))
             loop.run()
         assert rules_of(san.violations) == ["SAN002", "SAN102"]

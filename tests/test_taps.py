@@ -33,9 +33,8 @@ TAPPED = [(XrlRouter, "send"), (XrlRouter, "dispatch_request"),
           (EventLoop, "call_soon"), (EventLoop, "_drain_deferred"),
           (TimerList, "run_expired"), (TaskScheduler, "run_one_slice"),
           (Fib, "insert"), (Fib, "remove")]
-STAGE_METHODS = ("add_route", "delete_route", "replace_route",
-                 "lookup_route", "add_routes", "delete_routes",
-                 "originate_batch", "withdraw_batch",
+STAGE_METHODS = ("add_routes", "delete_routes", "replace_route",
+                 "lookup_route", "originate_batch", "withdraw_batch",
                  "insert_downstream", "unplumb")
 
 
@@ -59,18 +58,18 @@ class Sink(RouteTableStage):
         super().__init__(name)
         self.log = []
 
-    def add_route(self, r, *, caller=None):
-        self.log.append(("add", r.net))
+    def add_routes(self, routes, *, caller=None):
+        self.log.extend(("add", r.net) for r in routes)
 
-    def delete_route(self, r, *, caller=None):
-        self.log.append(("delete", r.net))
+    def delete_routes(self, routes, *, caller=None):
+        self.log.extend(("delete", r.net) for r in routes)
 
 
 class Passing(RouteTableStage):
-    """Ends its add_route in ``super().add_route``: a super() chain."""
+    """Ends its add_routes in ``super().add_routes``: a super() chain."""
 
-    def add_route(self, r, *, caller=None):
-        super().add_route(r, caller=caller)
+    def add_routes(self, routes, *, caller=None):
+        super().add_routes(routes, caller=caller)
 
 
 class Recorder(taps.StageTap):
@@ -148,10 +147,9 @@ def test_every_arm_and_disarm_order_restores_the_pristine_objects(
     for index in arm_order:
         observers[index].arm()
     tapped = snapshot()
-    for cls, name in TAPPED + [(RouteTableStage, "add_route"),
+    for cls, name in TAPPED + [(RouteTableStage, "add_routes"),
                                (OriginStage, "originate_batch")]:
         assert tapped[(cls, name)] is not pristine[(cls, name)]
-    assert (RouteTableStage, "add_routes") not in taps.installed()  # derived
     for index in disarm_order:
         observers[index].disarm()
     assert taps.installed() == []
@@ -214,22 +212,22 @@ def test_stage_class_defined_while_armed_is_seen_by_every_tap():
     obs.trace(r.net)
     with obs, san:
         class Late(RouteTableStage):
-            def add_route(self, route_, *, caller=None):
+            def add_routes(self, routes, *, caller=None):
                 pass
 
         late = Late("late")
-        late.add_route(r)
-        late.add_route(r)
-        assert (Late, "add_route") in taps.installed()
+        late.add_routes([r])
+        late.add_routes([r])
+        assert (Late, "add_routes") in taps.installed()
     assert [v.rule for v in san.violations] == ["SAN001"]
     assert [(s.site, s.op) for s in obs.tracer.context_for(r.net).spans] == [
         ("late", "add"), ("late", "add")]
-    assert "tapped" not in vars(Late)["add_route"].__qualname__
+    assert "tapped" not in vars(Late)["add_routes"].__qualname__
 
 
 def test_a_message_is_delivered_once_where_it_lands():
-    """Singular into a batch stage, batch into a singular stage, and a
-    super() chain: each is one message per stage."""
+    """A one-route batch, a batch handed as an iterator, and a super()
+    chain: each is one message per stage."""
     recorder = Recorder()
     taps.attach(recorder)
     try:
@@ -238,7 +236,7 @@ def test_a_message_is_delivered_once_where_it_lands():
         sink = Sink()
         RouteTableStage.plumb(flt, cache, sink)
         a, b = route("10.0.0.0/8"), route("20.0.0.0/8")
-        flt.add_route(a)
+        flt.add_routes([a])
         cache.add_routes(iter([b]))
     finally:
         taps.detach(recorder)
@@ -253,7 +251,7 @@ def test_a_message_is_delivered_once_where_it_lands():
 
 def test_a_stage_that_raises_still_finishes_and_clears_the_guard():
     class Exploding(RouteTableStage):
-        def add_route(self, r, *, caller=None):
+        def add_routes(self, routes, *, caller=None):
             raise ValueError("boom")
 
     recorder = Recorder()
@@ -263,7 +261,7 @@ def test_a_stage_that_raises_still_finishes_and_clears_the_guard():
         r = route("10.0.0.0/8")
         for __ in range(2):  # the second is seen only if the guard cleared
             with pytest.raises(ValueError):
-                stage.add_route(r)
+                stage.add_routes([r])
     finally:
         taps.detach(recorder)
     assert recorder.seen == [("exploding", "add", [r.net])] * 2
@@ -276,10 +274,10 @@ def test_two_stage_sanitizers_each_see_every_message():
         flt = FilterStage("filter", lambda x: x)
         flt.set_next(sink)
         r = route("10.0.0.0/8")
-        flt.add_route(r)
-        flt.add_route(r)
+        flt.add_routes([r])
+        flt.add_routes([r])
         stages.stream_reset(flt, sink)
-        flt.add_route(r)
+        flt.add_routes([r])
     assert [v.rule for v in first.violations] == ["SAN001"]
     assert [v.rule for v in second.violations] == ["SAN001"]
     assert first.log is not second.log

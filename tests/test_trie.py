@@ -234,6 +234,27 @@ class TestSafeIterators:
         with pytest.raises(StopIteration):
             __ = it.payload
 
+    def test_take_resumes_past_routes_deleted_while_parked(self, trie):
+        for i in range(6):
+            trie.insert(net(f"10.{i}.0.0/16"), i)
+        it = trie.iterator()
+        assert it.take(2) == [0, 1]  # parked on 10.2/16
+        trie.remove(net("10.2.0.0/16"))
+        trie.remove(net("10.3.0.0/16"))
+        assert it.take(1) == [4]
+        assert it.take(5) == [5]
+        assert it.take(5) == [] and it.exhausted
+
+    def test_take_returns_empty_only_at_the_end(self, trie):
+        for i in range(3):
+            trie.insert(net(f"10.{i}.0.0/16"), i)
+        it = trie.iterator()
+        assert it.take(2) == [0, 1]  # parked on the last route
+        trie.remove(net("10.2.0.0/16"))
+        assert not it.exhausted
+        assert it.take(2) == []
+        assert it.exhausted and len(trie) == 2
+
     def test_massive_churn_while_parked(self, trie):
         for i in range(64):
             trie.insert(net(f"10.{i}.0.0/16"), i)
