@@ -20,10 +20,9 @@ Run:  python examples/adhoc_protocol.py
 import struct
 
 from repro.core.process import XorpProcess
-from repro.interfaces import FEA_RAWPKT_CLIENT4_IDL, interface, COMMON_IDL
+from repro.interfaces import COMMON_IDL, FEA_RAWPKT_CLIENT4_IDL
 from repro.net import IPNet, IPv4
 from repro.simnet import SimNetwork
-from repro.trie import RouteTrie
 from repro.xrl import Xrl, XrlArgs
 
 ADHOC_PORT = 8765
@@ -131,7 +130,10 @@ def main() -> None:
     for name, router in nodes.items():
         ifnames = router.fea.ifmgr.names()
         node_addr = router.fea.ifmgr.get(ifnames[0]).addr
-        processes[name] = AdhocProcess(router.host, node_addr, ifnames)
+        router.manager.register_module_factory(
+            "adhoc", lambda host=router.host, addr=node_addr, names=ifnames:
+            AdhocProcess(host, addr, names), allowed_targets={"rib", "fea"})
+        processes[name] = router.manager.start_module("adhoc")
         print(f"  {name}: node address {node_addr}, interfaces {ifnames}")
 
     print("\n== letting hellos flood ==")

@@ -1,130 +1,123 @@
 #!/usr/bin/env python3
 """A three-AS BGP network: propagation, best-path selection, peer failure.
 
-Topology (each router is a full stack: BGP + RIB + FEA processes)::
+Topology (each router is a full stack: BGP + RIB + FEA processes, built
+by its Router Manager from the configuration below)::
 
     AS65001 (r1) ---- AS65002 (r2) ---- AS65003 (r3)
         \\_________________________________/
                  (backup path)
 
 r1 originates a prefix; r3 receives it over both paths and picks the
-shorter AS path.  When the direct r1-r3 peering fails, r3 reconverges on
-the transit path through r2 — the deletion of the failed peering's routes
-happens in a dynamic background deletion stage (paper §5.1.2).
+shorter AS path.  When the operator disables the direct r1-r3 peering,
+r3 reconverges on the transit path through r2 — the deletion of the
+failed peering's routes happens in a dynamic background deletion stage
+(paper §5.1.2).
 
 Run:  python examples/bgp_network.py
 """
 
-from repro.bgp import BgpProcess, BgpState
-from repro.bgp.peer import PeerConfig
-from repro.bgp.session import session_pair
+from repro.bgp import BgpState
 from repro.core.process import Host
 from repro.eventloop import EventLoop, SimulatedClock
-from repro.fea import FeaProcess
 from repro.net import IPNet, IPv4
-from repro.rib import RibProcess
-from repro.xrl import Xrl, XrlArgs
+from repro.rtrmgr import RouterManager
+from repro.simnet.baselines import wire
+
+R1_CONFIG = """
+interfaces { interface eth0 { address: 10.0.12.1 } interface eth1 { address: 10.0.13.1 } }
+protocols { bgp {
+    local-as: 65001 bgp-id: 1.1.1.1
+    peer 10.0.12.2 { as: 65002 local-ip: 10.0.12.1 enabled: true }
+    peer 10.0.13.3 { as: 65003 local-ip: 10.0.13.1 enabled: true }
+    network 99.0.0.0/8 { next-hop: 10.0.12.1 }
+} }
+"""
+
+R2_CONFIG = """
+interfaces { interface eth0 { address: 10.0.12.2 } interface eth1 { address: 10.0.23.2 } }
+protocols { bgp {
+    local-as: 65002 bgp-id: 2.2.2.2
+    peer 10.0.12.1 { as: 65001 local-ip: 10.0.12.2 enabled: true }
+    peer 10.0.23.3 { as: 65003 local-ip: 10.0.23.2 enabled: true }
+} }
+"""
+
+R3_CONFIG = """
+interfaces { interface eth0 { address: 10.0.23.3 } interface eth1 { address: 10.0.13.3 } }
+protocols { bgp {
+    local-as: 65003 bgp-id: 3.3.3.3
+    peer 10.0.23.2 { as: 65002 local-ip: 10.0.23.3 enabled: true }
+    peer 10.0.13.1 { as: 65001 local-ip: 10.0.13.3 enabled: true }
+} }
+"""
+
+PREFIX = IPNet.parse("99.0.0.0/8")
 
 
-class Router:
-    def __init__(self, loop, name, local_as, router_id):
-        self.name = name
-        self.host = Host(loop=loop)
-        self.loop = loop
-        self.fea = FeaProcess(self.host)
-        self.rib = RibProcess(self.host)
-        self.bgp = BgpProcess(self.host, local_as=local_as,
-                              bgp_id=IPv4(router_id))
-        self.local_as = local_as
-
-    def add_static(self, net_text, nexthop="0.0.0.0"):
-        args = (XrlArgs().add_txt("protocol", "static")
-                .add_ipv4net("net", net_text).add_ipv4("nexthop", nexthop)
-                .add_u32("metric", 1).add_list("policytags", []))
-        error, __ = self.bgp.xrl.send_sync(
-            Xrl("rib", "rib", "1.0", "add_route4", args), deadline=10)
-        assert error.is_okay, error
-
-    def show_bgp_route(self, prefix_text):
-        net = IPNet.parse(prefix_text)
-        route = self.bgp.decision.winners.get(net)
-        if route is None:
-            return f"{self.name}: {prefix_text}: no route"
-        return (f"{self.name}: {prefix_text} via {route.nexthop} "
-                f"as-path [{route.attributes.as_path}]")
+def build(loop, config):
+    manager = RouterManager(Host(loop=loop))
+    manager.load(config)
+    manager.commit()
+    return manager
 
 
-def connect(a, b, addr_a, addr_b):
-    loop = a.loop
-    s1, s2 = session_pair(loop, latency=0.002)
-    peer_a = a.bgp.add_peer(PeerConfig(IPv4(addr_b), b.local_as, a.local_as,
-                                       IPv4(addr_a)))
-    peer_a.attach_session(s1)
-    peer_b = b.bgp.add_peer(PeerConfig(IPv4(addr_a), a.local_as, b.local_as,
-                                       IPv4(addr_b)))
-    peer_b.attach_session(s2)
-    subnet = str(IPNet(IPv4(addr_a), 24))
-    a.add_static(subnet)
-    b.add_static(subnet)
-    peer_a.enable()
-    peer_b.enable()
-    return peer_a, peer_b
+def as_path(manager):
+    route = manager.modules["bgp"].decision.winners.get(PREFIX)
+    return None if route is None else route.attributes.as_path.as_list()
+
+
+def show_bgp_route(name, manager):
+    route = manager.modules["bgp"].decision.winners.get(PREFIX)
+    if route is None:
+        return f"{name}: {PREFIX}: no route"
+    return (f"{name}: {PREFIX} via {route.nexthop} "
+            f"as-path [{route.attributes.as_path}]")
 
 
 def main() -> None:
     loop = EventLoop(SimulatedClock())
-    r1 = Router(loop, "r1", 65001, "1.1.1.1")
-    r2 = Router(loop, "r2", 65002, "2.2.2.2")
-    r3 = Router(loop, "r3", 65003, "3.3.3.3")
+    r1, r2, r3 = (build(loop, config)
+                  for config in (R1_CONFIG, R2_CONFIG, R3_CONFIG))
 
     print("== establishing peerings ==")
-    p12, p21 = connect(r1, r2, "10.0.12.1", "10.0.12.2")
-    p23, p32 = connect(r2, r3, "10.0.23.2", "10.0.23.3")
-    p13, p31 = connect(r1, r3, "10.0.13.1", "10.0.13.3")
-    all_peers = [p12, p21, p23, p32, p13, p31]
+    peers = []
+    for a, addr_a, b, addr_b in ((r1, "10.0.12.1", r2, "10.0.12.2"),
+                                 (r2, "10.0.23.2", r3, "10.0.23.3"),
+                                 (r1, "10.0.13.1", r3, "10.0.13.3")):
+        peers += [a.modules["bgp"].peers[addr_b], b.modules["bgp"].peers[addr_a]]
+        wire(loop, peers[-2], peers[-1], 0.002)
     ok = loop.run_until(
-        lambda: all(p.fsm.state == BgpState.ESTABLISHED for p in all_peers),
+        lambda: all(p.fsm.state == BgpState.ESTABLISHED for p in peers),
         timeout=120)
     print(f"all sessions established: {ok}")
 
-    print("\n== r1 originates 99.0.0.0/8 ==")
-    r1.bgp.xrl_originate_route4(IPNet.parse("99.0.0.0/8"),
-                                IPv4("10.0.12.1"), True)
-    loop.run_until(
-        lambda: IPNet.parse("99.0.0.0/8") in r3.bgp.decision.winners,
-        timeout=60)
+    print(f"\n== r1's configuration originates {PREFIX} ==")
+    loop.run_until(lambda: as_path(r3) is not None, timeout=60)
     loop.run(duration=10)  # let both paths arrive
-    print(r2.show_bgp_route("99.0.0.0/8"))
-    print(r3.show_bgp_route("99.0.0.0/8"))
-    route = r3.bgp.decision.winners[IPNet.parse("99.0.0.0/8")]
-    assert route.attributes.as_path.as_list() == [65001], \
-        "r3 must prefer the direct (shorter) path"
+    print(show_bgp_route("r2", r2))
+    print(show_bgp_route("r3", r3))
+    assert as_path(r3) == [65001], "r3 must prefer the direct (shorter) path"
     print("r3 prefers the direct path, as-path length 1")
 
-    print("\n== direct r1-r3 peering fails ==")
-    p13.disable()
-    loop.run_until(
-        lambda: (IPNet.parse("99.0.0.0/8") in r3.bgp.decision.winners
-                 and r3.bgp.decision.winners[IPNet.parse("99.0.0.0/8")]
-                 .attributes.as_path.as_list() == [65002, 65001]),
-        timeout=120)
-    print(r3.show_bgp_route("99.0.0.0/8"))
+    print("\n== the operator disables the direct r1-r3 peering ==")
+    r1.set("protocols bgp peer 10.0.13.3 enabled", False)
+    r1.commit()
+    loop.run_until(lambda: as_path(r3) == [65002, 65001], timeout=120)
+    print(show_bgp_route("r3", r3))
     print(f"r3 reconverged on the transit path; deletion stages created at "
-          f"r3: {p31.deletion_stages_created}")
+          f"r3: {r3.modules['bgp'].peers['10.0.13.1'].deletion_stages_created}")
 
     print("\n== peering restored ==")
-    p13.enable()
-    loop.run_until(
-        lambda: (IPNet.parse("99.0.0.0/8") in r3.bgp.decision.winners
-                 and r3.bgp.decision.winners[IPNet.parse("99.0.0.0/8")]
-                 .attributes.as_path.as_list() == [65001]),
-        timeout=180)
-    print(r3.show_bgp_route("99.0.0.0/8"))
+    r1.set("protocols bgp peer 10.0.13.3 enabled", True)
+    r1.commit()
+    loop.run_until(lambda: as_path(r3) == [65001], timeout=180)
+    print(show_bgp_route("r3", r3))
     print("r3 back on the direct path")
 
     print("\n== forwarding state at r3 ==")
     loop.run(duration=5)  # let the RIB/FEA streams drain
-    entry = r3.fea.fib4.lookup(IPv4("99.1.2.3"))
+    entry = r3.modules["fea"].fib4.lookup(IPv4("99.1.2.3"))
     print(f"FIB: 99.1.2.3 -> {entry}")
 
 

@@ -6,68 +6,77 @@
     stage to the BGP pipeline.  The code does not impact other stages,
     which need not be aware that damping is occurring."
 
-A stable peer and a flapping peer announce prefixes into a router whose
-peerings have the damping stage enabled.  The flapping prefix accumulates
-penalty, gets suppressed, and is only reused once its penalty decays —
-while the stable prefix is completely unaffected.
+A flapping neighbour announces two prefixes into a router whose BGP
+module puts the damping stage on every peering.  The flapping prefix
+accumulates penalty, gets suppressed, and is only reused once its penalty
+decays — while the stable prefix is completely unaffected.
 
 Run:  python examples/flap_damping.py
 """
 
 from repro.bgp import BgpProcess, BgpState
-from repro.bgp.peer import PeerConfig
-from repro.bgp.session import session_pair
+from repro.bgp.attributes import ASPath, PathAttributeList
+from repro.bgp.messages import UpdateMessage
 from repro.core.process import Host
 from repro.eventloop import EventLoop, SimulatedClock
-from repro.fea import FeaProcess
 from repro.net import IPNet, IPv4
-from repro.rib import RibProcess
-from repro.xrl import Xrl, XrlArgs
+from repro.rtrmgr import RouterManager
+from repro.simnet.baselines import Speaker, wire
+
+CONFIG = """
+interfaces { interface eth0 { address: 10.0.0.1 } }
+protocols { bgp {
+    local-as: 65000 bgp-id: 9.9.9.9
+    peer 10.0.0.2 { as: 65001 local-ip: 10.0.0.1 enabled: true }
+} }
+"""
+
+
+class DampedBgp(BgpProcess):
+    """BGP with the damping stage on every peering, tuned for a fast
+    demo: half-life 30 s."""
+
+    def add_peer(self, config):
+        config.enable_damping = True
+        handler = super().add_peer(config)
+        handler.damping.half_life = 30.0
+        handler.damping.suppress_threshold = 2500.0
+        handler.damping.reuse_threshold = 750.0
+        return handler
 
 
 def main() -> None:
     loop = EventLoop(SimulatedClock())
     host = Host(loop=loop)
-    fea = FeaProcess(host)
-    rib = RibProcess(host)
-    bgp = BgpProcess(host, local_as=65000, bgp_id=IPv4("9.9.9.9"))
-    args = (XrlArgs().add_txt("protocol", "static")
-            .add_ipv4net("net", "10.0.0.0/24").add_ipv4("nexthop", "0.0.0.0")
-            .add_u32("metric", 1).add_list("policytags", []))
-    bgp.xrl.send_sync(Xrl("rib", "rib", "1.0", "add_route4", args), deadline=10)
+    manager = RouterManager(host)
+    manager.register_module_factory(
+        "bgp", lambda **params: DampedBgp(host, **params))
+    manager.load(CONFIG)
+    manager.commit()
+    bgp = manager.modules["bgp"]
+    handler = bgp.peers["10.0.0.2"]
 
-    # The flapping neighbour, with damping enabled on its input branch.
-    flapper = BgpProcess(Host(loop=loop), local_as=65001,
-                         bgp_id=IPv4("1.1.1.1"), rib_target=None)
-    config = PeerConfig(IPv4("10.0.0.2"), 65001, 65000, IPv4("10.0.0.1"),
-                        enable_damping=True)
-    handler = bgp.add_peer(config)
-    # Tune the damping stage for a fast demo: half-life 30 s.
-    handler.damping.half_life = 30.0
-    handler.damping.suppress_threshold = 2500.0
-    handler.damping.reuse_threshold = 750.0
-    remote = flapper.add_peer(PeerConfig(IPv4("10.0.0.1"), 65000, 65001,
-                                         IPv4("10.0.0.2")))
-    s1, s2 = session_pair(loop, 0.001)
-    handler.attach_session(s1)
-    remote.attach_session(s2)
-    handler.enable()
-    remote.enable()
+    # The flapping neighbour.
+    flapper = Speaker(loop, "flapper", 65001, "1.1.1.1")
+    flapper.add_peer("router", 65000)
+    flapper.start()
+    wire(loop, handler, flapper.peers["router"], 0.001)
     loop.run_until(lambda: handler.fsm.state == BgpState.ESTABLISHED,
                    timeout=60)
 
     stable = IPNet.parse("99.1.0.0/16")
     flappy = IPNet.parse("99.2.0.0/16")
-    flapper.xrl_originate_route4(stable, IPv4("10.0.0.2"), True)
-    flapper.xrl_originate_route4(flappy, IPv4("10.0.0.2"), True)
+    attributes = PathAttributeList(as_path=ASPath.from_sequence(65001),
+                                   nexthop=IPv4("10.0.0.2"))
+    flapper.inject(UpdateMessage(attributes=attributes, nlri=[stable, flappy]))
     loop.run_until(lambda: bgp.decision.route_count == 2, timeout=60)
     print(f"t={loop.now():6.0f}s  both prefixes installed")
 
     print("\n== the 99.2.0.0/16 origin starts flapping ==")
     for flap in range(4):
-        flapper.xrl_withdraw_route4(flappy)
+        flapper.inject(UpdateMessage(withdrawn=[flappy]))
         loop.run(duration=1.5)
-        flapper.xrl_originate_route4(flappy, IPv4("10.0.0.2"), True)
+        flapper.inject(UpdateMessage(attributes=attributes, nlri=[flappy]))
         loop.run(duration=1.5)
         penalty = handler.damping.penalty_of(flappy)
         present = flappy in bgp.decision.winners

@@ -10,11 +10,21 @@ tree's incoming interface moves — the exact coupling Figure 1 draws.
 Run:  python examples/multicast_pim.py
 """
 
-from repro.mld6igmp import Mld6igmpProcess
 from repro.net import IPv4
-from repro.pim import PimProcess
 from repro.simnet import SimNetwork
-from repro.xrl import Xrl, XrlArgs
+
+#: The RP for 239.0.0.0/8 and a static route towards it via eth0, merged
+#: over the interfaces the router's links committed.  PIM brings IGMP
+#: (mld6igmp) up with it.
+CONFIG = """
+protocols {
+    static { route 77.0.0.0/8 { next-hop: 10.1.0.2 } }
+    pim { rp 239.0.0.0/8 { address: 77.0.0.1 } }
+}
+"""
+
+#: the unicast routing change: a more specific route to the RP, via eth1
+REROUTE = "protocols { static { route 77.0.0.0/16 { next-hop: 10.2.0.2 } } }"
 
 
 def show_mfib(router) -> None:
@@ -34,24 +44,12 @@ def main() -> None:
     network.link(router, "10.1.0.1", rp_near, "10.1.0.2")
     network.link(router, "10.2.0.1", rp_far, "10.2.0.2")
     network.link(router, "10.3.0.1", receivers, "10.3.0.2")
-    igmp = Mld6igmpProcess(router.host)
-    pim = PimProcess(router.host)
     network.run(duration=1)
 
-    def rib_call(method, **values):
-        from repro.interfaces import RIB_IDL
-
-        args = RIB_IDL.method(method).build_args(values)
-        error, __ = pim.xrl.send_sync(Xrl("rib", "rib", "1.0", method, args),
-                                      deadline=10)
-        assert error.is_okay, error
-
     print("== configure the RP (77.0.0.1, reachable via eth0) ==")
-    rib_call("add_route4", protocol="static", net="77.0.0.0/8",
-             nexthop="10.1.0.2", metric=1, policytags=[])
-    args = (XrlArgs().add_ipv4net("group_prefix", "239.0.0.0/8")
-            .add_ipv4("rp", "77.0.0.1"))
-    pim.xrl.send_sync(Xrl("pim", "pim", "0.1", "set_rp", args), deadline=10)
+    router.manager.config.load(CONFIG)
+    router.manager.commit()
+    igmp = router.manager.modules["mld6igmp"]
     network.run(duration=1)
 
     print("\n== a receiver on eth2 joins 239.1.1.1 (IGMP report) ==")
@@ -63,8 +61,8 @@ def main() -> None:
     assert entry.iif == "eth0"
 
     print("\n== unicast routing to the RP moves to eth1 ==")
-    rib_call("add_route4", protocol="static", net="77.0.0.0/16",
-             nexthop="10.2.0.2", metric=1, policytags=[])
+    router.manager.config.load(REROUTE)
+    router.manager.commit()
     network.run_until(
         lambda: next(iter(router.fea.mfib.values())).iif == "eth1",
         timeout=20)

@@ -15,17 +15,34 @@ Two scenarios:
 Run:  python examples/policy_routing.py
 """
 
-from repro.bgp import BgpProcess, BgpState
-from repro.bgp.peer import PeerConfig
-from repro.bgp.session import session_pair
+from repro.bgp import BgpState
 from repro.core.process import Host
 from repro.eventloop import EventLoop, SimulatedClock
-from repro.fea import FeaProcess
 from repro.net import IPNet, IPv4
 from repro.policy import PolicyResult, PolicyVM, RibVarRW, compile_source
-from repro.rib import RibProcess
 from repro.rib.route import RibRoute
+from repro.rtrmgr import RouterManager
+from repro.simnet.baselines import wire
 from repro.xrl import Xrl, XrlArgs
+
+R1_CONFIG = """
+interfaces { interface eth0 { address: 10.0.0.1 } }
+protocols { bgp {
+    local-as: 65001 bgp-id: 1.1.1.1
+    peer 10.0.0.2 { as: 65002 local-ip: 10.0.0.1 enabled: true }
+    network 99.1.0.0/16 { next-hop: 10.0.0.1 }
+    network 99.2.0.0/16 { next-hop: 10.0.0.1 }
+    network 203.0.113.0/24 { next-hop: 10.0.0.1 }
+} }
+"""
+
+R2_CONFIG = """
+interfaces { interface eth0 { address: 10.0.0.2 } }
+protocols { bgp {
+    local-as: 65002 bgp-id: 2.2.2.2
+    peer 10.0.0.1 { as: 65001 local-ip: 10.0.0.2 enabled: true }
+} }
+"""
 
 IMPORT_POLICY = """
 # Prefer customer routes; drop the documentation prefix.
@@ -42,50 +59,37 @@ policy-statement customer-in {
 """
 
 
-def build_router(loop, name, local_as, router_id):
-    host = Host(loop=loop)
-    fea = FeaProcess(host)
-    rib = RibProcess(host)
-    bgp = BgpProcess(host, local_as=local_as, bgp_id=IPv4(router_id))
-    return host, fea, rib, bgp
+def build(loop, config):
+    manager = RouterManager(Host(loop=loop))
+    manager.load(config)
+    manager.commit()
+    return manager
 
 
-def main() -> None:
-    loop = EventLoop(SimulatedClock())
-    host1, fea1, rib1, bgp1 = build_router(loop, "r1", 65001, "1.1.1.1")
-    host2, fea2, rib2, bgp2 = build_router(loop, "r2", 65002, "2.2.2.2")
-
-    # Peering r1 <-> r2.
-    s1, s2 = session_pair(loop, 0.002)
-    p12 = bgp1.add_peer(PeerConfig(IPv4("10.0.0.2"), 65002, 65001,
-                                   IPv4("10.0.0.1")))
-    p21 = bgp2.add_peer(PeerConfig(IPv4("10.0.0.1"), 65001, 65002,
-                                   IPv4("10.0.0.2")))
-    p12.attach_session(s1)
-    p21.attach_session(s2)
-    for bgp in (bgp1, bgp2):
-        args = (XrlArgs().add_txt("protocol", "static")
-                .add_ipv4net("net", "10.0.0.0/24").add_ipv4("nexthop", "0.0.0.0")
-                .add_u32("metric", 1).add_list("policytags", []))
-        bgp.xrl.send_sync(Xrl("rib", "rib", "1.0", "add_route4", args),
-                          deadline=10)
-    p12.enable()
-    p21.enable()
-    loop.run_until(lambda: p21.fsm.state == BgpState.ESTABLISHED, timeout=60)
-
-    print("== r1 announces three prefixes (no policy installed yet) ==")
-    for prefix in ("99.1.0.0/16", "99.2.0.0/16", "203.0.113.0/24"):
-        bgp1.xrl_originate_route4(IPNet.parse(prefix), IPv4("10.0.0.1"), True)
-    loop.run_until(lambda: bgp2.decision.route_count >= 3, timeout=60)
-    for net, route in sorted(bgp2.decision.winners.items(),
+def show_routes(bgp) -> None:
+    for net, route in sorted(bgp.decision.winners.items(),
                              key=lambda kv: str(kv[0])):
         print(f"  r2: {net} localpref={route.attributes.local_pref} "
               f"communities={route.attributes.communities}")
 
+
+def main() -> None:
+    loop = EventLoop(SimulatedClock())
+    r1, r2 = build(loop, R1_CONFIG), build(loop, R2_CONFIG)
+    bgp2 = r2.modules["bgp"]
+    p12 = r1.modules["bgp"].peers["10.0.0.2"]
+    p21 = bgp2.peers["10.0.0.1"]
+    wire(loop, p12, p21, 0.002)
+    loop.run_until(lambda: p21.fsm.state == BgpState.ESTABLISHED, timeout=60)
+
+    print("== r1 announces three prefixes (no policy installed yet) ==")
+    loop.run_until(lambda: bgp2.decision.route_count >= 3, timeout=60)
+    show_routes(bgp2)
+
     print("\n== operator installs the import policy on r2 (live) ==")
     args = (XrlArgs().add_u32("filter_id", 1)
             .add_txt("policy_source", IMPORT_POLICY))
-    error, __ = bgp2.xrl.send_sync(
+    error, __ = r2.xrl.send_sync(
         Xrl("bgp", "policy", "0.1", "configure_filter", args), deadline=10)
     print(f"configure_filter: {'OK' if error.is_okay else error}")
     # Background re-filtering removes 203.0.113.0/24 and retags the rest.
@@ -93,10 +97,7 @@ def main() -> None:
         lambda: IPNet.parse("203.0.113.0/24") not in bgp2.decision.winners,
         timeout=60)
     loop.run(duration=5)
-    for net, route in sorted(bgp2.decision.winners.items(),
-                             key=lambda kv: str(kv[0])):
-        print(f"  r2: {net} localpref={route.attributes.local_pref} "
-              f"communities={route.attributes.communities}")
+    show_routes(bgp2)
     assert IPNet.parse("203.0.113.0/24") not in bgp2.decision.winners
 
     print("\n== RIB redistribution policy (standalone VM demo) ==")

@@ -11,8 +11,20 @@ Run:  python examples/quickstart.py
 
 from repro.net import IPv4
 from repro.rip import RipProcess
-from repro.rtrmgr import Cli, RouterManager
+from repro.rtrmgr import Cli
 from repro.simnet import SimNetwork
+
+#: r2 runs RIP on both its links and advertises its connected subnets
+R2_CONFIG = """
+protocols { rip { interface eth0 { } interface eth1 { } redistribute connected { } } }
+"""
+
+#: what the operator types on r1
+R1_SESSION = [
+    "set protocols rip interface eth0 cost 1",
+    "create protocols rip redistribute connected",
+    "set protocols static route 192.168.50.0/24 next-hop 10.0.0.2",
+]
 
 
 def main() -> None:
@@ -24,33 +36,21 @@ def main() -> None:
                  prefix_len=24)
     network.run(duration=1)
 
-    # r2/r3 run plain RIP processes; r1 is driven through the rtrmgr CLI.
-    rip2 = RipProcess(r2.host, update_interval=5.0, triggered_delay=0.5)
-    rip2.xrl_add_rip_address("eth0", IPv4("10.0.0.2"))
-    rip2.xrl_add_rip_address("eth1", IPv4("10.0.1.1"))
-    # Redistribute r2's connected subnets into RIP so they are advertised.
-    from repro.xrl import Xrl, XrlArgs
+    # r2's RIP runs demo timers; its configuration is merged over the
+    # interfaces its links committed.  r1 is driven through the CLI.
+    r2.manager.register_module_factory(
+        "rip", lambda: RipProcess(r2.host, update_interval=5.0,
+                                  triggered_delay=0.5))
+    r2.manager.config.load(R2_CONFIG)
+    r2.manager.commit()
 
-    rip2.xrl.send_sync(Xrl("rib", "rib", "1.0", "redist_enable4",
-                           XrlArgs().add_txt("target", "rip")
-                           .add_txt("from_protocol", "connected")), deadline=10)
-
-    rtrmgr = RouterManager(r1.host)
-    cli = Cli(rtrmgr)
+    cli = Cli(r1.manager)
     print("== operator session on r1 ==")
-    for line in [
-        "set protocols rip interface eth0 cost 1",
-        "create protocols rip redistribute connected",
-        "set protocols static route 192.168.50.0/24 next-hop 10.0.0.2",
-        "show candidate",
-        "commit",
-        "show modules",
-    ]:
+    for line in [*R1_SESSION, "show candidate", "commit", "show modules"]:
         print(f"r1> {line}")
         output = cli.execute(line)
         if output:
             print(output)
-
 
     print("\n== waiting for RIP convergence ==")
     converged = network.run_until(

@@ -13,13 +13,14 @@ packages (``net``, ``core``, ``policy``, ...) are loaded into every
 process, so they must not reach into any process package either
 (ISO002) — that would smuggle one process's internals into all of them.
 
-The composition harnesses (``experiments``, ``simnet``) assemble whole
-multi-process routers by design — the analogue of XORP's test scripts —
-and are exempt.  The Router Manager imports no process package: its
-in-process launcher loads a module's package *by name* when the module is
-first started (``rtrmgr/launcher.py``, the composition root — the same
-``repro.<package>`` its process launcher hands to ``python -m``), and the
-manager reaches what it started through XRLs only.  ``rtrmgr/cli.py``'s
+The composition harnesses (``experiments``, ``simnet``) hand the Router
+Manager factories for the process classes they configure — the analogue
+of XORP's test scripts — and are exempt.  The Router Manager imports no
+process package: its in-process launcher loads a module's package *by
+name* when the module is first started (``rtrmgr/launcher.py``, the
+composition root — the same ``repro.<package>`` its process launcher
+hands to ``python -m``), and the manager reaches what it started
+through XRLs only.  ``rtrmgr/cli.py``'s
 ``show`` commands are the package's one reader of module objects, and
 say so.
 """

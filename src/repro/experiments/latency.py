@@ -3,8 +3,9 @@
     "The key metric we care about is how long it takes for a route newly
     received by BGP to be installed into the forwarding engine."
 
-The experiment builds one XORP router — BGP, RIB and FEA as separate
-processes communicating over XRLs — establishes one or two BGP peerings,
+The Router Manager builds one XORP router from :data:`CONFIG` — BGP,
+RIB and FEA as separate processes communicating over XRLs — and the
+experiment establishes one or two BGP peerings with injecting speakers,
 optionally preloads a full synthetic backbone feed, then injects test
 routes one at a time and reads the eight profiling points:
 
@@ -30,18 +31,27 @@ from __future__ import annotations
 import statistics
 from typing import Dict, List, Optional, Tuple
 
-from repro.bgp import BgpProcess, BgpState
+from repro.bgp import BgpState
 from repro.bgp.messages import UpdateMessage
-from repro.bgp.peer import PeerConfig
-from repro.bgp.session import session_pair
 from repro.core.process import Host
 from repro.eventloop import EventLoop, SystemClock
 from repro.experiments.synth import synthetic_feed
-from repro.fea import FeaProcess
 from repro.net import IPNet, IPv4
-from repro.rib import RibProcess
-from repro.simnet.baselines import _BaselineRouter
-from repro.xrl import Xrl, XrlArgs
+from repro.rtrmgr import RouterManager
+from repro.simnet.baselines import Speaker, wire
+
+#: The router under test: the feed peering, Figure 12's second peering,
+#: and the two interfaces their nexthops resolve through — "we keep one
+#: route installed during the test to prevent additional interactions
+#: with the RIB".
+CONFIG = """
+interfaces { interface eth0 { address: 10.0.0.1 } interface eth1 { address: 10.0.1.1 } }
+protocols { bgp {
+    local-as: 65000 bgp-id: 1.1.1.1
+    peer 10.0.0.2 { as: 65002 local-ip: 10.0.0.1 enabled: true }
+    peer 10.0.1.2 { as: 65003 local-ip: 10.0.1.1 enabled: true }
+} }
+"""
 
 PROFILE_POINTS = [
     ("Entering BGP", "bgp", "route_ribin"),
@@ -53,17 +63,6 @@ PROFILE_POINTS = [
     ("Arriving at FEA", "fea", "route_arrive_fea"),
     ("Entering kernel", "fea", "route_kernel"),
 ]
-
-
-class _Injector(_BaselineRouter):
-    """A BGP speaker that only injects; it never propagates."""
-
-    def update_from_peer(self, peer, update):
-        pass  # sink anything the router under test sends us
-
-    def inject(self, update: UpdateMessage) -> None:
-        peer = next(iter(self.peers.values()))
-        peer.send_message(update)
 
 
 class LatencyResult:
@@ -119,25 +118,14 @@ class LatencyResult:
         return "\n".join([header] + ["".join(row) for row in grid])
 
 
-def _build_router(loop: EventLoop):
-    host = Host(loop=loop)
-    fea = FeaProcess(host)
-    rib = RibProcess(host)
-    bgp = BgpProcess(host, local_as=65000, bgp_id=IPv4("1.1.1.1"))
-    return host, fea, rib, bgp
-
-
-def _connect_injector(loop, bgp, local_addr: str, peer_addr: str,
-                      peer_as: int, name: str) -> _Injector:
-    injector = _Injector(loop, name, peer_as, peer_addr)
-    injector_peer = injector.add_peer("dut", 65000)
-    handler = bgp.add_peer(PeerConfig(
-        IPv4(peer_addr), peer_as, bgp.local_as, IPv4(local_addr)))
-    session_a, session_b = session_pair(loop, latency=0.0)
-    injector_peer.attach_session(session_a)
-    handler.attach_session(session_b)
+def _connect_injector(loop, bgp, peer_addr: str, peer_as: int,
+                      name: str) -> Speaker:
+    """A speaker on the configured peering *peer_addr*, established."""
+    handler = bgp.peers[peer_addr]
+    injector = Speaker(loop, name, peer_as, peer_addr)
+    injector_peer = injector.add_peer("dut", bgp.local_as)
     injector.start()
-    handler.enable()
+    wire(loop, injector_peer, handler)
     if not loop.run_until(
             lambda: handler.fsm.state == BgpState.ESTABLISHED
             and injector_peer.fsm.state == BgpState.ESTABLISHED,
@@ -185,28 +173,18 @@ def run_latency_experiment(*, initial_routes: int = 0,
     * Figure 12: ``initial_routes=146515, same_peering=False``
     """
     loop = loop if loop is not None else EventLoop(SystemClock())
-    host, fea, rib, bgp = _build_router(loop)
-    processes = {"bgp": bgp, "rib": rib, "fea": fea}
+    manager = RouterManager(Host(loop=loop))
+    manager.load(CONFIG)
+    manager.commit()
+    processes = manager.modules
+    bgp, rib, fea = processes["bgp"], processes["rib"], processes["fea"]
 
-    # One static route for nexthop resolvability — "we keep one route
-    # installed during the test to prevent additional interactions with
-    # the RIB".
-    args = (XrlArgs().add_txt("protocol", "static")
-            .add_ipv4net("net", "10.0.0.0/8").add_ipv4("nexthop", "0.0.0.0")
-            .add_u32("metric", 1).add_list("policytags", []))
-    error, __ = bgp.xrl.send_sync(Xrl("rib", "rib", "1.0", "add_route4", args),
-                                  deadline=10)
-    if not error.is_okay:
-        raise RuntimeError(f"static route install failed: {error}")
-
-    feed_injector = _connect_injector(loop, bgp, "10.0.0.1", "10.0.0.2",
-                                      65002, "feed")
+    feed_injector = _connect_injector(loop, bgp, "10.0.0.2", 65002, "feed")
     if same_peering:
         test_injector = feed_injector
         test_nexthop = "10.0.0.2"
     else:
-        test_injector = _connect_injector(loop, bgp, "10.0.1.1", "10.0.1.2",
-                                          65003, "test")
+        test_injector = _connect_injector(loop, bgp, "10.0.1.2", 65003, "test")
         test_nexthop = "10.0.1.2"
 
     # Preload the backbone feed.

@@ -1,13 +1,14 @@
 """The observability scenario: trace routes BGP → RIB → FEA and scrape
 every process over ``metrics/1.0``.
 
-A full XORP-style stack (BGP + RIB + FEA over XRLs) runs on a simulated
-clock with the :class:`~repro.obs.Observability` layer armed.  A handful
-of prefixes are registered with the tracer, originated into BGP over its
-public XRL interface, and followed to the FEA FIB; an external collector
-process then scrapes each process's metrics and pulls the span trees over
-the ``trace/1.0`` interface — the scrape goes over the same XRL surface
-any third-party monitoring process would use.
+A full XORP-style stack (BGP + RIB + FEA over XRLs, built from
+:data:`CONFIG` by the Router Manager) runs on a simulated clock with the
+:class:`~repro.obs.Observability` layer armed.  A handful of prefixes are
+registered with the tracer, originated into BGP by an external collector
+process over BGP's public XRL interface, and followed to the FEA FIB; the
+collector then scrapes each process's metrics and pulls the span trees
+over the ``trace/1.0`` interface — the same XRL surface any third-party
+monitoring process would use.
 
 The run is audited into :class:`~repro.analysis.core.Finding`s:
 
@@ -27,15 +28,20 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from repro.analysis.core import Finding
-from repro.bgp import BgpProcess
 from repro.core.process import Host, XorpProcess
 from repro.eventloop import EventLoop, SimulatedClock
-from repro.fea import FeaProcess
 from repro.interfaces import TRACE_IDL
 from repro.net import IPNet, IPv4
 from repro.obs import Observability
-from repro.rib import RibProcess
+from repro.rtrmgr import RouterManager
 from repro.xrl import Xrl, XrlArgs
+
+#: The router under test: BGP with no peers, and the interface the
+#: traced routes' nexthop resolves through.
+CONFIG = """
+interfaces { interface eth0 { address: 10.0.0.2 } }
+protocols { bgp { local-as: 65002 bgp-id: 2.2.2.2 } }
+"""
 
 #: the metrics this scenario must visibly move; zero means broken plumbing
 EXPECTED_NONZERO = (
@@ -127,20 +133,12 @@ def run_obs_flow(route_count: int = 6, *,
     """Run the traced route flow + scrape scenario; audit into findings."""
     loop = loop if loop is not None else EventLoop(SimulatedClock())
     host = Host(loop=loop)
-    fea = FeaProcess(host)
-    rib = RibProcess(host)
-    bgp = BgpProcess(host, local_as=65002, bgp_id=IPv4("2.2.2.2"))
+    manager = RouterManager(host)
+    manager.load(CONFIG)
+    manager.commit()
+    bgp, fea = manager.modules["bgp"], manager.modules["fea"]
     collector = XorpProcess(host, "collector")
     scraper = collector.create_router("collector")
-
-    # Nexthop resolvability for the originated routes.
-    cover = (XrlArgs().add_txt("protocol", "static")
-             .add_ipv4net("net", "10.0.0.0/8").add_ipv4("nexthop", "0.0.0.0")
-             .add_u32("metric", 1).add_list("policytags", []))
-    error, __ = bgp.xrl.send_sync(Xrl("rib", "rib", "1.0", "add_route4", cover),
-                                  deadline=10)
-    if not error.is_okay:
-        raise RuntimeError(str(error))
 
     report = ObsFlowReport()
     report.route_count = route_count
@@ -157,7 +155,7 @@ def run_obs_flow(route_count: int = 6, *,
         for prefix in prefixes:
             args = (XrlArgs().add_ipv4net("net", prefix)
                     .add_ipv4("next_hop", "10.0.0.1").add_bool("unicast", True))
-            error, __ = bgp.xrl.send_sync(
+            error, __ = scraper.send_sync(
                 Xrl("bgp", "bgp", "1.0", "originate_route4", args),
                 deadline=10)
             if not error.is_okay:

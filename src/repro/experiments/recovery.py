@@ -1,8 +1,9 @@
 """Crash-recovery experiment: kill BGP mid-session, measure reconvergence.
 
 The scenario behind the paper's robustness claim (§3, §6.5): a managed
-router (rtrmgr + FEA + RIB + BGP) holds an EBGP session to a remote
-speaker while a seeded :class:`~repro.xrl.transport.fault.FaultFamily`
+router (rtrmgr + FEA + RIB + BGP, from :data:`CONFIG`) holds an EBGP
+session to a remote router (from :data:`REMOTE_CONFIG`, on its own host)
+while a seeded :class:`~repro.xrl.transport.fault.FaultFamily`
 drops a fraction of the frames on the bgp↔rib and rib↔fea XRL streams.
 Mid-session the BGP process is killed through the kill protocol family.
 The :class:`~repro.rtrmgr.supervisor.Supervisor` must notice the death,
@@ -24,25 +25,43 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.bgp import BgpProcess
-from repro.bgp.peer import PeerConfig
 from repro.bgp.session import session_pair
 from repro.core.process import Host
 from repro.eventloop import EventLoop, SimulatedClock
-from repro.fea import FeaProcess
-from repro.net import IPNet, IPv4
-from repro.rib import RibProcess, RibRoute
+from repro.net import IPv4
+from repro.rib import RibProcess
 from repro.rtrmgr import RouterManager, SupervisorPolicy
 from repro.xrl.finder import DEATH
 from repro.xrl.retry import RetryPolicy
 from repro.xrl.transport import FaultFamily
 from repro.xrl.transport.kill import SIGTERM, KillFamily
 
-#: the route the remote peer announces to the router under test
-REMOTE_NET = "99.0.0.0/8"
+#: an address inside the route the remote peer announces to the router
+#: under test, and one inside the route the router under test originates
 REMOTE_PROBE = "99.1.1.1"
-#: the route the router under test originates towards the remote peer
-LOCAL_NET = "88.0.0.0/8"
 LOCAL_PROBE = "88.1.1.1"
+
+#: The router under test: one EBGP peering, one originated network, and
+#: the interface the peer's address resolves through.
+CONFIG = """
+interfaces { interface eth0 { address: 10.0.0.1 } }
+protocols { bgp {
+    local-as: 65001 bgp-id: 1.1.1.1
+    peer 10.0.0.2 { as: 65002 local-ip: 10.0.0.1 }
+    network 88.0.0.0/8 { next-hop: 10.0.0.1 }
+} }
+"""
+
+#: The remote speaker: a second router, on its own host, announcing
+#: 99.0.0.0/8 back.
+REMOTE_CONFIG = """
+interfaces { interface eth0 { address: 10.0.0.2 } }
+protocols { bgp {
+    local-as: 65002 bgp-id: 2.2.2.2
+    peer 10.0.0.1 { as: 65001 local-ip: 10.0.0.2 enabled: true }
+    network 99.0.0.0/8 { next-hop: 10.0.0.2 }
+} }
+"""
 
 
 class RecoveryResult:
@@ -97,8 +116,6 @@ def run_recovery(*, seed: int = 7, drop_probability: float = 0.10,
         scope={frozenset({"bgp", "rib"}), frozenset({"rib", "fea"})})
     retry = RetryPolicy(max_attempts=8, backoff=0.05, attempt_timeout=0.5,
                         seed=seed + 1)
-    fea = FeaProcess(host)
-    rib = RibProcess(host, retry_policy=retry)
     manager = RouterManager(host, policy=policy if policy is not None else
                             SupervisorPolicy(ping_period=1.0,
                                              ping_timeout=0.5,
@@ -106,36 +123,33 @@ def run_recovery(*, seed: int = 7, drop_probability: float = 0.10,
                                              backoff_max=2.0,
                                              stable_after=5.0,
                                              seed=seed + 2))
-    # The BGP module's route stream rides the same retry policy as the RIB's.
+    # BGP's and the RIB's route streams ride one retry policy.
+    manager.register_module_factory(
+        "rib", lambda: RibProcess(host, retry_policy=retry))
     manager.register_module_factory(
         "bgp", lambda **params: BgpProcess(host, retry_policy=retry, **params))
     supervisor = manager.supervisor
 
-    # The peers' addresses resolve through this connected route.
-    rib.v4.origin("connected").originate(
-        RibRoute(IPNet.parse("10.0.0.0/24"), IPv4(0), 0, "connected",
-                 ifname="eth0"))
-
-    # Remote speaker: a plain standalone BGP process on its own host.
     remote_host = Host(loop=loop)
-    remote = BgpProcess(remote_host, local_as=65002, bgp_id=IPv4("2.2.2.2"),
-                        rib_target=None)
-    remote_peer = remote.add_peer(PeerConfig(
-        IPv4("10.0.0.1"), 65001, 65002, IPv4("10.0.0.2"), holdtime=90))
-    remote_peer.enable()
+    remote_manager = RouterManager(remote_host)
+    remote_manager.load(REMOTE_CONFIG)
+    remote_manager.commit()
+    remote = remote_manager.modules["bgp"]
+    remote_peer = remote.peers["10.0.0.1"]
 
     # (Re)wire the session whenever the manager (re)creates the BGP
-    # module — after the initial commit and after every supervised restart.
+    # module — after the initial commit and after every supervised
+    # restart — and have the remote dial it.
     wires = []
 
-    def rewire(name, process) -> None:     # bgp: the one supervised module
-        handler = process.peers["10.0.0.2"]
+    def rewire(name, process) -> None:     # bgp: the one module killed
         if wires:
             old_local, old_remote = wires[-1]
             old_local._peer = None
             old_remote._peer = None
         local_end, remote_end = session_pair(loop, 0.001)
         wires.append((local_end, remote_end))
+        handler = process.peers["10.0.0.2"]
         handler.attach_session(local_end)
         remote_peer.attach_session(remote_end)
         handler.enable()
@@ -156,16 +170,11 @@ def run_recovery(*, seed: int = 7, drop_probability: float = 0.10,
 
     host.finder.watch("recovery-harness", "bgp", bgp_lifetime)
 
-    manager.set("protocols bgp local-as", 65001)
-    manager.set("protocols bgp bgp-id", "1.1.1.1")
-    manager.set("protocols bgp peer 10.0.0.2 as", 65002)
-    manager.set("protocols bgp peer 10.0.0.2 local-ip", "10.0.0.1")
-    manager.set(f"protocols bgp network {LOCAL_NET} next-hop", "10.0.0.1")
+    manager.load(CONFIG)
     manager.commit()
     rewire("bgp", manager.modules["bgp"])
 
-    remote.xrl_originate_route4(IPNet.parse(REMOTE_NET),
-                                IPv4("10.0.0.2"), True)
+    fea = manager.modules["fea"]
 
     def converged() -> bool:
         return (fea.fib4.lookup(IPv4(REMOTE_PROBE)) is not None
@@ -194,7 +203,7 @@ def run_recovery(*, seed: int = 7, drop_probability: float = 0.10,
     reconverged_at = loop.now()
 
     retries = (manager.modules["bgp"].xrl.retries_performed
-               + rib.xrl.retries_performed)
+               + manager.modules["rib"].xrl.retries_performed)
     supervisor.stop()
     result = RecoveryResult(
         kill_at=kill_at, restart_at=restart_at,

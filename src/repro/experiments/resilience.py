@@ -34,11 +34,26 @@ from repro.eventloop import EventLoop, SimulatedClock
 from repro.fea import BackendFaultPlan, FeaProcess
 from repro.net import IPNet, IPv4
 from repro.rib import RibProcess, RibRoute
+from repro.rtrmgr import RouterManager
 
 
 def _route(i: int) -> RibRoute:
     return RibRoute(IPNet(IPv4(0x0A000000 + (i << 8)), 24),
                     IPv4("192.168.0.1"), 1, "static", ifname="eth0")
+
+
+def _router(fea_options: dict, rib_options: dict) -> RouterManager:
+    """The empty configuration — an FEA on the netlink-like backend and a
+    RIB — built with options no configuration text carries.  The routes
+    are a load generator's, written into the RIB's static origin table."""
+    host = Host(loop=EventLoop(SimulatedClock()))
+    manager = RouterManager(host)
+    manager.register_module_factory(
+        "fea", lambda: FeaProcess(host, backend="netlink", **fea_options))
+    manager.register_module_factory(
+        "rib", lambda: RibProcess(host, **rib_options))
+    manager.commit()
+    return manager
 
 
 class ResilienceResult:
@@ -90,15 +105,14 @@ def run_backend_resilience(*, seed: int = 7, routes: int = 64,
                            drop_ack_probability: float = 0.05
                            ) -> ResilienceResult:
     """Run the crash/churn/reattach/reconcile scenario once."""
-    loop = EventLoop(SimulatedClock())
-    host = Host(loop=loop)
-    fea = FeaProcess(host, backend="netlink", backend_options={
+    manager = _router({"backend_options": {
         "fault_plan": BackendFaultPlan(
             seed=seed, nack_probability=nack_probability,
             drop_ack_probability=drop_ack_probability),
         "queue_capacity": 2 * routes,
-    }, driver_options={"retry_base": 0.01, "ack_timeout": 0.2})
-    rib = RibProcess(host)
+    }, "driver_options": {"retry_base": 0.01, "ack_timeout": 0.2}}, {})
+    loop, fea, rib = (manager.loop, manager.modules["fea"],
+                      manager.modules["rib"])
     origin = rib.v4.origin("static")
 
     def consistent() -> bool:
@@ -144,9 +158,8 @@ def run_backend_resilience(*, seed: int = 7, routes: int = 64,
         reconcile_adds=metric("backend.reconcile.adds"),
         reconcile_deletes=metric("backend.reconcile.deletes"),
         served_during_outage=served)
-    rib.shutdown()
-    fea.shutdown()
-    host.shutdown()
+    manager.shutdown()
+    manager.host.shutdown()
     return result
 
 
@@ -192,16 +205,16 @@ def run_throttled_flush(*, routes: int = 256, slowdown: int = 10,
     congested, at most one more in-flight window can land before the
     RIB's flow controller sees the piggybacked signal and pauses.
     """
-    loop = EventLoop(SimulatedClock())
-    host = Host(loop=loop)
-    fea = FeaProcess(host, backend="netlink", backend_options={
+    manager = _router({"backend_options": {
         # The healthy baseline completes in ~1 ms; this backend is
         # `slowdown`x that, per operation.
         "fault_plan": BackendFaultPlan(seed=0, latency=0.001 * slowdown),
         "queue_capacity": 2 * (high_watermark + window),
-    }, driver_options={"high_watermark": high_watermark,
-                       "low_watermark": low_watermark})
-    rib = RibProcess(host, flow_options={"window": window})
+    }, "driver_options": {"high_watermark": high_watermark,
+                          "low_watermark": low_watermark}},
+        {"flow_options": {"window": window}})
+    loop, fea, rib = (manager.loop, manager.modules["fea"],
+                      manager.modules["rib"])
     origin = rib.v4.origin("static")
 
     start = loop.now()
@@ -222,7 +235,6 @@ def run_throttled_flush(*, routes: int = 256, slowdown: int = 10,
         flow_peak_depth=rib.flow.peak_depth,
         polls_sent=rib.flow.polls_sent,
         paused=rib.flow.polls_sent > 0)
-    rib.shutdown()
-    fea.shutdown()
-    host.shutdown()
+    manager.shutdown()
+    manager.host.shutdown()
     return result

@@ -8,27 +8,29 @@
 
 Topology: source peer -> router under test -> sink peer.  The router
 under test is either our full XORP-style stack (BGP + RIB + FEA processes
-over XRLs) or one of the behavioural baselines (event-driven monolithic
-"MRTD", 30-second route scanner "Cisco"/"Quagga").  Time is simulated, so
-a 500-second experiment runs in well under a second of wall time.
+over XRLs, built from :data:`CONFIG` by the Router Manager) or one of
+the behavioural baselines (event-driven monolithic "MRTD", 30-second
+route scanner "Cisco"/"Quagga").  Time is simulated, so a 500-second
+experiment runs in well under a second of wall time.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.bgp import BgpProcess, BgpState
+from repro.bgp import BgpState
 from repro.bgp.attributes import ASPath, Origin, PathAttributeList
 from repro.bgp.messages import UpdateMessage
-from repro.bgp.peer import PeerConfig
-from repro.bgp.session import session_pair
 from repro.core.process import Host
 from repro.eventloop import EventLoop, SimulatedClock
 from repro.net import IPNet, IPv4
+from repro.rtrmgr import RouterManager
 from repro.simnet.baselines import (
     EventDrivenRouterModel,
     ScannerRouterModel,
+    Speaker,
     _BaselineRouter,
+    wire,
 )
 
 SOURCE_AS = 65001
@@ -37,23 +39,16 @@ SINK_AS = 65003
 
 ROUTER_KINDS = ("xorp", "mrtd", "cisco", "quagga")
 
-
-class _Source(_BaselineRouter):
-    def update_from_peer(self, peer, update):
-        pass
-
-    def inject(self, update: UpdateMessage) -> None:
-        next(iter(self.peers.values())).send_message(update)
-
-
-class _Sink(_BaselineRouter):
-    def __init__(self, loop, name, local_as, bgp_id):
-        super().__init__(loop, name, local_as, bgp_id)
-        self.arrivals: List[Tuple[float, IPNet]] = []
-
-    def update_from_peer(self, peer, update):
-        for net in update.nlri:
-            self.arrivals.append((self.loop.now(), net))
+#: The XORP router under test: a peering towards the source and one
+#: towards the sink, each on the interface its nexthop resolves through.
+CONFIG = """
+interfaces { interface eth0 { address: 10.0.0.2 } interface eth1 { address: 10.0.1.2 } }
+protocols { bgp {
+    local-as: 65002 bgp-id: 2.2.2.2
+    peer 10.0.0.1 { as: 65001 local-ip: 10.0.0.2 enabled: true }
+    peer 10.0.1.1 { as: 65003 local-ip: 10.0.1.2 enabled: true }
+} }
+"""
 
 
 class RouteFlowResult:
@@ -104,40 +99,6 @@ class RouteFlowResult:
         return "\n".join(out)
 
 
-def _build_xorp_dut(loop: EventLoop):
-    """The real stack as the device under test."""
-    host = Host(loop=loop)
-    from repro.fea import FeaProcess
-    from repro.rib import RibProcess
-    from repro.xrl import Xrl, XrlArgs
-
-    fea = FeaProcess(host)
-    rib = RibProcess(host)
-    bgp = BgpProcess(host, local_as=DUT_AS, bgp_id=IPv4("2.2.2.2"))
-    # Nexthop resolvability for both peerings.
-    args = (XrlArgs().add_txt("protocol", "static")
-            .add_ipv4net("net", "10.0.0.0/8").add_ipv4("nexthop", "0.0.0.0")
-            .add_u32("metric", 1).add_list("policytags", []))
-    error, __ = bgp.xrl.send_sync(Xrl("rib", "rib", "1.0", "add_route4", args),
-                                  deadline=10)
-    if not error.is_okay:
-        raise RuntimeError(str(error))
-
-    class _XorpAdapter:
-        """Gives the real stack the baseline-model peering interface."""
-
-        def __init__(self) -> None:
-            self.handlers = []
-
-        def add_handler(self, peer_addr, peer_as, local_addr):
-            handler = bgp.add_peer(PeerConfig(
-                IPv4(peer_addr), peer_as, DUT_AS, IPv4(local_addr)))
-            self.handlers.append(handler)
-            return handler
-
-    return _XorpAdapter()
-
-
 def run_route_flow(kinds: Optional[List[str]] = None, *,
                    route_count: int = 255,
                    interval: float = 1.0,
@@ -151,25 +112,18 @@ def run_route_flow(kinds: Optional[List[str]] = None, *,
     result = RouteFlowResult()
     for kind in kinds:
         loop = EventLoop(SimulatedClock())
-        source = _Source(loop, "source", SOURCE_AS, "1.1.1.1")
-        sink = _Sink(loop, "sink", SINK_AS, "3.3.3.3")
+        source = Speaker(loop, "source", SOURCE_AS, "1.1.1.1")
+        sink = Speaker(loop, "sink", SINK_AS, "3.3.3.3")
         source_peer = source.add_peer("dut", DUT_AS)
         sink_peer = sink.add_peer("dut", DUT_AS)
         to_watch = [source_peer.fsm, sink_peer.fsm]
 
         if kind == "xorp":
-            adapter = _build_xorp_dut(loop)
-            in_handler = adapter.add_handler("10.0.0.1", SOURCE_AS, "10.0.0.2")
-            out_handler = adapter.add_handler("10.0.1.1", SINK_AS, "10.0.1.2")
-            s1, s2 = session_pair(loop, session_latency)
-            source_peer.attach_session(s1)
-            in_handler.attach_session(s2)
-            s3, s4 = session_pair(loop, session_latency)
-            out_handler.attach_session(s3)
-            sink_peer.attach_session(s4)
-            in_handler.enable()
-            out_handler.enable()
-            to_watch.extend([in_handler.fsm, out_handler.fsm])
+            manager = RouterManager(Host(loop=loop))
+            manager.load(CONFIG)
+            manager.commit()
+            dut_in, dut_out = (manager.modules["bgp"].peers[addr]
+                               for addr in ("10.0.0.1", "10.0.1.1"))
         else:
             if kind == "mrtd":
                 dut: _BaselineRouter = EventDrivenRouterModel(
@@ -179,17 +133,12 @@ def run_route_flow(kinds: Optional[List[str]] = None, *,
                                          scan_interval=scan_interval)
             dut_in = dut.add_peer("in", SOURCE_AS)
             dut_out = dut.add_peer("out", SINK_AS)
-            s1, s2 = session_pair(loop, session_latency)
-            source_peer.attach_session(s1)
-            dut_in.attach_session(s2)
-            s3, s4 = session_pair(loop, session_latency)
-            dut_out.attach_session(s3)
-            sink_peer.attach_session(s4)
             dut.start()
-            to_watch.extend([dut_in.fsm, dut_out.fsm])
-
         source.start()
         sink.start()
+        wire(loop, source_peer, dut_in, session_latency)
+        wire(loop, dut_out, sink_peer, session_latency)
+        to_watch.extend([dut_in.fsm, dut_out.fsm])
         if not loop.run_until(
                 lambda: all(f.state == BgpState.ESTABLISHED for f in to_watch),
                 timeout=120.0):

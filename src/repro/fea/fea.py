@@ -169,11 +169,12 @@ class FeaProcess(XorpProcess):
             return {"resolves": False, "net": IPNet(IPv4(0), 0),
                     "nexthop": IPv4(0), "ifname": ""}
         ifname = entry.ifname
-        if not ifname and not entry.nexthop.is_zero():
-            # Recursive route: resolve the gateway to its interface.
-            via = self.fib4.lookup(entry.nexthop)
-            if via is not None:
-                ifname = via.ifname
+        if not ifname:
+            # The egress interface is the one on the gateway's subnet: the
+            # destination's own, for a connected route.
+            gateway = addr if entry.nexthop.is_zero() else entry.nexthop
+            interface = self.ifmgr.interface_for_addr(gateway)
+            ifname = interface.name if interface is not None else ""
         return {"resolves": True, "net": entry.net,
                 "nexthop": entry.nexthop, "ifname": ifname}
 

@@ -39,7 +39,8 @@ from repro.rtrmgr.translate import translate
 from repro.xrl import XrlArgs, XrlError
 from repro.xrl.xrl import Xrl
 
-#: Finder ACLs installed per module class (target classes it may resolve)
+#: Finder ACLs installed per module class (target classes it may resolve);
+#: each manager starts from a copy, which its registrations extend
 MODULE_ACLS = {
     "bgp": {"rib", "bgp"},
     "rip": {"rib", "fea", "rip"},
@@ -93,6 +94,7 @@ class RouterManager(XorpProcess):
         self.modules: Dict[str, Any] = {}
         #: the XRL class a module registers under, where not its own name
         self.class_names: Dict[str, str] = {}
+        self.acls = {name: set(targets) for name, targets in MODULE_ACLS.items()}
         self.supervisor = Supervisor(self, policy)
         self.commit_count = 0
         self.metrics.gauge("modules", lambda: len(self.modules))
@@ -127,7 +129,7 @@ class RouterManager(XorpProcess):
         """
         self.launcher.factories[name] = factory
         if allowed_targets is not None:
-            MODULE_ACLS[name] = set(allowed_targets)
+            self.acls[name] = set(allowed_targets)
 
     def start_module(self, name: str, *, supervise: bool = True):
         """Launch *name* for the first time, under the candidate tree."""
@@ -147,7 +149,7 @@ class RouterManager(XorpProcess):
         class_name = self.class_names.get(name, name)
         handle = self.launcher.start(name, class_name, params)
         self.modules[name] = handle
-        acl = MODULE_ACLS.get(name)
+        acl = self.acls.get(name)
         if acl is not None:
             for instance in self.host.finder.class_instances(class_name):
                 self.host.finder.set_acl(instance, allowed_targets=set(acl))

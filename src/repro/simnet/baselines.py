@@ -17,6 +17,10 @@ only in the property under test:
 * :class:`EventDrivenRouterModel` (MRTD / BIRD): a single-process
   event-driven router that propagates each update as it arrives, after a
   small per-update processing cost.
+
+:class:`Speaker` is the test equipment on the same shell: the BGP
+speaker every experiment and example injects routes with and receives
+them on.
 """
 
 from __future__ import annotations
@@ -25,8 +29,18 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.bgp.fsm import PeerFSM
 from repro.bgp.messages import UpdateMessage
-from repro.bgp.session import BgpSession
+from repro.bgp.session import BgpSession, session_pair
 from repro.net import IPNet, IPv4
+
+
+def wire(loop, end_a, end_b, latency: float = 0.0) -> None:
+    """Plug two started peerings — a router's enabled ``PeerHandler`` or
+    a started model's peer — into a fresh in-memory session pair, and
+    connect it from *end_a*'s side."""
+    session_a, session_b = session_pair(loop, latency)
+    end_a.attach_session(session_a)
+    end_b.attach_session(session_b)
+    session_a.connect()
 
 
 class _ModelPeer:
@@ -135,6 +149,28 @@ class _BaselineRouter:
             if peer.fsm.state == BgpState.ESTABLISHED:
                 self.updates_propagated += 1
                 peer.send_message(forwarded)
+
+
+class Speaker(_BaselineRouter):
+    """A BGP speaker that injects UPDATEs and records what it is sent.
+
+    It never propagates: the injectors, sinks and flapping neighbours of
+    the experiments and examples, attached to a configured router's peer
+    with :func:`wire`.
+    """
+
+    def __init__(self, loop, name: str, local_as: int, bgp_id: str):
+        super().__init__(loop, name, local_as, bgp_id)
+        #: ``(arrival time, prefix)`` for every prefix announced to us
+        self.arrivals: List[Tuple[float, IPNet]] = []
+
+    def update_from_peer(self, peer: _ModelPeer, update: UpdateMessage) -> None:
+        now = self.loop.now()
+        self.arrivals.extend((now, net) for net in update.nlri)
+
+    def inject(self, update: UpdateMessage) -> None:
+        for peer in self.peers.values():
+            peer.send_message(update)
 
 
 class EventDrivenRouterModel(_BaselineRouter):

@@ -9,9 +9,8 @@ from repro.core.process import Host
 from repro.eventloop import EventLoop, SimulatedClock
 from repro.fea import FeaProcess
 from repro.fea.rawsock import DeliveryCallback, PacketIO
-from repro.net import IPNet, IPv4
-from repro.rib import RibProcess
-from repro.rib.route import RibRoute
+from repro.net import IPv4
+from repro.rtrmgr import RouterManager
 
 RIP_MCAST = IPv4("224.0.0.9")
 
@@ -92,7 +91,10 @@ class SimPacketIO(PacketIO):
 
 
 class SimRouter:
-    """One router: its own Host (Finder, process isolation) + FEA + RIB."""
+    """One router: its own Host (Finder, process isolation) and Router
+    Manager, whose FEA sends and receives datagrams over this router's
+    links.  Protocols are configured through ``manager``; its links are
+    ``interfaces`` in the same configuration."""
 
     def __init__(self, network: "SimNetwork", name: str):
         self.network = network
@@ -100,23 +102,18 @@ class SimRouter:
         self.loop = network.loop
         self.host = Host(loop=network.loop)
         self.packet_io = SimPacketIO()
-        self.fea = FeaProcess(self.host, packet_io=self.packet_io)
-        self.rib = RibProcess(self.host)
-        self.processes: Dict[str, object] = {}
-        self._if_count = 0
+        self.manager = RouterManager(self.host)
+        self.manager.register_module_factory(
+            "fea", lambda: FeaProcess(self.host, packet_io=self.packet_io))
+        self.manager.commit()    # every router has an FEA and a RIB
 
-    def next_ifname(self) -> str:
-        self._if_count += 1
-        return f"eth{self._if_count - 1}"
+    @property
+    def fea(self) -> FeaProcess:
+        return self.manager.modules["fea"]
 
-    def add_connected_route(self, subnet: IPNet, ifname: str) -> None:
-        """Directly install a connected route in the RIB (as the FEA would)."""
-        origin = self.rib.v4.origin("connected")
-        origin.originate(RibRoute(subnet, IPv4(0), 0, "connected",
-                                  ifname=ifname))
-
-    def fib_lookup(self, addr: IPv4):
-        return self.fea.fib4.lookup(addr)
+    @property
+    def rib(self):
+        return self.manager.modules["rib"]
 
 
 class SimNetwork:
@@ -139,26 +136,24 @@ class SimNetwork:
 
     def link(self, router_a: SimRouter, addr_a: str,
              router_b: SimRouter, addr_b: str, *,
-             prefix_len: int = 24, delay: float = 0.001,
-             cost: int = 1) -> Link:
+             prefix_len: int = 24, delay: float = 0.001) -> Link:
         """Connect two routers with a point-to-point link.
 
-        Creates the interfaces, installs connected routes in both RIBs.
+        Each end is the router's next ``eth<n>`` interface, which its
+        manager commits — filing the connected route in that router's RIB.
         """
-        ifname_a = router_a.next_ifname()
-        ifname_b = router_b.next_ifname()
-        interface_a = router_a.fea.ifmgr.create(ifname_a, addr_a, prefix_len,
-                                                cost=cost)
-        interface_b = router_b.fea.ifmgr.create(ifname_b, addr_b, prefix_len,
-                                                cost=cost)
-        end_a = _LinkEnd(router_a, ifname_a, interface_a.addr)
-        end_b = _LinkEnd(router_b, ifname_b, interface_b.addr)
-        link = Link(self, end_a, end_b, delay)
-        router_a.packet_io.attach(ifname_a, link, end_a)
-        router_b.packet_io.attach(ifname_b, link, end_b)
+        ends = []
+        for router, addr in ((router_a, addr_a), (router_b, addr_b)):
+            ifname = f"eth{len(router.fea.ifmgr)}"
+            router.manager.set(f"interfaces interface {ifname} address", addr)
+            router.manager.set(f"interfaces interface {ifname} prefix-length",
+                               prefix_len)
+            ends.append(_LinkEnd(router, ifname, IPv4(addr)))
+        link = Link(self, *ends, delay)
+        for end in ends:
+            end.router.packet_io.attach(end.ifname, link, end)
+            end.router.manager.commit()
         self.links.append(link)
-        router_a.add_connected_route(interface_a.subnet, ifname_a)
-        router_b.add_connected_route(interface_b.subnet, ifname_b)
         return link
 
     # -- BGP session plumbing --------------------------------------------------
@@ -183,18 +178,7 @@ class SimNetwork:
         if ttl <= 0:
             self.dropped += 1
             return
-        entry = router.fea.fib4.lookup(dst)
-        if entry is None:
-            self.dropped += 1
-            return
-        ifname = entry.ifname
-        if not ifname and not entry.nexthop.is_zero():
-            # Recursive lookup: route via a gateway; find its interface.
-            via = router.fea.fib4.lookup(entry.nexthop)
-            ifname = via.ifname if via is not None else ""
-        if not ifname:
-            self.dropped += 1
-            return
+        ifname = router.fea.xrl_lookup_entry4(dst)["ifname"]
         linked = router.packet_io._ends.get(ifname)
         if linked is None:
             self.dropped += 1

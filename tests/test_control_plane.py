@@ -2,7 +2,9 @@
 
 * **Deployment equivalence** — one configuration text, committed under the
   in-process launcher and under the process launcher, makes the manager
-  send the identical ordered XRL list, and the two FIBs agree.
+  send the identical ordered XRL list, and the two FIBs agree.  So does
+  every configuration an experiment or example commits, unless it needs a
+  module without a ``python -m`` main, which the process launcher refuses.
 * **Restart = filtered translation** — what a reborn module is told is
   ``translate(empty, committed)`` filtered to its target, nothing else.
 * **A failed commit changes nothing the manager remembers** — the retry
@@ -13,16 +15,21 @@ children; there the module handle has a pid and nothing else to read, so
 those halves also prove the commit path reads no module state.
 """
 
+import importlib.util
 import os
 import signal
+from pathlib import Path
 
 import pytest
 
 from repro.core.process import Host
+from repro.experiments import latency, obsflow, recovery, routeflow
 from repro.net import IPNet, IPv4
 from repro.rtrmgr import CommitError, ConfigTree, RouterManager
+from repro.rtrmgr.rtrmgr import MODULE_SUBTREES
 from repro.rtrmgr.spawn import SpawnManager
 from repro.rtrmgr.supervisor import UP
+from repro.rtrmgr.template import DEFAULT_TEMPLATE, parse_template
 from repro.rtrmgr.translate import translate
 from repro.xrl import XrlArgs
 from repro.xrl.transport.kill import SIGTERM, KillFamily
@@ -66,6 +73,71 @@ SECOND_COMMIT = [
     ("bgp", "delete_peer"), ("bgp", "withdraw_route4"),
     ("bgp", "originate_route4"),
 ]
+
+#: the modules with a ``python -m`` main, which ``ProcessLauncher`` runs
+MAINS = ("fea", "rib", "bgp")
+
+
+def example(name):
+    """``examples/<name>.py`` as a module, its ``main()`` not run."""
+    path = Path(__file__).resolve().parent.parent / "examples" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"example_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def session_text(lines):
+    """The candidate an operator's ``set`` / ``create`` CLI lines build."""
+    tree = ConfigTree(parse_template(DEFAULT_TEMPLATE))
+    for line in lines:
+        command, *path = line.split()
+        if command == "set":
+            tree.set(path[:-1], path[-1])
+        else:
+            tree.set(path)
+    return tree.render()
+
+
+def harness_configs():
+    """``{name: text}``: every configuration an experiment or an example
+    commits, each distinct text once."""
+    bgp_network, policy_routing, flap_damping, quickstart, ospf_area, \
+        multicast_pim = (example(name) for name in (
+            "bgp_network", "policy_routing", "flap_damping", "quickstart",
+            "ospf_area", "multicast_pim"))
+    configs = {
+        "latency": latency.CONFIG,
+        "routeflow": routeflow.CONFIG,
+        "obsflow": obsflow.CONFIG,
+        "recovery": recovery.CONFIG,
+        "recovery remote": recovery.REMOTE_CONFIG,
+        "bgp_network r1": bgp_network.R1_CONFIG,
+        "bgp_network r2": bgp_network.R2_CONFIG,
+        "bgp_network r3": bgp_network.R3_CONFIG,
+        "policy_routing r1": policy_routing.R1_CONFIG,
+        "policy_routing r2": policy_routing.R2_CONFIG,
+        "flap_damping": flap_damping.CONFIG,
+        "quickstart r1": session_text(quickstart.R1_SESSION),
+        "quickstart r2": quickstart.R2_CONFIG,
+        "multicast_pim": multicast_pim.CONFIG,
+        "multicast_pim reroute": multicast_pim.REROUTE,
+        **{f"ospf_area {router}": text
+           for router, text in ospf_area.CONFIGS.items()},
+    }
+    distinct = {text: name for name, text in configs.items()}
+    return {name: text for text, name in distinct.items()}
+
+
+HARNESS_CONFIGS = harness_configs()
+
+
+def without_main(text):
+    """The first module *text* starts that ``ProcessLauncher`` cannot."""
+    tree = ConfigTree(parse_template(DEFAULT_TEMPLATE))
+    tree.load(text)
+    return next((name for name, subtree in MODULE_SUBTREES
+                 if tree.exists(list(subtree)) and name not in MAINS), None)
 
 
 def spy_sends(manager):
@@ -171,6 +243,42 @@ class TestDeploymentEquivalence:
         assert lookups == [("203.0.113.0/24", "10.0.0.1"),
                            ("10.0.0.0/24", "0.0.0.0")]
         assert results["process"] == results["inproc"]
+
+    @pytest.mark.parametrize("name", sorted(
+        name for name, text in HARNESS_CONFIGS.items()
+        if without_main(text) is None))
+    def test_harness_configuration_same_xrls_both_launchers(self, name):
+        """A harness's configuration means the same XRLs in either
+        deployment: every module it needs has a ``python -m`` main."""
+        sent = {}
+        for deployment in ("inproc", "process"):
+            manager = make_manager(deployment)
+            try:
+                sent[deployment] = spy_sends(manager)
+                manager.load(HARNESS_CONFIGS[name])
+                manager.commit()
+            finally:
+                manager.shutdown()
+                manager.host.shutdown()
+        assert sent["inproc"], name
+        assert sent["process"] == sent["inproc"]
+
+    def test_harness_configurations_needing_a_module_without_a_main(self):
+        """The rest are refused by ``ProcessLauncher``, naming the first
+        module it cannot run (ROADMAP item 6: only fea, rib and bgp have
+        a main)."""
+        refused = {name: without_main(text)
+                   for name, text in HARNESS_CONFIGS.items()
+                   if without_main(text) is not None}
+        assert set(refused.values()) == {"rip", "ospf", "static_routes"}
+        manager = make_manager("process")
+        try:
+            for name, module in sorted(refused.items()):
+                manager.load(HARNESS_CONFIGS[name])
+                with pytest.raises(CommitError, match=module):
+                    manager.commit()
+        finally:
+            manager.shutdown()
 
     def test_process_launcher_refuses_a_module_without_a_main(self):
         manager = make_manager("process")

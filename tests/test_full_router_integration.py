@@ -12,7 +12,7 @@ from repro.bgp.process import LOCAL_PEER_ID
 from repro.bgp.route import BGPRoute
 from repro.net import IPNet, IPv4
 from repro.obs import Observability
-from repro.rtrmgr import Cli, RouterManager
+from repro.rtrmgr import Cli
 from repro.sanitizer import runtime_xrl_edges, unexplained_edges
 from repro.simnet import SimNetwork
 
@@ -50,8 +50,8 @@ def two_managed_routers():
     r2 = network.add_router("r2")
     network.link(r1, "10.0.0.1", r2, "10.0.0.2")
     network.run(duration=1)
-    mgr1 = RouterManager(r1.host)
-    mgr2 = RouterManager(r2.host)
+    mgr1 = r1.manager
+    mgr2 = r2.manager
     return network, r1, r2, mgr1, mgr2
 
 
@@ -123,6 +123,7 @@ class TestManagedBgpPair:
     def test_second_commit_is_incremental(self, two_managed_routers):
         network, r1, r2, mgr1, mgr2 = two_managed_routers
         cli = Cli(mgr1)
+        commits = mgr1.commit_count     # the router's own, its link's
         cli.execute("set protocols static route 192.168.0.0/16 next-hop 10.0.0.2")
         assert cli.execute("commit") == "Commit OK"
         static = mgr1.modules["static_routes"]
@@ -131,7 +132,7 @@ class TestManagedBgpPair:
         assert cli.execute("commit") == "Commit OK"
         assert static is mgr1.modules["static_routes"]  # not restarted
         assert len(static.routes) == 2
-        assert mgr1.commit_count == 2
+        assert mgr1.commit_count == commits + 2
 
 
 def _is_subsequence(needle, haystack):

@@ -83,8 +83,6 @@ def build_rip_pair(update_interval=5.0, triggered_delay=0.5):
                        route_timeout=4 * update_interval,
                        gc_timeout=2 * update_interval,
                        triggered_delay=triggered_delay)
-    a.processes["rip"] = rip_a
-    b.processes["rip"] = rip_b
     enable_rip(rip_a, "eth0", "10.0.0.1")
     enable_rip(rip_b, "eth0", "10.0.0.2")
     return network, a, b, rip_a, rip_b

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.process import Host, XorpProcess
 from repro.net import IPNet, IPv4
 from repro.rtrmgr import (
     Cli,
@@ -126,7 +127,7 @@ def managed_router():
     router = network.add_router("r1")
     peer_router = network.add_router("r2")
     network.link(router, "10.0.0.1", peer_router, "10.0.0.2")
-    rtrmgr = RouterManager(router.host)
+    rtrmgr = router.manager
     network.run(duration=1)
     return network, router, peer_router, rtrmgr
 
@@ -215,6 +216,27 @@ class TestCommit:
         rtrmgr.start_module("toy")
         assert created and "toy" in rtrmgr.modules
 
+    def test_module_acls_are_per_manager(self):
+        """One manager's ``allowed_targets`` binds its own module alone:
+        a second manager's ``toy`` gets no ACL."""
+        instances = []
+        for allowed in ({"rib"}, None):
+            host = Host()
+            manager = RouterManager(host)
+
+            def toy(host=host):
+                process = XorpProcess(host, "toy")
+                instances.append(
+                    (host, process.create_router("toy").instance_name))
+                return process
+
+            manager.register_module_factory("toy", toy,
+                                            allowed_targets=allowed)
+            manager.start_module("toy", supervise=False)
+        (first_host, first), (second_host, second) = instances
+        assert first_host.finder._acls[first].allowed_targets == {"rib"}
+        assert second not in second_host.finder._acls
+
 
 class TestCli:
     def test_set_show_commit(self, managed_router):
@@ -290,7 +312,7 @@ class TestOspfCommit:
         rtrmgr.set("protocols ospf router-id", "1.1.1.1")
         rtrmgr.set("protocols ospf interface eth0 cost", 1)
         rtrmgr.commit()
-        rtrmgr2 = RouterManager(peer_router.host)
+        rtrmgr2 = peer_router.manager
         rtrmgr2.set("protocols ospf router-id", "2.2.2.2")
         rtrmgr2.set("protocols ospf interface eth0 cost", 1)
         rtrmgr2.commit()

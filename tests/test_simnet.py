@@ -9,6 +9,7 @@ from repro.simnet import (
     ScannerRouterModel,
     SimNetwork,
 )
+from repro.simnet.baselines import Speaker
 from repro.fea.fib import FibEntry
 
 
@@ -111,20 +112,8 @@ class SinkPeer:
     """Records update arrival times at the far side of a model router."""
 
     def __init__(self, loop, local_as, peer_as):
-        from repro.simnet.baselines import _BaselineRouter
-
-        self.arrivals = []
-        outer = self
-
-        class _Sink(_BaselineRouter):
-            def update_from_peer(self, peer, update):
-                for prefix in update.nlri:
-                    outer.arrivals.append((network_now(loop), prefix))
-
-        def network_now(loop_):
-            return loop_.now()
-
-        self.router = _Sink(loop, "sink", local_as, "9.9.9.9")
+        self.router = Speaker(loop, "sink", local_as, "9.9.9.9")
+        self.arrivals = self.router.arrivals
         self.peer = self.router.add_peer("in", peer_as)
 
     def start(self):
