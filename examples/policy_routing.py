@@ -23,7 +23,6 @@ from repro.policy import PolicyResult, PolicyVM, RibVarRW, compile_source
 from repro.rib.route import RibRoute
 from repro.rtrmgr import RouterManager
 from repro.simnet.baselines import wire
-from repro.xrl import Xrl, XrlArgs
 
 R1_CONFIG = """
 interfaces { interface eth0 { address: 10.0.0.1 } }
@@ -87,11 +86,11 @@ def main() -> None:
     show_routes(bgp2)
 
     print("\n== operator installs the import policy on r2 (live) ==")
-    args = (XrlArgs().add_u32("filter_id", 1)
-            .add_txt("policy_source", IMPORT_POLICY))
-    error, __ = r2.xrl.send_sync(
-        Xrl("bgp", "policy", "0.1", "configure_filter", args), deadline=10)
-    print(f"configure_filter: {'OK' if error.is_okay else error}")
+    # The commit sends BGP one configure_filter XRL carrying the source.
+    r2.set("policy statement customer-in source", IMPORT_POLICY)
+    r2.set("protocols bgp import-policy", "customer-in")
+    r2.commit()
+    print("configure_filter: OK")
     # Background re-filtering removes 203.0.113.0/24 and retags the rest.
     loop.run_until(
         lambda: IPNet.parse("203.0.113.0/24") not in bgp2.decision.winners,

@@ -12,6 +12,7 @@ from enum import IntEnum
 from typing import List, Optional, Tuple
 
 from repro.bgp.attributes import BGPAttributeError, PathAttributeList
+from repro.eventloop.stream import FrameReassembler
 from repro.net import IPNet, IPv4
 
 MARKER = b"\xff" * 16
@@ -294,28 +295,25 @@ def decode_message(data: bytes):
     return decoder(data[HEADER_LEN:])
 
 
+def _message_length(data: bytearray) -> int:
+    """The length field of the header at the front of *data*."""
+    (length,) = struct.unpack_from("!H", data, 16)
+    if not HEADER_LEN <= length <= MAX_MESSAGE_LEN:
+        raise BGPDecodeError(
+            f"bad stream length {length}",
+            ErrorCode.MESSAGE_HEADER_ERROR, 2,
+        )
+    return length
+
+
 class MessageReader:
     """Incremental reassembly of BGP messages from a byte stream."""
 
-    __slots__ = ("_buffer",)
+    __slots__ = ("_frames",)
 
     def __init__(self) -> None:
-        self._buffer = bytearray()
+        self._frames = FrameReassembler(HEADER_LEN, _message_length)
 
     def feed(self, chunk: bytes) -> List[object]:
         """Append stream bytes; return every complete decoded message."""
-        self._buffer.extend(chunk)
-        messages = []
-        while len(self._buffer) >= HEADER_LEN:
-            (length,) = struct.unpack_from("!H", self._buffer, 16)
-            if not HEADER_LEN <= length <= MAX_MESSAGE_LEN:
-                raise BGPDecodeError(
-                    f"bad stream length {length}",
-                    ErrorCode.MESSAGE_HEADER_ERROR, 2,
-                )
-            if len(self._buffer) < length:
-                break
-            frame = bytes(self._buffer[:length])
-            del self._buffer[:length]
-            messages.append(decode_message(frame))
-        return messages
+        return [decode_message(frame) for frame in self._frames.feed(chunk)]

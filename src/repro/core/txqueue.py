@@ -23,16 +23,14 @@ from repro.xrl.xrl import Xrl
 class XrlTransmitQueue:
     """Window-limited pipelined sender of XRLs to one or more targets.
 
-    *retry* and *deadline* are handed through to every
-    :meth:`XrlRouter.send`.  Route streams (BGP → RIB, RIB → FEA) are
-    idempotent, so queues carrying them opt in to retries: a dropped frame
-    then costs one backoff instead of wedging the window forever.
+    *retry* is handed through to every :meth:`XrlRouter.send`.  Route
+    streams (BGP → RIB, RIB → FEA) are idempotent, so queues carrying them
+    opt in to retries: a dropped frame then costs one backoff instead of
+    wedging the window forever.
     """
 
     def __init__(self, router: XrlRouter, *, window: int = 100,
-                 on_error: Optional[Callable[[Xrl, XrlError], None]] = None,
-                 retry: Optional[RetryPolicy] = None,
-                 deadline: Optional[float] = None):
+                 retry: Optional[RetryPolicy] = None):
         if window < 1:
             raise ValueError(f"window must be >= 1, got {window}")
         self._router = router
@@ -40,9 +38,7 @@ class XrlTransmitQueue:
         self._queue: Deque[Tuple[Xrl, Optional[Callable], Optional[Callable],
                                  bool]] = deque()
         self._inflight = 0
-        self._on_error = on_error
         self._retry = retry
-        self._deadline = deadline
         self.sent_count = 0
 
     def __len__(self) -> int:
@@ -76,14 +72,6 @@ class XrlTransmitQueue:
         self._queue.append((xrl, on_sent, on_reply, batch))
         self._pump()
 
-    def enqueue_batch(self, items) -> None:
-        """Queue several ``(xrl, on_sent, on_reply)`` tuples with the batch
-        hint set, draining the window in one pass."""
-        append = self._queue.append
-        for xrl, on_sent, on_reply in items:
-            append((xrl, on_sent, on_reply, True))
-        self._pump()
-
     def _pump(self) -> None:
         queue = self._queue
         popleft = queue.popleft
@@ -94,15 +82,12 @@ class XrlTransmitQueue:
             self.sent_count += 1
             if on_sent is not None:
                 on_sent()
-            send(xrl, self._completion(xrl, on_reply),
-                 retry=self._retry, deadline=self._deadline,
+            send(xrl, self._completion(on_reply), retry=self._retry,
                  batch=batch)
 
-    def _completion(self, xrl: Xrl, on_reply) -> Callable:
+    def _completion(self, on_reply) -> Callable:
         def done(error: XrlError, args: XrlArgs) -> None:
             self._inflight -= 1
-            if not error.is_okay and self._on_error is not None:
-                self._on_error(xrl, error)
             if on_reply is not None:
                 on_reply(error, args)
             self._pump()

@@ -1,6 +1,7 @@
 """Non-blocking TCP on the event loop: the one socket state machine,
 under the XRL TCP family's ``FramedChannel`` and BGP's ``TcpSession``,
-and the one accept loop (:class:`StreamListener`).
+the one accept loop (:class:`StreamListener`) and the one reassembler
+of length-prefixed frames (:class:`FrameReassembler`).
 """
 
 from __future__ import annotations
@@ -8,13 +9,52 @@ from __future__ import annotations
 import contextlib
 import errno
 import socket
-from typing import Callable, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 #: What one ``recv`` takes.
 CHUNK_BYTES = 64 * 1024
 
 #: Unsent bytes past which a serving channel stops reading its peer.
 MAX_UNSENT_BYTES = 1024 * 1024
+
+
+class FrameReassembler:
+    """Cuts length-prefixed frames off a byte stream, across chunks.
+
+    Every frame opens with a *header* of fixed size.  *frame_length*
+    reads the whole frame's length, header included, from the buffered
+    bytes once a header is there — and raises the caller's own
+    ``ValueError`` for a length it refuses, which drops everything
+    buffered.  *strip_header* returns each frame's body only.
+    """
+
+    __slots__ = ("_data", "_header", "_frame_length", "_start")
+
+    def __init__(self, header: int,
+                 frame_length: Callable[[bytearray], int], *,
+                 strip_header: bool = False):
+        self._data = bytearray()
+        self._header = header
+        self._frame_length = frame_length
+        self._start = header if strip_header else 0
+
+    def feed(self, chunk: bytes) -> List[bytes]:
+        """Absorb *chunk*; return the frames it completed, in order."""
+        data = self._data
+        data += chunk
+        header, start = self._header, self._start
+        frames = []
+        while len(data) >= header:
+            try:
+                length = self._frame_length(data)
+            except ValueError:
+                data.clear()  # the stream is unusable: retain nothing
+                raise
+            if len(data) < length:
+                break
+            frames.append(bytes(data[start:length]))
+            del data[:length]
+        return frames
 
 
 class StreamChannel:

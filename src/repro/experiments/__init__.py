@@ -17,7 +17,7 @@ throughput, latency and memory are measured:
 * :mod:`repro.experiments.recovery`  — supervised crash recovery: kill
   BGP mid-session under seeded frame loss, measure time-to-reconverge;
 * :mod:`repro.experiments.resilience` — dataplane-backend resilience:
-  blackhole time across a backend crash/reattach, and the watermark
+  blackhole time across a backend crash/reattach, and the RIB window's
   bound on a full-table flush into a slow backend.
 """
 

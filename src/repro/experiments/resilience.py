@@ -14,11 +14,10 @@ Two scenarios behind the pluggable-FIB robustness story:
 * :func:`run_throttled_flush` — the RIB flushes a full table into a
   backend whose completion latency is several times the healthy rate.
   Without backpressure the FEA's un-acked queue would grow with the
-  table size; with it, the driver latches ``congested`` at its high
-  watermark, the reply piggyback pauses the RIB's flow controller, and
-  the peak queue stays under ``high_watermark`` plus one in-flight
-  window regardless of how many routes are flushed.  The run reports
-  that peak against its bound.
+  table size; with it — the FEA answers a FIB XRL only once the backend
+  has settled it — the RIB's in-flight window is the bound, regardless
+  of how many routes are flushed.  The run reports the peak queue
+  against that window.
 
 Everything runs on one :class:`~repro.eventloop.clock.SimulatedClock`
 and all fault decisions come from the seeded
@@ -28,6 +27,8 @@ reproduces the whole timeline exactly.  Used by the
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 from repro.core.process import Host
 from repro.eventloop import EventLoop, SimulatedClock
@@ -163,56 +164,34 @@ def run_backend_resilience(*, seed: int = 7, routes: int = 64,
     return result
 
 
-class ThrottledFlushResult:
+class ThrottledFlushResult(NamedTuple):
     """Queue behaviour of one full-table flush into a slow backend."""
 
-    __slots__ = ("routes", "elapsed", "peak_pending", "pending_bound",
-                 "flow_peak_depth", "polls_sent", "paused")
-
-    def __init__(self, *, routes: int, elapsed: float, peak_pending: int,
-                 pending_bound: int, flow_peak_depth: int, polls_sent: int,
-                 paused: bool):
-        self.routes = routes
-        self.elapsed = elapsed
-        self.peak_pending = peak_pending
-        self.pending_bound = pending_bound
-        self.flow_peak_depth = flow_peak_depth
-        self.polls_sent = polls_sent
-        self.paused = paused
+    routes: int
+    elapsed: float
+    peak_pending: int
+    window: int
 
     @property
     def bounded(self) -> bool:
-        """The watermark bound held: no unbounded queue growth."""
-        return self.peak_pending <= self.pending_bound
-
-    def fingerprint(self) -> tuple:
-        return (round(self.elapsed, 9), self.peak_pending,
-                self.flow_peak_depth, self.polls_sent)
-
-    def __repr__(self) -> str:
-        return (f"<ThrottledFlushResult peak={self.peak_pending}"
-                f"/{self.pending_bound} polls={self.polls_sent} "
-                f"elapsed={self.elapsed:.3f}s>")
+        """The window bound held: no unbounded queue growth."""
+        return self.peak_pending <= self.window
 
 
 def run_throttled_flush(*, routes: int = 256, slowdown: int = 10,
-                        window: int = 32, high_watermark: int = 64,
-                        low_watermark: int = 16) -> ThrottledFlushResult:
+                        window: int = 32) -> ThrottledFlushResult:
     """Flush *routes* into a backend *slowdown*x slower than baseline.
 
     The bound asserted by the benchmark: the FEA's un-acked queue never
-    exceeds ``high_watermark + window`` — once the driver latches
-    congested, at most one more in-flight window can land before the
-    RIB's flow controller sees the piggybacked signal and pauses.
+    exceeds the RIB's in-flight *window*, because the FEA answers each
+    FIB XRL only once the backend has settled every op it carried.
     """
     manager = _router({"backend_options": {
         # The healthy baseline completes in ~1 ms; this backend is
         # `slowdown`x that, per operation.
         "fault_plan": BackendFaultPlan(seed=0, latency=0.001 * slowdown),
-        "queue_capacity": 2 * (high_watermark + window),
-    }, "driver_options": {"high_watermark": high_watermark,
-                          "low_watermark": low_watermark}},
-        {"flow_options": {"window": window}})
+        "queue_capacity": 2 * window,
+    }}, {"flow_options": {"window": window}})
     loop, fea, rib = (manager.loop, manager.modules["fea"],
                       manager.modules["rib"])
     origin = rib.v4.origin("static")
@@ -225,16 +204,11 @@ def run_throttled_flush(*, routes: int = 256, slowdown: int = 10,
     if not loop.run_until(done, timeout=600.0):
         raise RuntimeError(
             f"throttled flush stalled: {len(fea.backend.dump(32))}"
-            f"/{routes} installed, {fea.driver.queued} pending")
+            f"/{routes} installed")
     elapsed = loop.now() - start
 
-    result = ThrottledFlushResult(
-        routes=routes, elapsed=elapsed,
-        peak_pending=fea.driver.peak_pending,
-        pending_bound=high_watermark + window,
-        flow_peak_depth=rib.flow.peak_depth,
-        polls_sent=rib.flow.polls_sent,
-        paused=rib.flow.polls_sent > 0)
+    result = ThrottledFlushResult(routes, elapsed, fea.driver.peak_pending,
+                                  window)
     manager.shutdown()
     manager.host.shutdown()
     return result

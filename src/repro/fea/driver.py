@@ -1,4 +1,4 @@
-"""The backend driver: retries, timeouts, backpressure, reconciliation.
+"""The backend driver: retries, timeouts, completion, reconciliation.
 
 This is the robustness layer between the FEA's XRL surface and a
 :class:`~repro.fea.backends.base.FibBackend`.  The FEA keeps *shadow
@@ -12,10 +12,10 @@ misbehaves:
 * **lost ack** → an ack-timeout sweep resubmits operations whose
   completion never arrived (the sweep timer only runs while operations
   are pending, so a synchronous backend costs no timers at all);
-* **slow backend** → the count of unacknowledged operations is the
-  *backpressure window*: above ``high_watermark`` the driver latches
-  ``congested`` (cleared at ``low_watermark``), and the FEA piggybacks
-  that bit on every FIB XRL reply so the RIB can pause;
+* **completion** → a write's *on_settled* callback runs once each of
+  its ops is acked, given up on, or left to reconciliation (written
+  while stale, abandoned by a crash or :meth:`close`).  The FEA replies
+  then, so the RIB's in-flight window bounds the un-acked ops;
 * **crash** → the driver goes *stale*: writes update only the shadow
   (lookups keep being served from it — graceful degradation), and on
   the backend's up edge :meth:`reconcile` diffs ``dump()`` against the
@@ -27,22 +27,39 @@ so convergence holds even when the repair traffic itself is faulted.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Set, Tuple
 
 from repro.fea.backends.base import ADD, DELETE, FibBackend, FibOp
 from repro.fea.fib import Fib, FibEntry
 from repro.net import IPNet
 
 
+def _countdown(count: int,
+               on_settled: Callable[[], None]) -> Callable[[], None]:
+    """A callable that runs *on_settled* at its *count*-th call."""
+    def settle() -> None:
+        nonlocal count
+        count -= 1
+        if count == 0:
+            on_settled()
+    return settle
+
+
+def _nothing() -> None:
+    pass
+
+
 class _Pending:
-    """One submitted operation awaiting its ack."""
+    """One submitted operation awaiting its ack; *settle* runs once it is
+    acked, given up on or abandoned."""
 
-    __slots__ = ("op", "attempts", "deadline")
+    __slots__ = ("op", "settle", "attempts", "deadline")
 
-    def __init__(self, op: FibOp, attempts: int, deadline: float):
+    def __init__(self, op: FibOp, settle: Callable[[], None]):
         self.op = op
-        self.attempts = attempts
-        self.deadline = deadline
+        self.settle = settle
+        self.attempts = 0
+        self.deadline = 0.0
 
 
 class BackendDriver:
@@ -50,19 +67,14 @@ class BackendDriver:
 
     def __init__(self, backend: FibBackend, loop, *,
                  fib4: Fib, fib6: Fib,
-                 high_watermark: int = 512, low_watermark: int = 128,
                  max_attempts: int = 6,
                  retry_base: float = 0.05, retry_cap: float = 1.0,
                  ack_timeout: float = 2.0):
-        if low_watermark > high_watermark:
-            raise ValueError("low_watermark must be <= high_watermark")
         if retry_base <= 0 or ack_timeout <= 0:
             raise ValueError("retry_base and ack_timeout must be > 0")
         self.backend = backend
         self.loop = loop
         self.shadow = {32: fib4, 128: fib6}
-        self.high_watermark = high_watermark
-        self.low_watermark = low_watermark
         self.max_attempts = max_attempts
         self.retry_base = retry_base
         self.retry_cap = retry_cap
@@ -70,10 +82,10 @@ class BackendDriver:
 
         self._seq = 0
         self._pending: Dict[int, _Pending] = {}
+        #: nacked ops waiting out their backoff before the next attempt
+        self._backoff: Set[_Pending] = set()
         self.peak_pending = 0
-        self._retries_scheduled = 0
         self._sweep_scheduled = False
-        self._congested = False
         self._stale = not backend.healthy
 
         # Counters live on the driver even before register_metrics so the
@@ -93,9 +105,15 @@ class BackendDriver:
         backend.open(loop, self._on_completion)
 
     def close(self) -> None:
+        """Detach the backend.  Nothing will complete now, so every op
+        still outstanding is settled: no caller waits on a dead driver."""
         self.backend.set_health_listener(None)
         self.backend.close()
+        outstanding = [*self._pending.values(), *self._backoff]
         self._pending.clear()
+        self._backoff.clear()
+        for pending in outstanding:
+            pending.settle()
 
     # -- observability --------------------------------------------------------
     def register_metrics(self, metrics) -> None:
@@ -111,18 +129,7 @@ class BackendDriver:
         self._c_rec_deletes = metrics.counter("backend.reconcile.deletes")
         metrics.gauge("backend.pending", lambda: len(self._pending))
         metrics.gauge("backend.peak_pending", lambda: self.peak_pending)
-        metrics.gauge("backend.congested", lambda: self._congested)
         metrics.gauge("backend.stale", lambda: self._stale)
-
-    @property
-    def queued(self) -> int:
-        """Operations submitted but not yet acked (the pressure signal)."""
-        return len(self._pending)
-
-    @property
-    def congested(self) -> bool:
-        """Latched above ``high_watermark``, released at ``low_watermark``."""
-        return self._congested
 
     @property
     def stale(self) -> bool:
@@ -131,16 +138,12 @@ class BackendDriver:
 
     @property
     def settled(self) -> bool:
-        """No pending acks and no retry timers outstanding (for tests)."""
-        return not self._pending and self._retries_scheduled == 0
+        """No pending acks and no retries waiting out a backoff."""
+        return not self._pending and not self._backoff
 
     def status(self) -> str:
         """Supervisor-visible one-word dataplane state."""
-        if self._stale:
-            return "stale"
-        if self._congested:
-            return "congested"
-        return "synced"
+        return "stale" if self._stale else "synced"
 
     # -- the write path (shadow first, then the dataplane) --------------------
     def add(self, entry: FibEntry) -> None:
@@ -149,14 +152,18 @@ class BackendDriver:
     def delete(self, net: IPNet) -> None:
         self.delete_batch([net])
 
-    def add_batch(self, entries: Iterable[FibEntry]) -> None:
+    def add_batch(self, entries: Iterable[FibEntry],
+                  on_settled: Callable[[], None] = _nothing) -> None:
+        """Install *entries*; *on_settled* runs once each op is settled."""
         ops = []
         for entry in entries:
             self.shadow[entry.net.bits].insert(entry)
             ops.append(FibOp(ADD, entry))
-        self._submit(ops)
+        self._submit(ops, on_settled)
 
-    def delete_batch(self, nets: Iterable[IPNet]) -> None:
+    def delete_batch(self, nets: Iterable[IPNet],
+                     on_settled: Callable[[], None] = _nothing) -> None:
+        """Remove *nets*; *on_settled* runs once each op is settled."""
         ops = []
         for net in nets:
             removed = self.shadow[net.bits].remove(net)
@@ -166,22 +173,34 @@ class BackendDriver:
             entry = removed if removed is not None else \
                 FibEntry(net, type(net.network)(0), "")
             ops.append(FibOp(DELETE, entry))
-        self._submit(ops)
+        self._submit(ops, on_settled)
 
-    def _submit(self, ops: List[FibOp]) -> None:
-        if not ops:
-            return
-        if self._stale:
+    def _submit(self, ops: List[FibOp],
+                on_settled: Callable[[], None] = _nothing) -> None:
+        if not ops or self._stale:
             # Dataplane down: the shadow recorded the intent; the
             # reconciliation pass on reattach replays the delta.
             self._c_deferred.inc(len(ops))
+            on_settled()
             return
+        settle = _countdown(len(ops), on_settled)
+        self._send([_Pending(op, settle) for op in ops])
+
+    def _send(self, pendings: List[_Pending]) -> None:
+        """Hand *pendings* to the backend, one attempt more each, under
+        fresh seqs (a late ack for an earlier one is then ignored)."""
         deadline = self.loop.clock.now() + self.ack_timeout
-        for op in ops:
+        ops = []
+        for pending in pendings:
+            op = pending.op
             self._seq += 1
             op.seq = self._seq
-            self._pending[op.seq] = _Pending(op, attempts=1, deadline=deadline)
-        self._update_congestion()
+            pending.attempts += 1
+            pending.deadline = deadline
+            self._pending[op.seq] = pending
+            ops.append(op)
+        if len(self._pending) > self.peak_pending:
+            self.peak_pending = len(self._pending)
         self.backend.apply(ops)
         self._schedule_sweep()
 
@@ -192,38 +211,32 @@ class BackendDriver:
             return  # late ack for an op we resubmitted or abandoned
         if ok:
             self._c_acks.inc()
-            self._update_congestion()
-            return
-        self._c_nacks.inc()
-        if pending.attempts >= self.max_attempts:
+        else:
+            self._c_nacks.inc()
+            if pending.attempts < self.max_attempts:
+                # Capped exponential backoff, then retransmit the same op
+                # (same payload, fresh seq).
+                delay = min(self.retry_cap,
+                            self.retry_base * (2 ** (pending.attempts - 1)))
+                self._backoff.add(pending)
+                self.loop.call_later(
+                    delay, lambda: self._retry(pending), name="fib-retry")
+                return
             # Give up; the shadow still holds the intent, so the next
             # reconciliation pass repairs the divergence.
             self._c_failed.inc()
-            self._update_congestion()
-            return
-        # Capped exponential backoff, then retransmit the same op (same
-        # payload, fresh seq) through the normal submission path.
-        delay = min(self.retry_cap,
-                    self.retry_base * (2 ** (pending.attempts - 1)))
-        self._retries_scheduled += 1
-        self.loop.call_later(
-            delay, lambda: self._retry(pending), name="fib-retry")
+        pending.settle()
 
     def _retry(self, pending: _Pending) -> None:
-        self._retries_scheduled -= 1
+        if pending not in self._backoff:
+            return  # settled by close()
+        self._backoff.remove(pending)
         if self._stale:
             self._c_deferred.inc()
+            pending.settle()
             return
         self._c_retries.inc()
-        op = pending.op
-        self._seq += 1
-        op.seq = self._seq
-        self._pending[op.seq] = _Pending(
-            op, attempts=pending.attempts + 1,
-            deadline=self.loop.clock.now() + self.ack_timeout)
-        self._update_congestion()
-        self.backend.apply([op])
-        self._schedule_sweep()
+        self._send([pending])
 
     # -- ack timeouts ------------------------------------------------------------
     def _schedule_sweep(self) -> None:
@@ -240,46 +253,30 @@ class BackendDriver:
         now = self.loop.clock.now()
         expired = [p for p in self._pending.values() if p.deadline <= now]
         resubmit = []
-        c_failed = self._c_failed
-        c_ack_timeouts = self._c_ack_timeouts
-        c_retries = self._c_retries
         for pending in expired:
             del self._pending[pending.op.seq]
             if pending.attempts >= self.max_attempts:
-                c_failed.inc()
+                self._c_failed.inc()
+                pending.settle()
                 continue
-            c_ack_timeouts.inc()
-            c_retries.inc()
-            op = pending.op
-            self._seq += 1
-            op.seq = self._seq
-            self._pending[op.seq] = _Pending(
-                op, attempts=pending.attempts + 1,
-                deadline=now + self.ack_timeout)
-            resubmit.append(op)
-        self._update_congestion()
+            self._c_ack_timeouts.inc()
+            resubmit.append(pending)
         if resubmit:
-            self.backend.apply(resubmit)
-        self._schedule_sweep()
-
-    # -- backpressure ------------------------------------------------------------
-    def _update_congestion(self) -> None:
-        if len(self._pending) > self.peak_pending:
-            self.peak_pending = len(self._pending)
-        if not self._congested and len(self._pending) >= self.high_watermark:
-            self._congested = True
-        elif self._congested and len(self._pending) <= self.low_watermark:
-            self._congested = False
+            self._c_retries.inc(len(resubmit))
+            self._send(resubmit)
+        else:
+            self._schedule_sweep()
 
     # -- health / degradation ------------------------------------------------------
     def _on_health(self, healthy: bool) -> None:
         if not healthy:
             # Everything in flight died with the channel.  The shadow has
             # it all, so abandon the acks and let reconciliation repair.
-            self._c_deferred.inc(len(self._pending))
-            self._pending.clear()
-            self._congested = False
+            abandoned, self._pending = self._pending, {}
+            self._c_deferred.inc(len(abandoned))
             self._stale = True
+            for pending in abandoned.values():
+                pending.settle()
             return
         self._stale = False
         self.reconcile()

@@ -22,6 +22,7 @@ from repro.net import IPNet, IPv4
 from repro.profiler import PROFILER_IDL, Profiler
 from repro.xrl import XrlArgs, XrlAtomType, XrlError
 from repro.xrl.error import XrlErrorCode
+from repro.xrl.router import DeferredReply
 from repro.xrl.xrl import Xrl
 
 
@@ -90,26 +91,32 @@ class FeaProcess(XorpProcess):
         self.relay.set_notifier(self._notify_recv_udp)
 
     # -- fea_fib/1.0 -----------------------------------------------------
-    # One family-agnostic helper per arity: v4 and v6 share segmenting,
-    # profiling, and the backpressure reply (queued / congested).
-    def _fib_status(self) -> dict:
-        return {"queued": self.driver.queued,
-                "congested": self.driver.congested}
+    # Singular and vectorized, v4 and v6, every mutation goes through one
+    # helper per op: profiling, one driver call, and a reply sent once
+    # the dataplane has settled the write — at once when the backend
+    # acks within apply(), as ``trie`` does.
+    @staticmethod
+    def _fib_log(point, op: str, nets) -> None:
+        if point.enabled:
+            for net in nets:
+                point.log_op(op, net)
 
-    def _fib_add(self, net, nexthop, ifname) -> dict:
-        self._prof_arrive.log_op("add", net)
+    def _fib_add(self, entries) -> DeferredReply:
+        self._fib_log(self._prof_arrive, "add", (e.net for e in entries))
         # "the FEA will unconditionally install the route in the kernel or
         # the forwarding engine." — the shadow records the intent now; the
-        # driver converges the backend to it.
-        self.driver.add(FibEntry(net, nexthop, ifname))
-        self._prof_kernel.log_op("add", net)
-        return self._fib_status()
+        # driver converges the backend to it, one apply() per XRL.
+        reply = DeferredReply()
+        self.driver.add_batch(entries, reply.reply)
+        self._fib_log(self._prof_kernel, "add", (e.net for e in entries))
+        return reply
 
-    def _fib_delete(self, net) -> dict:
-        self._prof_arrive.log_op("delete", net)
-        self.driver.delete(net)
-        self._prof_kernel.log_op("delete", net)
-        return self._fib_status()
+    def _fib_delete(self, nets) -> DeferredReply:
+        self._fib_log(self._prof_arrive, "delete", nets)
+        reply = DeferredReply()
+        self.driver.delete_batch(nets, reply.reply)
+        self._fib_log(self._prof_kernel, "delete", nets)
+        return reply
 
     #: family suffix -> (net atom type, nexthop atom type)
     _FIB_FAMILY = {
@@ -117,50 +124,30 @@ class FeaProcess(XorpProcess):
         "6": (XrlAtomType.IPV6NET, XrlAtomType.IPV6),
     }
 
-    def _fib_add_vector(self, family, nets, nexthops, ifnames) -> dict:
+    def _fib_add_vector(self, family, nets, nexthops, ifnames):
         net_type, nexthop_type = self._FIB_FAMILY[family]
         nets, nexthops, ifnames = parallel_values(
             "add_entries" + family, (nets, net_type),
             (nexthops, nexthop_type), (ifnames, XrlAtomType.TXT))
-        entries = [FibEntry(net, nexthop, ifname)
-                   for net, nexthop, ifname
-                   in zip(nets, nexthops, ifnames)]
-        prof_arrive = self._prof_arrive
-        if prof_arrive.enabled:
-            for entry in entries:
-                prof_arrive.log_op("add", entry.net)
-        # The vectorized segment reaches the backend as one apply() batch.
-        self.driver.add_batch(entries)
-        prof_kernel = self._prof_kernel
-        if prof_kernel.enabled:
-            for entry in entries:
-                prof_kernel.log_op("add", entry.net)
-        return self._fib_status()
+        return self._fib_add([FibEntry(net, nexthop, ifname)
+                              for net, nexthop, ifname
+                              in zip(nets, nexthops, ifnames)])
 
-    def _fib_delete_vector(self, family, nets) -> dict:
+    def _fib_delete_vector(self, family, nets):
         (nets,) = parallel_values("delete_entries" + family,
                                   (nets, self._FIB_FAMILY[family][0]))
-        prof_arrive = self._prof_arrive
-        if prof_arrive.enabled:
-            for net in nets:
-                prof_arrive.log_op("delete", net)
-        self.driver.delete_batch(nets)
-        prof_kernel = self._prof_kernel
-        if prof_kernel.enabled:
-            for net in nets:
-                prof_kernel.log_op("delete", net)
-        return self._fib_status()
+        return self._fib_delete(nets)
 
-    def xrl_add_entry4(self, net, nexthop, ifname) -> dict:
-        return self._fib_add(net, nexthop, ifname)
+    def xrl_add_entry4(self, net, nexthop, ifname):
+        return self._fib_add([FibEntry(net, nexthop, ifname)])
 
-    def xrl_delete_entry4(self, net) -> dict:
-        return self._fib_delete(net)
+    def xrl_delete_entry4(self, net):
+        return self._fib_delete([net])
 
-    def xrl_add_entries4(self, nets, nexthops, ifnames) -> dict:
+    def xrl_add_entries4(self, nets, nexthops, ifnames):
         return self._fib_add_vector("4", nets, nexthops, ifnames)
 
-    def xrl_delete_entries4(self, nets) -> dict:
+    def xrl_delete_entries4(self, nets):
         return self._fib_delete_vector("4", nets)
 
     def xrl_lookup_entry4(self, addr) -> dict:
@@ -178,26 +165,23 @@ class FeaProcess(XorpProcess):
         return {"resolves": True, "net": entry.net,
                 "nexthop": entry.nexthop, "ifname": ifname}
 
-    def xrl_add_entries6(self, nets, nexthops, ifnames) -> dict:
+    def xrl_add_entries6(self, nets, nexthops, ifnames):
         return self._fib_add_vector("6", nets, nexthops, ifnames)
 
-    def xrl_delete_entries6(self, nets) -> dict:
+    def xrl_delete_entries6(self, nets):
         return self._fib_delete_vector("6", nets)
 
-    def xrl_add_entry6(self, net, nexthop, ifname) -> dict:
-        return self._fib_add(net, nexthop, ifname)
+    def xrl_add_entry6(self, net, nexthop, ifname):
+        return self._fib_add([FibEntry(net, nexthop, ifname)])
 
-    def xrl_delete_entry6(self, net) -> dict:
-        return self._fib_delete(net)
+    def xrl_delete_entry6(self, net):
+        return self._fib_delete([net])
 
     # -- dataplane management -------------------------------------------
     def xrl_get_backend_status(self) -> dict:
         return {"backend": self.backend.name,
                 "healthy": self.backend.healthy,
                 "state": self.driver.status()}
-
-    def xrl_get_queue_status(self) -> dict:
-        return self._fib_status()
 
     def xrl_reconcile(self) -> dict:
         adds, deletes = self.driver.reconcile()

@@ -72,27 +72,26 @@ interface redist4/0.1 {
 /* ---- Forwarding Engine Abstraction --------------------------------- */
 
 interface fea_fib/1.0 {
-    /* Every mutating call replies with the dataplane pressure signal:
-       queued = operations submitted to the backend but not yet acked,
-       congested = the driver's watermark latch.  The RIB's flow
-       controller reads these to pace its redistribution stream. */
-    add_entry4    ? net:ipv4net & nexthop:ipv4 & ifname:txt -> queued:u32 & congested:bool;
-    delete_entry4 ? net:ipv4net -> queued:u32 & congested:bool;
+    /* A mutating call is answered once the dataplane has settled every
+       op it carried: acked, given up on, or left to reconciliation
+       (backend down).  The reply is the pressure signal: the RIB's
+       in-flight window of unanswered calls bounds the FEA's queue. */
+    add_entry4    ? net:ipv4net & nexthop:ipv4 & ifname:txt;
+    delete_entry4 ? net:ipv4net;
     lookup_entry4 ? addr:ipv4 -> resolves:bool & net:ipv4net & nexthop:ipv4 & ifname:txt;
-    add_entry6    ? net:ipv6net & nexthop:ipv6 & ifname:txt -> queued:u32 & congested:bool;
-    delete_entry6 ? net:ipv6net -> queued:u32 & congested:bool;
+    add_entry6    ? net:ipv6net & nexthop:ipv6 & ifname:txt;
+    delete_entry6 ? net:ipv6net;
     /* Vectorized entry points: one XRL per route segment.  The lists
        are parallel (nets[i] goes via nexthops[i] on ifnames[i]);
        semantically identical to N singular calls, in order.  Unequal
        lengths or a wrong inner type are BAD_ARGS, nothing applied. */
-    add_entries4    ? nets:list & nexthops:list & ifnames:list -> queued:u32 & congested:bool;
-    delete_entries4 ? nets:list -> queued:u32 & congested:bool;
-    add_entries6    ? nets:list & nexthops:list & ifnames:list -> queued:u32 & congested:bool;
-    delete_entries6 ? nets:list -> queued:u32 & congested:bool;
+    add_entries4    ? nets:list & nexthops:list & ifnames:list;
+    delete_entries4 ? nets:list;
+    add_entries6    ? nets:list & nexthops:list & ifnames:list;
+    delete_entries6 ? nets:list;
     /* Dataplane management: which backend is attached, how it feels,
        and an operator-triggered shadow-vs-dump reconciliation pass. */
     get_backend_status -> backend:txt & healthy:bool & state:txt;
-    get_queue_status   -> queued:u32 & congested:bool;
     reconcile          -> adds:u32 & deletes:u32;
 }
 

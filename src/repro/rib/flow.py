@@ -1,20 +1,17 @@
 """RIB-side flow control for the route stream toward the FEA.
 
-The FEA's dataplane backend can be slower than the control plane; its
-driver reports pressure (``queued``/``congested``) on every FIB XRL
-reply.  This controller sits between the RIB's distributor stages and
-the transmit queue and turns that signal into *pacing*:
+The FEA's dataplane backend can be slower than the control plane; the
+FEA answers a FIB XRL only once its backend has settled every op the
+call carried.  This controller sits between the RIB's distributor
+stages and the transmit queue and turns those answers into *pacing*:
 
 * routes enter a FIFO of ``(family, op, route)`` events; the pump
   drains maximal same-``(family, op)`` runs into vectorized XRLs (one
   route stays a singular XRL), segmented by the RIB's batch limit —
   exactly the wire shapes the unpaced path produced;
 * an **in-flight window** bounds the operations sent but not yet
-  replied to, so even before the first congestion signal the FEA's
-  pending queue cannot be swamped;
-* a ``congested: true`` reply **pauses** the pump; while paused the
-  controller polls ``get_queue_status`` until the FEA's watermark latch
-  releases, then resumes;
+  answered, and so the FEA's un-acked dataplane queue: the reply is
+  the one pressure signal;
 * if the backlog exceeds its **high watermark**, the controller sheds
   superseded events, oldest first: an event is dropped when a newer
   event for the same prefix sits behind it in the queue (FIB ops are
@@ -39,55 +36,36 @@ _Event = Tuple[int, str, Any, bool]
 #: transmit one singular or vectorized FIB XRL for a same-op run.
 SendSegment = Callable[[int, str, List[Any], bool, Callable], None]
 
-#: poll_status(on_reply) — transmit one ``get_queue_status`` XRL.
-PollStatus = Callable[[Callable], None]
-
 
 class FeaFlowController:
-    """Watermarked, congestion-paced pump for the RIB→FEA route stream."""
+    """Windowed, shedding pump for the RIB→FEA route stream."""
 
-    def __init__(self, loop, *, send_segment: SendSegment,
-                 poll_status: PollStatus,
+    def __init__(self, *, send_segment: SendSegment,
                  batch_limit: Callable[[], int],
                  window: int = 512,
-                 high_watermark: int = 1024,
-                 poll_interval: float = 0.05):
-        if poll_interval <= 0:
-            raise ValueError("poll_interval must be > 0")
-        self.loop = loop
+                 high_watermark: int = 1024):
         self.window = window
         self.high_watermark = high_watermark
-        self.poll_interval = poll_interval
         self._send_segment = send_segment
-        self._poll_status = poll_status
         self._batch_limit = batch_limit
         self._queue: Deque[_Event] = deque()
         self._inflight = 0
-        self._paused = False
-        self._poll_scheduled = False
         self._pumping = False
         #: depth above which the next shed scan runs: the high watermark,
         #: raised by however many distinct-prefix events the last scan had
         #: to keep beyond it (rescanning those on every intake is futile)
         self._shed_above = high_watermark
         self.shed_total = 0
-        self.polls_sent = 0
-        self.peak_depth = 0
 
     # -- observability -------------------------------------------------------
     def register_metrics(self, metrics) -> None:
         metrics.gauge("flow.queue", lambda: len(self._queue))
         metrics.gauge("flow.inflight", lambda: self._inflight)
-        metrics.gauge("flow.paused", lambda: self._paused)
         metrics.gauge("flow.shed", lambda: self.shed_total)
 
     @property
     def depth(self) -> int:
         return len(self._queue)
-
-    @property
-    def paused(self) -> bool:
-        return self._paused
 
     @property
     def idle(self) -> bool:
@@ -119,8 +97,6 @@ class FeaFlowController:
             self._shed_above = (kept + self.high_watermark
                                 if kept > self.high_watermark
                                 else self.high_watermark)
-        if len(self._queue) > self.peak_depth:
-            self.peak_depth = len(self._queue)
         self.pump()
 
     def _shed(self) -> None:
@@ -143,11 +119,10 @@ class FeaFlowController:
         queue.extend(reversed(kept))
 
     def reset(self) -> None:
-        """Drop the backlog and unpause (a reborn FEA starts empty; the
-        full-table resync that follows supersedes everything queued)."""
+        """Drop the backlog (a reborn FEA starts empty; the full-table
+        resync that follows supersedes everything queued)."""
         self._queue.clear()
         self._shed_above = self.high_watermark
-        self._paused = False
 
     # -- the pump ---------------------------------------------------------------
     def pump(self) -> None:
@@ -157,8 +132,7 @@ class FeaFlowController:
         queue = self._queue
         popleft = queue.popleft
         try:
-            while (queue and not self._paused
-                    and self._inflight < self.window):
+            while queue and self._inflight < self.window:
                 # A segment never exceeds the *remaining* window: one
                 # oversized vectorized XRL would otherwise land more
                 # un-acked ops on the FEA than the window promises.
@@ -178,55 +152,12 @@ class FeaFlowController:
                                        self._shed_above - count)
                 self._send_segment(
                     family, op, routes, hint,
-                    lambda error, args, count=count:
-                        self._on_reply(count, error, args))
+                    lambda error, args, count=count: self._on_reply(count))
         finally:
             self._pumping = False
 
-    # -- the pressure signal -------------------------------------------------
-    def _on_reply(self, count: int, error, args) -> None:
+    def _on_reply(self, count: int) -> None:
+        """The FEA settled a segment (or the call failed): its routes
+        leave the window."""
         self._inflight -= count
-        self._handle_status(error, args)
         self.pump()
-
-    def _handle_status(self, error, args) -> None:
-        congested = self._read_congested(error, args)
-        if congested is None:
-            return
-        if congested and not self._paused:
-            self._paused = True
-            self._schedule_poll()
-        elif not congested and self._paused:
-            self._paused = False
-
-    @staticmethod
-    def _read_congested(error, args):
-        if error is not None and not error.is_okay:
-            return None
-        if args is None:
-            return None
-        try:
-            return args.get_bool("congested")
-        except (KeyError, ValueError):
-            return None
-
-    def _schedule_poll(self) -> None:
-        if self._poll_scheduled:
-            return
-        self._poll_scheduled = True
-        self.loop.call_later(self.poll_interval, self._poll,
-                             name="fea-flow-poll")
-
-    def _poll(self) -> None:
-        self._poll_scheduled = False
-        if not self._paused:
-            return
-        self.polls_sent += 1
-        self._poll_status(self._on_poll_reply)
-
-    def _on_poll_reply(self, error, args) -> None:
-        self._handle_status(error, args)
-        if self._paused:
-            self._schedule_poll()
-        else:
-            self.pump()

@@ -134,13 +134,11 @@ class RibProcess(XorpProcess):
         self.txq = XrlTransmitQueue(self.xrl, window=window,
                                     retry=retry_policy)
         self.txq.register_metrics(self.metrics)
-        #: pacing for the FEA-bound stream: reads the queued/congested
-        #: pressure signal off every FIB reply and pauses when the
-        #: dataplane backend falls behind.
+        #: pacing for the FEA-bound stream: the FEA answers a FIB XRL
+        #: once its dataplane has settled it, so the flow's in-flight
+        #: window bounds the backend's queue.
         self.flow = FeaFlowController(
-            self.loop,
             send_segment=self._send_fea_segment,
-            poll_status=self._poll_fea_status,
             batch_limit=lambda: self.FEA_BATCH_LIMIT,
             **(flow_options or {}))
         self.flow.register_metrics(self.metrics)
@@ -158,8 +156,7 @@ class RibProcess(XorpProcess):
         self.xrl.bind(COMMON_IDL, self)
         self._redist_targets: Dict[str, str] = {}
         # Watch the FEA's lifetime so a reborn (empty) FIB is re-seeded.
-        # It starts from an empty FIB: the backlog (and any congestion
-        # pause against the dead incarnation) is superseded by the
+        # It starts from an empty FIB: the backlog is superseded by the
         # full-table resync, so the flow queue is reset at BIRTH itself.
         self.watch_rebirth(fea_target, self.resync_fea,
                            at_birth=self.flow.reset)
@@ -244,11 +241,6 @@ class RibProcess(XorpProcess):
             on_sent = None
         self.txq.enqueue(xrl, on_sent=on_sent, on_reply=on_reply,
                          batch=batch)
-
-    def _poll_fea_status(self, on_reply) -> None:
-        xrl = Xrl(self.fea_target, "fea_fib", "1.0", "get_queue_status",
-                  XrlArgs())
-        self.txq.enqueue(xrl, on_reply=on_reply)
 
     # -- resync after consumer restarts (the DESIGN.md failure model) --------
     def resync_fea(self) -> None:

@@ -4,7 +4,13 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.rtrmgr.template import TemplateError, TemplateNode
+from repro.rtrmgr.template import WORD, TemplateError, TemplateNode
+
+
+def _quoted(value: Any) -> str:
+    """*value* as the tokenizer will read it back."""
+    text = str(value)
+    return text if WORD.fullmatch(text) else f'"{text}"'
 
 
 class ConfigError(ValueError):
@@ -85,6 +91,10 @@ class ConfigTree:
 
     def set(self, path: List[str], value: Any = None) -> ConfigNode:
         """Create/modify the node at *path*; leaves take *value*."""
+        if isinstance(value, str) and '"' in value:
+            # A quoted string has no escape: such a value could not
+            # survive render() and load().
+            raise ConfigError(f"a value may not contain '\"': {value!r}")
         node = self._descend(path, create=True)
         if node.template.value_type is not None and not node.template.is_tag:
             if value is None:
@@ -167,16 +177,16 @@ class ConfigTree:
                                      key=lambda kv: str(kv[0])):
                 label = child.name
                 if child.tag_value is not None:
-                    label += f" {child.tag_value}"
+                    label += f" {_quoted(child.tag_value)}"
                 if child.children or child.template.is_tag or (
                         child.template.value_type is None):
                     lines.append(f"{pad}{label} {{")
                     if child.value is not None:
-                        lines.append(f"{pad}    value: {child.value}")
+                        lines.append(f"{pad}    value: {_quoted(child.value)}")
                     recurse(child, indent + 1)
                     lines.append(f"{pad}}}")
                 else:
-                    lines.append(f"{pad}{label}: {child.value}")
+                    lines.append(f"{pad}{label}: {_quoted(child.value)}")
 
         recurse(self.root, 0)
         return "\n".join(lines) + ("\n" if lines else "")

@@ -80,13 +80,16 @@ class TemplateNode:
         return f"<TemplateNode {self.name!r} {kind}>"
 
 
+#: one bare word; any other value is written as a ``"string"``
+WORD = re.compile(r'[^\s{}:;=@"#]+')
+
 _TOKEN_RE = re.compile(
     r"""
     (?P<ws>\s+)
   | (?P<comment>\#[^\n]*)
   | (?P<punct>[{}:;=@])
   | (?P<string>"[^"]*")
-  | (?P<word>[^\s{}:;=@"#]+)
+  | (?P<word>""" + WORD.pattern + r""")
     """,
     re.VERBOSE,
 )

@@ -39,10 +39,12 @@ class DeferredReply:
     This is what makes XRL *intermediaries* possible — paper §7: "This
     would require an XRL intermediary, but the flexibility of our XRL
     resolution mechanism makes installing such an XRL proxy rather
-    simple."
+    simple."  A handler may also complete the object before returning
+    it (the answer was ready at once); it is then sent as it is bound.
     """
 
-    __slots__ = ("_respond", "_method", "_seq", "_codec", "completed")
+    __slots__ = ("_respond", "_method", "_seq", "_codec", "completed",
+                 "_outcome")
 
     def __init__(self) -> None:
         self._respond: Optional[Callable[[bytes], None]] = None
@@ -50,6 +52,7 @@ class DeferredReply:
         self._seq = 0
         self._codec: FrameCodec = TEXTUAL
         self.completed = False
+        self._outcome = None
 
     def _bind(self, respond: Callable[[bytes], None], seq: int,
               method, codec: FrameCodec = TEXTUAL) -> None:
@@ -57,31 +60,34 @@ class DeferredReply:
         self._method = method
         self._seq = seq
         self._codec = codec
+        if self.completed:
+            self._send()
 
     def reply(self, values=None) -> None:
         """Complete successfully with the method's return values."""
-        if self.completed:
-            return
-        self.completed = True
-        try:
-            if self._method is not None:
-                returns = (values if isinstance(values, XrlArgs)
-                           else self._method.build_returns(values))
-                self._method.check_returns(returns)
-            else:
-                returns = values if isinstance(values, XrlArgs) else XrlArgs()
-        except XrlError as error:
-            self._respond(self._codec.encode_response(self._seq, error,
-                                                      XrlArgs()))
-            return
-        self._respond(self._codec.encode_response(self._seq, XrlError.okay(),
-                                                  returns))
+        self._complete(XrlError.okay(), values)
 
     def fail(self, error: XrlError) -> None:
-        if self.completed:
-            return
-        self.completed = True
-        self._respond(self._codec.encode_response(self._seq, error, XrlArgs()))
+        self._complete(error, None)
+
+    def _complete(self, error: XrlError, values) -> None:
+        if not self.completed:
+            self.completed = True
+            self._outcome = (error, values)
+            if self._respond is not None:
+                self._send()
+
+    def _send(self) -> None:
+        error, values = self._outcome
+        returns = values if isinstance(values, XrlArgs) else XrlArgs()
+        if error.is_okay and self._method is not None:
+            try:
+                if not isinstance(values, XrlArgs):
+                    returns = self._method.build_returns(values)
+                self._method.check_returns(returns)
+            except XrlError as exc:
+                error, returns = exc, XrlArgs()
+        self._respond(self._codec.encode_response(self._seq, error, returns))
 
 
 def new_process_token() -> int:

@@ -18,7 +18,12 @@ import socket
 import struct
 from typing import Callable, Dict, List, Optional
 
-from repro.eventloop.stream import CHUNK_BYTES, StreamChannel, StreamListener
+from repro.eventloop.stream import (
+    CHUNK_BYTES,
+    FrameReassembler,
+    StreamChannel,
+    StreamListener,
+)
 from repro.xrl.args import XrlArgs
 from repro.xrl.codec import (
     KIND_BINARY,
@@ -41,28 +46,22 @@ from repro.xrl.transport.base import ProtocolFamily, ReplyCallback, Sender
 MAX_FRAME_SIZE = 16 * 1024 * 1024
 
 
-class FrameBuffer:
-    """Incremental length-prefixed frame reassembly."""
+def _frame_length(data: bytearray) -> int:
+    (length,) = struct.unpack_from("!I", data, 0)
+    if length > MAX_FRAME_SIZE:
+        raise ValueError(f"frame length {length} exceeds {MAX_FRAME_SIZE}")
+    return 4 + length
+
+
+class FrameBuffer(FrameReassembler):
+    """Reassembly of ``!I``-length-prefixed frames: ``feed`` returns each
+    frame's body and raises ``ValueError`` on a length above
+    :data:`MAX_FRAME_SIZE`."""
+
+    __slots__ = ()
 
     def __init__(self) -> None:
-        self._data = bytearray()
-
-    def feed(self, chunk: bytes) -> list:
-        """Absorb *chunk*; return the frames it completed.  Raises
-        ``ValueError`` on a length above :data:`MAX_FRAME_SIZE`."""
-        self._data.extend(chunk)
-        frames = []
-        while len(self._data) >= 4:
-            (length,) = struct.unpack_from("!I", self._data, 0)
-            if length > MAX_FRAME_SIZE:
-                self._data.clear()
-                raise ValueError(f"frame length {length} exceeds "
-                                 f"{MAX_FRAME_SIZE}")
-            if len(self._data) < 4 + length:
-                break
-            frames.append(bytes(self._data[4 : 4 + length]))
-            del self._data[: 4 + length]
-        return frames
+        super().__init__(4, _frame_length, strip_header=True)
 
 
 def pack_frame(payload: bytes) -> bytes:

@@ -412,20 +412,6 @@ class TestXrlBatchFailure:
 
 
 class TestTxQueueBatch:
-    def test_enqueue_batch_drains_and_coalesces(self):
-        loop, __, client = build_pair(lambda: IntraProcessFamily(),
-                                      shared_process=True)
-        txq = XrlTransmitQueue(client, window=100)
-        replies = []
-        txq.enqueue_batch([
-            (echo_xrl(v), None, lambda e, a: replies.append(e.is_okay))
-            for v in range(6)
-        ])
-        assert loop.run_until(lambda: len(replies) == 6, timeout=5)
-        assert all(replies)
-        assert txq.idle
-        assert client.batches_sent == 1
-
     def test_enqueue_batch_hint_passthrough(self):
         loop, __, client = build_pair(lambda: IntraProcessFamily(),
                                       shared_process=True)
@@ -437,6 +423,7 @@ class TestTxQueueBatch:
                         batch=True)
         assert loop.run_until(lambda: len(done) == 4, timeout=5)
         assert all(done)
+        assert txq.idle
         assert client.batches_sent == 1
 
 

@@ -13,7 +13,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.process import Host
 from repro.eventloop import EventLoop, SimulatedClock
+from repro.experiments.resilience import run_throttled_flush
+from repro.fea import FeaProcess
 from repro.fea.backends import (
     BACKENDS,
     BackendFaultPlan,
@@ -34,7 +37,9 @@ from repro.fea.driver import BackendDriver
 from repro.fea.fib import Fib, FibEntry
 from repro.net import IPNet, IPv4, IPv6
 from repro.obs.metrics import MetricsRegistry
+from repro.rib import RibProcess, RibRoute
 from repro.rib.flow import FeaFlowController
+from repro.xrl import Xrl, XrlArgs, XrlAtom, XrlAtomType, XrlRouter
 
 
 def v4_entry(i, nexthop=1, ifname="eth0"):
@@ -259,7 +264,7 @@ class TestBackendDriver:
         driver.add(v4_entry(1))
         driver.add(v6_entry(2))
         driver.delete(v4_entry(1).net)
-        assert driver.settled and driver.queued == 0
+        assert driver.settled
         assert shadow_set(fib4) == set()
         assert driver.backend.dump(32) == []
         assert driver.backend.dump(128) == [v6_entry(2)]
@@ -298,18 +303,6 @@ class TestBackendDriver:
         assert metrics.get("fea.backend.ack_timeouts").value >= 1
         assert metrics.get("fea.backend.acks").value == 1
         assert set(backend.dump(32)) == shadow_set(fib4)
-
-    def test_congestion_latches_at_watermarks(self):
-        backend = NetlinkFibBackend(queue_capacity=64)
-        loop, __, __f6, driver, __m = make_driver(
-            backend, high_watermark=8, low_watermark=2)
-        for i in range(10):
-            driver.add(v4_entry(i))
-        assert driver.congested and driver.status() == "congested"
-        # Completions drain; the latch releases only at the low mark.
-        assert loop.run_until(lambda: not driver.congested, timeout=30)
-        assert driver.queued <= 2
-        assert loop.run_until(lambda: driver.settled, timeout=30)
 
     def test_crash_goes_stale_serves_shadow_reconciles_on_reattach(self):
         backend = NetlinkFibBackend()
@@ -378,8 +371,7 @@ class TestReconciliationProperty:
                                 drop_ack_probability=drop, latency=0.002)
         backend = NetlinkFibBackend(queue_capacity=8, fault_plan=plan)
         loop, fib4, fib6, driver, __ = make_driver(
-            backend, max_attempts=3, retry_base=0.005, ack_timeout=0.05,
-            high_watermark=16, low_watermark=4)
+            backend, max_attempts=3, retry_base=0.005, ack_timeout=0.05)
         for index, (is_v6, op, prefix, nexthop) in enumerate(ops):
             if crash_after == index:
                 backend.crash()
@@ -408,7 +400,84 @@ class TestReconciliationProperty:
 
 
 # ---------------------------------------------------------------------------
-# RIB-side flow controller: pacing, polling, shedding
+# the reply contract: a FIB XRL is answered once the dataplane settled it
+
+
+def add_entries4(client, count, replies, snapshot):
+    """Send one ``add_entries4`` of *count* entries; its reply appends
+    ``(ok, snapshot())`` to *replies*."""
+    entries = [v4_entry(i) for i in range(count)]
+    args = (XrlArgs()
+            .add_list("nets", [XrlAtom("net", XrlAtomType.IPV4NET, e.net)
+                               for e in entries])
+            .add_list("nexthops", [XrlAtom("nexthop", XrlAtomType.IPV4,
+                                           e.nexthop) for e in entries])
+            .add_list("ifnames", [XrlAtom("ifname", XrlAtomType.TXT,
+                                          e.ifname) for e in entries]))
+    client.send(Xrl("fea", "fea_fib", "1.0", "add_entries4", args),
+                lambda error, __: replies.append((error.is_okay, snapshot())))
+
+
+class TestFibReplyContract:
+    def fea_and_client(self, plan, **driver_options):
+        host = Host()
+        fea = FeaProcess(host, backend="netlink",
+                         backend_options={"fault_plan": plan},
+                         driver_options=driver_options)
+        client = XrlRouter(host.loop, "cli", host.finder,
+                           families=list(host.families))
+        return host, fea, client
+
+    def test_reply_waits_until_the_backend_holds_every_entry(self):
+        host, fea, client = self.fea_and_client(BackendFaultPlan(latency=0.01))
+        replies = []
+        add_entries4(client, 32, replies,
+                     lambda: set(fea.backend.dump(32)))
+        assert host.loop.run_until(lambda: replies, timeout=30)
+        assert replies == [(True, {v4_entry(i) for i in range(32)})]
+
+    def test_reply_follows_the_give_up(self):
+        host, fea, client = self.fea_and_client(
+            BackendFaultPlan(drop_ack_probability=1.0),
+            max_attempts=3, ack_timeout=0.1)
+        failed = fea.metrics.get("fea.backend.failed")
+        replies = []
+        add_entries4(client, 4, replies, lambda: failed.value)
+        assert host.loop.run_until(lambda: replies, timeout=30)
+        assert replies == [(True, 4)]  # answered; reconciliation repairs
+
+    def test_crash_answers_outstanding_replies(self):
+        host, fea, client = self.fea_and_client(BackendFaultPlan(latency=0.01))
+        replies = []
+        add_entries4(client, 8, replies, lambda: fea.driver.stale)
+        host.loop.run(duration=0.03)  # about 3 of the 8 acks are back
+        assert len(fea.fib4) == 8 and replies == []
+        fea.backend.crash()
+        assert host.loop.run_until(lambda: replies, timeout=5)
+        assert replies == [(True, True)]
+
+    def test_fea_shutdown_mid_flush_empties_the_rib_window(self):
+        host = Host()
+        fea = FeaProcess(host, backend="netlink", backend_options={
+            "fault_plan": BackendFaultPlan(latency=0.01)})
+        rib = RibProcess(host, flow_options={"window": 16})
+        inflight = rib.metrics.get("rib.flow.inflight")
+        rib.v4.origin("static").originate_batch(
+            [RibRoute(v4_entry(i).net, IPv4("192.168.0.1"), 1, "static")
+             for i in range(64)])
+        host.loop.run(duration=0.05)
+        assert inflight.read() == 16  # the window waits on the backend
+        fea.shutdown()
+        assert host.loop.run_until(lambda: rib.flow.idle, timeout=30)
+        assert inflight.read() == 0
+
+    def test_throttled_flush_is_bounded_by_the_window(self):
+        flush = run_throttled_flush(routes=2048, window=32)
+        assert flush.peak_pending <= flush.window == 32
+
+
+# ---------------------------------------------------------------------------
+# RIB-side flow controller: pacing, shedding
 
 
 class _Route:
@@ -417,22 +486,10 @@ class _Route:
 
 
 class _FakeFea:
-    """Records segments; replies with a scripted congestion signal."""
-
-    class _Error:
-        is_okay = True
-
-    class _Args:
-        def __init__(self, congested):
-            self._congested = congested
-
-        def get_bool(self, name):
-            return self._congested
+    """Records segments; holds every reply until :meth:`flush`."""
 
     def __init__(self):
         self.segments = []
-        self.polls = 0
-        self.congested = False
         self.held = []
 
     def send_segment(self, family, op, routes, batching, on_reply):
@@ -442,11 +499,7 @@ class _FakeFea:
     def flush(self):
         held, self.held = self.held, []
         for on_reply in held:
-            on_reply(self._Error(), self._Args(self.congested))
-
-    def poll_status(self, on_reply):
-        self.polls += 1
-        on_reply(self._Error(), self._Args(self.congested))
+            on_reply(None, None)
 
 
 def v4_route(i):
@@ -455,79 +508,54 @@ def v4_route(i):
 
 class TestFeaFlowController:
     def make(self, fea, **options):
-        loop = EventLoop(SimulatedClock())
         options.setdefault("batch_limit", lambda: 8)
-        flow = FeaFlowController(loop, send_segment=fea.send_segment,
-                                 poll_status=fea.poll_status, **options)
-        return loop, flow
+        return FeaFlowController(send_segment=fea.send_segment, **options)
 
     def test_single_event_pumps_singular_segment(self):
         fea = _FakeFea()
-        __, flow = self.make(fea)
+        flow = self.make(fea)
         flow.submit_batch(32, "add", [v4_route(1)])
         assert fea.segments == [(32, "add", ["10.0.1.0/24"])]
 
     def test_batch_segments_at_limit(self):
         fea = _FakeFea()
-        __, flow = self.make(fea)
+        flow = self.make(fea)
         flow.submit_batch(32, "add", [v4_route(i) for i in range(20)])
         assert [len(nets) for __f, __o, nets in fea.segments] == [8, 8, 4]
 
     def test_runs_break_at_op_boundaries(self):
         fea = _FakeFea()
-        fea.congested = True
-        loop, flow = self.make(fea, poll_interval=0.01)
-        flow.submit_batch(32, "add", [v4_route(1)])
-        fea.flush()  # congested reply pauses; the rest queue up mixed
+        flow = self.make(fea, window=1)
+        flow.submit_batch(32, "add", [v4_route(1)])  # its reply is held
         flow.submit_batch(32, "add", [v4_route(2)])
         flow.submit_batch(32, "add", [v4_route(3)])
         flow.submit_batch(32, "delete", [v4_route(1)])
         flow.submit_batch(32, "add", [v4_route(4)])
         assert len(fea.segments) == 1
-        fea.congested = False
-        assert loop.run_until(lambda: not flow.paused, timeout=5)
+        flow.window = 8
+        fea.flush()
         # The backlog drains as maximal same-op runs, never across an
         # op boundary: the two adds coalesce, the delete goes alone.
         ops = [(family, op, len(nets)) for family, op, nets in fea.segments]
         assert ops == [(32, "add", 1), (32, "add", 2), (32, "delete", 1),
                        (32, "add", 1)]
 
-    def test_congested_reply_pauses_until_poll_clears(self):
-        fea = _FakeFea()
-        fea.congested = True
-        loop, flow = self.make(fea, poll_interval=0.01)
-        flow.submit_batch(32, "add", [v4_route(1)])
-        fea.flush()  # reply says congested
-        assert flow.paused
-        flow.submit_batch(32, "add", [v4_route(2)])
-        assert len(fea.segments) == 1  # backlog held while paused
-        fea.congested = False
-        assert loop.run_until(lambda: not flow.paused, timeout=5)
-        fea.flush()
-        assert fea.polls >= 1
-        assert len(fea.segments) == 2
-        assert loop.run_until(lambda: flow.idle, timeout=5)
-
     def test_window_bounds_inflight_operations(self):
         fea = _FakeFea()
-        loop, flow = self.make(fea, window=8)
+        flow = self.make(fea, window=8)
         flow.submit_batch(32, "add", [v4_route(i) for i in range(30)])
         sent = sum(len(nets) for __f, __o, nets in fea.segments)
         assert sent == 8  # nothing beyond the window until replies
         fea.flush()
-        loop.run(duration=0.1)
         assert sum(len(n) for __f, __o, n in fea.segments) == 16
 
     def test_shed_scans_are_amortised_over_distinct_prefixes(self):
-        """10 000 distinct prefixes into a paused controller: nothing is
+        """10 000 distinct prefixes behind a full window: nothing is
         superseded, so rescanning on every intake above the watermark
         (~9 000 full scans of a growing queue) would buy nothing."""
         fea = _FakeFea()
-        fea.congested = True
-        __, flow = self.make(fea, high_watermark=1024)
-        flow.submit_batch(32, "add", [v4_route(0)])
-        fea.flush()  # the congested reply pauses the pump
-        assert flow.paused
+        flow = self.make(fea, window=1, high_watermark=1024)
+        flow.submit_batch(32, "add", [v4_route(0)])  # its reply is held
         scans = []
         shed = flow._shed
         flow._shed = lambda: (scans.append(flow.depth), shed())
@@ -544,7 +572,7 @@ class TestFeaFlowController:
 
     def test_shed_keeps_newest_event_per_prefix(self):
         fea = _FakeFea()
-        __, flow = self.make(fea, window=1, high_watermark=6)
+        flow = self.make(fea, window=1, high_watermark=6)
         # window=1: the first op goes out, the rest accumulate.
         for round_ in range(5):
             for i in range(4):
@@ -554,7 +582,6 @@ class TestFeaFlowController:
         assert flow.depth <= 6
         assert flow.shed_total > 0
         # Drain: the survivors end with each prefix's newest op.
-        fea.congested = False
         while fea.held:
             fea.flush()
         final = {}

@@ -354,13 +354,12 @@ class TestXrlTransportRobustness:
         server.register_raw_method("svc/1.0/never", never)
         client = XrlRouter(loop, "cli", finder, families=[family])
         failed = []
-        queue = XrlTransmitQueue(
-            client, window=2,
-            on_error=lambda xrl, error: failed.append(
-                (xrl.args.get_u32("n"), error.code)))
+        queue = XrlTransmitQueue(client, window=2)
         for n in range(4):
             queue.enqueue(Xrl("svc", "svc", "1.0", "never",
-                              XrlArgs().add_u32("n", n)))
+                              XrlArgs().add_u32("n", n)),
+                          on_reply=lambda error, __, n=n: failed.append(
+                              (n, error.code)))
         assert loop.run_until(lambda: len(parked) == 2, timeout=5)
         assert (queue.inflight, len(queue)) == (2, 2)
 

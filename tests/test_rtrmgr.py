@@ -106,6 +106,12 @@ class TestConfigTree:
         fresh.load(rendered)
         assert fresh.render() == rendered
 
+    def test_value_with_a_quote_is_refused(self):
+        tree = ConfigTree(parse_template(DEFAULT_TEMPLATE))
+        with pytest.raises(ConfigError):
+            tree.set(["policy", "statement", "p", "source"], 'say "hi"')
+        assert not tree.exists(["policy"])
+
     def test_load_braces_text(self):
         self.tree.load("""
             protocols {
@@ -173,6 +179,29 @@ class TestCommit:
         rip = rtrmgr.modules["rip"]
         assert "eth0" in rip.ports
         assert rip.ports["eth0"].cost == 2
+
+    def test_policy_source_survives_copy_and_reaches_bgp(self,
+                                                         managed_router):
+        network, router, peer_router, rtrmgr = managed_router
+        source = ("# prefer the customer; drop documentation space\n"
+                  "policy-statement customer-in {\n"
+                  "    term drop-doc {\n"
+                  "        from { network4 orlonger 203.0.113.0/24; }\n"
+                  "        then { reject; }\n"
+                  "    }\n"
+                  "}\n")
+        rtrmgr.set("protocols bgp local-as", 65001)
+        rtrmgr.set("policy statement customer-in source", source)
+        rtrmgr.set("protocols bgp import-policy", "customer-in")
+        path = ["policy", "statement", "customer-in", "source"]
+        assert rtrmgr.config.copy().get_value(path) == source
+        sent = []
+        send = rtrmgr._send
+        rtrmgr._send = lambda xrl: (sent.append(xrl), send(xrl))[1]
+        rtrmgr.commit()
+        (xrl,) = [x for x in sent if x.method == "configure_filter"]
+        assert xrl.args.get_txt("policy_source") == source
+        assert rtrmgr.committed.get_value(path) == source
 
     def test_commit_missing_mandatory_rolls_back(self, managed_router):
         network, router, peer_router, rtrmgr = managed_router

@@ -83,9 +83,9 @@ class TestTransmitQueue:
     def test_on_error_callback(self, setup):
         host, client, received = setup
         errors = []
-        queue = XrlTransmitQueue(client, window=10,
-                                 on_error=lambda xrl, err: errors.append(err))
-        queue.enqueue(Xrl("sink", "sink", "1.0", "boom"))
+        queue = XrlTransmitQueue(client, window=10)
+        queue.enqueue(Xrl("sink", "sink", "1.0", "boom"),
+                      on_reply=lambda err, __: errors.append(err))
         assert host.loop.run_until(lambda: bool(errors), timeout=10)
         assert errors[0].code == XrlErrorCode.COMMAND_FAILED
 
