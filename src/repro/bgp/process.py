@@ -18,7 +18,7 @@ from repro.bgp.peer import PeerConfig, PeerHandler
 from repro.bgp.route import BGPRoute
 from repro.core.process import Host, XorpProcess
 from repro.core.stages import OriginStage, RouteTableStage
-from repro.core.txqueue import XrlTransmitQueue
+from repro.core.txqueue import RouteStream
 from repro.interfaces import BGP_IDL, COMMON_IDL, POLICY_IDL, RIB_CLIENT_IDL
 from repro.net import IPNet, IPv4
 from repro.profiler import PROFILER_IDL, Profiler
@@ -44,7 +44,6 @@ class BgpProcess(XorpProcess):
     def __init__(self, host: Host, *, local_as: int = 65000,
                  bgp_id: Optional[IPv4] = None,
                  rib_target: Optional[str] = "rib",
-                 window: int = 100,
                  retry_policy=None):
         super().__init__(host)
         self.local_as = local_as
@@ -57,8 +56,10 @@ class BgpProcess(XorpProcess):
         self._prof_sent_rib = self.profiler.create("route_sent_rib")
         #: opt-in retry for the idempotent RIB route stream / queries
         self.retry_policy = retry_policy
-        self.txq = XrlTransmitQueue(self.xrl, window=window,
-                                    retry=retry_policy)
+        #: the RIB-bound route stream, keyed by (RIB protocol, net)
+        self.txq = RouteStream(self.xrl, self._rib_segment,
+                               batch_limit=lambda: self.fanout.RUN_LIMIT,
+                               retry=retry_policy)
         self.peers: Dict[str, PeerHandler] = {}
 
         # Policy hooks; the policy process installs compiled filters here.
@@ -73,6 +74,7 @@ class BgpProcess(XorpProcess):
         self.fanout.add_reader("__rib__", self._rib_deliver, dump=False)
         #: protocol name the RIB currently files each prefix under
         self._rib_protocol: Dict[IPNet, str] = {}
+        self._tables_unanswered = 0
 
         # Local route origination branch.
         self._local_info = PeerInfo(LOCAL_PEER_ID, is_ibgp=False,
@@ -96,8 +98,10 @@ class BgpProcess(XorpProcess):
         if rib_target is not None:
             self._register_rib_tables()
             # Watch the RIB's lifetime: when it dies and comes back we
-            # must re-seed it (tables, interest, and every best route).
-            self.watch_rebirth(rib_target, self.resync_rib)
+            # must re-seed it (tables, interest, and every best route);
+            # the stream's backlog is superseded by that replay.
+            self.watch_rebirth(rib_target, self.resync_rib,
+                               at_birth=self.txq.reset)
 
     # -- peer info for the decision process ------------------------------------
     def peer_info(self, peer_id: str) -> PeerInfo:
@@ -113,12 +117,22 @@ class BgpProcess(XorpProcess):
 
     # -- RIB interaction ------------------------------------------------------
     def _register_rib_tables(self) -> None:
+        """Create the RIB's ebgp/ibgp tables.  The route stream waits until
+        every table request is answered: a route must not overtake a
+        re-sent request and fail for want of its table."""
         send = self.xrl.send
+        self.txq.pause()
         for protocol in ("ebgp", "ibgp"):
+            self._tables_unanswered += 1
             args = XrlArgs().add_txt("protocol", protocol)
             send(Xrl(self.rib_target, "rib", "1.0",
                      "add_egp_table4", args),
-                 retry=self.retry_policy)
+                 self._rib_table_answered, retry=self.retry_policy)
+
+    def _rib_table_answered(self, error: XrlError, args: XrlArgs) -> None:
+        self._tables_unanswered -= 1
+        if not self._tables_unanswered:
+            self.txq.pause(False)
 
     def resync_rib(self) -> None:
         """Re-seed a restarted RIB (the resync contract in DESIGN.md).
@@ -196,15 +210,21 @@ class BgpProcess(XorpProcess):
         self._rib_send(op, current, stretch)
 
     def _rib_send(self, op: str, protocol: str, routes: List[Any]) -> None:
-        """The one BGP→RIB emit: a same-(op, protocol) stretch as one XRL.
+        """A same-(op, protocol) stretch into the RIB-bound stream."""
+        prof = self._prof_queued_rib
+        if prof.enabled:
+            for route in routes:
+                prof.log_op(op, route.net)
+        self.txq.submit(protocol, op, routes)
+
+    def _rib_segment(self, protocol: str, op: str, routes: List[Any]) -> Xrl:
+        """The one BGP→RIB wire form: a same-(protocol, op) run as one XRL.
 
         Two or more routes leave as one vectorized ``add_routes4`` /
         ``delete_routes4`` (parallel lists, like ``fea_fib/1.0``'s
-        ``add_entries4``), hinted so the stretches of one pump turn share
-        a wire flush.  A lone route keeps the singular wire shape and
-        leaves at once — the rule ``FeaFlowController.submit_batch``
-        applies on the RIB→FEA hop.  Method names stay literal so the
-        XRL001/XRL002 checks and the protocol graph resolve them.
+        ``add_entries4``); a lone route keeps the singular wire shape —
+        the rule the RIB→FEA hop applies too.  Method names stay literal
+        so the XRL001/XRL002 checks and the protocol graph resolve them.
         """
         target = self.rib_target
         if len(routes) == 1:
@@ -235,20 +255,10 @@ class BgpProcess(XorpProcess):
                                            route.igp_metric or 0)
                                    for route in routes]))
                 xrl = Xrl(target, "rib", "1.0", "add_routes4", args)
-        prof = self._prof_queued_rib
-        if prof.enabled:
-            for route in routes:
-                prof.log_op(op, route.net)
         if self._prof_sent_rib.enabled:
-            # The paper's profile points keep one record per route; the
-            # strings (and the closure holding them) exist only while the
-            # point is collecting.
-            lines = [f"{op} {route.net}" for route in routes]
-            on_sent = lambda sent=lines: \
-                self._prof_sent_rib.log_each(sent)  # noqa: E731
-        else:
-            on_sent = None
-        self.txq.enqueue(xrl, on_sent=on_sent, batch=len(routes) > 1)
+            self._prof_sent_rib.log_each(
+                [f"{op} {route.net}" for route in routes])
+        return xrl
 
     # -- policy/0.1: the policy process pushes compiled-from-source filters --
     #: XORP's filter ids: 1 = import, 2 = source-match export, 4 = export

@@ -1,95 +1,200 @@
-"""Pipelined XRL transmit queue.
+"""Route streams: pipelined XRLs under a window (paper §8.2).
 
-    "We should emphasize that the XRL interface is pipelined, so
-    performance is still good when many routes change in a short time
-    interval."  (paper §8.2)
-
-Processes that stream route changes to another process (BGP → RIB,
-RIB → FEA) queue the XRLs here; up to *window* calls are outstanding at a
-time.  The queue exposes the two moments the paper's profiling measures:
-*queued for transmission* (enqueue) and *sent* (handed to the transport).
+Every hop that streams routes (BGP → RIB, RIB → FEA, RIB → each
+redistribution target) sends through one :class:`RouteStream`.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Callable, Deque, Optional, Tuple
+from collections import OrderedDict, deque
+from functools import partial
+from typing import Any, Callable, Deque, Dict, List, Optional, Set, Tuple
 
-from repro.xrl import XrlArgs, XrlError, XrlRouter
+from repro.xrl import XrlRouter
 from repro.xrl.retry import RetryPolicy
 from repro.xrl.xrl import Xrl
 
 
-class XrlTransmitQueue:
-    """Window-limited pipelined sender of XRLs to one or more targets.
+class RouteStream:
+    """The newest pending op per ``(group, net)`` (sdx-parallel's
+    ``output`` table, not a log of every op), pumped under a window
+    counted in routes: the reply is the completion.
 
-    *retry* is handed through to every :meth:`XrlRouter.send`.  Route
-    streams (BGP → RIB, RIB → FEA) are idempotent, so queues carrying them
-    opt in to retries: a dropped frame then costs one backoff instead of
-    wedging the window forever.
+    *segment(group, op, routes)* builds the one XRL of a same-(group, op)
+    run, singular for a lone route; *batch_limit()* caps a run.  A key has
+    at most one op on the wire and a newer one waits for its reply, so a
+    re-send never overtakes a later op for the same prefix and unrelated
+    prefixes are never held back.  *retry* is the process's
+    :class:`RetryPolicy` or None: a send's deadline is its
+    ``attempt_timeout``; a route whose segment failed with a retryable
+    code is re-queued after ``delay(n)`` unless a newer op for its key
+    waits.  Past ``max_attempts``, as on any other failure, the route is
+    dropped and counted in :attr:`failed`.
     """
 
-    def __init__(self, router: XrlRouter, *, window: int = 100,
+    def __init__(self, router: XrlRouter,
+                 segment: Callable[[Any, str, List[Any]], Xrl], *,
+                 window: int = 512,
+                 batch_limit: Callable[[], int] = lambda: 256,
                  retry: Optional[RetryPolicy] = None):
         if window < 1:
             raise ValueError(f"window must be >= 1, got {window}")
-        self._router = router
-        self._window = window
-        self._queue: Deque[Tuple[Xrl, Optional[Callable], Optional[Callable],
-                                 bool]] = deque()
-        self._inflight = 0
-        self._retry = retry
-        self.sent_count = 0
-
-    def __len__(self) -> int:
-        return len(self._queue)
+        self._router, self._segment = router, segment
+        self.window, self._batch_limit, self.retry = window, batch_limit, retry
+        #: key -> (op, route, attempts made); a replaced op keeps its place
+        self._table: Dict[Tuple, Tuple] = OrderedDict()
+        #: the newer op of a busy key, queued once the key is released
+        self._held: Dict[Tuple, Tuple] = {}
+        #: keys on the wire or waiting out a retry backoff
+        self._busy: Set[Tuple] = set()
+        self._epoch = 0
+        self._pumping = self._paused = False
+        self.inflight = 0  # routes on the wire
+        self.sent_count = self.shed = self.retries = self.failed = 0
 
     def register_metrics(self, registry, prefix: str = "txq") -> None:
-        """Expose depth/inflight/sent as gauges on *registry* under
-        ``<prefix>.*`` (lazy reads; nothing on the enqueue hot path)."""
-        registry.gauge(f"{prefix}.depth", lambda: len(self._queue))
-        registry.gauge(f"{prefix}.inflight", lambda: self._inflight)
-        registry.gauge(f"{prefix}.sent", lambda: self.sent_count)
+        for name in ("depth", "inflight", "sent_count", "shed", "retries",
+                     "failed"):
+            registry.gauge(f"{prefix}.{name.replace('_count', '')}",
+                           lambda name=name: getattr(self, name))
 
     @property
-    def inflight(self) -> int:
-        return self._inflight
+    def depth(self) -> int:  # routes pending or held, not yet on the wire
+        return len(self._table) + len(self._held)
 
     @property
     def idle(self) -> bool:
-        return not self._queue and self._inflight == 0
+        return not (self._table or self._held or self._busy)
 
-    def enqueue(self, xrl: Xrl,
-                on_sent: Optional[Callable[[], None]] = None,
-                on_reply: Optional[Callable[[XrlError, XrlArgs], None]] = None,
-                *, batch: bool = False) -> None:
-        """Queue *xrl*; *on_sent* fires when it is handed to the transport.
+    def submit(self, group: Any, op: str, routes: List[Any]) -> None:
+        """Queue *routes* under *op*, in order, and pump."""
+        table, held, busy, shed = self._table, self._held, self._busy, 0
+        for route in routes:
+            key = (group, route.net)
+            pending = held if key in busy else table
+            shed += key in pending
+            pending[key] = (op, route, 0)
+        self.shed += shed
+        self._pump()
 
-        *batch* is forwarded to :meth:`XrlRouter.send`: enqueues from one
-        burst (a batched stage delivering a route batch downstream) then
-        coalesce on the wire within the event-loop turn.
-        """
-        self._queue.append((xrl, on_sent, on_reply, batch))
+    def pause(self, paused: bool = True) -> None:
+        """Send nothing while paused (the consumer is not ready yet)."""
+        self._paused = paused
+        self._pump()
+
+    def reset(self) -> None:
+        """Forget everything: the consumer was reborn empty and a full
+        resync follows.  Replies and backoffs from before are ignored."""
+        self._epoch += 1
+        for part in (self._table, self._held, self._busy):
+            part.clear()
+        self.inflight = 0
+
+    def _pump(self) -> None:
+        """Send maximal same-(group, op) runs in table order."""
+        if self._pumping or self._paused:
+            return  # re-entered from a reply handler, or paused
+        self._pumping = True
+        table, busy, policy = self._table, self._busy, self.retry
+        deadline = None if policy is None else policy.attempt_timeout
+        try:
+            while table and self.inflight < self.window:
+                # A segment never exceeds the window left: one oversized
+                # XRL would land more un-acked routes than it promises.
+                limit = min(self._batch_limit(), self.window - self.inflight)
+                key, entry = table.popitem(last=False)
+                group, op = key[0], entry[0]
+                keys, run = [key], [entry]
+                while table and len(run) < limit:
+                    key, entry = table.popitem(last=False)
+                    if key[0] != group or entry[0] != op:
+                        table[key] = entry  # the next run's head
+                        table.move_to_end(key, last=False)
+                        break
+                    keys.append(key)
+                    run.append(entry)
+                busy.update(keys)
+                self.inflight += len(run)
+                self.sent_count += 1
+                self._router.send(
+                    self._segment(group, op, [entry[1] for entry in run]),
+                    partial(self._done, self._epoch, keys, run),
+                    deadline=deadline, batch=len(run) > 1)
+        finally:
+            self._pumping = False
+
+    def _done(self, epoch: int, keys: List, run: List, error, __) -> None:
+        if epoch != self._epoch:
+            return  # a reply from before reset()
+        self.inflight -= len(run)
+        okay, policy, held = error.is_okay, self.retry, self._held
+        if okay and not held:
+            self._busy.difference_update(keys)
+            return self._pump()
+        retryable = policy is not None and policy.retryable(error.code)
+        again = []
+        for key, (op, route, tries) in zip(keys, run):
+            if okay or key in held:  # answered, or superseded by a newer op
+                self.shed += not okay
+                self._release(key)
+            elif retryable and tries + 1 < policy.max_attempts:
+                again.append((key, (op, route, tries + 1)))
+            else:
+                self.failed += 1
+                self._release(key)
+        if again:
+            self.retries += 1
+            self._router.loop.call_later(
+                policy.delay(max(entry[2] for __, entry in again)),
+                partial(self._requeue, epoch, again), name="route-retry")
+        self._pump()
+
+    def _requeue(self, epoch: int, again: List[Tuple]) -> None:
+        if epoch == self._epoch:
+            for key, entry in again:
+                self._release(key, entry)
+            self._pump()
+
+    def _release(self, key: Tuple, retry: Optional[Tuple] = None) -> None:
+        """*key* leaves the wire: its held newer op queues, else *retry*."""
+        self._busy.discard(key)
+        entry = self._held.pop(key, None)
+        self.shed += entry is not None and retry is not None
+        if entry or retry:
+            self._table[key] = entry or retry
+
+
+class XrlTransmitQueue:
+    """Window-limited pipelined sender of whole XRLs.  Its one remaining
+    caller is ``bench/replay.py``'s ``core.txq_us_per_call`` replay;
+    ROADMAP item 2 deletes it."""
+
+    def __init__(self, router: XrlRouter, *, window: int = 100):
+        if window < 1:
+            raise ValueError(f"window must be >= 1, got {window}")
+        self._router, self.window = router, window
+        self._queue: Deque[Tuple[Xrl, Optional[Callable], bool]] = deque()
+        self.inflight = self.sent_count = 0
+
+    @property
+    def idle(self) -> bool:
+        return not self._queue and self.inflight == 0
+
+    def enqueue(self, xrl: Xrl, on_reply: Optional[Callable] = None, *,
+                batch: bool = False) -> None:
+        self._queue.append((xrl, on_reply, batch))
         self._pump()
 
     def _pump(self) -> None:
-        queue = self._queue
-        popleft = queue.popleft
-        send = self._router.send
-        while self._inflight < self._window and queue:
-            xrl, on_sent, on_reply, batch = popleft()
-            self._inflight += 1
+        queue, send = self._queue, self._router.send
+        while self.inflight < self.window and queue:
+            xrl, on_reply, batch = queue.popleft()
+            self.inflight += 1
             self.sent_count += 1
-            if on_sent is not None:
-                on_sent()
-            send(xrl, self._completion(on_reply), retry=self._retry,
-                 batch=batch)
+            send(xrl, partial(self._done, on_reply), batch=batch)
 
-    def _completion(self, on_reply) -> Callable:
-        def done(error: XrlError, args: XrlArgs) -> None:
-            self._inflight -= 1
-            if on_reply is not None:
-                on_reply(error, args)
-            self._pump()
-
-        return done
+    def _done(self, on_reply: Optional[Callable], error, args) -> None:
+        self.inflight -= 1
+        if on_reply is not None:
+            on_reply(error, args)
+        self._pump()

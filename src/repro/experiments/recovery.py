@@ -202,8 +202,11 @@ def run_recovery(*, seed: int = 7, drop_probability: float = 0.10,
         raise RuntimeError("post-restart reconvergence failed")
     reconverged_at = loop.now()
 
-    retries = (manager.modules["bgp"].xrl.retries_performed
-               + manager.modules["rib"].xrl.retries_performed)
+    # Re-sends: the route streams' and the XRL layer's (table setup,
+    # nexthop queries).
+    retries = sum(module.txq.retries + module.xrl.retries_performed
+                  for module in (manager.modules["bgp"],
+                                 manager.modules["rib"]))
     supervisor.stop()
     result = RecoveryResult(
         kill_at=kill_at, restart_at=restart_at,

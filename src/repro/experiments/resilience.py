@@ -118,7 +118,7 @@ def run_backend_resilience(*, seed: int = 7, routes: int = 64,
 
     def consistent() -> bool:
         shadow = {entry for __, entry in fea.fib4.entries()}
-        return (fea.driver.settled and rib.txq.idle and rib.flow.idle
+        return (fea.driver.settled and rib.txq.idle
                 and set(fea.backend.dump(32)) == shadow)
 
     origin.originate_batch([_route(i) for i in range(routes)])
@@ -191,7 +191,7 @@ def run_throttled_flush(*, routes: int = 256, slowdown: int = 10,
         # `slowdown`x that, per operation.
         "fault_plan": BackendFaultPlan(seed=0, latency=0.001 * slowdown),
         "queue_capacity": 2 * window,
-    }}, {"flow_options": {"window": window}})
+    }}, {"window": window})
     loop, fea, rib = (manager.loop, manager.modules["fea"],
                       manager.modules["rib"])
     origin = rib.v4.origin("static")
@@ -199,8 +199,7 @@ def run_throttled_flush(*, routes: int = 256, slowdown: int = 10,
     start = loop.now()
     origin.originate_batch([_route(i) for i in range(routes)])
     done = lambda: (len(fea.backend.dump(32)) == routes  # noqa: E731
-                    and fea.driver.settled and rib.txq.idle
-                    and rib.flow.idle)
+                    and fea.driver.settled and rib.txq.idle)
     if not loop.run_until(done, timeout=600.0):
         raise RuntimeError(
             f"throttled flush stalled: {len(fea.backend.dump(32))}"

@@ -13,7 +13,7 @@ from typing import Any, Dict, List, Optional
 
 from repro.core.process import Host, XorpProcess
 from repro.core.stages import OriginStage, RouteTableStage
-from repro.core.txqueue import XrlTransmitQueue
+from repro.core.txqueue import RouteStream
 from repro.interfaces import (
     COMMON_IDL,
     REDIST4_IDL,
@@ -24,7 +24,6 @@ from repro.interfaces import (
 from repro.net import IPNet, IPv4, IPv6
 from repro.profiler import PROFILER_IDL, Profiler
 from repro.rib.extint import ExtIntStage
-from repro.rib.flow import FeaFlowController
 from repro.rib.merge import MergeStage
 from repro.rib.redist import RedistStage
 from repro.rib.register import RegisterStage
@@ -121,7 +120,7 @@ class RibProcess(XorpProcess):
     BUILTIN_IGP_TABLES = ("connected", "static")
 
     def __init__(self, host: Host, *, fea_target: str = "fea",
-                 window: int = 100, retry_policy=None, flow_options=None):
+                 window: int = 512, retry_policy=None):
         super().__init__(host)
         self.fea_target = fea_target
         self.xrl = self.create_router("rib", singleton=True)
@@ -131,17 +130,16 @@ class RibProcess(XorpProcess):
         self._prof_sent_fea = self.profiler.create("route_sent_fea")
         #: opt-in retry for the idempotent FEA/redist route streams
         self.retry_policy = retry_policy
-        self.txq = XrlTransmitQueue(self.xrl, window=window,
-                                    retry=retry_policy)
+        #: the FEA-bound stream, keyed by (family, net): the FEA answers
+        #: a FIB XRL once its dataplane has settled it, so the *window*
+        #: (in routes) bounds the backend's queue.
+        self.txq = RouteStream(self.xrl, self._fea_segment, window=window,
+                               batch_limit=lambda: self.FEA_BATCH_LIMIT,
+                               retry=retry_policy)
         self.txq.register_metrics(self.metrics)
-        #: pacing for the FEA-bound stream: the FEA answers a FIB XRL
-        #: once its dataplane has settled it, so the flow's in-flight
-        #: window bounds the backend's queue.
-        self.flow = FeaFlowController(
-            send_segment=self._send_fea_segment,
-            batch_limit=lambda: self.FEA_BATCH_LIMIT,
-            **(flow_options or {}))
-        self.flow.register_metrics(self.metrics)
+        #: one stream per redistribution target (redist4/0.1 has no
+        #: vector form, so a segment is one route)
+        self._redist_streams: Dict[str, RouteStream] = {}
         self.v4 = _Pipeline(32, "4", self._emit_fea4, self._notify_invalid4)
         self.v6 = _Pipeline(128, "6", self._emit_fea6, lambda *a: None)
         self.metrics.gauge("tables4", lambda: len(self.v4.origins))
@@ -157,15 +155,14 @@ class RibProcess(XorpProcess):
         self._redist_targets: Dict[str, str] = {}
         # Watch the FEA's lifetime so a reborn (empty) FIB is re-seeded.
         # It starts from an empty FIB: the backlog is superseded by the
-        # full-table resync, so the flow queue is reset at BIRTH itself.
+        # full-table resync, so the stream is reset at BIRTH itself.
         self.watch_rebirth(fea_target, self.resync_fea,
-                           at_birth=self.flow.reset)
+                           at_birth=self.txq.reset)
 
     # -- FEA distribution ----------------------------------------------------
-    # Both families flow through one emit helper into the flow controller,
-    # which pumps same-(family, op) runs back out through
-    # _send_fea_segment — so v4 and v6 share segmenting, profiling, and
-    # the backpressure pacing.
+    # Both families flow through one emit helper into the route stream,
+    # which pumps same-(family, op) runs back out through _fea_segment —
+    # so v4 and v6 share segmenting, profiling, and the window.
 
     #: family bits -> (method suffix, net atom type, nexthop atom type)
     _FEA_FAMILY = {
@@ -184,18 +181,17 @@ class RibProcess(XorpProcess):
         self._emit_fea(128, op, routes)
 
     def _emit_fea(self, family: int, op: str, routes: List[Any]) -> None:
-        """A stage batch toward the FEA, in order: the flow controller
-        sends one vectorized XRL per segment (a lone route goes singular),
+        """A stage batch toward the FEA, in order: the stream sends one
+        vectorized XRL per segment (a lone route goes singular),
         amortizing the XRL header, dispatch and reply over the segment."""
         prof = self._prof_queued_fea
         if prof.enabled:
             for route in routes:
                 prof.log_op(op, route.net)
-        self.flow.submit_batch(family, op, routes)
+        self.txq.submit(family, op, routes)
 
-    def _send_fea_segment(self, family: int, op: str, routes: List[Any],
-                          batching: bool, on_reply) -> None:
-        """Transmit one same-op run as a singular or vectorized FIB XRL."""
+    def _fea_segment(self, family: int, op: str, routes: List[Any]) -> Xrl:
+        """One same-op run as a singular or vectorized FIB XRL."""
         __, net_type, nexthop_type = self._FEA_FAMILY[family]
         # Method names stay literal (per family, via the conditional) so
         # the XRL001/XRL002 static conformance checks can resolve them.
@@ -209,7 +205,6 @@ class RibProcess(XorpProcess):
                       if op == "add" else
                       ("delete_entry4" if family == 32 else "delete_entry6"))
             xrl = Xrl(self.fea_target, "fea_fib", "1.0", method, args)
-            batch = batching
         else:
             nets = [XrlAtom("net", net_type, route.net) for route in routes]
             if op == "add":
@@ -230,17 +225,10 @@ class RibProcess(XorpProcess):
                       ("delete_entries4" if family == 32
                        else "delete_entries6"))
             xrl = Xrl(self.fea_target, "fea_fib", "1.0", method, args)
-            batch = True
         if self._prof_sent_fea.enabled:
-            # The sent-record strings (and the closure holding them) are
-            # only built when the profiling point is collecting.
-            lines = [f"{op} {route.net}" for route in routes]
-            on_sent = lambda batch_lines=lines: \
-                self._prof_sent_fea.log_each(batch_lines)  # noqa: E731
-        else:
-            on_sent = None
-        self.txq.enqueue(xrl, on_sent=on_sent, on_reply=on_reply,
-                         batch=batch)
+            self._prof_sent_fea.log_each(
+                [f"{op} {route.net}" for route in routes])
+        return xrl
 
     # -- resync after consumer restarts (the DESIGN.md failure model) --------
     def resync_fea(self) -> None:
@@ -405,11 +393,17 @@ class RibProcess(XorpProcess):
         if self.v4.redist.has_target(key):
             return
         self._redist_targets[key] = target
-        self.watch_rebirth(target, partial(self._resync_redist, target))
+        stream = self._redist_streams.get(target)
+        if stream is None:
+            stream = self._redist_streams[target] = RouteStream(
+                self.xrl, partial(self._redist_segment4, target),
+                batch_limit=lambda: 1, retry=self.retry_policy)
+        self.watch_rebirth(target, partial(self._resync_redist, target),
+                           at_birth=stream.reset)
         self.v4.redist.add_target(
             key,
             predicate=lambda route: route.protocol == from_protocol,
-            callback=lambda op, route: self._emit_redist4(target, op, route),
+            callback=lambda op, route: stream.submit(None, op, [route]),
         )
 
     def xrl_redist_disable4(self, target: str, from_protocol: str) -> None:
@@ -417,7 +411,9 @@ class RibProcess(XorpProcess):
         self.v4.redist.remove_target(key)
         self._redist_targets.pop(key, None)
 
-    def _emit_redist4(self, target: str, op: str, route: Any) -> None:
+    def _redist_segment4(self, target: str, group, op: str,
+                         routes: List[Any]) -> Xrl:
+        (route,) = routes
         if op == "add":
             args = (XrlArgs().add_ipv4net("net", route.net)
                     .add_ipv4("nexthop", route.nexthop)
@@ -430,7 +426,7 @@ class RibProcess(XorpProcess):
             args = (XrlArgs().add_ipv4net("net", route.net)
                     .add_txt("protocol", route.protocol))
             xrl = Xrl(target, "redist4", "0.1", "redist_delete_route4", args)
-        self.txq.enqueue(xrl)
+        return xrl
 
     def xrl_get_protocol_admin_distance(self, protocol: str) -> dict:
         return {"admin_distance":

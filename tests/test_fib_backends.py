@@ -3,7 +3,7 @@
 Unit coverage for the tentpole of the dataplane-robustness work: the
 :class:`FibBackend` implementations (trie, flowrule, netlink-like), the
 :class:`BackendDriver` that converges a faulty backend to the FEA's
-shadow tables, and the RIB-side :class:`FeaFlowController` pacing.  The
+shadow tables, and the RIB's :class:`RouteStream` toward the FEA.  The
 headline property: for *any* seeded fault schedule, after
 reconciliation the backend's ``dump()`` equals the shadow table, both
 families.
@@ -38,8 +38,10 @@ from repro.fea.fib import Fib, FibEntry
 from repro.net import IPNet, IPv4, IPv6
 from repro.obs.metrics import MetricsRegistry
 from repro.rib import RibProcess, RibRoute
-from repro.rib.flow import FeaFlowController
+from repro.core.txqueue import RouteStream
 from repro.xrl import Xrl, XrlArgs, XrlAtom, XrlAtomType, XrlRouter
+from repro.xrl.error import XrlError, XrlErrorCode
+from repro.xrl.retry import RetryPolicy
 
 
 def v4_entry(i, nexthop=1, ifname="eth0"):
@@ -460,15 +462,15 @@ class TestFibReplyContract:
         host = Host()
         fea = FeaProcess(host, backend="netlink", backend_options={
             "fault_plan": BackendFaultPlan(latency=0.01)})
-        rib = RibProcess(host, flow_options={"window": 16})
-        inflight = rib.metrics.get("rib.flow.inflight")
+        rib = RibProcess(host, window=16)
+        inflight = rib.metrics.get("rib.txq.inflight")
         rib.v4.origin("static").originate_batch(
             [RibRoute(v4_entry(i).net, IPv4("192.168.0.1"), 1, "static")
              for i in range(64)])
         host.loop.run(duration=0.05)
         assert inflight.read() == 16  # the window waits on the backend
         fea.shutdown()
-        assert host.loop.run_until(lambda: rib.flow.idle, timeout=30)
+        assert host.loop.run_until(lambda: rib.txq.idle, timeout=30)
         assert inflight.read() == 0
 
     def test_throttled_flush_is_bounded_by_the_window(self):
@@ -477,7 +479,7 @@ class TestFibReplyContract:
 
 
 # ---------------------------------------------------------------------------
-# RIB-side flow controller: pacing, shedding
+# The RIB's route stream: runs, window, newest op per prefix, ordering
 
 
 class _Route:
@@ -486,106 +488,178 @@ class _Route:
 
 
 class _FakeFea:
-    """Records segments; holds every reply until :meth:`flush`."""
+    """Stands in for the XRL router under a stream: records every segment
+    and holds its reply until :meth:`answer`."""
 
     def __init__(self):
+        self.loop = EventLoop(SimulatedClock())
         self.segments = []
         self.held = []
 
-    def send_segment(self, family, op, routes, batching, on_reply):
-        self.segments.append((family, op, [str(r.net) for r in routes]))
-        self.held.append(on_reply)
+    @staticmethod
+    def segment(family, op, routes):
+        return family, op, [str(route.net) for route in routes]
 
-    def flush(self):
+    def send(self, segment, callback, *, deadline=None, batch=False):
+        self.segments.append(segment)
+        self.held.append(callback)
+
+    def answer(self, error=None):
         held, self.held = self.held, []
-        for on_reply in held:
-            on_reply(None, None)
+        for callback in held:
+            callback(error or XrlError.okay(), XrlArgs())
+
+    def ops(self):
+        return [(op, nets) for __, op, nets in self.segments]
 
 
 def v4_route(i):
     return _Route(IPNet(IPv4(0x0A000000 + (i << 8)), 24))
 
 
-class TestFeaFlowController:
+def v4_net(i):
+    return str(v4_route(i).net)
+
+
+class TestRouteStream:
     def make(self, fea, **options):
         options.setdefault("batch_limit", lambda: 8)
-        return FeaFlowController(send_segment=fea.send_segment, **options)
+        return RouteStream(fea, fea.segment, **options)
 
     def test_single_event_pumps_singular_segment(self):
         fea = _FakeFea()
-        flow = self.make(fea)
-        flow.submit_batch(32, "add", [v4_route(1)])
+        stream = self.make(fea)
+        stream.submit(32, "add", [v4_route(1)])
         assert fea.segments == [(32, "add", ["10.0.1.0/24"])]
 
     def test_batch_segments_at_limit(self):
         fea = _FakeFea()
-        flow = self.make(fea)
-        flow.submit_batch(32, "add", [v4_route(i) for i in range(20)])
-        assert [len(nets) for __f, __o, nets in fea.segments] == [8, 8, 4]
+        stream = self.make(fea)
+        stream.submit(32, "add", [v4_route(i) for i in range(20)])
+        assert [len(nets) for __, nets in fea.ops()] == [8, 8, 4]
+        assert stream.sent_count == 3
 
-    def test_runs_break_at_op_boundaries(self):
+    def test_runs_break_at_op_and_group_boundaries(self):
         fea = _FakeFea()
-        flow = self.make(fea, window=1)
-        flow.submit_batch(32, "add", [v4_route(1)])  # its reply is held
-        flow.submit_batch(32, "add", [v4_route(2)])
-        flow.submit_batch(32, "add", [v4_route(3)])
-        flow.submit_batch(32, "delete", [v4_route(1)])
-        flow.submit_batch(32, "add", [v4_route(4)])
+        stream = self.make(fea, window=1)
+        stream.submit(32, "add", [v4_route(1)])  # its reply is held
+        stream.submit(32, "add", [v4_route(2), v4_route(3)])
+        stream.submit(32, "delete", [v4_route(5)])
+        stream.submit(128, "add", [v4_route(6)])
+        stream.submit(32, "add", [v4_route(4)])
         assert len(fea.segments) == 1
-        flow.window = 8
-        fea.flush()
-        # The backlog drains as maximal same-op runs, never across an
-        # op boundary: the two adds coalesce, the delete goes alone.
-        ops = [(family, op, len(nets)) for family, op, nets in fea.segments]
-        assert ops == [(32, "add", 1), (32, "add", 2), (32, "delete", 1),
-                       (32, "add", 1)]
+        stream.window = 8
+        fea.answer()
+        assert [(family, op, len(nets))
+                for family, op, nets in fea.segments[1:]] == [
+            (32, "add", 2), (32, "delete", 1), (128, "add", 1),
+            (32, "add", 1)]
 
-    def test_window_bounds_inflight_operations(self):
+    def test_segments_are_capped_at_the_window_left(self):
         fea = _FakeFea()
-        flow = self.make(fea, window=8)
-        flow.submit_batch(32, "add", [v4_route(i) for i in range(30)])
-        sent = sum(len(nets) for __f, __o, nets in fea.segments)
-        assert sent == 8  # nothing beyond the window until replies
-        fea.flush()
-        assert sum(len(n) for __f, __o, n in fea.segments) == 16
+        stream = self.make(fea, window=10)
+        stream.submit(32, "add", [v4_route(i) for i in range(30)])
+        # 8 (the batch limit), then the 2 the window has left.
+        assert [len(nets) for __, nets in fea.ops()] == [8, 2]
+        assert stream.inflight == 10 and stream.depth == 20
+        fea.answer()
+        assert [len(nets) for __, nets in fea.ops()] == [8, 2, 8, 2]
 
-    def test_shed_scans_are_amortised_over_distinct_prefixes(self):
-        """10 000 distinct prefixes behind a full window: nothing is
-        superseded, so rescanning on every intake above the watermark
-        (~9 000 full scans of a growing queue) would buy nothing."""
+    def test_newer_op_replaces_a_pending_one(self):
         fea = _FakeFea()
-        flow = self.make(fea, window=1, high_watermark=1024)
-        flow.submit_batch(32, "add", [v4_route(0)])  # its reply is held
-        scans = []
-        shed = flow._shed
-        flow._shed = lambda: (scans.append(flow.depth), shed())
-        for i in range(1, 10_001):
-            flow.submit_batch(32, "add", [v4_route(i)])
-        assert flow.depth == 10_000 and flow.shed_total == 0
-        assert len(scans) <= 10_000 // 1024 + 1
-        # Still bounded by distinct prefixes: a flap of every queued
-        # prefix is shed back within one watermark of the distinct count.
-        for i in range(1, 10_001):
-            flow.submit_batch(32, "delete", [v4_route(i)])
-        assert flow.depth <= 10_000 + 1024
-        assert flow.shed_total >= 10_000 - 1024
+        stream = self.make(fea, window=1)
+        stream.submit(32, "add", [v4_route(0)])  # its reply is held
+        for op in ("add", "delete", "add", "delete"):
+            stream.submit(32, op, [v4_route(1)])
+        assert stream.depth == 1 and stream.shed == 3
+        fea.answer()
+        assert fea.ops()[1:] == [("delete", [v4_net(1)])]
 
-    def test_shed_keeps_newest_event_per_prefix(self):
+    def test_peak_depth_is_bounded_by_distinct_keys_plus_window(self):
+        import random
+
         fea = _FakeFea()
-        flow = self.make(fea, window=1, high_watermark=6)
-        # window=1: the first op goes out, the rest accumulate.
-        for round_ in range(5):
-            for i in range(4):
-                flow.submit_batch(
-                    32, "add" if round_ % 2 == 0 else "delete", [v4_route(i)])
-        # 20 events over 4 prefixes: superseded ones were shed.
-        assert flow.depth <= 6
-        assert flow.shed_total > 0
-        # Drain: the survivors end with each prefix's newest op.
-        while fea.held:
-            fea.flush()
+        window = 16
+        stream = self.make(fea, window=window)
+        rng = random.Random(5)
+        newest, peak = {}, 0
+        for n in range(10_000):
+            i, op = rng.randrange(100), rng.choice(("add", "delete"))
+            stream.submit(32, op, [v4_route(i)])
+            newest[v4_net(i)] = op
+            peak = max(peak, stream.depth + stream.inflight)
+            if n % 7 == 0:
+                fea.answer()
+        assert peak <= 100 + window
+        while not stream.idle:
+            fea.answer()
         final = {}
-        for __f, op, nets in fea.segments:
-            for net in nets:
-                final[net] = op
-        assert all(op == "add" for op in final.values())  # round 4 was adds
+        for op, nets in fea.ops():
+            final.update(dict.fromkeys(nets, op))
+        assert final == newest
+        assert stream.shed > 0
+
+    def test_key_is_held_while_in_flight(self):
+        fea = _FakeFea()
+        stream = self.make(fea)
+        stream.submit(32, "add", [v4_route(1)])
+        stream.submit(32, "delete", [v4_route(1)])   # waits for the add
+        stream.submit(32, "add", [v4_route(2)])      # not held back
+        assert fea.ops() == [("add", [v4_net(1)]), ("add", [v4_net(2)])]
+        assert stream.depth == 1 and not stream.idle
+        fea.answer()
+        assert fea.ops()[2:] == [("delete", [v4_net(1)])]
+        fea.answer()
+        assert stream.idle
+
+    def test_failed_segment_requeues_only_unsuperseded_keys(self):
+        fea = _FakeFea()
+        policy = RetryPolicy(max_attempts=2, backoff=0.1, jitter=0)
+        stream = self.make(fea, retry=policy)
+        stream.submit(32, "add", [v4_route(i) for i in range(3)])
+        stream.submit(32, "delete", [v4_route(1)])   # newer than the add
+        fea.answer(XrlError(XrlErrorCode.SEND_FAILED, "lost"))
+        # The superseded add is dropped and the delete leaves at once;
+        # the other two wait out the backoff before they are re-sent.
+        assert fea.ops()[1:] == [("delete", [v4_net(1)])]
+        assert (stream.retries, stream.shed) == (1, 1)
+        fea.answer()
+        fea.loop.run(duration=0.2)
+        assert fea.ops()[2:] == [("add", [v4_net(0), v4_net(2)])]
+        # The second failure exhausts max_attempts: dropped and counted.
+        fea.answer(XrlError(XrlErrorCode.REPLY_TIMED_OUT, "lost"))
+        fea.loop.run(duration=1.0)
+        assert len(fea.segments) == 3
+        assert stream.failed == 2 and stream.idle
+
+    def test_failures_without_a_policy_are_counted_and_dropped(self):
+        fea = _FakeFea()
+        stream = self.make(fea)
+        stream.submit(32, "add", [v4_route(i) for i in range(3)])
+        fea.answer(XrlError(XrlErrorCode.SEND_FAILED, "lost"))
+        assert (stream.failed, stream.retries) == (3, 0) and stream.idle
+        policy = RetryPolicy(max_attempts=5)
+        stream = self.make(fea, retry=policy)
+        stream.submit(32, "add", [v4_route(4)])
+        fea.answer(XrlError(XrlErrorCode.COMMAND_FAILED, "refused"))
+        assert (stream.failed, stream.retries) == (1, 0) and stream.idle
+
+    def test_reset_ignores_stale_replies(self):
+        fea = _FakeFea()
+        stream = self.make(fea, window=4)
+        stream.submit(32, "add", [v4_route(i) for i in range(6)])
+        stale = fea.held
+        fea.held = []
+        stream.reset()
+        assert stream.idle and stream.inflight == 0
+        stream.submit(32, "add", [v4_route(1)])
+        assert fea.ops()[-1] == ("add", [v4_net(1)])
+        for callback in stale:
+            callback(XrlError.okay(), XrlArgs())
+        assert stream.inflight == 1 and len(fea.segments) == 2
+        fea.answer()
+        assert stream.idle
+
+    def test_rejects_bad_window(self):
+        with pytest.raises(ValueError):
+            self.make(_FakeFea(), window=0)

@@ -334,10 +334,11 @@ class TestXrlTransportRobustness:
             listener.close()
 
     def test_peer_death_fails_the_calls_on_the_wire(self):
-        """A transmit queue passes no deadline (BGP's and the RIB's do
-        not): when the peer dies with the window full, the calls it will
-        never answer fail, in send order, and the queue drains."""
-        from repro.core.txqueue import XrlTransmitQueue
+        """A route stream without a retry policy passes no deadline: when
+        the peer dies with the window full, the calls it will never
+        answer fail, their routes are counted and dropped, and the
+        stream drains."""
+        from repro.core.txqueue import RouteStream
         from repro.xrl.router import DeferredReply
         from repro.xrl.transport import TcpFamily
 
@@ -354,21 +355,37 @@ class TestXrlTransportRobustness:
         server.register_raw_method("svc/1.0/never", never)
         client = XrlRouter(loop, "cli", finder, families=[family])
         failed = []
-        queue = XrlTransmitQueue(client, window=2)
-        for n in range(4):
-            queue.enqueue(Xrl("svc", "svc", "1.0", "never",
-                              XrlArgs().add_u32("n", n)),
-                          on_reply=lambda error, __, n=n: failed.append(
-                              (n, error.code)))
+        real_send = client.send
+
+        def send(xrl, callback, **kwargs):
+            def observed(error, args):
+                failed.append((xrl.args.get_u32("n"), error.code))
+                callback(error, args)
+            return real_send(xrl, observed, **kwargs)
+
+        client.send = send
+
+        class Route:
+            def __init__(self, net):
+                self.net = net
+
+        def segment(group, op, routes):
+            return Xrl("svc", "svc", "1.0", "never",
+                       XrlArgs().add_u32("n", routes[0].net))
+
+        stream = RouteStream(client, segment, window=2,
+                             batch_limit=lambda: 1)
+        stream.submit(None, "add", [Route(n) for n in range(4)])
         assert loop.run_until(lambda: len(parked) == 2, timeout=5)
-        assert (queue.inflight, len(queue)) == (2, 2)
+        assert (stream.inflight, stream.depth) == (2, 2)
 
         family.unlisten(server._addresses["stcp"])  # the process is gone
-        assert loop.run_until(lambda: queue.idle, timeout=5), \
-            f"inflight {queue.inflight}, queued {len(queue)}"
+        assert loop.run_until(lambda: stream.idle, timeout=5), \
+            f"inflight {stream.inflight}, queued {stream.depth}"
         assert failed[:2] == [(0, XrlErrorCode.SEND_FAILED),
                               (1, XrlErrorCode.SEND_FAILED)]
         assert [n for n, __ in failed] == [0, 1, 2, 3]
+        assert stream.failed == 4
 
     def test_peer_that_never_reads_replies_stops_being_served(self):
         """Pipelined requests from a client that reads nothing: the

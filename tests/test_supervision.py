@@ -509,6 +509,14 @@ class TestRecoveryScenario:
         second = run_recovery(seed=7, drop_probability=0.10)
         assert first.fingerprint() == second.fingerprint()
 
+    def test_every_seed_reconverges(self):
+        """A re-sent route op never overtakes a later one for the same
+        prefix: the dead BGP's flushed routes stay flushed only until
+        the reborn BGP re-adds them, whichever frames the faults drop."""
+        for seed in range(40):
+            result = run_recovery(seed=seed, drop_probability=0.10)
+            assert result.restarts == 1, seed
+
     def test_recovery_seed_sensitivity(self):
         first = run_recovery(seed=7, drop_probability=0.10)
         other = run_recovery(seed=11, drop_probability=0.10)
