@@ -1,7 +1,8 @@
 """Route streams: pipelined XRLs under a window (paper §8.2).
 
 Every hop that streams routes (BGP → RIB, RIB → FEA, RIB → each
-redistribution target) sends through one :class:`RouteStream`.
+redistribution target) sends through one :class:`RouteStream`, and the
+RIB's whole-table sends to a consumer are its :meth:`RouteStream.dump`.
 """
 
 from __future__ import annotations
@@ -47,8 +48,10 @@ class RouteStream:
         self._held: Dict[Tuple, Tuple] = {}
         #: keys on the wire or waiting out a retry backoff
         self._busy: Set[Tuple] = set()
+        #: whole-table walks still to send: (group, TrieIterator, keep)
+        self._walks: Deque[Tuple] = deque()
         self._epoch = 0
-        self._pumping = self._paused = False
+        self._pumping = self._paused = self._turn_due = False
         self.inflight = 0  # routes on the wire
         self.sent_count = self.shed = self.retries = self.failed = 0
 
@@ -64,7 +67,7 @@ class RouteStream:
 
     @property
     def idle(self) -> bool:
-        return not (self._table or self._held or self._busy)
+        return not (self._table or self._held or self._busy or self._walks)
 
     def submit(self, group: Any, op: str, routes: List[Any]) -> None:
         """Queue *routes* under *op*, in order, and pump."""
@@ -77,31 +80,59 @@ class RouteStream:
         self.shed += shed
         self._pump()
 
+    def dump(self, group: Any, walk, keep: Callable[[Any], bool]) -> None:
+        """Add the routes of *walk* (a ``TrieIterator``) that *keep* accepts,
+        pulled a segment at a time while the table is empty and the window
+        has room; a live op for a key commutes with it (the newest wins).
+        The walk is read from a reply or a loop turn of its own, at most
+        ``window`` routes a turn, never from :meth:`submit`: that may run
+        inside a stage message that *walk*'s table has not yet seen."""
+        self._walks.append((group, walk, keep))
+        self._pump()
+
     def pause(self, paused: bool = True) -> None:
         """Send nothing while paused (the consumer is not ready yet)."""
         self._paused = paused
         self._pump()
 
     def reset(self) -> None:
-        """Forget everything: the consumer was reborn empty and a full
-        resync follows.  Replies and backoffs from before are ignored."""
+        """Forget everything, walks too: the consumer was reborn empty, a
+        full resync follows.  Replies and backoffs from before are ignored."""
         self._epoch += 1
-        for part in (self._table, self._held, self._busy):
+        for __, walk, __ in self._walks:
+            walk.close()
+        for part in (self._table, self._held, self._busy, self._walks):
             part.clear()
         self.inflight = 0
 
-    def _pump(self) -> None:
-        """Send maximal same-(group, op) runs in table order."""
+    def _turn(self) -> None:
+        self._turn_due = False
+        self._pump(pull=True)
+
+    def _pump(self, pull: bool = False) -> None:
+        """Send maximal same-(group, op) runs in table order; with *pull*,
+        refill the emptied table from the walks, a segment at a time."""
         if self._pumping or self._paused:
-            return  # re-entered from a reply handler, or paused
+            return  # re-entered from a pull's submit, or paused
         self._pumping = True
         table, busy, policy = self._table, self._busy, self.retry
         deadline = None if policy is None else policy.attempt_timeout
+        budget = self.window  # routes this turn may walk
         try:
-            while table and self.inflight < self.window:
+            while self.inflight < self.window:
                 # A segment never exceeds the window left: one oversized
                 # XRL would land more un-acked routes than it promises.
                 limit = min(self._batch_limit(), self.window - self.inflight)
+                if not table:
+                    if not (pull and self._walks and budget > 0):
+                        break
+                    group, walk, keep = self._walks[0]
+                    routes = walk.take(min(limit, budget))
+                    if not routes:  # that walk has ended
+                        self._walks.popleft()
+                    budget -= len(routes)
+                    self.submit(group, "add", list(filter(keep, routes)))
+                    continue
                 key, entry = table.popitem(last=False)
                 group, op = key[0], entry[0]
                 keys, run = [key], [entry]
@@ -122,6 +153,9 @@ class RouteStream:
                     deadline=deadline, batch=len(run) > 1)
         finally:
             self._pumping = False
+        if self._walks and not self.inflight and not self._turn_due:
+            self._turn_due = True  # no reply is coming to pull the walk on
+            self._router.loop.call_soon(self._turn)
 
     def _done(self, epoch: int, keys: List, run: List, error, __) -> None:
         if epoch != self._epoch:
@@ -130,7 +164,7 @@ class RouteStream:
         okay, policy, held = error.is_okay, self.retry, self._held
         if okay and not held:
             self._busy.difference_update(keys)
-            return self._pump()
+            return self._pump(pull=True)
         retryable = policy is not None and policy.retryable(error.code)
         again = []
         for key, (op, route, tries) in zip(keys, run):
@@ -147,13 +181,13 @@ class RouteStream:
             self._router.loop.call_later(
                 policy.delay(max(entry[2] for __, entry in again)),
                 partial(self._requeue, epoch, again), name="route-retry")
-        self._pump()
+        self._pump(pull=True)
 
     def _requeue(self, epoch: int, again: List[Tuple]) -> None:
         if epoch == self._epoch:
             for key, entry in again:
                 self._release(key, entry)
-            self._pump()
+            self._pump(pull=True)
 
     def _release(self, key: Tuple, retry: Optional[Tuple] = None) -> None:
         """*key* leaves the wire: its held newer op queues, else *retry*."""

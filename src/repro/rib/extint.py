@@ -19,6 +19,8 @@ and resolvability change.
 
 from __future__ import annotations
 
+from itertools import groupby
+from operator import itemgetter
 from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.core.stages import RouteTableStage
@@ -69,35 +71,19 @@ class ExtIntStage(RouteTableStage):
 
     # -- emission (collected per message, then flushed) ---------------------
     def _flush_emissions(self, emissions: List[Tuple[str, Any, Any]]) -> None:
-        """Replay buffered emissions in order, grouping runs of same-op
-        add/delete into one downstream batch each."""
-        if self.next_table is None:
-            return
-        run_op: Optional[str] = None
-        run: List[Any] = []
-
+        """Replay buffered emissions in order, each run of same-op adds or
+        deletes as one downstream batch."""
         next_table = self.next_table
-
-        def flush_run() -> None:
-            nonlocal run_op, run
-            if not run:
-                return
-            if run_op == "add":
-                next_table.add_routes(run, caller=self)
-            else:
-                next_table.delete_routes(run, caller=self)
-            run_op, run = None, []
-
-        for op, route, old_route in emissions:
+        if next_table is None:
+            return
+        for op, run in groupby(emissions, key=itemgetter(0)):
             if op == "replace":
-                flush_run()
-                next_table.replace_route(old_route, route, caller=self)
-                continue
-            if op != run_op:
-                flush_run()
-                run_op = op
-            run.append(route)
-        flush_run()
+                for __, route, old_route in run:
+                    next_table.replace_route(old_route, route, caller=self)
+            elif op == "add":
+                next_table.add_routes([r for __, r, __ in run], caller=self)
+            else:
+                next_table.delete_routes([r for __, r, __ in run], caller=self)
 
     # -- winner computation -------------------------------------------------
     def _reevaluate(self, net: IPNet) -> None:

@@ -140,8 +140,10 @@ class RibProcess(XorpProcess):
         #: one stream per redistribution target (redist4/0.1 has no
         #: vector form, so a segment is one route)
         self._redist_streams: Dict[str, RouteStream] = {}
-        self.v4 = _Pipeline(32, "4", self._emit_fea4, self._notify_invalid4)
-        self.v6 = _Pipeline(128, "6", self._emit_fea6, lambda *a: None)
+        self.v4 = _Pipeline(32, "4", partial(self._emit_fea, 32),
+                            self._notify_invalid4)
+        self.v6 = _Pipeline(128, "6", partial(self._emit_fea, 128),
+                            lambda *a: None)
         self.metrics.gauge("tables4", lambda: len(self.v4.origins))
         self.metrics.gauge("tables6", lambda: len(self.v6.origins))
         add_origin4 = self.v4.add_origin
@@ -153,6 +155,8 @@ class RibProcess(XorpProcess):
         self.xrl.bind(PROFILER_IDL, self.profiler)
         self.xrl.bind(COMMON_IDL, self)
         self._redist_targets: Dict[str, str] = {}
+        #: each redistribution key's latest dump walk, closed on disable
+        self._redist_walks: Dict[str, Any] = {}
         # Watch the FEA's lifetime so a reborn (empty) FIB is re-seeded.
         # It starts from an empty FIB: the backlog is superseded by the
         # full-table resync, so the stream is reset at BIRTH itself.
@@ -173,12 +177,6 @@ class RibProcess(XorpProcess):
     #: one vectorized XRL carries at most this many routes; larger stage
     #: batches are segmented so a single frame stays bounded.
     FEA_BATCH_LIMIT = 256
-
-    def _emit_fea4(self, op: str, routes: List[Any]) -> None:
-        self._emit_fea(32, op, routes)
-
-    def _emit_fea6(self, op: str, routes: List[Any]) -> None:
-        self._emit_fea(128, op, routes)
 
     def _emit_fea(self, family: int, op: str, routes: List[Any]) -> None:
         """A stage batch toward the FEA, in order: the stream sends one
@@ -232,24 +230,28 @@ class RibProcess(XorpProcess):
 
     # -- resync after consumer restarts (the DESIGN.md failure model) --------
     def resync_fea(self) -> None:
-        """Replay every winning route at a restarted FEA.
-
-        A full-table replay is the canonical burst: the batch hint lets
-        the XRL layer coalesce the whole resync into a few wire flushes.
-        """
+        """Dump every winning route to a restarted FEA: the route stream
+        walks the register stage's tries, paced by its window."""
         if not self.running:
             return
-        self._emit_fea4("add", list(self.v4.redist.winners.values()))
-        self._emit_fea6("add", list(self.v6.redist.winners.values()))
+        for family, pipeline in ((32, self.v4), (128, self.v6)):
+            self.txq.dump(family, pipeline.register.winners.iterator(),
+                          lambda route: True)
+
+    def _dump_redist(self, key: str) -> None:
+        """Dump the matching winners to redistribution *key* (new, or its
+        consumer was reborn empty); a live change reaches it meanwhile."""
+        walk = self._redist_walks[key] = self.v4.register.winners.iterator()
+        self._redist_streams[self._redist_targets[key]].dump(
+            None, walk, self.v4.redist.dump_keep(key))
 
     def _resync_redist(self, target: str) -> None:
-        """Replay redistribution to a reborn consumer process."""
+        """Dump redistribution again to a reborn consumer process."""
         if not self.running:
             return
-        resync = self.v4.redist.resync_target
         for key, key_target in self._redist_targets.items():
             if key_target == target:
-                resync(key)
+                self._dump_redist(key)
 
     # -- invalidation notifications (paper §5.2.1) ----------------------------
     def _notify_invalid4(self, client: str, subnet: IPNet) -> None:
@@ -390,7 +392,7 @@ class RibProcess(XorpProcess):
 
     def xrl_redist_enable4(self, target: str, from_protocol: str) -> None:
         key = f"{target}:{from_protocol}"
-        if self.v4.redist.has_target(key):
+        if key in self._redist_targets:
             return
         self._redist_targets[key] = target
         stream = self._redist_streams.get(target)
@@ -405,11 +407,15 @@ class RibProcess(XorpProcess):
             predicate=lambda route: route.protocol == from_protocol,
             callback=lambda op, route: stream.submit(None, op, [route]),
         )
+        self._dump_redist(key)
 
     def xrl_redist_disable4(self, target: str, from_protocol: str) -> None:
         key = f"{target}:{from_protocol}"
         self.v4.redist.remove_target(key)
         self._redist_targets.pop(key, None)
+        walk = self._redist_walks.pop(key, None)
+        if walk is not None:
+            walk.close()  # the stream drops it at its next pull
 
     def _redist_segment4(self, target: str, group, op: str,
                          routes: List[Any]) -> Xrl:
@@ -420,21 +426,14 @@ class RibProcess(XorpProcess):
                     .add_u32("metric", route.metric)
                     .add_u32("admin_distance", route.admin_distance)
                     .add_txt("protocol", route.protocol)
-                    .add_list("policytags", _tag_atoms(route.policytags)))
-            xrl = Xrl(target, "redist4", "0.1", "redist_add_route4", args)
-        else:
-            args = (XrlArgs().add_ipv4net("net", route.net)
-                    .add_txt("protocol", route.protocol))
-            xrl = Xrl(target, "redist4", "0.1", "redist_delete_route4", args)
-        return xrl
+                    .add_list("policytags",
+                              [XrlAtom(f"tag{i}", XrlAtomType.U32, tag)
+                               for i, tag in enumerate(route.policytags)]))
+            return Xrl(target, "redist4", "0.1", "redist_add_route4", args)
+        args = (XrlArgs().add_ipv4net("net", route.net)
+                .add_txt("protocol", route.protocol))
+        return Xrl(target, "redist4", "0.1", "redist_delete_route4", args)
 
     def xrl_get_protocol_admin_distance(self, protocol: str) -> dict:
         return {"admin_distance":
                 ADMIN_DISTANCES.get(protocol, ADMIN_DISTANCES["unknown"])}
-
-
-def _tag_atoms(tags):
-    from repro.xrl.types import XrlAtom, XrlAtomType
-
-    return [XrlAtom(f"tag{i}", XrlAtomType.U32, tag)
-            for i, tag in enumerate(tags)]

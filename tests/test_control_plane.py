@@ -153,6 +153,17 @@ def spy_sends(manager):
     return sent
 
 
+#: RIP redistributes a static route (RIP has no ``python -m`` main, so
+#: only the in-process launcher runs it)
+RIP_REDIST_CONFIG = """
+    interfaces { interface eth0 { address: 10.0.0.1 } }
+    protocols {
+        rip { interface eth0 { cost: 2 } redistribute static { } }
+        static { route 172.16.0.0/12 { next-hop: 10.0.0.7 } }
+    }
+"""
+
+
 def fib_lookup(manager, addr):
     """``fea_fib/1.0 lookup_entry4`` over XRL: (net, nexthop) or None."""
     error, reply = manager.xrl.send_sync(
@@ -336,6 +347,44 @@ class TestRestartIsFilteredTranslation:
         assert [method for __, method, __args in sent] \
             == ["add_route4", "redist_enable4"]
         manager.host.shutdown()
+
+
+class TestRebornConsumerGetsTheTable:
+    """A consumer of the RIB's routes is reborn empty: the RIB sends it
+    every route it should hold again (a route-stream dump)."""
+
+    def test_reborn_fea_gets_the_fib_back(self, manager):
+        manager.load(CONFIG)
+        manager.commit()
+        manager.supervisor.start()
+        route = ("203.0.113.0/24", "10.0.0.1")
+        assert manager.loop.run_until(
+            lambda: fib_lookup(manager, "203.0.113.7") == route, timeout=60)
+        victim = kill_module(manager, "fea")
+        await_restart(manager, "fea", victim)
+        assert manager.loop.run_until(
+            lambda: fib_lookup(manager, "203.0.113.7") == route,
+            timeout=60), "FIB did not reconverge after fea died"
+
+    def test_reborn_rip_gets_the_redistributed_route_again(self):
+        manager = make_manager("inproc")
+        try:
+            manager.load(RIP_REDIST_CONFIG)
+            manager.commit()
+            manager.supervisor.start()
+            target = IPNet.parse("172.16.0.0/12")
+            assert manager.loop.run_until(
+                lambda: manager.modules["rip"].routes.exact(target)
+                is not None, timeout=30), "never redistributed into RIP"
+            victim = kill_module(manager, "rip")
+            await_restart(manager, "rip", victim)
+            reborn = manager.modules["rip"]
+            assert manager.loop.run_until(
+                lambda: reborn.routes.exact(target) is not None,
+                timeout=30), "the reborn RIP never got the route again"
+        finally:
+            manager.shutdown()
+            manager.host.shutdown()
 
 
 class TestFailedCommit:

@@ -39,6 +39,7 @@ from repro.net import IPNet, IPv4, IPv6
 from repro.obs.metrics import MetricsRegistry
 from repro.rib import RibProcess, RibRoute
 from repro.core.txqueue import RouteStream
+from repro.trie import RouteTrie
 from repro.xrl import Xrl, XrlArgs, XrlAtom, XrlAtomType, XrlRouter
 from repro.xrl.error import XrlError, XrlErrorCode
 from repro.xrl.retry import RetryPolicy
@@ -521,6 +522,19 @@ def v4_net(i):
     return str(v4_route(i).net)
 
 
+def v4_table(count):
+    """A trie of *count* routes, walked by :meth:`RouteStream.dump`."""
+    trie = RouteTrie(32)
+    for i in range(count):
+        route = v4_route(i)
+        trie.insert(route.net, route)
+    return trie
+
+
+def keep_all(route):
+    return True
+
+
 class TestRouteStream:
     def make(self, fea, **options):
         options.setdefault("batch_limit", lambda: 8)
@@ -663,3 +677,99 @@ class TestRouteStream:
     def test_rejects_bad_window(self):
         with pytest.raises(ValueError):
             self.make(_FakeFea(), window=0)
+
+    # -- dump: a whole table pulled through the window ---------------------
+    def test_dump_sends_each_accepted_route_once_as_adds(self):
+        fea = _FakeFea()
+        stream = self.make(fea, window=16)
+        accepted = {v4_net(i) for i in range(0, 100, 3)}
+        stream.dump(32, v4_table(100).iterator(),
+                    lambda route: str(route.net) in accepted)
+        assert fea.segments == []  # read from a turn of its own
+        while not stream.idle:
+            fea.loop.run_once(block=False)
+            fea.answer()
+        sent = [net for op, nets in fea.ops() for net in nets]
+        assert {op for op, __ in fea.ops()} == {"add"}
+        assert sorted(sent) == sorted(accepted)
+
+    def test_submit_does_not_advance_a_pending_walk(self):
+        fea = _FakeFea()
+        stream = self.make(fea, window=16)
+        walk = v4_table(50).iterator()
+        stream.dump(32, walk, keep_all)
+        # A live op may arrive mid stage message, before the walk's table
+        # has seen it: the window has room, yet only the op itself leaves.
+        stream.submit(32, "delete", [v4_route(99)])
+        assert fea.ops() == [("delete", [v4_net(99)])]
+        assert walk.net == v4_route(0).net
+        fea.loop.run_once(block=False)  # the dump's own turn fills the window
+        assert [len(nets) for __, nets in fea.ops()] == [1, 8, 7]
+        fea.answer()  # each reply pulls on the walk by what it freed
+        assert [len(nets) for __, nets in fea.ops()[3:]] == [1, 8, 7]
+
+    def test_walk_keeps_depth_and_inflight_within_window_plus_batch(self):
+        fea = _FakeFea()
+        stream = self.make(fea, window=64)
+        stream.dump(32, v4_table(5000).iterator(), keep_all)
+        peak, turns = 0, 0
+        while not stream.idle:
+            fea.loop.run_once(block=False)
+            turns += 1
+            peak = max(peak, stream.depth + stream.inflight)
+            held, fea.held = fea.held, []
+            for callback in held:
+                callback(XrlError.okay(), XrlArgs())
+                peak = max(peak, stream.depth + stream.inflight)
+        assert peak <= 64 + 8
+        assert sum(len(nets) for __, nets in fea.ops()) == 5000
+        assert turns >= 5000 // (64 + 8)
+
+    def test_dumped_key_in_flight_is_held_not_sent_twice(self):
+        fea = _FakeFea()
+        stream = self.make(fea)
+        stream.submit(32, "add", [v4_route(1)])
+        stream.submit(32, "add", [v4_route(7)])
+        stream.dump(32, v4_table(3).iterator(), keep_all)
+        first, second = fea.held
+        fea.held = []
+        second(XrlError.okay(), XrlArgs())  # its reply pulls the walk
+        assert fea.ops()[2:] == [("add", [v4_net(0), v4_net(2)])]
+        assert stream.depth == 1  # route 1's dumped add waits its turn
+        first(XrlError.okay(), XrlArgs())
+        assert fea.ops()[3:] == [("add", [v4_net(1)])]
+        while not stream.idle:
+            fea.answer()
+        assert len(fea.segments) == 4
+
+    def test_reset_closes_the_walk_and_a_stale_reply_does_not_resume_it(self):
+        fea = _FakeFea()
+        stream = self.make(fea, window=4)
+        walk = v4_table(20).iterator()
+        stream.dump(32, walk, keep_all)
+        fea.loop.run_once(block=False)
+        assert fea.ops() == [("add", [v4_net(i) for i in range(4)])]
+        stale, fea.held = fea.held, []
+        stream.reset()
+        assert walk.exhausted and stream.idle
+        for callback in stale:
+            callback(XrlError.okay(), XrlArgs())
+        fea.loop.run()
+        assert len(fea.segments) == 1 and stream.idle
+
+    def test_idle_stays_false_until_the_walk_ends(self):
+        fea = _FakeFea()
+        stream = self.make(fea, window=4)
+        # A walk its keep rejects whole still yields the loop every
+        # window's worth of routes, and is pending until it ends.
+        stream.dump(32, v4_table(10).iterator(), lambda route: False)
+        idle = [stream.idle]
+        while fea.loop.run_once(block=False):
+            idle.append(stream.idle)
+        assert idle == [False, False, False, True] and fea.segments == []
+        stream.dump(32, v4_table(10).iterator(), keep_all)
+        idle = [stream.idle]
+        while fea.loop.run_once(block=False) or fea.held:
+            fea.answer()
+            idle.append(stream.idle)
+        assert idle[-1] and not any(idle[:-1])

@@ -4,9 +4,10 @@ import random
 
 import pytest
 
-from repro.core.process import Host
+from repro.core.process import Host, XorpProcess
 from repro.core.stages import OriginStage, RouteTableStage
 from repro.fea import FeaProcess
+from repro.interfaces import REDIST4_IDL
 from repro.net import IPNet, IPv4
 from repro.rib import (
     ExtIntStage,
@@ -292,10 +293,17 @@ class TestRedistStage:
         assert self.events == [("add", rip)]
 
     def test_initial_dump(self):
-        rip = route("10.0.0.0/8", "rip")
-        self.redist.add_routes([rip])
+        """The stage's share of a target's dump: its keep announces each
+        matching winner the target does not know yet, and a later delete
+        rescinds what the dump announced."""
+        rip, static = route("10.0.0.0/8", "rip"), route("11.0.0.0/8", "static")
+        self.redist.add_routes([rip, static])
         self._target("rip")
-        assert self.events == [("add", rip)]
+        keep = self.redist.dump_keep("t")
+        assert [r for r in (rip, static, rip) if keep(r)] == [rip]
+        assert self.events == []  # the RIB's stream sends what keep kept
+        self.redist.delete_routes([rip])
+        assert self.events == [("delete", rip)]
 
     def test_delete_propagates(self):
         self._target("rip")
@@ -334,21 +342,61 @@ INSTALL_ORDERS = {
 }
 
 
+class RedistSink:
+    """A ``redist4/0.1`` consumer process that logs what it is sent."""
+
+    def __init__(self, host, name="sink"):
+        self.process = XorpProcess(host, name)
+        router = self.process.create_router(name)
+        router.bind(REDIST4_IDL, self)
+        self.name, self.log = router.class_name, []
+
+    def xrl_redist_add_route4(self, net, nexthop, metric, admin_distance,
+                              protocol, policytags):
+        self.log.append(("add", net, protocol, metric))
+
+    def xrl_redist_delete_route4(self, net, protocol):
+        self.log.append(("delete", net, protocol, None))
+
+    def table(self):
+        """The routes the log leaves the consumer with.  (A stream sends
+        the newest op per prefix, so a delete may overtake the add it
+        superseded: the consumer never had the route.)"""
+        table = {}
+        for op, n, protocol, metric in self.log:
+            if op == "add":
+                table[n] = (protocol, metric)
+            else:
+                table.pop(n, None)
+        return table
+
+
+def delivered(log):
+    """Each logged route once, as an add: its (protocol, metric) by net."""
+    assert {op for op, *__ in log} == {"add"}
+    assert len({n for __, n, *__ in log}) == len(log), "delivered twice"
+    return {n: (protocol, metric) for __, n, protocol, metric in log}
+
+
 @pytest.mark.parametrize("order", sorted(INSTALL_ORDERS))
 class TestWholeTableDumps:
-    """The three dumps of the final winners — a redist target's initial
-    dump, its resync, the FEA resync — walk a table that keeps no prefix
-    order: each must deliver every current winner exactly once, whatever
-    order the winners were installed in."""
+    """The RIB's three whole-table sends — a redist target's first dump,
+    its dump to a reborn consumer, the FEA resync — are route-stream
+    dumps over the register stage's trie: each delivers every current
+    winner exactly once, whatever order the winners were installed in."""
 
     @pytest.fixture
     def rib(self):
         host = Host()
         FeaProcess(host)
-        rib = RibProcess(host)
+        rib = RibProcess(host, window=8)
         rib.v4.add_origin("rip", external=False)
         yield rib
         host.shutdown()
+
+    @pytest.fixture
+    def sink(self, rib):
+        return RedistSink(rib.host)
 
     def _churn(self, rib, order):
         """40 static and 40 overlapping rip routes installed in *order*,
@@ -375,43 +423,140 @@ class TestWholeTableDumps:
             {n: ("static", metric) for n, metric in tables["static"].items()})
         return expected
 
-    @staticmethod
-    def _delivered(routes):
-        assert len({r.net for r in routes}) == len(routes), "delivered twice"
-        return {r.net: (r.protocol, r.metric) for r in routes}
-
-    def test_target_added_after_churn_gets_each_winner_once(self, rib, order):
+    def test_target_added_after_churn_gets_each_winner_once(self, rib, sink,
+                                                            order):
         expected = self._churn(rib, order)
-        events = []
-        rib.v4.redist.add_target(
-            "t", lambda r: True, lambda op, r: events.append((op, r)))
-        assert {op for op, __ in events} == {"add"}
-        assert self._delivered([r for __, r in events]) == expected
+        rib.xrl_redist_enable4(sink.name, "static")
+        rib.xrl_redist_enable4(sink.name, "rip")
+        assert sink.log == []  # the dumps run on the loop, not in the call
+        rib.loop.run()
+        assert delivered(sink.log) == expected
 
-    def test_resync_target_redelivers_each_winner_once(self, rib, order):
-        events = []
-        rib.v4.redist.add_target(
-            "t", lambda r: r.protocol == "rip",
-            lambda op, r: events.append((op, r)))
+    def test_resync_target_redelivers_each_winner_once(self, rib, sink,
+                                                       order):
+        rib.xrl_redist_enable4(sink.name, "rip")
         expected = self._churn(rib, order)
-        del events[:]
-        rib.v4.redist.resync_target("t")
-        assert {op for op, __ in events} == {"add"}
-        assert self._delivered([r for __, r in events]) == {
+        sink.process.shutdown()
+        reborn = RedistSink(rib.host)  # same class: the RIB dumps again
+        rib.loop.run()
+        assert delivered(reborn.log) == {
             n: won for n, won in expected.items() if won[0] == "rip"}
         # The rebuilt bookkeeping still rescinds what it re-announced.
         rip_net = next(n for n, won in expected.items() if won[0] == "rip")
         rib.v4.origin("rip").withdraw(rip_net)
-        assert [(op, r.net) for op, r in events[-1:]] == [("delete", rip_net)]
+        rib.loop.run()
+        assert reborn.log[-1][:2] == ("delete", rip_net)
 
     def test_resync_fea_replays_each_winner_once(self, rib, order):
         expected = self._churn(rib, order)
-        replayed = []
-        rib._emit_fea4 = lambda op, routes: replayed.append((op, routes))
+        sent, segment = [], rib.txq._segment
+
+        def spy(family, op, routes):
+            sent.extend((op, r.net, r.protocol, r.metric) for r in routes)
+            return segment(family, op, routes)
+
+        rib.txq._segment = spy
         rib.resync_fea()
-        ((op, routes),) = replayed
-        assert op == "add"
-        assert self._delivered(routes) == expected
+        assert sent == []  # the dump runs on the loop, not in the call
+        rib.loop.run()
+        assert delivered(sent) == expected
+
+
+class TestStreamDumpsUnderChurn:
+    """Live churn between the loop turns of the dumps: withdrawals,
+    re-adds and new metrics land on both sides of each walk's front, yet
+    the redist consumer and the FIB end equal to the origin tables."""
+
+    NETS = [net(f"10.{i >> 8}.{i & 255}.0/24") for i in range(600)]
+
+    @staticmethod
+    def _route(n, protocol, metric):
+        # The nexthop names the winner, so the FIB shows a new metric too.
+        side = 1 if protocol == "static" else 2
+        return route(str(n), protocol, nexthop=f"192.168.{side}.{metric}",
+                     metric=metric)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_sink_and_fib_equal_the_origin_tables(self, seed):
+        host = Host()
+        fea = FeaProcess(host)
+        rib = RibProcess(host, window=8)
+        rib.v4.add_origin("rip", external=False)
+        sink = RedistSink(host)
+        rng = random.Random(seed)
+        tables = {"static": {}, "rip": {}}
+
+        def put(protocol, n, metric):
+            rib.v4.origin(protocol).originate_batch(
+                [self._route(n, protocol, metric)])
+            tables[protocol][n] = metric
+
+        for n in self.NETS:
+            put("static" if rng.random() < 0.6 else "rip", n, 1)
+            if rng.random() < 0.2:
+                put("rip", n, 1)
+        host.loop.run()
+        fea.fib4.clear()  # as if reborn empty
+        rib.txq.reset()
+        rib.resync_fea()
+        rib.xrl_redist_enable4(sink.name, "static")
+        redist = rib._redist_streams[sink.name]
+        walk = rib._redist_walks[f"{sink.name}:static"]
+        index = {n: i for i, n in enumerate(self.NETS)}
+        during = turns = 0
+        # Churn first (the dumps' first turns are still due), at a rate the
+        # window-8 stream outpaces: a walk is pulled only when no live op
+        # waits.
+        while (rib.txq._walks or not walk.exhausted) and turns < 5000:
+            turns += 1
+            for __ in range(rng.randrange(6)):
+                n = rng.choice(self.NETS)  # either side of the fronts
+                if not walk.exhausted and rng.random() < 0.5:
+                    # just ahead of the redist walk: the prefixes a walk
+                    # read mid stage message would see stale
+                    n = self.NETS[min(index[walk.net] + rng.randrange(4),
+                                      len(self.NETS) - 1)]
+                # Mostly the redistributed protocol's routes, and theirs
+                # wherever they are present.
+                static = n in tables["static"] or rng.random() < 0.7
+                protocol = "static" if static else "rip"
+                during += 1
+                if n in tables[protocol] and rng.random() < 0.3:
+                    rib.v4.origin(protocol).withdraw_batch([n])
+                    del tables[protocol][n]
+                else:  # an add, a re-add or a new metric
+                    put(protocol, n, rng.randrange(1, 6))
+            host.loop.run_once(block=False)
+        host.loop.run()
+        assert turns < 5000 and during > 100
+        winners = {n: ("rip", metric) for n, metric in tables["rip"].items()}
+        winners.update({n: ("static", metric)
+                        for n, metric in tables["static"].items()})
+        assert sink.table() == {n: won for n, won in winners.items()
+                                if won[0] == "static"}
+        assert {n: str(entry.nexthop) for n, entry in fea.fib4.entries()} \
+            == {n: str(self._route(n, *won).nexthop)
+                for n, won in winners.items()}
+        host.shutdown()
+
+    def test_redist_disable4_stops_its_dump(self):
+        host = Host()
+        FeaProcess(host)
+        rib = RibProcess(host)
+        sink = RedistSink(host)
+        rib.v4.origin("static").originate_batch(
+            [self._route(n, "static", 1) for n in self.NETS])
+        host.loop.run()
+        rib.xrl_redist_enable4(sink.name, "static")
+        host.loop.run_once(block=False)  # the dump's first turn
+        stream = rib._redist_streams[sink.name]
+        sent = stream.sent_count
+        assert 0 < sent < len(self.NETS)
+        rib.xrl_redist_disable4(sink.name, "static")
+        host.loop.run()
+        assert stream.idle and stream.sent_count == sent
+        assert len(sink.log) == sent
+        host.shutdown()
 
 
 class TestRegisterStage:
