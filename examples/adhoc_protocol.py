@@ -11,8 +11,10 @@ This example plays that team: a toy distance-vector "ad-hoc" protocol
 implemented as a XorpProcess that uses exactly the interfaces BGP and RIP
 use — the FEA raw-packet relay for its hello/advert datagrams and the
 RIB's ``add_route4`` to contribute routes.  Nothing in the RIB, FEA, or
-Router Manager is modified; the protocol even registers with the Router
-Manager as a loadable module.
+Router Manager is modified: the protocol is one ``ModuleSpec`` declared to
+the Router Manager, which then guards it like a stock module — its Finder
+ACL, its restart after the FEA and RIB, and its ``adhoc`` routes flushed
+from the RIB if it dies.
 
 Run:  python examples/adhoc_protocol.py
 """
@@ -22,6 +24,7 @@ import struct
 from repro.core.process import XorpProcess
 from repro.interfaces import COMMON_IDL, FEA_RAWPKT_CLIENT4_IDL
 from repro.net import IPNet, IPv4
+from repro.rtrmgr.modules import ModuleSpec
 from repro.simnet import SimNetwork
 from repro.xrl import Xrl, XrlArgs
 
@@ -130,9 +133,11 @@ def main() -> None:
     for name, router in nodes.items():
         ifnames = router.fea.ifmgr.names()
         node_addr = router.fea.ifmgr.get(ifnames[0]).addr
-        router.manager.register_module_factory(
-            "adhoc", lambda host=router.host, addr=node_addr, names=ifnames:
-            AdhocProcess(host, addr, names), allowed_targets={"rib", "fea"})
+        router.manager.declare(ModuleSpec(
+            "adhoc", "adhoc",
+            lambda host=router.host, addr=node_addr, names=ifnames:
+            AdhocProcess(host, addr, names), depends_on=("fea", "rib"),
+            acl=frozenset({"rib", "fea"}), rib_protocols=("adhoc",)))
         processes[name] = router.manager.start_module("adhoc")
         print(f"  {name}: node address {node_addr}, interfaces {ifnames}")
 

@@ -12,6 +12,8 @@ Pieces:
   schema (the mechanism §8.3 says dynamically extends the CLI language);
 * :mod:`repro.rtrmgr.config_tree` — the configuration tree, validated
   against the template, rendered/parsed in braces syntax;
+* :mod:`repro.rtrmgr.modules` — one ``ModuleSpec`` per module: how it
+  runs, what calls for it, its ACL, dependencies and translator;
 * :mod:`repro.rtrmgr.translate` — the commit as a pure function:
   ``(old tree, new tree)`` → the ordered XRLs that turn one into the other;
 * :mod:`repro.rtrmgr.launcher` — how a module comes to exist: a factory

@@ -1,13 +1,15 @@
 """Launchers: the one thing a deployment chooses.
 
-A launcher is how a module named *M* with start-up parameters *P* comes
-to exist and is stopped again.  Everything else the Router Manager does
-— which modules a configuration needs, what XRLs configure them, what a
-restart replays — is the same in every deployment.
+A launcher is how a module declared by a
+:class:`~repro.rtrmgr.modules.ModuleSpec`, with start-up parameters *P*,
+comes to exist and is stopped again.  Everything else the Router Manager
+does — which modules a configuration needs, what XRLs configure them,
+what a restart replays — is the same in every deployment.
 
-* :class:`InProcessLauncher` calls a factory: the module is an object on
-  the manager's own event loop, and the handle is that object.
-* :class:`ProcessLauncher` runs ``python -m repro.<M> --finder … P`` as
+* :class:`InProcessLauncher` constructs the spec's ``process``: the
+  module is an object on the manager's own event loop, and the handle is
+  that object.
+* :class:`ProcessLauncher` runs ``python -m <program> --finder … P`` as
   an OS process (paper §6.1), binds the Finder's XRL target so the child
   can register, and the handle is a :class:`ChildProcess` shell.
 
@@ -27,20 +29,8 @@ from typing import Any, Callable, Dict, List, Optional
 
 from repro.core.process import Host
 from repro.rtrmgr.config_tree import CommitError
+from repro.rtrmgr.modules import ModuleSpec
 from repro.xrl.finder_target import bind_finder_target
-
-#: stock modules: the package under ``repro`` that implements each, and
-#: the process class in it
-MODULE_CLASSES = {
-    "fea": ("fea", "FeaProcess"),
-    "rib": ("rib", "RibProcess"),
-    "bgp": ("bgp", "BgpProcess"),
-    "rip": ("rip", "RipProcess"),
-    "ospf": ("ospf", "OspfProcess"),
-    "static_routes": ("staticroutes", "StaticRoutesProcess"),
-    "pim": ("pim", "PimProcess"),
-    "mld6igmp": ("mld6igmp", "Mld6igmpProcess"),
-}
 
 
 class InProcessLauncher:
@@ -48,19 +38,16 @@ class InProcessLauncher:
 
     def __init__(self, host: Host):
         self.host = host
-        #: third-party (or harness) factories, called ``factory(**params)``
-        self.factories: Dict[str, Callable] = {}
 
-    def start(self, name: str, class_name: str, params: Dict[str, Any]):
-        factory = self.factories.get(name)
-        if factory is not None:
-            return factory(**params)
-        if name not in MODULE_CLASSES:
-            raise CommitError(f"no module factory for {name!r}")
-        # The composition root: the same ``repro.<package>`` the process
-        # launcher hands to ``python -m``, imported only when first needed.
-        package, process_class = MODULE_CLASSES[name]
-        module = importlib.import_module(f"repro.{package}")
+    def start(self, spec: ModuleSpec, params: Dict[str, Any]):
+        if callable(spec.process):
+            return spec.process(**params)
+        if spec.process is None:
+            raise CommitError(f"no module factory for {spec.name!r}")
+        # The composition root: the process class is imported by name
+        # only when first needed.
+        package, __, process_class = spec.process.rpartition(".")
+        module = importlib.import_module(package)
         return getattr(module, process_class)(self.host, **params)
 
     def stop(self, process) -> None:
@@ -106,9 +93,6 @@ class ProcessLauncher:
         #: ``finder/1.0`` on the host's families; where it listens over
         #: TCP is the children's ``--finder`` bootstrap address
         self.finder_target = bind_finder_target(host)
-        #: the ``python -m`` module behind each module name
-        self.programs: Dict[str, str] = {
-            name: f"repro.{name}" for name in ("fea", "rib", "bgp")}
         #: deployment wiring appended to a module's argv (``--bgp-listen``)
         self.args: Dict[str, List[str]] = {}
 
@@ -123,14 +107,13 @@ class ProcessLauncher:
             env["REPRO_XRL_CODEC"] = self._codec
         return env
 
-    def start(self, name: str, class_name: str,
-              params: Dict[str, Any]) -> ChildProcess:
-        program = self.programs.get(name)
-        if program is None:
+    def start(self, spec: ModuleSpec, params: Dict[str, Any]) -> ChildProcess:
+        name, class_name = spec.name, spec.class_name
+        if spec.program is None:
             raise CommitError(
                 f"module {name!r} has no 'python -m' entry point; it runs "
                 f"under the in-process launcher only")
-        argv = [self._python, "-m", program,
+        argv = [self._python, "-m", spec.program,
                 "--finder", self.finder_target.address]
         if self._codec is not None:
             argv += ["--codec", self._codec]

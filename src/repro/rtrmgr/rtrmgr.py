@@ -6,7 +6,8 @@ and reaches the processes it manages only through XRLs.  On commit it:
 1. starts the modules the new configuration requires and the Finder does
    not already know, through its launcher (:mod:`repro.rtrmgr.launcher`)
    — the one thing that differs between the single-interpreter and the
-   OS-process deployment;
+   OS-process deployment.  It knows a module by its ``ModuleSpec``
+   (:mod:`repro.rtrmgr.modules`, or :meth:`RouterManager.declare`);
 2. installs Finder ACLs for each started module (paper §7: "The Finder is
    configured with a set of XRLs that each process is allowed to call,
    and a set of targets that each process is allowed to communicate
@@ -26,52 +27,19 @@ configuration."
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, Optional, Tuple
 
 from repro.core.process import Host, XorpProcess
 from repro.interfaces import COMMON_IDL, RTRMGR_IDL
 from repro.net import IPv4
 from repro.rtrmgr.config_tree import CommitError, ConfigError, ConfigTree
 from repro.rtrmgr.launcher import InProcessLauncher
+from repro.rtrmgr.modules import STOCK, ModuleSpec
 from repro.rtrmgr.supervisor import Supervisor, SupervisorPolicy
 from repro.rtrmgr.template import DEFAULT_TEMPLATE, parse_template
 from repro.rtrmgr.translate import translate
 from repro.xrl import XrlArgs, XrlError
 from repro.xrl.xrl import Xrl
-
-#: Finder ACLs installed per module class (target classes it may resolve);
-#: each manager starts from a copy, which its registrations extend
-MODULE_ACLS = {
-    "bgp": {"rib", "bgp"},
-    "rip": {"rib", "fea", "rip"},
-    "ospf": {"rib", "fea"},
-    "static_routes": {"rib"},
-    "pim": {"rib", "fea", "mld6igmp"},
-    "mld6igmp": {"pim"},
-}
-
-#: what calls for each module, in start order: a router always has an
-#: FEA and a RIB, and a protocol when its subtree is configured
-MODULE_SUBTREES = (
-    ("fea", ()),
-    ("rib", ()),
-    ("bgp", ("protocols", "bgp")),
-    ("rip", ("protocols", "rip")),
-    ("ospf", ("protocols", "ospf")),
-    ("static_routes", ("protocols", "static")),
-    ("mld6igmp", ("protocols", "pim")),
-    ("pim", ("protocols", "pim")),
-)
-
-#: start-up parameters — what a module is constructed with rather than
-#: configured with: module -> ((keyword, configuration path, mandatory), ...).
-#: A launcher renders them as constructor keywords or as ``--key-word`` argv.
-MODULE_PARAMS = {
-    "bgp": (("local_as", ("protocols", "bgp", "local-as"), True),
-            ("bgp_id", ("protocols", "bgp", "bgp-id"), False)),
-    "ospf": (("router_id", ("protocols", "ospf", "router-id"), True),),
-}
-
 
 class RouterManager(XorpProcess):
     process_name = "rtrmgr"
@@ -92,9 +60,8 @@ class RouterManager(XorpProcess):
         #: whatever the launcher returned: the process object in-process,
         #: a pid/alive/popen shell for a child
         self.modules: Dict[str, Any] = {}
-        #: the XRL class a module registers under, where not its own name
-        self.class_names: Dict[str, str] = {}
-        self.acls = {name: set(targets) for name, targets in MODULE_ACLS.items()}
+        #: every module this manager knows, by name, in declaration order
+        self.specs: Dict[str, ModuleSpec] = {spec.name: spec for spec in STOCK}
         self.supervisor = Supervisor(self, policy)
         self.commit_count = 0
         self.metrics.gauge("modules", lambda: len(self.modules))
@@ -120,39 +87,33 @@ class RouterManager(XorpProcess):
         return self.config.render()
 
     # -- module lifecycle -------------------------------------------------------
-    def register_module_factory(self, name: str, factory: Callable, *,
-                                allowed_targets: Optional[set] = None) -> None:
-        """Extension point: third-party protocols plug in here.
+    def declare(self, spec: ModuleSpec) -> None:
+        """Know a module: after those declared, or in its namesake's place."""
+        self.specs[spec.name] = spec
 
-        *factory* is called with the module's start-up parameters as
-        keywords (none, unless ``MODULE_PARAMS`` names the module).
-        """
-        self.launcher.factories[name] = factory
-        if allowed_targets is not None:
-            self.acls[name] = set(allowed_targets)
+    def register_module_factory(self, name: str, factory: Callable) -> None:
+        """Build declared module *name* as ``factory(**params)``."""
+        self.specs[name] = self.specs[name]._replace(process=factory)
 
     def start_module(self, name: str, *, supervise: bool = True):
         """Launch *name* for the first time, under the candidate tree."""
-        handle = self._launch(name, self.config)
+        spec = self.specs[name]
+        handle = self._launch(spec, self.config)
         if supervise:
             self.supervisor.add_module(
-                name, class_name=self.class_names.get(name, name),
+                name, class_name=spec.class_name, depends_on=spec.depends_on,
+                rib_protocols=spec.rib_protocols,
                 restart=lambda: self.restart_module(name))
         return handle
 
-    def _launch(self, name: str, tree: ConfigTree):
-        params = {}
-        for keyword, path, __mandatory in MODULE_PARAMS.get(name, ()):
-            value = tree.get_value(list(path))
-            if value is not None:
-                params[keyword] = value
-        class_name = self.class_names.get(name, name)
-        handle = self.launcher.start(name, class_name, params)
-        self.modules[name] = handle
-        acl = self.acls.get(name)
-        if acl is not None:
-            for instance in self.host.finder.class_instances(class_name):
-                self.host.finder.set_acl(instance, allowed_targets=set(acl))
+    def _launch(self, spec: ModuleSpec, tree: ConfigTree):
+        params = {keyword: value for keyword, path, __ in spec.params
+                  if (value := tree.get_value(list(path))) is not None}
+        handle = self.launcher.start(spec, params)
+        self.modules[spec.name] = handle
+        if spec.acl is not None:
+            for instance in self.host.finder.class_instances(spec.class_name):
+                self.host.finder.set_acl(instance, allowed_targets=spec.acl)
         return handle
 
     def restart_module(self, name: str):
@@ -162,31 +123,39 @@ class RouterManager(XorpProcess):
         translation of the whole committed tree from nothing — the part
         of it addressed to this module.
         """
+        spec = self.specs[name]
         old = self.modules.pop(name, None)
         if old is not None:
             self.launcher.stop(old)
-        handle = self._launch(name, self.committed)
-        class_name = self.class_names.get(name, name)
+        handle = self._launch(spec, self.committed)
         for xrl in translate(ConfigTree(self.template), self.committed,
-                             self._ifaddr):
-            if xrl.target == class_name:
+                             self._ifaddr, self.specs.values()):
+            if xrl.target == spec.class_name:
                 self._send(xrl)
         return handle
+
+    def flush_rib(self, protocols: Iterable[str]) -> None:
+        """Purge a dead module's origin tables from the RIB (§3)."""
+        if self.host.finder.known_target("rib"):
+            for protocol in protocols:
+                self.xrl.send(Xrl("rib", "rib", "1.0", "flush_table4",
+                                  XrlArgs().add_txt("protocol", protocol)))
 
     # -- commit -------------------------------------------------------------
     def commit(self) -> None:
         """Apply the candidate configuration; roll back on failure."""
         try:
-            for name, subtree in MODULE_SUBTREES:
-                if name in self.modules \
-                        or not self.config.exists(list(subtree)) \
-                        or self.host.finder.known_target(name):
+            for spec in self.specs.values():
+                if spec.subtree is None or spec.name in self.modules \
+                        or not self.config.exists(list(spec.subtree)) \
+                        or self.host.finder.known_target(spec.class_name):
                     continue
-                for __, path, mandatory in MODULE_PARAMS.get(name, ()):
+                for __, path, mandatory in spec.params:
                     if mandatory and self.config.get_value(list(path)) is None:
                         raise CommitError(f"{' '.join(path)} must be set")
-                self.start_module(name)
-            for xrl in translate(self.committed, self.config, self._ifaddr):
+                self.start_module(spec.name)
+            for xrl in translate(self.committed, self.config, self._ifaddr,
+                                 self.specs.values()):
                 self._send(xrl)
         except (XrlError, CommitError, ConfigError) as exc:
             self.config = self.committed.copy()

@@ -15,6 +15,7 @@ from typing import Optional, Sequence
 from repro.core.process import Host
 from repro.eventloop import EventLoop, SystemClock
 from repro.rtrmgr.launcher import ChildProcess, ProcessLauncher
+from repro.rtrmgr.modules import ModuleSpec
 from repro.rtrmgr.rtrmgr import RouterManager
 from repro.rtrmgr.supervisor import SupervisorPolicy
 from repro.xrl.transport.tcp import TcpFamily
@@ -39,9 +40,9 @@ class SpawnManager(RouterManager):
         (a harness's bare RIB, the benchmark's echo server)."""
         if name in self.modules:
             raise ValueError(f"module {name!r} already spawned")
-        self.launcher.programs[name] = module if module is not None \
-            else f"repro.{name}"
+        spec = self.specs.get(name, ModuleSpec(name, name))
+        self.declare(spec._replace(
+            program=module or spec.program or f"repro.{name}",
+            class_name=class_name or spec.class_name))
         self.launcher.args[name] = list(args)
-        if class_name is not None:
-            self.class_names[name] = class_name
         return self.start_module(name, supervise=supervise)

@@ -14,11 +14,13 @@ were built for.  For every supervised module it:
   also caught;
 * flushes the dead module's routes out of the RIB, so stale forwarding
   state does not outlive its owner;
-* restarts the module through the Router Manager's existing factories,
-  with jittered exponential backoff between attempts, a restart-storm
-  budget (give up after N restarts inside a sliding window), and
-  dependency-aware ordering (the RIB is brought back before the
-  protocols that feed it).
+* restarts the module through the Router Manager, with jittered
+  exponential backoff between attempts, a restart-storm budget (give up
+  after N restarts inside a sliding window), and dependency-aware
+  ordering (the RIB is brought back before the protocols that feed it).
+
+:meth:`Supervisor.add_module` is told each module's dependencies and RIB
+tables (from its ``ModuleSpec``); the supervisor keeps no module table.
 
 All timing comes off the shared event loop and all jitter from one
 seeded RNG, so supervised recovery is deterministic under the simulated
@@ -28,29 +30,11 @@ clock — the chaos tests in ``tests/test_supervision.py`` depend on it.
 from __future__ import annotations
 
 import random
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from repro.xrl import XrlArgs, XrlError
 from repro.xrl.finder import BIRTH, DEATH
 from repro.xrl.xrl import Xrl
-
-#: modules restarted only after these (supervised) modules are up again
-MODULE_DEPENDENCIES: Dict[str, Tuple[str, ...]] = {
-    "bgp": ("rib",),
-    "rip": ("fea", "rib"),
-    "ospf": ("fea", "rib"),
-    "static_routes": ("rib",),
-    "pim": ("fea", "rib", "mld6igmp"),
-    "rib": ("fea",),
-}
-
-#: RIB origin-table protocols owned by each module class; flushed on death
-MODULE_RIB_PROTOCOLS: Dict[str, Tuple[str, ...]] = {
-    "bgp": ("ebgp", "ibgp"),
-    "rip": ("rip",),
-    "ospf": ("ospf",),
-    "static_routes": ("static",),
-}
 
 UP = "up"
 DOWN = "down"
@@ -58,7 +42,7 @@ RESTARTING = "restarting"
 FAILED = "failed"
 
 
-class SupervisorPolicy:
+class SupervisorPolicy(NamedTuple):
     """Tunable knobs of one supervisor (documented in DESIGN.md).
 
     *ping_period* / *ping_timeout* / *ping_failures*: how liveness is
@@ -73,46 +57,32 @@ class SupervisorPolicy:
     forever would hide that.
     """
 
-    __slots__ = ("ping_period", "ping_timeout", "ping_failures",
-                 "backoff_initial", "backoff_multiplier", "backoff_max",
-                 "jitter", "storm_window", "storm_budget", "stable_after",
-                 "seed")
-
-    def __init__(self, *, ping_period: float = 5.0,
-                 ping_timeout: float = 2.0,
-                 ping_failures: int = 3,
-                 backoff_initial: float = 0.5,
-                 backoff_multiplier: float = 2.0,
-                 backoff_max: float = 30.0,
-                 jitter: float = 0.1,
-                 storm_window: float = 300.0,
-                 storm_budget: int = 5,
-                 stable_after: float = 60.0,
-                 seed: int = 0):
-        self.ping_period = ping_period
-        self.ping_timeout = ping_timeout
-        self.ping_failures = ping_failures
-        self.backoff_initial = backoff_initial
-        self.backoff_multiplier = backoff_multiplier
-        self.backoff_max = backoff_max
-        self.jitter = jitter
-        self.storm_window = storm_window
-        self.storm_budget = storm_budget
-        self.stable_after = stable_after
-        self.seed = seed
+    ping_period: float = 5.0
+    ping_timeout: float = 2.0
+    ping_failures: int = 3
+    backoff_initial: float = 0.5
+    backoff_multiplier: float = 2.0
+    backoff_max: float = 30.0
+    jitter: float = 0.1
+    storm_window: float = 300.0
+    storm_budget: int = 5
+    stable_after: float = 60.0
+    seed: int = 0
 
 
 class _ModuleState:
-    __slots__ = ("name", "class_name", "restart", "depends_on", "status",
-                 "instances", "ping_failures", "attempts", "restart_times",
-                 "restart_timer", "stable_timer", "last_error")
+    __slots__ = ("name", "class_name", "restart", "depends_on",
+                 "rib_protocols", "status", "instances", "ping_failures",
+                 "attempts", "restart_times", "restart_timer",
+                 "stable_timer", "last_error")
 
     def __init__(self, name: str, class_name: str, restart: Callable,
-                 depends_on: Tuple[str, ...]):
+                 depends_on: Tuple[str, ...], rib_protocols: Tuple[str, ...]):
         self.name = name
         self.class_name = class_name
         self.restart = restart
         self.depends_on = depends_on
+        self.rib_protocols = rib_protocols
         self.status = DOWN
         self.instances: set = set()
         self.ping_failures = 0
@@ -160,13 +130,13 @@ class Supervisor:
     # -- registration -------------------------------------------------------
     def add_module(self, name: str, *, restart: Callable,
                    class_name: Optional[str] = None,
-                   depends_on: Optional[Iterable[str]] = None) -> None:
+                   depends_on: Iterable[str] = (),
+                   rib_protocols: Iterable[str] = ()) -> None:
         """Supervise *name*; *restart* must return the new process."""
         if name in self._modules:
             raise ValueError(f"module {name!r} already supervised")
-        deps = tuple(depends_on) if depends_on is not None \
-            else MODULE_DEPENDENCIES.get(name, ())
-        state = _ModuleState(name, class_name or name, restart, deps)
+        state = _ModuleState(name, class_name or name, restart,
+                             tuple(depends_on), tuple(rib_protocols))
         self._modules[name] = state
         if self._running:
             self._watch(state)
@@ -217,22 +187,12 @@ class Supervisor:
             state.instances.discard(instance)
             if state.instances or not self._running:
                 return
-            self._flush_rib_routes(state)
+            self.manager.flush_rib(state.rib_protocols)
             if state.status == UP:
                 # Unexpected death: the crash path.  (RESTARTING deaths
                 # are our own doing and already have a restart queued.)
                 state.status = DOWN
                 self._schedule_restart(state, f"{instance} died")
-
-    def _flush_rib_routes(self, state: _ModuleState) -> None:
-        """Purge the dead module's origin tables from the RIB (§3)."""
-        protocols = MODULE_RIB_PROTOCOLS.get(state.class_name, ())
-        if not protocols or not self.finder.known_target("rib"):
-            return
-        for protocol in protocols:
-            self.manager.xrl.send(
-                Xrl("rib", "rib", "1.0", "flush_table4",
-                    XrlArgs().add_txt("protocol", protocol)))
 
     # -- pinging -------------------------------------------------------------
     def _ping_all(self) -> None:

@@ -16,12 +16,15 @@ Everything the manager does with configuration is this one function:
 * restarting module *M* sends ``translate(empty, committed)`` filtered
   to the XRLs whose target is *M* — which re-enables redistribution in a
   reborn RIB and re-files connected routes there by construction.
+
+It chains the module specs' translators; one may address any module
+(RIP's redistribution goes to the RIB), so a restart filters them all.
 """
 
 from __future__ import annotations
 
-from typing import (Callable, Dict, Iterator, List, Optional, Sequence,
-                    Tuple)
+from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
+                    Sequence, Tuple)
 
 from repro.net import IPNet, IPv4
 from repro.rtrmgr.config_tree import CommitError, ConfigTree
@@ -30,6 +33,8 @@ from repro.xrl.xrl import Xrl
 
 #: ``ifaddr(ifname)`` -> (address, prefix length), or raises CommitError
 IfAddr = Callable[[str], Tuple[IPv4, int]]
+#: one module's share of a translation: ``(old, new, ifaddr)`` -> XRLs
+Translator = Callable[[ConfigTree, ConfigTree, IfAddr], Iterator[Xrl]]
 
 INTERFACE = ("interfaces", "interface")
 BGP = ("protocols", "bgp")
@@ -39,10 +44,12 @@ STATIC_ROUTE = ("protocols", "static", "route")
 PIM_RP = ("protocols", "pim", "rp")
 
 
-def translate(old: ConfigTree, new: ConfigTree, ifaddr: IfAddr) -> List[Xrl]:
-    """The XRLs, in sending order, that turn configuration *old* into *new*."""
-    return [xrl for subsystem in (_interfaces, _bgp, _static, _rip, _ospf, _pim)
-            for xrl in subsystem(old, new, ifaddr)]
+def translate(old: ConfigTree, new: ConfigTree, ifaddr: IfAddr,
+              specs: Iterable) -> List[Xrl]:
+    """The XRLs, in sending order, that turn configuration *old* into *new*:
+    each module spec's translator's, in declaration order."""
+    return [xrl for spec in specs if spec.translator is not None
+            for xrl in spec.translator(old, new, ifaddr)]
 
 
 def _rows(tree: ConfigTree, path: Sequence[str], leaves: Sequence[str] = (),

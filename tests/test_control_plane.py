@@ -26,7 +26,7 @@ from repro.core.process import Host
 from repro.experiments import latency, obsflow, recovery, routeflow
 from repro.net import IPNet, IPv4
 from repro.rtrmgr import CommitError, ConfigTree, RouterManager
-from repro.rtrmgr.rtrmgr import MODULE_SUBTREES
+from repro.rtrmgr.modules import STOCK
 from repro.rtrmgr.spawn import SpawnManager
 from repro.rtrmgr.supervisor import UP
 from repro.rtrmgr.template import DEFAULT_TEMPLATE, parse_template
@@ -75,7 +75,7 @@ SECOND_COMMIT = [
 ]
 
 #: the modules with a ``python -m`` main, which ``ProcessLauncher`` runs
-MAINS = ("fea", "rib", "bgp")
+MAINS = tuple(spec.name for spec in STOCK if spec.program is not None)
 
 
 def example(name):
@@ -136,8 +136,8 @@ def without_main(text):
     """The first module *text* starts that ``ProcessLauncher`` cannot."""
     tree = ConfigTree(parse_template(DEFAULT_TEMPLATE))
     tree.load(text)
-    return next((name for name, subtree in MODULE_SUBTREES
-                 if tree.exists(list(subtree)) and name not in MAINS), None)
+    return next((spec.name for spec in STOCK if spec.name not in MAINS
+                 and tree.exists(list(spec.subtree))), None)
 
 
 def spy_sends(manager):
@@ -178,7 +178,8 @@ def expected_replay(manager, target):
     """``translate(empty, committed)`` filtered to *target*, as text."""
     return [(xrl.target, xrl.method, str(xrl.args))
             for xrl in translate(ConfigTree(manager.template),
-                                 manager.committed, manager._ifaddr)
+                                 manager.committed, manager._ifaddr,
+                                 manager.specs.values())
             if xrl.target == target]
 
 

@@ -12,9 +12,13 @@ from repro.rtrmgr import (
     TemplateError,
     parse_template,
 )
+from repro.rtrmgr.modules import ModuleSpec
 from repro.rtrmgr.rtrmgr import CommitError
+from repro.rtrmgr.supervisor import UP, SupervisorPolicy
 from repro.rtrmgr.template import DEFAULT_TEMPLATE
 from repro.simnet import SimNetwork
+from repro.xrl import XrlArgs
+from repro.xrl.xrl import Xrl
 
 SMALL_TEMPLATE = """
 protocols {
@@ -240,14 +244,14 @@ class TestCommit:
                 self.routers = []
                 created.append(self)
 
-        rtrmgr.register_module_factory("toy", lambda: ToyProtocol(),
-                                       allowed_targets={"rib"})
+        rtrmgr.declare(ModuleSpec("toy", "toy", lambda: ToyProtocol(),
+                                  acl=frozenset({"rib"})))
         rtrmgr.start_module("toy")
         assert created and "toy" in rtrmgr.modules
 
     def test_module_acls_are_per_manager(self):
-        """One manager's ``allowed_targets`` binds its own module alone:
-        a second manager's ``toy`` gets no ACL."""
+        """One manager's declared ACL binds its own module alone: a
+        second manager's ``toy`` gets no ACL."""
         instances = []
         for allowed in ({"rib"}, None):
             host = Host()
@@ -259,12 +263,149 @@ class TestCommit:
                     (host, process.create_router("toy").instance_name))
                 return process
 
-            manager.register_module_factory("toy", toy,
-                                            allowed_targets=allowed)
+            manager.declare(ModuleSpec("toy", "toy", toy, acl=allowed))
             manager.start_module("toy", supervise=False)
         (first_host, first), (second_host, second) = instances
         assert first_host.finder._acls[first].allowed_targets == {"rib"}
         assert second not in second_host.finder._acls
+
+
+#: the stock template plus ``protocols toy``: what a third party ships
+TOY_TEMPLATE = DEFAULT_TEMPLATE.replace(
+    "protocols {\n", "protocols {\n    toy { greeting: txt; }\n", 1)
+
+
+class ToyProcess(XorpProcess):
+    """A module no Router Manager file knows: ``toy/0.1 set_greeting``."""
+
+    def __init__(self, host):
+        super().__init__(host, "toy")
+        self.greetings = []
+        self.xrl = self.create_router("toy")
+        self.xrl.register_raw_method(
+            "toy/0.1/set_greeting",
+            lambda args: self.greetings.append(args.get_txt("greeting")))
+
+    def resolves(self, target):
+        error, __ = self.xrl.send_sync(
+            Xrl(target, "common", "0.1", "get_status", XrlArgs()), deadline=5)
+        return error.is_okay
+
+
+def toy_translator(old, new, ifaddr):
+    path = ["protocols", "toy", "greeting"]
+    greeting = new.get_value(path)
+    if greeting is not None and greeting != old.get_value(path):
+        yield Xrl("toy", "toy", "0.1", "set_greeting",
+                  XrlArgs().add_txt("greeting", greeting))
+
+
+class TestDeclaredModule:
+    """A protocol declared only here — one ``ModuleSpec`` and a template
+    line — is started, guarded, configured and restarted like a stock
+    one, and no Router Manager file names it."""
+
+    @pytest.fixture
+    def toy(self):
+        host = Host()
+        manager = RouterManager(host, template_text=TOY_TEMPLATE,
+                                policy=SupervisorPolicy(ping_period=0,
+                                                        jitter=0))
+        manager.declare(ModuleSpec(
+            "toy", "toy", lambda: ToyProcess(host),
+            subtree=("protocols", "toy"), depends_on=("rib",),
+            acl=frozenset({"rib"}), rib_protocols=("toy",),
+            translator=toy_translator))
+        sent = []
+        send = manager._send
+        manager._send = lambda xrl: (sent.append((xrl.target, xrl.method)),
+                                     send(xrl))[1]
+        yield manager, sent
+        manager.shutdown()
+        host.shutdown()
+
+    def test_started_once_its_subtree_is_configured(self, toy):
+        manager, sent = toy
+        manager.set("protocols bgp local-as", 65001)
+        manager.commit()
+        assert list(manager.modules) == ["fea", "rib", "bgp"]
+        manager.set("protocols toy greeting", "hello")
+        manager.commit()
+        assert list(manager.modules) == ["fea", "rib", "bgp", "toy"]
+        assert manager.modules["toy"].greetings == ["hello"]
+
+    def test_acl_lets_it_resolve_rib_not_fea(self, toy):
+        manager, sent = toy
+        manager.set("protocols toy greeting", "hello")
+        manager.commit()
+        assert manager.modules["toy"].resolves("rib")
+        assert not manager.modules["toy"].resolves("fea")
+
+    def test_its_xrls_follow_the_stock_modules(self, toy):
+        manager, sent = toy
+        manager.load("""
+            interfaces { interface eth0 { address: 10.0.0.1 } }
+            protocols {
+                static { route 10.9.0.0/16 { next-hop: 10.0.0.2 } }
+                toy { greeting: hello }
+            }
+        """)
+        manager.commit()
+        assert sent == [("fea", "create_interface"),
+                        ("fea", "set_interface_enabled"),
+                        ("rib", "add_route4"),
+                        ("static_routes", "add_route4"),
+                        ("toy", "set_greeting")]
+
+    def test_death_flushes_its_table_and_restarts_it_after_its_dependency(
+            self, toy):
+        manager, sent = toy
+        manager.set("protocols toy greeting", "hello")
+        manager.commit()
+        supervisor = manager.supervisor
+        supervisor.start()
+        flushed, restarted = [], []
+        send = manager.xrl.send
+
+        def record_flush(xrl, *args, **kwargs):
+            if xrl.method == "flush_table4":
+                flushed.append((xrl.target, xrl.args.get_txt("protocol")))
+            return send(xrl, *args, **kwargs)
+
+        manager.xrl.send = record_flush
+        supervisor.on_restarted = lambda name, process: restarted.append(
+            (name, supervisor.status("rib")))
+        victim = manager.modules["toy"]
+        del sent[:]
+        victim.shutdown()
+        assert flushed == [("rib", "toy")]
+        # The dependency dies too, so its own restart is due after toy's.
+        manager.loop.run(duration=0.2)
+        manager.modules["rib"].shutdown()
+        assert manager.loop.run_until(lambda: len(restarted) == 2,
+                                      timeout=30)
+        assert restarted == [("rib", UP), ("toy", UP)]
+        reborn = manager.modules["toy"]
+        assert reborn is not victim
+        assert sent == [("toy", "set_greeting")]
+        assert reborn.greetings == ["hello"]
+
+    def test_a_registered_class_name_is_not_started_again(self):
+        """Known to the Finder by its class name, the module is running:
+        the commit configures that one and builds no second."""
+        host = Host()
+        manager = RouterManager(host, template_text=TOY_TEMPLATE)
+        built = []
+        manager.declare(ModuleSpec(
+            "toyd", "toy", lambda: built.append("toyd"),
+            subtree=("protocols", "toy"), translator=toy_translator))
+        running = ToyProcess(host)
+        manager.set("protocols toy greeting", "hello")
+        manager.commit()
+        assert built == [] and "toyd" not in manager.modules
+        assert running.greetings == ["hello"]
+        manager.shutdown()
+        host.shutdown()
 
 
 class TestCli:
