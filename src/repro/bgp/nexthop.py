@@ -263,8 +263,9 @@ class NexthopResolverStage(RouteTableStage):
         for route in routes:
             net = route.net
             if net in waiting:
-                del waiting[net]  # never made it downstream
-                continue
+                # The parked version never made it downstream; a replace
+                # parks with the previous version still forwarded.
+                del waiting[net]
             annotated = forwarded_pop(net, None)
             if annotated is None:
                 continue  # consistency: nothing to delete downstream

@@ -12,6 +12,7 @@ Each peering owns (paper Figures 4-6):
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Any, Callable, List, Optional, Tuple
 
 from repro.bgp.attributes import PathAttributeList
@@ -180,8 +181,9 @@ class PeerHandler(FsmActions):
         if self.config.enable_damping:
             self.damping = DampingStage(f"damping-{self.peer_id}", self.loop)
             chain.append(self.damping)
-        self.in_filter = FilterStage(f"in-filter-{self.peer_id}",
-                                     self._import_filter)
+        self.in_filter = FilterStage(
+            f"in-filter-{self.peer_id}",
+            partial(self._import_with, self.process.import_policy))
         chain.append(self.in_filter)
         self.resolver_stage = NexthopResolverStage(
             f"nexthop-{self.peer_id}", self.process.resolver)
@@ -190,18 +192,16 @@ class PeerHandler(FsmActions):
         self.process.decision.add_branch(self.resolver_stage)
 
     def _build_output_branch(self) -> None:
-        self.out_filter = FilterStage(f"out-filter-{self.peer_id}",
-                                      self._export_filter)
+        self.out_filter = FilterStage(
+            f"out-filter-{self.peer_id}",
+            partial(self._export_with, self.process.export_policy))
         self.peer_out = PeerOutStage(f"peer-out-{self.peer_id}", self.loop,
                                      self._send_update)
         RouteTableStage.plumb(self.out_filter, self.peer_out)
 
     # -- policy filters (the built-in BGP propagation rules) -------------------
-    def _import_filter(self, route: BGPRoute) -> Optional[BGPRoute]:
-        return self._import_with(route, self.process.import_policy)
-
-    def _import_with(self, route: BGPRoute,
-                     policy) -> Optional[BGPRoute]:
+    def _import_with(self, policy,
+                     route: BGPRoute) -> Optional[BGPRoute]:
         attrs = route.attributes
         if not self.config.is_ibgp and attrs.as_path.contains(self.config.local_as):
             return None  # AS path loop
@@ -219,11 +219,8 @@ class PeerHandler(FsmActions):
             route = route.with_attributes(defaulted)
         return route
 
-    def _export_filter(self, route: BGPRoute) -> Optional[BGPRoute]:
-        return self._export_with(route, self.process.export_policy)
-
-    def _export_with(self, route: BGPRoute,
-                     policy) -> Optional[BGPRoute]:
+    def _export_with(self, policy,
+                     route: BGPRoute) -> Optional[BGPRoute]:
         if route.peer_id == self.peer_id:
             return None  # never send a route back to its origin
         origin_info = self.process.peer_info(route.peer_id)
@@ -247,57 +244,29 @@ class PeerHandler(FsmActions):
         return route
 
     # -- dynamic policy re-filtering (paper §5.1.2) ---------------------------
-    def _refilter(self, old_policy, *, export: bool) -> None:
-        """Policy changed: reconcile one filter bank's output with it.
+    def set_policy(self, policy, *, export: bool) -> None:
+        """Policy changed: one filter bank filters with *policy* now.
 
         "We use the ability to add dynamic stages for many background
         tasks, such as when routing policy filters are changed by the
         operator and many routes need to be refiltered and reevaluated."
-        A background task walks the filter's source table — PeerIn for
-        the import bank, the fanout's winners for the export bank of an
-        established peering — with a safe iterator, and sends downstream
-        of the filter the difference between the old policy's output and
-        the filter's output now.
+        The bank walks its source table — PeerIn for the import bank, the
+        fanout's winners for the export bank of an established peering —
+        with a safe iterator in background slices, sending downstream the
+        difference between what each route carried and what it carries
+        now (``FilterStage.refilter``).
         """
         from repro.bgp.fsm import BgpState
-        from repro.eventloop.tasks import TaskPriority
 
         if export:
-            if self.fsm.state != BgpState.ESTABLISHED:
-                return
-            table, stage, apply = (self.process.fanout.winners,
-                                   self.out_filter, self._export_with)
+            stage, apply = self.out_filter, self._export_with
+            walk = (self.process.fanout.winners.iterator()
+                    if self.fsm.state == BgpState.ESTABLISHED else None)
         else:
-            table, stage, apply = (self.peer_in.routes, self.in_filter,
-                                   self._import_with)
-        iterator = table.iterator()
-        downstream = stage.next_table
-
-        def run_slice() -> bool:
-            deleted: list = []
-            added: list = []
-            for route in iterator.take(64):
-                old_out = apply(route, old_policy)
-                new_out = stage.filter_fn(route)
-                if old_out is not None and new_out is not None:
-                    if old_out != new_out:
-                        downstream.replace_route(old_out, new_out,
-                                                 caller=stage)
-                elif old_out is not None:
-                    deleted.append(old_out)
-                elif new_out is not None:
-                    added.append(new_out)
-            if deleted:
-                downstream.delete_routes(deleted, caller=stage)
-            if added:
-                downstream.add_routes(added, caller=stage)
-            if iterator.exhausted:
-                iterator.close()
-                return False
-            return True
-
-        self.loop.spawn_task(
-            run_slice, priority=TaskPriority.BACKGROUND,
+            stage, apply = self.in_filter, self._import_with
+            walk = self.peer_in.routes.iterator()
+        stage.refilter(
+            partial(apply, policy), walk, self.loop,
             name=f"refilter-{'out-' if export else ''}{self.peer_id}")
 
     # -- fanout plumbing -------------------------------------------------------
@@ -348,6 +317,7 @@ class PeerHandler(FsmActions):
         # Reset the output branch: its state described the dead session.
         # The fresh dump at the next establishment repopulates it.
         self.peer_out._pending.clear()
+        self.out_filter.reset()
         # Tell any armed sanitizer the output branch's streams restarted:
         # the wipe above is a legitimate reset, not missed deletes.
         stream_reset(self.out_filter, self.peer_out)
@@ -358,6 +328,7 @@ class PeerHandler(FsmActions):
         deletion = DeletionStage(
             f"deletion-{self.peer_id}-{self.deletion_stages_created}",
             self.loop, old_routes,
+            on_complete=self.in_filter.held_by(old_routes),
         )
         self.deletion_stages_created += 1
         self.peer_in.insert_downstream(deletion)

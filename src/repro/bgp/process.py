@@ -296,17 +296,17 @@ class BgpProcess(XorpProcess):
                         hook: Optional[PolicyHook]) -> None:
         """Swap one policy hook and re-filter every peering against it."""
         if filter_id == self.FILTER_IMPORT:
-            old_policy, self.import_policy = self.import_policy, hook
+            self.import_policy = hook
             export = False
         elif filter_id in (self.FILTER_EXPORT, self.FILTER_SOURCEMATCH):
-            old_policy, self.export_policy = self.export_policy, hook
+            self.export_policy = hook
             export = True
         else:
             raise XrlError(
                 XrlErrorCode.COMMAND_FAILED, f"unknown filter id {filter_id}"
             )
         for handler in self.peers.values():
-            handler._refilter(old_policy, export=export)
+            handler.set_policy(hook, export=export)
 
     # -- rib_client/0.1 ------------------------------------------------------
     def xrl_route_info_invalid4(self, subnet) -> None:

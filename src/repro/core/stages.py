@@ -36,7 +36,8 @@ without breaking callers.
 
 from __future__ import annotations
 
-from typing import Any, Callable, List, Optional
+from functools import partial
+from typing import Any, Callable, List, Optional, Tuple
 
 from repro.net import IPNet
 from repro.trie import RouteTrie
@@ -245,6 +246,36 @@ class OriginStage(RouteTableStage):
         return self.routes.exact(net)
 
 
+class _Refilter:
+    """A filter bank between two functions: the routes a walk over the
+    table upstream has passed carry *new*'s output downstream, the rest
+    still *old*'s.  *front* is the key of the next route the walk visits
+    (None once it has passed everything); it stays where it was if the
+    walk is stopped, so a stopped re-filter still says what each route
+    carries."""
+
+    __slots__ = ("new", "old", "walk", "front", "task")
+
+    def __init__(self, new: Callable[[Any], Optional[Any]],
+                 old: Callable[[Any], Optional[Any]], walk: Any):
+        self.new = new
+        self.old = old
+        self.walk = walk
+        self.front = None if walk.exhausted else walk.net.key()
+        self.task = None
+
+    def __call__(self, route: Any) -> Optional[Any]:
+        front = self.front
+        if front is None or route.net.key() < front:
+            return self.new(route)
+        return self.old(route)
+
+    def stop(self) -> None:
+        self.walk.close()
+        if self.task is not None:
+            self.task.kill()
+
+
 class FilterStage(RouteTableStage):
     """A filter bank element: drop or rewrite routes flowing downstream.
 
@@ -252,33 +283,55 @@ class FilterStage(RouteTableStage):
     modified route.  The function must be deterministic, so a later
     delete of the original route maps to the same output the earlier add
     produced — preserving consistency rule 1.
+
+    A policy change swaps the function through :meth:`refilter`, and
+    rule 1 holds across the swap because every message about a route is
+    filtered with ``carried``: the function its output downstream was
+    made with.  That is the new function behind the re-filter walk and
+    the old one ahead of it, and for the routes a deletion stage took
+    over (:meth:`held_by`) the function they carried when it did.  No
+    route is copied for it.
     """
+
+    #: routes a re-filter walk handles per background slice
+    REFILTER_SLICE = 64
 
     def __init__(self, name: str, filter_fn: Callable[[Any], Optional[Any]]):
         super().__init__(name)
         self.filter_fn = filter_fn
+        #: ``filter_fn``, or a ``_Refilter`` while a re-filter runs
+        self.carried: Callable[[Any], Optional[Any]] = filter_fn
+        #: (table a deletion stage upstream drains, the function its
+        #: routes carry), one per such stage
+        self._held: List[Tuple[Any, Callable[[Any], Optional[Any]]]] = []
+
+    def _carried_by(self, route: Any) -> Optional[Any]:
+        for table, carried in self._held:
+            if table.exact(route.net) is route:
+                return carried(route)
+        return self.carried(route)
 
     def add_routes(self, routes: List[Any], *,
                    caller: Optional[RouteTableStage] = None) -> None:
         # One pass over the batch, one downstream dispatch: the filter
         # function (possibly a compiled policy program) stays hot across
         # the whole burst instead of being re-entered per call chain.
-        filter_fn = self.filter_fn
-        passed = [f for f in map(filter_fn, routes) if f is not None]
+        passed = [f for f in map(self.carried, routes) if f is not None]
         if passed and self.next_table is not None:
             self.next_table.add_routes(passed, caller=self)
 
     def delete_routes(self, routes: List[Any], *,
                       caller: Optional[RouteTableStage] = None) -> None:
-        filter_fn = self.filter_fn
-        passed = [f for f in map(filter_fn, routes) if f is not None]
+        carried = self._carried_by if self._held else self.carried
+        passed = [f for f in map(carried, routes) if f is not None]
         if passed and self.next_table is not None:
             self.next_table.delete_routes(passed, caller=self)
 
     def replace_route(self, old_route: Any, new_route: Any, *,
                       caller: Optional[RouteTableStage] = None) -> None:
-        old_filtered = self.filter_fn(old_route)
-        new_filtered = self.filter_fn(new_route)
+        self._send_change(self.carried(old_route), self.carried(new_route))
+
+    def _send_change(self, old_filtered: Any, new_filtered: Any) -> None:
         if self.next_table is None:
             return
         if old_filtered is not None and new_filtered is not None:
@@ -296,7 +349,67 @@ class FilterStage(RouteTableStage):
         route = self.parent.lookup_route(net, caller=self)
         if route is None:
             return None
-        return self.filter_fn(route)
+        return self._carried_by(route)
+
+    # -- policy changes (paper §5.1.2) -------------------------------------
+    def refilter(self, filter_fn: Callable[[Any], Optional[Any]], walk: Any,
+                 loop, name: str) -> None:
+        """Filter with *filter_fn* from now on.
+
+        *walk*, a safe iterator over the table upstream, is taken in
+        background slices: each route it passes sends downstream the
+        difference between the output it carried and the one it carries
+        now.  Without a walk nothing downstream needs telling.  A newer
+        swap supersedes a running walk where it stands: its routes still
+        carry what that walk left them.
+        """
+        from repro.eventloop.tasks import TaskPriority
+
+        previous = self.carried
+        if isinstance(previous, _Refilter):
+            previous.stop()
+        self.filter_fn = self.carried = filter_fn
+        if walk is None:
+            return
+        refilter = self.carried = _Refilter(filter_fn, previous, walk)
+        refilter.task = loop.spawn_task(
+            partial(self._refilter_slice, refilter),
+            priority=TaskPriority.BACKGROUND, name=name)
+
+    def _refilter_slice(self, refilter: _Refilter) -> bool:
+        walk = refilter.walk
+        for __ in range(self.REFILTER_SLICE):
+            taken = walk.take(1)
+            refilter.front = None if walk.exhausted else walk.net.key()
+            if not taken:
+                break
+            route = taken[0]
+            old_filtered, new_filtered = refilter.old(route), \
+                refilter.new(route)
+            if old_filtered != new_filtered:
+                self._send_change(old_filtered, new_filtered)
+        if not walk.exhausted:
+            return True
+        walk.close()
+        self.carried = self.filter_fn
+        return False
+
+    def held_by(self, table: Any) -> Callable[[], None]:
+        """A deletion stage upstream takes over *table*: its routes leave
+        through the function they carry now, a running walk stops where
+        it stands, and the routes that arrive from now on carry
+        ``filter_fn``.  Returns what to call once the table is drained."""
+        entry = (table, self.carried)
+        self.reset()
+        self._held.append(entry)
+        return partial(self._held.remove, entry)
+
+    def reset(self) -> None:
+        """Stop a running re-filter: downstream was reset, so every route
+        carries ``filter_fn`` from now on."""
+        if isinstance(self.carried, _Refilter):
+            self.carried.stop()
+        self.carried = self.filter_fn
 
 
 class DeletionStage(RouteTableStage):
@@ -338,12 +451,14 @@ class DeletionStage(RouteTableStage):
 
     def _run_slice(self) -> bool:
         deleted = self._iterator.take(self.slice_size)
+        # One batched downstream dispatch per slice, not one per route.
+        # A route leaves ``pending`` only once its delete is sent, so a
+        # filter bank downstream can still tell it held (``held_by``).
+        if deleted and self.next_table is not None:
+            self.next_table.delete_routes(deleted, caller=self)
         discard = self.pending.discard
         for route in deleted:
             discard(route.net)
-        # One batched downstream dispatch per slice, not one per route.
-        if deleted and self.next_table is not None:
-            self.next_table.delete_routes(deleted, caller=self)
         if self._iterator.exhausted:
             self._finish()
             return False
@@ -368,19 +483,16 @@ class DeletionStage(RouteTableStage):
         # that order is preserved; across prefixes all pending deletes are
         # grouped ahead of the adds so the batch costs two downstream
         # dispatches, not 2N.
-        discard = self.pending.discard
-        if self.next_table is None:
-            for route in routes:
-                discard(route.net)
-            return
-        helds = []
-        for route in routes:
-            held = discard(route.net)
-            if held is not None:
-                helds.append(held)
-        if helds:
+        pending = self.pending
+        helds = [held for held in (pending.exact(route.net)
+                                   for route in routes)
+                 if held is not None]
+        if helds and self.next_table is not None:
             self.next_table.delete_routes(helds, caller=self)
-        self.next_table.add_routes(routes, caller=self)
+        for held in helds:
+            pending.discard(held.net)
+        if self.next_table is not None:
+            self.next_table.add_routes(routes, caller=self)
 
     def lookup_route(self, net: IPNet, *,
                      caller: Optional[RouteTableStage] = None) -> Any:

@@ -1,5 +1,7 @@
 """Shared fixtures: opt-in runtime sanitizers for integration tests, and
-one analysed copy of ``src/repro`` for the analysers' tests of themselves.
+one analysed copy of ``src/repro`` for the analysers' tests of themselves;
+and the ``oracle-sweep`` hypothesis profile, the reference runner's wide
+budget (``--hypothesis-profile oracle-sweep``, CI's Oracle sweep job).
 
 ``runtime_sanitizers`` arms the stage-graph consistency sanitizer and
 the XRL dispatch sanitizer (see :mod:`repro.sanitizer`) around a test
@@ -18,6 +20,7 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import settings
 
 from repro.analysis import analyze_paths
 from repro.eventloop import collector
@@ -26,6 +29,9 @@ from repro.xrl import XrlRouter
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SRC_REPRO = REPO_ROOT / "src" / "repro"
+
+settings.register_profile("oracle-sweep", max_examples=1500, deadline=None,
+                          database=None)
 
 
 @pytest.fixture(autouse=True)

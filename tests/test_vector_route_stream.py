@@ -3,14 +3,12 @@
 
 A burst that one UPDATE puts on the fanout queue must reach the FIB as a
 burst — and must mean exactly what the same burst means one route at a
-time.  The reference for every equivalence here is the *same router*
-with the fanout run cap forced to 1, which is the per-route stream the
-vector XRLs replaced.
+time.  Every equivalence here is checked against the reference router
+(``tests/test_reference_router.py``), over TCP and under frame loss and
+duplication as in one interpreter.
 """
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.bgp import BgpProcess
 from repro.bgp.attributes import ASPath, Origin, PathAttributeList
@@ -35,12 +33,26 @@ PEERS = [("10.0.0.2", 65002), ("10.0.1.2", 65003), ("10.0.2.2", LOCAL_AS)]
 PREFIXES = [IPNet.parse(f"99.{i}.0.0/16") for i in range(8)]
 
 
+def attributes_for(peer, path_len):
+    """What PEERS[*peer*] announces: its own AS first (none over IBGP),
+    padded to *path_len* ASes."""
+    asn = PEERS[peer][1]
+    path = [] if asn == LOCAL_AS else [asn]
+    path += [64000 + i for i in range(path_len - 1)]
+    return PathAttributeList(
+        origin=Origin.IGP, as_path=ASPath.from_sequence(*path),
+        nexthop=IPv4(PEERS[peer][0]))
+
+
 class Router:
     """FEA + RIB + BGP on one simulated-clock host, driven by handing
     decoded UPDATEs to the peer handlers (no sessions needed).  With
-    *tcp* the three talk over real sockets on a wall-clock loop."""
+    *tcp* the three talk over real sockets on a wall-clock loop.  Every
+    nexthop resolves through a connected 10/8 unless *connected* is
+    false; without *bgp* it is FEA + RIB alone."""
 
-    def __init__(self, *, run_limit=None, retry=None, fault=None, tcp=False):
+    def __init__(self, *, run_limit=None, retry=None, fault=None, tcp=False,
+                 connected=True, bgp=True):
         self.tcp = tcp
         self.host = (Host(EventLoop(SystemClock()),
                           extra_families=[TcpFamily()]) if tcp else Host())
@@ -48,15 +60,18 @@ class Router:
                       if fault is not None else None)
         self.fea = FeaProcess(self.host)
         self.rib = RibProcess(self.host, retry_policy=retry)
-        self.bgp = BgpProcess(self.host, local_as=LOCAL_AS,
-                              bgp_id=IPv4("9.9.9.9"), retry_policy=retry)
-        if run_limit is not None:
-            self.bgp.fanout.RUN_LIMIT = run_limit
-        self.add_connected(self.rib)
-        self.handlers = [
-            self.bgp.add_peer(PeerConfig(IPv4(addr), asn, LOCAL_AS,
-                                         IPv4("10.0.0.1")))
-            for addr, asn in PEERS]
+        self.bgp, self.handlers = None, []
+        if bgp:
+            self.bgp = BgpProcess(self.host, local_as=LOCAL_AS,
+                                  bgp_id=IPv4("9.9.9.9"), retry_policy=retry)
+            if run_limit is not None:
+                self.bgp.fanout.RUN_LIMIT = run_limit
+            self.handlers = [
+                self.bgp.add_peer(PeerConfig(IPv4(addr), asn, LOCAL_AS,
+                                             IPv4("10.0.0.1")))
+                for addr, asn in PEERS]
+        if connected:
+            self.add_connected(self.rib)
         self.run()
 
     @staticmethod
@@ -77,17 +92,14 @@ class Router:
             lambda: not (loop.pending_events() or loop.tasks.have_work()
                          or self.bgp.fanout.queue_length)
             and self.bgp.txq.idle and self.rib.txq.idle
+            and all(stream.idle
+                    for stream in self.rib._redist_streams.values())
             and self.fea.driver.settled, timeout=30)
 
     def announce(self, peer, prefixes, path_len=1):
-        asn = PEERS[peer][1]
-        path = [] if asn == LOCAL_AS else [asn]
-        path += [64000 + i for i in range(path_len - 1)]
-        attributes = PathAttributeList(
-            origin=Origin.IGP, as_path=ASPath.from_sequence(*path),
-            nexthop=IPv4(PEERS[peer][0]))
-        self.handlers[peer].update_received(
-            UpdateMessage(attributes=attributes, nlri=list(prefixes)))
+        self.handlers[peer].update_received(UpdateMessage(
+            attributes=attributes_for(peer, path_len),
+            nlri=list(prefixes)))
 
     def withdraw(self, peer, prefixes):
         self.handlers[peer].update_received(
@@ -121,97 +133,47 @@ def spy_sends(process):
 
 
 # ---------------------------------------------------------------------------
-# (a) equivalence with the per-route stream
-
-
-schedule = st.lists(
-    st.one_of(
-        st.tuples(st.just("announce"), st.integers(0, len(PEERS) - 1),
-                  st.lists(st.integers(0, len(PREFIXES) - 1), min_size=1,
-                           max_size=6, unique=True),
-                  st.integers(1, 3)),
-        st.tuples(st.just("withdraw"), st.integers(0, len(PEERS) - 1),
-                  st.lists(st.integers(0, len(PREFIXES) - 1), min_size=1,
-                           max_size=6, unique=True)),
-        st.tuples(st.just("down"), st.integers(0, len(PEERS) - 1)),
-        st.tuples(st.just("turns"), st.integers(1, 3)),
-        st.tuples(st.just("quiesce")),
-    ),
-    max_size=30,
-)
-
-
-def run_schedule(ops, run_limit=None, tcp=False):
-    with RuntimeSanitizer() as sanitizer:
-        router = Router(run_limit=run_limit, tcp=tcp)
-        vectors = spy_sends(router.bgp)
-        for op in ops:
-            if op[0] == "announce":
-                __, peer, indices, path_len = op
-                router.announce(peer, [PREFIXES[i] for i in indices],
-                                path_len)
-            elif op[0] == "withdraw":
-                __, peer, indices = op
-                router.withdraw(peer, [PREFIXES[i] for i in indices])
-            elif op[0] == "down":
-                router.handlers[op[1]].session_down("test")
-            elif op[0] == "turns":
-                for __ in range(op[1]):
-                    router.host.loop.run_once(block=False)
-            else:
-                router.run()
-        router.run()
-        state = (router.fib(), router.rib_tables())
-        winners = {str(net): route.peer_id
-                   for net, route in router.bgp.decision.winners.items()}
-        router.host.shutdown()
-    verdicts = sorted(v.render() for v in sanitizer.violations)
-    return state, winners, verdicts, vectors
+# (a) order and equivalence on the vector route stream
 
 
 class TestVectorEqualsPerRouteStream:
-    @settings(max_examples=60, deadline=None)
-    @given(schedule)
-    def test_same_fib_rib_and_sanitizer_verdicts(self, ops):
-        state, winners, verdicts, __ = run_schedule(ops)
-        ref_state, ref_winners, ref_verdicts, ref_sends = run_schedule(
-            ops, run_limit=1)
-        assert all(method not in ("add_routes4", "delete_routes4")
-                   for method, __ in ref_sends)
-        assert winners == ref_winners
-        assert state == ref_state
-        assert verdicts == ref_verdicts == []
-        # The system-level invariant: RIB and FIB hold exactly BGP's
-        # winners (plus the connected route).
-        fib, tables = state
-        bgp_nets = set(tables.get("ebgp", {})) | set(tables.get("ibgp", {}))
-        assert bgp_nets == set(winners)
-        assert set(fib) == bgp_nets | {"10.0.0.0/8"}
-
     def test_same_over_tcp_between_the_three_processes(self):
         """One fixed schedule with BGP, RIB and FEA joined by TcpFamily:
         six methods cross bgp→rib and four cross rib→fea, and the FIB
         is only right if each pair's frames are read in send order."""
-        ops = [("announce", 0, [0, 1, 2, 3, 4, 5], 3),
-               ("announce", 1, [2, 3, 4], 2),
+        from tests.test_reference_router import Drive
+
+        nets = [[PREFIXES[i] for i in indices] for indices in (
+            [0, 1, 2, 3, 4, 5], [2, 3, 4], [0, 1, 2, 3], [0, 1, 2],
+            [1, 6, 7], [0, 3], [6, 7], [0, 3, 5])]
+        ops = [("announce", 0, nets[0], 3),
+               ("announce", 1, nets[1], 2),
                ("turns", 1),
-               ("announce", 2, [0, 1, 2, 3], 1),   # ebgp → ibgp replaces
-               ("withdraw", 0, [0, 1, 2]),
-               ("announce", 0, [1, 6, 7], 1),
+               ("announce", 2, nets[2], 1),   # ebgp → ibgp replaces
+               ("withdraw", 0, nets[3]),
+               ("announce", 0, nets[4], 1),
                ("turns", 2),
                ("down", 1),
-               ("withdraw", 2, [0, 3]),
+               ("withdraw", 2, nets[5]),
                ("quiesce",),
-               ("withdraw", 0, [6, 7]),
-               ("announce", 1, [0, 3, 5], 1),
+               ("withdraw", 0, nets[6]),
+               ("announce", 1, nets[7], 1),
                ("down", 2)]
-        state, winners, verdicts, sends = run_schedule(ops, tcp=True)
-        assert run_schedule(ops, run_limit=1, tcp=True)[:3] == (
-            state, winners, verdicts)
-        assert run_schedule(ops)[:3] == (state, winners, verdicts)
-        assert verdicts == []
-        assert {"add_routes4", "delete_routes4", "add_route4",
-                "delete_route4"} <= {method for method, __ in sends}
+        for run_limit in (None, 1):
+            with RuntimeSanitizer() as sanitizer:
+                drive = Drive(run_limit=run_limit, tcp=True)
+                sent = spy_sends(drive.router.bgp)
+                try:
+                    drive.run(ops).check()
+                finally:
+                    drive.router.host.shutdown()
+            assert sanitizer.violations == []
+            sends = {method for method, __ in sent}
+            vectors = {"add_routes4", "delete_routes4"}
+            if run_limit is None:
+                assert vectors | {"add_route4", "delete_route4"} <= sends
+            else:
+                assert not vectors & sends
 
     def test_withdraw_and_reannounce_in_one_update_keeps_order(self):
         """A vector frame is deferred to the turn's flush, a lone route
@@ -491,24 +453,29 @@ class TestParallelLists:
 # (e) the faults a vector frame newly meets
 
 
+def _burst_rounds(rounds=5):
+    """All three peers: winners move between the RIB's ebgp and ibgp
+    tables, a delete then an add of one prefix under two keys."""
+    bursts = [PREFIXES[:5], PREFIXES[3:8], PREFIXES[1:6]]
+    ops = []
+    for round_ in range(rounds):
+        for peer, nets in enumerate(bursts):
+            ops += [("announce", peer, nets, 1 + (round_ + peer) % 3),
+                    ("quiesce",)]
+        ops += [("withdraw", round_ % 3, bursts[round_ % 3][1:4]),
+                ("quiesce",)]
+    return ops
+
+
 class TestVectorFramesUnderFaults:
     RETRY = dict(max_attempts=10, backoff=0.05, attempt_timeout=0.5)
-
-    def _drive(self, router):
-        # All three peers: winners move between the RIB's ebgp and ibgp
-        # tables, a delete then an add of one prefix under two keys.
-        bursts = [PREFIXES[:5], PREFIXES[3:8], PREFIXES[1:6]]
-        for round_ in range(5):
-            for peer, nets in enumerate(bursts):
-                router.announce(peer, nets, path_len=1 + (round_ + peer) % 3)
-                router.run()
-            router.withdraw(round_ % 3, bursts[round_ % 3][1:4])
-            router.run()
-        return router.fib(), router.rib_tables()
+    OPS = _burst_rounds()
 
     @pytest.fixture(scope="class")
-    def oracle(self):
-        return self._drive(Router())
+    def reference(self):
+        from tests.test_reference_router import Drive
+
+        return Drive("reference").run(self.OPS).expected()
 
     @pytest.mark.parametrize("seed", range(12))
     @pytest.mark.parametrize("fault", [
@@ -516,20 +483,23 @@ class TestVectorFramesUnderFaults:
         dict(duplicate_probability=0.5),
         dict(drop_probability=0.15, duplicate_probability=0.3),
     ])
-    def test_drop_and_duplicate_converge_to_the_oracle(self, fault, seed,
-                                                       oracle):
-        faulted = Router(
+    def test_drop_and_duplicate_converge_to_the_reference(self, fault, seed,
+                                                          reference):
+        from tests.test_reference_router import Drive
+
+        faulted = Drive(
             retry=RetryPolicy(seed=seed + 12, **self.RETRY),
             fault=dict(seed=seed, scope={frozenset({"bgp", "rib"}),
                                          frozenset({"rib", "fea"})}, **fault))
-        sends = spy_sends(faulted.bgp)
-        assert self._drive(faulted) == oracle
+        router = faulted.router
+        sends = spy_sends(router.bgp)
+        assert faulted.run(self.OPS).observed() == reference
         assert any(method in ("add_routes4", "delete_routes4")
                    for method, __ in sends)
-        stats = faulted.fault.stats
+        stats = router.fault.stats
         assert stats.dropped + stats.duplicated > 0
         if fault.get("drop_probability"):
-            assert faulted.bgp.txq.retries + faulted.rib.txq.retries > 0
+            assert router.bgp.txq.retries + router.rib.txq.retries > 0
 
     def test_duplicated_delete_routes4_is_not_an_error(self):
         router = Router(fault=dict(
