@@ -75,12 +75,13 @@ def test_ablation_scanner_interval_drives_latency(benchmark):
 
 def test_ablation_background_deletion_responsiveness(benchmark):
     """A 20k-route peer-down must not stall concurrent event handling."""
-    from repro.core.stages import DeletionStage, OriginStage, RouteTableStage
+    from repro.core.stages import (DeletionStage, RouteTableStage,
+                                   TrieOriginStage)
     from repro.trie import RouteTrie
 
     def run():
         loop = EventLoop(SimulatedClock())
-        origin = OriginStage("peer-in")
+        origin = TrieOriginStage("peer-in")
         deleted = []
         sink = RouteTableStage("sink")
         sink.delete_routes = lambda routes, caller=None: deleted.extend(routes)

@@ -71,10 +71,12 @@ def test_memory_footprint_full_table(benchmark):
           f"{stats['young_gc_s']:.1f} s")
     benchmark.extra_info["load_s"] = round(stats["load_s"], 1)
     benchmark.extra_info["full_gc_s"] = round(stats["full_gc_s"], 1)
-    # A route is stored in six tries and otherwise in dicts (DESIGN.md,
-    # "Which table is which structure"): 2.8 KB/route measured.  With
-    # nine tries and a list per route for empty tags it was 3.7, so the
-    # ceiling sits where duplicated tables coming back would cross it.
-    assert kb_per_route <= 3.4, (
+    # A route is stored in five tries of 7-slot nodes, its prefix holds an
+    # int rather than an address object, and an UPDATE's routes share one
+    # nexthop object (DESIGN.md, "Which table is which structure"): 2.1
+    # KB/route measured.  With six tries, an address per prefix and one
+    # per nexthop it was 2.8, so the ceiling sits where any of those
+    # coming back would cross it.
+    assert kb_per_route <= 2.5, (
         f"table used {growth:.0f} MB, {kb_per_route:.2f} KB/route")
     assert growth > 1, "suspiciously small: did the feed load?"

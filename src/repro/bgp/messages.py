@@ -50,9 +50,8 @@ class BGPDecodeError(ValueError):
 
 def _encode_prefix(net: IPNet) -> bytes:
     """<length, truncated address> NLRI encoding."""
-    plen = net.prefix_len
-    byte_count = (plen + 7) // 8
-    return bytes([plen]) + net.network.to_bytes()[:byte_count]
+    value, plen = net.key()
+    return bytes([plen]) + value.to_bytes(4, "big")[:(plen + 7) // 8]
 
 
 def _decode_prefixes(data: bytes, what: str) -> List[IPNet]:

@@ -29,8 +29,8 @@ from repro.bgp.session import BgpSession
 from repro.core.stages import (
     DeletionStage,
     FilterStage,
-    OriginStage,
     RouteTableStage,
+    TrieOriginStage,
     stream_reset,
 )
 from repro.net import IPNet, IPv4
@@ -175,7 +175,7 @@ class PeerHandler(FsmActions):
     def _build_input_branch(self) -> None:
         from repro.bgp.nexthop import NexthopResolverStage
 
-        self.peer_in = OriginStage(f"peer-in-{self.peer_id}")
+        self.peer_in = TrieOriginStage(f"peer-in-{self.peer_id}")
         chain: List[RouteTableStage] = [self.peer_in]
         self.damping: Optional[DampingStage] = None
         if self.config.enable_damping:

@@ -37,7 +37,7 @@ without breaking callers.
 from __future__ import annotations
 
 from functools import partial
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.net import IPNet
 from repro.trie import RouteTrie
@@ -172,12 +172,19 @@ class OriginStage(RouteTableStage):
     """A stage that *stores* routes and feeds them into the pipeline.
 
     "we only store the original versions of routes, in the Peer In
-    stages" — BGP's PeerIn and the RIB's origin tables derive from this.
+    stages" — its table is a dict, as nothing walks it; BGP's PeerIn,
+    which deletion stages and re-filters walk, is a :class:`TrieOriginStage`.
     """
 
-    def __init__(self, name: str, bits: int = 32):
+    def __init__(self, name: str):
         super().__init__(name)
-        self.routes = RouteTrie(bits)
+        self.routes: Dict[IPNet, Any] = {}
+
+    def _store(self, net: IPNet, route: Any) -> Any:
+        """Store *route* at *net*; returns the route it replaces, or None."""
+        previous = self.routes.get(net)
+        self.routes[net] = route
+        return previous
 
     @property
     def route_count(self) -> int:
@@ -195,7 +202,7 @@ class OriginStage(RouteTableStage):
         and then emits its ``replace_route``, so the downstream per-prefix
         event order is exactly that of the routes sent one at a time.
         """
-        insert = self.routes.insert
+        insert = self._store
         next_table = self.next_table
         if next_table is None:
             for route in routes:
@@ -232,9 +239,9 @@ class OriginStage(RouteTableStage):
         ``delete_routes`` batch.
         """
         removed: List[Any] = []
-        discard = self.routes.discard
+        pop = self.routes.pop
         for net in nets:
-            route = discard(net)
+            route = pop(net, None)
             if route is not None:
                 removed.append(route)
         if removed and self.next_table is not None:
@@ -243,7 +250,19 @@ class OriginStage(RouteTableStage):
 
     def lookup_route(self, net: IPNet, *,
                      caller: Optional[RouteTableStage] = None) -> Any:
-        return self.routes.exact(net)
+        return self.routes.get(net)
+
+
+class TrieOriginStage(OriginStage):
+    """An origin stage whose table a safe iterator can park on: BGP's
+    PeerIn, which a :class:`DeletionStage` drains and a re-filter walks."""
+
+    def __init__(self, name: str):
+        super().__init__(name)
+        self.routes = RouteTrie()
+
+    def _store(self, net: IPNet, route: Any) -> Any:
+        return self.routes.insert(net, route)
 
 
 class _Refilter:

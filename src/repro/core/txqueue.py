@@ -51,7 +51,7 @@ class RouteStream:
         #: whole-table walks still to send: (group, TrieIterator, keep)
         self._walks: Deque[Tuple] = deque()
         self._epoch = 0
-        self._pumping = self._paused = self._turn_due = False
+        self._pumping = self._paused = self._turn_due = self._burst = False
         self.inflight = 0  # routes on the wire
         self.sent_count = self.shed = self.retries = self.failed = 0
 
@@ -124,6 +124,9 @@ class RouteStream:
                 # XRL would land more un-acked routes than it promises.
                 limit = min(self._batch_limit(), self.window - self.inflight)
                 if not table:
+                    if self._burst:  # an emptied OrderedDict keeps its size
+                        self._burst = False
+                        table.clear()
                     if not (pull and self._walks and budget > 0):
                         break
                     group, walk, keep = self._walks[0]
@@ -151,6 +154,8 @@ class RouteStream:
                     self._segment(group, op, [entry[1] for entry in run]),
                     partial(self._done, self._epoch, keys, run),
                     deadline=deadline, batch=len(run) > 1)
+            else:  # the window filled: the table may have outgrown it
+                self._burst = True
         finally:
             self._pumping = False
         if self._walks and not self.inflight and not self._turn_due:

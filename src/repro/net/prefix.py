@@ -22,18 +22,22 @@ class IPNet(Generic[A]):
 
         >>> IPNet.parse("128.16.64.1/18") == IPNet.parse("128.16.64.0/18")
         True
+
+    The network is held as an int beside the length and the address
+    class, and :attr:`network` builds the address object on demand.
     """
 
-    __slots__ = ("_masked", "_prefix_len", "_hash")
+    __slots__ = ("_value", "_prefix_len", "_cls")
 
     def __init__(self, addr: A, prefix_len: int):
+        host_bits = addr.BITS - prefix_len
         if not 0 <= prefix_len <= addr.BITS:
             raise AddressError(
                 f"prefix length {prefix_len} out of range for {addr!r}"
             )
-        self._masked: A = addr.mask_by_prefix_len(prefix_len)
+        self._value = addr.to_int() >> host_bits << host_bits
         self._prefix_len = prefix_len
-        self._hash = hash((self._masked, prefix_len))
+        self._cls = type(addr)
 
     # -- construction -----------------------------------------------------
     @classmethod
@@ -61,9 +65,9 @@ class IPNet(Generic[A]):
         if not 0 <= prefix_len <= 32:
             raise AddressError(f"bad IPv4 prefix length {prefix_len}")
         net = object.__new__(cls)
-        net._masked = masked = IPv4._of(word & MASKS4[prefix_len])
+        net._value = word & MASKS4[prefix_len]
         net._prefix_len = prefix_len
-        net._hash = hash((masked, prefix_len))
+        net._cls = IPv4
         return net
 
     @classmethod
@@ -73,8 +77,8 @@ class IPNet(Generic[A]):
     # -- accessors ---------------------------------------------------------
     @property
     def network(self) -> A:
-        """The (masked) network address."""
-        return self._masked
+        """The (masked) network address, built on each call."""
+        return self._cls.from_int(self._value)
 
     @property
     def prefix_len(self) -> int:
@@ -83,43 +87,42 @@ class IPNet(Generic[A]):
     @property
     def bits(self) -> int:
         """Width of the address family in bits (32 or 128)."""
-        return self._masked.BITS
+        return self._cls.BITS
 
     def key(self) -> Tuple[int, int]:
         """A cheap canonical key ``(network-int, prefix-len)``."""
-        return (self._masked.to_int(), self._prefix_len)
+        return (self._value, self._prefix_len)
 
     def first_addr(self) -> A:
-        return self._masked
+        return self.network
 
     def last_addr(self) -> A:
         host_bits = self.bits - self._prefix_len
-        value = self._masked.to_int() | ((1 << host_bits) - 1)
-        return type(self._masked).from_int(value)
+        return self._cls.from_int(self._value | ((1 << host_bits) - 1))
 
     def is_default(self) -> bool:
         return self._prefix_len == 0
 
     def is_ipv4(self) -> bool:
-        return isinstance(self._masked, IPv4)
+        return self._cls is IPv4
 
     def is_ipv6(self) -> bool:
-        return isinstance(self._masked, IPv6)
+        return self._cls is IPv6
 
     # -- containment -------------------------------------------------------
     def contains_addr(self, addr: A) -> bool:
         """True if *addr* falls inside this prefix."""
-        if addr.BITS != self.bits:
+        if addr.BITS != self._cls.BITS:
             return False
-        return addr.mask_by_prefix_len(self._prefix_len) == self._masked
+        return not (addr.to_int() ^ self._value) >> (
+            addr.BITS - self._prefix_len)
 
     def contains(self, other: "IPNet[A]") -> bool:
         """True if *other* is equal to or more specific than this prefix."""
-        if other.bits != self.bits:
+        if other._cls is not self._cls or other._prefix_len < self._prefix_len:
             return False
-        if other._prefix_len < self._prefix_len:
-            return False
-        return other._masked.mask_by_prefix_len(self._prefix_len) == self._masked
+        return not (other._value ^ self._value) >> (
+            self._cls.BITS - self._prefix_len)
 
     def overlaps(self, other: "IPNet[A]") -> bool:
         return self.contains(other) or other.contains(self)
@@ -129,17 +132,15 @@ class IPNet(Generic[A]):
         """The prefix one bit shorter that contains this one."""
         if self._prefix_len == 0:
             raise AddressError("default route has no supernet")
-        return IPNet(self._masked, self._prefix_len - 1)
+        return IPNet(self.network, self._prefix_len - 1)
 
     def halves(self) -> Tuple["IPNet[A]", "IPNet[A]"]:
         """Split into the two one-bit-longer subnets (low, high)."""
         if self._prefix_len >= self.bits:
             raise AddressError("host route cannot be split")
         new_len = self._prefix_len + 1
-        low = IPNet(self._masked, new_len)
-        hi_value = self._masked.to_int() | (1 << (self.bits - new_len))
-        high = IPNet(type(self._masked).from_int(hi_value), new_len)
-        return low, high
+        high = self._cls.from_int(self._value | 1 << (self.bits - new_len))
+        return IPNet(self.network, new_len), IPNet(high, new_len)
 
     def half_containing(self, addr: A) -> "IPNet[A]":
         """The one-bit-longer subnet of this prefix that contains *addr*."""
@@ -152,15 +153,13 @@ class IPNet(Generic[A]):
 
     def hosts(self) -> Iterator[A]:
         """Iterate every address in the prefix (tests / small nets only)."""
-        start = self._masked.to_int()
         end = self.last_addr().to_int()
-        addr_cls = type(self._masked)
-        for value in range(start, end + 1):
-            yield addr_cls.from_int(value)
+        for value in range(self._value, end + 1):
+            yield self._cls.from_int(value)
 
     # -- dunder --------------------------------------------------------------
     def __str__(self) -> str:
-        return f"{self._masked}/{self._prefix_len}"
+        return f"{self.network}/{self._prefix_len}"
 
     def __repr__(self) -> str:
         return f"IPNet({str(self)!r})"
@@ -168,21 +167,22 @@ class IPNet(Generic[A]):
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, IPNet)
+            and self._value == other._value
             and self._prefix_len == other._prefix_len
-            and self._masked == other._masked
+            and self._cls is other._cls
         )
 
     def __lt__(self, other: "IPNet[A]") -> bool:
         """Order by network address then by prefix length (shorter first)."""
-        if self._masked != other._masked:
-            return self._masked < other._masked
+        if self._value != other._value:
+            return self._value < other._value
         return self._prefix_len < other._prefix_len
 
     def __le__(self, other: "IPNet[A]") -> bool:
         return self == other or self < other
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash((self._value, self._prefix_len))
 
 
 def IPv4Net(text_or_addr: Union[str, IPv4], prefix_len: int = None) -> IPNet[IPv4]:

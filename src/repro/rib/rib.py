@@ -79,7 +79,7 @@ class _Pipeline:
         existing = self.origins.get(protocol)
         if existing is not None:
             return existing
-        origin = OriginStage(f"origin-{protocol}{self.tag}", self.bits)
+        origin = OriginStage(f"origin-{protocol}{self.tag}")
         self.origins[protocol] = origin
         self.external_protocols[protocol] = external
         side = "head_ext" if external else "head_int"

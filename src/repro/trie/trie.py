@@ -2,8 +2,8 @@
 
 The trie backs the tables that are asked longest-match questions (the
 RIB's internal side and interest-registration arithmetic, the FIB) or that
-hand out iterators a background task parks on (BGP PeerIn and the RIB's
-origin tables, the fanout's winners).  A table that is only ever asked
+hand out iterators a background task parks on (BGP PeerIn, the fanout's
+winners, the RIB's dumps).  A table that is only ever asked
 for the route at exactly one prefix is a ``dict`` instead — DESIGN.md,
 "Which table is which structure", lists every table.  Nodes are ordered
 so that a preorder walk yields prefixes in ``(network, prefix-len)`` order
@@ -18,39 +18,43 @@ lead to an arrival that fails the comparison.  Only ``insert`` tests
 containment at each level, because it has to find where a new prefix
 diverges.
 
-Iterator safety follows the paper exactly: each node carries a reference
-count of iterators currently pointing at it; deleting a route whose node is
-referenced only *invalidates* the payload, and the last iterator to leave
-the node performs the structural removal.
+Iterator safety follows the paper exactly: each trie counts the iterators
+pointing at each node (one ``{node: refs}`` table, not a slot in millions
+of nodes); deleting a route whose node is referenced only *invalidates*
+the payload, and the last iterator to leave the node performs the
+structural removal.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterator, List, Optional, Tuple
+from collections import Counter
+from typing import Any, Iterator, List, Optional, Tuple
 
 from repro.net import IPNet
 
 
+#: the payload of a node with no route: a join, or a route an iterator outlived
+_EMPTY = object()
+
+
 class TrieNode:
-    """One trie node: a prefix, an optional payload, and two children."""
+    """One trie node: a prefix, a payload (or ``_EMPTY``), two children."""
 
-    __slots__ = ("value", "plen", "net", "payload", "has_payload",
-                 "parent", "left", "right", "iter_refs")
+    __slots__ = ("value", "plen", "net", "payload", "parent", "left", "right")
 
-    def __init__(self, value: int, plen: int, net: Optional[IPNet]):
+    def __init__(self, value: int, plen: int, net: Optional[IPNet],
+                 payload: Any = _EMPTY):
         self.value = value
         self.plen = plen
-        self.net = net  # lazily built for join nodes
-        self.payload: Any = None
-        self.has_payload = False
+        self.net = net  # None for join nodes
+        self.payload = payload
         self.parent: Optional["TrieNode"] = None
         self.left: Optional["TrieNode"] = None
         self.right: Optional["TrieNode"] = None
-        self.iter_refs = 0
 
     def __repr__(self) -> str:
-        tag = "route" if self.has_payload else "join"
-        return f"<TrieNode {self.net or (self.value, self.plen)} {tag} refs={self.iter_refs}>"
+        tag = "join" if self.payload is _EMPTY else "route"
+        return f"<TrieNode {self.net or (self.value, self.plen)} {tag}>"
 
 
 class RouteTrie:
@@ -62,12 +66,10 @@ class RouteTrie:
         self.bits = bits
         self._root = TrieNode(0, 0, None)
         self._count = 0
+        #: node -> iterators pointing at it (paper §5.3)
+        self._pins: Counter = Counter()
 
     def __len__(self) -> int:
-        return self._count
-
-    @property
-    def route_count(self) -> int:
         return self._count
 
     # -- insertion --------------------------------------------------------
@@ -87,21 +89,19 @@ class RouteTrie:
             # an equal length is the target's own node.
             node_plen = node.plen
             if node_plen == plen:
-                previous = node.payload if node.has_payload else None
-                if not node.has_payload:
-                    self._count += 1
+                previous = node.payload
                 node.payload = payload
-                node.has_payload = True
                 if node.net is None:
                     node.net = net
+                if previous is _EMPTY:
+                    self._count += 1
+                    return None
                 return previous
             child_bit = (value >> (top_bit - node_plen)) & 1
             child = node.right if child_bit else node.left
             if child is None:
-                fresh = TrieNode(value, plen, net)
-                fresh.payload = payload
-                fresh.has_payload = True
-                self._attach(node, fresh, child_bit)
+                self._attach(node, TrieNode(value, plen, net, payload),
+                             child_bit)
                 self._count += 1
                 return None
             child_plen = child.plen
@@ -112,10 +112,9 @@ class RouteTrie:
                     continue
             elif not diff >> (bits - plen):
                 # New prefix sits between node and child.
-                fresh = TrieNode(value, plen, net)
-                fresh.payload = payload
-                fresh.has_payload = True
-                self._splice_between(node, child, fresh, child_bit)
+                self._splice_between(node, child,
+                                     TrieNode(value, plen, net, payload),
+                                     child_bit)
                 self._count += 1
                 return None
             # Diverging prefixes: manufacture a join node above both, as
@@ -125,10 +124,8 @@ class RouteTrie:
             join = TrieNode((value >> join_shift) << join_shift, join_plen,
                             None)
             self._splice_between(node, child, join, child_bit)
-            fresh = TrieNode(value, plen, net)
-            fresh.payload = payload
-            fresh.has_payload = True
-            self._attach(join, fresh, (value >> (top_bit - join_plen)) & 1)
+            self._attach(join, TrieNode(value, plen, net, payload),
+                         (value >> (top_bit - join_plen)) & 1)
             self._count += 1
             return None
 
@@ -165,9 +162,9 @@ class RouteTrie:
         """Payload stored exactly at *net*, or None."""
         value, plen = net.key()
         node = self._find_node(value, plen)
-        if node is not None and node.has_payload:
-            return node.payload
-        return None
+        if node is None or node.payload is _EMPTY:
+            return None
+        return node.payload
 
     def __contains__(self, net: IPNet) -> bool:
         return self.exact(net) is not None
@@ -185,7 +182,7 @@ class RouteTrie:
         best: Optional[TrieNode] = None
         while node is not None:
             node_plen = node.plen
-            if node.has_payload:
+            if node.payload is not _EMPTY:
                 if (node.value ^ value) >> (bits - node_plen):
                     break
                 best = node
@@ -208,7 +205,7 @@ class RouteTrie:
             node_plen = node.plen
             if node_plen >= plen:
                 break
-            if node.has_payload:
+            if node.payload is not _EMPTY:
                 if (node.value ^ value) >> (bits - node_plen):
                     break
                 best = node
@@ -228,7 +225,7 @@ class RouteTrie:
             node_plen = node.plen
             if node_plen > plen:
                 break
-            if node.has_payload:
+            if node.payload is not _EMPTY:
                 if (node.value ^ value) >> (bits - node_plen):
                     break
                 yield node.net, node.payload
@@ -262,7 +259,7 @@ class RouteTrie:
         stack: List[TrieNode] = [top]
         while stack:
             node = stack.pop()
-            if node.has_payload:
+            if node.payload is not _EMPTY:
                 yield node.net, node.payload
             if node.right is not None:
                 stack.append(node.right)
@@ -287,21 +284,24 @@ class RouteTrie:
         """
         value, plen = net.key()
         node = self._find_node(value, plen)
-        if node is None or not node.has_payload:
+        if node is None or node.payload is _EMPTY:
             raise KeyError(str(net))
         payload = node.payload
-        node.payload = None
-        node.has_payload = False
+        node.payload = _EMPTY
         self._count -= 1
         self._reclaim(node)
         return payload
 
-    def discard(self, net: IPNet) -> Any:
-        """Like :meth:`remove` but returns None when the route is absent."""
+    def discard(self, net: IPNet, default: Any = None) -> Any:
+        """Like :meth:`remove`, but *default* when the route is absent
+        (*default* only matches ``dict.pop``, which OriginStage calls)."""
         try:
             return self.remove(net)
         except KeyError:
-            return None
+            return default
+
+    # dict's spellings, so an OriginStage reads a trie and a dict alike
+    get, pop = exact, discard
 
     def clear(self) -> None:
         """Drop every route.  Iterators become exhausted, not invalid."""
@@ -312,8 +312,8 @@ class RouteTrie:
         """Splice out *node* and prunable ancestors where safe."""
         while (
             node.parent is not None
-            and not node.has_payload
-            and node.iter_refs == 0
+            and node.payload is _EMPTY
+            and node not in self._pins
         ):
             if node.left is not None and node.right is not None:
                 return  # structurally necessary join node
@@ -346,14 +346,10 @@ class RouteTrie:
     def __iter__(self) -> Iterator[Tuple[IPNet, Any]]:
         return self.items()
 
-    def keys(self) -> Iterator[IPNet]:
-        for net, __ in self.items():
-            yield net
-
     # Internal helpers used by TrieIterator ------------------------------
     def _first_node(self, scope: Optional[TrieNode]) -> Optional[TrieNode]:
         node = scope if scope is not None else self._root
-        if node.has_payload:
+        if node.payload is not _EMPTY:
             return node
         return self._next_payload_node(node, scope)
 
@@ -365,7 +361,7 @@ class RouteTrie:
             current = self._preorder_successor(current, scope)
             if current is None:
                 return None
-            if current.has_payload:
+            if current.payload is not _EMPTY:
                 return current
 
     def _preorder_successor(self, node: TrieNode,
@@ -405,13 +401,13 @@ class TrieIterator:
             value, plen = start.key()
             self._scope = trie._covered_root(value, plen)
             if self._scope is not None:
-                self._scope.iter_refs += 1
+                trie._pins[self._scope] += 1
         node = trie._first_node(self._scope) if (
             start is None or self._scope is not None
         ) else None
         self._node = node
         if node is not None:
-            node.iter_refs += 1
+            trie._pins[node] += 1
 
     @property
     def valid(self) -> bool:
@@ -422,7 +418,7 @@ class TrieIterator:
         task was parked here — in which case :meth:`advance` resumes at the
         next live route.
         """
-        return self._node is not None and self._node.has_payload
+        return self._node is not None and self._node.payload is not _EMPTY
 
     @property
     def exhausted(self) -> bool:
@@ -454,7 +450,7 @@ class TrieIterator:
         nxt = self._trie._next_payload_node(old, self._scope)
         self._node = nxt
         if nxt is not None:
-            nxt.iter_refs += 1
+            self._trie._pins[nxt] += 1
         self._release(old)
         return nxt is not None
 
@@ -466,7 +462,7 @@ class TrieIterator:
         """
         taken: List[Any] = []
         while len(taken) < n and self._node is not None:
-            if self._node.has_payload:
+            if self._node.payload is not _EMPTY:
                 taken.append(self._node.payload)
             self.advance()
         return taken
@@ -482,9 +478,12 @@ class TrieIterator:
             self._release(scope)
 
     def _release(self, node: TrieNode) -> None:
-        node.iter_refs -= 1
-        if node.iter_refs == 0 and not node.has_payload:
-            self._trie._reclaim(node)
+        pins = self._trie._pins
+        pins[node] -= 1
+        if not pins[node]:
+            del pins[node]
+            if node.payload is _EMPTY:
+                self._trie._reclaim(node)
 
     def __enter__(self) -> "TrieIterator":
         return self

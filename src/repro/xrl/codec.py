@@ -324,7 +324,13 @@ def _decode_column(data: bytes, offset: int) -> Tuple[List[XrlAtom], int]:
         end = offset + count * layout.size
         if end > len(data):
             raise ValueError("truncated column")
-        values = starmap(from_fields, layout.iter_unpack(data[offset:end]))
+        rows = layout.iter_unpack(data[offset:end])
+        if atom_type is IPV4:  # one object per distinct address
+            words = [row[0] for row in rows]
+            values = map({word: IPv4._of(word) for word in set(words)}
+                         .__getitem__, words)
+        else:
+            values = starmap(from_fields, rows)
     else:
         raise ValueError(f"tag {tag:#x} has no column form")
     return list(map(_new_atom, repeat(name), repeat(atom_type), values)), end

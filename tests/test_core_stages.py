@@ -8,6 +8,7 @@ from repro.core import (
     OriginStage,
     RouteTableStage,
 )
+from repro.core.stages import TrieOriginStage
 from repro.eventloop import EventLoop, SimulatedClock
 from repro.net import IPNet
 
@@ -167,13 +168,14 @@ class TestFilterStage:
         fltr = FilterStage("f", lambda r: None if r.metric > 10 else r)
         sink = SinkStage()
         RouteTableStage.plumb(origin, fltr, sink)
-        origin.routes.insert(IPNet.parse("10.0.0.0/8"), Route("10.0.0.0/8", metric=99))
+        origin.routes[IPNet.parse("10.0.0.0/8")] = Route("10.0.0.0/8",
+                                                         metric=99)
         assert sink.lookup_route(IPNet.parse("10.0.0.0/8")) is None
 
 
 class TestDeletionStage:
     def _setup(self, loop, count=10, slice_size=3):
-        origin = OriginStage("peer-in")
+        origin = TrieOriginStage("peer-in")
         sink = SinkStage()
         RouteTableStage.plumb(origin, sink)
         for i in range(count):

@@ -5,6 +5,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.net import AddressError, IPNet, IPv4, IPv6, IPv4Net, IPv6Net
+from repro.xrl import XrlArgs, XrlAtom, XrlAtomType
+from repro.xrl.codec import TEXTUAL
 
 
 def v4net(text):
@@ -157,3 +159,65 @@ class TestProperties:
         if net.prefix_len == 0:
             return
         assert net.supernet().contains(net)
+
+
+words = st.integers(min_value=0, max_value=(1 << 32) - 1)
+lengths4 = st.integers(min_value=0, max_value=32)
+
+
+class TestRepresentation:
+    """A prefix is its network int, its length and its address class;
+    whichever constructor built it, the same prefix is the same value."""
+
+    @given(words, lengths4)
+    def test_every_constructor_builds_the_same_net(self, value, plen):
+        net = IPNet(IPv4(value), plen)
+        built = [IPNet.parse(f"{IPv4(value)}/{plen}"),
+                 IPNet.from_packed4(value, plen)]
+        if plen > 0:
+            built.append(IPNet(IPv4(value), plen - 1)
+                         .half_containing(IPv4(value)))
+        if plen < 32:
+            built.append(IPNet(IPv4(value), plen + 1).supernet())
+        for other in built:
+            assert other == net and hash(other) == hash(net)
+        assert len(set(built) | {net}) == 1
+
+    @given(words, lengths4)
+    def test_families_with_the_same_int_are_never_equal(self, value, plen):
+        v4 = IPNet(IPv4(value), plen)
+        v6 = IPNet(IPv6(v4.key()[0]), 128)
+        assert v4 != v6 and v6 != v4
+        zero4, zero6 = IPNet(IPv4(0), plen), IPNet(IPv6(0), plen)
+        assert zero4.key() == zero6.key()
+        assert zero4 != zero6 and len({zero4, zero6}) == 2
+
+    @given(st.lists(st.tuples(words, lengths4), max_size=30))
+    def test_sorts_by_network_int_then_length(self, pairs):
+        nets = [IPNet(IPv4(value), plen) for value, plen in pairs]
+        assert sorted(nets) == sorted(
+            nets, key=lambda net: (net.network.to_int(), net.prefix_len))
+
+    @given(words, lengths4, st.integers(min_value=0, max_value=128))
+    def test_network_is_the_masked_address(self, value, plen, plen6):
+        network = IPNet(IPv4(value), plen).network
+        assert type(network) is IPv4
+        assert network.to_int() == value & ~((1 << (32 - plen)) - 1)
+        word6 = (value << 96) | value
+        network6 = IPNet(IPv6(word6), plen6).network
+        assert type(network6) is IPv6
+        assert network6.to_int() == word6 & ~((1 << (128 - plen6)) - 1)
+
+    @given(st.lists(words, min_size=1, max_size=5, unique=True),
+           st.lists(st.integers(min_value=0), min_size=2, max_size=40))
+    def test_a_decoded_nexthop_column_holds_one_address_per_distinct(
+            self, distinct, picks):
+        nexthops = [distinct[i % len(distinct)] for i in picks]
+        args = XrlArgs().add_list("nexthops", [
+            XrlAtom("nexthop", XrlAtomType.IPV4, IPv4(word))
+            for word in nexthops])
+        decoded = TEXTUAL.decode_request(
+            TEXTUAL.encode_request(1, "m", args))[2].get_list("nexthops")
+        assert [atom.value.to_int() for atom in decoded] == nexthops
+        assert len({id(atom.value) for atom in decoded}) == \
+            len(set(nexthops))

@@ -16,6 +16,7 @@ from repro.core.stages import (
     FilterStage,
     OriginStage,
     RouteTableStage,
+    TrieOriginStage,
     stream_reset,
 )
 from repro.eventloop import EventLoop, SimulatedClock
@@ -52,8 +53,8 @@ class SinkStage(RouteTableStage):
         self.log.extend(("delete", r.net) for r in routes)
 
 
-def pipeline():
-    origin = OriginStage("origin")
+def pipeline(origin_cls=OriginStage):
+    origin = origin_cls("origin")
     flt = FilterStage("filter", lambda r: r)
     sink = SinkStage()
     RouteTableStage.plumb(origin, flt, sink)
@@ -155,7 +156,7 @@ class TestStageSanitizer:
         """The §5.1.2 dynamic splice: no false SAN002 from migrated edges."""
         loop = EventLoop(SimulatedClock())
         with StageSanitizer() as san:
-            origin, flt, sink = pipeline()
+            origin, flt, sink = pipeline(TrieOriginStage)
             for prefix in ("10.0.0.0/8", "20.0.0.0/8", "30.0.0.0/8"):
                 origin.originate(route(prefix))
             old_routes = origin.routes
@@ -219,7 +220,7 @@ class TestSeededStageMutation:
 
     def test_buggy_origin_stage_caught_by_san001(self, monkeypatch):
         def buggy_originate(self, r):
-            self.routes.insert(r.net, r)
+            self._store(r.net, r)
             if self.next_table is not None:
                 # Bug under test: ignores the previous route and re-adds.
                 self.next_table.add_routes([r], caller=self)

@@ -2,13 +2,14 @@
 
 An in-process BGP+RIB+FEA router is fed 200-prefix UPDATEs and counted
 from outside: trie mutations per route, live trie nodes per route,
-attribute lists per UPDATE, tag containers per route.  The budget is the
+attribute lists per UPDATE, tag containers per route, and what is left
+of a route in GC-tracked objects and traced bytes.  The budget is the
 one DESIGN.md states ("Which table is which structure"): a route is in
-six tries — PeerIn, the fanout's winners, its RIB origin table, the
-register stage's winners, the FEA's ``Fib`` and the FIB backend — and in
-dicts everywhere else, so a table that quietly becomes a trie again, or a
-per-route allocation that comes back, fails here before it shows up as
-throughput or footprint.
+five tries — PeerIn, the fanout's winners, the register stage's winners,
+the FEA's ``Fib`` and the FIB backend — and in dicts everywhere else, so
+a table that quietly becomes a trie again, or a per-route allocation
+that comes back, fails here before it shows up as throughput or
+footprint.
 
 Stage messages are counted the same way, through a
 :class:`repro.core.taps.StageTap`: a RIB stage handles one message per
@@ -20,6 +21,7 @@ written down as the budget to lower.
 """
 
 import gc
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -36,7 +38,7 @@ from repro.trie import RouteTrie, TrieNode
 from tests.test_vector_route_stream import Router
 
 #: tries one BGP-learned route is stored in (module docstring)
-TRIES_PER_ROUTE = 6
+TRIES_PER_ROUTE = 5
 UPDATE_SIZE = 200
 UPDATES = 5
 #: the routes the counts exclude: 10.0.0.0/8 and whatever the nexthop
@@ -87,7 +89,7 @@ def feed(router):
     return UPDATES * UPDATE_SIZE
 
 
-def test_six_trie_mutations_per_route(counts, router):
+def test_trie_mutations_per_route(counts, router):
     counts.update(insert=0, remove=0)
     routes = feed(router)
     assert len(router.fib()) == 1 + len(WARM_UP) + routes
@@ -106,6 +108,27 @@ def test_at_most_two_trie_nodes_per_route_per_trie(router):
     routes = feed(router)
     # A Patricia trie of n prefixes has at most n - 1 join nodes.
     assert live(TrieNode) - before <= 2 * TRIES_PER_ROUTE * routes
+
+
+#: what a loaded route leaves behind across BGP, the RIB and the FEA
+TRACKED_OBJECTS_PER_ROUTE = 17.5
+TRACED_BYTES_PER_ROUTE = 2100
+
+
+def test_a_route_costs_its_budget_in_objects_and_bytes(router):
+    gc.collect()
+    objects = len(gc.get_objects())
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        routes = feed(router)
+        gc.collect()
+        traced = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    tracked = len(gc.get_objects()) - objects
+    assert tracked / routes <= TRACKED_OBJECTS_PER_ROUTE
+    assert traced / routes <= TRACED_BYTES_PER_ROUTE
 
 
 def test_attribute_lists_grow_with_updates_not_routes(router):

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from repro.net import IPNet, IPv4, IPv6
 from repro.trie import RouteTrie
+from repro.trie.trie import _EMPTY
 
 
 def net(text):
@@ -223,9 +224,10 @@ class TestSafeIterators:
         trie.insert(net("10.0.0.0/8"), "a")
         with trie.iterator() as it:
             node = it._node
-            assert node.iter_refs == 1
-        assert node.iter_refs == 0
+            assert trie._pins == {node: 1}
+        assert trie._pins == {}  # a closed iterator leaves no pin
         it.close()  # idempotent
+        assert trie._pins == {}
 
     def test_exhausted_iterator_raises_on_access(self, trie):
         it = trie.iterator()
@@ -340,15 +342,16 @@ def _check_against_oracle(trie, oracle, removed, parked):
 
 
 def _assert_compact(trie):
-    """With no iterator left, no payload-less node outlives its purpose:
-    each one below the root is a join with two children."""
+    """With no iterator left, no node is pinned and no payload-less node
+    outlives its purpose: each one below the root is a join with two
+    children."""
+    assert trie._pins == {}
     stack = [trie._root]
     while stack:
         node = stack.pop()
-        assert node.iter_refs == 0
         children = [c for c in (node.left, node.right) if c is not None]
         assert all(child.parent is node for child in children)
-        if node is not trie._root and not node.has_payload:
+        if node is not trie._root and node.payload is _EMPTY:
             assert len(children) == 2
         stack.extend(children)
 

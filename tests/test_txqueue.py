@@ -1,9 +1,14 @@
-"""Tests for the pipelined XRL transmit queue."""
+"""Tests for the pipelined XRL transmit queue and the route stream."""
+
+import sys
+from collections import OrderedDict
+from types import SimpleNamespace
 
 import pytest
 
 from repro.core.process import Host, XorpProcess
-from repro.core.txqueue import XrlTransmitQueue
+from repro.core.txqueue import RouteStream, XrlTransmitQueue
+from repro.net import IPNet, IPv4
 from repro.xrl import Xrl, XrlArgs
 from repro.xrl.error import XrlErrorCode
 from repro.xrl.idl import parse_idl
@@ -89,6 +94,24 @@ class TestTransmitQueue:
         host, client, received = setup
         with pytest.raises(ValueError):
             XrlTransmitQueue(client, window=0)
+
+
+class TestRouteStream:
+    def test_drained_burst_releases_the_table(self, setup):
+        """A burst of many windows moves whole into the stream's table;
+        once it drains, the table is no bigger than a fresh one."""
+        host, client, received = setup
+        window = 16
+        stream = RouteStream(
+            client, lambda group, op, routes: put_xrl(len(routes)),
+            window=window)
+        routes = [SimpleNamespace(net=IPNet(IPv4(i << 8), 24))
+                  for i in range(8 * window)]
+        stream.submit(None, "add", routes)
+        assert sys.getsizeof(stream._table) > sys.getsizeof(OrderedDict())
+        assert host.loop.run_until(lambda: stream.idle, timeout=10)
+        assert sum(received) == len(routes)
+        assert sys.getsizeof(stream._table) <= sys.getsizeof(OrderedDict())
 
 
 class TestProcessModel:

@@ -6,10 +6,12 @@ XRLs it sends are taken off the senders as they are and put through both
 frame codecs.  The budget is the one DESIGN.md states ("XRL frame
 codecs"): a route list travels as columns — name and tag once, then bare
 fixed-width payloads — and the decoder's structural checks are the only
-validation, so per route a frame costs its payload bytes, one address
-object per address and no per-element call of the validators.  A list
-that quietly falls back to the general form, a second validation pass or
-a second copy of an address fails here before it shows up as throughput.
+validation, so per route a frame costs its payload bytes, one prefix
+object and no per-element call of the validators.  A prefix holds its
+network as an int, and an address column decodes to one object per
+distinct address.  A list that quietly falls back to the general form, a
+second validation pass or a second copy of an address fails here before
+it shows up as throughput.
 """
 
 import pytest
@@ -23,12 +25,13 @@ from tests.test_vector_route_stream import Router
 ROUTES = 256
 NETS = [IPNet(IPv4((20 << 24) | (i << 8)), 24) for i in range(ROUTES)]
 
-#: method -> (wire bytes per route, addresses per route, prefixes per route)
+#: method -> (wire bytes per route, addresses per frame, prefixes per
+#: route); the feed's routes share one nexthop
 BUDGET = {
-    "add_routes4": (14, 2, 1),      # net 5 + nexthop 4 + metric 4
-    "delete_routes4": (6, 1, 1),    # net 5
-    "add_entries4": (15, 2, 1),     # net 5 + nexthop 4 + ifname and its NUL
-    "delete_entries4": (6, 1, 1),
+    "add_routes4": (14, 1, 1),      # net 5 + nexthop 4 + metric 4
+    "delete_routes4": (6, 0, 1),    # net 5
+    "add_entries4": (15, 1, 1),     # net 5 + nexthop 4 + ifname and its NUL
+    "delete_entries4": (6, 0, 1),
 }
 
 
@@ -100,7 +103,10 @@ def test_decode_validates_structurally_and_copies_nothing(
     addresses, prefixes = live(IPv4), live(IPNet)
     decoded = make().decode_request(frame)[2]
     assert validator_calls == {"_validate": 0, "check_name": 0}
-    __, per_route_addresses, per_route_prefixes = BUDGET[method]
-    assert live(IPv4) - addresses == per_route_addresses * ROUTES
+    __, per_frame_addresses, per_route_prefixes = BUDGET[method]
+    assert len({atom.value for column in args if column.type is types.LIST
+                for atom in column.value
+                if atom.type is types.IPV4}) == per_frame_addresses
+    assert live(IPv4) - addresses == per_frame_addresses
     assert live(IPNet) - prefixes == per_route_prefixes * ROUTES
     assert decoded == args
