@@ -93,7 +93,7 @@ def main() -> None:
     loop.run_until(lambda: flappy in bgp.decision.winners, timeout=600)
     penalty = handler.damping.penalty_of(flappy)
     print(f"t={loop.now():6.0f}s  99.2.0.0/16 REUSED at penalty={penalty:.0f}")
-    print(f"route: {bgp.decision.winners[flappy]}")
+    print(f"route: {bgp.decision.winners.exact(flappy)}")
 
 
 if __name__ == "__main__":

@@ -12,10 +12,11 @@ pipeline", which is exactly what happens on withdrawals.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, List, Optional, Tuple
 
 from repro.core.stages import RouteTableStage
 from repro.net import IPNet, IPv4
+from repro.trie import RouteTrie
 
 
 class PeerInfo:
@@ -68,8 +69,9 @@ class DecisionStage(RouteTableStage):
         super().__init__(name)
         self.branches: List[RouteTableStage] = []
         self.peer_info = peer_info_fn
-        #: current winner per prefix: net -> route
-        self.winners: Dict[IPNet, Any] = {}
+        #: current winner per prefix, BGP's one per-winner table: the
+        #: fanout's dumps and the export re-filter walk it (§5.3)
+        self.winners = RouteTrie()
 
     def add_branch(self, branch: RouteTableStage) -> None:
         self.branches.append(branch)
@@ -110,33 +112,22 @@ class DecisionStage(RouteTableStage):
         # A peering burst is mostly fresh winners: coalesce those into
         # one downstream batch; displacements flush and go out as a
         # replace, keeping the per-prefix event order of the routes sent
-        # one at a time.
-        winners = self.winners
-        winners_get = winners.get
+        # one at a time.  One trie walk per fresh winner and per loser:
+        # ``setdefault`` inserts the route or hands back the incumbent.
+        setdefault = self.winners.setdefault
         next_table = self.next_table
-        if next_table is None:
-            for route in routes:
-                if self._eligible(route):
-                    net = route.net
-                    incumbent = winners_get(net)
-                    if incumbent is None or self._better(route, incumbent) \
-                            is route:
-                        winners[net] = route
-            return
         fresh: List[Any] = []
         for route in routes:
             if not self._eligible(route):
                 continue
-            net = route.net
-            incumbent = winners_get(net)
-            if incumbent is None:
-                winners[net] = route
+            incumbent = setdefault(route.net, route)
+            if incumbent is route:
                 fresh.append(route)
             elif self._better(route, incumbent) is route:
                 if fresh:
                     next_table.add_routes(fresh, caller=self)
                     fresh = []
-                winners[net] = route
+                self.winners.insert(route.net, route)
                 next_table.replace_route(incumbent, route, caller=self)
         if fresh:
             next_table.add_routes(fresh, caller=self)
@@ -147,61 +138,45 @@ class DecisionStage(RouteTableStage):
         # right: the winner *is* the annotated object the branch
         # forwarded); deleted winners without a surviving alternative
         # coalesce into one downstream batch, and re-elections flush the
-        # segment and emit their replace.
+        # segment and emit their replace.  A loser's delete is one trie
+        # walk; a replacement takes over the winner's node.
         winners = self.winners
-        winners_get = winners.get
         next_table = self.next_table
-        if next_table is None:
-            for route in routes:
-                if winners_get(route.net) is route:
-                    replacement = self._elect(route.net, exclude=caller)
-                    if replacement is not None:
-                        winners[route.net] = replacement
-                    else:
-                        del winners[route.net]
-            return
         gone: List[Any] = []
         for route in routes:
             net = route.net
-            incumbent = winners_get(net)
-            if incumbent is None or incumbent is not route:
+            if winners.exact(net) is not route:
                 continue
             replacement = self._elect(net, exclude=caller)
-            if replacement is not None:
-                if gone:
-                    next_table.delete_routes(gone, caller=self)
-                    gone = []
-                winners[net] = replacement
-                next_table.replace_route(incumbent, replacement,
-                                         caller=self)
-            else:
-                del winners[net]
-                gone.append(incumbent)
+            if replacement is None:
+                winners.remove(net)
+                gone.append(route)
+                continue
+            if gone:
+                next_table.delete_routes(gone, caller=self)
+                gone = []
+            winners.insert(net, replacement)
+            next_table.replace_route(route, replacement, caller=self)
         if gone:
             next_table.delete_routes(gone, caller=self)
 
     def replace_route(self, old_route: Any, new_route: Any, *,
                       caller: Optional[RouteTableStage] = None) -> None:
         net = new_route.net
-        incumbent = self.winners.get(net)
+        incumbent = self.winners.exact(net)
         if incumbent is old_route:
             # The winner's own branch revised it: re-run the election with
             # the new version against all other branches.
-            best_other = self._elect(net, exclude=caller)
-            candidates = [c for c in (best_other,
-                                      new_route if self._eligible(new_route)
-                                      else None) if c is not None]
-            if not candidates:
-                del self.winners[net]
-                if self.next_table is not None:
-                    self.next_table.delete_routes([incumbent], caller=self)
+            winner = self._elect(net, exclude=caller)
+            if self._eligible(new_route):
+                winner = (new_route if winner is None
+                          else self._better(winner, new_route))
+            if winner is None:
+                self.winners.remove(net)
+                self.next_table.delete_routes([incumbent], caller=self)
                 return
-            winner = candidates[0]
-            for candidate in candidates[1:]:
-                winner = self._better(winner, candidate)
-            self.winners[net] = winner
-            if self.next_table is not None:
-                self.next_table.replace_route(incumbent, winner, caller=self)
+            self.winners.insert(net, winner)
+            self.next_table.replace_route(incumbent, winner, caller=self)
             return
         # Another branch revised a non-winning route: treat as an add
         # (it may now beat the incumbent).
@@ -210,7 +185,7 @@ class DecisionStage(RouteTableStage):
     def lookup_route(self, net: IPNet, *,
                      caller: Optional[RouteTableStage] = None) -> Any:
         """Downstream consumers see only winners (consistency rule 2)."""
-        return self.winners.get(net)
+        return self.winners.exact(net)
 
     @property
     def route_count(self) -> int:

@@ -9,11 +9,14 @@
     route change queue, with n readers (one for each peer) referencing
     it."
 
-Readers attach with a *background dump* of the existing winners (the
-route table a freshly-established peer must receive), correctly
-interleaved with live changes: at enqueue time each dumping reader is
-marked to receive the entry only if its dump already passed the prefix —
-otherwise the dump itself will deliver the post-change state.
+Readers attach with a *background dump* of the winners — the upstream
+stage's ``winners`` trie (the decision's), updated before each change is
+enqueued here — correctly interleaved with live changes: at enqueue time
+each dumping reader is marked to receive the entry only if its dump
+already passed the prefix — otherwise the dump itself will deliver the
+post-change state.  A busy reader holds a position in the queue, not a
+copy of it, and its dump parks; a reader with a *room* (the RIB's, whose
+route stream has a window) takes at most that many routes at a time.
 """
 
 from __future__ import annotations
@@ -24,8 +27,7 @@ from typing import Any, Callable, Deque, Dict, List, Optional, Set
 
 from repro.core.stages import RouteTableStage
 from repro.eventloop.tasks import TaskPriority
-from repro.net import IPNet
-from repro.trie import RouteTrie, TrieIterator
+from repro.trie import TrieIterator
 
 ADD, DELETE, REPLACE = "add", "delete", "replace"
 
@@ -45,8 +47,8 @@ class _QueueEntry:
 class Reader:
     """One consumer of the change queue (a peer branch or the RIB branch)."""
 
-    __slots__ = ("name", "deliver", "next_serial", "busy", "dump_iterator",
-                 "dump_task", "dumped_count")
+    __slots__ = ("name", "deliver", "next_serial", "busy", "room",
+                 "dump_iterator", "dump_task")
 
     def __init__(self, name: str,
                  deliver: Callable[[str, List[Any], Any], None],
@@ -57,9 +59,10 @@ class Reader:
         self.deliver = deliver
         self.next_serial = next_serial
         self.busy = False
+        #: () -> routes the reader takes now, or None for a run's worth
+        self.room: Optional[Callable[[], int]] = None
         self.dump_iterator: Optional[TrieIterator] = None
         self.dump_task = None
-        self.dumped_count = 0
 
     @property
     def dumping(self) -> bool:
@@ -94,12 +97,10 @@ class FanoutQueue(RouteTableStage):
     #: of ``RibProcess.FEA_BATCH_LIMIT``
     RUN_LIMIT = 256
 
-    def __init__(self, name: str, loop, *, bits: int = 32,
-                 dump_slice: int = 64):
+    def __init__(self, name: str, loop, *, dump_slice: int = 64):
         super().__init__(name)
         self.loop = loop
         self.dump_slice = dump_slice
-        self.winners = RouteTrie(bits)
         self.queue: Deque[_QueueEntry] = deque()
         self._next_serial = 0
         self.readers: Dict[str, Reader] = {}
@@ -118,14 +119,17 @@ class FanoutQueue(RouteTableStage):
             raise ValueError(f"fanout reader {name!r} already attached")
         reader = Reader(name, deliver, self._next_serial)
         self.readers[name] = reader
-        if dump and len(self.winners):
-            reader.dump_iterator = self.winners.iterator()
-            reader.dump_task = self.loop.spawn_task(
-                lambda: self._dump_slice(reader),
-                priority=TaskPriority.BACKGROUND,
-                name=f"{self.name}-dump-{name}",
-            )
+        if dump and len(self.parent.winners):
+            reader.dump_iterator = self.parent.winners.iterator()
+            self._spawn_dump(reader)
         return reader
+
+    def _spawn_dump(self, reader: Reader) -> None:
+        reader.dump_task = self.loop.spawn_task(
+            lambda: self._dump_slice(reader),
+            priority=TaskPriority.BACKGROUND,
+            name=f"{self.name}-dump-{reader.name}",
+        )
 
     def remove_reader(self, name: str) -> None:
         reader = self.readers.pop(name, None)
@@ -138,35 +142,28 @@ class FanoutQueue(RouteTableStage):
         self._trim()
 
     def set_reader_busy(self, name: str, busy: bool) -> None:
-        """Flow control: a busy reader stops draining (slow peer)."""
+        """Flow control: a busy reader stops draining and its dump parks."""
         reader = self.readers[name]
+        if reader.busy == busy:
+            return
         reader.busy = busy
         if not busy:
             self._schedule_pump(reader)
+            if reader.dumping and reader.dump_task is None:
+                self._spawn_dump(reader)
 
     # -- stage messages ----------------------------------------------------
     def add_routes(self, routes: List[Any], *,
                    caller: Optional[RouteTableStage] = None) -> None:
-        insert = self.winners.insert
-        for route in routes:
-            insert(route.net, route)
         self._enqueue_batch(ADD, routes, None)
 
     def delete_routes(self, routes: List[Any], *,
                       caller: Optional[RouteTableStage] = None) -> None:
-        discard = self.winners.discard
-        for route in routes:
-            discard(route.net)
         self._enqueue_batch(DELETE, routes, None)
 
     def replace_route(self, old_route: Any, new_route: Any, *,
                       caller: Optional[RouteTableStage] = None) -> None:
-        self.winners.insert(new_route.net, new_route)
         self._enqueue_batch(REPLACE, [new_route], old_route)
-
-    def lookup_route(self, net: IPNet, *,
-                     caller: Optional[RouteTableStage] = None) -> Any:
-        return self.winners.exact(net)
 
     # -- queueing --------------------------------------------------------
     def _dump_skip_set(self, key) -> Optional[Set[str]]:
@@ -225,13 +222,14 @@ class FanoutQueue(RouteTableStage):
         if reader is None:
             return
         queue = self.queue
-        limit = self.RUN_LIMIT
-        while not reader.busy and reader.next_serial < self._next_serial:
+        while reader.next_serial < self._next_serial:
+            limit = self._room(reader)
+            if not limit:
+                break
             # One run: the consecutive entries of one op this reader is
             # due.  A REPLACE carries its own old_route, so it never
             # shares a run.
-            op = None
-            old_route = None
+            op = old_route = None
             routes: List[Any] = []
             start = reader.next_serial - queue[0].serial
             for entry in islice(queue, start, start + limit):
@@ -249,6 +247,15 @@ class FanoutQueue(RouteTableStage):
                 reader.deliver(op, routes, old_route)
         self._trim()
 
+    def _room(self, reader: Reader) -> int:
+        """The routes *reader* takes now, at most a run; with no room left
+        it turns busy until ``set_reader_busy`` resumes it."""
+        room = self.RUN_LIMIT
+        if reader.room is not None and not reader.busy:
+            room = min(room, reader.room())
+            reader.busy = room <= 0
+        return 0 if reader.busy else room
+
     def _trim(self) -> None:
         if not self.readers:
             self.queue.clear()
@@ -264,11 +271,12 @@ class FanoutQueue(RouteTableStage):
         if reader.name not in self.readers:
             return False
         budget = self.dump_slice
-        limit = self.RUN_LIMIT
         iterator = reader.dump_iterator
         while budget > 0 and not iterator.exhausted:
-            if reader.busy:
-                return True  # try again next idle moment
+            limit = self._room(reader)
+            if not limit:
+                reader.dump_task = None
+                return False  # parked until set_reader_busy resumes it
             # The slice leaves as ADD runs.  The iterator is parked past
             # a run before it is delivered, so a change the delivery
             # provokes is classified against the dump front the reader
@@ -276,7 +284,6 @@ class FanoutQueue(RouteTableStage):
             routes = iterator.take(min(budget, limit))
             if routes:
                 budget -= len(routes)
-                reader.dumped_count += len(routes)
                 reader.deliver(ADD, routes, None)
         if iterator.exhausted:
             iterator.close()

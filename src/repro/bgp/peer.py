@@ -24,7 +24,7 @@ from repro.bgp.messages import (
     MessageReader,
     UpdateMessage,
 )
-from repro.bgp.route import BGPRoute
+from repro.bgp.route import BGPRoute, PeerId
 from repro.bgp.session import BgpSession
 from repro.core.stages import (
     DeletionStage,
@@ -146,7 +146,7 @@ class PeerHandler(FsmActions):
         self.process = process
         self.config = config
         self.loop = process.loop
-        self.peer_id = config.peer_id
+        self.peer_id = PeerId(config.peer_id, config.is_ibgp)
         self.fsm = PeerFSM(
             self.loop, self,
             local_as=config.local_as,
@@ -251,7 +251,7 @@ class PeerHandler(FsmActions):
         tasks, such as when routing policy filters are changed by the
         operator and many routes need to be refiltered and reevaluated."
         The bank walks its source table — PeerIn for the import bank, the
-        fanout's winners for the export bank of an established peering —
+        decision's winners for the export bank of an established peering —
         with a safe iterator in background slices, sending downstream the
         difference between what each route carried and what it carries
         now (``FilterStage.refilter``).
@@ -260,7 +260,7 @@ class PeerHandler(FsmActions):
 
         if export:
             stage, apply = self.out_filter, self._export_with
-            walk = (self.process.fanout.winners.iterator()
+            walk = (self.process.decision.winners.iterator()
                     if self.fsm.state == BgpState.ESTABLISHED else None)
         else:
             stage, apply = self.in_filter, self._import_with

@@ -8,6 +8,7 @@ reader streaming best routes to the RIB over pipelined XRLs.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.bgp.attributes import ASPath, Origin, PathAttributeList
@@ -71,9 +72,13 @@ class BgpProcess(XorpProcess):
         self.decision = DecisionStage("decision", self.peer_info)
         self.fanout = FanoutQueue("fanout", self.loop)
         self.decision.set_next(self.fanout)
-        self.fanout.add_reader("__rib__", self._rib_deliver, dump=False)
-        #: protocol name the RIB currently files each prefix under
-        self._rib_protocol: Dict[IPNet, str] = {}
+        # The RIB's reader pulls through the stream's window: it takes at
+        # most the room left, waits in the fanout queue while there is
+        # none, and a reply resumes it.
+        self.fanout.add_reader("__rib__", self._rib_deliver,
+                               dump=False).room = self.txq.room
+        self.txq.on_room = partial(self.fanout.set_reader_busy, "__rib__",
+                                   False)
         self._tables_unanswered = 0
 
         # Local route origination branch.
@@ -144,11 +149,11 @@ class BgpProcess(XorpProcess):
         """
         if self.rib_target is None or not self.running:
             return
-        self._rib_protocol.clear()
         self._register_rib_tables()
         self.resolver.requery_all()
         self.fanout.remove_reader("__rib__")
-        self.fanout.add_reader("__rib__", self._rib_deliver, dump=True)
+        self.fanout.add_reader("__rib__", self._rib_deliver,
+                               dump=True).room = self.txq.room
 
     def _query_rib_nexthop(self, nexthop: IPv4, reply_cb) -> None:
         """register_interest4 with the RIB; synthetic answer without one."""
@@ -171,7 +176,8 @@ class BgpProcess(XorpProcess):
         self.xrl.send(xrl, completion, retry=self.retry_policy)
 
     def _route_protocol(self, route: Any) -> str:
-        return "ibgp" if self.peer_info(route.peer_id).is_ibgp else "ebgp"
+        # the kind of the peering that sent it, which may be gone
+        return "ibgp" if getattr(route.peer_id, "is_ibgp", False) else "ebgp"
 
     def _rib_deliver(self, op: str, routes: List[Any],
                      old_route: Any) -> None:
@@ -179,28 +185,17 @@ class BgpProcess(XorpProcess):
         pipelined XRL per stretch the RIB files under one protocol."""
         if self.rib_target is None:
             return
-        rib_protocol = self._rib_protocol
         if op == "replace":
-            route = routes[0]
-            old_protocol = rib_protocol.get(route.net)
-            new_protocol = self._route_protocol(route)
-            if old_protocol is not None and old_protocol != new_protocol:
+            old_protocol = self._route_protocol(old_route)
+            if old_protocol != self._route_protocol(routes[0]):
                 # The winner moved between the RIB's ebgp/ibgp origin
                 # tables; replace decomposes into delete + add.
                 self._rib_send("delete", old_protocol, [old_route])
                 op = "add"
-            rib_protocol[route.net] = new_protocol
-            self._rib_send(op, new_protocol, routes)
-            return
-        deleting = op == "delete"
         stretch: List[Any] = []
         current = None
         for route in routes:
             protocol = self._route_protocol(route)
-            if deleting:
-                protocol = rib_protocol.pop(route.net, protocol)
-            else:
-                rib_protocol[route.net] = protocol
             if protocol != current:
                 if stretch:
                     self._rib_send(op, current, stretch)

@@ -8,6 +8,19 @@ from repro.bgp.attributes import PathAttributeList
 from repro.net import IPNet
 
 
+class PeerId(str):
+    """A peer's address string, as its handler and routes carry it, plus
+    that peering's kind: a route still tells its RIB table (ebgp/ibgp)
+    once its peer is removed, or re-added as the other kind."""
+
+    is_ibgp = False
+
+    def __new__(cls, addr: str, is_ibgp: bool = False) -> "PeerId":
+        peer_id = super().__new__(cls, addr)
+        peer_id.is_ibgp = is_ibgp
+        return peer_id
+
+
 class BGPRoute:
     """One BGP route: a prefix plus its path attribute list.
 

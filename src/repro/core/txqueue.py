@@ -31,6 +31,8 @@ class RouteStream:
     code is re-queued after ``delay(n)`` unless a newer op for its key
     waits.  Past ``max_attempts``, as on any other failure, the route is
     dropped and counted in :attr:`failed`.
+    A producer that pulls (BGP's fanout) submits at most :meth:`room`
+    routes and is resumed by *on_room*, called when a reply leaves room.
     """
 
     def __init__(self, router: XrlRouter,
@@ -53,6 +55,7 @@ class RouteStream:
         self._epoch = 0
         self._pumping = self._paused = self._turn_due = self._burst = False
         self.inflight = 0  # routes on the wire
+        self.on_room: Optional[Callable[[], None]] = None
         self.sent_count = self.shed = self.retries = self.failed = 0
 
     def register_metrics(self, registry, prefix: str = "txq") -> None:
@@ -64,6 +67,9 @@ class RouteStream:
     @property
     def depth(self) -> int:  # routes pending or held, not yet on the wire
         return len(self._table) + len(self._held)
+
+    def room(self) -> int:  # routes the window has left
+        return self.window - self.inflight - self.depth
 
     @property
     def idle(self) -> bool:
@@ -161,6 +167,8 @@ class RouteStream:
         if self._walks and not self.inflight and not self._turn_due:
             self._turn_due = True  # no reply is coming to pull the walk on
             self._router.loop.call_soon(self._turn)
+        if pull and self.on_room is not None and self.room() > 0:
+            self.on_room()
 
     def _done(self, epoch: int, keys: List, run: List, error, __) -> None:
         if epoch != self._epoch:

@@ -25,6 +25,7 @@ recursive resolution is asserted absent rather than modelled.
 
 from __future__ import annotations
 
+from functools import lru_cache, partial
 from typing import Callable, Dict, Iterable, NamedTuple, Optional, Tuple
 
 from repro.bgp.attributes import PathAttributeList
@@ -133,7 +134,8 @@ class ReferenceRouter:
     def loc_rib(self) -> Dict[IPNet, Tuple[IPv4, PathAttributeList, int]]:
         """BGP's winner per net: (peer address, attributes after import,
         IGP metric), among routes whose nexthop resolves."""
-        internal = self._internal()
+        # A peer's routes share a few nexthops: resolve each once.
+        resolve = lru_cache(None)(partial(self._resolve, self._internal()))
         best: Dict[IPNet, tuple] = {}
         for addr, table in self.adj_in.items():
             peer = self.peers[addr]
@@ -141,7 +143,7 @@ class ReferenceRouter:
                 attributes = self._import(peer, net, announced)
                 if attributes is None:
                     continue
-                cover = self._resolve(internal, attributes.nexthop)
+                cover = resolve(attributes.nexthop)
                 if cover is None:
                     continue
                 igp_metric = cover[1]
@@ -170,10 +172,11 @@ class ReferenceRouter:
     def winners(self) -> Dict[IPNet, Tuple[str, IPv4, int]]:
         """The RIB's final winner per net: (protocol, nexthop, metric)."""
         internal = self._internal()
+        resolve = lru_cache(None)(partial(self._resolve, internal))
         best = dict(internal)
         for protocol, table in self.rib_tables().items():
             for net, (nexthop, metric) in table.items():
-                if self._resolve(internal, nexthop) is None:
+                if resolve(nexthop) is None:
                     continue  # held: nothing internal reaches the nexthop
                 candidate = (ADMIN_DISTANCES[protocol], metric, protocol,
                              nexthop)

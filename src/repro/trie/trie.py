@@ -2,7 +2,7 @@
 
 The trie backs the tables that are asked longest-match questions (the
 RIB's internal side and interest-registration arithmetic, the FIB) or that
-hand out iterators a background task parks on (BGP PeerIn, the fanout's
+hand out iterators a background task parks on (BGP PeerIn, the decision's
 winners, the RIB's dumps).  A table that is only ever asked
 for the route at exactly one prefix is a ``dict`` instead — DESIGN.md,
 "Which table is which structure", lists every table.  Nodes are ordered
@@ -14,9 +14,8 @@ Lookups descend Patricia-style: a walk follows the key's bits from node
 to node without looking at the prefixes on the way, and compares the key
 once, against the node it arrives at.  That is sound because every node
 contains all of its descendants: a node off the key's true path can only
-lead to an arrival that fails the comparison.  Only ``insert`` tests
-containment at each level, because it has to find where a new prefix
-diverges.
+lead to an arrival that fails the comparison.  An insert that misses
+walks once more, to the length the new prefix shares with that arrival.
 
 Iterator safety follows the paper exactly: each trie counts the iterators
 pointing at each node (one ``{node: refs}`` table, not a slot in millions
@@ -78,56 +77,69 @@ class RouteTrie:
 
         Returns the previous payload, or None if the prefix was new.
         """
+        node = self._node(net)
+        previous = node.payload
+        node.payload = payload
+        if previous is _EMPTY:
+            self._count += 1
+            return None
+        return previous
+
+    def setdefault(self, net: IPNet, payload: Any) -> Any:
+        """The payload at *net*, after inserting *payload* if there was
+        none — one walk, for a caller that keeps an incumbent."""
+        node = self._node(net)
+        if node.payload is _EMPTY:
+            node.payload = payload
+            self._count += 1
+        return node.payload
+
+    def _node(self, net: IPNet) -> TrieNode:
+        """The node at exactly *net*, attached without a payload if the
+        trie had none there.
+
+        The walk is a lookup's.  On a miss, the bits the target shares
+        with the node it arrived at say where it belongs: every node on
+        its path that is no longer contains it, and none below does, so
+        it climbs back to that length.
+        """
         bits = self.bits
         if net.bits != bits:
             raise ValueError(f"prefix {net} does not fit a {bits}-bit trie")
         value, plen = net.key()
         top_bit = bits - 1
-        node = self._root
-        while True:
-            # node's prefix contains the target here, by construction, so
-            # an equal length is the target's own node.
-            node_plen = node.plen
-            if node_plen == plen:
-                previous = node.payload
-                node.payload = payload
-                if node.net is None:
-                    node.net = net
-                if previous is _EMPTY:
-                    self._count += 1
-                    return None
-                return previous
-            child_bit = (value >> (top_bit - node_plen)) & 1
-            child = node.right if child_bit else node.left
+        node, node_plen = self._root, 0
+        while node_plen < plen:
+            child = node.right if (value >> (top_bit - node_plen)) & 1 \
+                else node.left
             if child is None:
-                self._attach(node, TrieNode(value, plen, net, payload),
-                             child_bit)
-                self._count += 1
-                return None
-            child_plen = child.plen
-            diff = child.value ^ value
-            if child_plen <= plen:
-                if not diff >> (bits - child_plen):
-                    node = child  # child contains the target
-                    continue
-            elif not diff >> (bits - plen):
-                # New prefix sits between node and child.
-                self._splice_between(node, child,
-                                     TrieNode(value, plen, net, payload),
-                                     child_bit)
-                self._count += 1
-                return None
-            # Diverging prefixes: manufacture a join node above both, as
-            # long as the bits they share (at least one below node).
-            join_plen = bits - diff.bit_length()
-            join_shift = bits - join_plen
-            join = TrieNode((value >> join_shift) << join_shift, join_plen,
+                break
+            node, node_plen = child, child.plen
+        if node_plen == plen and node.value == value:
+            if node.net is None:
+                node.net = net
+            return node
+        shared = min(plen, node_plen,
+                     bits - (node.value ^ value).bit_length())
+        child = None
+        while node_plen > shared:
+            child, node = node, node.parent
+            node_plen = node.plen
+        child_bit = (value >> (top_bit - node_plen)) & 1
+        new = TrieNode(value, plen, net)
+        if child is None:
+            self._attach(node, new, child_bit)
+        elif shared == plen:
+            # The new prefix contains child: it sits between the two.
+            self._splice_between(node, child, new, child_bit)
+        else:
+            # Diverging prefixes: a join node holds the bits they share.
+            join_shift = bits - shared
+            join = TrieNode((value >> join_shift) << join_shift, shared,
                             None)
             self._splice_between(node, child, join, child_bit)
-            self._attach(join, TrieNode(value, plen, net, payload),
-                         (value >> (top_bit - join_plen)) & 1)
-            self._count += 1
-            return None
+            self._attach(join, new, (value >> (top_bit - shared)) & 1)
+        return new
 
     def _attach(self, parent: TrieNode, child: TrieNode, bit: int) -> None:
         child.parent = parent

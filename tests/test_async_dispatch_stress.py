@@ -140,5 +140,5 @@ class TestDumpDuringPeerFailure:
                               timeout=240)
         assert loop.run_until(lambda: late_c.decision.route_count == 120,
                               timeout=240)
-        survivors = {str(net) for net in late_c.decision.winners}
+        survivors = {str(net) for net, __ in late_c.decision.winners}
         assert survivors == {f"123.{i}.0.0/16" for i in range(120)}

@@ -99,7 +99,7 @@ def _schedule(ops, run_limit):
 def test_runs_frame_the_per_route_event_stream(ops):
     bgp, reader_table, events, violations = _run_schedule(ops)
     assert not violations, "\n".join(v.render() for v in violations)
-    assert reader_table == bgp.decision.winners
+    assert reader_table == dict(bgp.decision.winners.items())
     # Runs are only a framing of the event stream: with the cap forced
     # to 1 the reader gets the same events, one per call.
     assert _run_schedule(ops, run_limit=1)[2] == events

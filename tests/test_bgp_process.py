@@ -104,7 +104,7 @@ class TestTwoRouters:
         a.originate("99.0.0.0/8", "10.0.0.1")
         assert loop.run_until(
             lambda: net("99.0.0.0/8") in b.bgp.decision.winners, timeout=30)
-        route = b.bgp.decision.winners[net("99.0.0.0/8")]
+        route = b.bgp.decision.winners.exact(net("99.0.0.0/8"))
         assert route.attributes.as_path.as_list() == [65001]
         assert route.nexthop == IPv4("10.0.0.1")
         assert route.attributes.local_pref == 100  # default applied on import
@@ -171,7 +171,7 @@ class TestTwoRouters:
                               timeout=120)
         assert loop.run_until(lambda: c.bgp.decision.route_count == 30,
                               timeout=120)
-        route = c.bgp.decision.winners[net("99.0.0.0/16")]
+        route = c.bgp.decision.winners.exact(net("99.0.0.0/16"))
         assert route.attributes.as_path.as_list() == [65002, 65001]
 
 
@@ -196,7 +196,7 @@ class TestExportRefilter:
         updates = peer_ba.updates_received
         a.bgp.xrl_configure_filter(a.bgp.FILTER_EXPORT, self.REJECT)
         loop.run(duration=5)
-        assert set(b.bgp.decision.winners) == {net("99.1.0.0/16")}
+        assert {n for n, __ in b.bgp.decision.winners} == {net("99.1.0.0/16")}
         assert peer_ba.updates_received == updates + 1
 
     def test_reset_filter_announces_it_again(self, two_routers):
@@ -207,8 +207,8 @@ class TestExportRefilter:
         updates = peer_ba.updates_received
         a.bgp.xrl_reset_filter(a.bgp.FILTER_EXPORT)
         loop.run(duration=5)
-        assert set(b.bgp.decision.winners) == {net("99.1.0.0/16"),
-                                               net("99.2.0.0/16")}
+        assert {n for n, __ in b.bgp.decision.winners} == {
+            net("99.1.0.0/16"), net("99.2.0.0/16")}
         assert peer_ba.updates_received == updates + 1
 
 
@@ -226,7 +226,7 @@ class TestThreeRouterChain:
         a.originate("99.0.0.0/8", "10.0.0.1")
         assert loop.run_until(
             lambda: net("99.0.0.0/8") in c.bgp.decision.winners, timeout=60)
-        route = c.bgp.decision.winners[net("99.0.0.0/8")]
+        route = c.bgp.decision.winners.exact(net("99.0.0.0/8"))
         assert route.attributes.as_path.as_list() == [65002, 65001]
         assert route.nexthop == IPv4("10.0.1.1")  # rewritten by B
 
@@ -276,6 +276,68 @@ class TestIbgp:
         b.add_static("10.0.0.0/24", "0.0.0.0")
         assert loop.run_until(
             lambda: net("99.0.0.0/8") in b.bgp.decision.winners, timeout=30)
-        route = b.bgp.decision.winners[net("99.0.0.0/8")]
+        route = b.bgp.decision.winners.exact(net("99.0.0.0/8"))
         assert route.nexthop == IPv4("10.0.0.5")  # NOT rewritten on IBGP
         assert route.attributes.as_path.as_list() == []  # no prepend
+
+    def test_removed_peer_takes_its_routes_out_of_the_ibgp_table(self):
+        """The RIB files an IBGP peer's winners under ``ibgp``; once the
+        peer is removed its deletes must still go to that table."""
+        loop = EventLoop(SimulatedClock())
+        a = Router(loop, "A", 65001, "1.1.1.1")
+        b = Router(loop, "B", 65001, "2.2.2.2")
+        peer_ab, peer_ba = connect(a, b, "10.0.0.1", "10.0.0.2")
+        assert loop.run_until(lambda: established(peer_ab, peer_ba),
+                              timeout=60)
+        prefixes = [net(f"99.{i}.0.0/16") for i in range(3)]
+        for prefix in prefixes:
+            a.originate(str(prefix), "10.0.0.5")
+        fib, ibgp = b.fea.fib4, b.rib.v4.origins["ibgp"]
+        assert loop.run_until(
+            lambda: all(fib.exact(prefix) for prefix in prefixes),
+            timeout=60)
+        assert set(ibgp.routes) == set(prefixes)
+        b.bgp.remove_peer(peer_ba.peer_id)
+        peer_ab.disable()  # A would reconnect to the removed handler
+        loop.run(duration=30)
+        assert b.bgp.decision.route_count == 0
+        assert not ibgp.routes
+        assert not any(fib.exact(prefix) for prefix in prefixes)
+
+    def test_peer_readded_as_ibgp_files_old_and_new_routes_apart(self):
+        """An operator changes a neighbour's AS so that it turns IBGP: one
+        commit removes the peering and adds it again at the same address.
+        The old EBGP routes still drain after the re-add; their deletes
+        must leave the ``ebgp`` table, and the new peering's routes land
+        in ``ibgp``."""
+        loop = EventLoop(SimulatedClock())
+        a = Router(loop, "A", 65002, "1.1.1.1")
+        b = Router(loop, "B", 65001, "2.2.2.2")
+        peer_ab, peer_ba = connect(a, b, "10.0.0.1", "10.0.0.2")
+        assert loop.run_until(lambda: established(peer_ab, peer_ba),
+                              timeout=60)
+        old = [net(f"99.{i}.0.0/16") for i in range(3)]
+        new = [net(f"99.{i}.0.0/16") for i in range(1, 4)]
+        for prefix in old:
+            a.originate(str(prefix), "10.0.0.1")
+        fib = b.fea.fib4
+        ebgp, ibgp = b.rib.v4.origins["ebgp"], b.rib.v4.origins["ibgp"]
+        assert loop.run_until(
+            lambda: all(fib.exact(prefix) for prefix in old), timeout=60)
+        assert set(ebgp.routes) == set(old)
+
+        # The same address is now a router of B's own AS.
+        c = Router(loop, "C", 65001, "3.3.3.3")
+        b.bgp.remove_peer(peer_ba.peer_id)
+        peer_ab.disable()
+        peer_bc, peer_cb = connect(b, c, "10.0.0.2", "10.0.0.1")
+        assert peer_bc.info.is_ibgp
+        for prefix in new:
+            c.originate(str(prefix), "10.0.0.5")
+        assert loop.run_until(lambda: established(peer_bc, peer_cb),
+                              timeout=60)
+        loop.run(duration=30)
+        assert not ebgp.routes
+        assert set(ibgp.routes) == set(new)
+        assert {prefix for prefix in old + new if fib.exact(prefix)} == \
+            set(new)

@@ -11,6 +11,7 @@ from repro.bgp.route import BGPRoute
 from repro.core.stages import OriginStage, RouteTableStage
 from repro.eventloop import EventLoop, SimulatedClock
 from repro.net import IPNet, IPv4
+from repro.trie import RouteTrie
 
 
 def net(text):
@@ -343,9 +344,35 @@ class TestDecision:
         assert len(set(keys)) == len(keys)
 
 
+class WinnerTable(RouteTableStage):
+    """The decision's half of the fanout's contract, alone: the winners
+    trie the fanout dumps from, updated before each change goes on to
+    the fanout plumbed after it."""
+
+    def __init__(self, fanout):
+        super().__init__("winners")
+        self.winners = RouteTrie()
+        self.set_next(fanout)
+
+    def add_routes(self, routes, caller=None):
+        for route in routes:
+            self.winners.insert(route.net, route)
+        self.next_table.add_routes(routes, caller=self)
+
+    def delete_routes(self, routes, caller=None):
+        for route in routes:
+            self.winners.remove(route.net)
+        self.next_table.delete_routes(routes, caller=self)
+
+    def replace_route(self, old, new, caller=None):
+        self.winners.insert(new.net, new)
+        self.next_table.replace_route(old, new, caller=self)
+
+
 class TestFanout:
     def _build(self, loop):
         fanout = FanoutQueue("fanout", loop, dump_slice=4)
+        self.table = WinnerTable(fanout)
         logs = {}
         self.runs = runs = {}
 
@@ -367,7 +394,7 @@ class TestFanout:
         fanout, logs, attach = self._build(loop)
         attach("a", dump=False)
         attach("b", dump=False)
-        fanout.add_routes([resolved(bgp_route("10.0.0.0/8"))])
+        self.table.add_routes([resolved(bgp_route("10.0.0.0/8"))])
         loop.run()
         assert logs["a"] == logs["b"] == [("add", net("10.0.0.0/8"))]
 
@@ -375,13 +402,13 @@ class TestFanout:
         fanout, logs, attach = self._build(loop)
         attach("a", dump=False)
         routes = [resolved(bgp_route(f"10.{i}.0.0/16")) for i in range(6)]
-        fanout.add_routes(routes[:3])
-        fanout.add_routes([routes[3]])          # same op: joins the run
-        fanout.delete_routes(routes[:2])
+        self.table.add_routes(routes[:3])
+        self.table.add_routes([routes[3]])          # same op: joins the run
+        self.table.delete_routes(routes[:2])
         better = resolved(bgp_route("10.2.0.0/16", as_path=(7,)))
-        fanout.replace_route(routes[2], better)
-        fanout.replace_route(better, routes[2])
-        fanout.add_routes(routes[4:])
+        self.table.replace_route(routes[2], better)
+        self.table.replace_route(better, routes[2])
+        self.table.add_routes(routes[4:])
         loop.run()
         assert self.runs["a"] == [("add", 4), ("delete", 2), ("replace", 1),
                                   ("replace", 1), ("add", 2)]
@@ -390,13 +417,14 @@ class TestFanout:
 
     def test_replace_run_carries_its_old_route(self, loop):
         fanout = FanoutQueue("fanout", loop)
+        self.table = WinnerTable(fanout)
         seen = []
         fanout.add_reader("a", lambda op, routes, old: seen.append(
             (op, list(routes), old)), dump=False)
         first = resolved(bgp_route("10.0.0.0/8"))
         second = resolved(bgp_route("10.0.0.0/8", as_path=(7,)))
-        fanout.add_routes([first])
-        fanout.replace_route(first, second)
+        self.table.add_routes([first])
+        self.table.replace_route(first, second)
         loop.run()
         assert seen == [("add", [first], None),
                         ("replace", [second], first)]
@@ -405,7 +433,7 @@ class TestFanout:
         fanout, logs, attach = self._build(loop)
         fanout.RUN_LIMIT = 4
         attach("a", dump=False)
-        fanout.add_routes([resolved(bgp_route(f"10.{i}.0.0/16"))
+        self.table.add_routes([resolved(bgp_route(f"10.{i}.0.0/16"))
                            for i in range(10)])
         loop.run()
         assert self.runs["a"] == [("add", 4), ("add", 4), ("add", 2)]
@@ -422,7 +450,7 @@ class TestFanout:
         attach("b", dump=False)
         fanout.set_reader_busy("b", True)
         for i in range(5):
-            fanout.add_routes([resolved(bgp_route(f"10.{i}.0.0/16"))])
+            self.table.add_routes([resolved(bgp_route(f"10.{i}.0.0/16"))])
         loop.run()
         assert len(logs["a"]) == 5
         assert logs["b"] == []
@@ -432,6 +460,28 @@ class TestFanout:
         assert len(logs["b"]) == 5
         assert fanout.queue_length == 0  # single queue drained and trimmed
 
+    def test_busy_dumping_reader_parks(self, loop):
+        """A busy reader's dump parks instead of spinning the loop with
+        no-op slices; ready again, it delivers every winner once."""
+        fanout, logs, attach = self._build(loop)
+        routes = [resolved(bgp_route(f"10.{i}.0.0/16")) for i in range(100)]
+        self.table.add_routes(routes)
+        slices = []
+        dump_slice = fanout._dump_slice
+        fanout._dump_slice = lambda reader: (
+            slices.append(reader.name) or dump_slice(reader))
+        attach("late", dump=True)
+        fanout.set_reader_busy("late", True)
+        for __ in range(50):
+            loop.run_once(block=False)
+        assert slices == ["late"]  # the one that found it busy and parked
+        assert not loop.tasks.have_work()
+        assert logs["late"] == []
+        fanout.set_reader_busy("late", False)
+        loop.run()
+        assert sorted(n.key() for __, n in logs["late"]) == sorted(
+            route.net.key() for route in routes)
+
     def test_single_queue_not_per_reader(self, loop):
         """Paper: one queue with n readers, not n queues."""
         fanout, logs, attach = self._build(loop)
@@ -439,14 +489,14 @@ class TestFanout:
             attach(name, dump=False)
             fanout.set_reader_busy(name, True)
         for i in range(100):
-            fanout.add_routes([resolved(bgp_route(f"10.{i}.0.0/16"))])
+            self.table.add_routes([resolved(bgp_route(f"10.{i}.0.0/16"))])
         assert fanout.queue_length == 100  # not 300
 
     def test_late_reader_gets_background_dump(self, loop):
         fanout, logs, attach = self._build(loop)
         attach("early", dump=False)
         for i in range(10):
-            fanout.add_routes([resolved(bgp_route(f"10.{i}.0.0/16"))])
+            self.table.add_routes([resolved(bgp_route(f"10.{i}.0.0/16"))])
         loop.run()
         attach("late", dump=True)
         loop.run()
@@ -458,14 +508,14 @@ class TestFanout:
         fanout, logs, attach = self._build(loop)
         attach("early", dump=False)
         for i in range(20):
-            fanout.add_routes([resolved(bgp_route(f"10.{i}.0.0/16"))])
+            self.table.add_routes([resolved(bgp_route(f"10.{i}.0.0/16"))])
         loop.run()
         attach("late", dump=True)
         # While the dump is in progress, delete some routes and add others.
         loop.run_once()  # one dump slice (4 routes)
-        fanout.delete_routes([fanout.winners.exact(net("10.1.0.0/16"))])
-        fanout.delete_routes([fanout.winners.exact(net("10.19.0.0/16"))])
-        fanout.add_routes([resolved(bgp_route("10.99.0.0/16"))])
+        self.table.delete_routes([self.table.winners.exact(net("10.1.0.0/16"))])
+        self.table.delete_routes([self.table.winners.exact(net("10.19.0.0/16"))])
+        self.table.add_routes([resolved(bgp_route("10.99.0.0/16"))])
         loop.run()
         # Reconstruct the late reader's table; must equal current winners.
         state = set()
@@ -478,7 +528,7 @@ class TestFanout:
                 state.discard(prefix)
             else:
                 assert prefix in state
-        expected = {n for n, __ in fanout.winners.items()}
+        expected = {n for n, __ in self.table.winners.items()}
         assert state == expected
 
     def test_remove_reader_trims_queue(self, loop):
@@ -486,7 +536,7 @@ class TestFanout:
         attach("a", dump=False)
         attach("b", dump=False)
         fanout.set_reader_busy("b", True)
-        fanout.add_routes([resolved(bgp_route("10.0.0.0/8"))])
+        self.table.add_routes([resolved(bgp_route("10.0.0.0/8"))])
         loop.run()
         assert fanout.queue_length == 1
         fanout.remove_reader("b")

@@ -3,6 +3,7 @@
 Random interleavings of route changes, reader attachment (with background
 dumps), slow-reader busy toggling, and partial event-loop turns.  After
 quiescing, every reader's reconstructed table must equal the winners trie
+the fanout dumps from (the decision's, played here by a ``WinnerTable``)
 and every reader's message stream must satisfy the consistency rules.
 
 Readers take *runs* (``deliver(op, routes, old_route)``).  Runs are only
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 from repro.bgp.fanout import FanoutQueue
 from repro.eventloop import EventLoop, SimulatedClock
 from repro.net import IPNet, IPv4
+from tests.test_bgp_stages import WinnerTable
 
 PREFIX_COUNT = 8
 
@@ -49,6 +51,7 @@ def _run_schedule(ops, run_limit=None):
     it was told, and per reader the flattened events and the run sizes."""
     loop = EventLoop(SimulatedClock())
     fanout = FanoutQueue("fanout", loop, dump_slice=3)
+    table = WinnerTable(fanout)
     if run_limit is not None:
         fanout.RUN_LIMIT = run_limit
     logs = {}
@@ -80,13 +83,13 @@ def _run_schedule(ops, run_limit=None):
             if existing is None:
                 fresh = _Route(index, version[0])
                 current[index] = fresh
-                fanout.add_routes([fresh])
+                table.add_routes([fresh])
             elif version[0] % 3 == 0:
-                fanout.delete_routes([existing])
+                table.delete_routes([existing])
                 del current[index]
             else:
                 fresh = _Route(index, version[0])
-                fanout.replace_route(existing, fresh)
+                table.replace_route(existing, fresh)
                 current[index] = fresh
         elif op == "attach":
             attach(f"r{value}")
@@ -106,7 +109,7 @@ def _run_schedule(ops, run_limit=None):
     for name in attached:
         fanout.set_reader_busy(name, False)
     loop.run()
-    return fanout, current, logs, run_sizes
+    return fanout, table, current, logs, run_sizes
 
 
 def _event_keys(log):
@@ -117,10 +120,10 @@ def _event_keys(log):
 @settings(max_examples=60, deadline=None)
 @given(operations)
 def test_every_reader_converges_to_winners(ops):
-    fanout, current, logs, run_sizes = _run_schedule(ops)
+    fanout, table, current, logs, run_sizes = _run_schedule(ops)
     attached = set(logs)
 
-    winners = {net: route for net, route in fanout.winners.items()}
+    winners = {net: route for net, route in table.winners.items()}
     expected = {route.net: route for route in current.values()}
     assert winners == expected
 
@@ -144,7 +147,8 @@ def test_every_reader_converges_to_winners(ops):
     assert fanout.queue_length == 0
 
     # Runs are only a framing of the per-reader event sequence.
-    __, __, singular_logs, singular_sizes = _run_schedule(ops, run_limit=1)
+    __, __, __, singular_logs, singular_sizes = _run_schedule(ops,
+                                                              run_limit=1)
     assert set(singular_logs) == attached
     for name in attached:
         assert all(size == 1 for size in singular_sizes[name])

@@ -294,7 +294,7 @@ dense_prefix_strategy = st.builds(
 
 ops_strategy = st.lists(
     st.one_of(
-        st.tuples(st.sampled_from(["insert", "remove"]),
+        st.tuples(st.sampled_from(["insert", "setdefault", "remove"]),
                   st.one_of(prefix_strategy, dense_prefix_strategy),
                   st.integers()),
         # park an iterator on the first route, of the table or of a scope
@@ -366,8 +366,12 @@ class TestPropertyOracle:
         parked = []
         for op, arg, payload in ops:
             if op == "insert":
-                trie.insert(arg, payload)
+                assert trie.insert(arg, payload) == oracle.get(arg)
                 oracle[arg] = payload
+                removed.discard(arg)
+            elif op == "setdefault":
+                assert trie.setdefault(arg, payload) == \
+                    oracle.setdefault(arg, payload)
                 removed.discard(arg)
             elif op == "remove":
                 assert trie.discard(arg) == oracle.pop(arg, None)

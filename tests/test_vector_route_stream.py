@@ -49,10 +49,11 @@ class Router:
     decoded UPDATEs to the peer handlers (no sessions needed).  With
     *tcp* the three talk over real sockets on a wall-clock loop.  Every
     nexthop resolves through a connected 10/8 unless *connected* is
-    false; without *bgp* it is FEA + RIB alone."""
+    false; without *bgp* it is FEA + RIB alone.  *run_limit* and *window*
+    set BGP's fanout run cap and its RIB stream's window."""
 
-    def __init__(self, *, run_limit=None, retry=None, fault=None, tcp=False,
-                 connected=True, bgp=True):
+    def __init__(self, *, run_limit=None, window=None, retry=None,
+                 fault=None, tcp=False, connected=True, bgp=True):
         self.tcp = tcp
         self.host = (Host(EventLoop(SystemClock()),
                           extra_families=[TcpFamily()]) if tcp else Host())
@@ -66,6 +67,8 @@ class Router:
                                   bgp_id=IPv4("9.9.9.9"), retry_policy=retry)
             if run_limit is not None:
                 self.bgp.fanout.RUN_LIMIT = run_limit
+            if window is not None:
+                self.bgp.txq.window = window
             self.handlers = [
                 self.bgp.add_peer(PeerConfig(IPv4(addr), asn, LOCAL_AS,
                                              IPv4("10.0.0.1")))
@@ -87,10 +90,13 @@ class Router:
             loop.run()
             return
         # Sockets never quiesce a wall-clock loop: wait for every queue
-        # between the UPDATE and the FIB to drain instead.
+        # between the UPDATE and the FIB to drain, and every XRL call (a
+        # nexthop query holds a burst in the resolver) to be answered.
         assert loop.run_until(
             lambda: not (loop.pending_events() or loop.tasks.have_work()
-                         or self.bgp.fanout.queue_length)
+                         or self.bgp.fanout.queue_length
+                         or any(process.xrl._pending for process
+                                in (self.fea, self.rib, self.bgp)))
             and self.bgp.txq.idle and self.rib.txq.idle
             and all(stream.idle
                     for stream in self.rib._redist_streams.values())
@@ -208,7 +214,6 @@ class TestVectorEqualsPerRouteStream:
         assert set(tables["ibgp"]) == {str(n) for n in nets}
         # Each move is a replace: a run of one, delete-then-add.
         assert [m for m, __ in sends] == ["delete_route4", "add_route4"] * 4
-        assert router.bgp._rib_protocol == {n: "ibgp" for n in nets}
 
 
 # ---------------------------------------------------------------------------
@@ -298,6 +303,39 @@ class TestXrlCounts:
                                (router.rib.profiler, "route_arrive_rib")):
             records = [data for __, data in profiler.var(name).entries]
             assert records == expected, name
+
+
+# ---------------------------------------------------------------------------
+# (c) the RIB reader pulls through its stream's window
+
+
+@pytest.mark.parametrize("tcp", [False, True], ids=["inproc", "tcp"])
+def test_a_burst_waits_in_the_fanout_queue_not_in_the_stream(tcp):
+    """10 000 routes in 50 UPDATEs: at every submit BGP's RIB stream holds
+    at most its window; the rest of the burst waits in the fanout queue,
+    which drains, and the FIB is the reference's."""
+    from tests.test_reference_router import Drive
+
+    nets = [IPNet(IPv4((100 << 24) | (i << 8)), 24) for i in range(10_000)]
+    drive = Drive(tcp=tcp)
+    bgp = drive.router.bgp
+    txq, held, queued = bgp.txq, [], []
+    submit = txq.submit
+
+    def observed_submit(*args):
+        submit(*args)
+        held.append(txq.depth + txq.inflight)
+        queued.append(bgp.fanout.queue_length)
+
+    txq.submit = observed_submit
+    try:
+        drive.run([("announce", 0, nets[start:start + 200])
+                   for start in range(0, len(nets), 200)]).check()
+        assert bgp.fanout.queue_length == 0
+    finally:
+        drive.router.host.shutdown()
+    assert max(held) <= txq.window == 512
+    assert max(queued) > txq.window
 
 
 # ---------------------------------------------------------------------------
