@@ -70,9 +70,9 @@ RULES: Dict[str, Rule] = {
                        "real OS subprocess", "§4"),
         Rule("PRO003", "caller reads a reply atom the handler's IDL reply "
                        "spec never produces", "§6.1"),
-        # Runtime rules: emitted by repro.sanitizer, never by the static
-        # checkers.  They live in the same catalogue so reports, formats
-        # and suppressions share one namespace.
+        # Runtime rules: emitted by repro.sanitizer's stage sanitizer,
+        # never by the static checkers.  They live in the same catalogue
+        # so the static and runtime checkers share one namespace.
         Rule("SAN001", "add_route for a prefix already live on the same "
                        "stage edge without an intervening delete_route "
                        "(runtime, rule 1)", "§5"),
@@ -84,14 +84,6 @@ RULES: Dict[str, Rule] = {
         Rule("SAN004", "lookup_route answer contradicts the add/delete "
                        "stream previously sent downstream (runtime, rule 2)",
              "§5"),
-        Rule("SAN101", "dispatched XRL names an interface/version absent "
-                       "from the IDL catalogue (runtime)", "§6.1"),
-        Rule("SAN102", "dispatched XRL names a method its interface does "
-                       "not declare (runtime)", "§6.1"),
-        Rule("SAN103", "dispatched XRL arguments disagree with the IDL "
-                       "signature (runtime)", "§6.1"),
-        Rule("RACE001", "final state diverges across legal schedules of "
-                        "same-deadline events (ordering bug)", "§4"),
         # Observability rules: emitted by ``python -m repro.obs`` when the
         # traced scenario's reconstructed evidence contradicts the
         # architecture (runtime, like the SAN rules).

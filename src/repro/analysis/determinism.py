@@ -15,12 +15,13 @@ randomness, DET004 blocking socket/select calls, DET005 zero-delay
 timers.  The detection is name-based (``time.sleep`` spelled via an
 alias escapes) — this is a lint for honest code, not a sandbox.
 
-DET005 exists for the schedule explorer in ``repro.sanitizer``:
+DET005 is the static half of schedule independence, whose runtime half
+is ``repro.sanitizer``'s :class:`ScheduleShuffler`:
 ``call_later(0, ...)`` parks work in the timer queue at the *current*
 deadline, so whether it runs before or after a sibling same-deadline
 timer is an accident of heap insertion order.  Code that needs
 "next iteration" ordering should say ``call_soon`` (FIFO within a
-batch is still not guaranteed under exploration, but intent is
+batch is still not guaranteed under the shuffler, but intent is
 explicit); code that needs real delay should use a nonzero one.
 """
 
@@ -117,7 +118,7 @@ class DeterminismChecker(Checker):
                 yield Finding(
                     path, node.lineno, "DET005",
                     f"{attr}(0, ...) relies on same-deadline timer order, "
-                    "which the schedule explorer deliberately permutes; use "
+                    "which the schedule shuffler deliberately permutes; use "
                     "call_soon for next-iteration intent or a real delay")
 
 

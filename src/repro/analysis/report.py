@@ -1,4 +1,4 @@
-"""Finding renderers shared by the analysis and sanitizer CLIs.
+"""Finding renderers shared by the analysis and obs CLIs.
 
 Three formats, one contract:
 

@@ -107,6 +107,8 @@ class NexthopResolver:
         self.cache = NexthopCache()
         self._query_fn = query_fn
         self._pending: Dict[int, List[AnswerCallback]] = {}
+        #: pending nexthops an invalidation reached before their answer
+        self._stale: Set[int] = set()
         self._stages: List["NexthopResolverStage"] = []
         self.queries_sent = 0
         self.cache_hits = 0
@@ -135,20 +137,34 @@ class NexthopResolver:
             waiters.append(callback)
             return False
         self._pending[key] = [callback]
+        self._query(nexthop)
+        return False
+
+    def _query(self, nexthop: IPv4) -> None:
         self.queries_sent += 1
         self._query_fn(nexthop, lambda subnet, resolvable, metric:
                        self._answered(nexthop, subnet, resolvable, metric))
-        return False
 
     def _answered(self, nexthop: IPv4, subnet: IPNet, resolvable: bool,
                   metric: int) -> None:
+        key = nexthop.to_int()
+        if key in self._stale:
+            # The RIB's invalidation and its answer travel apart, so the
+            # answer may describe the cover from before the change, and
+            # the interest it registered is gone.  Ask again; the
+            # waiters keep waiting.
+            self._stale.discard(key)
+            self._query(nexthop)
+            return
         entry = self.cache.insert(subnet, resolvable, metric)
-        entry.users.add(nexthop.to_int())
-        for callback in self._pending.pop(nexthop.to_int(), []):
+        entry.users.add(key)
+        for callback in self._pending.pop(key, []):
             callback(resolvable, metric)
 
     def invalidate(self, subnet: IPNet) -> None:
         """RIB cache-invalidation (rib_client XRL): re-query and re-push."""
+        self._stale.update(key for key in self._pending
+                           if subnet.contains_addr(IPv4(key)))
         removed = self.cache.invalidate(subnet)
         affected: Set[int] = set()
         for entry in removed:

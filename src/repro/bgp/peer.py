@@ -385,8 +385,14 @@ class PeerHandler(FsmActions):
         self.fsm.manual_stop()
 
     def tear_down(self) -> None:
-        """Remove this peering entirely."""
+        """Remove this peering entirely.  The session is detached and
+        closed, so the remote's reconnect reaches no handler of a peering
+        that is gone."""
         self.disable()
+        session, self.session = self.session, None
+        if session is not None:
+            session.on_connected = session.on_data = session.on_closed = None
+            session.close()
         self.process.decision.remove_branch(self.resolver_stage)
         if self.damping is not None:
             self.damping.stop()

@@ -3,8 +3,8 @@
 The paper's two debugging aids are uniform — one cache stage that fits
 any stage edge (§5.1), one profiling facility whose points cost "nearly
 nothing" when off (§8.1).  This module is that uniformity for whatever
-observes the router from outside (the obs tracer, the stage and XRL
-sanitizers, the schedule explorer).  Importing it rebinds nothing; it
+observes the router from outside (the obs tracer, the stage sanitizer,
+the schedule shuffler).  Importing it rebinds nothing; it
 has two surfaces, both order-free:
 
 * :func:`wrap` / :func:`unwrap` put ``around(call, *args, **kwargs)``

@@ -66,8 +66,8 @@ class EventLoop:
 
         New callbacks queued by handlers run next time, preserving
         fairness.  This is a named method (rather than inlined in
-        :meth:`run_once`) so the sanitizer's schedule explorer can patch
-        one dispatch point to permute the batch.
+        :meth:`run_once`) so the sanitizer's schedule shuffler can stand
+        in for one dispatch point to permute the batch.
         """
         for __ in range(len(self._deferred)):
             if not self._deferred:

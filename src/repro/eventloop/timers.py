@@ -126,7 +126,7 @@ class TimerList:
         """Pop the earliest live entry with ``expiry <= now``, or None.
 
         Returns the timer plus the generation captured at pop time; a
-        caller that defers firing (the sanitizer's schedule explorer pops
+        caller that defers firing (the sanitizer's schedule shuffler pops
         a whole batch before firing any of it) must re-check
         ``timer.scheduled and timer._gen == gen`` before firing, so a
         timer cancelled or rescheduled by an earlier sibling stays dead.

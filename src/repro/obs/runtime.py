@@ -1,12 +1,12 @@
 """Observability: the tracer and the obs-level metrics behind one switch.
 
-Mirrors :class:`repro.sanitizer.runtime.RuntimeSanitizer`: one object the
-tests, the CLI and harnesses arm/disarm (or use as a context manager).
+One object the tests, the CLI and harnesses arm/disarm (or use as a
+context manager), like :class:`repro.sanitizer.StageSanitizer`.
 
 It composes with armed sanitizers in either order, armed and disarmed:
-both tap ``XrlRouter.send`` and the stage surface through the one
-instrumentation seam (:mod:`repro.core.taps`), which rebuilds each chain
-from the pristine function whenever an observer comes or goes.
+both tap the stage surface through the one instrumentation seam
+(:mod:`repro.core.taps`), which rebuilds each chain from the pristine
+function whenever an observer comes or goes.
 """
 
 from __future__ import annotations

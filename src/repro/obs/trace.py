@@ -48,9 +48,9 @@ from repro.net import IPNet
 from repro.obs.metrics import MetricsRegistry
 from repro.xrl import XrlArgs, XrlError, XrlRouter
 
-#: the reserved XRL argument carrying trace contexts across frames.
-#: The dispatch sanitizer treats it like ``bench/1.0`` traffic: stripped
-#: before SAN103 argument checking, never part of any IDL signature.
+#: the reserved XRL argument carrying trace contexts across frames; never
+#: part of any IDL signature, it is stripped before dispatch checks the
+#: arguments.
 TRACE_ARG = "trace_ctx"
 
 #: two armed tracers would both stamp ``trace_ctx`` on a frame

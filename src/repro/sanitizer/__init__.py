@@ -1,24 +1,25 @@
-"""repro.sanitizer — runtime twin of the static lint suite.
+"""repro.sanitizer — the runtime checkers.
 
-Four cooperating pieces, all reporting through the shared rule
-catalogue in :mod:`repro.analysis.core`; the first three observe the
-router through the instrumentation seam (:mod:`repro.core.taps`) and so
-arm and disarm in any order, with each other and with :mod:`repro.obs`:
+Each property the paper gives a checker has one at runtime, beside its
+static rules in :mod:`repro.analysis`:
 
-* :mod:`repro.sanitizer.stagesan` — §5 consistency rules checked on
-  every live stage-graph edge (SAN001–004);
-* :mod:`repro.sanitizer.xrlsan` — IDL conformance at the XRL dispatch
-  boundary (SAN101–103);
-* :mod:`repro.sanitizer.schedule` — deterministic exploration of
-  same-deadline event orderings, reporting state divergence (RACE001);
-* :mod:`repro.sanitizer.protocheck` — dynamic/static agreement: every
-  XRL edge observed by the :mod:`repro.obs` tracer must be explained by
-  the static protocol graph from :mod:`repro.analysis.protograph`.
+* §5's two stage-consistency rules: :mod:`repro.sanitizer.stagesan`
+  checks every live stage-graph edge (SAN001–004);
+* §4's "correct code does not depend on the order of same-deadline
+  events": :mod:`repro.sanitizer.schedule`'s seeded
+  :class:`ScheduleShuffler`, under which the reference-router runner
+  (``tests/test_reference_router.py``) drives every schedule;
+* §6.1's XRL conformance needs nothing here: every dispatch checks its
+  arguments against the IDL (``XrlRouter.dispatch_request``).
 
-``python -m repro.sanitizer`` runs the explorer (with the runtime
-sanitizers armed) over registered scenarios; the ``runtime_sanitizers``
-pytest fixture in ``tests/conftest.py`` arms the first two pieces
-inside ordinary integration tests.
+:mod:`repro.sanitizer.protocheck` checks that every XRL edge the
+:mod:`repro.obs` tracer observed is explained by the static protocol
+graph from :mod:`repro.analysis.protograph`.  The stage sanitizer and
+the shuffler observe the router through the instrumentation seam
+(:mod:`repro.core.taps`), so they arm and disarm in any order, with each
+other and with :mod:`repro.obs`; the ``runtime_sanitizers`` pytest
+fixture in ``tests/conftest.py`` arms the stage sanitizer inside
+ordinary integration tests.
 """
 
 from repro.sanitizer.protocheck import (
@@ -27,24 +28,14 @@ from repro.sanitizer.protocheck import (
     unexplained_edges,
 )
 from repro.sanitizer.report import Violation, ViolationLog
-from repro.sanitizer.runtime import RuntimeSanitizer
-from repro.sanitizer.schedule import (
-    ExplorationReport,
-    ScheduleShuffler,
-    explore,
-)
+from repro.sanitizer.schedule import ScheduleShuffler
 from repro.sanitizer.stagesan import StageSanitizer
-from repro.sanitizer.xrlsan import XrlDispatchSanitizer
 
 __all__ = [
-    "ExplorationReport",
-    "RuntimeSanitizer",
     "ScheduleShuffler",
     "StageSanitizer",
     "Violation",
     "ViolationLog",
-    "XrlDispatchSanitizer",
-    "explore",
     "runtime_xrl_edges",
     "site_package",
     "unexplained_edges",

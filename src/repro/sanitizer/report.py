@@ -1,15 +1,12 @@
-"""Structured runtime findings — the dynamic twin of analysis.Finding.
+"""Structured runtime findings of the stage sanitizer.
 
 A :class:`Violation` is one observed breach of a runtime invariant.  It
-deliberately reuses the rule catalogue in :mod:`repro.analysis.core`
-(rules SAN001–SAN103, RACE001) and converts losslessly to a static
-:class:`~repro.analysis.core.Finding`, so both CLIs share the same
-text/json/github renderers and CI plumbing.
+reuses the rule catalogue in :mod:`repro.analysis.core` (SAN001–004), so
+the static and runtime checkers share one namespace of rule ids.
 
 Where a static finding points at ``path:line``, a runtime violation
-points at an *origin*: a stage edge (``peer-in->decision``), an XRL
-dispatch point (``bgp -> rib rib/1.0/add_route4``), or a scenario's
-schedule (``schedule:recovery``).
+points at an *origin*: the stage edge it was seen on
+(``peer-in->decision``).
 """
 
 from __future__ import annotations
@@ -17,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
-from repro.analysis.core import RULES, Finding
+from repro.analysis.core import RULES
 
 
 @dataclass(frozen=True)
@@ -27,9 +24,7 @@ class Violation:
     rule: str
     origin: str
     message: str
-    #: arrival order within one sanitizer session (stable tie-breaker)
-    seq: int = 0
-    #: rule-specific structured payload (schedules, prefixes, args, ...)
+    #: rule-specific structured payload (the prefix, the routes, ...)
     context: Dict[str, Any] = field(default_factory=dict, compare=False)
 
     def __post_init__(self) -> None:
@@ -38,25 +33,9 @@ class Violation:
     def render(self) -> str:
         return f"{self.origin}: {self.rule} {self.message}"
 
-    def to_finding(self) -> Finding:
-        """Project onto the static Finding shape shared with repro.analysis."""
-        return Finding(path=self.origin, line=max(self.seq, 1),
-                       rule=self.rule, message=self.message)
-
-    def to_dict(self) -> Dict[str, Any]:
-        data: Dict[str, Any] = {
-            "rule": self.rule,
-            "origin": self.origin,
-            "message": self.message,
-            "seq": self.seq,
-        }
-        if self.context:
-            data["context"] = self.context
-        return data
-
 
 class ViolationLog:
-    """Shared ordered sink the sanitizer pieces append to."""
+    """The ordered sink a sanitizer appends to."""
 
     def __init__(self) -> None:
         self._violations: List[Violation] = []
@@ -64,7 +43,6 @@ class ViolationLog:
     def record(self, rule: str, origin: str, message: str,
                context: Optional[Dict[str, Any]] = None) -> Violation:
         violation = Violation(rule=rule, origin=origin, message=message,
-                              seq=len(self._violations) + 1,
                               context=dict(context or {}))
         self._violations.append(violation)
         return violation
@@ -72,9 +50,3 @@ class ViolationLog:
     @property
     def violations(self) -> List[Violation]:
         return list(self._violations)
-
-    def __len__(self) -> int:
-        return len(self._violations)
-
-    def clear(self) -> None:
-        self._violations.clear()

@@ -36,7 +36,7 @@ the seam has put the pristine functions back — there is no residual
 from __future__ import annotations
 
 from functools import partial
-from typing import Any, Dict, Optional, Set, Tuple
+from typing import Any, Dict, Set, Tuple
 
 from repro.core import taps
 from repro.sanitizer.report import ViolationLog
@@ -51,8 +51,8 @@ def _label(stage: Any) -> str:
 class StageSanitizer(taps.StageTap):
     """Arms §5 consistency checking on every stage edge."""
 
-    def __init__(self, log: Optional[ViolationLog] = None):
-        self.log = log if log is not None else ViolationLog()
+    def __init__(self):
+        self.log = ViolationLog()
         #: (caller, receiver) -> {net: route} — the live set per edge
         self._edges: Dict[Tuple[Any, Any], Dict[Any, Any]] = {}
         self._seen: Set[Tuple[str, str, str]] = set()

@@ -560,7 +560,7 @@ class XrlRouter:
             deadline = 30.0
         box: List[Tuple[XrlError, XrlArgs]] = []
         # Through self.send (not _dispatch) so instrumentation wrapping
-        # send — the dispatch sanitizer — observes synchronous calls too.
+        # send — the obs tracer — observes synchronous calls too.
         self.send(xrl, lambda error, args: box.append((error, args)),
                   deadline=deadline, retry=retry, batch=batch)
         self.loop.run_until(lambda: bool(box), timeout=deadline + 1.0)

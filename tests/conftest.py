@@ -3,10 +3,10 @@ one analysed copy of ``src/repro`` for the analysers' tests of themselves;
 and the ``oracle-sweep`` hypothesis profile, the reference runner's wide
 budget (``--hypothesis-profile oracle-sweep``, CI's Oracle sweep job).
 
-``runtime_sanitizers`` arms the stage-graph consistency sanitizer and
-the XRL dispatch sanitizer (see :mod:`repro.sanitizer`) around a test
-and asserts at teardown that the run produced **zero** violations — the
-dynamic analogue of the clean-tree gate in ``test_analysis.py``.  Tests
+``runtime_sanitizers`` arms the stage-graph consistency sanitizer (see
+:mod:`repro.sanitizer`) around a test and asserts at teardown that the
+run produced **zero** violations — the dynamic analogue of the
+clean-tree gate in ``test_analysis.py``.  Tests
 opt in with ``pytest.mark.usefixtures("runtime_sanitizers")`` (or a
 module-level ``pytestmark``); everything else runs uninstrumented.
 """
@@ -24,7 +24,7 @@ from hypothesis import settings
 
 from repro.analysis import analyze_paths
 from repro.eventloop import collector
-from repro.sanitizer import RuntimeSanitizer
+from repro.sanitizer import StageSanitizer
 from repro.xrl import XrlRouter
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -67,7 +67,7 @@ def routers_shut_down(monkeypatch):
 
 @pytest.fixture
 def runtime_sanitizers():
-    sanitizer = RuntimeSanitizer()
+    sanitizer = StageSanitizer()
     sanitizer.arm()
     try:
         yield sanitizer

@@ -298,7 +298,6 @@ class TestIbgp:
             timeout=60)
         assert set(ibgp.routes) == set(prefixes)
         b.bgp.remove_peer(peer_ba.peer_id)
-        peer_ab.disable()  # A would reconnect to the removed handler
         loop.run(duration=30)
         assert b.bgp.decision.route_count == 0
         assert not ibgp.routes

@@ -192,6 +192,28 @@ class TestNexthopResolverStage:
         assert sink.log[-1][0] == "replace"
         assert sink.log[-1][2].igp_metric == 9
 
+    def test_invalidation_that_overtakes_its_answer_is_not_lost(self, loop):
+        """The invalidation and the answer travel apart: an answer that
+        arrives after an invalidation of its cover may be stale, so it is
+        asked again, and only the second answer is used."""
+        answers, resolver, stage, sink = self._build(loop)
+
+        def answer(metric):
+            nexthop, reply_cb = answers.pending.pop(0)
+            reply_cb(IPNet(nexthop, 24), True, metric)
+
+        stage.add_routes([bgp_route("20.0.0.0/8", nexthop="1.1.1.1")])
+        resolver.invalidate(net("1.1.1.0/24"))  # before the answer
+        answer(5)  # from before the change
+        assert sink.log == [] and len(answers.queries) == 2
+        answer(9)
+        assert [(op, r.igp_metric) for op, r in sink.log] == [("add", 9)]
+        # With the answer in hand, an invalidation is the usual re-query.
+        resolver.invalidate(net("1.1.1.0/24"))
+        answer(4)
+        assert len(answers.queries) == 3 and not answers.pending
+        assert sink.log[-1][2].igp_metric == 4
+
     def test_lookup_returns_forwarded(self, loop):
         answers, resolver, stage, sink = self._build(loop)
         route = bgp_route("20.0.0.0/8", nexthop="1.1.1.1")

@@ -1,12 +1,12 @@
-"""Exit-code gates for the three analysis/verification CLIs.
+"""Exit-code gates for the two analysis/verification CLIs.
 
 Each CLI is a CI tripwire: exit 0 on a healthy tree, nonzero when the
 tree is broken in a way its checks must catch.  These tests run the
-real entry points (``python -m repro.analysis`` / ``repro.sanitizer`` /
-``repro.obs``) via subprocess against (a) the pristine source tree and
-(b) a copy with a seeded defect, asserting the exit codes — so a CLI
-that starts swallowing findings, or crashing before it reports, fails
-here rather than silently greenlighting CI.
+real entry points (``python -m repro.analysis`` / ``repro.obs``) via
+subprocess against (a) the pristine source tree and (b) a copy with a
+seeded defect, asserting the exit codes — so a CLI that starts
+swallowing findings, or crashing before it reports, fails here rather
+than silently greenlighting CI.
 """
 
 import json
@@ -83,27 +83,6 @@ class TestAnalysisCli:
         assert timing["parsed"] + timing["parse_cached"] == timing["files"]
         assert timing["parse_seconds"] >= 0.0
         assert timing["check_seconds"] >= 0.0
-
-
-class TestSanitizerCli:
-    ARGS = ("--scenario", "routeflow", "--seeds", "2", "--routes", "6")
-
-    def test_clean_tree_exits_zero(self):
-        result = run_cli("repro.sanitizer", *self.ARGS)
-        assert result.returncode == 0, result.stdout + result.stderr
-
-    def test_seeded_defect_exits_nonzero(self, tmp_path):
-        """A misspelled XRL method in the RIB's FEA transfer: the dispatch
-        sanitizer must flag the nonconforming call at runtime."""
-        tree = copy_tree(tmp_path)
-        rib = tree / "rib" / "rib.py"
-        text = rib.read_text()
-        assert '"add_entry4"' in text
-        rib.write_text(text.replace('"add_entry4"', '"add_entyr4"', 1))
-        result = run_cli("repro.sanitizer", *self.ARGS,
-                         pythonpath=tmp_path)
-        assert result.returncode != 0, result.stdout + result.stderr
-        assert "SAN" in result.stdout
 
 
 class TestObsCli:

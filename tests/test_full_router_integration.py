@@ -30,9 +30,9 @@ def protocol_graph():
         _PROTOCOL_GRAPH = build_protocol_graph(modules)
     return _PROTOCOL_GRAPH
 
-# Arm the runtime sanitizers (stage-graph consistency + XRL
-# dispatch conformance) for every test in this module; the
-# conftest fixture asserts zero violations at teardown.  Autouse
+# Arm the stage-graph consistency sanitizer for every test in
+# this module; the conftest fixture asserts zero violations at
+# teardown.  Autouse
 # at module level so it arms before class setup_method fixtures.
 @pytest.fixture(autouse=True)
 def _runtime_sanitizers(runtime_sanitizers):
@@ -188,7 +188,7 @@ class TestTracedRouteFlow:
         """Originate *prefix* on r1 via *originate*, follow it to r2's
         FIB under an armed tracer; returns the trace context."""
         network, r1, r2, mgr1, mgr2 = two_managed_routers
-        # The module fixture armed the sanitizers first; the seam lets
+        # The module fixture armed the sanitizer first; the seam lets
         # the two compose in either order (tests/test_taps.py).
         obs = Observability(clock=network.loop.clock.now)
         obs.trace(prefix)
@@ -303,9 +303,9 @@ class TestTracedRouteFlow:
     def test_traced_route_inside_a_vector_frame(self, two_managed_routers):
         """One traced prefix among 200 riding a single ``add_routes4``
         and a single ``add_entries4`` still yields the complete causal
-        tree, hop for hop what a lone route takes; the module's armed
-        sanitizers accept both vector methods from the catalogue and the
-        static protocol graph explains every runtime edge."""
+        tree, hop for hop what a lone route takes; dispatch accepts both
+        vector methods from the catalogue and the static protocol graph
+        explains every runtime edge."""
         network, r1, r2, mgr1, mgr2 = two_managed_routers
         cli1, cli2 = establish_bgp_pair(two_managed_routers)
         lone_net, traced_net = net("99.0.0.0/8"), net("98.0.0.0/8")

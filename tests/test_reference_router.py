@@ -10,10 +10,15 @@ any of them); one runner feeds each schedule to the real router on a
 simulated-clock host and to :class:`repro.simnet.reference.
 ReferenceRouter`, then asserts that the FIB, the RIB's winners and
 ebgp/ibgp tables, BGP's decision and a ``redist4`` consumer of static
-routes all equal the reference's, with the runtime sanitizer silent.  It
+routes all equal the reference's, with the stage sanitizer silent.  It
 runs at fanout run caps 1 and 256, and with BGP's RIB stream window at
 1, where every multi-route run waits in the fanout queue for the RIB
 reader to pull it a route at a time.
+
+Every schedule runs under a :class:`~repro.sanitizer.ScheduleShuffler`
+whose seed hypothesis draws with it: same-deadline timers, one turn's
+deferred callbacks and same-priority tasks run in a seeded order, which
+the router may not depend on (paper §4).  The seed is the reproducer.
 
 The RIB-alone scope feeds the announcements straight into the RIB's
 ebgp table.  With BGP in front, BGP's own resolver withdraws a route
@@ -21,17 +26,20 @@ whose nexthop lost its cover, which hides whether the RIB's ExtInt
 stage re-resolves it; alone, only ExtInt can.
 """
 
+from contextlib import nullcontext
+
 import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from repro.bgp import BgpProcess, decision
+from repro.core.txqueue import RouteStream
 from repro.net import IPNet, IPv4
 from repro.rib import RibProcess
 from repro.rib.extint import ExtIntStage
 from repro.rib.redist import RedistStage
 from repro.rib.route import RibRoute
-from repro.sanitizer import RuntimeSanitizer
+from repro.sanitizer import ScheduleShuffler, StageSanitizer
 from repro.simnet.reference import EXTERNAL, INTERNAL, Peer, ReferenceRouter
 from tests.test_rib_stages import RedistSink
 from tests.test_vector_route_stream import (
@@ -92,6 +100,8 @@ schedules = st.lists(
         lambda kind: st.tuples(st.just(kind), *STEPS[kind][1])),
     min_size=8, max_size=30,
 )
+#: the schedule shuffler's seed, drawn with each schedule
+seeds = st.integers(0, 2**32 - 1)
 
 #: the tier-1 budget, derandomized so the seeded-mutation matrix below is
 #: deterministic; CI's Oracle sweep loads the wider ``oracle-sweep``
@@ -272,9 +282,11 @@ class Drive:
             assert observed[part] == expected[part], part
 
 
-def run(ops, *, scope="router", run_limit=None, window=None):
-    """Drive *ops* under the runtime sanitizer and check the verdict."""
-    with RuntimeSanitizer() as sanitizer:
+def run(ops, seed=None, *, scope="router", run_limit=None, window=None):
+    """Drive *ops* under the stage sanitizer and, given a *seed*, that
+    seed's schedule shuffler; then check the verdict."""
+    shuffler = nullcontext() if seed is None else ScheduleShuffler(seed)
+    with StageSanitizer() as sanitizer, shuffler:
         drive = Drive(scope, run_limit=run_limit, window=window)
         try:
             drive.run(ops).check()
@@ -287,15 +299,15 @@ def run(ops, *, scope="router", run_limit=None, window=None):
 @pytest.mark.parametrize("run_limit, window", [(1, None), (256, None),
                                                (256, 1)])
 @TIER1
-@given(schedules)
-def test_router_matches_the_reference(run_limit, window, ops):
-    run(ops, run_limit=run_limit, window=window)
+@given(schedules, seeds)
+def test_router_matches_the_reference(run_limit, window, ops, seed):
+    run(ops, seed, run_limit=run_limit, window=window)
 
 
 @TIER1
-@given(schedules)
-def test_rib_alone_matches_the_reference(ops):
-    run(ops, scope="rib")
+@given(schedules, seeds)
+def test_rib_alone_matches_the_reference(ops, seed):
+    run(ops, seed, scope="rib")
 
 
 # ---------------------------------------------------------------------------
@@ -325,6 +337,14 @@ def test_withdraw_while_a_replace_waits_on_its_nexthop(run_limit):
          ("igp_add", "connected", COVERS[0], 1), ("turns", 1),
          ("announce", 0, [NETS[0]], 1), ("withdraw", 0, [NETS[0]])],
         run_limit=run_limit)
+
+
+def test_invalidation_that_overtakes_a_nexthop_answer():
+    """BGP's nexthop query and the RIB's invalidation of the cover travel
+    apart; in this seed's order the invalidation lands first, and the
+    answer from before the new cover must not stay in BGP's cache."""
+    run([("announce", 0, [NETS[0]], 1), ("turns", 1),
+         ("igp_add", "connected", COVERS[0], 2)], seed=1)
 
 
 @pytest.mark.xfail(strict=True, reason=(
@@ -372,6 +392,19 @@ def _resync_rib_does_nothing(monkeypatch):
     monkeypatch.setattr(BgpProcess, "resync_rib", lambda self: None)
 
 
+def _send_a_busy_key_again(monkeypatch):
+    """A newer op for a prefix whose last op is still on the wire is sent
+    at once instead of waiting for the reply: the two XRLs are delivered
+    in send order unless one turn's deliveries are shuffled."""
+    submit = RouteStream.submit
+
+    def mutated(self, group, op, routes):
+        self._busy.difference_update((group, r.net) for r in routes)
+        submit(self, group, op, routes)
+
+    monkeypatch.setattr(RouteStream, "submit", mutated)
+
+
 MUTATIONS = {
     "tie_break": (_flip_peer_address_tie_break, "router"),
     "extint_reresolution": (_skip_reresolution_on_internal_delete, "rib"),
@@ -387,9 +420,34 @@ def test_the_runner_finds_a_seeded_bug(monkeypatch, name):
 
     @settings(TIER1, phases=[Phase.explicit, Phase.generate],
               report_multiple_bugs=False)
-    @given(schedules)
-    def matches_the_reference(ops):
-        run(ops, scope=scope)
+    @given(schedules, seeds)
+    def matches_the_reference(ops, seed):
+        run(ops, seed, scope=scope)
 
     with pytest.raises(AssertionError):
         matches_the_reference()
+
+
+@pytest.mark.parametrize("options", [
+    {"run_limit": 1}, {"run_limit": 256}, {"run_limit": 256, "window": 1},
+    {"scope": "rib"}], ids=["cap1", "cap256", "window1", "rib"])
+def test_only_the_shuffled_runner_finds_an_ordering_bug(monkeypatch,
+                                                        options):
+    """The schedule a shuffled run fails on passes unshuffled: in send
+    order, the two XRLs of one prefix arrive as they left."""
+    _send_a_busy_key_again(monkeypatch)
+    failed = []
+
+    @settings(TIER1, phases=[Phase.explicit, Phase.generate],
+              report_multiple_bugs=False)
+    @given(schedules, seeds)
+    def matches_the_reference(ops, seed):
+        try:
+            run(ops, seed, **options)
+        except AssertionError:
+            failed.append(ops)
+            raise
+
+    with pytest.raises(AssertionError):
+        matches_the_reference()
+    run(failed[-1], **options)

@@ -19,9 +19,9 @@ from repro.rib import (
 )
 from repro.rib.route import preferred
 
-# Arm the runtime sanitizers (stage-graph consistency + XRL
-# dispatch conformance) for every test in this module; the
-# conftest fixture asserts zero violations at teardown.  Autouse
+# Arm the stage-graph consistency sanitizer for every test in
+# this module; the conftest fixture asserts zero violations at
+# teardown.  Autouse
 # at module level so it arms before class setup_method fixtures.
 @pytest.fixture(autouse=True)
 def _runtime_sanitizers(runtime_sanitizers):

@@ -1,15 +1,14 @@
-"""repro.sanitizer: stage consistency, XRL dispatch, schedule exploration.
+"""repro.sanitizer: the stage sanitizer and the schedule shuffler.
 
 Mirrors ``test_analysis.py``'s contract for the runtime half: seeded
-mutations must each be caught by exactly the intended sanitizer piece,
+stage mutations must each be caught by exactly the intended rule, and
 the clean tree must report zero violations (the armed fixtures in
-``test_rib_stages.py`` / ``test_full_router_integration.py`` plus the
-explorer runs here), and exploration reports must be byte-identical
-across repeated runs.
+``test_rib_stages.py`` / ``test_full_router_integration.py``).  The
+shuffler permutes exactly the orders the event model leaves open, and
+the two fault experiments still converge under it.
 """
 
-import json
-import random
+import pytest
 
 from repro.core.stages import (
     DeletionStage,
@@ -20,17 +19,11 @@ from repro.core.stages import (
     stream_reset,
 )
 from repro.eventloop import EventLoop, SimulatedClock
+from repro.experiments.recovery import run_recovery
+from repro.experiments.resilience import run_backend_resilience
 from repro.net import IPNet, IPv4
 from repro.rib import RibRoute
-from repro.sanitizer import (
-    RuntimeSanitizer,
-    ScheduleShuffler,
-    StageSanitizer,
-    XrlDispatchSanitizer,
-    explore,
-)
-from repro.xrl import Finder, Xrl, XrlArgs, XrlRouter
-from repro.xrl.transport import IntraProcessFamily
+from repro.sanitizer import ScheduleShuffler, StageSanitizer
 
 
 def net(text):
@@ -241,184 +234,101 @@ class TestSeededStageMutation:
         assert san.violations == []
 
 
-class TestXrlDispatchSanitizer:
-    def _client(self):
-        loop = EventLoop(SimulatedClock())
-        finder = Finder(rng=random.Random(7))
-        client = XrlRouter(loop, "client", finder,
-                           families=[IntraProcessFamily()])
-        return loop, client
-
-    def test_clean_dispatch_passes(self):
-        loop, client = self._client()
-        with XrlDispatchSanitizer() as san:
-            args = (XrlArgs().add_txt("protocol", "bgp")
-                    .add_ipv4net("net", net("10.0.0.0/8"))
-                    .add_ipv4("nexthop", IPv4("192.168.0.1"))
-                    .add_u32("metric", 1)
-                    .add_list("policytags", []))
-            client.send(Xrl("rib", "rib", "1.0", "add_route4", args))
-            loop.run()
-        assert san.violations == []
-        assert san.checked == 1
-
-    def test_unknown_interface_reports_san101(self):
-        loop, client = self._client()
-        with XrlDispatchSanitizer() as san:
-            client.send(Xrl("rib", "ribble", "9.9", "add_route4", XrlArgs()))
-            loop.run()
-        assert rules_of(san.violations) == ["SAN101"]
-
-    def test_unknown_method_reports_san102(self):
-        loop, client = self._client()
-        with XrlDispatchSanitizer() as san:
-            client.send(Xrl("rib", "rib", "1.0", "add_rote4", XrlArgs()))
-            loop.run()
-        assert rules_of(san.violations) == ["SAN102"]
-
-    def test_dynamically_built_bad_args_report_san103(self):
-        """The case XRL001-006 cannot resolve statically: args from data."""
-        loop, client = self._client()
-        with XrlDispatchSanitizer() as san:
-            args = XrlArgs()
-            for name, value in [("protocol", "bgp"), ("metric", "one")]:
-                args.add_txt(name, value)  # metric should be u32
-            client.send(Xrl("rib", "rib", "1.0", "delete_route4", args))
-            loop.run()
-        assert rules_of(san.violations) == ["SAN103"]
-        assert "rib/1.0/delete_route4" in san.violations[0].origin
-
-    def test_bench_interface_is_exempt(self):
-        loop, client = self._client()
-        with XrlDispatchSanitizer() as san:
-            client.send(Xrl("bench", "bench", "1.0", "noargs",
-                            XrlArgs().add_u32("weird", 1)))
-            loop.run()
-        assert san.violations == []
-        assert san.checked == 0
-
-    def test_disarm_restores_pristine_send(self):
-        original = XrlRouter.__dict__["send"]
-        san = XrlDispatchSanitizer()
-        san.arm()
-        assert XrlRouter.__dict__["send"] is not original
-        san.disarm()
-        assert XrlRouter.__dict__["send"] is original
+SEEDS = range(1, 9)
 
 
-def _racy_scenario():
-    """Two same-deadline timers whose order changes the result: a bug."""
+def _run_shuffled(seed, schedule):
+    """Run *schedule(loop, order)* on a fresh loop under *seed*'s
+    shuffler; return the order its callbacks ran in."""
     loop = EventLoop(SimulatedClock())
-    state = {"value": 0}
-
-    def increment():
-        state["value"] += 1
-
-    def double():
-        state["value"] *= 2
-
-    loop.call_later(1.0, increment, name="increment")
-    loop.call_later(1.0, double, name="double")
-    loop.run()
-    return {"value": state["value"]}
+    order = []
+    schedule(loop, order)
+    with ScheduleShuffler(seed):
+        loop.run()
+    return tuple(order)
 
 
-def _commuting_scenario():
-    """Two same-deadline timers touching independent state: no bug."""
-    loop = EventLoop(SimulatedClock())
-    state = {}
-    loop.call_later(1.0, lambda: state.setdefault("a", 1), name="set-a")
-    loop.call_later(1.0, lambda: state.setdefault("b", 2), name="set-b")
-    loop.run()
-    return dict(sorted(state.items()))
+def _orders(schedule):
+    return {_run_shuffled(seed, schedule) for seed in SEEDS}
 
 
-class TestScheduleExplorer:
-    SEEDS = list(range(1, 9))
+class TestScheduleShuffler:
+    def test_same_deadline_timers_are_permuted(self):
+        def schedule(loop, order):
+            for name in "abc":
+                loop.call_later(1.0, lambda name=name: order.append(name),
+                                name=name)
 
-    def test_swapped_timer_order_bug_caught_by_race001(self):
-        """Satellite: the seeded ordering mutation yields exactly RACE001."""
-        report = explore(_racy_scenario, name="racy", seeds=self.SEEDS)
-        assert rules_of(report.violations) == ["RACE001"]
-        violation = report.violations[0]
-        assert violation.origin == "schedule:racy"
-        context = violation.context
-        assert context["baseline_fingerprint"] == {"value": 2}
-        assert context["divergent_fingerprint"] == {"value": 1}
-        # The two minimal divergent schedules end at the differing choice.
-        base = context["baseline_schedule"]
-        diverged = context["divergent_schedule"]
-        assert base[-1]["ready"] == ["increment", "double"]
-        assert base[-1]["order"] != diverged[-1]["order"]
-        assert base[:-1] == diverged[:-1]
+        orders = _orders(schedule)
+        assert len(orders) > 1
+        assert all(sorted(order) == ["a", "b", "c"] for order in orders)
 
-    def test_commuting_timers_are_clean(self):
-        report = explore(_commuting_scenario, name="commuting",
-                         seeds=self.SEEDS)
-        assert report.violations == []
-        assert all(run.fingerprint == {"a": 1, "b": 2}
-                   for run in report.runs)
+    def test_different_deadlines_keep_their_order(self):
+        def schedule(loop, order):
+            for delay, name in [(2.0, "late"), (1.0, "early")]:
+                loop.call_later(delay, lambda name=name: order.append(name),
+                                name=name)
 
-    def test_reports_are_byte_identical(self):
-        first = explore(_racy_scenario, name="racy", seeds=self.SEEDS)
-        second = explore(_racy_scenario, name="racy", seeds=self.SEEDS)
-        assert first.to_json() == second.to_json()
-        assert json.dumps([v.to_dict() for v in first.violations],
-                          sort_keys=True) == \
-            json.dumps([v.to_dict() for v in second.violations],
-                       sort_keys=True)
+        assert _orders(schedule) == {("early", "late")}
 
-    def test_identity_schedule_matches_unpatched_run(self):
-        unpatched = _racy_scenario()
-        with ScheduleShuffler(None) as shuffler:
-            patched = _racy_scenario()
-        assert patched == unpatched
-        assert any(point.kind == "timer" for point in shuffler.trace)
+    def test_one_turns_deferred_callbacks_are_permuted(self):
+        def schedule(loop, order):
+            loop.call_soon(order.append, "first")
+            loop.call_soon(order.append, "second")
 
-    def test_deferred_callbacks_are_permuted(self):
-        def scenario():
-            loop = EventLoop(SimulatedClock())
-            order = []
-            loop.call_soon(lambda: order.append("first"))
-            loop.call_soon(lambda: order.append("second"))
-            loop.run()
-            return {"order": order}
+        assert _orders(schedule) == {("first", "second"),
+                                     ("second", "first")}
 
-        report = explore(scenario, name="deferred", seeds=self.SEEDS)
-        assert rules_of(report.violations) == ["RACE001"]
+    def test_same_priority_tasks_are_permuted(self):
+        def schedule(loop, order):
+            for name in "ab":
+                loop.tasks.spawn(lambda name=name: order.append(name),
+                                 name=name)
+
+        assert _orders(schedule) == {("a", "b"), ("b", "a")}
+
+    def test_a_seed_replays_its_schedule(self):
+        def schedule(loop, order):
+            for i in range(6):
+                loop.call_later(1.0, lambda i=i: order.append(i))
+                loop.call_soon(order.append, -i)
+
+        assert _run_shuffled(5, schedule) == _run_shuffled(5, schedule)
 
     def test_shuffled_timer_cancelled_by_sibling_stays_dead(self):
         """A timer cancelled by an earlier same-deadline sibling must not
         fire, whichever order the shuffler picks."""
-        fired = []
-        for seed in [None] + self.SEEDS:
-            loop = EventLoop(SimulatedClock())
+        def schedule(loop, order):
             timers = {}
 
-            def cancel_other(myself="a", other="b"):
-                fired.append(myself)
+            def cancel_other(myself, other):
+                order.append(myself)
                 timers[other].cancel()
 
             timers["a"] = loop.call_later(
                 1.0, lambda: cancel_other("a", "b"), name="a")
             timers["b"] = loop.call_later(
                 1.0, lambda: cancel_other("b", "a"), name="b")
-            with ScheduleShuffler(seed):
-                loop.run()
-        # Exactly one of the pair fires per run.
-        assert len(fired) == len(self.SEEDS) + 1
+
+        assert _orders(schedule) == {("a",), ("b",)}
 
 
-class TestRuntimeSanitizerComposite:
-    def test_arms_both_and_shares_log(self):
-        loop = EventLoop(SimulatedClock())
-        finder = Finder(rng=random.Random(7))
-        client = XrlRouter(loop, "client", finder,
-                           families=[IntraProcessFamily()])
-        with RuntimeSanitizer() as san:
-            origin, flt, sink = pipeline()
-            flt.delete_routes([route("10.0.0.0/8")], caller=origin)
-            client.send(Xrl("rib", "rib", "1.0", "add_rote4", XrlArgs()))
-            loop.run()
-        assert rules_of(san.violations) == ["SAN002", "SAN102"]
-        assert [v.seq for v in san.violations] == [1, 2]
+@pytest.mark.parametrize("seed", range(1, 7))
+class TestFaultExperimentsUnderTheShuffler:
+    """The two fault experiments reconverge whatever the order of
+    same-deadline events; each raises if it does not."""
+
+    def test_recovery_restarts_bgp_and_reconverges(self, seed):
+        with ScheduleShuffler(seed):
+            result = run_recovery(seed=7)
+        assert result.restarts == 1
+        assert result.time_to_reconverge >= result.time_to_restart > 0
+
+    def test_backend_reconciles_and_serves_through_the_outage(self, seed):
+        routes, churn = 32, 16
+        with ScheduleShuffler(seed):
+            result = run_backend_resilience(seed=7, routes=routes,
+                                            churn=churn)
+        # every route the churn left live is answered from the shadow
+        assert result.served_during_outage == routes + churn - churn // 2
+        assert result.reconverged_at > result.restart_at

@@ -20,7 +20,7 @@ from repro.fea import FeaProcess
 from repro.net import IPNet, IPv4, IPv6
 from repro.rib import RibProcess
 from repro.rib.route import RibRoute
-from repro.sanitizer import RuntimeSanitizer
+from repro.sanitizer import StageSanitizer
 from repro.xrl import Xrl, XrlArgs, XrlAtom, XrlAtomType
 from repro.xrl.error import XrlErrorCode
 from repro.xrl.retry import RetryPolicy
@@ -166,7 +166,7 @@ class TestVectorEqualsPerRouteStream:
                ("announce", 1, nets[7], 1),
                ("down", 2)]
         for run_limit in (None, 1):
-            with RuntimeSanitizer() as sanitizer:
+            with StageSanitizer() as sanitizer:
                 drive = Drive(run_limit=run_limit, tcp=True)
                 sent = spy_sends(drive.router.bgp)
                 try:
