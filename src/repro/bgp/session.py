@@ -8,7 +8,8 @@ adapter or :class:`TcpSession` (separate processes), all carrying the
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from collections import deque
+from typing import Callable, Deque, Optional, Tuple
 
 from repro.eventloop.stream import StreamChannel, StreamListener
 
@@ -45,6 +46,9 @@ class LoopbackSession(BgpSession):
         self._latency = latency
         self._peer: Optional["LoopbackSession"] = None
         self._connected = False
+        #: this direction's bytes in flight, ``(due, data)`` in send order
+        self._in_flight: Deque[Tuple[float, bytes]] = deque()
+        self._delivering = False  # a delivery callback is pending
 
     @property
     def connected(self) -> bool:
@@ -65,16 +69,35 @@ class LoopbackSession(BgpSession):
     def send(self, data: bytes) -> None:
         if not self._connected or self._peer is None:
             return
-        peer = self._peer
+        self._in_flight.append((self._loop.now() + self._latency, data))
+        if not self._delivering:
+            self._schedule()
 
-        def deliver() -> None:
-            if peer._connected and peer.on_data is not None:
-                peer.on_data(data)
-
+    # A byte stream stays in order however a loop orders same-time events
+    # (a ScheduleShuffler permutes them): a direction has one FIFO and at
+    # most one callback pending, which delivers what is due, oldest first.
+    def _schedule(self) -> None:
+        self._delivering = True
         if self._latency > 0:
-            self._loop.call_later(self._latency, deliver, name="bgp-session")
+            self._loop.call_at(self._in_flight[0][0], self._deliver,
+                               name="bgp-session")
         else:
-            self._loop.call_soon(deliver)
+            self._loop.call_soon(self._deliver)
+
+    def _deliver(self) -> None:
+        in_flight, peer = self._in_flight, self._peer
+        now = self._loop.now()
+        # What is sent from inside a delivery waits for the next callback.
+        for __ in range(len(in_flight)):
+            if in_flight[0][0] > now:
+                break
+            data = in_flight.popleft()[1]
+            if (peer is not None and peer._connected
+                    and peer.on_data is not None):
+                peer.on_data(data)
+        self._delivering = False
+        if in_flight:
+            self._schedule()
 
     def close(self) -> None:
         if not self._connected:

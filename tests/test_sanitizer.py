@@ -10,6 +10,7 @@ the two fault experiments still converge under it.
 
 import pytest
 
+from repro.bgp.session import session_pair
 from repro.core.stages import (
     DeletionStage,
     FilterStage,
@@ -311,6 +312,29 @@ class TestScheduleShuffler:
                 1.0, lambda: cancel_other("b", "a"), name="b")
 
         assert _orders(schedule) == {("a",), ("b",)}
+
+
+    @pytest.mark.parametrize("latency", [0.0, 0.5])
+    def test_a_session_pair_delivers_same_turn_sends_in_order(self,
+                                                              latency):
+        """A loopback session is a byte stream: whatever order the
+        shuffler gives same-time events, each direction's sends arrive
+        in the order they were made."""
+        def schedule(loop, order):
+            a, b = session_pair(loop, latency)
+            a.connect()
+            loop.run()
+            b.on_data = lambda data: order.append(("b", data))
+            a.on_data = lambda data: order.append(("a", data))
+            for data in (b"one", b"two", b"three"):
+                a.send(data)
+                b.send(data.upper())
+
+        for order in _orders(schedule):
+            assert [data for end, data in order if end == "b"] == \
+                [b"one", b"two", b"three"]
+            assert [data for end, data in order if end == "a"] == \
+                [b"ONE", b"TWO", b"THREE"]
 
 
 @pytest.mark.parametrize("seed", range(1, 7))
