@@ -69,7 +69,7 @@ class Reader:
         return self.dump_iterator is not None
 
     def dump_front_key(self):
-        """Key of the next route the dump will emit (None = past the end).
+        """Prefix of the next route the dump will emit (None = past the end).
 
         The iterator is parked *on* the next node to emit, so prefixes
         ordered before it can never be reached by the dump and must be
@@ -79,7 +79,7 @@ class Reader:
         iterator = self.dump_iterator
         if iterator is None or iterator.exhausted:
             return None
-        return iterator.net.key()
+        return iterator.net
 
 
 class FanoutQueue(RouteTableStage):
@@ -166,15 +166,15 @@ class FanoutQueue(RouteTableStage):
         self._enqueue_batch(REPLACE, [new_route], old_route)
 
     # -- queueing --------------------------------------------------------
-    def _dump_skip_set(self, key) -> Optional[Set[str]]:
-        """Dumping readers whose dump will still reach *key* (they must not
+    def _dump_skip_set(self, net) -> Optional[Set[str]]:
+        """Dumping readers whose dump will still reach *net* (they must not
         also see it through the queue)."""
         skip: Optional[Set[str]] = None
         for reader in self.readers.values():
             if not reader.dumping:
                 continue
             front = reader.dump_front_key()
-            if front is not None and key >= front:
+            if front is not None and net >= front:
                 # The dump will reach this prefix and emit the (already
                 # updated) winners-trie state; the queue must stay silent.
                 if skip is None:
@@ -198,7 +198,7 @@ class FanoutQueue(RouteTableStage):
         append = self.queue.append
         serial = self._next_serial
         for route in routes:
-            skip = self._dump_skip_set(route.net.key()) if any_dumping \
+            skip = self._dump_skip_set(route.net) if any_dumping \
                 else None
             append(_QueueEntry(serial, op, route, old_route, skip))
             serial += 1

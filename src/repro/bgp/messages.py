@@ -50,8 +50,9 @@ class BGPDecodeError(ValueError):
 
 def _encode_prefix(net: IPNet) -> bytes:
     """<length, truncated address> NLRI encoding."""
-    value, plen = net.key()
-    return bytes([plen]) + value.to_bytes(4, "big")[:(plen + 7) // 8]
+    # A v4 prefix's int is its network's four octets, then its length.
+    plen = net & 0xFF
+    return bytes([plen]) + (net >> 8).to_bytes(4, "big")[:(plen + 7) // 8]
 
 
 def _decode_prefixes(data: bytes, what: str) -> List[IPNet]:

@@ -268,7 +268,7 @@ class TrieOriginStage(OriginStage):
 class _Refilter:
     """A filter bank between two functions: the routes a walk over the
     table upstream has passed carry *new*'s output downstream, the rest
-    still *old*'s.  *front* is the key of the next route the walk visits
+    still *old*'s.  *front* is the prefix of the next route the walk visits
     (None once it has passed everything); it stays where it was if the
     walk is stopped, so a stopped re-filter still says what each route
     carries."""
@@ -280,12 +280,12 @@ class _Refilter:
         self.new = new
         self.old = old
         self.walk = walk
-        self.front = None if walk.exhausted else walk.net.key()
+        self.front = None if walk.exhausted else walk.net
         self.task = None
 
     def __call__(self, route: Any) -> Optional[Any]:
         front = self.front
-        if front is None or route.net.key() < front:
+        if front is None or route.net < front:
             return self.new(route)
         return self.old(route)
 
@@ -399,7 +399,7 @@ class FilterStage(RouteTableStage):
         walk = refilter.walk
         for __ in range(self.REFILTER_SLICE):
             taken = walk.take(1)
-            refilter.front = None if walk.exhausted else walk.net.key()
+            refilter.front = None if walk.exhausted else walk.net
             if not taken:
                 break
             route = taken[0]

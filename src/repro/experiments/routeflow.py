@@ -152,7 +152,7 @@ def run_route_flow(kinds: Optional[List[str]] = None, *,
         for index in range(route_count):
             when = start + (index + 1) * interval
             prefix = IPNet(IPv4(0xC6120000 + (index << 8)), 24)  # 198.18.x.0/24
-            inject_times[prefix.key()] = when
+            inject_times[prefix] = when
             loop.call_at(when, lambda p=prefix: source.inject(
                 UpdateMessage(attributes=attrs, nlri=[p])))
         if not loop.run_until(lambda: len(sink.arrivals) >= route_count,
@@ -162,7 +162,7 @@ def run_route_flow(kinds: Optional[List[str]] = None, *,
                 f"{kind}: only {len(sink.arrivals)}/{route_count} arrived")
         series = []
         for arrival_time, net in sink.arrivals:
-            injected = inject_times.get(net.key())
+            injected = inject_times.get(net)
             if injected is not None:
                 series.append((injected - start, arrival_time - injected))
         series.sort()

@@ -44,8 +44,8 @@ def synthetic_prefixes(count: int, seed: int = 2004) -> List[IPNet]:
             # and 192/2 upper ranges (test prefixes live in 198.18/15).
             value = rng.randrange(0x0B000000, 0xC0000000)
             net = IPNet(IPv4(value), length)
-            if net.key() not in seen:
-                seen.add(net.key())
+            if net not in seen:
+                seen.add(net)
                 prefixes.append(net)
                 break
     return prefixes

@@ -27,12 +27,13 @@ from repro.profiler.workcount import CallCounter
 from repro.rtrmgr import RouterManager
 from repro.simnet.baselines import Speaker, wire
 
+#: the synthetic feed's size and seed
+ROUTES, SEED = 2000, 2004
 #: share of the feed loaded before the counted tail (``feed_inproc``'s)
 BASE_SHARE = 0.8
 
 
-def run_work_budget(routes: int = 2000, seed: int = 2004
-                    ) -> Dict[str, Dict[str, float]]:
+def run_work_budget() -> Dict[str, Dict[str, float]]:
     """``{"announce": table, "withdraw": table}``: the Python calls per
     route of the feed's tail, each table ``{layer: calls, "total": sum}``
     (:meth:`CallCounter.per`)."""
@@ -51,12 +52,12 @@ def run_work_budget(routes: int = 2000, seed: int = 2004
         raise RuntimeError("the feed peering did not establish")
     session = peering.session
 
-    groups = list(synthetic_feed(routes, seed=seed))
+    groups = list(synthetic_feed(ROUTES, seed=SEED))
     cut = held = 0
-    while held < BASE_SHARE * routes:
+    while held < BASE_SHARE * ROUTES:
         held += len(groups[cut][1])
         cut += 1
-    tail = routes - held
+    tail = ROUTES - held
     announce = [UpdateMessage(attributes=attributes, nlri=nets).encode()
                 for attributes, nets in groups]
     withdraw = [UpdateMessage(withdrawn=nets).encode()
@@ -72,7 +73,7 @@ def run_work_budget(routes: int = 2000, seed: int = 2004
 
     base_fib = len(fea.fib4) + held
     phase(announce[:cut], base_fib)
-    for __ in range(2):
+    for __ in range(2):  # the first round warms every path
         counters = {}
         for name, messages, fib_size in (
                 ("announce", announce[cut:], base_fib + tail),

@@ -37,6 +37,7 @@ from __future__ import annotations
 from typing import Callable, List, Optional, Sequence
 
 from repro.fea.fib import FibEntry
+from repro.net import V6_TAG
 
 #: ``completion(seq, ok, reason)`` — *ok* is the ack/nack verdict;
 #: *reason* is an errno-style token for nacks ("ENOBUFS", "EINVAL", ...)
@@ -52,7 +53,7 @@ DELETE = "delete"
 class FibOp:
     """One dataplane operation: install or remove a forwarding entry."""
 
-    __slots__ = ("op", "entry", "seq")
+    __slots__ = ("op", "entry", "seq", "bits")
 
     def __init__(self, op: str, entry: FibEntry, seq: int = 0):
         if op not in (ADD, DELETE):
@@ -60,10 +61,8 @@ class FibOp:
         self.op = op
         self.entry = entry
         self.seq = seq
-
-    @property
-    def bits(self) -> int:
-        return self.entry.net.bits
+        #: the width of the entry's family: which table the op is for
+        self.bits = 128 if entry.net >= V6_TAG else 32
 
     def __repr__(self) -> str:
         return f"FibOp(#{self.seq} {self.op} {self.entry.net})"

@@ -26,7 +26,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.fea.backends.base import ADD, CompletionCallback, FibBackend, FibOp
 from repro.fea.fib import FibEntry
-from repro.net import IPNet
+from repro.net import V6_TAG, IPNet
 
 #: OpenFlow-style table ids per address family
 TABLE_IPV4 = 0
@@ -62,10 +62,11 @@ def entry_to_rule(entry: FibEntry) -> FlowRule:
         actions.append(("set_next_hop", str(entry.nexthop)))
     if entry.ifname:
         actions.append(("output", entry.ifname))
+    bits = 128 if entry.net >= V6_TAG else 32
     return FlowRule(
-        table=_TABLE_BY_BITS[entry.net.bits],
+        table=_TABLE_BY_BITS[bits],
         priority=entry.net.prefix_len,
-        match={_MATCH_FIELD[entry.net.bits]: str(entry.net)},
+        match={_MATCH_FIELD[bits]: str(entry.net)},
         actions=actions,
     )
 

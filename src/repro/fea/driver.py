@@ -31,7 +31,7 @@ from typing import Callable, Dict, Iterable, List, Set, Tuple
 
 from repro.fea.backends.base import ADD, DELETE, FibBackend, FibOp
 from repro.fea.fib import Fib, FibEntry
-from repro.net import IPNet
+from repro.net import V6_TAG, IPNet
 
 
 def _countdown(count: int,
@@ -157,7 +157,7 @@ class BackendDriver:
         """Install *entries*; *on_settled* runs once each op is settled."""
         ops = []
         for entry in entries:
-            self.shadow[entry.net.bits].insert(entry)
+            self.shadow[128 if entry.net >= V6_TAG else 32].insert(entry)
             ops.append(FibOp(ADD, entry))
         self._submit(ops, on_settled)
 
@@ -166,7 +166,7 @@ class BackendDriver:
         """Remove *nets*; *on_settled* runs once each op is settled."""
         ops = []
         for net in nets:
-            removed = self.shadow[net.bits].remove(net)
+            removed = self.shadow[128 if net >= V6_TAG else 32].remove(net)
             # A delete for a prefix we never held still goes to the
             # dataplane (it may hold it — e.g. an add whose ack we lost
             # judged failed); removing an absent entry is a no-op there.

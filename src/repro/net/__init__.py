@@ -8,7 +8,7 @@ family-agnostic :class:`IPvX`, and the prefix type :class:`IPNet`.
 
 from repro.net.addr import IPv4, IPv6, IPvX, AddressError
 from repro.net.mac import Mac
-from repro.net.prefix import IPNet, IPv4Net, IPv6Net
+from repro.net.prefix import V6_TAG, IPNet, IPv4Net, IPv6Net
 
 __all__ = [
     "AddressError",
@@ -19,4 +19,5 @@ __all__ = [
     "IPv6Net",
     "IPvX",
     "Mac",
+    "V6_TAG",
 ]

@@ -7,37 +7,43 @@ registration (paper §5.2.1) is pure prefix arithmetic.
 
 from __future__ import annotations
 
-from typing import Generic, Iterator, Tuple, Type, TypeVar, Union
+from typing import Iterator, Tuple, Type, Union
 
 from repro.net.addr import MASKS4, AddressError, IPv4, IPv6
 
-A = TypeVar("A", IPv4, IPv6)
+#: set in every IPv6 prefix: above any v6 network shifted past its length
+V6_TAG = 1 << 136
+_MAX6 = (1 << 128) - 1
+_new = int.__new__
 
 
-class IPNet(Generic[A]):
+class IPNet(int):
     """An address prefix: a masked network address plus a prefix length.
 
-    The network address is always stored masked, so two ``IPNet`` objects
-    describing the same subnet always compare equal::
+    A prefix is one int, ``network << 8 | prefix_len``, with
+    :data:`V6_TAG` set for IPv6, so hashing, equality and order are
+    ``int``'s, in C.  Order is by network, then length (shorter first);
+    a v4 and a v6 prefix are never equal.  The network is stored masked,
+    so two ``IPNet`` objects describing the same subnet are equal::
 
         >>> IPNet.parse("128.16.64.1/18") == IPNet.parse("128.16.64.0/18")
         True
 
-    The network is held as an int beside the length and the address
-    class, and :attr:`network` builds the address object on demand.
+    :attr:`network` builds the address object on demand.  Being an int
+    is not being a number: a prefix is always true, formats as text,
+    and an XRL integer atom refuses one (``repro.xrl.types``).
     """
 
-    __slots__ = ("_value", "_prefix_len", "_cls")
+    __slots__ = ()
 
-    def __init__(self, addr: A, prefix_len: int):
-        host_bits = addr.BITS - prefix_len
-        if not 0 <= prefix_len <= addr.BITS:
+    def __new__(cls, addr, prefix_len: int) -> "IPNet":
+        bits = addr.BITS
+        if not 0 <= prefix_len <= bits:
             raise AddressError(
-                f"prefix length {prefix_len} out of range for {addr!r}"
-            )
-        self._value = addr.to_int() >> host_bits << host_bits
-        self._prefix_len = prefix_len
-        self._cls = type(addr)
+                f"prefix length {prefix_len} out of range for {addr!r}")
+        host_bits = bits - prefix_len
+        word = addr.to_int() >> host_bits << host_bits << 8 | prefix_len
+        return _new(cls, word | V6_TAG if bits == 128 else word)
 
     # -- construction -----------------------------------------------------
     @classmethod
@@ -50,99 +56,101 @@ class IPNet(Generic[A]):
             prefix_len = int(len_text)
         except ValueError as exc:
             raise AddressError(f"bad prefix length in {text!r}") from exc
-        addr: Union[IPv4, IPv6]
-        if ":" in addr_text:
-            addr = IPv6(addr_text)
-        else:
-            addr = IPv4(addr_text)
-        return cls(addr, prefix_len)
+        return cls(IPv6(addr_text) if ":" in addr_text else IPv4(addr_text),
+                   prefix_len)
 
     @classmethod
-    def from_packed4(cls, word: int, prefix_len: int) -> "IPNet[IPv4]":
+    def from_packed4(cls, word: int, prefix_len: int) -> "IPNet":
         """An IPv4 prefix from its wire form: the network as a 32-bit
         word (host bits are masked off) and the length octet.  *word* is
         trusted to be an unpacked ``!I``; the length is checked here."""
         if not 0 <= prefix_len <= 32:
             raise AddressError(f"bad IPv4 prefix length {prefix_len}")
-        net = object.__new__(cls)
-        net._value = word & MASKS4[prefix_len]
-        net._prefix_len = prefix_len
-        net._cls = IPv4
-        return net
+        return _new(cls, (word & MASKS4[prefix_len]) << 8 | prefix_len)
 
     @classmethod
-    def default_route(cls, addr_cls: Type[A]) -> "IPNet[A]":
+    def default_route(cls, addr_cls: Type) -> "IPNet":
         return cls(addr_cls.zero(), 0)
+
+    def __reduce__(self):
+        return _new, (IPNet, int(self))
 
     # -- accessors ---------------------------------------------------------
     @property
-    def network(self) -> A:
+    def network(self):
         """The (masked) network address, built on each call."""
-        return self._cls.from_int(self._value)
+        if self >= V6_TAG:
+            return IPv6(self >> 8 & _MAX6)
+        return IPv4._of(self >> 8)
 
     @property
     def prefix_len(self) -> int:
-        return self._prefix_len
+        return self & 0xFF
 
     @property
     def bits(self) -> int:
         """Width of the address family in bits (32 or 128)."""
-        return self._cls.BITS
+        return 128 if self >= V6_TAG else 32
 
     def key(self) -> Tuple[int, int]:
-        """A cheap canonical key ``(network-int, prefix-len)``."""
-        return (self._value, self._prefix_len)
+        """``(network-int, prefix-len)``: a key for code outside the
+        router (the benchmark's oracle); the router keys by the prefix."""
+        return (self >> 8 & _MAX6, self & 0xFF)
 
-    def first_addr(self) -> A:
+    def first_addr(self):
         return self.network
 
-    def last_addr(self) -> A:
-        host_bits = self.bits - self._prefix_len
-        return self._cls.from_int(self._value | ((1 << host_bits) - 1))
+    def last_addr(self):
+        network = self.network
+        return type(network).from_int(
+            network.to_int() | (1 << (network.BITS - (self & 0xFF))) - 1)
 
     def is_default(self) -> bool:
-        return self._prefix_len == 0
+        return not self & 0xFF
 
     def is_ipv4(self) -> bool:
-        return self._cls is IPv4
+        return self < V6_TAG
 
     def is_ipv6(self) -> bool:
-        return self._cls is IPv6
+        return self >= V6_TAG
 
     # -- containment -------------------------------------------------------
-    def contains_addr(self, addr: A) -> bool:
+    # A prefix contains another when the bits above its host part agree;
+    # the v6 tag sits above every network bit, so families never agree.
+    def contains_addr(self, addr) -> bool:
         """True if *addr* falls inside this prefix."""
-        if addr.BITS != self._cls.BITS:
+        if addr.BITS != self.bits:
             return False
-        return not (addr.to_int() ^ self._value) >> (
-            addr.BITS - self._prefix_len)
+        word = addr.to_int() << 8 | self & V6_TAG
+        return not (word ^ self) >> (addr.BITS + 8 - (self & 0xFF))
 
-    def contains(self, other: "IPNet[A]") -> bool:
+    def contains(self, other: "IPNet") -> bool:
         """True if *other* is equal to or more specific than this prefix."""
-        if other._cls is not self._cls or other._prefix_len < self._prefix_len:
-            return False
-        return not (other._value ^ self._value) >> (
-            self._cls.BITS - self._prefix_len)
+        plen = self & 0xFF
+        return other & 0xFF >= plen and not (other ^ self) >> (
+            (136 if self >= V6_TAG else 40) - plen)
 
-    def overlaps(self, other: "IPNet[A]") -> bool:
+    def overlaps(self, other: "IPNet") -> bool:
         return self.contains(other) or other.contains(self)
 
     # -- derivation ----------------------------------------------------------
-    def supernet(self) -> "IPNet[A]":
+    def supernet(self) -> "IPNet":
         """The prefix one bit shorter that contains this one."""
-        if self._prefix_len == 0:
+        plen = self & 0xFF
+        if not plen:
             raise AddressError("default route has no supernet")
-        return IPNet(self.network, self._prefix_len - 1)
+        shift = self.bits + 9 - plen
+        return _new(IPNet, self >> shift << shift | plen - 1)
 
-    def halves(self) -> Tuple["IPNet[A]", "IPNet[A]"]:
+    def halves(self) -> Tuple["IPNet", "IPNet"]:
         """Split into the two one-bit-longer subnets (low, high)."""
-        if self._prefix_len >= self.bits:
+        plen, bits = self & 0xFF, self.bits
+        if plen >= bits:
             raise AddressError("host route cannot be split")
-        new_len = self._prefix_len + 1
-        high = self._cls.from_int(self._value | 1 << (self.bits - new_len))
-        return IPNet(self.network, new_len), IPNet(high, new_len)
+        return (_new(IPNet, self + 1),
+                _new(IPNet, self + 1 | 1 << (bits + 7 - plen)))
 
-    def half_containing(self, addr: A) -> "IPNet[A]":
+    def half_containing(self, addr) -> "IPNet":
         """The one-bit-longer subnet of this prefix that contains *addr*."""
         low, high = self.halves()
         if low.contains_addr(addr):
@@ -151,41 +159,30 @@ class IPNet(Generic[A]):
             return high
         raise AddressError(f"{addr!r} is not inside {self!r}")
 
-    def hosts(self) -> Iterator[A]:
+    def hosts(self) -> Iterator:
         """Iterate every address in the prefix (tests / small nets only)."""
-        end = self.last_addr().to_int()
-        for value in range(self._value, end + 1):
-            yield self._cls.from_int(value)
+        network = self.network
+        for value in range(network.to_int(), self.last_addr().to_int() + 1):
+            yield type(network).from_int(value)
 
     # -- dunder --------------------------------------------------------------
     def __str__(self) -> str:
-        return f"{self.network}/{self._prefix_len}"
+        return f"{self.network}/{self & 0xFF}"
 
     def __repr__(self) -> str:
         return f"IPNet({str(self)!r})"
 
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, IPNet)
-            and self._value == other._value
-            and self._prefix_len == other._prefix_len
-            and self._cls is other._cls
-        )
+    def __format__(self, spec: str) -> str:
+        # A width pads the text; an integer type (d, x, #_d) gets the int.
+        if spec and spec[-1] in "bcdnoxX":
+            return int.__format__(self, spec)
+        return format(str(self), spec)
 
-    def __lt__(self, other: "IPNet[A]") -> bool:
-        """Order by network address then by prefix length (shorter first)."""
-        if self._value != other._value:
-            return self._value < other._value
-        return self._prefix_len < other._prefix_len
-
-    def __le__(self, other: "IPNet[A]") -> bool:
-        return self == other or self < other
-
-    def __hash__(self) -> int:
-        return hash((self._value, self._prefix_len))
+    def __bool__(self) -> bool:
+        return True  # 0.0.0.0/0 is the int 0
 
 
-def IPv4Net(text_or_addr: Union[str, IPv4], prefix_len: int = None) -> IPNet[IPv4]:
+def IPv4Net(text_or_addr: Union[str, IPv4], prefix_len: int = None) -> IPNet:
     """Convenience constructor for IPv4 prefixes."""
     if isinstance(text_or_addr, str) and prefix_len is None:
         net = IPNet.parse(text_or_addr)
@@ -197,7 +194,7 @@ def IPv4Net(text_or_addr: Union[str, IPv4], prefix_len: int = None) -> IPNet[IPv
     return IPNet(text_or_addr, prefix_len if prefix_len is not None else 32)
 
 
-def IPv6Net(text_or_addr: Union[str, IPv6], prefix_len: int = None) -> IPNet[IPv6]:
+def IPv6Net(text_or_addr: Union[str, IPv6], prefix_len: int = None) -> IPNet:
     """Convenience constructor for IPv6 prefixes."""
     if isinstance(text_or_addr, str) and prefix_len is None:
         net = IPNet.parse(text_or_addr)

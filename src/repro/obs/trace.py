@@ -44,7 +44,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core import taps
 from repro.eventloop.eventloop import EventLoop
-from repro.net import IPNet
+from repro.net import V6_TAG, IPNet
 from repro.obs.metrics import MetricsRegistry
 from repro.xrl import XrlArgs, XrlError, XrlRouter
 
@@ -108,10 +108,6 @@ class TraceContext:
         return self.stack[-1] if self.stack else self.last_span_id
 
 
-def _net_key(net: IPNet) -> Tuple:
-    return (net.bits,) + tuple(net.key())
-
-
 class Tracer(taps.StageTap):
     """Records causal spans for registered prefixes while armed.
 
@@ -129,7 +125,7 @@ class Tracer(taps.StageTap):
         self.clock = clock if clock is not None else self._tick
         self.metrics = metrics if metrics is not None else MetricsRegistry("obs")
         self._traces: Dict[int, TraceContext] = {}
-        self._by_key: Dict[Tuple, TraceContext] = {}
+        self._by_net: Dict[IPNet, TraceContext] = {}
         self._next_trace_id = 1
         self._armed = False
         self._sends = self.metrics.counter("xrl.sends")
@@ -144,17 +140,16 @@ class Tracer(taps.StageTap):
     # -- trace registration ------------------------------------------------
     def trace(self, net: IPNet) -> TraceContext:
         """Start tracing *net*; returns its (possibly existing) context."""
-        key = _net_key(net)
-        ctx = self._by_key.get(key)
+        ctx = self._by_net.get(net)
         if ctx is None:
             ctx = TraceContext(self._next_trace_id, net)
             self._next_trace_id += 1
             self._traces[ctx.trace_id] = ctx
-            self._by_key[key] = ctx
+            self._by_net[net] = ctx
         return ctx
 
     def context_for(self, net: IPNet) -> Optional[TraceContext]:
-        return self._by_key.get(_net_key(net))
+        return self._by_net.get(net)
 
     def by_id(self, trace_id: int) -> Optional[TraceContext]:
         return self._traces.get(trace_id)
@@ -297,11 +292,10 @@ class Tracer(taps.StageTap):
         ctxs: List[TraceContext] = []
         seen: set = set()
         for net in nets:
-            key = _net_key(net)
-            if key in seen:
+            if net in seen:
                 continue
-            seen.add(key)
-            ctx = self._by_key.get(key)
+            seen.add(net)
+            ctx = self._by_net.get(net)
             if ctx is not None:
                 ctxs.append(ctx)
         return ctxs
@@ -312,14 +306,14 @@ class Tracer(taps.StageTap):
         for atom in args:
             value = atom.value
             if isinstance(value, IPNet):
-                ctx = self._by_key.get(_net_key(value))
+                ctx = self._by_net.get(value)
                 if ctx is not None and ctx not in ctxs:
                     ctxs.append(ctx)
             elif isinstance(value, list):
                 for inner in value:
                     inner_value = getattr(inner, "value", inner)
                     if isinstance(inner_value, IPNet):
-                        ctx = self._by_key.get(_net_key(inner_value))
+                        ctx = self._by_net.get(inner_value)
                         if ctx is not None and ctx not in ctxs:
                             ctxs.append(ctx)
         return ctxs
@@ -377,8 +371,8 @@ class Tracer(taps.StageTap):
     def _around_fib(self, call, fib, item):
         # *call* carries the name of the method it continues (the op)
         net = getattr(item, "net", item)
-        ctx = self._by_key.get(_net_key(net))
+        ctx = self._by_net.get(net)
         if ctx is not None:
-            self._record(ctx, "fib", "fib4" if net.bits == 32 else "fib6",
+            self._record(ctx, "fib", "fib6" if net >= V6_TAG else "fib4",
                          call.__name__, ctx.next_parent())
         return call(fib, item)

@@ -100,7 +100,10 @@ class PolicyVM:
             varrw.write(variable, value)
         else:
             current = varrw.read(variable)
-            base = current if isinstance(current, int) else 0
+            # A prefix is an int, but not a number to add to.
+            numeric = isinstance(current, int) and \
+                not isinstance(current, IPNet)
+            base = current if numeric else 0
             delta = value if mode == "add" else -value
             varrw.write(variable, base + delta)
 

@@ -136,8 +136,7 @@ class Cli:
 
     def _show_bgp_routes(self, bgp) -> str:
         lines = []
-        for net, route in sorted(bgp.decision.winners.items(),
-                                 key=lambda kv: kv[0].key()):
+        for net, route in sorted(bgp.decision.winners.items()):
             attrs = route.attributes
             med = attrs.med if attrs.med is not None else "-"
             lines.append(

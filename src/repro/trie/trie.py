@@ -29,7 +29,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import Any, Iterator, List, Optional, Tuple
 
-from repro.net import IPNet
+from repro.net import V6_TAG, IPNet
 
 
 #: the payload of a node with no route: a join, or a route an iterator outlived
@@ -37,15 +37,16 @@ _EMPTY = object()
 
 
 class TrieNode:
-    """One trie node: a prefix, a payload (or ``_EMPTY``), two children."""
+    """One trie node: a prefix, a payload (or ``_EMPTY``), two children.
 
-    __slots__ = ("value", "plen", "net", "payload", "parent", "left", "right")
+    ``net`` is the node's :class:`IPNet` — at a join node, the bare int
+    that prefix would be — and every walk reads it as that int."""
 
-    def __init__(self, value: int, plen: int, net: Optional[IPNet],
-                 payload: Any = _EMPTY):
-        self.value = value
-        self.plen = plen
-        self.net = net  # None for join nodes
+    __slots__ = ("plen", "net", "payload", "parent", "left", "right")
+
+    def __init__(self, net: int, payload: Any = _EMPTY):
+        self.plen = net & 0xFF
+        self.net = net
         self.payload = payload
         self.parent: Optional["TrieNode"] = None
         self.left: Optional["TrieNode"] = None
@@ -53,17 +54,25 @@ class TrieNode:
 
     def __repr__(self) -> str:
         tag = "join" if self.payload is _EMPTY else "route"
-        return f"<TrieNode {self.net or (self.value, self.plen)} {tag}>"
+        return f"<TrieNode {int.__new__(IPNet, self.net)} {tag}>"
 
 
 class RouteTrie:
-    """A Patricia trie mapping :class:`IPNet` prefixes to payloads."""
+    """A Patricia trie mapping :class:`IPNet` prefixes to payloads.
+
+    A prefix is the int ``network << 8 | length`` (:class:`IPNet`), so a
+    walk reads the key's bit at depth *d* as ``net >> (top - d) & 1``
+    and two prefixes agree down to length *n* when ``(a ^ b) >> (bits +
+    8 - n)`` is zero.
+    """
 
     def __init__(self, bits: int = 32):
         if bits not in (32, 128):
             raise ValueError(f"trie width must be 32 or 128 bits, got {bits}")
         self.bits = bits
-        self._root = TrieNode(0, 0, None)
+        #: the shift that brings a key's first network bit down to bit 0
+        self._top = bits + 7
+        self._root = TrieNode(V6_TAG if bits == 128 else 0)
         self._count = 0
         #: node -> iterators pointing at it (paper §5.3)
         self._pins: Counter = Counter()
@@ -103,30 +112,30 @@ class RouteTrie:
         its path that is no longer contains it, and none below does, so
         it climbs back to that length.
         """
-        bits = self.bits
-        if net.bits != bits:
-            raise ValueError(f"prefix {net} does not fit a {bits}-bit trie")
-        value, plen = net.key()
-        top_bit = bits - 1
+        if (net >= V6_TAG) != (self.bits == 128):
+            raise ValueError(
+                f"prefix {net} does not fit a {self.bits}-bit trie")
+        plen = net & 0xFF
+        top = self._top
         node, node_plen = self._root, 0
         while node_plen < plen:
-            child = node.right if (value >> (top_bit - node_plen)) & 1 \
+            child = node.right if (net >> (top - node_plen)) & 1 \
                 else node.left
             if child is None:
                 break
             node, node_plen = child, child.plen
-        if node_plen == plen and node.value == value:
-            if node.net is None:
-                node.net = net
+        if node.net == net:
+            if node.payload is _EMPTY:
+                node.net = net  # a join node taking a route takes its prefix
             return node
         shared = min(plen, node_plen,
-                     bits - (node.value ^ value).bit_length())
+                     self.bits - ((node.net ^ net) >> 8).bit_length())
         child = None
         while node_plen > shared:
             child, node = node, node.parent
             node_plen = node.plen
-        child_bit = (value >> (top_bit - node_plen)) & 1
-        new = TrieNode(value, plen, net)
+        child_bit = (net >> (top - node_plen)) & 1
+        new = TrieNode(net)
         if child is None:
             self._attach(node, new, child_bit)
         elif shared == plen:
@@ -134,11 +143,10 @@ class RouteTrie:
             self._splice_between(node, child, new, child_bit)
         else:
             # Diverging prefixes: a join node holds the bits they share.
-            join_shift = bits - shared
-            join = TrieNode((value >> join_shift) << join_shift, shared,
-                            None)
+            join_shift = top + 1 - shared
+            join = TrieNode(net >> join_shift << join_shift | shared)
             self._splice_between(node, child, join, child_bit)
-            self._attach(join, new, (value >> (top_bit - shared)) & 1)
+            self._attach(join, new, (net >> (top - shared)) & 1)
         return new
 
     def _attach(self, parent: TrieNode, child: TrieNode, bit: int) -> None:
@@ -151,29 +159,27 @@ class RouteTrie:
     def _splice_between(self, parent: TrieNode, child: TrieNode,
                         middle: TrieNode, bit: int) -> None:
         self._attach(parent, middle, bit)
-        child_bit = (child.value >> (self.bits - 1 - middle.plen)) & 1
-        self._attach(middle, child, child_bit)
+        self._attach(middle, child,
+                     (child.net >> (self._top - middle.plen)) & 1)
 
     # -- lookup -------------------------------------------------------------
-    def _find_node(self, value: int, plen: int) -> Optional[TrieNode]:
-        """The node at exactly ``value/plen``: follow the key's bits down
-        and compare once, on arrival."""
-        top_bit = self.bits - 1
+    def _find_node(self, net: IPNet) -> Optional[TrieNode]:
+        """The node at exactly *net*: follow the key's bits down and
+        compare once, on arrival."""
+        plen = net & 0xFF
+        top = self._top
         node = self._root
         while node is not None:
             node_plen = node.plen
             if node_plen >= plen:
-                if node_plen == plen and node.value == value:
-                    return node
-                return None
-            node = node.right if (value >> (top_bit - node_plen)) & 1 \
+                return node if node.net == net else None
+            node = node.right if (net >> (top - node_plen)) & 1 \
                 else node.left
         return None
 
     def exact(self, net: IPNet) -> Any:
         """Payload stored exactly at *net*, or None."""
-        value, plen = net.key()
-        node = self._find_node(value, plen)
+        node = self._find_node(net)
         if node is None or node.payload is _EMPTY:
             return None
         return node.payload
@@ -187,20 +193,20 @@ class RouteTrie:
     # walk tests route nodes alone and stops at the first that fails.
     def best_match(self, addr) -> Optional[Tuple[IPNet, Any]]:
         """Longest-prefix match for address *addr*: ``(net, payload)``."""
-        value = addr.to_int()
+        key = addr.to_int() << 8 | self._root.net
         bits = self.bits
-        top_bit = bits - 1
+        top = self._top
         node = self._root
         best: Optional[TrieNode] = None
         while node is not None:
             node_plen = node.plen
             if node.payload is not _EMPTY:
-                if (node.value ^ value) >> (bits - node_plen):
+                if (node.net ^ key) >> (top + 1 - node_plen):
                     break
                 best = node
             if node_plen == bits:
                 break
-            node = node.right if (value >> (top_bit - node_plen)) & 1 \
+            node = node.right if (key >> (top - node_plen)) & 1 \
                 else node.left
         if best is None:
             return None
@@ -208,9 +214,8 @@ class RouteTrie:
 
     def find_less_specific(self, net: IPNet) -> Optional[Tuple[IPNet, Any]]:
         """Most specific route *strictly containing* *net*."""
-        value, plen = net.key()
-        bits = self.bits
-        top_bit = bits - 1
+        plen = net & 0xFF
+        top = self._top
         node = self._root
         best: Optional[TrieNode] = None
         while node is not None:
@@ -218,10 +223,10 @@ class RouteTrie:
             if node_plen >= plen:
                 break
             if node.payload is not _EMPTY:
-                if (node.value ^ value) >> (bits - node_plen):
+                if (node.net ^ net) >> (top + 1 - node_plen):
                     break
                 best = node
-            node = node.right if (value >> (top_bit - node_plen)) & 1 \
+            node = node.right if (net >> (top - node_plen)) & 1 \
                 else node.left
         if best is None:
             return None
@@ -229,43 +234,41 @@ class RouteTrie:
 
     def covering(self, net: IPNet) -> Iterator[Tuple[IPNet, Any]]:
         """All routes containing *net*, shortest prefix first (incl. equal)."""
-        value, plen = net.key()
-        bits = self.bits
-        top_bit = bits - 1
+        plen = net & 0xFF
+        top = self._top
         node = self._root
         while node is not None:
             node_plen = node.plen
             if node_plen > plen:
                 break
             if node.payload is not _EMPTY:
-                if (node.value ^ value) >> (bits - node_plen):
+                if (node.net ^ net) >> (top + 1 - node_plen):
                     break
                 yield node.net, node.payload
             if node_plen == plen:
                 break
-            node = node.right if (value >> (top_bit - node_plen)) & 1 \
+            node = node.right if (net >> (top - node_plen)) & 1 \
                 else node.left
 
-    def _covered_root(self, value: int, plen: int) -> Optional[TrieNode]:
-        """The topmost node inside ``value/plen``: the first node the
-        key's bits lead to that is at least as long as the key."""
-        bits = self.bits
-        top_bit = bits - 1
+    def _covered_root(self, net: IPNet) -> Optional[TrieNode]:
+        """The topmost node inside *net*: the first node the key's bits
+        lead to that is at least as long as the key."""
+        plen = net & 0xFF
+        top = self._top
         node = self._root
         while node is not None:
             node_plen = node.plen
             if node_plen >= plen:
-                if (node.value ^ value) >> (bits - plen):
+                if (node.net ^ net) >> (top + 1 - plen):
                     return None
                 return node
-            node = node.right if (value >> (top_bit - node_plen)) & 1 \
+            node = node.right if (net >> (top - node_plen)) & 1 \
                 else node.left
         return None
 
     def covered(self, net: IPNet) -> Iterator[Tuple[IPNet, Any]]:
         """All routes equal to or more specific than *net*, in prefix order."""
-        value, plen = net.key()
-        top = self._covered_root(value, plen)
+        top = self._covered_root(net)
         if top is None:
             return
         stack: List[TrieNode] = [top]
@@ -280,11 +283,7 @@ class RouteTrie:
 
     def has_more_specific(self, net: IPNet) -> bool:
         """True if any route is *strictly* more specific than *net*."""
-        value, plen = net.key()
-        for covered_net, __ in self.covered(net):
-            if covered_net.prefix_len > plen:
-                return True
-        return False
+        return any(covered_net != net for covered_net, __ in self.covered(net))
 
     # -- deletion --------------------------------------------------------
     def remove(self, net: IPNet) -> Any:
@@ -294,8 +293,7 @@ class RouteTrie:
         the payload is invalidated now; the node is reclaimed when the last
         iterator leaves (paper §5.3).
         """
-        value, plen = net.key()
-        node = self._find_node(value, plen)
+        node = self._find_node(net)
         if node is None or node.payload is _EMPTY:
             raise KeyError(str(net))
         payload = node.payload
@@ -410,8 +408,7 @@ class TrieIterator:
         self._trie = trie
         self._scope: Optional[TrieNode] = None
         if start is not None:
-            value, plen = start.key()
-            self._scope = trie._covered_root(value, plen)
+            self._scope = trie._covered_root(start)
             if self._scope is not None:
                 trie._pins[self._scope] += 1
         node = trie._first_node(self._scope) if (

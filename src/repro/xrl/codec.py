@@ -54,6 +54,7 @@ from __future__ import annotations
 import json
 import struct
 from itertools import repeat, starmap
+from operator import methodcaller
 from typing import Dict, List, Optional, Tuple
 
 from repro.net import IPNet, IPv4, IPv6, Mac
@@ -145,8 +146,9 @@ _FIXED = {
     U32: (_TAG_U32, _U32, lambda value: (value,), int),
     MAC: (_TAG_MAC, struct.Struct("!6s"), lambda mac: (mac.to_bytes(),), Mac),
     IPV4: (_TAG_IPV4, _U32, lambda addr: (addr.to_int(),), IPv4._of),
+    # A v4 prefix's int is network << 8 | length: divmod by 256 splits it.
     IPV4NET: (_TAG_IPV4NET, struct.Struct("!IB"),
-              IPNet.key, IPNet.from_packed4),
+              methodcaller("__divmod__", 256), IPNet.from_packed4),
     IPV6: (_TAG_IPV6, struct.Struct("!16s"),
            lambda addr: (addr.to_bytes(),), IPv6),
     IPV6NET: (_TAG_IPV6NET, struct.Struct("!16sB"),

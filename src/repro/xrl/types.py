@@ -16,7 +16,7 @@ from __future__ import annotations
 from enum import Enum
 from typing import Any, List
 
-from repro.net import IPNet, IPv4, IPv6, Mac
+from repro.net import V6_TAG, IPNet, IPv4, IPv6, Mac
 from repro.xrl.error import XrlError, XrlErrorCode
 
 
@@ -93,6 +93,8 @@ def _validate(atom_type: XrlAtomType, value: Any) -> Any:
     """Coerce and range-check *value* for *atom_type*; raise BAD_ARGS."""
     try:
         if atom_type in _INT_RANGES:
+            if isinstance(value, IPNet):  # an int, but not a number
+                raise ValueError("a prefix is not a number")
             value = int(value)
             lo, hi = _INT_RANGES[atom_type]
             if not lo <= value <= hi:
@@ -117,8 +119,7 @@ def _validate(atom_type: XrlAtomType, value: Any) -> Any:
             return value if isinstance(value, IPv6) else IPv6(value)
         if atom_type is IPV4NET or atom_type is IPV6NET:
             net = value if isinstance(value, IPNet) else IPNet.parse(value)
-            want_v4 = atom_type is IPV4NET
-            if net.is_ipv4() != want_v4:
+            if (net >= V6_TAG) != (atom_type is IPV6NET):
                 raise ValueError(f"{net} is the wrong family for {atom_type.value}")
             return net
         if atom_type is MAC:

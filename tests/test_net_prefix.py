@@ -1,11 +1,15 @@
 """Unit tests for repro.net.prefix (IPNet)."""
 
+import copy
+import pickle
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.net import AddressError, IPNet, IPv4, IPv6, IPv4Net, IPv6Net
-from repro.xrl import XrlArgs, XrlAtom, XrlAtomType
+from repro.policy import PolicyVM, VarRW, compile_source
+from repro.xrl import XrlArgs, XrlAtom, XrlAtomType, XrlError, XrlErrorCode
 from repro.xrl.codec import TEXTUAL
 
 
@@ -221,3 +225,46 @@ class TestRepresentation:
         assert [atom.value.to_int() for atom in decoded] == nexthops
         assert len({id(atom.value) for atom in decoded}) == \
             len(set(nexthops))
+
+
+class TestIntPitfalls:
+    """A prefix is an int underneath; where an int would behave as a
+    number, a prefix does not."""
+
+    def test_the_default_route_is_true(self):
+        assert IPNet.parse("0.0.0.0/0")
+        assert bool(IPNet.parse("0.0.0.0/0")) is True
+        assert IPNet.parse("::/0")
+
+    @pytest.mark.parametrize("atom_type", [
+        XrlAtomType.U32, XrlAtomType.U64, XrlAtomType.I32, XrlAtomType.I64])
+    def test_an_integer_atom_refuses_a_prefix(self, atom_type):
+        with pytest.raises(XrlError) as raised:
+            XrlAtom("n", atom_type, IPNet.parse("0.0.0.0/0"))
+        assert raised.value.code == XrlErrorCode.BAD_ARGS
+
+    def test_a_net_atom_checks_the_family(self):
+        XrlAtom("net", XrlAtomType.IPV6NET, IPNet.parse("::/0"))
+        for atom_type, text in ((XrlAtomType.IPV4NET, "::/0"),
+                                (XrlAtomType.IPV6NET, "0.0.0.0/0")):
+            with pytest.raises(XrlError):
+                XrlAtom("net", atom_type, IPNet.parse(text))
+
+    def test_a_policy_does_no_arithmetic_on_a_prefix(self):
+        net = IPNet.parse("10.0.0.0/8")
+        varrw = VarRW({"network4": net})
+        PolicyVM().run(compile_source(
+            "policy-statement p { term t { then { network4 add 1; } } }"),
+            varrw)
+        # As for any value that is not a number: the sum starts at 0.
+        assert varrw.read("network4") == 1
+        assert type(varrw.read("network4")) is int
+
+    def test_a_prefix_formats_and_copies_as_a_prefix(self):
+        net = IPNet.parse("10.1.0.0/16")
+        assert f"{net:>14}" == "   10.1.0.0/16"
+        assert f"{net:x}" == f"{int(net):x}"
+        assert "%s" % net == "10.1.0.0/16"
+        for copied in (copy.copy(net), copy.deepcopy(net),
+                       pickle.loads(pickle.dumps(net))):
+            assert type(copied) is IPNet and copied == net

@@ -123,7 +123,7 @@ def test_at_most_two_trie_nodes_per_route_per_trie(router):
 
 #: what a loaded route leaves behind across BGP, the RIB and the FEA
 TRACKED_OBJECTS_PER_ROUTE = 17.5
-TRACED_BYTES_PER_ROUTE = 2000
+TRACED_BYTES_PER_ROUTE = 1850
 
 
 def test_a_route_costs_its_budget_in_objects_and_bytes(router):
