@@ -210,7 +210,7 @@ class BackendDriver:
         if pending is None:
             return  # late ack for an op we resubmitted or abandoned
         if ok:
-            self._c_acks.inc()
+            self._c_acks.value += 1     # in place: no call per acked op
         else:
             self._c_nacks.inc()
             if pending.attempts < self.max_attempts:
@@ -310,7 +310,10 @@ class BackendDriver:
 class _NullCounter:
     """Stand-in until :meth:`BackendDriver.register_metrics` runs."""
 
-    __slots__ = ()
+    __slots__ = ("value",)
+
+    def __init__(self) -> None:
+        self.value = 0
 
     def inc(self, amount: int = 1) -> None:
         pass
