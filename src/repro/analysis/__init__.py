@@ -8,16 +8,18 @@ keeps none of those guarantees for free — interface drift, cross-process
 imports, and wall-clock calls all slip in silently and only surface when a
 test happens to exercise them.
 
-This package restores the guarantees statically.  AST-based checkers
-run over the tree:
+This package restores the guarantees statically.  Each module is walked
+once (:mod:`repro.analysis.sites`); every rule is a function of what that
+walk recorded:
 
-``xrl-conformance`` (XRL001–XRL006)
+``xrl-conformance`` (XRL001–XRL003, XRL005, XRL006)
     Every XRL call site (``Xrl(...)`` construction, client stubs,
     ``register_raw_method``, textual ``call_xrl`` literals) and every
     handler registration (``bind``) is cross-checked against the IDL
     catalogue in :mod:`repro.interfaces` — interface and version
     existence, method names, argument names/types/arity, handler
-    signatures.
+    signatures.  A missing handler is ``XrlInterface.bind``'s
+    ``IdlError``, raised whenever the class is bound.
 
 ``isolation`` (ISO001–ISO002)
     Process packages (bgp, rib, fea, ...) must not import each other's
@@ -25,28 +27,25 @@ run over the tree:
     Shared library packages must not reach into process packages either.
 
 ``determinism`` (DET001–DET005)
-    No wall-clock reads, blocking sleeps, unseeded randomness, or blocking
-    socket work outside ``eventloop/`` and ``xrl/transport/`` — these
-    break :class:`~repro.eventloop.SimulatedClock` reproducibility and the
+    No wall-clock reads, blocking sleeps, unseeded randomness, blocking
+    socket work or zero-delay timers outside ``eventloop/`` and
+    ``xrl/transport/`` — these break
+    :class:`~repro.eventloop.SimulatedClock` reproducibility and the
     seeded chaos/recovery tests built on it.
 
 ``callback-safety`` (CB001)
     Deferred callbacks (``loop.call_soon`` / ``loop.call_later``) that
     capture process state must carry a liveness or generation guard — the
-    paper's §4 stale-callback discipline already practised by
-    ``txqueue``/``kill.py``.
+    paper's §4 stale-callback discipline.
 
 ``stage-message`` (STG001) and ``backend`` (BKD001)
     Stage messages pass ``caller`` by keyword only (§5); FEA code selects
     a FIB backend through ``make_backend(name)`` rather than constructing
     one (§3).
 
-The XRL rules read one **site model** (:mod:`repro.analysis.sites`): a
-single walk per module types every ``Xrl(...)`` construction, client-stub
-call, textual literal, helper-wrapper call, ``bind()`` and raw
-registration, resolving names through a per-function assignment index.
-On top of the per-module checkers, one **interprocedural** pass joins
-every module's sites:
+The last five families live in :mod:`repro.analysis.rules`, the XRL
+rules in :mod:`repro.analysis.xrlcheck`.  On top of them, one
+**interprocedural** pass joins every module's sites:
 
 ``protocol-graph`` (PRO001–PRO003)
     :mod:`repro.analysis.protograph` attributes every send site and every
@@ -57,9 +56,7 @@ every module's sites:
     deadlock once processes become OS subprocesses (PRO002) and reply
     atoms read but never produced (PRO003).  ``python -m repro.analysis
     --graph-out g.json --graph-dot g.dot`` exports the graph itself
-    (byte-stable JSON / Graphviz), and :mod:`repro.sanitizer.protocheck`
-    asserts at runtime that every traced XRL edge is a subset of this
-    static graph.
+    (byte-stable JSON / Graphviz).
 
 Every finding is an error: a clean tree prints nothing and exits 0.
 What a route costs is not linted here; it is counted and measured (see

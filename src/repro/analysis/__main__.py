@@ -15,13 +15,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
 from pathlib import Path
 
 from repro.analysis.core import RULES
-from repro.analysis.protograph import build_protocol_graph
 from repro.analysis.report import FORMATS, render_findings
-from repro.analysis.runner import collect_modules, run_checkers
+from repro.analysis.runner import check_tree
 
 
 def _default_root() -> Path:
@@ -57,14 +55,9 @@ def main(argv=None) -> int:
             print(f"{rule.id}  [{rule.paper}]  {rule.summary}")
         return 0
 
-    paths = args.paths or [_default_root()]
     stats: dict = {}
-    modules, errors = collect_modules(paths, stats=stats)
-    started = time.perf_counter()  # repro: allow[DET001] tooling timing
-    graph = build_protocol_graph(modules)
-    findings = errors + run_checkers(modules, rules=args.rules, graph=graph)
-    stats["check_seconds"] = stats.get("check_seconds", 0.0) \
-        + (time.perf_counter() - started)  # repro: allow[DET001] tooling timing
+    findings, graph = check_tree(args.paths or [_default_root()],
+                                 rules=args.rules, stats=stats)
 
     if args.graph_out:
         args.graph_out.write_text(graph.to_json(), encoding="utf-8")

@@ -1,9 +1,11 @@
 """Shared infrastructure for the architectural lint suite.
 
 :class:`ModuleInfo` wraps one parsed source file with the metadata every
-checker needs: its logical package path inside ``repro``, the AST, and
-the per-line suppression table built from ``# repro: allow[RULE]``
-comments.  :class:`Finding` is the structured result all checkers emit.
+rule needs: its logical package path inside ``repro``, the AST, and the
+per-line suppression table built from ``# repro: allow[RULE]`` comments.
+What the rules read of the AST is collected by the one walk in
+:mod:`repro.analysis.sites`.  :class:`Finding` is the structured result
+every rule emits.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import ast
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 
 @dataclass(frozen=True)
@@ -33,8 +35,6 @@ RULES: Dict[str, Rule] = {
              "§6.1"),
         Rule("XRL003", "XRL argument names/types/arity disagree with the IDL "
                        "signature", "§6.1"),
-        Rule("XRL004", "bind() target implements no handler for a declared "
-                       "method", "§6.1"),
         Rule("XRL005", "handler signature cannot accept the declared "
                        "parameters", "§6.1"),
         Rule("XRL006", "textual XRL literal does not parse", "§6.1"),
@@ -190,10 +190,8 @@ class ModuleInfo:
     tree: ast.Module
     suppressions: Dict[int, Set[str]] = field(default_factory=dict)
     allow_comments: List[AllowComment] = field(default_factory=list)
-    #: every class defined in the file, nested ones included
-    classes: List[ast.ClassDef] = field(default_factory=list)
-    #: the module's XRL send/bind sites, filled in on first use by
-    #: :func:`repro.analysis.sites.sites_of` — cached with the parse
+    #: what the one walk found (:func:`repro.analysis.sites.sites_of`),
+    #: filled in on first use — cached with the parse
     sites: Optional[object] = None
 
     @property
@@ -212,9 +210,7 @@ class ModuleInfo:
         comments = scan_allow_comments(source)
         return cls(path=path, logical=logical, source=source, tree=tree,
                    suppressions=_suppression_table(comments),
-                   allow_comments=comments,
-                   classes=[node for node in ast.walk(tree)
-                            if isinstance(node, ast.ClassDef)])
+                   allow_comments=comments)
 
 
 def logical_parts(path: Path) -> Tuple[str, ...]:
@@ -225,105 +221,3 @@ def logical_parts(path: Path) -> Tuple[str, ...]:
         if stem[index] == "repro":
             return tuple(stem[index + 1:])
     return (stem[-1],)
-
-
-class Checker:
-    """Base class: one architectural invariant family."""
-
-    name = "checker"
-    rules: Sequence[str] = ()
-
-    def check(self, module: ModuleInfo, project: "ProjectIndex"
-              ) -> Iterable[Finding]:
-        raise NotImplementedError
-
-
-class ProjectIndex:
-    """Cross-module lookups the checkers share.
-
-    Today that is a class index (simple name -> definitions) used to
-    resolve handler classes and base classes when checking ``bind()``
-    registrations and callback guards across files.
-    """
-
-    def __init__(self, modules: Sequence[ModuleInfo]):
-        self.modules = list(modules)
-        self.classes: Dict[str, List[Tuple[ModuleInfo, ast.ClassDef]]] = {}
-        for module in self.modules:
-            for node in module.classes:
-                self.classes.setdefault(node.name, []).append((module, node))
-
-    def class_def(self, name: str) -> Optional[ast.ClassDef]:
-        entries = self.classes.get(name)
-        return entries[0][1] if entries else None
-
-    def find_method(self, cls: ast.ClassDef, *names: str,
-                    _seen: Optional[Set[str]] = None
-                    ) -> Tuple[Optional[ast.FunctionDef], bool]:
-        """Look up the first of *names* on *cls* or its resolvable bases.
-
-        Returns ``(function, complete)``; *complete* is False when some
-        base class could not be resolved in the project, so a miss is not
-        proof of absence.
-        """
-        seen = _seen if _seen is not None else set()
-        if cls.name in seen:
-            return None, True
-        seen.add(cls.name)
-        # Mirror XrlInterface.bind's preference order: the first of *names*
-        # wins (``xrl_m`` before the bare ``m`` fallback), not body order.
-        defined = {
-            node.name: node for node in cls.body
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-        }
-        for name in names:
-            if name in defined:
-                return defined[name], True
-        complete = True
-        for base in cls.bases:
-            base_name = base.id if isinstance(base, ast.Name) else (
-                base.attr if isinstance(base, ast.Attribute) else None)
-            if base_name is None or base_name == "object":
-                continue
-            base_def = self.class_def(base_name)
-            if base_def is None:
-                complete = False
-                continue
-            found, sub_complete = self.find_method(base_def, *names, _seen=seen)
-            if found is not None:
-                return found, True
-            complete = complete and sub_complete
-        return None, complete
-
-
-def walk_with_scopes(tree: ast.Module):
-    """Yield every (node, ancestry) pair; ancestry is outermost-first.
-
-    *ancestry* is the walker's own stack, valid until the next pair is
-    drawn: copy it to keep it.
-    """
-    stack: List[ast.AST] = []
-
-    def visit(node: ast.AST):
-        yield node, stack
-        stack.append(node)
-        for child in ast.iter_child_nodes(node):
-            yield from visit(child)
-        stack.pop()
-
-    yield from visit(tree)
-
-
-def enclosing_function(ancestry: Sequence[ast.AST]) -> Optional[ast.AST]:
-    for node in reversed(ancestry):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                             ast.Lambda)):
-            return node
-    return None
-
-
-def enclosing_class(ancestry: Sequence[ast.AST]) -> Optional[ast.ClassDef]:
-    for node in reversed(ancestry):
-        if isinstance(node, ast.ClassDef):
-            return node
-    return None

@@ -22,22 +22,21 @@ materialises the process-interaction graph.  Rules on that graph:
   never produces, or reads it with the wrong typed getter.
 
 The graph itself is exported as byte-stable JSON (``--graph-out``) and
-Graphviz dot (``--graph-dot``); :mod:`repro.sanitizer.protocheck` checks
-runtime-observed trace edges against it (dynamic ⊆ static agreement).
+Graphviz dot (``--graph-dot``).
 """
 
 from __future__ import annotations
 
 import json
-from collections import ChainMap
 from dataclasses import dataclass, field, replace
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from repro.analysis.core import Finding, ModuleInfo, ProjectIndex
-from repro.analysis.isolation import HARNESS_PACKAGES, PROCESS_PACKAGES
+from repro.analysis.core import Finding, ModuleInfo
+from repro.analysis.rules import HARNESS_PACKAGES, PROCESS_PACKAGES
 from repro.analysis.sites import (
     BindSite,
     DynamicSite,
+    ProjectIndex,
     SendSite,
     callback_reads,
     load_catalogue,
@@ -211,7 +210,6 @@ def build_protocol_graph(modules: Sequence[ModuleInfo],
     graph = ProtocolGraph(load_catalogue()[0])
     if project is None:
         project = ProjectIndex(modules)
-    scopes = ChainMap(*(sites_of(module).scopes for module in modules))
     sends: List[SendSite] = []
     #: packages that ``send_sync`` an Xrl built somewhere else
     deferred_sync: Set[str] = set()
@@ -239,9 +237,10 @@ def build_protocol_graph(modules: Sequence[ModuleInfo],
         sync = site.sync or (not site.sent and site.package in deferred_sync)
         reads = site.reads
         if site.reply_method is not None:
-            handler, _complete = project.find_method(*site.reply_method)
+            handler = project.find_method(*site.reply_method)
             if handler is not None:
-                reads = reads + callback_reads(scopes, handler, skip=1)
+                reads = reads + callback_reads(project.scopes, handler,
+                                               skip=1)
         if sync != site.sync or reads is not site.reads:
             site = replace(site, sync=sync, reads=reads)
         graph.send_sites.append(site)

@@ -1,66 +1,57 @@
-"""Drive the checkers over a source tree and collect findings.
+"""Drive the rules over a source tree and collect findings.
 
-:func:`analyze_paths` is what both entry points use — the ``python -m
-repro.analysis`` CLI and the pytest gate in ``tests/test_analysis.py``.
+:func:`check_tree` is what both entry points use — the ``python -m
+repro.analysis`` CLI, and through :func:`analyze_paths` the pytest gate
+in ``tests/test_analysis.py``.
 Suppressions (``# repro: allow[RULE] reason``) are applied here, after
-all checkers ran, so a checker never needs to know about them; unknown
-rule ids inside a suppression are themselves reported (SUP001) so typos
+all rules ran, so a rule never needs to know about them; unknown rule
+ids inside a suppression are themselves reported (SUP001) so typos
 cannot silently disable enforcement, and suppressions that suppressed
 nothing are reported (SUP002) so stale allows cannot rot silently.
 
 There is one cache: the parsed :class:`ModuleInfo` per file, memoised
-across runs keyed on ``(mtime_ns, size)``, which carries the module's own
-XRL sites (:mod:`repro.analysis.sites`).  Every rule is re-evaluated on
-every run — a verdict may depend on another file (a handler inherited
-from a base class, a bind in another package), so none is kept — and a
-``rules`` selection only filters what is reported.  The wall time spent
-parsing vs checking is recorded into the *stats* dict the CLI surfaces
-under ``--format json``.
+across runs keyed on ``(mtime_ns, size)``, which carries what the one
+walk of the module found (:mod:`repro.analysis.sites`).  Every rule is
+re-evaluated on every run — a verdict may depend on another file (a
+handler inherited from a base class, a bind in another package), so
+none is kept — and a ``rules`` selection only filters what is reported.
+The wall time spent parsing vs checking is recorded into the *stats*
+dict the CLI surfaces under ``--format json``.
 """
 
 from __future__ import annotations
 
+import gc
 import time
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.analysis.core import (
-    Checker,
-    Finding,
-    ModuleInfo,
-    ProjectIndex,
-    RULES,
-)
+from repro.analysis.core import Finding, ModuleInfo, RULES
 from repro.analysis.protograph import (
     ProtocolGraph,
     build_protocol_graph,
     check_protocol_graph,
 )
+from repro.analysis.rules import (
+    check_backends,
+    check_callbacks,
+    check_determinism,
+    check_isolation,
+    check_stage_messages,
+)
+from repro.analysis.sites import ProjectIndex, sites_of
+from repro.analysis.xrlcheck import check_xrl
 
 #: path -> ((mtime_ns, size), ModuleInfo): the single-parse AST cache.
 _MODULE_CACHE: Dict[str, Tuple[Tuple[int, int], ModuleInfo]] = {}
 
+#: every per-module rule family: ``check(module, sites, project)``
+CHECKS = (check_xrl, check_isolation, check_determinism, check_callbacks,
+          check_stage_messages, check_backends)
+
 
 def clear_module_cache() -> None:
     _MODULE_CACHE.clear()
-
-
-def default_checkers() -> List[Checker]:
-    from repro.analysis.backendcheck import BackendConstructionChecker
-    from repro.analysis.callbacks import CallbackSafetyChecker
-    from repro.analysis.determinism import DeterminismChecker
-    from repro.analysis.isolation import IsolationChecker
-    from repro.analysis.stagecheck import StageMessageChecker
-    from repro.analysis.xrlcheck import XrlConformanceChecker
-
-    return [
-        XrlConformanceChecker(),
-        IsolationChecker(),
-        DeterminismChecker(),
-        CallbackSafetyChecker(),
-        StageMessageChecker(),
-        BackendConstructionChecker(),
-    ]
 
 
 def collect_modules(paths: Sequence[Path],
@@ -121,23 +112,21 @@ def collect_modules(paths: Sequence[Path],
 
 
 def run_checkers(modules: Sequence[ModuleInfo],
-                 checkers: Optional[Sequence[Checker]] = None,
                  rules: Optional[Iterable[str]] = None,
                  graph: Optional[ProtocolGraph] = None,
                  ) -> List[Finding]:
-    """Run *checkers* over prepared modules; apply suppressions.
+    """Run every rule over prepared modules; apply suppressions.
 
     With a *graph* of the same modules the whole-system PRO rules run
     over it too.  *rules* selects which rule ids are reported.
     """
-    if checkers is None:
-        checkers = default_checkers()
     project = ProjectIndex(modules)
     findings: List[Finding] = []
     module_by_path = {str(m.path): m for m in modules}
     for module in modules:
-        for checker in checkers:
-            findings.extend(checker.check(module, project))
+        sites = sites_of(module)
+        for check in CHECKS:
+            findings.extend(check(module, sites, project))
     if graph is not None:
         findings.extend(check_protocol_graph(graph))
     kept: List[Finding] = []
@@ -178,23 +167,39 @@ def run_checkers(modules: Sequence[ModuleInfo],
     return kept
 
 
-def analyze_paths(paths: Sequence[Path],
-                  rules: Optional[Iterable[str]] = None,
-                  stats: Optional[dict] = None) -> List[Finding]:
-    """Full run: load sources under *paths*, check, suppress, sort.
+def check_tree(paths: Sequence[Path], rules: Optional[Iterable[str]] = None,
+               stats: Optional[dict] = None
+               ) -> Tuple[List[Finding], ProtocolGraph]:
+    """Full run: load sources under *paths*, check, suppress, sort; the
+    findings and the protocol graph the PRO rules ran over.
 
     Whole-tree runs include the interprocedural protocol-graph pass
     (PRO rules); :func:`analyze_source` does not, because a lone fixture
-    snippet is not a closed system.
+    snippet is not a closed system.  The cyclic collector is paused for
+    the run: a tree's ASTs are a hundred thousand fresh objects and no
+    cycle, and collecting while they are built about doubles the parse.
     """
-    modules, errors = collect_modules(paths, stats=stats)
-    started = time.perf_counter()  # repro: allow[DET001] tooling timing
-    findings = run_checkers(modules, rules=rules,
-                            graph=build_protocol_graph(modules))
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        modules, errors = collect_modules(paths, stats=stats)
+        started = time.perf_counter()  # repro: allow[DET001] tooling timing
+        graph = build_protocol_graph(modules)
+        findings = errors + run_checkers(modules, rules=rules, graph=graph)
+    finally:
+        if collecting:
+            gc.enable()
     if stats is not None:
         stats["check_seconds"] = stats.get("check_seconds", 0.0) \
             + (time.perf_counter() - started)  # repro: allow[DET001] tooling timing
-    return errors + findings
+    return findings, graph
+
+
+def analyze_paths(paths: Sequence[Path],
+                  rules: Optional[Iterable[str]] = None,
+                  stats: Optional[dict] = None) -> List[Finding]:
+    """The findings of :func:`check_tree`."""
+    return check_tree(paths, rules, stats)[0]
 
 
 def analyze_source(source: str, *, logical: Tuple[str, ...],

@@ -1,4 +1,4 @@
-"""The XRL site model: one walk per module, every XRL-relevant call typed.
+"""The one walk of a module: every fact a rule reads, collected once.
 
 Everything the XRL rules need to know about a source file is a *site*:
 
@@ -12,18 +12,22 @@ Everything the XRL rules need to know about a source file is a *site*:
   method) or a ``register_raw_method("iface/ver/method", ...)``;
 * a :class:`DynamicSite` — a send whose interface is not a constant.
 
-:func:`sites_of` produces them in a single walk of the module and keeps
-the result on the :class:`~repro.analysis.core.ModuleInfo`, so it lives
-and dies with the cached parse.  The walk also builds a :class:`Scope`
-per function — what the function assigns, rebinds, mutates and reads,
-indexed by name — and every "what was this name assigned" question is a
-dictionary lookup in it rather than another walk of the function.
+The other rules read the rest of what the same walk records: the
+module's ``repro`` imports (ISO), every call with its enclosing function
+and class (DET, CB, STG, BKD), every class (the class index) and a
+:class:`Scope` per function — what it assigns, rebinds, mutates, reads,
+defines, names and returns, indexed by name — so every "what was this
+name assigned" or "does this callback check liveness" question is a
+dictionary lookup rather than another walk.  :func:`sites_of` walks the
+module once and keeps the result on the
+:class:`~repro.analysis.core.ModuleInfo`, so it lives and dies with the
+cached parse; nothing else in the package traverses a tree.
 
 Sites hold module-local facts only.  What needs another module (a
 handler inherited from a base class, a ``self._on_reply`` callback
 defined on one) is kept as an unresolved reference — ``BindSite.impl``,
-``SendSite.reply_method`` — for the rules to resolve through the class
-index on every run.
+``SendSite.reply_method`` — for the rules to resolve through the
+:class:`ProjectIndex` on every run.
 """
 
 from __future__ import annotations
@@ -31,15 +35,9 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Dict, List, Mapping, Optional, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
-from repro.analysis.core import (
-    Finding,
-    ModuleInfo,
-    enclosing_class,
-    enclosing_function,
-    walk_with_scopes,
-)
+from repro.analysis.core import Finding, ModuleInfo
 from repro.xrl.error import XrlError
 from repro.xrl.types import XrlAtomType
 from repro.xrl.xrl import Xrl
@@ -128,19 +126,18 @@ class DynamicSite:
 
     package: str
     site: str
-    line: int
-    path: str
-    reason: str
 
 
 class Scope:
     """What one function binds and reads, by name, indexed during the walk.
 
-    A nested function's statements are indexed under every function that
-    encloses it too, so a lookup sees what ``ast.walk(fn)`` would.
+    A nested function's facts are folded into every function that
+    encloses it when the walk leaves it, so a lookup sees what
+    ``ast.walk(fn)`` would.
     """
 
-    __slots__ = ("assigns", "rebinds", "adds", "reads", "defs")
+    __slots__ = ("assigns", "rebinds", "adds", "reads", "defs", "names",
+                 "attrs", "self_calls", "identity", "sends", "returns")
 
     def __init__(self, fn: Optional[ast.AST] = None) -> None:
         #: name -> its ``name = v`` / ``name: T = v`` statements
@@ -153,8 +150,36 @@ class Scope:
         self.reads: Dict[str, List[Tuple[int, str, Optional[str]]]] = {}
         #: name -> the ``def`` of that name (nested, or the function itself)
         self.defs: Dict[str, ast.AST] = {}
+        #: every ``Name`` id and every attribute name that appears
+        self.names: Set[str] = set()
+        self.attrs: Set[str] = set()
+        #: ``self.<method>(...)`` calls, by method name
+        self.self_calls: Set[str] = set()
+        #: an ``is`` / ``is not`` comparison appears
+        self.identity = False
+        #: the ``send`` / ``send_sync`` / ``enqueue`` calls it makes
+        self.sends: List[ast.Call] = []
+        #: names returned by ``return <name>``
+        self.returns: Set[str] = set()
         if isinstance(fn, _DEFS):
             self.defs[fn.name] = fn
+
+    def absorb(self, inner: "Scope") -> None:
+        """Fold a nested function's facts into this one's."""
+        for mine, theirs in ((self.assigns, inner.assigns),
+                             (self.rebinds, inner.rebinds),
+                             (self.adds, inner.adds),
+                             (self.reads, inner.reads)):
+            for name, entries in theirs.items():
+                mine.setdefault(name, []).extend(entries)
+        for name, node in inner.defs.items():
+            self.defs.setdefault(name, node)
+        self.names |= inner.names
+        self.attrs |= inner.attrs
+        self.self_calls |= inner.self_calls
+        self.identity = self.identity or inner.identity
+        self.sends.extend(inner.sends)
+        self.returns |= inner.returns
 
     def assignment(self, name: str, before_line: int) -> Optional[ast.stmt]:
         """The latest assignment to *name* strictly before *before_line*."""
@@ -198,10 +223,13 @@ class Scope:
 
 _NO_SCOPE = Scope()     # module-level code: nothing resolves
 
+#: ``(call, enclosing function or None, enclosing class or None)``
+CallSite = Tuple[ast.Call, Optional[ast.AST], Optional[ast.ClassDef]]
+
 
 @dataclass
 class ModuleSites:
-    """Everything :func:`sites_of` learned about one module."""
+    """Everything the one walk learned about one module."""
 
     scopes: Dict[ast.AST, Scope] = field(default_factory=dict)
     sends: List[SendSite] = field(default_factory=list)
@@ -213,10 +241,17 @@ class ModuleSites:
     router_classes: List[str] = field(default_factory=list)
     #: a ``send_sync`` of an Xrl that was built somewhere else
     deferred_sync: bool = False
+    #: every call, in walk order
+    calls: List[CallSite] = field(default_factory=list)
+    #: every class defined in the file, nested ones included
+    classes: List[ast.ClassDef] = field(default_factory=list)
+    #: ``(package under repro, line)`` of each import of a repro package,
+    #: ``import_module("repro.x")`` included
+    imports: List[Tuple[str, int]] = field(default_factory=list)
 
 
 def sites_of(module: ModuleInfo) -> ModuleSites:
-    """The module's sites, scanned on first use and kept on the module."""
+    """The module's facts, walked on first use and kept on the module."""
     if module.sites is None:
         module.sites = _Scan(module).run()
     return module.sites
@@ -229,6 +264,59 @@ def callback_reads(scopes: Mapping[ast.AST, Scope], fn: ast.AST,
     return scopes[fn].reads_of(params[1]) if len(params) >= 2 else []
 
 
+class ProjectIndex:
+    """Cross-module lookups over every module's facts: classes by simple
+    name (a handler or callback may be inherited from another file) and
+    every function's :class:`Scope`."""
+
+    def __init__(self, modules: Sequence[ModuleInfo]):
+        self.classes: Dict[str, List[ast.ClassDef]] = {}
+        self.scopes: Dict[ast.AST, Scope] = {}
+        for module in modules:
+            sites = sites_of(module)
+            for node in sites.classes:
+                self.classes.setdefault(node.name, []).append(node)
+            self.scopes.update(sites.scopes)
+
+    def class_def(self, name: Optional[str]) -> Optional[ast.ClassDef]:
+        entries = self.classes.get(name)
+        return entries[0] if entries else None
+
+    def find_method(self, cls: ast.ClassDef, *names: str,
+                    _seen: Optional[Set[str]] = None) -> Optional[ast.AST]:
+        """The first of *names* defined on *cls* or a resolvable base."""
+        seen = _seen if _seen is not None else set()
+        if cls.name in seen:
+            return None
+        seen.add(cls.name)
+        # Mirror XrlInterface.bind's preference order: the first of *names*
+        # wins (``xrl_m`` before the bare ``m`` fallback), not body order.
+        defined = {node.name: node for node in cls.body
+                   if isinstance(node, _DEFS)}
+        for name in names:
+            if name in defined:
+                return defined[name]
+        for base in cls.bases:
+            base_def = self.class_def(simple_name(base))
+            if base_def is not None:
+                found = self.find_method(base_def, *names, _seen=seen)
+                if found is not None:
+                    return found
+        return None
+
+    def subclasses(self, base: str) -> Set[str]:
+        """Names of the classes deriving from *base*, at any depth."""
+        found: Set[str] = set()
+        frontier = {base}
+        while frontier:
+            frontier = {name for name, nodes in self.classes.items()
+                        if name not in found
+                        and any(simple_name(b) in frontier
+                                for node in nodes for b in node.bases)}
+            found |= frontier
+        return found
+
+
 # ---------------------------------------------------------------------------
 # the recognisers
 # ---------------------------------------------------------------------------
@@ -239,11 +327,15 @@ def _const_str(node: Optional[ast.AST]) -> Optional[str]:
     return None
 
 
+def simple_name(node: ast.AST) -> Optional[str]:
+    """``name`` for ``name`` and ``x.name``, else None."""
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return node.id if isinstance(node, ast.Name) else None
+
+
 def _callee_name(call: ast.Call) -> Optional[str]:
-    func = call.func
-    if isinstance(func, ast.Attribute):
-        return func.attr
-    return func.id if isinstance(func, ast.Name) else None
+    return simple_name(call.func)
 
 
 def _is_self_attr(node: ast.AST) -> bool:
@@ -364,6 +456,18 @@ class _Wrapper:
 # the walk
 # ---------------------------------------------------------------------------
 
+_SENDS = ("send", "send_sync", "enqueue")
+
+#: nodes the walk records nothing of and that have no children to visit
+_LEAVES = frozenset({ast.Load, ast.Store, ast.Del, ast.Constant})
+
+
+def _repro_package(dotted: Optional[str]) -> Optional[str]:
+    """``"repro.bgp.peer"`` -> ``"bgp"``; None outside ``repro``."""
+    parts = (dotted or "").split(".")
+    return parts[1] if parts[0] == "repro" and len(parts) > 1 else None
+
+
 class _Scan:
     """One walk of one module; a second pass over the calls it found."""
 
@@ -373,10 +477,14 @@ class _Scan:
         self.path = str(module.path)
         self.out = ModuleSites()
         self.scopes = self.out.scopes
+        #: the functions (defs and lambdas) and classes around the node
+        self.functions: List[ast.AST] = []
+        self.classes: List[ast.ClassDef] = []
+        #: the innermost function's scope; at module level a scope that
+        #: collects and is never consulted
+        self.scope = Scope()
         #: class -> attribute -> the values ``self.<attribute>`` is given
         self.class_attrs: Dict[ast.ClassDef, Dict[str, List[ast.AST]]] = {}
-        self.calls: List[Tuple[ast.Call, Optional[ast.AST],
-                               Optional[ast.ClassDef]]] = []
         #: call -> the single target its result is assigned to
         self.result_target: Dict[ast.Call, ast.AST] = {}
         self.wrapper_roles: Dict[ast.AST, Dict[str, int]] = {}
@@ -384,27 +492,10 @@ class _Scan:
         self.constructions: Dict[ast.Call, SendSite] = {}
 
     def run(self) -> ModuleSites:
-        for node, ancestry in walk_with_scopes(self.module.tree):
-            if isinstance(node, ast.Call):
-                self._index_call(node, ancestry)
-            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-                self._index_binding(node, ancestry)
-            elif isinstance(node, _FUNCTIONS):
-                self.scopes[node] = Scope(node)
-                if isinstance(node, _DEFS):
-                    for scope in self._scopes_around(ancestry):
-                        scope.defs.setdefault(node.name, node)
-            elif isinstance(node, ast.ClassDef):
-                for stmt in node.body:
-                    if (isinstance(stmt, ast.Assign)
-                            and _const_str(stmt.value) is not None
-                            and any(isinstance(t, ast.Name)
-                                    and t.id == "process_name"
-                                    for t in stmt.targets)):
-                        self.out.router_classes.append(stmt.value.value)
+        self._visit(self.module.tree)
         for fn, roles in self.wrapper_roles.items():
             self._wrapper(fn, roles)
-        for call, fn, cls in self.calls:
+        for call, fn, cls in self.out.calls:
             scope = self.scopes.get(fn, _NO_SCOPE)
             self._construction(call, fn, scope)
             self._textual(call)
@@ -416,61 +507,126 @@ class _Scan:
                     and isinstance(call.func, ast.Attribute) and call.args
                     and _const_str(call.args[0]) is not None):
                 self.out.router_classes.append(call.args[0].value)
-        for call, fn, cls in self.calls:
+        for call, fn, cls in self.out.calls:
             if (isinstance(call.func, ast.Attribute) and call.args
-                    and call.func.attr in ("send", "send_sync", "enqueue")):
+                    and call.func.attr in _SENDS):
                 self._attach_send(call, self.scopes.get(fn, _NO_SCOPE), cls)
         return self.out
 
-    def _scopes_around(self, ancestry: List[ast.AST]) -> List[Scope]:
-        return [self.scopes[node] for node in ancestry
-                if isinstance(node, _FUNCTIONS)]
+    # -- the walk ------------------------------------------------------------
+    def _visit(self, node: ast.AST) -> None:
+        kind = type(node)
+        if kind in _FUNCTIONS:
+            self._function(node)
+            return
+        if kind is ast.ClassDef:
+            self._class(node)
+            return
+        scope = self.scope
+        if kind is ast.Name:
+            scope.names.add(node.id)
+            return                      # its one child is its context
+        if kind is ast.Attribute:
+            scope.attrs.add(node.attr)
+        elif kind is ast.Call:
+            self._index_call(node)
+        elif kind is ast.Assign or kind is ast.AnnAssign:
+            self._index_binding(node)
+        elif kind is ast.Compare:
+            scope.identity = scope.identity or any(
+                isinstance(op, (ast.Is, ast.IsNot)) for op in node.ops)
+        elif kind is ast.Return:
+            if isinstance(node.value, ast.Name):
+                scope.returns.add(node.value.id)
+        elif kind is ast.Import:
+            for alias in node.names:
+                package = _repro_package(alias.name)
+                if package is not None:
+                    self.out.imports.append((package, node.lineno))
+        elif kind is ast.ImportFrom:
+            package = _repro_package(node.module) if node.level == 0 \
+                else None
+            if package is not None:
+                self.out.imports.append((package, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            if type(child) not in _LEAVES:
+                self._visit(child)
 
-    # -- indexing ----------------------------------------------------------
-    def _index_binding(self, stmt: ast.stmt, ancestry: List[ast.AST]) -> None:
+    def _function(self, fn: ast.AST) -> None:
+        outer = self.scope
+        scope = self.scopes[fn] = Scope(fn)
+        if isinstance(fn, _DEFS):
+            outer.defs.setdefault(fn.name, fn)
+        self.functions.append(fn)
+        self.scope = scope
+        for child in ast.iter_child_nodes(fn):
+            self._visit(child)
+        self.scope = outer
+        self.functions.pop()
+        outer.absorb(scope)
+
+    def _class(self, cls: ast.ClassDef) -> None:
+        self.out.classes.append(cls)
+        for stmt in cls.body:
+            if (isinstance(stmt, ast.Assign)
+                    and _const_str(stmt.value) is not None
+                    and any(isinstance(t, ast.Name) and t.id == "process_name"
+                            for t in stmt.targets)):
+                self.out.router_classes.append(stmt.value.value)
+        self.classes.append(cls)
+        for child in ast.iter_child_nodes(cls):
+            self._visit(child)
+        self.classes.pop()
+
+    def _index_binding(self, stmt: ast.stmt) -> None:
         if stmt.value is None:                  # a bare ``name: T``
             return
         targets = stmt.targets if isinstance(stmt, ast.Assign) \
             else [stmt.target]
         if len(targets) == 1 and isinstance(stmt.value, ast.Call):
             self.result_target[stmt.value] = targets[0]
-        scopes = self._scopes_around(ancestry)
+        scope = self.scope
         for target in targets:
             if isinstance(target, ast.Name):
-                for scope in scopes:
-                    scope.assigns.setdefault(target.id, []).append(stmt)
+                scope.assigns.setdefault(target.id, []).append(stmt)
             elif _is_self_attr(target):
-                for node in ancestry:
-                    if isinstance(node, ast.ClassDef):
-                        self.class_attrs.setdefault(node, {}).setdefault(
-                            target.attr, []).append(stmt.value)
+                for cls in self.classes:
+                    self.class_attrs.setdefault(cls, {}).setdefault(
+                        target.attr, []).append(stmt.value)
             names = target.elts if isinstance(target, ast.Tuple) else [target]
             for name in names:
                 if isinstance(name, ast.Name):
-                    for scope in scopes:
-                        scope.rebinds.setdefault(name.id, []).append(
-                            stmt.lineno)
+                    scope.rebinds.setdefault(name.id, []).append(stmt.lineno)
 
-    def _index_call(self, call: ast.Call, ancestry: List[ast.AST]) -> None:
+    def _index_call(self, call: ast.Call) -> None:
         func = call.func
-        fn = enclosing_function(ancestry)
-        self.calls.append((call, fn, enclosing_class(ancestry)))
-        if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
-            var, attr = func.value.id, func.attr
-            if attr.startswith("add"):
-                for scope in self._scopes_around(ancestry):
+        scope = self.scope
+        self.out.calls.append((call, self.functions[-1] if self.functions
+                               else None,
+                               self.classes[-1] if self.classes else None))
+        if isinstance(func, ast.Attribute):
+            if isinstance(func.value, ast.Name):
+                var, attr = func.value.id, func.attr
+                if attr.startswith("add"):
                     scope.adds.setdefault(var, []).append(call.lineno)
-            elif attr in _GETTERS and call.args \
-                    and _const_str(call.args[0]) is not None:
-                for scope in self._scopes_around(ancestry):
+                elif attr in _GETTERS and call.args \
+                        and _const_str(call.args[0]) is not None:
                     scope.reads.setdefault(var, []).append(
                         (call.lineno, call.args[0].value, _GETTERS[attr]))
+                if var == "self":
+                    scope.self_calls.add(attr)
+            if func.attr in _SENDS:
+                scope.sends.append(call)
+        if _callee_name(call) == "import_module" and call.args:
+            package = _repro_package(_const_str(call.args[0]))
+            if package is not None:
+                self.out.imports.append((package, call.lineno))
         elif (isinstance(func, ast.Name) and func.id == "Xrl"
               and len(call.args) >= 4
               and all(isinstance(a, ast.Name) for a in call.args[1:4])):
             # Interface, version and method all come from parameters of an
             # enclosing def: that def is a candidate helper wrapper.
-            for outer in ancestry:
+            for outer in self.functions:
                 if not isinstance(outer, _DEFS) or outer in self.wrapper_roles:
                     continue
                 params = [a.arg for a in outer.args.args]
@@ -482,26 +638,20 @@ class _Scan:
 
     def _wrapper(self, fn: ast.AST, roles: Dict[str, int]) -> None:
         """Keep *fn* as a wrapper if its body also sends what it builds."""
+        scope = self.scopes[fn]
+        if not scope.sends:
+            return
         wrapper = _Wrapper(tuple(a.arg for a in fn.args.args), roles)
-        sends = False
-        reply_vars, returned = set(), set()
-        for node in ast.walk(fn):
-            if isinstance(node, ast.Call) \
-                    and isinstance(node.func, ast.Attribute):
-                attr = node.func.attr
-                sends = sends or attr in ("send", "send_sync", "enqueue")
-                if attr == "send_sync":
-                    wrapper.sync = True
-                    target = self.result_target.get(node)
-                    if isinstance(target, ast.Tuple) and len(target.elts) == 2 \
-                            and isinstance(target.elts[1], ast.Name):
-                        reply_vars.add(target.elts[1].id)
-            elif isinstance(node, ast.Return) \
-                    and isinstance(node.value, ast.Name):
-                returned.add(node.value.id)
-        if sends:
-            wrapper.returns_args = bool(reply_vars & returned)
-            self.wrappers[fn.name] = wrapper
+        reply_vars = set()
+        for call in scope.sends:
+            if call.func.attr == "send_sync":
+                wrapper.sync = True
+                target = self.result_target.get(call)
+                if isinstance(target, ast.Tuple) and len(target.elts) == 2 \
+                        and isinstance(target.elts[1], ast.Name):
+                    reply_vars.add(target.elts[1].id)
+        wrapper.returns_args = bool(reply_vars & scope.returns)
+        self.wrappers[fn.name] = wrapper
 
     # -- send sites ----------------------------------------------------------
     def _site(self, line: int) -> str:
@@ -516,10 +666,9 @@ class _Scan:
         self.out.sends.append(site)
         return site
 
-    def _dynamic(self, call: ast.Call, reason: str) -> None:
-        self.out.dynamic.append(DynamicSite(
-            self.package, self._site(call.lineno), call.lineno, self.path,
-            reason))
+    def _dynamic(self, call: ast.Call) -> None:
+        self.out.dynamic.append(DynamicSite(self.package,
+                                            self._site(call.lineno)))
 
     def _construction(self, call: ast.Call, fn: Optional[ast.AST],
                       scope: Scope) -> None:
@@ -527,11 +676,11 @@ class _Scan:
             return
         iface, version = _const_str(call.args[1]), _const_str(call.args[2])
         if iface is None or version is None:
-            # A wrapper's internal constructor is represented by its
-            # resolved call sites, not as a dynamic send of its own.
+            # A non-constant interface is a dynamic send, unless it is a
+            # wrapper's own constructor: its resolved call sites stand
+            # for it.
             if not (isinstance(fn, _DEFS) and fn.name in self.wrappers):
-                self._dynamic(call, "Xrl constructed from a non-constant "
-                                    "interface/version")
+                self._dynamic(call)
             return
         args_node = call.args[4] if len(call.args) >= 5 else None
         for keyword in call.keywords:
@@ -560,11 +709,10 @@ class _Scan:
         text_node, sends = textual
         text = _const_str(text_node)
         if text is None:
-            # The CLI's ``call <xrl>`` facility: this package can emit any
-            # XRL at runtime; the dynamic/static subset check treats the
-            # package's otherwise-unmatched runtime edges as explained.
+            # The CLI's ``call <xrl>`` facility: this package can emit
+            # any XRL at runtime, and the graph export says so.
             if sends:
-                self._dynamic(call, "textual XRL built from dynamic text")
+                self._dynamic(call)
             return
         line = text_node.lineno
         try:

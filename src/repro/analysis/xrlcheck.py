@@ -13,9 +13,11 @@ one site, the catalogue and (for handlers) the class index:
   (XRL002), and where its arguments resolve statically they must match
   the declared names/types/arity (XRL003);
 * a :class:`~repro.analysis.sites.BindSite` must name a known interface
-  (XRL001); a raw registration a declared method (XRL002); a ``bind()``
-  an implementation class with a handler for every declared method
-  (XRL004) whose signature can accept the declared parameters (XRL005);
+  (XRL001); a raw registration a declared method (XRL002); each handler
+  a ``bind()`` finds on its implementation class must accept the
+  declared parameters (XRL005).  A handler that is missing altogether
+  needs no rule: :meth:`XrlInterface.bind <repro.xrl.idl.XrlInterface.bind>`
+  refuses it with an ``IdlError`` whenever the class is bound;
 * a textual XRL or raw method path that does not parse is XRL006.
 """
 
@@ -24,29 +26,25 @@ from __future__ import annotations
 import ast
 from typing import Dict, Iterable, Iterator, Optional
 
-from repro.analysis.core import Checker, Finding, ModuleInfo, ProjectIndex
+from repro.analysis.core import Finding, ModuleInfo
 from repro.analysis.sites import (
     Atom,
     BindSite,
+    ModuleSites,
+    ProjectIndex,
     SendSite,
     load_catalogue,
-    sites_of,
 )
 
 
-class XrlConformanceChecker(Checker):
-    name = "xrl-conformance"
-    rules = ("XRL001", "XRL002", "XRL003", "XRL004", "XRL005", "XRL006")
-
-    def check(self, module: ModuleInfo, project: ProjectIndex
-              ) -> Iterator[Finding]:
-        catalogue = load_catalogue()[0]
-        sites = sites_of(module)
-        yield from sites.errors
-        for send in sites.sends:
-            yield from check_send(send, catalogue)
-        for bind in sites.binds:
-            yield from check_bind(bind, catalogue, project)
+def check_xrl(module: ModuleInfo, sites: ModuleSites,
+              project: ProjectIndex) -> Iterator[Finding]:
+    catalogue = load_catalogue()[0]
+    yield from sites.errors
+    for send in sites.sends:
+        yield from check_send(send, catalogue)
+    for bind in sites.binds:
+        yield from check_bind(bind, catalogue, project)
 
 
 def _describe(atoms: Iterable[Atom]) -> str:
@@ -83,7 +81,7 @@ def check_send(site: SendSite, catalogue: Dict[str, object]
 
 def check_bind(site: BindSite, catalogue: Dict[str, object],
                project: ProjectIndex) -> Iterator[Finding]:
-    """XRL001/XRL002 for a registration, XRL004/XRL005 for its handlers."""
+    """XRL001/XRL002 for a registration, XRL005 for its handlers."""
     iface = catalogue.get(site.interface)
     if iface is None:
         yield Finding(site.path, site.iface_line, "XRL001",
@@ -101,15 +99,9 @@ def check_bind(site: BindSite, catalogue: Dict[str, object],
     if impl is None:
         return
     for method in iface.methods.values():
-        handler, complete = project.find_method(
-            impl, f"xrl_{method.name}", method.name)
+        handler = project.find_method(impl, f"xrl_{method.name}", method.name)
         if handler is None:
-            if complete:
-                yield Finding(
-                    site.path, site.line, "XRL004",
-                    f"{impl.name} implements no handler for "
-                    f"{iface.fullname}/{method.name}")
-            continue
+            continue            # XrlInterface.bind raises IdlError
         problem = _handler_signature_problem(handler, method)
         if problem is not None:
             yield Finding(

@@ -10,33 +10,21 @@ static rules in :mod:`repro.analysis`:
   :class:`ScheduleShuffler`, under which the reference-router runner
   (``tests/test_reference_router.py``) drives every schedule;
 * §6.1's XRL conformance needs nothing here: every dispatch checks its
-  arguments against the IDL (``XrlRouter.dispatch_request``).
+  arguments against the IDL (``XrlRouter.dispatch_request``), and
+  ``XrlInterface.bind`` refuses a class missing a declared handler.
 
-:mod:`repro.sanitizer.protocheck` checks that every XRL edge the
-:mod:`repro.obs` tracer observed is explained by the static protocol
-graph from :mod:`repro.analysis.protograph`.  The stage sanitizer and
-the shuffler observe the router through the instrumentation seam
-(:mod:`repro.core.taps`), so they arm and disarm in any order, with each
-other and with :mod:`repro.obs`; the ``runtime_sanitizers`` pytest
-fixture in ``tests/conftest.py`` arms the stage sanitizer inside
-ordinary integration tests.
+The stage sanitizer and the shuffler observe the router through the
+instrumentation seam (:mod:`repro.core.taps`), so they arm and disarm in
+any order, with each other and with :mod:`repro.obs`; the
+``runtime_sanitizers`` pytest fixture in ``tests/conftest.py`` arms the
+stage sanitizer inside ordinary integration tests.
 """
 
-from repro.sanitizer.protocheck import (
-    runtime_xrl_edges,
-    site_package,
-    unexplained_edges,
-)
-from repro.sanitizer.report import Violation, ViolationLog
 from repro.sanitizer.schedule import ScheduleShuffler
-from repro.sanitizer.stagesan import StageSanitizer
+from repro.sanitizer.stagesan import StageSanitizer, Violation
 
 __all__ = [
     "ScheduleShuffler",
     "StageSanitizer",
     "Violation",
-    "ViolationLog",
-    "runtime_xrl_edges",
-    "site_package",
-    "unexplained_edges",
 ]

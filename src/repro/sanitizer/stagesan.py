@@ -35,11 +35,31 @@ the seam has put the pristine functions back — there is no residual
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from functools import partial
-from typing import Any, Dict, Set, Tuple
+from typing import Any, Dict, List, Set, Tuple
 
+from repro.analysis.core import RULES
 from repro.core import taps
-from repro.sanitizer.report import ViolationLog
+
+
+@dataclass(frozen=True)
+class Violation:
+    """One breach of a §5 rule: which rule (SAN001–004, in the catalogue
+    of :mod:`repro.analysis.core`), the stage edge it was seen on
+    (``peer-in->decision``), and why."""
+
+    rule: str
+    origin: str
+    message: str
+    #: rule-specific structured payload (the prefix, the routes, ...)
+    context: Dict[str, Any] = field(default_factory=dict, compare=False)
+
+    def __post_init__(self) -> None:
+        assert self.rule in RULES, f"unknown rule id {self.rule!r}"
+
+    def render(self) -> str:
+        return f"{self.origin}: {self.rule} {self.message}"
 
 
 def _label(stage: Any) -> str:
@@ -52,7 +72,7 @@ class StageSanitizer(taps.StageTap):
     """Arms §5 consistency checking on every stage edge."""
 
     def __init__(self):
-        self.log = ViolationLog()
+        self.violations: List[Violation] = []
         #: (caller, receiver) -> {net: route} — the live set per edge
         self._edges: Dict[Tuple[Any, Any], Dict[Any, Any]] = {}
         self._seen: Set[Tuple[str, str, str]] = set()
@@ -79,10 +99,6 @@ class StageSanitizer(taps.StageTap):
 
     def __exit__(self, *exc_info) -> None:
         self.disarm()
-
-    @property
-    def violations(self):
-        return self.log.violations
 
     # -- the stage surface (a taps.StageTap) --------------------------------
     def stage_message(self, stage, op, items, caller):
@@ -121,7 +137,7 @@ class StageSanitizer(taps.StageTap):
             self.duplicates_suppressed += 1
             return
         self._seen.add(key)
-        self.log.record(rule, origin, message, context)
+        self.violations.append(Violation(rule, origin, message, context))
 
     def _observe_add(self, stage, route, caller) -> None:
         edge = (caller, stage)

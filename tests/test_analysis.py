@@ -1,6 +1,6 @@
 """Tests for the architectural lint suite (:mod:`repro.analysis`).
 
-Four layers:
+Five layers:
 
 * fixture snippets — one known-good and one known-bad case per checker,
   run through :func:`analyze_source` (per-module rules) or
@@ -9,14 +9,20 @@ Four layers:
   method, an inserted ``time.sleep()``, a deleted ``bind()``, a
   synchronous back-call, and a renamed reply atom against copies of the
   *real* source tree must each be caught by exactly its intended rule;
+* the rule × seeded-mutation matrix — one seed of the shipped tree per
+  rule, and the checks that catch the seeds of deleted rules;
 * the protocol graph itself — byte-stable export, correct edges;
-* the CI gate — the shipped ``src/repro`` tree has no findings at all.
+* the CI gate — the shipped ``src/repro`` tree has no findings at all,
+  and a whole-tree run walks each module once.
 """
 
+import ast
 import json
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 from repro.analysis import (
     analyze_paths,
@@ -27,6 +33,9 @@ from repro.analysis import (
 )
 from repro.analysis.core import RULES, scan_suppressions
 from repro.analysis.runner import clear_module_cache
+from repro.core.process import Host
+from repro.rib.rib import RibProcess
+from repro.xrl import IdlError
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -140,23 +149,6 @@ class TestXrlConformance:
         )
         assert analyze_source(source, logical=("rip", "process.py")) == []
 
-    def test_missing_handler_xrl004(self):
-        source = (
-            "from repro.interfaces import COMMON_IDL\n"
-            "class P:\n"
-            "    def __init__(self, xrl):\n"
-            "        xrl.bind(COMMON_IDL, self)\n"
-            "    def xrl_get_target_name(self):\n"
-            "        return 'p'\n"
-            "    def xrl_get_version(self):\n"
-            "        return '1'\n"
-            "    def xrl_get_status(self):\n"
-            "        return 'READY'\n"
-        )
-        findings = analyze_source(source, logical=("rip", "process.py"))
-        assert rules_of(findings) == ["XRL004"]
-        assert "shutdown" in findings[0].message
-
     def test_handler_signature_xrl005(self):
         source = (
             "from repro.interfaces import COMMON_IDL\n"
@@ -196,7 +188,7 @@ class TestXrlConformance:
 
     def test_aliased_bind_still_checked(self):
         # `register = xrl.bind; register(...)` is the same registration —
-        # one level of local aliasing must not hide a missing handler.
+        # one level of local aliasing must not hide a handler's signature.
         source = (
             "from repro.interfaces import COMMON_IDL\n"
             "class P:\n"
@@ -209,9 +201,11 @@ class TestXrlConformance:
             "        return '1'\n"
             "    def xrl_get_status(self):\n"
             "        return 'READY'\n"
+            "    def xrl_shutdown(self, now):\n"
+            "        pass\n"
         )
         findings = analyze_source(source, logical=("rip", "process.py"))
-        assert rules_of(findings) == ["XRL004"]
+        assert rules_of(findings) == ["XRL005"]
         assert "shutdown" in findings[0].message
 
 
@@ -649,7 +643,7 @@ class TestTreeGate:
         assert finding.path.endswith("bgp/process.py")
         assert finding.line == anchor + 1
 
-    def test_handler_deleted_from_base_class_in_another_file(self, mutable_tree):
+    def test_handler_changed_in_base_class_in_another_file(self, mutable_tree):
         # A bind's verdict depends on every file its class inherits from:
         # editing only the base must change it, without clearing any cache.
         tree = mutable_tree
@@ -663,9 +657,8 @@ class TestTreeGate:
             "    def xrl_get_status(self):\n"
             "        return 'READY'\n"
         )
-        shutdown = ("    def xrl_shutdown(self):\n"
-                    "        pass\n")
-        base.write_text(handlers + shutdown)
+        base.write_text(handlers + "    def xrl_shutdown(self):\n"
+                                   "        pass\n")
         (tree / "rip" / "bound.py").write_text(
             "from repro.interfaces import COMMON_IDL\n"
             "from repro.rip.base import Base\n"
@@ -674,11 +667,32 @@ class TestTreeGate:
             "        xrl.bind(COMMON_IDL, self)\n"
         )
         assert analyze_paths([tree]) == []
-        base.write_text(handlers)
+        base.write_text(handlers + "    def xrl_shutdown(self, now):\n"
+                                   "        pass\n")
         findings = analyze_paths([tree])
-        assert rules_of(findings) == ["XRL004"]
+        assert rules_of(findings) == ["XRL005"]
         assert findings[0].path.endswith("rip/bound.py")
         assert "shutdown" in findings[0].message
+
+    def test_a_whole_tree_run_walks_each_module_once(self, analysis_tree,
+                                                     monkeypatch):
+        # Counted, not timed: node expansions per AST node over one
+        # uncached run.  Every rule reads the one walk in sites.py.
+        expansions = 0
+        expand = ast.iter_child_nodes
+
+        def counted(node):
+            nonlocal expansions
+            expansions += 1
+            return expand(node)
+
+        clear_module_cache()
+        monkeypatch.setattr(ast, "iter_child_nodes", counted)
+        assert analyze_paths([analysis_tree]) == []
+        monkeypatch.undo()
+        modules, _errors = collect_modules([analysis_tree])
+        nodes = sum(1 for module in modules for _ in ast.walk(module.tree))
+        assert expansions / nodes <= 1.1, (expansions, nodes)
 
     def test_rule_registry_documented(self):
         for rule_id, rule in RULES.items():
@@ -744,6 +758,148 @@ class TestProtographMutations:
         assert errors[0].path.endswith("rtrmgr/supervisor.py")
 
 
+# ---------------------------------------------------------------------------
+# The rule × seeded-mutation matrix (DESIGN.md, "Static guarantees")
+# ---------------------------------------------------------------------------
+
+#: rule -> its seed in the shipped tree, as edits (file under repro/,
+#: text, what replaces its first occurrence).  An empty text appends to
+#: the file; None creates it.
+SEEDS = {
+    "XRL001": [("rib/rib.py",
+                'Xrl(self.fea_target, "fea_fib", "1.0", method, args)',
+                'Xrl(self.fea_target, "fea_fibx", "1.0", method, args)')],
+    "XRL002": [("rib/rib.py", '"add_entry4"', '"add_entyr4"')],
+    "XRL003": [("rtrmgr/translate.py", '.add_u32("as", peer_as)',
+                '.add_u32("asn", peer_as)')],
+    "XRL005": [("rib/rib.py", "def xrl_delete_routes4(self, protocol, nets)",
+                "def xrl_delete_routes4(self, protocol, nets, cause)")],
+    "XRL006": [("experiments/xrlperf.py", '"bench/1.0/noargs"',
+                '"bench/1.0"')],
+    "ISO001": [("bgp/process.py", "from repro.core.stages import",
+                "from repro.rib.rib import RibProcess\n"
+                "from repro.core.stages import")],
+    "ISO002": [("policy/varrw.py", "from repro.net import IPNet\n",
+                "from repro.net import IPNet\n"
+                "from repro.fea.fib import FibEntry\n")],
+    "DET001": [("bgp/process.py", "        target = self.rib_target\n",
+                "        import time; time.time()\n"
+                "        target = self.rib_target\n")],
+    "DET002": [("bgp/process.py", "        self.xrl.bind(BGP_IDL, self)",
+                "        import time; time.sleep(0.1)\n"
+                "        self.xrl.bind(BGP_IDL, self)")],
+    "DET003": [("rib/rib.py", "        if self._prof_sent_fea.enabled:",
+                "        import random; random.random()\n"
+                "        if self._prof_sent_fea.enabled:")],
+    "DET004": [("core/dialer.py", None,
+                "import socket\n\n\ndef dial(host, port):\n"
+                "    return socket.create_connection((host, port))\n")],
+    "DET005": [("core/txqueue.py", "loop.call_soon(self._turn)",
+                "loop.call_later(0, self._turn)")],
+    "CB001": [("rip/process.py",
+               "        if not self.running:  # deferred past shutdown: "
+               "nothing to clear\n            return\n", "")],
+    "STG001": [("core/stages.py",
+                "def add_routes(self, routes: List[Any], *,",
+                "def add_routes(self, routes: List[Any],")],
+    "BKD001": [("fea/fea.py", "import FibBackend, make_backend",
+                "import FibBackend, TrieFibBackend, make_backend"),
+               ("fea/fea.py", "backend = make_backend(",
+                "backend = TrieFibBackend() if backend == 'trie' \\\n"
+                "                else make_backend(")],
+    "PRO001": [("rib/rib.py", "self.xrl.bind(RIB_IDL, self)\n", "pass\n")],
+    "PRO002": [("fea/fea.py", "",
+                "\n\nclass _RouteConfirmer:\n"
+                "    def confirm(self, addr):\n"
+                "        return self.xrl.send_sync(\n"
+                '            Xrl("rib", "rib", "1.0", '
+                '"lookup_route_by_dest4",\n'
+                '                XrlArgs().add_ipv4("addr", addr)),\n'
+                "            deadline=5)\n")],
+    "PRO003": [("rtrmgr/supervisor.py", 'get_txt("status")',
+                'get_txt("statuz")')],
+    "SUP001": [("rib/rib.py", "        if self._prof_sent_fea.enabled:",
+                "        if self._prof_sent_fea.enabled:  "
+                "# repro: allow[BOGUS9]")],
+    "SUP002": [("rib/rib.py", "        if self._prof_sent_fea.enabled:",
+                "        if self._prof_sent_fea.enabled:  "
+                "# repro: allow[DET002]")],
+    "GEN001": [("core/broken.py", None, "def (:\n")],
+}
+
+#: seeds another rule reports too: a raw registration that does not
+#: parse binds nothing, so what was sent to it is unhandled
+ALSO = {"XRL006": {"PRO001"}}
+
+#: the methods the traced two-router flow of
+#: ``test_full_router_integration.py`` sends on each process hop
+TRACED_FLOW = {
+    ("bgp", "rib", "rib/1.0"): {"add_route4", "add_routes4",
+                                "delete_route4", "delete_routes4"},
+    ("rib", "fea", "fea_fib/1.0"): {"add_entry4", "add_entries4",
+                                    "delete_entry4", "delete_entries4"},
+}
+
+
+def seed(tree, rule):
+    for relpath, text, replacement in SEEDS[rule]:
+        path = tree / relpath
+        source = "" if text is None else path.read_text()
+        assert text is None or text in source, (rule, relpath)
+        path.write_text(source.replace(text, replacement, 1) if text
+                        else source + replacement)
+
+
+def untraced(graph):
+    """``(src, dst, method)`` of the traced flow no async edge carries."""
+    missing = set()
+    for (src, dst, interface), methods in TRACED_FLOW.items():
+        edge = graph.edges.get((src, dst, interface, False))
+        carried = edge.methods if edge is not None else set()
+        missing |= {(src, dst, method) for method in methods - carried}
+    return missing
+
+
+class TestRuleMatrix:
+    """One seed of the shipped tree per rule; each is caught."""
+
+    def test_every_static_rule_has_a_seed(self):
+        runtime = ("SAN", "OBS")        # tests/test_sanitizer.py, test_cli_gates
+        assert set(SEEDS) == {rule for rule in RULES
+                              if not rule.startswith(runtime)}
+
+    @pytest.mark.parametrize("rule", sorted(SEEDS))
+    def test_the_rule_catches_its_seed(self, rule, mutable_tree):
+        seed(mutable_tree, rule)
+        found = {finding.rule for finding in analyze_paths([mutable_tree])}
+        assert found == {rule} | ALSO.get(rule, set())
+
+    def test_a_missing_handler_is_refused_at_bind(self):
+        # The seed of the deleted missing-handler rule: a handler gone
+        # from RibProcess.  Binding the class refuses it, wherever the
+        # class is built.
+        class HandlerGone(RibProcess):
+            xrl_lookup_route_by_dest4 = None
+
+        with pytest.raises(IdlError, match="lookup_route_by_dest4"):
+            HandlerGone(Host())
+
+    def test_a_send_the_site_model_cannot_see_leaves_the_graph(
+            self, mutable_tree):
+        # The deleted runtime edge check's seed: BGP's add_routes4 built
+        # through an expression the site model does not resolve.  The
+        # traced flow pinned in the graph test is what catches it.
+        bgp = mutable_tree / "bgp" / "process.py"
+        text = bgp.read_text()
+        ctor = 'xrl = Xrl(target, "rib", "1.0", "add_routes4", args)'
+        assert ctor in text
+        bgp.write_text(text.replace(ctor, ctor.replace(
+            "Xrl(", "(Xrl if args else None)(")))
+        modules, _errors = collect_modules([mutable_tree])
+        graph = build_protocol_graph(modules)
+        assert untraced(graph) == {("bgp", "rib", "add_routes4")}
+
+
 class TestProtographFixtures:
     """Small closed-system fixtures through :func:`analyze_sources`."""
 
@@ -807,6 +963,10 @@ class TestProtographGraph:
         stream = graph.edges[("bgp", "rib", "rib/1.0", False)]
         assert {"add_routes4", "delete_routes4",
                 "add_route4", "delete_route4"} <= stream.methods
+        # Every hop of the traced two-router flow, and the CLI's ``call``
+        # that starts it, which may send anything.
+        assert untraced(graph) == set()
+        assert "rtrmgr" in {site.package for site in graph.dynamic_sites}
 
     def test_dot_export_mentions_every_package_on_an_edge(self, analysis_tree):
         modules, _errors = collect_modules([analysis_tree])

@@ -279,7 +279,7 @@ def test_two_stage_sanitizers_each_see_every_message():
         flt.add_routes([r])
     assert [v.rule for v in first.violations] == ["SAN001"]
     assert [v.rule for v in second.violations] == ["SAN001"]
-    assert first.log is not second.log
+    assert first.violations is not second.violations
 
 
 def test_observers_that_would_conflict_stay_exclusive():
