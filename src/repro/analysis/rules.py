@@ -316,9 +316,7 @@ def check_stage_messages(module: ModuleInfo, sites: ModuleSites,
 #: the concrete implementations shipped by repro.fea.backends — known by
 #: name so single-file fixtures (and moved call sites) are still caught
 #: even when the backends package is outside the analyzed path set.
-KNOWN_BACKEND_CLASSES = frozenset({
-    "TrieFibBackend", "FlowRuleBackend", "NetlinkFibBackend",
-})
+KNOWN_BACKEND_CLASSES = frozenset({"TrieFibBackend", "NetlinkFibBackend"})
 
 
 def check_backends(module: ModuleInfo, sites: ModuleSites,

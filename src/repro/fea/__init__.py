@@ -5,8 +5,8 @@
 
 The forwarding engine is pluggable: the FEA keeps *shadow tables*
 (:class:`Fib`) holding the control plane's intended state and drives one
-of several :mod:`~repro.fea.backends` — the in-memory trie, an SDN-style
-flow-rule table, or a fault-injecting "netlink-like" channel — through a
+of the :mod:`~repro.fea.backends` — an in-memory table, or a
+fault-injecting "netlink-like" channel in front of one — through a
 :class:`~repro.fea.driver.BackendDriver` that owns retries, ack
 timeouts, backpressure and failure-driven reconciliation.  The FEA also
 plays its paper §7 security role: it relays raw network access on behalf
@@ -20,7 +20,6 @@ from repro.fea.backends import (
     BackendFaultPlan,
     FibBackend,
     FibOp,
-    FlowRuleBackend,
     NetlinkFibBackend,
     TrieFibBackend,
     make_backend,
@@ -40,7 +39,6 @@ __all__ = [
     "FibBackend",
     "FibEntry",
     "FibOp",
-    "FlowRuleBackend",
     "Interface",
     "InterfaceManager",
     "LoopbackPacketIO",

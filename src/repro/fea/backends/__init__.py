@@ -18,7 +18,6 @@ from repro.fea.backends.base import (
     FibOp,
     HealthCallback,
 )
-from repro.fea.backends.flowrule import FlowRule, FlowRuleBackend
 from repro.fea.backends.netlink import (
     BackendFaultPlan,
     NetlinkFibBackend,
@@ -29,7 +28,6 @@ from repro.fea.backends.trie import TrieFibBackend
 #: name -> factory; factories accept the keyword options of the backend
 BACKENDS: Dict[str, Callable[..., FibBackend]] = {
     TrieFibBackend.name: TrieFibBackend,
-    FlowRuleBackend.name: FlowRuleBackend,
     NetlinkFibBackend.name: NetlinkFibBackend,
 }
 
@@ -57,8 +55,6 @@ __all__ = [
     "CompletionCallback",
     "FibBackend",
     "FibOp",
-    "FlowRule",
-    "FlowRuleBackend",
     "HealthCallback",
     "NetlinkFibBackend",
     "NetlinkStats",

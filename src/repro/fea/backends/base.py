@@ -12,17 +12,14 @@ never come), *slower than the control plane* (a bounded completion
 queue pushes back), and *recoverable* (``dump()`` lets the FEA diff the
 dataplane against its shadow table and replay the delta).
 
-Three implementations ship:
+Two implementations ship:
 
-* :class:`~repro.fea.backends.trie.TrieFibBackend` — the seed's
-  in-memory longest-prefix-match trie; synchronous, always acks;
-* :class:`~repro.fea.backends.flowrule.FlowRuleBackend` — translates
-  routes into match/action flow rules, the SDN-controller dataplane
-  shape (fbgp2-style);
-* :class:`~repro.fea.backends.netlink.NetlinkFibBackend` — a
-  "netlink-like" asynchronous kernel channel with a bounded completion
-  queue and seeded fault injection (nack, drop-ack, latency,
-  crash/restart).
+* :class:`~repro.fea.backends.trie.TrieFibBackend` — an in-memory
+  table per family; synchronous, always acks;
+* :class:`~repro.fea.backends.netlink.NetlinkFibBackend` — the same
+  tables behind a "netlink-like" asynchronous kernel channel with a
+  bounded completion queue and seeded fault injection (nack, drop-ack,
+  latency, crash/restart).
 
 Every operation the FEA hands a backend is a :class:`FibOp` carrying a
 driver-assigned sequence number; the backend completes it by calling the

@@ -1,6 +1,6 @@
 """The netlink-like backend: an asynchronous, lossy, crashable dataplane.
 
-A real kernel route socket has every property the in-memory trie lacks:
+A real kernel route socket has every property the in-memory table lacks:
 requests queue behind a *bounded* buffer (overflow is an ``ENOBUFS``
 nack — the kernel's backpressure), each request is acknowledged
 individually and asynchronously, acknowledgements can be lost, the
@@ -33,11 +33,10 @@ from __future__ import annotations
 
 import random
 from collections import deque
-from typing import Deque, Dict, List, Optional, Sequence
+from typing import Deque, Optional, Sequence
 
-from repro.fea.backends.base import ADD, CompletionCallback, FibBackend, FibOp
-from repro.fea.fib import FibEntry
-from repro.net import IPNet
+from repro.fea.backends.base import ADD, CompletionCallback, FibOp
+from repro.fea.backends.trie import TrieFibBackend
 
 
 class BackendFaultPlan:
@@ -95,8 +94,11 @@ class NetlinkStats:
                 f"crashes={self.crashes}>")
 
 
-class NetlinkFibBackend(FibBackend):
-    """Bounded async completion queue + seeded faults + crash/restart."""
+class NetlinkFibBackend(TrieFibBackend):
+    """Bounded async completion queue + seeded faults + crash/restart.
+
+    The dataplane's tables, ``dump`` and ``__len__`` are the in-memory
+    backend's; what this class adds is the channel in front of them."""
 
     name = "netlink"
 
@@ -113,10 +115,8 @@ class NetlinkFibBackend(FibBackend):
         self.fault_plan = fault_plan if fault_plan is not None \
             else BackendFaultPlan()
         self.stats = NetlinkStats()
-        self._tables: Dict[int, Dict[IPNet, FibEntry]] = {32: {}, 128: {}}
         self._queue: Deque[FibOp] = deque()
         self._loop = None
-        self._completion: Optional[CompletionCallback] = None
         self._crashed = False
         self._drain_pending = False
         #: increments per crash so a stale drain timer from a previous
@@ -225,10 +225,3 @@ class NetlinkFibBackend(FibBackend):
             return
         self._crashed = False
         self._notify_health(True)
-
-    # -- reconciliation ------------------------------------------------------
-    def dump(self, bits: int) -> List[FibEntry]:
-        return list(self._tables[bits].values())
-
-    def __len__(self) -> int:
-        return sum(len(table) for table in self._tables.values())

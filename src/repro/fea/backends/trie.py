@@ -1,10 +1,16 @@
-"""The in-memory trie backend: the seed's simulated kernel, as a backend.
+"""The in-memory backend: one exact-prefix table per family.
 
 Synchronous and infallible — every operation is applied and acked within
 the ``apply`` call — so it doubles as the reference implementation the
 fault-injecting backends are tested against: under any fault schedule,
 after reconciliation, a faulty backend's ``dump()`` must equal what this
 backend would hold.
+
+The dataplane is only ever written one exact prefix at a time and read
+whole by ``dump``; the FEA answers longest-match lookups from its shadow
+:class:`~repro.fea.fib.Fib`.  So each table is a ``dict`` (DESIGN.md,
+"Which table is which structure"); the class and its ``"trie"`` registry
+key keep their names because the benchmark selects them.
 """
 
 from __future__ import annotations
@@ -13,18 +19,17 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.fea.backends.base import ADD, CompletionCallback, FibBackend, FibOp
 from repro.fea.fib import FibEntry
-from repro.trie import RouteTrie
+from repro.net import IPNet
 
 
 class TrieFibBackend(FibBackend):
-    """Longest-prefix-match tries per family; sync, always acks."""
+    """A dict per family; sync, always acks."""
 
     name = "trie"
 
     def __init__(self) -> None:
         super().__init__()
-        self._tables: Dict[int, RouteTrie] = {
-            32: RouteTrie(32), 128: RouteTrie(128)}
+        self._tables: Dict[int, Dict[IPNet, FibEntry]] = {32: {}, 128: {}}
         self._completion: Optional[CompletionCallback] = None
 
     def open(self, loop, completion: CompletionCallback) -> None:
@@ -38,19 +43,14 @@ class TrieFibBackend(FibBackend):
         for op in ops:
             table = self._tables[op.bits]
             if op.op == ADD:
-                table.insert(op.entry.net, op.entry)
+                table[op.entry.net] = op.entry
             else:
-                table.discard(op.entry.net)
+                table.pop(op.entry.net, None)
             if completion is not None:
                 completion(op.seq, True, "")
 
     def dump(self, bits: int) -> List[FibEntry]:
-        return [entry for __, entry in self._tables[bits].items()]
-
-    def lookup(self, addr) -> Optional[FibEntry]:
-        """Longest-prefix match (the per-packet dataplane consultation)."""
-        match = self._tables[addr.BITS].best_match(addr)
-        return match[1] if match is not None else None
+        return list(self._tables[bits].values())
 
     def __len__(self) -> int:
         return sum(len(table) for table in self._tables.values())

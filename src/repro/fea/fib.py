@@ -1,9 +1,11 @@
-"""The simulated kernel forwarding table.
+"""The FEA's shadow forwarding table.
 
-The paper's latency experiments end at "Entering kernel": the moment the
-route reaches the forwarding plane's table.  :class:`Fib` is that table —
-a longest-prefix-match structure the simulated data plane consults per
-packet.
+:class:`Fib` holds what the control plane has told the FEA to install,
+one per address family.  The FEA answers every lookup from it — also
+while its dataplane backend is down — and the
+:class:`~repro.fea.driver.BackendDriver` converges the backend to it, so
+it is the one longest-prefix-match structure on the FEA side; the
+backends keep exact-prefix tables.
 """
 
 from __future__ import annotations

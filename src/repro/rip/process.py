@@ -23,7 +23,6 @@ from repro.rip.packets import (
     RipPacket,
     RipPacketError,
 )
-from repro.trie import RouteTrie
 from repro.xrl import XrlArgs, XrlError
 from repro.xrl.error import XrlErrorCode
 from repro.xrl.xrl import Xrl
@@ -93,7 +92,7 @@ class RipProcess(XorpProcess):
         self.poisoned_reverse = poisoned_reverse
         self.xrl = self.create_router("rip", singleton=True)
         self.ports: Dict[str, RipPort] = {}
-        self.routes = RouteTrie(32)
+        self.routes: Dict[IPNet, RipRouteEntry] = {}
         self._triggered_pending = False
         self.metrics.gauge("routes", lambda: len(self.routes))
         self.metrics.gauge("ports", lambda: len(self.ports))
@@ -173,7 +172,7 @@ class RipProcess(XorpProcess):
         self._install(entry)
 
     def xrl_redist_delete_route4(self, net, protocol) -> None:
-        entry = self.routes.exact(net)
+        entry = self.routes.get(net)
         if entry is not None and entry.is_local:
             self._start_deletion(entry)
 
@@ -208,7 +207,7 @@ class RipProcess(XorpProcess):
         # Specific-prefix request: answer each entry from the table.
         entries = []
         for asked in packet.entries:
-            entry = self.routes.exact(asked.net)
+            entry = self.routes.get(asked.net)
             metric = entry.metric if entry is not None else RIP_INFINITY
             entries.append(RipEntry(asked.net, metric, tag=asked.tag))
         self._send_packet(port, RipPacket(RIP_COMMAND_RESPONSE, entries), src)
@@ -222,7 +221,7 @@ class RipProcess(XorpProcess):
 
     def _process_rte(self, port: RipPort, src: IPv4, net: IPNet,
                      nexthop: IPv4, metric: int, tag: int) -> None:
-        entry: Optional[RipRouteEntry] = self.routes.exact(net)
+        entry: Optional[RipRouteEntry] = self.routes.get(net)
         if entry is None:
             if metric >= RIP_INFINITY:
                 return  # poison for a route we never had
@@ -262,7 +261,8 @@ class RipProcess(XorpProcess):
 
     # -- route table maintenance ---------------------------------------------
     def _install(self, entry: RipRouteEntry) -> None:
-        previous = self.routes.insert(entry.net, entry)
+        previous = self.routes.get(entry.net)
+        self.routes[entry.net] = entry
         if previous is not None and previous.timeout_timer is not None:
             previous.timeout_timer.cancel()
         if previous is not None and previous.gc_timer is not None:
@@ -282,7 +282,7 @@ class RipProcess(XorpProcess):
                 name=f"rip-timeout")
 
     def _on_timeout(self, entry: RipRouteEntry) -> None:
-        if self.routes.exact(entry.net) is entry:
+        if self.routes.get(entry.net) is entry:
             self._start_deletion(entry)
 
     def _start_deletion(self, entry: RipRouteEntry) -> None:
@@ -298,8 +298,8 @@ class RipProcess(XorpProcess):
         self._schedule_triggered()
 
     def _on_gc(self, entry: RipRouteEntry) -> None:
-        if self.routes.exact(entry.net) is entry:
-            self.routes.discard(entry.net)
+        if self.routes.get(entry.net) is entry:
+            del self.routes[entry.net]
 
     # -- RIB interaction ---------------------------------------------------
     def _rib_update(self, entry: RipRouteEntry, op: str) -> None:
@@ -325,7 +325,7 @@ class RipProcess(XorpProcess):
     def _advertised_entries(self, port: RipPort,
                             changed_only: bool) -> List[RipEntry]:
         entries = []
-        for net, entry in self.routes.items():
+        for net, entry in sorted(self.routes.items()):
             if changed_only and not entry.changed:
                 continue
             metric = entry.metric
@@ -380,7 +380,7 @@ class RipProcess(XorpProcess):
     def _clear_changed(self) -> None:
         if not self.running:  # deferred past shutdown: nothing to clear
             return
-        for __, entry in self.routes.items():
+        for entry in self.routes.values():
             entry.changed = False
 
     def _send_packet(self, port: RipPort, packet: RipPacket,

@@ -1,14 +1,14 @@
 """Path-compressed binary trie keyed by IP prefix, plus safe iterators.
 
 The trie backs the tables that are asked longest-match questions (the
-RIB's internal side and interest-registration arithmetic, the FIB) or that
-hand out iterators a background task parks on (BGP PeerIn, the decision's
-winners, the RIB's dumps).  A table that is only ever asked
-for the route at exactly one prefix is a ``dict`` instead — DESIGN.md,
-"Which table is which structure", lists every table.  Nodes are ordered
-so that a preorder walk yields prefixes in ``(network, prefix-len)`` order
-— the order :class:`repro.net.IPNet` sorts in — which the fanout dump
-logic relies on.
+RIB's internal side and interest-registration arithmetic, the FEA's
+shadow FIB) or that hand out iterators a background task parks on (BGP
+PeerIn, the decision's winners, the RIB's dumps).  A table that is only
+ever asked for the route at exactly one prefix is a ``dict`` instead —
+DESIGN.md, "Which table is which structure", lists every table.  Nodes
+are ordered so that a preorder walk yields prefixes in ``(network,
+prefix-len)`` order — the order :class:`repro.net.IPNet` sorts in —
+which the fanout dump logic relies on.
 
 Lookups descend Patricia-style: a walk follows the key's bits from node
 to node without looking at the prefixes on the way, and compares the key
@@ -134,33 +134,31 @@ class RouteTrie:
         while node_plen > shared:
             child, node = node, node.parent
             node_plen = node.plen
-        child_bit = (net >> (top - node_plen)) & 1
-        new = TrieNode(net)
-        if child is None:
-            self._attach(node, new, child_bit)
-        elif shared == plen:
-            # The new prefix contains child: it sits between the two.
-            self._splice_between(node, child, new, child_bit)
-        else:
-            # Diverging prefixes: a join node holds the bits they share.
+        new = below = TrieNode(net)
+        if child is not None and shared < plen:
+            # Diverging prefixes: a join node holds the bits they share,
+            # with the new prefix on one side and child on the other.
             join_shift = top + 1 - shared
-            join = TrieNode(net >> join_shift << join_shift | shared)
-            self._splice_between(node, child, join, child_bit)
-            self._attach(join, new, (net >> (top - shared)) & 1)
-        return new
-
-    def _attach(self, parent: TrieNode, child: TrieNode, bit: int) -> None:
-        child.parent = parent
-        if bit:
-            parent.right = child
+            below = TrieNode(net >> join_shift << join_shift | shared)
+            new.parent = below
+            if (net >> (top - shared)) & 1:
+                below.right = new
+            else:
+                below.left = new
+        # *below* (the new node or its join) takes child's place ...
+        below.parent = node
+        if (net >> (top - node_plen)) & 1:
+            node.right = below
         else:
-            parent.left = child
-
-    def _splice_between(self, parent: TrieNode, child: TrieNode,
-                        middle: TrieNode, bit: int) -> None:
-        self._attach(parent, middle, bit)
-        self._attach(middle, child,
-                     (child.net >> (self._top - middle.plen)) & 1)
+            node.left = below
+        if child is not None:
+            # ... and child hangs from it by the bit after its length.
+            child.parent = below
+            if (child.net >> (top - below.plen)) & 1:
+                below.right = child
+            else:
+                below.left = child
+        return new
 
     # -- lookup -------------------------------------------------------------
     def _find_node(self, net: IPNet) -> Optional[TrieNode]:
@@ -207,26 +205,6 @@ class RouteTrie:
             if node_plen == bits:
                 break
             node = node.right if (key >> (top - node_plen)) & 1 \
-                else node.left
-        if best is None:
-            return None
-        return best.net, best.payload
-
-    def find_less_specific(self, net: IPNet) -> Optional[Tuple[IPNet, Any]]:
-        """Most specific route *strictly containing* *net*."""
-        plen = net & 0xFF
-        top = self._top
-        node = self._root
-        best: Optional[TrieNode] = None
-        while node is not None:
-            node_plen = node.plen
-            if node_plen >= plen:
-                break
-            if node.payload is not _EMPTY:
-                if (node.net ^ net) >> (top + 1 - node_plen):
-                    break
-                best = node
-            node = node.right if (net >> (top - node_plen)) & 1 \
                 else node.left
         if best is None:
             return None
@@ -280,10 +258,6 @@ class RouteTrie:
                 stack.append(node.right)
             if node.left is not None:
                 stack.append(node.left)
-
-    def has_more_specific(self, net: IPNet) -> bool:
-        """True if any route is *strictly* more specific than *net*."""
-        return any(covered_net != net for covered_net, __ in self.covered(net))
 
     # -- deletion --------------------------------------------------------
     def remove(self, net: IPNet) -> Any:

@@ -338,7 +338,7 @@ class TestRestartIsFilteredTranslation:
         rip = manager.modules["rip"]
         target = IPNet.parse("172.16.0.0/12")
         assert manager.loop.run_until(
-            lambda: rip.routes.exact(target) is not None,
+            lambda: rip.routes.get(target) is not None,
             timeout=30), "static route never redistributed into RIP"
         sent = spy_sends(manager)
         victim = kill_module(manager, "rib")
@@ -375,13 +375,13 @@ class TestRebornConsumerGetsTheTable:
             manager.supervisor.start()
             target = IPNet.parse("172.16.0.0/12")
             assert manager.loop.run_until(
-                lambda: manager.modules["rip"].routes.exact(target)
+                lambda: manager.modules["rip"].routes.get(target)
                 is not None, timeout=30), "never redistributed into RIP"
             victim = kill_module(manager, "rip")
             await_restart(manager, "rip", victim)
             reborn = manager.modules["rip"]
             assert manager.loop.run_until(
-                lambda: reborn.routes.exact(target) is not None,
+                lambda: reborn.routes.get(target) is not None,
                 timeout=30), "the reborn RIP never got the route again"
         finally:
             manager.shutdown()

@@ -1,7 +1,7 @@
 """Pluggable FIB backends: ack/nack, retries, backpressure, reconciliation.
 
 Unit coverage for the tentpole of the dataplane-robustness work: the
-:class:`FibBackend` implementations (trie, flowrule, netlink-like), the
+:class:`FibBackend` implementations (in-memory, netlink-like), the
 :class:`BackendDriver` that converges a faulty backend to the FEA's
 shadow tables, and the RIB's :class:`RouteStream` toward the FEA.  The
 headline property: for *any* seeded fault schedule, after
@@ -21,18 +21,11 @@ from repro.fea.backends import (
     BACKENDS,
     BackendFaultPlan,
     FibOp,
-    FlowRuleBackend,
     NetlinkFibBackend,
     TrieFibBackend,
     make_backend,
 )
 from repro.fea.backends.base import ADD, DELETE
-from repro.fea.backends.flowrule import (
-    TABLE_IPV4,
-    TABLE_IPV6,
-    entry_to_rule,
-    rule_to_entry,
-)
 from repro.fea.driver import BackendDriver
 from repro.fea.fib import Fib, FibEntry
 from repro.net import IPNet, IPv4, IPv6
@@ -103,10 +96,10 @@ class TestFibEntryIdentity:
 
 
 class TestRegistry:
-    def test_all_three_backends_registered(self):
-        assert set(BACKENDS) == {"trie", "flowrule", "netlink"}
+    def test_both_backends_registered(self):
+        assert set(BACKENDS) == {"trie", "netlink"}
 
-    @pytest.mark.parametrize("name", ["trie", "flowrule", "netlink"])
+    @pytest.mark.parametrize("name", ["trie", "netlink"])
     def test_make_backend_by_name(self, name):
         assert make_backend(name).name == name
 
@@ -116,7 +109,7 @@ class TestRegistry:
 
 
 # ---------------------------------------------------------------------------
-# trie backend: synchronous, always acks
+# in-memory backend: synchronous, always acks
 
 
 class TestTrieBackend:
@@ -129,59 +122,17 @@ class TestTrieBackend:
         assert backend.dump(32) == [v4_entry(1)]
         assert backend.dump(128) == [v6_entry(2)]
 
-    def test_delete_and_lookup(self):
+    def test_add_overwrites_and_delete_removes(self):
         backend = TrieFibBackend()
         collect_completions(backend)
-        backend.apply([FibOp(ADD, v4_entry(1), seq=1),
-                       FibOp(ADD, v4_entry(2), seq=2)])
-        match = backend.lookup(IPv4(0x0A000101))  # inside 10.0.1.0/24
-        assert match == v4_entry(1)
-        backend.apply([FibOp(DELETE, v4_entry(1), seq=3)])
-        assert backend.lookup(IPv4(0x0A000101)) is None
-        assert len(backend) == 1
-
-
-# ---------------------------------------------------------------------------
-# flow-rule backend: routes <-> match/action rules
-
-
-class TestFlowRuleBackend:
-    def test_entry_to_rule_shape(self):
-        rule = entry_to_rule(v4_entry(3, nexthop=7, ifname="sw0"))
-        assert rule.table == TABLE_IPV4
-        assert rule.priority == 24  # longest-prefix-match via priority
-        assert rule.match == {"ipv4_dst": "10.0.3.0/24"}
-        assert rule.actions == [("set_next_hop", "0.0.0.7"),
-                                ("output", "sw0")]
-
-    @pytest.mark.parametrize("entry", [
-        v4_entry(1), v4_entry(2, nexthop=0, ifname="eth3"),
-        v6_entry(4), v6_entry(5, nexthop=0, ifname=""),
-    ])
-    def test_rule_round_trip(self, entry):
-        assert rule_to_entry(entry_to_rule(entry)) == entry
-
-    def test_apply_and_dump_both_families(self):
-        backend = FlowRuleBackend()
-        log = collect_completions(backend)
-        backend.apply([FibOp(ADD, v4_entry(1), seq=1),
-                       FibOp(ADD, v6_entry(2), seq=2),
-                       FibOp(ADD, v4_entry(3), seq=3)])
-        assert all(ok for __, ok, __r in log)
-        assert set(backend.dump(32)) == {v4_entry(1), v4_entry(3)}
-        assert set(backend.dump(128)) == {v6_entry(2)}
-        assert len(backend.rules(TABLE_IPV4)) == 2
-        assert len(backend.rules(TABLE_IPV6)) == 1
-        backend.apply([FibOp(DELETE, v4_entry(1), seq=4)])
-        assert set(backend.dump(32)) == {v4_entry(3)}
-        assert backend.rules_removed == 1
-
-    def test_add_overwrites_rule_for_same_prefix(self):
-        backend = FlowRuleBackend()
-        collect_completions(backend)
         backend.apply([FibOp(ADD, v4_entry(1, nexthop=1), seq=1),
-                       FibOp(ADD, v4_entry(1, nexthop=2), seq=2)])
-        assert backend.dump(32) == [v4_entry(1, nexthop=2)]
+                       FibOp(ADD, v4_entry(2), seq=2),
+                       FibOp(ADD, v4_entry(1, nexthop=2), seq=3)])
+        assert set(backend.dump(32)) == {v4_entry(1, nexthop=2),
+                                         v4_entry(2)}
+        backend.apply([FibOp(DELETE, v4_entry(1), seq=4),
+                       FibOp(DELETE, v4_entry(9), seq=5)])
+        assert backend.dump(32) == [v4_entry(2)]
         assert len(backend) == 1
 
 

@@ -83,7 +83,7 @@ class TestRipAuthentication:
         rip_a.xrl_add_static_route(IPNet.parse("99.0.0.0/8"),
                                    IPv4("10.0.0.1"), 1)
         assert network.run_until(
-            lambda: rip_b.routes.exact(IPNet.parse("99.0.0.0/8")) is not None,
+            lambda: rip_b.routes.get(IPNet.parse("99.0.0.0/8")) is not None,
             timeout=30)
 
     def test_mismatched_password_rejected(self):
@@ -93,7 +93,7 @@ class TestRipAuthentication:
         rip_a.xrl_add_static_route(IPNet.parse("99.0.0.0/8"),
                                    IPv4("10.0.0.1"), 1)
         network.run(duration=20)
-        assert rip_b.routes.exact(IPNet.parse("99.0.0.0/8")) is None
+        assert rip_b.routes.get(IPNet.parse("99.0.0.0/8")) is None
         assert rip_b.ports["eth0"].bad_packets > 0
 
     def test_unauthenticated_sender_rejected(self):
@@ -102,4 +102,4 @@ class TestRipAuthentication:
         rip_a.xrl_add_static_route(IPNet.parse("99.0.0.0/8"),
                                    IPv4("10.0.0.1"), 1)
         network.run(duration=20)
-        assert rip_b.routes.exact(IPNet.parse("99.0.0.0/8")) is None
+        assert rip_b.routes.get(IPNet.parse("99.0.0.0/8")) is None

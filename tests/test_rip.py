@@ -100,9 +100,9 @@ class TestRipProtocol:
         network, a, b, rip_a, rip_b = build_rip_pair()
         rip_a.xrl_add_static_route(net("99.0.0.0/8"), IPv4("10.0.0.1"), 1)
         assert network.run_until(
-            lambda: rip_b.routes.exact(net("99.0.0.0/8")) is not None,
+            lambda: rip_b.routes.get(net("99.0.0.0/8")) is not None,
             timeout=30)
-        entry = rip_b.routes.exact(net("99.0.0.0/8"))
+        entry = rip_b.routes.get(net("99.0.0.0/8"))
         assert entry.metric == 2  # 1 + interface cost
         assert entry.nexthop == IPv4("10.0.0.1")
 
@@ -122,7 +122,7 @@ class TestRipProtocol:
         start = network.loop.now()
         rip_a.xrl_add_static_route(net("99.0.0.0/8"), IPv4("10.0.0.1"), 1)
         assert network.run_until(
-            lambda: rip_b.routes.exact(net("99.0.0.0/8")) is not None,
+            lambda: rip_b.routes.get(net("99.0.0.0/8")) is not None,
             timeout=30)
         assert network.loop.now() - start < 5.0  # well under 30s
 
@@ -130,17 +130,17 @@ class TestRipProtocol:
         network, a, b, rip_a, rip_b = build_rip_pair(update_interval=2.0)
         rip_a.xrl_add_static_route(net("99.0.0.0/8"), IPv4("10.0.0.1"), 1)
         assert network.run_until(
-            lambda: rip_b.routes.exact(net("99.0.0.0/8")) is not None,
+            lambda: rip_b.routes.get(net("99.0.0.0/8")) is not None,
             timeout=30)
         # Cut the link: B must time the route out (metric 16) then GC it.
         network.links[0].set_up(False)
         assert network.run_until(
-            lambda: (rip_b.routes.exact(net("99.0.0.0/8")) is None
-                     or rip_b.routes.exact(net("99.0.0.0/8")).metric
+            lambda: (rip_b.routes.get(net("99.0.0.0/8")) is None
+                     or rip_b.routes.get(net("99.0.0.0/8")).metric
                      == RIP_INFINITY),
             timeout=60)
         assert network.run_until(
-            lambda: rip_b.routes.exact(net("99.0.0.0/8")) is None, timeout=60)
+            lambda: rip_b.routes.get(net("99.0.0.0/8")) is None, timeout=60)
         # And the FIB entry must be gone.
         assert b.fea.fib4.lookup(IPv4("99.1.1.1")) is None
 
@@ -148,13 +148,13 @@ class TestRipProtocol:
         network, a, b, rip_a, rip_b = build_rip_pair()
         rip_a.xrl_add_static_route(net("99.0.0.0/8"), IPv4("10.0.0.1"), 1)
         assert network.run_until(
-            lambda: rip_b.routes.exact(net("99.0.0.0/8")) is not None,
+            lambda: rip_b.routes.get(net("99.0.0.0/8")) is not None,
             timeout=30)
-        entry = rip_a.routes.exact(net("99.0.0.0/8"))
+        entry = rip_a.routes.get(net("99.0.0.0/8"))
         rip_a._start_deletion(entry)
         assert network.run_until(
-            lambda: (rip_b.routes.exact(net("99.0.0.0/8")) is None
-                     or rip_b.routes.exact(net("99.0.0.0/8")).metric
+            lambda: (rip_b.routes.get(net("99.0.0.0/8")) is None
+                     or rip_b.routes.get(net("99.0.0.0/8")).metric
                      == RIP_INFINITY),
             timeout=30)
 
@@ -174,20 +174,20 @@ class TestRipProtocol:
         enable_rip(rips[2], "eth0", "10.0.1.2")
         rips[0].xrl_add_static_route(net("99.0.0.0/8"), IPv4("10.0.0.1"), 1)
         assert network.run_until(
-            lambda: rips[2].routes.exact(net("99.0.0.0/8")) is not None,
+            lambda: rips[2].routes.get(net("99.0.0.0/8")) is not None,
             timeout=60)
-        assert rips[2].routes.exact(net("99.0.0.0/8")).metric == 3
+        assert rips[2].routes.get(net("99.0.0.0/8")).metric == 3
 
     def test_split_horizon_poisoned_reverse(self):
         network, a, b, rip_a, rip_b = build_rip_pair()
         rip_a.xrl_add_static_route(net("99.0.0.0/8"), IPv4("10.0.0.1"), 1)
         assert network.run_until(
-            lambda: rip_b.routes.exact(net("99.0.0.0/8")) is not None,
+            lambda: rip_b.routes.get(net("99.0.0.0/8")) is not None,
             timeout=30)
         # B advertises the route back to A only with metric 16, so A's own
         # entry must never be displaced by a learned one.
         network.run(duration=20)
-        entry = rip_a.routes.exact(net("99.0.0.0/8"))
+        entry = rip_a.routes.get(net("99.0.0.0/8"))
         assert entry.is_local and entry.metric == 1
 
     def test_request_answered(self):
@@ -199,8 +199,17 @@ class TestRipProtocol:
                            RipPacket.whole_table_request(),
                            IPv4("224.0.0.9"))
         assert network.run_until(
-            lambda: rip_b.routes.exact(net("99.0.0.0/8")) is not None,
+            lambda: rip_b.routes.get(net("99.0.0.0/8")) is not None,
             timeout=30)
+
+    def test_full_table_goes_out_in_prefix_order(self):
+        network, a, b, rip_a, rip_b = build_rip_pair(update_interval=1000.0)
+        for text in ("99.0.0.0/8", "10.1.0.0/16", "42.0.0.0/8", "10.0.0.0/8"):
+            rip_a.xrl_add_static_route(net(text), IPv4("10.0.0.1"), 1)
+        entries = rip_a._advertised_entries(rip_a.ports["eth0"],
+                                            changed_only=False)
+        assert [str(entry.net) for entry in entries] == [
+            "10.0.0.0/8", "10.1.0.0/16", "42.0.0.0/8", "99.0.0.0/8"]
 
     def test_counters(self):
         network, a, b, rip_a, rip_b = build_rip_pair()
@@ -230,7 +239,7 @@ class TestRipProtocol:
             Xrl("rib", "rib", "1.0", "add_route4", route_args), deadline=10)
         assert error.is_okay
         assert network.run_until(
-            lambda: rip_b.routes.exact(net("42.0.0.0/8")) is not None,
+            lambda: rip_b.routes.get(net("42.0.0.0/8")) is not None,
             timeout=30)
 
 

@@ -5,11 +5,11 @@ from outside: trie mutations per route, live trie nodes per route,
 attribute lists per UPDATE, tag containers per route, and what is left
 of a route in GC-tracked objects and traced bytes.  The budget is the
 one DESIGN.md states ("Which table is which structure"): a route is in
-five tries — PeerIn, the decision's winners, the register stage's
-winners, the FEA's ``Fib`` and the FIB backend — and in dicts everywhere
-else, so a table that quietly becomes a trie again, or a per-route
-allocation that comes back, fails here before it shows up as throughput
-or footprint.
+four tries — PeerIn, the decision's winners, the register stage's
+winners and the FEA's ``Fib`` — and in dicts everywhere else, the FIB
+backend's table among them, so a table that quietly becomes a trie
+again, or a per-route allocation that comes back, fails here before it
+shows up as throughput or footprint.
 
 Stage messages are counted the same way, through a
 :class:`repro.core.taps.StageTap`: a RIB stage handles one message per
@@ -38,7 +38,7 @@ from repro.trie import RouteTrie, TrieNode
 from tests.test_vector_route_stream import Router
 
 #: tries one BGP-learned route is stored in (module docstring)
-TRIES_PER_ROUTE = 5
+TRIES_PER_ROUTE = 4
 UPDATE_SIZE = 200
 UPDATES = 5
 #: the routes the counts exclude: 10.0.0.0/8 and whatever the nexthop
@@ -122,8 +122,8 @@ def test_at_most_two_trie_nodes_per_route_per_trie(router):
 
 
 #: what a loaded route leaves behind across BGP, the RIB and the FEA
-TRACKED_OBJECTS_PER_ROUTE = 17.5
-TRACED_BYTES_PER_ROUTE = 1850
+TRACKED_OBJECTS_PER_ROUTE = 15.5
+TRACED_BYTES_PER_ROUTE = 1700
 
 
 def test_a_route_costs_its_budget_in_objects_and_bytes(router):

@@ -94,24 +94,11 @@ class TestBestMatch:
         covers = [str(n) for n, __ in trie.covering(net("10.1.2.0/24"))]
         assert covers == ["0.0.0.0/0", "10.0.0.0/8", "10.1.0.0/16"]
 
-    def test_find_less_specific_is_strict(self, trie):
-        trie.insert(net("10.0.0.0/8"), "a")
-        trie.insert(net("10.1.0.0/16"), "b")
-        assert trie.find_less_specific(net("10.1.0.0/16"))[1] == "a"
-        assert trie.find_less_specific(net("10.0.0.0/8")) is None
-
     def test_covered(self, trie):
         for prefix in ("10.0.0.0/8", "10.1.0.0/16", "10.1.2.0/24", "11.0.0.0/8"):
             trie.insert(net(prefix), prefix)
         inside = sorted(str(n) for n, __ in trie.covered(net("10.0.0.0/8")))
         assert inside == ["10.0.0.0/8", "10.1.0.0/16", "10.1.2.0/24"]
-
-    def test_has_more_specific(self, trie):
-        trie.insert(net("10.0.0.0/8"), "a")
-        assert not trie.has_more_specific(net("10.0.0.0/8"))
-        trie.insert(net("10.1.0.0/16"), "b")
-        assert trie.has_more_specific(net("10.0.0.0/8"))
-        assert not trie.has_more_specific(net("10.2.0.0/15"))
 
 
 class TestRemoval:
@@ -308,10 +295,9 @@ ops_strategy = st.lists(
 )
 
 
-def _containing(oracle, prefix, *, strictly=False):
+def _containing(oracle, prefix):
     """Oracle prefixes containing *prefix*, shortest first."""
-    return sorted((p for p in oracle
-                   if p.contains(prefix) and not (strictly and p == prefix)),
+    return sorted((p for p in oracle if p.contains(prefix)),
                   key=lambda p: p.prefix_len)
 
 
@@ -331,9 +317,6 @@ def _check_against_oracle(trie, oracle, removed, parked):
     for prefix in list(oracle) + list(removed):
         covering = _containing(oracle, prefix)
         assert [n for n, __ in trie.covering(prefix)] == covering
-        less = _containing(oracle, prefix, strictly=True)
-        found = trie.find_less_specific(prefix)
-        assert (found[0] if found else None) == (less[-1] if less else None)
         host = IPNet(prefix.network, 32)
         best = trie.best_match(prefix.network)
         matching = _containing(oracle, host)
