@@ -135,6 +135,18 @@ class TestTrieBackend:
         assert backend.dump(32) == [v4_entry(2)]
         assert len(backend) == 1
 
+    def test_each_family_has_its_own_table(self):
+        backend = TrieFibBackend()
+        collect_completions(backend)
+        backend.apply([FibOp(ADD, v4_entry(1), seq=1),
+                       FibOp(ADD, v6_entry(1), seq=2),
+                       FibOp(ADD, v6_entry(2), seq=3)])
+        assert len(backend) == 3
+        backend.apply([FibOp(DELETE, v4_entry(1), seq=4)])
+        assert backend.dump(32) == []
+        assert set(backend.dump(128)) == {v6_entry(1), v6_entry(2)}
+        assert len(backend) == 2
+
 
 # ---------------------------------------------------------------------------
 # netlink-like backend: bounded async queue + seeded faults
@@ -206,6 +218,21 @@ class TestNetlinkBackend:
         assert loop.run_until(lambda: len(backend.dump(32)) == 1, timeout=5)
         backend.crash(lose_tables=False)
         assert backend.dump(32) == [v4_entry(1)]
+
+    def test_drained_ops_write_the_in_memory_tables(self):
+        loop = EventLoop(SimulatedClock())
+        backend = NetlinkFibBackend(ops_per_completion=4)
+        log = collect_completions(backend, loop)
+        backend.apply([FibOp(ADD, v4_entry(1), seq=1),
+                       FibOp(ADD, v6_entry(2), seq=2),
+                       FibOp(ADD, v4_entry(3), seq=3),
+                       FibOp(DELETE, v4_entry(1), seq=4)])
+        assert len(backend) == 0  # nothing is applied within apply()
+        assert loop.run_until(lambda: len(log) == 4, timeout=5)
+        assert isinstance(backend, TrieFibBackend)
+        assert backend.dump(32) == [v4_entry(3)]
+        assert backend.dump(128) == [v6_entry(2)]
+        assert len(backend) == 2 and backend.stats.applied == 4
 
 
 # ---------------------------------------------------------------------------

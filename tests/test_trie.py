@@ -137,6 +137,100 @@ class TestRemoval:
         assert list(trie.items()) == []
 
 
+class TestNodeLinking:
+    """Each way an insert links its node in, checked pointer by pointer."""
+
+    def _node(self, trie, text):
+        node = trie._find_node(net(text))
+        assert node is not None, text
+        return node
+
+    def test_more_specific_hangs_below_its_cover(self, trie):
+        trie.insert(net("10.0.0.0/8"), "a")
+        trie.insert(net("10.128.0.0/16"), "b")
+        cover = self._node(trie, "10.0.0.0/8")
+        child = self._node(trie, "10.128.0.0/16")
+        assert cover.parent is trie._root and trie._root.left is cover
+        assert cover.left is None and cover.right is child
+        assert child.parent is cover
+        _assert_compact(trie)
+
+    def test_cover_inserted_later_is_spliced_above(self, trie):
+        trie.insert(net("10.1.0.0/16"), "b")
+        trie.insert(net("10.0.0.0/8"), "a")
+        cover = self._node(trie, "10.0.0.0/8")
+        child = self._node(trie, "10.1.0.0/16")
+        assert trie._root.left is cover and cover.parent is trie._root
+        assert cover.left is child and cover.right is None
+        assert child.parent is cover
+        _assert_compact(trie)
+
+    def test_diverging_prefixes_share_a_join_node(self, trie):
+        trie.insert(net("10.0.0.0/16"), "a")
+        trie.insert(net("10.1.0.0/16"), "b")
+        join = self._node(trie, "10.0.0.0/15")
+        assert join.payload is _EMPTY and join.parent is trie._root
+        assert join.left is self._node(trie, "10.0.0.0/16")
+        assert join.right is self._node(trie, "10.1.0.0/16")
+        assert len(trie) == 2
+        assert trie.exact(net("10.0.0.0/15")) is None
+        _assert_compact(trie)
+
+    def test_join_node_forms_below_a_cover(self, trie):
+        trie.insert(net("10.0.0.0/8"), "cover")
+        trie.insert(net("10.1.2.0/24"), "a")
+        trie.insert(net("10.1.3.0/24"), "b")
+        cover = self._node(trie, "10.0.0.0/8")
+        join = self._node(trie, "10.1.2.0/23")
+        assert join.payload is _EMPTY
+        assert cover.left is join and join.parent is cover
+        assert join.left is self._node(trie, "10.1.2.0/24")
+        assert join.right is self._node(trie, "10.1.3.0/24")
+        _assert_compact(trie)
+
+    def test_prefix_between_a_join_and_its_child_is_spliced_in(self, trie):
+        trie.insert(net("10.0.0.0/16"), "a")
+        trie.insert(net("10.2.0.0/16"), "b")
+        join = self._node(trie, "10.0.0.0/14")
+        trie.insert(net("10.2.0.0/15"), "mid")
+        mid = self._node(trie, "10.2.0.0/15")
+        assert join.right is mid and mid.parent is join
+        assert mid.left is self._node(trie, "10.2.0.0/16") and mid.right is None
+        assert self._node(trie, "10.2.0.0/16").parent is mid
+        assert [str(n) for n, __ in trie.items()] == [
+            "10.0.0.0/16", "10.2.0.0/15", "10.2.0.0/16"]
+        _assert_compact(trie)
+
+    def test_a_route_at_a_join_prefix_takes_the_join_node(self, trie):
+        trie.insert(net("10.0.0.0/16"), "a")
+        trie.insert(net("10.1.0.0/16"), "b")
+        join = self._node(trie, "10.0.0.0/15")
+        assert trie.insert(net("10.0.0.0/15"), "j") is None
+        assert self._node(trie, "10.0.0.0/15") is join
+        assert join.payload == "j" and len(trie) == 3
+        assert join.left.payload == "a" and join.right.payload == "b"
+        assert trie.exact(net("10.0.0.0/15")) == "j"
+
+    def test_removing_one_side_of_a_join_removes_the_join(self, trie):
+        trie.insert(net("10.0.0.0/16"), "a")
+        trie.insert(net("10.1.0.0/16"), "b")
+        trie.remove(net("10.1.0.0/16"))
+        assert trie._find_node(net("10.0.0.0/15")) is None
+        left = self._node(trie, "10.0.0.0/16")
+        assert left.parent is trie._root and trie._root.left is left
+        _assert_compact(trie)
+
+    def test_ipv6_diverging_prefixes_share_a_join_node(self):
+        trie = RouteTrie(128)
+        trie.insert(IPNet.parse("2001:db8::/32"), "a")
+        trie.insert(IPNet.parse("2001:db9::/32"), "b")
+        join = trie._find_node(IPNet.parse("2001:db8::/31"))
+        assert join is not None and join.payload is _EMPTY
+        assert join.left.payload == "a" and join.right.payload == "b"
+        assert join.left.parent is join and join.right.parent is join
+        _assert_compact(trie)
+
+
 class TestIterationOrder:
     def test_items_sorted(self, trie):
         prefixes = ["10.1.0.0/16", "10.0.0.0/8", "9.0.0.0/8",
@@ -429,6 +523,53 @@ prefix6_strategy = st.builds(
     st.integers(min_value=0, max_value=(1 << 128) - 1),
     st.integers(min_value=0, max_value=128),
 )
+
+
+def _shape(node):
+    """A node and everything below it, as nested tuples."""
+    if node is None:
+        return None
+    payload = None if node.payload is _EMPTY else node.payload
+    return (int(node.net), payload, _shape(node.left), _shape(node.right))
+
+
+class TestCanonicalShape:
+    """A compact Patricia trie has one shape per set of routes, however
+    it was reached: the insert links and ``_reclaim`` unlinks to it."""
+
+    @settings(max_examples=60)
+    @given(st.lists(prefix_strategy, min_size=1, max_size=30, unique=True),
+           st.randoms(use_true_random=False))
+    def test_insertion_order_does_not_change_the_shape(self, prefixes, rng):
+        sorted_trie, shuffled_trie = RouteTrie(32), RouteTrie(32)
+        for p in sorted(prefixes):
+            sorted_trie.insert(p, str(p))
+        rng.shuffle(prefixes)
+        for p in prefixes:
+            shuffled_trie.insert(p, str(p))
+        assert _shape(shuffled_trie._root) == _shape(sorted_trie._root)
+
+    @settings(max_examples=60)
+    @given(st.lists(prefix_strategy, min_size=1, max_size=30, unique=True),
+           st.lists(st.one_of(prefix_strategy, dense_prefix_strategy),
+                    max_size=20),
+           st.randoms(use_true_random=False))
+    def test_removals_leave_the_shape_of_the_survivors(self, kept, extra,
+                                                        rng):
+        victims = [p for p in dict.fromkeys(extra) if p not in kept]
+        churned, fresh = RouteTrie(32), RouteTrie(32)
+        everything = kept + victims
+        rng.shuffle(everything)
+        for p in everything:
+            churned.insert(p, str(p))
+        rng.shuffle(victims)
+        for p in victims:
+            churned.remove(p)
+        for p in kept:
+            fresh.insert(p, str(p))
+        assert len(churned) == len(kept)
+        assert _shape(churned._root) == _shape(fresh._root)
+        _assert_compact(churned)
 
 
 def _brute_force_lpm(prefixes, addr):
