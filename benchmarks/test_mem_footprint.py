@@ -71,11 +71,12 @@ def test_memory_footprint_full_table(benchmark):
           f"{stats['young_gc_s']:.1f} s")
     benchmark.extra_info["load_s"] = round(stats["load_s"], 1)
     benchmark.extra_info["full_gc_s"] = round(stats["full_gc_s"], 1)
-    # A route is stored in five tries of 7-slot nodes, its prefix holds an
-    # int rather than an address object, and an UPDATE's routes share one
-    # nexthop object (DESIGN.md, "Which table is which structure"): 2.1
-    # KB/route measured.  With six tries, an address per prefix and one
-    # per nexthop it was 2.8, so the ceiling sits where any of those
+    # A route is stored in three tries of 6-slot nodes whose joins borrow
+    # a route's int, its prefix holds an int rather than an address
+    # object, and an UPDATE's routes share one nexthop object (DESIGN.md,
+    # "Which table is which structure"): 1.4 KB/route measured, 1.6 with
+    # the FEA's Fib a fourth trie.  With six tries, an address per prefix
+    # and one per nexthop it was 2.8, so the ceiling sits where those
     # coming back would cross it.
     assert kb_per_route <= 2.5, (
         f"table used {growth:.0f} MB, {kb_per_route:.2f} KB/route")

@@ -144,8 +144,9 @@ class Scope:
         self.assigns: Dict[str, List[ast.stmt]] = {}
         #: name -> every line that binds it, tuple unpacking included
         self.rebinds: Dict[str, List[int]] = {}
-        #: name -> lines of ``name.add*(...)`` calls
-        self.adds: Dict[str, List[int]] = {}
+        #: name -> ``name.add*(...)`` calls, as (line, the ``if`` arms
+        #: around the call)
+        self.adds: Dict[str, List[Tuple[int, Arms]]] = {}
         #: name -> ``name.get_*("atom")`` reads as (line, atom, getter type)
         self.reads: Dict[str, List[Tuple[int, str, Optional[str]]]] = {}
         #: name -> the ``def`` of that name (nested, or the function itself)
@@ -419,11 +420,19 @@ def _bind_interface(call: ast.Call, scope: Scope
 
 def _arg_chain(node: ast.AST) -> Optional[Tuple[Atom, ...]]:
     """``XrlArgs().add_txt("a", x).add_u32("b", y)`` -> atoms, else None."""
+    base, atoms = _add_chain(node)
+    if atoms is None or _constructed_class(base) != "XrlArgs" \
+            or base.args or base.keywords:
+        return None
+    return atoms
+
+
+def _add_chain(node: ast.AST) -> Tuple[ast.AST, Optional[Tuple[Atom, ...]]]:
+    """``base.add_txt("a", x).add_u32("b", y)`` -> ``(base, atoms)``; the
+    atoms are None when an add in the chain names no constant atom."""
     atoms: List[Atom] = []
-    while _constructed_class(node) != "XrlArgs":
-        if not (isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute) and node.args):
-            return None
+    while (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+           and node.args):
         attr, first = node.func.attr, node.args[0]
         if attr in _ADDERS and _const_str(first) is not None:
             atoms.append((_const_str(first), _ADDERS[attr]))
@@ -435,11 +444,16 @@ def _arg_chain(node: ast.AST) -> Optional[Tuple[Atom, ...]]:
             atoms.append((_const_str(first.args[0]),
                           XrlAtomType[first.args[1].attr].value))
         else:
-            return None
+            return node, None
         node = node.func.value
-    if node.args or node.keywords:
-        return None
-    return tuple(reversed(atoms))
+    return node, tuple(reversed(atoms))
+
+
+def _exclusive(arms: Arms, others: Arms) -> bool:
+    """True when code under *arms* and code under *others* sit in
+    different arms of one ``if``: at most one of them runs."""
+    mine = dict(arms)
+    return any(mine.get(branch, arm) != arm for branch, arm in others)
 
 
 @dataclass
@@ -457,6 +471,10 @@ class _Wrapper:
 # ---------------------------------------------------------------------------
 
 _SENDS = ("send", "send_sync", "enqueue")
+
+#: the ``if`` statements around a node, each with the arm it is in
+#: (0 the body, 1 the ``else``), outermost first
+Arms = Tuple[Tuple[ast.If, int], ...]
 
 #: nodes the walk records nothing of and that have no children to visit
 _LEAVES = frozenset({ast.Load, ast.Store, ast.Del, ast.Constant})
@@ -490,6 +508,10 @@ class _Scan:
         self.wrapper_roles: Dict[ast.AST, Dict[str, int]] = {}
         self.wrappers: Dict[str, _Wrapper] = {}
         self.constructions: Dict[ast.Call, SendSite] = {}
+        #: the ``if`` arms around the node, within the innermost function
+        self.arms: Arms = ()
+        #: an ``Xrl(...)`` construction -> the arms around it, if any
+        self.arms_of: Dict[ast.Call, Arms] = {}
 
     def run(self) -> ModuleSites:
         self._visit(self.module.tree)
@@ -522,6 +544,9 @@ class _Scan:
         if kind is ast.ClassDef:
             self._class(node)
             return
+        if kind is ast.If:
+            self._if(node)
+            return
         scope = self.scope
         if kind is ast.Name:
             scope.names.add(node.id)
@@ -552,16 +577,27 @@ class _Scan:
             if type(child) not in _LEAVES:
                 self._visit(child)
 
+    def _if(self, node: ast.If) -> None:
+        """Each arm's statements are walked knowing their arm, so that an
+        add in one arm is not read as a mutation of a send in the other."""
+        self._visit(node.test)
+        outer = self.arms
+        for arm, body in enumerate((node.body, node.orelse)):
+            self.arms = outer + ((node, arm),)
+            for stmt in body:
+                self._visit(stmt)
+        self.arms = outer
+
     def _function(self, fn: ast.AST) -> None:
-        outer = self.scope
+        outer, outer_arms = self.scope, self.arms
         scope = self.scopes[fn] = Scope(fn)
         if isinstance(fn, _DEFS):
             outer.defs.setdefault(fn.name, fn)
         self.functions.append(fn)
-        self.scope = scope
+        self.scope, self.arms = scope, ()
         for child in ast.iter_child_nodes(fn):
             self._visit(child)
-        self.scope = outer
+        self.scope, self.arms = outer, outer_arms
         self.functions.pop()
         outer.absorb(scope)
 
@@ -608,7 +644,8 @@ class _Scan:
             if isinstance(func.value, ast.Name):
                 var, attr = func.value.id, func.attr
                 if attr.startswith("add"):
-                    scope.adds.setdefault(var, []).append(call.lineno)
+                    scope.adds.setdefault(var, []).append(
+                        (call.lineno, self.arms))
                 elif attr in _GETTERS and call.args \
                         and _const_str(call.args[0]) is not None:
                     scope.reads.setdefault(var, []).append(
@@ -617,6 +654,8 @@ class _Scan:
                     scope.self_calls.add(attr)
             if func.attr in _SENDS:
                 scope.sends.append(call)
+        if self.arms and isinstance(func, ast.Name) and func.id == "Xrl":
+            self.arms_of[call] = self.arms
         if _callee_name(call) == "import_module" and call.args:
             package = _repro_package(_const_str(call.args[0]))
             if package is not None:
@@ -690,17 +729,47 @@ class _Scan:
         if args_node is not None:
             atoms = _arg_chain(args_node)
             if atoms is None and isinstance(args_node, ast.Name):
-                stmt = scope.assignment(args_node.id, call.lineno)
-                if stmt is not None and all(
-                        line == stmt.lineno     # else mutated after the build
-                        for line in scope.adds.get(args_node.id, ())):
-                    atoms = _arg_chain(stmt.value)
+                atoms = self._built(call, args_node.id, scope)
         self.constructions[call] = self._send_site(
             call, f"{iface}/{version}",
             scope.str_values(call.args[3], call.lineno), "ctor",
             target=_const_str(call.args[0]), sent=False, atoms=atoms,
             iface_line=call.args[1].lineno,
             args_line=(args_node or call).lineno)
+
+    def _built(self, call: ast.Call, name: str,
+               scope: Scope) -> Optional[Tuple[Atom, ...]]:
+        """The atoms of the args variable *name* as *call* reads it.
+
+        Its latest assignment is followed back through ``name =
+        name.add_*(...)`` to an ``XrlArgs()`` chain.  Any other add to
+        *name* is a mutation the chains do not show, and the atoms are
+        unknown, unless it sits in the other arm of an ``if`` around
+        *call*.
+        """
+        arms = self.arms_of.get(call, ())
+        built: Tuple[Atom, ...] = ()
+        chains: List[ast.stmt] = []
+        line = call.lineno
+        while True:
+            stmt = scope.assignment(name, line)
+            if stmt is None:
+                return None
+            base, atoms = _add_chain(stmt.value)
+            if atoms is None:
+                return None
+            built = atoms + built
+            chains.append(stmt)
+            if not (isinstance(base, ast.Name) and base.id == name):
+                break
+            line = stmt.lineno
+        if _arg_chain(base) is None:
+            return None
+        if all(any(stmt.lineno <= line <= stmt.end_lineno for stmt in chains)
+               or _exclusive(arms, add_arms)
+               for line, add_arms in scope.adds.get(name, ())):
+            return built
+        return None
 
     def _textual(self, call: ast.Call) -> None:
         textual = _textual_xrl(call)

@@ -1,12 +1,12 @@
 """Path-compressed binary trie keyed by IP prefix, plus safe iterators.
 
-The trie backs the tables that are asked longest-match questions (the
-RIB's internal side and interest-registration arithmetic, the FEA's
-shadow FIB) or that hand out iterators a background task parks on (BGP
-PeerIn, the decision's winners, the RIB's dumps).  A table that is only
-ever asked for the route at exactly one prefix is a ``dict`` instead —
-DESIGN.md, "Which table is which structure", lists every table.  Nodes
-are ordered so that a preorder walk yields prefixes in ``(network,
+The trie backs the tables that hand out iterators a background task
+parks on (BGP PeerIn, the decision's winners, the RIB's dumps) or answer
+the RIB's longest-match and covering questions (its internal side,
+interest registration).  A table asked only for the route at exactly one
+prefix is a ``dict``, and so is the FEA's FIB, asked only for longest
+match — DESIGN.md, "Which table is which structure", lists every table.
+Nodes are ordered so that a preorder walk yields prefixes in ``(network,
 prefix-len)`` order — the order :class:`repro.net.IPNet` sorts in —
 which the fanout dump logic relies on.
 
@@ -37,15 +37,17 @@ _EMPTY = object()
 
 
 class TrieNode:
-    """One trie node: a prefix, a payload (or ``_EMPTY``), two children.
+    """One trie node: a prefix length, a prefix, a payload (or
+    ``_EMPTY``), two children.
 
-    ``net`` is the node's :class:`IPNet` — at a join node, the bare int
-    that prefix would be — and every walk reads it as that int."""
+    A route node's ``net`` is the route's :class:`IPNet`.  A join node
+    borrows the ``net`` of the route whose insert made it: only its first
+    ``plen`` bits are the join's, and every walk reads no more of it."""
 
     __slots__ = ("plen", "net", "payload", "parent", "left", "right")
 
-    def __init__(self, net: int, payload: Any = _EMPTY):
-        self.plen = net & 0xFF
+    def __init__(self, net: int, plen: int, payload: Any = _EMPTY):
+        self.plen = plen
         self.net = net
         self.payload = payload
         self.parent: Optional["TrieNode"] = None
@@ -54,7 +56,9 @@ class TrieNode:
 
     def __repr__(self) -> str:
         tag = "join" if self.payload is _EMPTY else "route"
-        return f"<TrieNode {int.__new__(IPNet, self.net)} {tag}>"
+        shift = (136 if self.net >= V6_TAG else 40) - self.plen
+        prefix = self.net >> shift << shift | self.plen
+        return f"<TrieNode {int.__new__(IPNet, prefix)} {tag}>"
 
 
 class RouteTrie:
@@ -72,7 +76,7 @@ class RouteTrie:
         self.bits = bits
         #: the shift that brings a key's first network bit down to bit 0
         self._top = bits + 7
-        self._root = TrieNode(V6_TAG if bits == 128 else 0)
+        self._root = TrieNode(V6_TAG if bits == 128 else 0, 0)
         self._count = 0
         #: node -> iterators pointing at it (paper §5.3)
         self._pins: Counter = Counter()
@@ -124,7 +128,7 @@ class RouteTrie:
             if child is None:
                 break
             node, node_plen = child, child.plen
-        if node.net == net:
+        if node_plen == plen and not (node.net ^ net) >> (top + 1 - plen):
             if node.payload is _EMPTY:
                 node.net = net  # a join node taking a route takes its prefix
             return node
@@ -134,12 +138,11 @@ class RouteTrie:
         while node_plen > shared:
             child, node = node, node.parent
             node_plen = node.plen
-        new = below = TrieNode(net)
+        new = below = TrieNode(net, plen)
         if child is not None and shared < plen:
-            # Diverging prefixes: a join node holds the bits they share,
-            # with the new prefix on one side and child on the other.
-            join_shift = top + 1 - shared
-            below = TrieNode(net >> join_shift << join_shift | shared)
+            # Diverging prefixes: a join node holds the bits they share
+            # (of net's own int), with net on one side and child on the other.
+            below = TrieNode(net, shared)
             new.parent = below
             if (net >> (top - shared)) & 1:
                 below.right = new

@@ -132,6 +132,39 @@ class TestXrlConformance:
         )
         assert analyze_source(source, logical=("rip", "process.py")) == []
 
+    def test_an_add_in_the_other_arm_is_not_a_mutation(self):
+        # Only one arm of the ``if`` runs: the add in the ``else`` cannot
+        # touch what the first arm sends, so the send is still checked.
+        source = (
+            "from repro.xrl import XrlArgs\n"
+            "from repro.xrl.xrl import Xrl\n"
+            "def go(router, extra):\n"
+            "    args = XrlArgs().add_txt('protokol', 'rip')\n"
+            "    if extra:\n"
+            "        router.send(Xrl('rib', 'rib', '1.0', 'add_igp_table4',"
+            " args))\n"
+            "    else:\n"
+            "        args = args.add_txt('protocol', extra)\n"
+        )
+        findings = analyze_source(source, logical=("rip", "process.py"))
+        assert rules_of(findings) == ["XRL003"]
+        assert findings[0].line == 6
+
+    @pytest.mark.parametrize("atom, rules", [("net", []),
+                                             ("nett", ["XRL003"])])
+    def test_a_chain_on_the_variable_is_followed_back(self, atom, rules):
+        source = (
+            "from repro.xrl import XrlArgs\n"
+            "from repro.xrl.xrl import Xrl\n"
+            "def go(router, net):\n"
+            "    args = XrlArgs().add_txt('protocol', 'rip')\n"
+            f"    args = (args\n            .add_ipv4net('{atom}', net))\n"
+            "    router.send(Xrl('rib', 'rib', '1.0', 'delete_route4',"
+            " args))\n"
+        )
+        findings = analyze_source(source, logical=("rip", "process.py"))
+        assert rules_of(findings) == rules
+
     def test_bound_handlers_complete_clean(self):
         source = (
             "from repro.interfaces import COMMON_IDL\n"
@@ -873,6 +906,23 @@ class TestRuleMatrix:
         seed(mutable_tree, rule)
         found = {finding.rule for finding in analyze_paths([mutable_tree])}
         assert found == {rule} | ALSO.get(rule, set())
+
+    def test_bgp_lone_route_sends_are_checked(self, mutable_tree):
+        # The lone-route branch of BGP's RIB segment builds its args in
+        # two steps, the add arm extending the delete arm's chain: a
+        # misspelt atom in the shared chain is reported at both sends.
+        bgp = mutable_tree / "bgp" / "process.py"
+        text = bgp.read_text()
+        chain = '.add_ipv4net("net", route.net))'
+        assert text.count(chain) == 1
+        bgp.write_text(text.replace(chain, chain.replace('"net"', '"nett"')))
+        findings = analyze_paths([mutable_tree])
+        assert {f.rule for f in findings} == {"XRL003"}
+        assert all("nett" in f.message for f in findings)
+        reported = {method for f in findings
+                    for method in ("delete_route4", "add_route4")
+                    if method in f.message}
+        assert reported == {"delete_route4", "add_route4"}
 
     def test_a_missing_handler_is_refused_at_bind(self):
         # The seed of the deleted missing-handler rule: a handler gone

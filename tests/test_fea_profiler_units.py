@@ -1,6 +1,8 @@
 """Unit tests for FEA internals (fib, ifmgr, rawsock) and the profiler."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.eventloop import EventLoop, SimulatedClock
 from repro.fea import Fib, FibEntry, Interface, InterfaceManager, LoopbackPacketIO
@@ -54,6 +56,115 @@ class TestFib:
         assert len(list(fib.entries())) == 5
         fib.clear()
         assert len(fib) == 0
+
+
+def _brute_force_lpm(model, addr):
+    """The LPM oracle: the entry of the longest prefix holding *addr*."""
+    best = None
+    for prefix, entry in model.items():
+        if prefix.contains_addr(addr) and (
+                best is None or prefix.prefix_len > best.net.prefix_len):
+            best = entry
+    return best
+
+
+def _prefixes(addr):
+    """Random prefixes, and prefixes of a few networks nested at every
+    length, so that a lookup falls through several lengths."""
+    bits = addr.BITS
+    return st.one_of(
+        st.builds(lambda v, p: IPNet(addr(v), p),
+                  st.integers(0, (1 << bits) - 1), st.integers(0, bits)),
+        st.builds(lambda v, p: IPNet(addr(v << (bits - 4)), p),
+                  st.integers(0, 15), st.integers(0, bits)))
+
+
+def _fib_ops(addr):
+    return st.lists(st.tuples(st.sampled_from(["insert", "remove"]),
+                              _prefixes(addr), st.integers(0, 3)),
+                    max_size=40)
+
+
+class TestFibAgainstModel:
+    """``Fib`` against a dict and a linear-scan longest match, both
+    families, through inserts, overwrites and removes."""
+
+    def _check(self, addr, fib, model, probes):
+        assert len(fib) == len(model)
+        assert [n for n, __ in fib.entries()] == sorted(model)
+        for prefix, entry in model.items():
+            assert fib.exact(prefix) is entry
+        # A lookup probes exactly the lengths present, longest first.
+        assert fib._lengths == tuple(sorted(
+            {n.prefix_len for n in model}, reverse=True))
+        for prefix in model:
+            probes.append(prefix.network)
+            probes.append(addr(prefix.network.to_int()
+                               | (1 << (addr.BITS - prefix.prefix_len)) - 1))
+        for probe in probes:
+            assert fib.lookup(probe) is _brute_force_lpm(model, probe), probe
+
+    def _run(self, addr, ops, probes):
+        fib, model = Fib(addr.BITS), {}
+        for op, prefix, hop in ops:
+            if op == "insert":
+                entry = FibEntry(prefix, addr(hop), f"eth{hop}")
+                assert fib.insert(entry) is model.get(prefix)
+                model[prefix] = entry
+            else:
+                assert fib.remove(prefix) is model.pop(prefix, None)
+            self._check(addr, fib, model, [addr(v) for v in probes])
+
+    @settings(max_examples=80, deadline=None)
+    @given(_fib_ops(IPv4), st.lists(st.integers(0, (1 << 32) - 1),
+                                    min_size=1, max_size=4))
+    def test_v4_matches_the_model(self, ops, probes):
+        self._run(IPv4, ops, probes)
+
+    @settings(max_examples=80, deadline=None)
+    @given(_fib_ops(IPv6), st.lists(st.integers(0, (1 << 128) - 1),
+                                    min_size=1, max_size=4))
+    def test_v6_matches_the_model(self, ops, probes):
+        self._run(IPv6, ops, probes)
+
+    def test_removing_the_last_prefix_of_a_length_stops_probing_it(self):
+        fib = Fib()
+        cover = FibEntry(net("10.0.0.0/8"), IPv4("1.1.1.1"))
+        for text in ("10.1.0.0/16", "10.2.0.0/16"):
+            fib.insert(FibEntry(net(text), IPv4("2.2.2.2")))
+        fib.insert(cover)
+        assert fib._lengths == (16, 8)
+        fib.remove(net("10.1.0.0/16"))
+        assert fib._lengths == (16, 8)
+        fib.remove(net("10.2.0.0/16"))
+        assert fib._lengths == (8,)
+        assert fib.lookup(IPv4("10.2.0.1")) is cover
+        fib.remove(net("10.0.0.0/8"))
+        assert fib._lengths == () and fib.lookup(IPv4("10.2.0.1")) is None
+
+    @pytest.mark.parametrize("bits, addr, host, outside", [
+        (32, IPv4, "10.1.2.3", "10.1.2.4"),
+        (128, IPv6, "2001:db8::1", "2001:db8::2")])
+    def test_default_and_host_routes(self, bits, addr, host, outside):
+        fib = Fib(bits)
+        default = FibEntry(IPNet(addr(0), 0), addr(1))
+        exact = FibEntry(IPNet(addr(host), bits), addr(2))
+        fib.insert(default)
+        fib.insert(exact)
+        assert fib.lookup(addr(host)) is exact
+        assert fib.lookup(addr(outside)) is default
+        assert [n for n, __ in fib.entries()] == [default.net, exact.net]
+        fib.remove(exact.net)
+        assert fib.lookup(addr(host)) is default
+
+    def test_wrong_family_insert_is_refused(self):
+        fib4, fib6 = Fib(32), Fib(128)
+        with pytest.raises(ValueError):
+            fib4.insert(FibEntry(net("2001:db8::/32"), IPv6("::1")))
+        with pytest.raises(ValueError):
+            fib6.insert(FibEntry(net("10.0.0.0/8"), IPv4("1.1.1.1")))
+        assert len(fib4) == len(fib6) == 0
+        assert fib4._lengths == fib6._lengths == ()
 
 
 class TestInterfaceManager:

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.net import IPNet, IPv4, IPv6
+from repro.net import V6_TAG, IPNet, IPv4, IPv6
 from repro.trie import RouteTrie
 from repro.trie.trie import _EMPTY
 
@@ -141,7 +141,7 @@ class TestNodeLinking:
     """Each way an insert links its node in, checked pointer by pointer."""
 
     def _node(self, trie, text):
-        node = trie._find_node(net(text))
+        node = _find(trie, net(text))
         assert node is not None, text
         return node
 
@@ -211,11 +211,22 @@ class TestNodeLinking:
         assert join.left.payload == "a" and join.right.payload == "b"
         assert trie.exact(net("10.0.0.0/15")) == "j"
 
+    def test_a_join_node_borrows_the_int_of_the_route_that_made_it(self,
+                                                                   trie):
+        first, second = net("10.0.0.0/16"), net("10.1.0.0/16")
+        trie.insert(first, "a")
+        trie.insert(second, "b")
+        join = self._node(trie, "10.0.0.0/15")
+        assert join.net is second and join.plen == 15
+        later = net("10.0.0.0/15")
+        trie.insert(later, "j")
+        assert join.net is later
+
     def test_removing_one_side_of_a_join_removes_the_join(self, trie):
         trie.insert(net("10.0.0.0/16"), "a")
         trie.insert(net("10.1.0.0/16"), "b")
         trie.remove(net("10.1.0.0/16"))
-        assert trie._find_node(net("10.0.0.0/15")) is None
+        assert _find(trie, net("10.0.0.0/15")) is None
         left = self._node(trie, "10.0.0.0/16")
         assert left.parent is trie._root and trie._root.left is left
         _assert_compact(trie)
@@ -224,7 +235,7 @@ class TestNodeLinking:
         trie = RouteTrie(128)
         trie.insert(IPNet.parse("2001:db8::/32"), "a")
         trie.insert(IPNet.parse("2001:db9::/32"), "b")
-        join = trie._find_node(IPNet.parse("2001:db8::/31"))
+        join = _find(trie, IPNet.parse("2001:db8::/31"))
         assert join is not None and join.payload is _EMPTY
         assert join.left.payload == "a" and join.right.payload == "b"
         assert join.left.parent is join and join.right.parent is join
@@ -418,6 +429,29 @@ def _check_against_oracle(trie, oracle, removed, parked):
             matching[-1] if matching else None)
 
 
+def _masked(value, plen):
+    shift = (136 if value >= V6_TAG else 40) - plen
+    return value >> shift << shift
+
+
+def _prefix(node):
+    """A node's prefix as ``(plen, masked prefix)``: a join node borrows
+    a longer route's int, so only its first ``plen`` bits are its own."""
+    return node.plen, _masked(node.net, node.plen)
+
+
+def _find(trie, key):
+    """The node whose prefix is *key*, join or route, or None."""
+    plen = key & 0xFF
+    node = trie._root
+    while node is not None and node.plen < plen:
+        node = node.right if key >> (trie._top - node.plen) & 1 \
+            else node.left
+    if node is None or _prefix(node) != (plen, _masked(key, plen)):
+        return None
+    return node
+
+
 def _assert_compact(trie):
     """With no iterator left, no node is pinned and no payload-less node
     outlives its purpose: each one below the root is a join with two
@@ -530,7 +564,7 @@ def _shape(node):
     if node is None:
         return None
     payload = None if node.payload is _EMPTY else node.payload
-    return (int(node.net), payload, _shape(node.left), _shape(node.right))
+    return (_prefix(node), payload, _shape(node.left), _shape(node.right))
 
 
 class TestCanonicalShape:
