@@ -1,6 +1,9 @@
-"""The work a fixed feed costs: Python calls per route, layer by layer.
+"""The work a fixed feed costs: Python calls and bytecode instructions
+per route, layer by layer.
 
-Run as ``python -m repro.experiments.workbudget`` it prints both tables.
+Run as ``python -m repro.experiments.workbudget`` it prints the four
+tables; with ``--by-function`` it prints each phase's functions instead,
+most instructions first.
 
 The shape of ``python -m bench``'s ``feed_inproc`` bulk phases, on a
 simulated clock so that every run makes the same calls: the Router
@@ -16,7 +19,9 @@ loop has nothing left to run, the FIB holding what it should.
 
 from __future__ import annotations
 
-from typing import Dict, List
+import sys
+from contextlib import nullcontext
+from typing import Dict, List, Tuple
 
 from repro.bgp.fsm import BgpState
 from repro.bgp.messages import UpdateMessage
@@ -33,10 +38,21 @@ ROUTES, SEED = 2000, 2004
 BASE_SHARE = 0.8
 
 
-def run_work_budget() -> Dict[str, Dict[str, float]]:
-    """``{"announce": table, "withdraw": table}``: the Python calls per
-    route of the feed's tail, each table ``{layer: calls, "total": sum}``
-    (:meth:`CallCounter.per`)."""
+def run_work_budget() -> Dict[str, Dict[str, Dict[str, float]]]:
+    """``{"calls": phases, "instructions": phases}``, each ``phases``
+    ``{"announce": table, "withdraw": table}``: the Python calls and the
+    bytecode instructions per route of the feed's tail, each table
+    ``{layer: count, "total": sum}`` (:meth:`CallCounter.per`)."""
+    counters, units = count_phases()
+    return {"calls": {name: counter.per(units)
+                      for name, counter in counters.items()},
+            "instructions": {name: counter.per(units, counter.instructions)
+                             for name, counter in counters.items()}}
+
+
+def count_phases(by_function: bool = False
+                 ) -> Tuple[Dict[str, CallCounter], int]:
+    """Each phase's :class:`CallCounter`, and the routes it moved."""
     host = Host()
     loop = host.loop
     manager = RouterManager(host)
@@ -73,20 +89,28 @@ def run_work_budget() -> Dict[str, Dict[str, float]]:
 
     base_fib = len(fea.fib4) + held
     phase(announce[:cut], base_fib)
-    for __ in range(2):  # the first round warms every path
-        counters = {}
+    counters = {}
+    for counted in (False, True):  # the first round warms every path
         for name, messages, fib_size in (
                 ("announce", announce[cut:], base_fib + tail),
                 ("withdraw", withdraw, base_fib)):
-            with CallCounter() as counter:
+            counter = CallCounter(by_function)
+            with counter if counted else nullcontext():
                 phase(messages, fib_size)
-            counters[name] = counter.per(tail)
+            counters[name] = counter
     host.shutdown()
-    return counters
+    return counters, tail
 
 
 if __name__ == "__main__":
-    # The entry of tests/work_budget.json for this interpreter's version.
-    import json
+    if "--by-function" in sys.argv[1:]:
+        counters, units = count_phases(by_function=True)
+        for name, counter in counters.items():
+            print(f"{name}: calls, instructions per route")
+            for row in counter.functions(units):
+                print("  %-9s %-58s %8.2f %9.2f" % row)
+    else:
+        # The entry of tests/work_budget.json for this interpreter's version.
+        import json
 
-    print(json.dumps(run_work_budget(), indent=2, sort_keys=True))
+        print(json.dumps(run_work_budget(), indent=2, sort_keys=True))
