@@ -75,13 +75,12 @@ def test_ablation_scanner_interval_drives_latency(benchmark):
 
 def test_ablation_background_deletion_responsiveness(benchmark):
     """A 20k-route peer-down must not stall concurrent event handling."""
-    from repro.core.stages import (DeletionStage, RouteTableStage,
-                                   TrieOriginStage)
-    from repro.trie import RouteTrie
+    from repro.core.stages import (DeletionStage, OriginStage,
+                                   RouteTableStage)
 
     def run():
         loop = EventLoop(SimulatedClock())
-        origin = TrieOriginStage("peer-in")
+        origin = OriginStage("peer-in")
         deleted = []
         sink = RouteTableStage("sink")
         sink.delete_routes = lambda routes, caller=None: deleted.extend(routes)
@@ -91,7 +90,7 @@ def test_ablation_background_deletion_responsiveness(benchmark):
             origin.originate(_Route(IPNet(IPv4(0x0B000000 + (index << 8)), 24)))
         # Peering goes down: hand the table to a deletion stage.
         old_routes = origin.routes
-        origin.routes = RouteTrie(32)
+        origin.routes = {}
         stage = DeletionStage("del", loop, old_routes, slice_size=256)
         origin.insert_downstream(stage)
         stage.start()

@@ -12,11 +12,10 @@ pipeline", which is exactly what happens on withdrawals.
 
 from __future__ import annotations
 
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.core.stages import RouteTableStage
 from repro.net import IPNet, IPv4
-from repro.trie import RouteTrie
 
 
 class PeerInfo:
@@ -70,8 +69,8 @@ class DecisionStage(RouteTableStage):
         self.branches: List[RouteTableStage] = []
         self.peer_info = peer_info_fn
         #: current winner per prefix, BGP's one per-winner table: the
-        #: fanout's dumps and the export re-filter walk it (§5.3)
-        self.winners = RouteTrie()
+        #: fanout's dumps and the export re-filter walk a snapshot of it
+        self.winners: Dict[IPNet, Any] = {}
 
     def add_branch(self, branch: RouteTableStage) -> None:
         self.branches.append(branch)
@@ -112,8 +111,8 @@ class DecisionStage(RouteTableStage):
         # A peering burst is mostly fresh winners: coalesce those into
         # one downstream batch; displacements flush and go out as a
         # replace, keeping the per-prefix event order of the routes sent
-        # one at a time.  One trie walk per fresh winner and per loser:
-        # ``setdefault`` inserts the route or hands back the incumbent.
+        # one at a time.  ``setdefault`` inserts the route or hands back
+        # the incumbent.
         setdefault = self.winners.setdefault
         next_table = self.next_table
         fresh: List[Any] = []
@@ -127,7 +126,7 @@ class DecisionStage(RouteTableStage):
                 if fresh:
                     next_table.add_routes(fresh, caller=self)
                     fresh = []
-                self.winners.insert(route.net, route)
+                self.winners[route.net] = route
                 next_table.replace_route(incumbent, route, caller=self)
         if fresh:
             next_table.add_routes(fresh, caller=self)
@@ -138,24 +137,23 @@ class DecisionStage(RouteTableStage):
         # right: the winner *is* the annotated object the branch
         # forwarded); deleted winners without a surviving alternative
         # coalesce into one downstream batch, and re-elections flush the
-        # segment and emit their replace.  A loser's delete is one trie
-        # walk; a replacement takes over the winner's node.
+        # segment and emit their replace.
         winners = self.winners
         next_table = self.next_table
         gone: List[Any] = []
         for route in routes:
             net = route.net
-            if winners.exact(net) is not route:
+            if winners.get(net) is not route:
                 continue
             replacement = self._elect(net, exclude=caller)
             if replacement is None:
-                winners.remove(net)
+                del winners[net]
                 gone.append(route)
                 continue
             if gone:
                 next_table.delete_routes(gone, caller=self)
                 gone = []
-            winners.insert(net, replacement)
+            winners[net] = replacement
             next_table.replace_route(route, replacement, caller=self)
         if gone:
             next_table.delete_routes(gone, caller=self)
@@ -163,7 +161,7 @@ class DecisionStage(RouteTableStage):
     def replace_route(self, old_route: Any, new_route: Any, *,
                       caller: Optional[RouteTableStage] = None) -> None:
         net = new_route.net
-        incumbent = self.winners.exact(net)
+        incumbent = self.winners.get(net)
         if incumbent is old_route:
             # The winner's own branch revised it: re-run the election with
             # the new version against all other branches.
@@ -172,10 +170,10 @@ class DecisionStage(RouteTableStage):
                 winner = (new_route if winner is None
                           else self._better(winner, new_route))
             if winner is None:
-                self.winners.remove(net)
+                del self.winners[net]
                 self.next_table.delete_routes([incumbent], caller=self)
                 return
-            self.winners.insert(net, winner)
+            self.winners[net] = winner
             self.next_table.replace_route(incumbent, winner, caller=self)
             return
         # Another branch revised a non-winning route: treat as an add
@@ -185,7 +183,7 @@ class DecisionStage(RouteTableStage):
     def lookup_route(self, net: IPNet, *,
                      caller: Optional[RouteTableStage] = None) -> Any:
         """Downstream consumers see only winners (consistency rule 2)."""
-        return self.winners.exact(net)
+        return self.winners.get(net)
 
     @property
     def route_count(self) -> int:

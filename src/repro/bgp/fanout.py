@@ -10,13 +10,17 @@
     it."
 
 Readers attach with a *background dump* of the winners — the upstream
-stage's ``winners`` trie (the decision's), updated before each change is
-enqueued here — correctly interleaved with live changes: at enqueue time
-each dumping reader is marked to receive the entry only if its dump
-already passed the prefix — otherwise the dump itself will deliver the
-post-change state.  A busy reader holds a position in the queue, not a
-copy of it, and its dump parks; a reader with a *room* (the RIB's, whose
-route stream has a window) takes at most that many routes at a time.
+stage's ``winners`` dict (the decision's), updated before each change is
+enqueued here — correctly interleaved with live changes.  The dump is a
+:class:`~repro.trie.SnapshotWalk`: the winners' prefixes when the reader
+attached, sorted, and a position.  At enqueue time each dumping reader
+is marked to skip the entry if its prefix is still pending in that
+snapshot, since the dump itself will deliver the post-change state;
+every other prefix — one the dump passed, or one that won after the
+dump began — reaches the reader through the queue.  A busy reader holds
+a position in the queue, not a copy of it, and its dump parks; a reader
+with a *room* (the RIB's, whose route stream has a window) takes at most
+that many routes at a time.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from typing import Any, Callable, Deque, Dict, List, Optional, Set
 
 from repro.core.stages import RouteTableStage
 from repro.eventloop.tasks import TaskPriority
-from repro.trie import TrieIterator
+from repro.trie import SnapshotWalk
 
 ADD, DELETE, REPLACE = "add", "delete", "replace"
 
@@ -48,7 +52,7 @@ class Reader:
     """One consumer of the change queue (a peer branch or the RIB branch)."""
 
     __slots__ = ("name", "deliver", "next_serial", "busy", "room",
-                 "dump_iterator", "dump_task")
+                 "dump_walk", "dump_task")
 
     def __init__(self, name: str,
                  deliver: Callable[[str, List[Any], Any], None],
@@ -61,25 +65,12 @@ class Reader:
         self.busy = False
         #: () -> routes the reader takes now, or None for a run's worth
         self.room: Optional[Callable[[], int]] = None
-        self.dump_iterator: Optional[TrieIterator] = None
+        self.dump_walk: Optional[SnapshotWalk] = None
         self.dump_task = None
 
     @property
     def dumping(self) -> bool:
-        return self.dump_iterator is not None
-
-    def dump_front_key(self):
-        """Prefix of the next route the dump will emit (None = past the end).
-
-        The iterator is parked *on* the next node to emit, so prefixes
-        ordered before it can never be reached by the dump and must be
-        delivered through the queue; prefixes at or after it will be
-        emitted by the dump in their post-change state.
-        """
-        iterator = self.dump_iterator
-        if iterator is None or iterator.exhausted:
-            return None
-        return iterator.net
+        return self.dump_walk is not None
 
 
 class FanoutQueue(RouteTableStage):
@@ -119,8 +110,8 @@ class FanoutQueue(RouteTableStage):
             raise ValueError(f"fanout reader {name!r} already attached")
         reader = Reader(name, deliver, self._next_serial)
         self.readers[name] = reader
-        if dump and len(self.parent.winners):
-            reader.dump_iterator = self.parent.winners.iterator()
+        if dump and self.parent.winners:
+            reader.dump_walk = SnapshotWalk(self.parent.winners)
             self._spawn_dump(reader)
         return reader
 
@@ -137,8 +128,6 @@ class FanoutQueue(RouteTableStage):
             return
         if reader.dump_task is not None:
             reader.dump_task.kill()
-        if reader.dump_iterator is not None:
-            reader.dump_iterator.close()
         self._trim()
 
     def set_reader_busy(self, name: str, busy: bool) -> None:
@@ -171,12 +160,10 @@ class FanoutQueue(RouteTableStage):
         also see it through the queue)."""
         skip: Optional[Set[str]] = None
         for reader in self.readers.values():
-            if not reader.dumping:
-                continue
-            front = reader.dump_front_key()
-            if front is not None and net >= front:
+            walk = reader.dump_walk
+            if walk is not None and walk.pending(net):
                 # The dump will reach this prefix and emit the (already
-                # updated) winners-trie state; the queue must stay silent.
+                # updated) winners' state; the queue must stay silent.
                 if skip is None:
                     skip = set()
                 skip.add(reader.name)
@@ -186,10 +173,10 @@ class FanoutQueue(RouteTableStage):
                        old_route: Any) -> None:
         """Append a whole burst, then schedule each reader's pump once.
 
-        Dump front keys are computed per entry (they are monotone, and a
-        dump advances only in background tasks, but prefix keys within a
-        batch are not sorted so each route must be classified itself);
-        the per-batch saving is the single pump scheduling pass.
+        Each route is classified against the dumps itself (a dump
+        advances only in background tasks, but the prefixes of a batch
+        are not sorted); the per-batch saving is the single pump
+        scheduling pass.
         *old_route* is None except for the one route of a REPLACE.
         """
         if not self.readers:
@@ -271,23 +258,21 @@ class FanoutQueue(RouteTableStage):
         if reader.name not in self.readers:
             return False
         budget = self.dump_slice
-        iterator = reader.dump_iterator
-        while budget > 0 and not iterator.exhausted:
+        walk = reader.dump_walk
+        while budget > 0 and not walk.exhausted:
             limit = self._room(reader)
             if not limit:
                 reader.dump_task = None
                 return False  # parked until set_reader_busy resumes it
-            # The slice leaves as ADD runs.  The iterator is parked past
-            # a run before it is delivered, so a change the delivery
-            # provokes is classified against the dump front the reader
-            # really resumes from.
-            routes = iterator.take(min(budget, limit))
+            # The slice leaves as ADD runs.  The walk has passed a run
+            # before it is delivered, so a change the delivery provokes
+            # is classified against the keys still pending.
+            routes = walk.take(min(budget, limit))
             if routes:
                 budget -= len(routes)
                 reader.deliver(ADD, routes, None)
-        if iterator.exhausted:
-            iterator.close()
-            reader.dump_iterator = None
+        if walk.exhausted:
+            reader.dump_walk = None
             reader.dump_task = None
             return False
         return True

@@ -29,12 +29,12 @@ from repro.bgp.session import BgpSession
 from repro.core.stages import (
     DeletionStage,
     FilterStage,
+    OriginStage,
     RouteTableStage,
-    TrieOriginStage,
     stream_reset,
 )
 from repro.net import IPNet, IPv4
-from repro.trie import RouteTrie
+from repro.trie import SnapshotWalk
 
 
 _AttrMemo = Tuple[Optional[PathAttributeList], Optional[PathAttributeList]]
@@ -175,7 +175,7 @@ class PeerHandler(FsmActions):
     def _build_input_branch(self) -> None:
         from repro.bgp.nexthop import NexthopResolverStage
 
-        self.peer_in = TrieOriginStage(f"peer-in-{self.peer_id}")
+        self.peer_in = OriginStage(f"peer-in-{self.peer_id}")
         chain: List[RouteTableStage] = [self.peer_in]
         self.damping: Optional[DampingStage] = None
         if self.config.enable_damping:
@@ -250,21 +250,21 @@ class PeerHandler(FsmActions):
         "We use the ability to add dynamic stages for many background
         tasks, such as when routing policy filters are changed by the
         operator and many routes need to be refiltered and reevaluated."
-        The bank walks its source table — PeerIn for the import bank, the
-        decision's winners for the export bank of an established peering —
-        with a safe iterator in background slices, sending downstream the
-        difference between what each route carried and what it carries
-        now (``FilterStage.refilter``).
+        The bank walks a snapshot of its source table — PeerIn for the
+        import bank, the decision's winners for the export bank of an
+        established peering — in background slices, sending downstream
+        the difference between what each route carried and what it
+        carries now (``FilterStage.refilter``).
         """
         from repro.bgp.fsm import BgpState
 
         if export:
             stage, apply = self.out_filter, self._export_with
-            walk = (self.process.decision.winners.iterator()
+            walk = (SnapshotWalk(self.process.decision.winners)
                     if self.fsm.state == BgpState.ESTABLISHED else None)
         else:
             stage, apply = self.in_filter, self._import_with
-            walk = self.peer_in.routes.iterator()
+            walk = SnapshotWalk(self.peer_in.routes)
         stage.refilter(
             partial(apply, policy), walk, self.loop,
             name=f"refilter-{'out-' if export else ''}{self.peer_id}")
@@ -324,7 +324,7 @@ class PeerHandler(FsmActions):
         if self.peer_in.route_count == 0:
             return
         old_routes = self.peer_in.routes
-        self.peer_in.routes = RouteTrie(old_routes.bits)
+        self.peer_in.routes = {}
         deletion = DeletionStage(
             f"deletion-{self.peer_id}-{self.deletion_stages_created}",
             self.loop, old_routes,

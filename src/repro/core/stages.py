@@ -40,7 +40,7 @@ from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.net import IPNet
-from repro.trie import RouteTrie
+from repro.trie import SnapshotWalk
 
 
 # -- what repro.core.taps listens on -----------------------------------------
@@ -172,19 +172,13 @@ class OriginStage(RouteTableStage):
     """A stage that *stores* routes and feeds them into the pipeline.
 
     "we only store the original versions of routes, in the Peer In
-    stages" — its table is a dict, as nothing walks it; BGP's PeerIn,
-    which deletion stages and re-filters walk, is a :class:`TrieOriginStage`.
+    stages" — its table is a dict keyed by prefix.  A deletion stage or a
+    re-filter that walks it holds a :class:`SnapshotWalk` over it.
     """
 
     def __init__(self, name: str):
         super().__init__(name)
         self.routes: Dict[IPNet, Any] = {}
-
-    def _store(self, net: IPNet, route: Any) -> Any:
-        """Store *route* at *net*; returns the route it replaces, or None."""
-        previous = self.routes.get(net)
-        self.routes[net] = route
-        return previous
 
     @property
     def route_count(self) -> int:
@@ -202,15 +196,17 @@ class OriginStage(RouteTableStage):
         and then emits its ``replace_route``, so the downstream per-prefix
         event order is exactly that of the routes sent one at a time.
         """
-        insert = self._store
+        table = self.routes
+        get = table.get
         next_table = self.next_table
         if next_table is None:
-            for route in routes:
-                insert(route.net, route)
+            table.update((route.net, route) for route in routes)
             return
         fresh: List[Any] = []
         for route in routes:
-            previous = insert(route.net, route)
+            net = route.net
+            previous = get(net)
+            table[net] = route
             if previous is not None:
                 if fresh:
                     next_table.add_routes(fresh, caller=self)
@@ -253,44 +249,28 @@ class OriginStage(RouteTableStage):
         return self.routes.get(net)
 
 
-class TrieOriginStage(OriginStage):
-    """An origin stage whose table a safe iterator can park on: BGP's
-    PeerIn, which a :class:`DeletionStage` drains and a re-filter walks."""
-
-    def __init__(self, name: str):
-        super().__init__(name)
-        self.routes = RouteTrie()
-
-    def _store(self, net: IPNet, route: Any) -> Any:
-        return self.routes.insert(net, route)
-
-
 class _Refilter:
-    """A filter bank between two functions: the routes a walk over the
-    table upstream has passed carry *new*'s output downstream, the rest
-    still *old*'s.  *front* is the prefix of the next route the walk visits
-    (None once it has passed everything); it stays where it was if the
-    walk is stopped, so a stopped re-filter still says what each route
-    carries."""
+    """A filter bank between two functions: the routes still pending in a
+    walk over the table upstream carry *old*'s output downstream, every
+    other route *new*'s — those the walk has passed and those added after
+    it began.  A stopped re-filter keeps its walk's snapshot where it
+    stands, so it still says what each route carries."""
 
-    __slots__ = ("new", "old", "walk", "front", "task")
+    __slots__ = ("new", "old", "walk", "task")
 
     def __init__(self, new: Callable[[Any], Optional[Any]],
-                 old: Callable[[Any], Optional[Any]], walk: Any):
+                 old: Callable[[Any], Optional[Any]], walk: SnapshotWalk):
         self.new = new
         self.old = old
         self.walk = walk
-        self.front = None if walk.exhausted else walk.net
         self.task = None
 
     def __call__(self, route: Any) -> Optional[Any]:
-        front = self.front
-        if front is None or route.net < front:
-            return self.new(route)
-        return self.old(route)
+        if self.walk.pending(route.net):
+            return self.old(route)
+        return self.new(route)
 
     def stop(self) -> None:
-        self.walk.close()
         if self.task is not None:
             self.task.kill()
 
@@ -326,7 +306,7 @@ class FilterStage(RouteTableStage):
 
     def _carried_by(self, route: Any) -> Optional[Any]:
         for table, carried in self._held:
-            if table.exact(route.net) is route:
+            if table.get(route.net) is route:
                 return carried(route)
         return self.carried(route)
 
@@ -371,16 +351,18 @@ class FilterStage(RouteTableStage):
         return self._carried_by(route)
 
     # -- policy changes (paper §5.1.2) -------------------------------------
-    def refilter(self, filter_fn: Callable[[Any], Optional[Any]], walk: Any,
-                 loop, name: str) -> None:
+    def refilter(self, filter_fn: Callable[[Any], Optional[Any]],
+                 walk: Optional[SnapshotWalk], loop, name: str) -> None:
         """Filter with *filter_fn* from now on.
 
-        *walk*, a safe iterator over the table upstream, is taken in
-        background slices: each route it passes sends downstream the
-        difference between the output it carried and the one it carries
-        now.  Without a walk nothing downstream needs telling.  A newer
-        swap supersedes a running walk where it stands: its routes still
-        carry what that walk left them.
+        *walk*, begun over the table upstream, is taken in background
+        slices: each route it passes sends downstream the difference
+        between the output it carried and the one it carries now.  Until
+        then a route whose prefix is pending in the walk carries the old
+        function, and any other route the new one.  Without a walk
+        nothing downstream needs telling.  A newer swap supersedes a
+        running walk where it stands: its routes still carry what that
+        walk left them.
         """
         from repro.eventloop.tasks import TaskPriority
 
@@ -398,8 +380,9 @@ class FilterStage(RouteTableStage):
     def _refilter_slice(self, refilter: _Refilter) -> bool:
         walk = refilter.walk
         for __ in range(self.REFILTER_SLICE):
+            # One route at a time: a route leaves the pending keys before
+            # its difference goes downstream, and no later one does.
             taken = walk.take(1)
-            refilter.front = None if walk.exhausted else walk.net
             if not taken:
                 break
             route = taken[0]
@@ -409,7 +392,6 @@ class FilterStage(RouteTableStage):
                 self._send_change(old_filtered, new_filtered)
         if not walk.exhausted:
             return True
-        walk.close()
         self.carried = self.filter_fn
         return False
 
@@ -448,14 +430,14 @@ class DeletionStage(RouteTableStage):
     * when done, the stage unplumbs and discards itself.
     """
 
-    def __init__(self, name: str, loop, routes: RouteTrie, *,
+    def __init__(self, name: str, loop, routes: Dict[IPNet, Any], *,
                  slice_size: int = 64,
                  on_complete: Optional[Callable[[], None]] = None):
         super().__init__(name)
         self.loop = loop
         self.pending = routes
         self.slice_size = slice_size
-        self._iterator = routes.iterator()
+        self._walk = SnapshotWalk(routes)
         self._task = None
         self._on_complete = on_complete
 
@@ -469,22 +451,21 @@ class DeletionStage(RouteTableStage):
         )
 
     def _run_slice(self) -> bool:
-        deleted = self._iterator.take(self.slice_size)
+        deleted = self._walk.take(self.slice_size)
         # One batched downstream dispatch per slice, not one per route.
         # A route leaves ``pending`` only once its delete is sent, so a
         # filter bank downstream can still tell it held (``held_by``).
         if deleted and self.next_table is not None:
             self.next_table.delete_routes(deleted, caller=self)
-        discard = self.pending.discard
+        pop = self.pending.pop
         for route in deleted:
-            discard(route.net)
-        if self._iterator.exhausted:
+            pop(route.net, None)
+        if self._walk.exhausted:
             self._finish()
             return False
         return True
 
     def _finish(self) -> None:
-        self._iterator.close()
         if self.parent is not None or self.next_table is not None:
             self.unplumb()
         if self._on_complete is not None:
@@ -493,7 +474,7 @@ class DeletionStage(RouteTableStage):
 
     @property
     def done(self) -> bool:
-        return len(self.pending) == 0 and self._iterator.exhausted
+        return not self.pending and self._walk.exhausted
 
     def add_routes(self, routes: List[Any], *,
                    caller: Optional[RouteTableStage] = None) -> None:
@@ -503,19 +484,19 @@ class DeletionStage(RouteTableStage):
         # grouped ahead of the adds so the batch costs two downstream
         # dispatches, not 2N.
         pending = self.pending
-        helds = [held for held in (pending.exact(route.net)
+        helds = [held for held in (pending.get(route.net)
                                    for route in routes)
                  if held is not None]
         if helds and self.next_table is not None:
             self.next_table.delete_routes(helds, caller=self)
         for held in helds:
-            pending.discard(held.net)
+            pending.pop(held.net, None)
         if self.next_table is not None:
             self.next_table.add_routes(routes, caller=self)
 
     def lookup_route(self, net: IPNet, *,
                      caller: Optional[RouteTableStage] = None) -> Any:
-        held = self.pending.exact(net)
+        held = self.pending.get(net)
         if held is not None:
             return held
         return super().lookup_route(net, caller=caller)

@@ -50,7 +50,7 @@ class RouteStream:
         self._held: Dict[Tuple, Tuple] = {}
         #: keys on the wire or waiting out a retry backoff
         self._busy: Set[Tuple] = set()
-        #: whole-table walks still to send: (group, TrieIterator, keep)
+        #: whole-table walks still to send: (group, SnapshotWalk, keep)
         self._walks: Deque[Tuple] = deque()
         self._epoch = 0
         self._pumping = self._paused = self._turn_due = self._burst = False
@@ -87,7 +87,7 @@ class RouteStream:
         self._pump()
 
     def dump(self, group: Any, walk, keep: Callable[[Any], bool]) -> None:
-        """Add the routes of *walk* (a ``TrieIterator``) that *keep* accepts,
+        """Add the routes of *walk* (a ``SnapshotWalk``) that *keep* accepts,
         pulled a segment at a time while the table is empty and the window
         has room; a live op for a key commutes with it (the newest wins).
         The walk is read from a reply or a loop turn of its own, at most

@@ -28,6 +28,7 @@ from repro.rib.merge import MergeStage
 from repro.rib.redist import RedistStage
 from repro.rib.register import RegisterStage
 from repro.rib.route import ADMIN_DISTANCES, RibRoute
+from repro.trie import SnapshotWalk
 from repro.xrl import XrlArgs, XrlAtom, XrlAtomType, XrlError
 from repro.xrl.error import XrlErrorCode
 from repro.xrl.xrl import Xrl
@@ -231,17 +232,19 @@ class RibProcess(XorpProcess):
     # -- resync after consumer restarts (the DESIGN.md failure model) --------
     def resync_fea(self) -> None:
         """Dump every winning route to a restarted FEA: the route stream
-        walks the register stage's tries, paced by its window."""
+        walks a snapshot of the register stage's tries, paced by its
+        window."""
         if not self.running:
             return
         for family, pipeline in ((32, self.v4), (128, self.v6)):
-            self.txq.dump(family, pipeline.register.winners.iterator(),
+            self.txq.dump(family, SnapshotWalk(pipeline.register.winners),
                           lambda route: True)
 
     def _dump_redist(self, key: str) -> None:
         """Dump the matching winners to redistribution *key* (new, or its
         consumer was reborn empty); a live change reaches it meanwhile."""
-        walk = self._redist_walks[key] = self.v4.register.winners.iterator()
+        walk = self._redist_walks[key] = SnapshotWalk(
+            self.v4.register.winners)
         self._redist_streams[self._redist_targets[key]].dump(
             None, walk, self.v4.redist.dump_keep(key))
 

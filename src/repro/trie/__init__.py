@@ -1,20 +1,18 @@
-"""Patricia trie for routing tables, with safe iterators (paper §5.3).
+"""Route tables and the walks a background task parks (paper §5.3).
 
     "The XORP library includes route table iterator data structures ...
     (as well as a Patricia Tree implementation for the routing tables
-    themselves). ... we use some spare bits in each route tree node to hold
-    a reference count of the number of iterators currently pointing at this
-    tree node.  If the route tree receives a request to delete a node, the
-    node's data is invalidated, but the node itself is not removed
-    immediately unless the reference count is zero.  It is the
-    responsibility of the last iterator leaving a previously-deleted node
-    to actually perform the deletion."
+    themselves)."
 
-Background tasks (deletion stages, dump stages, policy re-filter tasks)
-park a :class:`TrieIterator` in the table between slices; route churn while
-the task is paused can never invalidate it.
+The paper's iterators pin a trie node so that a deletion while a task
+is parked cannot invalidate them.  Here a parked walk holds the sorted
+keys the table had when it began and a position among them
+(:class:`SnapshotWalk`), which works over a ``dict`` and a
+:class:`RouteTrie` alike: route churn while the task is paused never
+invalidates it, and no table keeps iterator state.
 """
 
-from repro.trie.trie import RouteTrie, TrieIterator, TrieNode
+from repro.trie.trie import RouteTrie, TrieNode
+from repro.trie.walk import SnapshotWalk
 
-__all__ = ["RouteTrie", "TrieIterator", "TrieNode"]
+__all__ = ["RouteTrie", "SnapshotWalk", "TrieNode"]

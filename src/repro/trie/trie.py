@@ -1,14 +1,14 @@
-"""Path-compressed binary trie keyed by IP prefix, plus safe iterators.
+"""Path-compressed binary trie keyed by IP prefix.
 
-The trie backs the tables that hand out iterators a background task
-parks on (BGP PeerIn, the decision's winners, the RIB's dumps) or answer
-the RIB's longest-match and covering questions (its internal side,
-interest registration).  A table asked only for the route at exactly one
-prefix is a ``dict``, and so is the FEA's FIB, asked only for longest
-match — DESIGN.md, "Which table is which structure", lists every table.
-Nodes are ordered so that a preorder walk yields prefixes in ``(network,
-prefix-len)`` order — the order :class:`repro.net.IPNet` sorts in —
-which the fanout dump logic relies on.
+The trie backs the tables that answer longest-match and covering
+questions: the RIB's winners (which also feed its whole-table dumps),
+its internal side and its interest registrations (§5.2.1).  A table
+asked only for the route at exactly one prefix is a ``dict`` — BGP's
+PeerIn and the decision's winners — and so is the FEA's FIB, asked only
+for longest match; DESIGN.md, "Which table is which structure", lists
+every table.  Nodes are ordered so that a preorder walk yields prefixes
+in ``(network, prefix-len)`` order, the order :class:`repro.net.IPNet`
+sorts in.
 
 Lookups descend Patricia-style: a walk follows the key's bits from node
 to node without looking at the prefixes on the way, and compares the key
@@ -17,22 +17,19 @@ contains all of its descendants: a node off the key's true path can only
 lead to an arrival that fails the comparison.  An insert that misses
 walks once more, to the length the new prefix shares with that arrival.
 
-Iterator safety follows the paper exactly: each trie counts the iterators
-pointing at each node (one ``{node: refs}`` table, not a slot in millions
-of nodes); deleting a route whose node is referenced only *invalidates*
-the payload, and the last iterator to leave the node performs the
-structural removal.
+A background task that walks a table across event-loop turns holds a
+:class:`~repro.trie.walk.SnapshotWalk`, not a position in the trie, so
+a removal splices its node out at once.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from typing import Any, Iterator, List, Optional, Tuple
 
 from repro.net import V6_TAG, IPNet
 
 
-#: the payload of a node with no route: a join, or a route an iterator outlived
+#: the payload of a node with no route: a join, or the root
 _EMPTY = object()
 
 
@@ -78,8 +75,6 @@ class RouteTrie:
         self._top = bits + 7
         self._root = TrieNode(V6_TAG if bits == 128 else 0, 0)
         self._count = 0
-        #: node -> iterators pointing at it (paper §5.3)
-        self._pins: Counter = Counter()
 
     def __len__(self) -> int:
         return self._count
@@ -97,15 +92,6 @@ class RouteTrie:
             self._count += 1
             return None
         return previous
-
-    def setdefault(self, net: IPNet, payload: Any) -> Any:
-        """The payload at *net*, after inserting *payload* if there was
-        none — one walk, for a caller that keeps an incumbent."""
-        node = self._node(net)
-        if node.payload is _EMPTY:
-            node.payload = payload
-            self._count += 1
-        return node.payload
 
     def _node(self, net: IPNet) -> TrieNode:
         """The node at exactly *net*, attached without a payload if the
@@ -250,25 +236,13 @@ class RouteTrie:
     def covered(self, net: IPNet) -> Iterator[Tuple[IPNet, Any]]:
         """All routes equal to or more specific than *net*, in prefix order."""
         top = self._covered_root(net)
-        if top is None:
-            return
-        stack: List[TrieNode] = [top]
-        while stack:
-            node = stack.pop()
-            if node.payload is not _EMPTY:
-                yield node.net, node.payload
-            if node.right is not None:
-                stack.append(node.right)
-            if node.left is not None:
-                stack.append(node.left)
+        return iter(()) if top is None else self._preorder(top)
 
     # -- deletion --------------------------------------------------------
     def remove(self, net: IPNet) -> Any:
         """Remove the route at *net*, returning its payload.
 
-        Raises KeyError if absent.  If iterators reference the node, only
-        the payload is invalidated now; the node is reclaimed when the last
-        iterator leaves (paper §5.3).
+        Raises KeyError if absent.
         """
         node = self._find_node(net)
         if node is None or node.payload is _EMPTY:
@@ -279,29 +253,17 @@ class RouteTrie:
         self._reclaim(node)
         return payload
 
-    def discard(self, net: IPNet, default: Any = None) -> Any:
-        """Like :meth:`remove`, but *default* when the route is absent
-        (*default* only matches ``dict.pop``, which OriginStage calls)."""
+    def discard(self, net: IPNet) -> Any:
+        """Like :meth:`remove`, but None when the route is absent."""
         try:
             return self.remove(net)
         except KeyError:
-            return default
-
-    # dict's spellings, so an OriginStage reads a trie and a dict alike
-    get, pop = exact, discard
-
-    def clear(self) -> None:
-        """Drop every route.  Iterators become exhausted, not invalid."""
-        for net, __ in list(self.items()):
-            self.discard(net)
+            return None
 
     def _reclaim(self, node: TrieNode) -> None:
-        """Splice out *node* and prunable ancestors where safe."""
-        while (
-            node.parent is not None
-            and node.payload is _EMPTY
-            and node not in self._pins
-        ):
+        """Splice out *node* and the ancestors it leaves with no route
+        and at most one child."""
+        while node.parent is not None and node.payload is _EMPTY:
             if node.left is not None and node.right is not None:
                 return  # structurally necessary join node
             child = node.left if node.left is not None else node.right
@@ -316,163 +278,23 @@ class RouteTrie:
             node = parent
 
     # -- iteration -------------------------------------------------------
-    def iterator(self, start: Optional[IPNet] = None) -> "TrieIterator":
-        """A safe iterator over routes in prefix order.
-
-        With *start*, iteration covers only routes inside that prefix.
-        """
-        return TrieIterator(self, start)
-
     def items(self) -> Iterator[Tuple[IPNet, Any]]:
-        """Iterate ``(net, payload)`` safely (mutation during iteration ok)."""
-        it = self.iterator()
-        while it.valid:
-            yield it.net, it.payload
-            it.advance()
+        """Every ``(net, payload)``, in prefix order.  A walk that must
+        survive churn between slices is a :class:`SnapshotWalk`."""
+        return self._preorder(self._root)
 
-    def __iter__(self) -> Iterator[Tuple[IPNet, Any]]:
-        return self.items()
+    def __iter__(self) -> Iterator[IPNet]:
+        """Every prefix, in order: a trie iterates like a dict."""
+        return (net for net, __ in self._preorder(self._root))
 
-    # Internal helpers used by TrieIterator ------------------------------
-    def _first_node(self, scope: Optional[TrieNode]) -> Optional[TrieNode]:
-        node = scope if scope is not None else self._root
-        if node.payload is not _EMPTY:
-            return node
-        return self._next_payload_node(node, scope)
-
-    def _next_payload_node(self, node: TrieNode,
-                           scope: Optional[TrieNode]) -> Optional[TrieNode]:
-        """Successor of *node* in preorder, restricted to *scope*'s subtree."""
-        current = node
-        while True:
-            current = self._preorder_successor(current, scope)
-            if current is None:
-                return None
-            if current.payload is not _EMPTY:
-                return current
-
-    def _preorder_successor(self, node: TrieNode,
-                            scope: Optional[TrieNode]) -> Optional[TrieNode]:
-        if node.left is not None:
-            return node.left
-        if node.right is not None:
-            return node.right
-        limit = scope if scope is not None else self._root
-        current = node
-        while current is not limit and current.parent is not None:
-            parent = current.parent
-            if parent.left is current and parent.right is not None:
-                return parent.right
-            current = parent
-        return None
-
-
-class TrieIterator:
-    """Safe iterator: survives arbitrary route churn while parked.
-
-    Typical background-task usage::
-
-        it = table.iterator()
-        def slice():
-            for payload in it.take(64):
-                process(payload)
-            return not it.exhausted    # more work?
-    """
-
-    __slots__ = ("_trie", "_node", "_scope")
-
-    def __init__(self, trie: RouteTrie, start: Optional[IPNet] = None):
-        self._trie = trie
-        self._scope: Optional[TrieNode] = None
-        if start is not None:
-            self._scope = trie._covered_root(start)
-            if self._scope is not None:
-                trie._pins[self._scope] += 1
-        node = trie._first_node(self._scope) if (
-            start is None or self._scope is not None
-        ) else None
-        self._node = node
-        if node is not None:
-            trie._pins[node] += 1
-
-    @property
-    def valid(self) -> bool:
-        """True while the iterator points at a live route.
-
-        False either because iteration finished (see :attr:`exhausted`) or
-        because the route under the iterator was deleted while a background
-        task was parked here — in which case :meth:`advance` resumes at the
-        next live route.
-        """
-        return self._node is not None and self._node.payload is not _EMPTY
-
-    @property
-    def exhausted(self) -> bool:
-        """True once iteration has run off the end of the table."""
-        return self._node is None
-
-    @property
-    def net(self) -> IPNet:
-        if self._node is None:
-            raise StopIteration("iterator exhausted")
-        return self._node.net
-
-    @property
-    def payload(self) -> Any:
-        if self._node is None:
-            raise StopIteration("iterator exhausted")
-        return self._node.payload
-
-    def advance(self) -> bool:
-        """Move to the next live route; return False when exhausted.
-
-        If the current route was deleted while we were parked on it, we
-        simply move on — and, as the last iterator leaving the node, we
-        perform the deferred structural deletion.
-        """
-        old = self._node
-        if old is None:
-            return False
-        nxt = self._trie._next_payload_node(old, self._scope)
-        self._node = nxt
-        if nxt is not None:
-            self._trie._pins[nxt] += 1
-        self._release(old)
-        return nxt is not None
-
-    def take(self, n: int) -> List[Any]:
-        """Up to *n* live payloads from here on, moving past each of them
-        and past any route deleted while the iterator was parked.
-
-        Returns ``[]`` only at the end of the table.
-        """
-        taken: List[Any] = []
-        while len(taken) < n and self._node is not None:
-            if self._node.payload is not _EMPTY:
-                taken.append(self._node.payload)
-            self.advance()
-        return taken
-
-    def close(self) -> None:
-        """Release references early (also safe to call repeatedly)."""
-        if self._node is not None:
-            self._release(self._node)
-            self._node = None
-        if self._scope is not None:
-            scope = self._scope
-            self._scope = None
-            self._release(scope)
-
-    def _release(self, node: TrieNode) -> None:
-        pins = self._trie._pins
-        pins[node] -= 1
-        if not pins[node]:
-            del pins[node]
-            if node.payload is _EMPTY:
-                self._trie._reclaim(node)
-
-    def __enter__(self) -> "TrieIterator":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
+    @staticmethod
+    def _preorder(top: TrieNode) -> Iterator[Tuple[IPNet, Any]]:
+        stack: List[TrieNode] = [top]
+        while stack:
+            node = stack.pop()
+            if node.payload is not _EMPTY:
+                yield node.net, node.payload
+            if node.right is not None:
+                stack.append(node.right)
+            if node.left is not None:
+                stack.append(node.left)

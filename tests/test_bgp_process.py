@@ -104,7 +104,7 @@ class TestTwoRouters:
         a.originate("99.0.0.0/8", "10.0.0.1")
         assert loop.run_until(
             lambda: net("99.0.0.0/8") in b.bgp.decision.winners, timeout=30)
-        route = b.bgp.decision.winners.exact(net("99.0.0.0/8"))
+        route = b.bgp.decision.winners.get(net("99.0.0.0/8"))
         assert route.attributes.as_path.as_list() == [65001]
         assert route.nexthop == IPv4("10.0.0.1")
         assert route.attributes.local_pref == 100  # default applied on import
@@ -171,7 +171,7 @@ class TestTwoRouters:
                               timeout=120)
         assert loop.run_until(lambda: c.bgp.decision.route_count == 30,
                               timeout=120)
-        route = c.bgp.decision.winners.exact(net("99.0.0.0/16"))
+        route = c.bgp.decision.winners.get(net("99.0.0.0/16"))
         assert route.attributes.as_path.as_list() == [65002, 65001]
 
 
@@ -196,7 +196,7 @@ class TestExportRefilter:
         updates = peer_ba.updates_received
         a.bgp.xrl_configure_filter(a.bgp.FILTER_EXPORT, self.REJECT)
         loop.run(duration=5)
-        assert {n for n, __ in b.bgp.decision.winners} == {net("99.1.0.0/16")}
+        assert set(b.bgp.decision.winners) == {net("99.1.0.0/16")}
         assert peer_ba.updates_received == updates + 1
 
     def test_reset_filter_announces_it_again(self, two_routers):
@@ -207,7 +207,7 @@ class TestExportRefilter:
         updates = peer_ba.updates_received
         a.bgp.xrl_reset_filter(a.bgp.FILTER_EXPORT)
         loop.run(duration=5)
-        assert {n for n, __ in b.bgp.decision.winners} == {
+        assert set(b.bgp.decision.winners) == {
             net("99.1.0.0/16"), net("99.2.0.0/16")}
         assert peer_ba.updates_received == updates + 1
 
@@ -226,7 +226,7 @@ class TestThreeRouterChain:
         a.originate("99.0.0.0/8", "10.0.0.1")
         assert loop.run_until(
             lambda: net("99.0.0.0/8") in c.bgp.decision.winners, timeout=60)
-        route = c.bgp.decision.winners.exact(net("99.0.0.0/8"))
+        route = c.bgp.decision.winners.get(net("99.0.0.0/8"))
         assert route.attributes.as_path.as_list() == [65002, 65001]
         assert route.nexthop == IPv4("10.0.1.1")  # rewritten by B
 
@@ -276,7 +276,7 @@ class TestIbgp:
         b.add_static("10.0.0.0/24", "0.0.0.0")
         assert loop.run_until(
             lambda: net("99.0.0.0/8") in b.bgp.decision.winners, timeout=30)
-        route = b.bgp.decision.winners.exact(net("99.0.0.0/8"))
+        route = b.bgp.decision.winners.get(net("99.0.0.0/8"))
         assert route.nexthop == IPv4("10.0.0.5")  # NOT rewritten on IBGP
         assert route.attributes.as_path.as_list() == []  # no prepend
 

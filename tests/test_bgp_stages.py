@@ -11,7 +11,6 @@ from repro.bgp.route import BGPRoute
 from repro.core.stages import OriginStage, RouteTableStage
 from repro.eventloop import EventLoop, SimulatedClock
 from repro.net import IPNet, IPv4
-from repro.trie import RouteTrie
 
 
 def net(text):
@@ -368,26 +367,26 @@ class TestDecision:
 
 class WinnerTable(RouteTableStage):
     """The decision's half of the fanout's contract, alone: the winners
-    trie the fanout dumps from, updated before each change goes on to
+    dict the fanout dumps from, updated before each change goes on to
     the fanout plumbed after it."""
 
     def __init__(self, fanout):
         super().__init__("winners")
-        self.winners = RouteTrie()
+        self.winners = {}
         self.set_next(fanout)
 
     def add_routes(self, routes, caller=None):
         for route in routes:
-            self.winners.insert(route.net, route)
+            self.winners[route.net] = route
         self.next_table.add_routes(routes, caller=self)
 
     def delete_routes(self, routes, caller=None):
         for route in routes:
-            self.winners.remove(route.net)
+            del self.winners[route.net]
         self.next_table.delete_routes(routes, caller=self)
 
     def replace_route(self, old, new, caller=None):
-        self.winners.insert(new.net, new)
+        self.winners[new.net] = new
         self.next_table.replace_route(old, new, caller=self)
 
 
@@ -535,8 +534,8 @@ class TestFanout:
         attach("late", dump=True)
         # While the dump is in progress, delete some routes and add others.
         loop.run_once()  # one dump slice (4 routes)
-        self.table.delete_routes([self.table.winners.exact(net("10.1.0.0/16"))])
-        self.table.delete_routes([self.table.winners.exact(net("10.19.0.0/16"))])
+        self.table.delete_routes([self.table.winners[net("10.1.0.0/16")]])
+        self.table.delete_routes([self.table.winners[net("10.19.0.0/16")]])
         self.table.add_routes([resolved(bgp_route("10.99.0.0/16"))])
         loop.run()
         # Reconstruct the late reader's table; must equal current winners.
@@ -550,7 +549,7 @@ class TestFanout:
                 state.discard(prefix)
             else:
                 assert prefix in state
-        expected = {n for n, __ in self.table.winners.items()}
+        expected = set(self.table.winners)
         assert state == expected
 
     def test_remove_reader_trims_queue(self, loop):

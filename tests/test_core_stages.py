@@ -8,7 +8,6 @@ from repro.core import (
     OriginStage,
     RouteTableStage,
 )
-from repro.core.stages import TrieOriginStage
 from repro.eventloop import EventLoop, SimulatedClock
 from repro.net import IPNet
 
@@ -175,7 +174,7 @@ class TestFilterStage:
 
 class TestDeletionStage:
     def _setup(self, loop, count=10, slice_size=3):
-        origin = TrieOriginStage("peer-in")
+        origin = OriginStage("peer-in")
         sink = SinkStage()
         RouteTableStage.plumb(origin, sink)
         for i in range(count):
@@ -183,9 +182,7 @@ class TestDeletionStage:
         sink.log.clear()
         # Peering goes down: hand the table to a deletion stage (Figure 6).
         old_routes = origin.routes
-        from repro.trie import RouteTrie
-
-        origin.routes = RouteTrie(32)
+        origin.routes = {}
         deletion = DeletionStage("del", loop, old_routes, slice_size=slice_size)
         origin.insert_downstream(deletion)
         deletion.start()
@@ -240,10 +237,8 @@ class TestDeletionStage:
         # Peer comes up, re-adds two routes, goes down again.
         for i in (0, 1):
             origin.originate(Route(f"10.{i}.0.0/16", f"gen2-{i}"))
-        from repro.trie import RouteTrie
-
         old_routes = origin.routes
-        origin.routes = RouteTrie(32)
+        origin.routes = {}
         second = DeletionStage("del2", loop, old_routes, slice_size=1)
         origin.insert_downstream(second)
         second.start()
@@ -254,11 +249,9 @@ class TestDeletionStage:
         assert origin.next_table is sink
 
     def test_empty_table_finishes_immediately(self, loop):
-        from repro.trie import RouteTrie
-
         origin, sink = OriginStage("o"), SinkStage()
         RouteTableStage.plumb(origin, sink)
-        deletion = DeletionStage("del", loop, RouteTrie(32))
+        deletion = DeletionStage("del", loop, {})
         origin.insert_downstream(deletion)
         deletion.start()
         loop.run()

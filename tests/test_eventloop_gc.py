@@ -17,7 +17,7 @@ from repro.core.process import Host
 from repro.eventloop import EventLoop, collector
 from repro.fea import FeaProcess
 from repro.net import IPNet, IPv4
-from repro.trie import RouteTrie
+from repro.trie import RouteTrie, SnapshotWalk
 from tests.test_vector_route_stream import Router
 
 #: what the moved clock makes every full collection appear to take
@@ -153,7 +153,7 @@ class Payload:
 
 
 def old_garbage():
-    """A shut-down host and a dropped trie with parked iterators, both old
+    """A shut-down host and a dropped trie with parked walks, both old
     enough that only a full collection finds them."""
     host = Host()
     fea = FeaProcess(host)
@@ -162,8 +162,8 @@ def old_garbage():
     payloads = [Payload() for _ in range(50)]
     for net, payload in zip(nets(50), payloads):
         trie.insert(net, payload)
-    parked = [trie.iterator(), trie.iterator()]
-    assert parked[0].valid
+    parked = [SnapshotWalk(trie), SnapshotWalk(trie)]
+    assert parked[0].take(1) == payloads[:1]
     gc.collect()  # everything above is in the oldest generation now
     host.shutdown()
     return weakref.ref(fea), weakref.ref(payloads[-1])

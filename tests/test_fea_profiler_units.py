@@ -9,7 +9,7 @@ from repro.fea import Fib, FibEntry, Interface, InterfaceManager, LoopbackPacket
 from repro.fea.rawsock import RawSocketRelay
 from repro.net import IPNet, IPv4, IPv6
 from repro.profiler import Profiler
-from repro.trie import RouteTrie
+from repro.trie import RouteTrie, SnapshotWalk
 
 
 def net(text):
@@ -305,16 +305,16 @@ class TestTrieV6:
         trie.remove(net("2001:db8::/32"))
         assert trie.best_match(IPv6("2001:db8:9::1"))[1] == "::/0"
 
-    def test_v6_safe_iterator(self):
+    def test_v6_walk_survives_deletion_under_it(self):
         trie = RouteTrie(128)
         for i in range(16):
             trie.insert(net(f"2001:db8:{i:x}::/48"), i)
-        it = trie.iterator()
-        seen = 0
-        while not it.exhausted:
-            if it.valid:
-                seen += 1
-                trie.discard(it.net)  # delete under the iterator
-            it.advance()
-        assert seen == 16
+        walk = SnapshotWalk(trie)
+        seen = []
+        for payload in iter(lambda: walk.take(1), []):
+            seen += payload
+            # delete the route just taken and the next one under the walk
+            trie.discard(net(f"2001:db8:{payload[0]:x}::/48"))
+            trie.discard(net(f"2001:db8:{payload[0] + 1:x}::/48"))
+        assert seen == list(range(0, 16, 2))
         assert len(trie) == 0

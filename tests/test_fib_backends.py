@@ -32,7 +32,7 @@ from repro.net import IPNet, IPv4, IPv6
 from repro.obs.metrics import MetricsRegistry
 from repro.rib import RibProcess, RibRoute
 from repro.core.txqueue import RouteStream
-from repro.trie import RouteTrie
+from repro.trie import RouteTrie, SnapshotWalk
 from repro.xrl import Xrl, XrlArgs, XrlAtom, XrlAtomType, XrlRouter
 from repro.xrl.error import XrlError, XrlErrorCode
 from repro.xrl.retry import RetryPolicy
@@ -500,13 +500,14 @@ def v4_net(i):
     return str(v4_route(i).net)
 
 
-def v4_table(count):
-    """A trie of *count* routes, walked by :meth:`RouteStream.dump`."""
+def v4_walk(count):
+    """A walk over a trie of *count* routes, for :meth:`RouteStream.dump`
+    (the RIB's dumps walk its register stage's trie)."""
     trie = RouteTrie(32)
     for i in range(count):
         route = v4_route(i)
         trie.insert(route.net, route)
-    return trie
+    return SnapshotWalk(trie)
 
 
 def keep_all(route):
@@ -661,7 +662,7 @@ class TestRouteStream:
         fea = _FakeFea()
         stream = self.make(fea, window=16)
         accepted = {v4_net(i) for i in range(0, 100, 3)}
-        stream.dump(32, v4_table(100).iterator(),
+        stream.dump(32, v4_walk(100),
                     lambda route: str(route.net) in accepted)
         assert fea.segments == []  # read from a turn of its own
         while not stream.idle:
@@ -674,13 +675,13 @@ class TestRouteStream:
     def test_submit_does_not_advance_a_pending_walk(self):
         fea = _FakeFea()
         stream = self.make(fea, window=16)
-        walk = v4_table(50).iterator()
+        walk = v4_walk(50)
         stream.dump(32, walk, keep_all)
         # A live op may arrive mid stage message, before the walk's table
         # has seen it: the window has room, yet only the op itself leaves.
         stream.submit(32, "delete", [v4_route(99)])
         assert fea.ops() == [("delete", [v4_net(99)])]
-        assert walk.net == v4_route(0).net
+        assert walk.front == v4_route(0).net
         fea.loop.run_once(block=False)  # the dump's own turn fills the window
         assert [len(nets) for __, nets in fea.ops()] == [1, 8, 7]
         fea.answer()  # each reply pulls on the walk by what it freed
@@ -689,7 +690,7 @@ class TestRouteStream:
     def test_walk_keeps_depth_and_inflight_within_window_plus_batch(self):
         fea = _FakeFea()
         stream = self.make(fea, window=64)
-        stream.dump(32, v4_table(5000).iterator(), keep_all)
+        stream.dump(32, v4_walk(5000), keep_all)
         peak, turns = 0, 0
         while not stream.idle:
             fea.loop.run_once(block=False)
@@ -708,7 +709,7 @@ class TestRouteStream:
         stream = self.make(fea)
         stream.submit(32, "add", [v4_route(1)])
         stream.submit(32, "add", [v4_route(7)])
-        stream.dump(32, v4_table(3).iterator(), keep_all)
+        stream.dump(32, v4_walk(3), keep_all)
         first, second = fea.held
         fea.held = []
         second(XrlError.okay(), XrlArgs())  # its reply pulls the walk
@@ -723,7 +724,7 @@ class TestRouteStream:
     def test_reset_closes_the_walk_and_a_stale_reply_does_not_resume_it(self):
         fea = _FakeFea()
         stream = self.make(fea, window=4)
-        walk = v4_table(20).iterator()
+        walk = v4_walk(20)
         stream.dump(32, walk, keep_all)
         fea.loop.run_once(block=False)
         assert fea.ops() == [("add", [v4_net(i) for i in range(4)])]
@@ -740,12 +741,12 @@ class TestRouteStream:
         stream = self.make(fea, window=4)
         # A walk its keep rejects whole still yields the loop every
         # window's worth of routes, and is pending until it ends.
-        stream.dump(32, v4_table(10).iterator(), lambda route: False)
+        stream.dump(32, v4_walk(10), lambda route: False)
         idle = [stream.idle]
         while fea.loop.run_once(block=False):
             idle.append(stream.idle)
         assert idle == [False, False, False, True] and fea.segments == []
-        stream.dump(32, v4_table(10).iterator(), keep_all)
+        stream.dump(32, v4_walk(10), keep_all)
         idle = [stream.idle]
         while fea.loop.run_once(block=False) or fea.held:
             fea.answer()

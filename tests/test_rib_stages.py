@@ -514,7 +514,7 @@ class TestStreamDumpsUnderChurn:
                 if not walk.exhausted and rng.random() < 0.5:
                     # just ahead of the redist walk: the prefixes a walk
                     # read mid stage message would see stale
-                    n = self.NETS[min(index[walk.net] + rng.randrange(4),
+                    n = self.NETS[min(index[walk.front] + rng.randrange(4),
                                       len(self.NETS) - 1)]
                 # Mostly the redistributed protocol's routes, and theirs
                 # wherever they are present.

@@ -16,7 +16,6 @@ from repro.core.stages import (
     FilterStage,
     OriginStage,
     RouteTableStage,
-    TrieOriginStage,
     stream_reset,
 )
 from repro.eventloop import EventLoop, SimulatedClock
@@ -47,8 +46,8 @@ class SinkStage(RouteTableStage):
         self.log.extend(("delete", r.net) for r in routes)
 
 
-def pipeline(origin_cls=OriginStage):
-    origin = origin_cls("origin")
+def pipeline():
+    origin = OriginStage("origin")
     flt = FilterStage("filter", lambda r: r)
     sink = SinkStage()
     RouteTableStage.plumb(origin, flt, sink)
@@ -150,11 +149,11 @@ class TestStageSanitizer:
         """The §5.1.2 dynamic splice: no false SAN002 from migrated edges."""
         loop = EventLoop(SimulatedClock())
         with StageSanitizer() as san:
-            origin, flt, sink = pipeline(TrieOriginStage)
+            origin, flt, sink = pipeline()
             for prefix in ("10.0.0.0/8", "20.0.0.0/8", "30.0.0.0/8"):
                 origin.originate(route(prefix))
             old_routes = origin.routes
-            origin.routes = type(old_routes)(old_routes.bits)
+            origin.routes = {}
             deletion = DeletionStage("del", loop, old_routes, slice_size=1)
             origin.insert_downstream(deletion)
             deletion.start()

@@ -5,8 +5,8 @@ from outside: trie mutations per route, live trie nodes per route,
 attribute lists per UPDATE, tag containers per route, and what is left
 of a route in GC-tracked objects and traced bytes.  The budget is the
 one DESIGN.md states ("Which table is which structure"): a route is in
-three tries — PeerIn, the decision's winners and the register stage's
-winners — and in dicts everywhere else, the FEA's ``Fib`` and the FIB
+one trie — the register stage's winners — and in dicts everywhere else,
+BGP's PeerIn and the decision's winners, the FEA's ``Fib`` and the FIB
 backend's table among them, so a table that quietly becomes a trie
 again, or a per-route allocation that comes back, fails here before it
 shows up as throughput or footprint.
@@ -38,7 +38,7 @@ from repro.trie import RouteTrie, TrieNode
 from tests.test_vector_route_stream import Router
 
 #: tries one BGP-learned route is stored in (module docstring)
-TRIES_PER_ROUTE = 3
+TRIES_PER_ROUTE = 1
 UPDATE_SIZE = 200
 UPDATES = 5
 #: the routes the counts exclude: 10.0.0.0/8 and whatever the nexthop
@@ -61,8 +61,7 @@ def live(cls):
 @pytest.fixture
 def counts(monkeypatch):
     """Calls of the methods every trie mutation passes through: ``insert``
-    and ``remove``, and a ``setdefault`` that inserted (the decision's
-    adds), counted as an insert."""
+    and ``remove``."""
     seen = {"insert": 0, "remove": 0}
     for name in seen:
         real = getattr(RouteTrie, name)
@@ -72,15 +71,6 @@ def counts(monkeypatch):
             return _real(self, *args)
 
         monkeypatch.setattr(RouteTrie, name, counted)
-    real_setdefault = RouteTrie.setdefault
-
-    def setdefault(self, net, payload):
-        before = len(self)
-        kept = real_setdefault(self, net, payload)
-        seen["insert"] += len(self) - before
-        return kept
-
-    monkeypatch.setattr(RouteTrie, "setdefault", setdefault)
     return seen
 
 
@@ -122,8 +112,8 @@ def test_at_most_two_trie_nodes_per_route_per_trie(router):
 
 
 #: what a loaded route leaves behind across BGP, the RIB and the FEA
-TRACKED_OBJECTS_PER_ROUTE = 13.5
-TRACED_BYTES_PER_ROUTE = 1450
+TRACKED_OBJECTS_PER_ROUTE = 9.5
+TRACED_BYTES_PER_ROUTE = 1150
 
 
 def test_a_route_costs_its_budget_in_objects_and_bytes(router):

@@ -1,4 +1,5 @@
-"""Unit and property tests for the Patricia trie and its safe iterators."""
+"""Unit and property tests for the Patricia trie.  The walks a task
+parks over a trie are tests/test_snapshot_walk.py's."""
 
 import pytest
 from hypothesis import given, settings
@@ -129,13 +130,6 @@ class TestRemoval:
         assert trie.best_match(IPv4("10.1.0.1"))[1] == "b"
         assert trie.best_match(IPv4("10.2.0.1")) is None
 
-    def test_clear(self, trie):
-        for i in range(10):
-            trie.insert(net(f"10.{i}.0.0/16"), i)
-        trie.clear()
-        assert len(trie) == 0
-        assert list(trie.items()) == []
-
 
 class TestNodeLinking:
     """Each way an insert links its node in, checked pointer by pointer."""
@@ -251,120 +245,13 @@ class TestIterationOrder:
         got = [str(n) for n, __ in trie.items()]
         assert got == sorted(prefixes, key=lambda p: net(p).key())
 
-    def test_scoped_iterator(self, trie):
-        for p in ("10.0.0.0/8", "10.1.0.0/16", "11.0.0.0/8", "10.1.2.0/24"):
+    def test_iteration_yields_the_prefixes_in_order(self, trie):
+        """A trie iterates like a dict: its keys, here in prefix order."""
+        for p in ("10.1.0.0/16", "10.0.0.0/8", "9.0.0.0/8", "0.0.0.0/0"):
             trie.insert(net(p), p)
-        it = trie.iterator(start=net("10.0.0.0/8"))
-        seen = []
-        while it.valid:
-            seen.append(str(it.net))
-            it.advance()
-        assert seen == ["10.0.0.0/8", "10.1.0.0/16", "10.1.2.0/24"]
-
-    def test_scoped_iterator_empty_scope(self, trie):
-        trie.insert(net("10.0.0.0/8"), "a")
-        it = trie.iterator(start=net("11.0.0.0/8"))
-        assert not it.valid
-
-
-class TestSafeIterators:
-    def test_delete_under_parked_iterator(self, trie):
-        """Paper §5.3: the node is invalidated but the iterator survives."""
-        for p in ("10.0.0.0/8", "11.0.0.0/8", "12.0.0.0/8"):
-            trie.insert(net(p), p)
-        it = trie.iterator()
-        assert str(it.net) == "10.0.0.0/8"
-        trie.remove(net("10.0.0.0/8"))
-        assert not it.valid  # payload invalidated...
-        assert it.advance()  # ...but advancing still works
-        assert str(it.net) == "11.0.0.0/8"
-
-    def test_last_iterator_performs_deletion(self, trie):
-        trie.insert(net("10.0.0.0/8"), "a")
-        trie.insert(net("11.0.0.0/8"), "b")
-        it = trie.iterator()
-        node = it._node
-        trie.remove(net("10.0.0.0/8"))
-        assert node.parent is not None  # still plumbed in
-        it.advance()
-        assert node.parent is None  # reclaimed by the departing iterator
-
-    def test_two_iterators_same_node(self, trie):
-        trie.insert(net("10.0.0.0/8"), "a")
-        trie.insert(net("11.0.0.0/8"), "b")
-        it1 = trie.iterator()
-        it2 = trie.iterator()
-        node = it1._node
-        trie.remove(net("10.0.0.0/8"))
-        it1.advance()
-        assert node.parent is not None  # it2 still refs the node
-        it2.advance()
-        assert node.parent is None
-
-    def test_insert_ahead_of_iterator_is_seen(self, trie):
-        trie.insert(net("10.0.0.0/8"), "a")
-        trie.insert(net("30.0.0.0/8"), "c")
-        it = trie.iterator()
-        trie.insert(net("20.0.0.0/8"), "b")
-        seen = []
-        while it.valid:
-            seen.append(str(it.net))
-            it.advance()
-        assert seen == ["10.0.0.0/8", "20.0.0.0/8", "30.0.0.0/8"]
-
-    def test_close_releases_refs(self, trie):
-        trie.insert(net("10.0.0.0/8"), "a")
-        with trie.iterator() as it:
-            node = it._node
-            assert trie._pins == {node: 1}
-        assert trie._pins == {}  # a closed iterator leaves no pin
-        it.close()  # idempotent
-        assert trie._pins == {}
-
-    def test_exhausted_iterator_raises_on_access(self, trie):
-        it = trie.iterator()
-        with pytest.raises(StopIteration):
-            __ = it.net
-        with pytest.raises(StopIteration):
-            __ = it.payload
-
-    def test_take_resumes_past_routes_deleted_while_parked(self, trie):
-        for i in range(6):
-            trie.insert(net(f"10.{i}.0.0/16"), i)
-        it = trie.iterator()
-        assert it.take(2) == [0, 1]  # parked on 10.2/16
-        trie.remove(net("10.2.0.0/16"))
-        trie.remove(net("10.3.0.0/16"))
-        assert it.take(1) == [4]
-        assert it.take(5) == [5]
-        assert it.take(5) == [] and it.exhausted
-
-    def test_take_returns_empty_only_at_the_end(self, trie):
-        for i in range(3):
-            trie.insert(net(f"10.{i}.0.0/16"), i)
-        it = trie.iterator()
-        assert it.take(2) == [0, 1]  # parked on the last route
-        trie.remove(net("10.2.0.0/16"))
-        assert not it.exhausted
-        assert it.take(2) == []
-        assert it.exhausted and len(trie) == 2
-
-    def test_massive_churn_while_parked(self, trie):
-        for i in range(64):
-            trie.insert(net(f"10.{i}.0.0/16"), i)
-        it = trie.iterator()
-        # park after the first route, then churn everything behind and ahead
-        it.advance()
-        for i in range(64):
-            trie.discard(net(f"10.{i}.0.0/16"))
-        for i in range(64):
-            trie.insert(net(f"172.{i}.0.0/16"), i)
-        count = 0
-        while not it.exhausted:
-            if it.valid:
-                count += 1
-            it.advance()
-        assert count == 64  # all the new routes, none of the deleted ones
+        assert list(trie) == [n for n, __ in trie.items()]
+        assert [str(n) for n in trie] == [
+            "0.0.0.0/0", "9.0.0.0/8", "10.0.0.0/8", "10.1.0.0/16"]
 
 
 # -- property tests against a dict oracle --------------------------------
@@ -376,8 +263,8 @@ prefix_strategy = st.builds(
 )
 
 #: few distinct prefixes, nested eight deep, so a run of operations keeps
-#: arriving at the same nodes: a removal under a parked iterator, a
-#: re-insert into the payload-less node that leaves, a join losing a child
+#: arriving at the same nodes: a re-insert where a removal left a join,
+#: a join losing a child
 dense_prefix_strategy = st.builds(
     lambda v, p: IPNet(IPv4(v << 24), p),
     st.integers(min_value=0, max_value=255),
@@ -385,17 +272,9 @@ dense_prefix_strategy = st.builds(
 )
 
 ops_strategy = st.lists(
-    st.one_of(
-        st.tuples(st.sampled_from(["insert", "setdefault", "remove"]),
-                  st.one_of(prefix_strategy, dense_prefix_strategy),
-                  st.integers()),
-        # park an iterator on the first route, of the table or of a scope
-        st.tuples(st.just("park"),
-                  st.one_of(st.none(), dense_prefix_strategy), st.just(0)),
-        # move or close the n-th parked iterator
-        st.tuples(st.sampled_from(["advance", "close"]),
-                  st.integers(min_value=0, max_value=7), st.just(0)),
-    ),
+    st.tuples(st.sampled_from(["insert", "remove"]),
+              st.one_of(prefix_strategy, dense_prefix_strategy),
+              st.integers()),
     max_size=80,
 )
 
@@ -406,19 +285,16 @@ def _containing(oracle, prefix):
                   key=lambda p: p.prefix_len)
 
 
-def _check_against_oracle(trie, oracle, removed, parked):
+def _check_against_oracle(trie, oracle, removed):
     assert len(trie) == len(oracle)
     for prefix, payload in oracle.items():
         assert trie.exact(prefix) == payload
         assert prefix in trie
-    for prefix in removed:      # its node may live on under an iterator
+    for prefix in removed:
         assert trie.exact(prefix) is None
         assert prefix not in trie
     got = list(trie.items())
     assert [n for n, __ in got] == sorted(oracle, key=lambda n: n.key())
-    for it in parked:
-        if it.valid:
-            assert oracle[it.net] == it.payload
     for prefix in list(oracle) + list(removed):
         covering = _containing(oracle, prefix)
         assert [n for n, __ in trie.covering(prefix)] == covering
@@ -453,10 +329,8 @@ def _find(trie, key):
 
 
 def _assert_compact(trie):
-    """With no iterator left, no node is pinned and no payload-less node
-    outlives its purpose: each one below the root is a join with two
-    children."""
-    assert trie._pins == {}
+    """No payload-less node outlives its purpose: each one below the root
+    is a join with two children."""
     stack = [trie._root]
     while stack:
         node = stack.pop()
@@ -474,33 +348,16 @@ class TestPropertyOracle:
         trie = RouteTrie(32)
         oracle = {}
         removed = set()
-        parked = []
         for op, arg, payload in ops:
             if op == "insert":
                 assert trie.insert(arg, payload) == oracle.get(arg)
                 oracle[arg] = payload
                 removed.discard(arg)
-            elif op == "setdefault":
-                assert trie.setdefault(arg, payload) == \
-                    oracle.setdefault(arg, payload)
-                removed.discard(arg)
-            elif op == "remove":
+            else:
                 assert trie.discard(arg) == oracle.pop(arg, None)
                 removed.add(arg)
-            elif op == "park":
-                parked.append(trie.iterator(arg))
-            elif parked:
-                it = parked[arg % len(parked)]
-                if op == "advance":
-                    it.advance()
-                else:
-                    it.close()
-                    parked.remove(it)
-            _check_against_oracle(trie, oracle, removed, parked)
-        for it in parked:
-            it.close()
-        _check_against_oracle(trie, oracle, removed, ())
-        _assert_compact(trie)
+            _check_against_oracle(trie, oracle, removed)
+            _assert_compact(trie)
 
     @settings(max_examples=60)
     @given(st.lists(prefix_strategy, min_size=1, max_size=40),
@@ -530,24 +387,6 @@ class TestPropertyOracle:
         got = sorted(str(n) for n, __ in trie.covered(probe))
         expected = sorted(str(p) for p in set(prefixes) if probe.contains(p))
         assert got == expected
-
-    @settings(max_examples=40)
-    @given(st.lists(prefix_strategy, min_size=2, max_size=30))
-    def test_iterator_survives_interleaved_deletion(self, prefixes):
-        trie = RouteTrie(32)
-        for p in prefixes:
-            trie.insert(p, str(p))
-        it = trie.iterator()
-        seen = []
-        victims = list(set(prefixes))
-        while it.valid:
-            seen.append(it.net)
-            if victims:
-                trie.discard(victims.pop())
-            it.advance()
-        # Everything yielded must be unique and ordered.
-        keys = [n.key() for n in seen]
-        assert keys == sorted(set(keys))
 
 
 # -- longest-prefix-match vs brute force, v4 and v6, with deletions ------
