@@ -438,11 +438,14 @@ def _add_chain(node: ast.AST) -> Tuple[ast.AST, Optional[Tuple[Atom, ...]]]:
             atoms.append((_const_str(first), _ADDERS[attr]))
         elif (attr == "add" and _constructed_class(first) == "XrlAtom"
               and len(first.args) >= 2
-              and _const_str(first.args[0]) is not None
-              and isinstance(first.args[1], ast.Attribute)
-              and first.args[1].attr in XrlAtomType.__members__):
+              and _const_str(first.args[0]) is not None):
+            # a type chosen at run time (per family, say) checks the name
+            kind = first.args[1]
             atoms.append((_const_str(first.args[0]),
-                          XrlAtomType[first.args[1].attr].value))
+                          XrlAtomType[kind.attr].value
+                          if isinstance(kind, ast.Attribute)
+                          and kind.attr in XrlAtomType.__members__
+                          else None))
         else:
             return node, None
         node = node.func.value

@@ -66,12 +66,14 @@ def check_send(site: SendSite, catalogue: Dict[str, object]
                       f"{site.interface} declares no method {method!r}")
     if unknown or not site.method_lines or site.atoms is None:
         return
-    # Stub keywords carry names only: compare on what the site knows.
+    # Stub keywords and run-time atom types carry names only: compare on
+    # what the site knows.
     typed = all(tag is not None for _name, tag in site.atoms)
+    atoms = {(n, t if typed else None) for n, t in site.atoms}
     wanted = [[(n, t if typed else None)
                for n, t in iface.methods[m].signature[0]]
               for m in site.methods]
-    if not any(set(site.atoms) == set(want) for want in wanted):
+    if not any(atoms == set(want) for want in wanted):
         yield Finding(
             site.path, site.args_line, "XRL003",
             f"arguments {_describe(site.atoms)} do not match "

@@ -192,18 +192,23 @@ class RibProcess(XorpProcess):
     def _fea_segment(self, family: int, op: str, routes: List[Any]) -> Xrl:
         """One same-op run as a singular or vectorized FIB XRL."""
         __, net_type, nexthop_type = self._FEA_FAMILY[family]
-        # Method names stay literal (per family, via the conditional) so
-        # the XRL001/XRL002 static conformance checks can resolve them.
+        # Method names stay literal (per family, via the conditional) and
+        # each arm's args are one chain, so the XRL001-XRL003 static
+        # conformance checks resolve them.
         if len(routes) == 1:
             route = routes[0]
             args = XrlArgs().add(XrlAtom("net", net_type, route.net))
-            if op == "add":
-                args.add(XrlAtom("nexthop", nexthop_type, route.nexthop))
-                args.add_txt("ifname", route.ifname)
-            method = (("add_entry4" if family == 32 else "add_entry6")
-                      if op == "add" else
-                      ("delete_entry4" if family == 32 else "delete_entry6"))
-            xrl = Xrl(self.fea_target, "fea_fib", "1.0", method, args)
+            if op == "delete":
+                xrl = Xrl(self.fea_target, "fea_fib", "1.0",
+                          "delete_entry4" if family == 32
+                          else "delete_entry6", args)
+            else:
+                args = (args.add(XrlAtom("nexthop", nexthop_type,
+                                         route.nexthop))
+                        .add_txt("ifname", route.ifname))
+                xrl = Xrl(self.fea_target, "fea_fib", "1.0",
+                          "add_entry4" if family == 32 else "add_entry6",
+                          args)
         else:
             nets = [XrlAtom("net", net_type, route.net) for route in routes]
             if op == "add":

@@ -924,6 +924,23 @@ class TestRuleMatrix:
                     if method in f.message}
         assert reported == {"delete_route4", "add_route4"}
 
+    def test_rib_lone_route_sends_are_checked(self, mutable_tree):
+        # The lone-route branch of the RIB's FEA segment builds each arm's
+        # args as one chain, the add arm extending the delete arm's: a
+        # misspelt atom in it is reported at both families' add sends.
+        rib = mutable_tree / "rib" / "rib.py"
+        text = rib.read_text()
+        atom = 'args.add(XrlAtom("nexthop", nexthop_type'
+        assert text.count(atom) == 1
+        rib.write_text(text.replace(atom, atom.replace('"nexthop"',
+                                                       '"nexthopp"')))
+        findings = analyze_paths([mutable_tree])
+        assert {f.rule for f in findings} == {"XRL003"}
+        assert all("nexthopp" in f.message for f in findings)
+        assert {"add_entry4|add_entry6"} == {
+            f.message.split("fea_fib/1.0/")[1].split(" ")[0]
+            for f in findings}
+
     def test_a_missing_handler_is_refused_at_bind(self):
         # The seed of the deleted missing-handler rule: a handler gone
         # from RibProcess.  Binding the class refuses it, wherever the
