@@ -213,7 +213,7 @@ class TestSeededStageMutation:
 
     def test_buggy_origin_stage_caught_by_san001(self, monkeypatch):
         def buggy_originate(self, r):
-            self._store(r.net, r)
+            self.routes[r.net] = r
             if self.next_table is not None:
                 # Bug under test: ignores the previous route and re-adds.
                 self.next_table.add_routes([r], caller=self)
