@@ -19,6 +19,7 @@ loop has nothing left to run, the FIB holding what it should.
 
 from __future__ import annotations
 
+import json
 import sys
 from contextlib import nullcontext
 from typing import Dict, List, Tuple
@@ -111,6 +112,4 @@ if __name__ == "__main__":
                 print("  %-9s %-58s %8.2f %9.2f" % row)
     else:
         # The entry of tests/work_budget.json for this interpreter's version.
-        import json
-
         print(json.dumps(run_work_budget(), indent=2, sort_keys=True))
