@@ -18,8 +18,9 @@ some other way (the fanout queue, a re-filter's new function).
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Any, List
+from typing import Any, List, Optional
 
+from repro.net import IPNet
 from repro.trie.trie import RouteTrie
 
 
@@ -31,7 +32,7 @@ class SnapshotWalk:
 
     def __init__(self, table: Any):
         self._get = table.exact if isinstance(table, RouteTrie) else table.get
-        self._keys: List[Any] = sorted(table)
+        self._keys: List[IPNet] = sorted(table)
         self._pos = 0
 
     @property
@@ -40,11 +41,11 @@ class SnapshotWalk:
         return self._pos >= len(self._keys)
 
     @property
-    def front(self) -> Any:
+    def front(self) -> Optional[IPNet]:
         """The next key the walk reads (pending or gone), or None."""
         return None if self.exhausted else self._keys[self._pos]
 
-    def pending(self, net: Any) -> bool:
+    def pending(self, net: IPNet) -> bool:
         """Whether the walk will still reach *net*."""
         keys = self._keys
         index = bisect_left(keys, net, self._pos)
