@@ -12,13 +12,15 @@ This package restores the guarantees statically.  Each module is walked
 once (:mod:`repro.analysis.sites`); every rule is a function of what that
 walk recorded:
 
-``xrl-conformance`` (XRL001–XRL003, XRL005, XRL006)
-    Every XRL call site (``Xrl(...)`` construction, client stubs,
-    ``register_raw_method``, textual ``call_xrl`` literals) and every
-    handler registration (``bind``) is cross-checked against the IDL
-    catalogue in :mod:`repro.interfaces` — interface and version
-    existence, method names, argument names/types/arity, handler
-    signatures.  A missing handler is ``XrlInterface.bind``'s
+``xrl-conformance`` (XRL001, XRL002, XRL005, XRL006)
+    Every send is a sender (``X_IDL.sender("method", *names)``), whose
+    declaration is checked against the IDL catalogue in
+    :mod:`repro.interfaces` when its module is imported: method name,
+    argument names and their order.  What no import checks is checked
+    here: handler registrations (``bind``, ``register_raw_method``) and
+    textual ``call_xrl`` literals must name interfaces and methods the
+    catalogue has, and every handler must accept its method's declared
+    parameters.  A missing handler is ``XrlInterface.bind``'s
     ``IdlError``, raised whenever the class is bound.
 
 ``isolation`` (ISO001–ISO002)

@@ -33,8 +33,6 @@ RULES: Dict[str, Rule] = {
                        "catalogue", "§6.1"),
         Rule("XRL002", "XRL names a method the interface does not declare",
              "§6.1"),
-        Rule("XRL003", "XRL argument names/types/arity disagree with the IDL "
-                       "signature", "§6.1"),
         Rule("XRL005", "handler signature cannot accept the declared "
                        "parameters", "§6.1"),
         Rule("XRL006", "textual XRL literal does not parse", "§6.1"),

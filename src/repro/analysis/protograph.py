@@ -8,9 +8,8 @@ is handled by some process, no synchronous request cycle can deadlock
 two single-threaded event loops, and reply schemas match what callers
 actually read.
 
-It takes every module's sites (:mod:`repro.analysis.sites`: ``Xrl(...)``
-constructors, client stubs, textual ``call_xrl`` literals, one level of
-helper wrappers like ``Cli._sync``, ``bind()`` and
+It takes every module's sites (:mod:`repro.analysis.sites`: calls and
+declarations of senders, textual ``call_xrl`` literals, ``bind()`` and
 ``register_raw_method``), each attributed to its owning process package,
 joins them through the :mod:`repro.interfaces` catalogue, and
 materialises the process-interaction graph.  Rules on that graph:

@@ -2,15 +2,20 @@
 
 Everything the XRL rules need to know about a source file is a *site*:
 
-* a :class:`SendSite` — an ``Xrl(target, "iface", "ver", "method", args)``
-  construction, a proxy call on an ``X_IDL.client(...)`` stub, a textual
-  ``call_xrl`` / ``Xrl.from_text`` literal, or a call to a one-level
-  helper wrapper (a function that builds and sends an Xrl from its own
-  parameters, like ``Cli._sync``);
+* a :class:`SendSite` — a call of a sender declared at module level
+  (``_ADD_ROUTE4 = RIB_IDL.sender("add_route4", ...)``, then
+  ``_ADD_ROUTE4(target, ...)`` or ``(_ADD_ROUTE4 if c else
+  _REPLACE_ROUTE4)(target, ...)``), a declaration of which no call
+  resolves (it stands for every call the walk cannot see, as an unsent
+  site), or a textual ``call_xrl`` / ``Xrl.from_text`` literal.  The
+  interface and method are the declaration's, checked by
+  :class:`~repro.xrl.idl.XrlSender` when its module is imported;
 * a :class:`BindSite` — a ``bind(X_IDL, impl)`` registration (direct,
   ``X_IDL.bind(router, impl)``, or through a local alias of the bound
   method) or a ``register_raw_method("iface/ver/method", ...)``;
-* a :class:`DynamicSite` — a send whose interface is not a constant.
+* a :class:`DynamicSite` — a send the graph cannot attribute: an
+  ``Xrl`` built by hand, a sender whose method is not a constant, a
+  textual XRL that is not a literal.
 
 The other rules read the rest of what the same walk records: the
 module's ``repro`` imports (ISO), every call with its enclosing function
@@ -33,7 +38,7 @@ defined on one) is kept as an unresolved reference — ``BindSite.impl``,
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
@@ -43,11 +48,10 @@ from repro.xrl.types import XrlAtomType
 from repro.xrl.xrl import Xrl
 
 #: ``(atom name, IDL type tag)``; the tag is None where the source does
-#: not say (stub keywords, the untyped ``atom``/``has`` readers)
+#: not say (the untyped ``atom``/``has`` readers)
 Atom = Tuple[str, Optional[str]]
 
-#: XrlArgs builder / reader method -> IDL type tag
-_ADDERS: Dict[str, str] = {f"add_{t.value}": t.value for t in XrlAtomType}
+#: XrlArgs reader method -> IDL type tag
 _GETTERS: Dict[str, Optional[str]] = {
     **{f"get_{t.value}": t.value for t in XrlAtomType},
     "atom": None, "has": None,
@@ -85,15 +89,12 @@ class SendSite:
     interface: str                 # "rib/1.0"
     #: every method name the site may send, with the line that spells it
     method_lines: Tuple[Tuple[str, int], ...]
-    via: str                       # ctor | stub | textual | wrapper
+    via: str                       # sender | declaration | textual
     target: Optional[str] = None   # literal target, when constant
     sync: bool = False
     #: a send call was matched to this construction (or it sends itself)
     sent: bool = True
-    #: the argument atoms, when the build chain resolves statically
-    atoms: Optional[Tuple[Atom, ...]] = None
     iface_line: int = 0
-    args_line: int = 0
     #: caller-side reply reads: (atom name, getter type or None)
     reads: List[Atom] = field(default_factory=list)
     #: a ``self.<method>`` reply callback: (enclosing class, method name)
@@ -122,7 +123,7 @@ class BindSite:
 
 @dataclass
 class DynamicSite:
-    """A send whose interface cannot be resolved statically."""
+    """A send the graph cannot attribute to an interface and method."""
 
     package: str
     site: str
@@ -136,17 +137,14 @@ class Scope:
     ``ast.walk(fn)`` would.
     """
 
-    __slots__ = ("assigns", "rebinds", "adds", "reads", "defs", "names",
-                 "attrs", "self_calls", "identity", "sends", "returns")
+    __slots__ = ("assigns", "rebinds", "reads", "defs", "names", "attrs",
+                 "self_calls", "identity")
 
     def __init__(self, fn: Optional[ast.AST] = None) -> None:
         #: name -> its ``name = v`` / ``name: T = v`` statements
         self.assigns: Dict[str, List[ast.stmt]] = {}
         #: name -> every line that binds it, tuple unpacking included
         self.rebinds: Dict[str, List[int]] = {}
-        #: name -> ``name.add*(...)`` calls, as (line, the ``if`` arms
-        #: around the call)
-        self.adds: Dict[str, List[Tuple[int, Arms]]] = {}
         #: name -> ``name.get_*("atom")`` reads as (line, atom, getter type)
         self.reads: Dict[str, List[Tuple[int, str, Optional[str]]]] = {}
         #: name -> the ``def`` of that name (nested, or the function itself)
@@ -158,10 +156,6 @@ class Scope:
         self.self_calls: Set[str] = set()
         #: an ``is`` / ``is not`` comparison appears
         self.identity = False
-        #: the ``send`` / ``send_sync`` / ``enqueue`` calls it makes
-        self.sends: List[ast.Call] = []
-        #: names returned by ``return <name>``
-        self.returns: Set[str] = set()
         if isinstance(fn, _DEFS):
             self.defs[fn.name] = fn
 
@@ -169,7 +163,6 @@ class Scope:
         """Fold a nested function's facts into this one's."""
         for mine, theirs in ((self.assigns, inner.assigns),
                              (self.rebinds, inner.rebinds),
-                             (self.adds, inner.adds),
                              (self.reads, inner.reads)):
             for name, entries in theirs.items():
                 mine.setdefault(name, []).extend(entries)
@@ -179,8 +172,6 @@ class Scope:
         self.attrs |= inner.attrs
         self.self_calls |= inner.self_calls
         self.identity = self.identity or inner.identity
-        self.sends.extend(inner.sends)
-        self.returns |= inner.returns
 
     def assignment(self, name: str, before_line: int) -> Optional[ast.stmt]:
         """The latest assignment to *name* strictly before *before_line*."""
@@ -190,24 +181,6 @@ class Scope:
                     best is None or stmt.lineno > best.lineno):
                 best = stmt
         return best
-
-    def str_values(self, node: Optional[ast.AST],
-                   before_line: int) -> List[Tuple[str, int]]:
-        """The string constants *node* may evaluate to, each with its line.
-
-        Follows ``"a" if c else "b"`` and names through their closest
-        preceding assignment; empty when unresolvable.
-        """
-        if isinstance(node, ast.Constant) and isinstance(node.value, str):
-            return [(node.value, node.lineno)]
-        if isinstance(node, ast.IfExp):
-            return (self.str_values(node.body, before_line)
-                    + self.str_values(node.orelse, before_line))
-        if isinstance(node, ast.Name):
-            stmt = self.assignment(node.id, before_line)
-            if stmt is not None:
-                return self.str_values(stmt.value, stmt.lineno)
-        return []
 
     def reads_of(self, var: str,
                  after_line: Optional[int] = None) -> List[Atom]:
@@ -344,11 +317,9 @@ def _is_self_attr(node: ast.AST) -> bool:
             and isinstance(node.value, ast.Name) and node.value.id == "self")
 
 
-def _constructed_class(node: ast.AST) -> Optional[str]:
-    """``Name(...)`` -> "Name"."""
-    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
-        return node.func.id
-    return None
+def _called(node: ast.AST) -> Optional[str]:
+    """``f(...)`` / ``x.f(...)`` -> "f"."""
+    return _callee_name(node) if isinstance(node, ast.Call) else None
 
 
 def _interface_named(node: ast.AST) -> Optional[Tuple[str, Optional[str]]]:
@@ -362,20 +333,9 @@ def _interface_named(node: ast.AST) -> Optional[Tuple[str, Optional[str]]]:
     if name is not None and name.endswith("_IDL"):
         iface = load_catalogue()[1].get(name)
         return name, (iface.fullname if iface is not None else None)
-    if _constructed_class(node) == "interface":
+    if _called(node) == "interface":
         return "interface(...)", _const_str(node.args[0]) if node.args else None
     return None
-
-
-def _stub_interface(node: ast.AST) -> Optional[Tuple[str, Optional[str]]]:
-    """``X_IDL.client(router, target)`` -> (fullname, literal target)."""
-    if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-            and node.func.attr == "client"):
-        return None
-    named = _interface_named(node.func.value)
-    if named is None or named[1] not in load_catalogue()[0]:
-        return None
-    return named[1], _const_str(node.args[1]) if len(node.args) > 1 else None
 
 
 def _textual_xrl(call: ast.Call) -> Optional[Tuple[Optional[ast.AST], bool]]:
@@ -418,66 +378,11 @@ def _bind_interface(call: ast.Call, scope: Scope
     return None
 
 
-def _arg_chain(node: ast.AST) -> Optional[Tuple[Atom, ...]]:
-    """``XrlArgs().add_txt("a", x).add_u32("b", y)`` -> atoms, else None."""
-    base, atoms = _add_chain(node)
-    if atoms is None or _constructed_class(base) != "XrlArgs" \
-            or base.args or base.keywords:
-        return None
-    return atoms
-
-
-def _add_chain(node: ast.AST) -> Tuple[ast.AST, Optional[Tuple[Atom, ...]]]:
-    """``base.add_txt("a", x).add_u32("b", y)`` -> ``(base, atoms)``; the
-    atoms are None when an add in the chain names no constant atom."""
-    atoms: List[Atom] = []
-    while (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-           and node.args):
-        attr, first = node.func.attr, node.args[0]
-        if attr in _ADDERS and _const_str(first) is not None:
-            atoms.append((_const_str(first), _ADDERS[attr]))
-        elif (attr == "add" and _constructed_class(first) == "XrlAtom"
-              and len(first.args) >= 2
-              and _const_str(first.args[0]) is not None):
-            # a type chosen at run time (per family, say) checks the name
-            kind = first.args[1]
-            atoms.append((_const_str(first.args[0]),
-                          XrlAtomType[kind.attr].value
-                          if isinstance(kind, ast.Attribute)
-                          and kind.attr in XrlAtomType.__members__
-                          else None))
-        else:
-            return node, None
-        node = node.func.value
-    return node, tuple(reversed(atoms))
-
-
-def _exclusive(arms: Arms, others: Arms) -> bool:
-    """True when code under *arms* and code under *others* sit in
-    different arms of one ``if``: at most one of them runs."""
-    mine = dict(arms)
-    return any(mine.get(branch, arm) != arm for branch, arm in others)
-
-
-@dataclass
-class _Wrapper:
-    """A function whose body builds-and-sends an Xrl from its parameters."""
-
-    params: Tuple[str, ...]            # ordered, including a leading self
-    roles: Dict[str, int]              # param name -> Xrl ctor position 0..3
-    sync: bool = False
-    returns_args: bool = False         # returns the send_sync reply XrlArgs
-
-
 # ---------------------------------------------------------------------------
 # the walk
 # ---------------------------------------------------------------------------
 
 _SENDS = ("send", "send_sync", "enqueue")
-
-#: the ``if`` statements around a node, each with the arm it is in
-#: (0 the body, 1 the ``else``), outermost first
-Arms = Tuple[Tuple[ast.If, int], ...]
 
 #: nodes the walk records nothing of and that have no children to visit
 _LEAVES = frozenset({ast.Load, ast.Store, ast.Del, ast.Constant})
@@ -508,30 +413,30 @@ class _Scan:
         self.class_attrs: Dict[ast.ClassDef, Dict[str, List[ast.AST]]] = {}
         #: call -> the single target its result is assigned to
         self.result_target: Dict[ast.Call, ast.AST] = {}
-        self.wrapper_roles: Dict[ast.AST, Dict[str, int]] = {}
-        self.wrappers: Dict[str, _Wrapper] = {}
-        self.constructions: Dict[ast.Call, SendSite] = {}
-        #: the ``if`` arms around the node, within the innermost function
-        self.arms: Arms = ()
-        #: an ``Xrl(...)`` construction -> the arms around it, if any
-        self.arms_of: Dict[ast.Call, Arms] = {}
+        #: module-level name -> the call whose result it is bound to
+        self.module_calls: Dict[str, ast.Call] = {}
+        #: ``X_IDL.sender(...)`` call -> the site it is when no call of
+        #: the sender resolves
+        self.declarations: Dict[ast.Call, SendSite] = {}
+        #: the declarations some call of which resolved
+        self.called: Set[ast.Call] = set()
+        #: what a call builds: the sites a send of its result sends
+        self.constructions: Dict[ast.Call, List[SendSite]] = {}
 
     def run(self) -> ModuleSites:
         self._visit(self.module.tree)
-        for fn, roles in self.wrapper_roles.items():
-            self._wrapper(fn, roles)
         for call, fn, cls in self.out.calls:
-            scope = self.scopes.get(fn, _NO_SCOPE)
-            self._construction(call, fn, scope)
+            self._sender_call(call)
+            self._hand_built(call, cls)
             self._textual(call)
-            self._stub_call(call, scope, cls)
-            self._wrapper_call(call, scope)
-            self._bind(call, scope, cls)
+            self._bind(call, self.scopes.get(fn, _NO_SCOPE), cls)
             self._raw_registration(call)
             if (_callee_name(call) == "create_router"
                     and isinstance(call.func, ast.Attribute) and call.args
                     and _const_str(call.args[0]) is not None):
                 self.out.router_classes.append(call.args[0].value)
+        self.out.sends.extend(site for call, site in self.declarations.items()
+                              if call not in self.called)
         for call, fn, cls in self.out.calls:
             if (isinstance(call.func, ast.Attribute) and call.args
                     and call.func.attr in _SENDS):
@@ -547,9 +452,6 @@ class _Scan:
         if kind is ast.ClassDef:
             self._class(node)
             return
-        if kind is ast.If:
-            self._if(node)
-            return
         scope = self.scope
         if kind is ast.Name:
             scope.names.add(node.id)
@@ -563,9 +465,6 @@ class _Scan:
         elif kind is ast.Compare:
             scope.identity = scope.identity or any(
                 isinstance(op, (ast.Is, ast.IsNot)) for op in node.ops)
-        elif kind is ast.Return:
-            if isinstance(node.value, ast.Name):
-                scope.returns.add(node.value.id)
         elif kind is ast.Import:
             for alias in node.names:
                 package = _repro_package(alias.name)
@@ -580,27 +479,16 @@ class _Scan:
             if type(child) not in _LEAVES:
                 self._visit(child)
 
-    def _if(self, node: ast.If) -> None:
-        """Each arm's statements are walked knowing their arm, so that an
-        add in one arm is not read as a mutation of a send in the other."""
-        self._visit(node.test)
-        outer = self.arms
-        for arm, body in enumerate((node.body, node.orelse)):
-            self.arms = outer + ((node, arm),)
-            for stmt in body:
-                self._visit(stmt)
-        self.arms = outer
-
     def _function(self, fn: ast.AST) -> None:
-        outer, outer_arms = self.scope, self.arms
+        outer = self.scope
         scope = self.scopes[fn] = Scope(fn)
         if isinstance(fn, _DEFS):
             outer.defs.setdefault(fn.name, fn)
         self.functions.append(fn)
-        self.scope, self.arms = scope, ()
+        self.scope = scope
         for child in ast.iter_child_nodes(fn):
             self._visit(child)
-        self.scope, self.arms = outer, outer_arms
+        self.scope = outer
         self.functions.pop()
         outer.absorb(scope)
 
@@ -624,6 +512,9 @@ class _Scan:
             else [stmt.target]
         if len(targets) == 1 and isinstance(stmt.value, ast.Call):
             self.result_target[stmt.value] = targets[0]
+            if isinstance(targets[0], ast.Name) and not self.functions \
+                    and not self.classes:
+                self.module_calls[targets[0].id] = stmt.value
         scope = self.scope
         for target in targets:
             if isinstance(target, ast.Name):
@@ -646,133 +537,75 @@ class _Scan:
         if isinstance(func, ast.Attribute):
             if isinstance(func.value, ast.Name):
                 var, attr = func.value.id, func.attr
-                if attr.startswith("add"):
-                    scope.adds.setdefault(var, []).append(
-                        (call.lineno, self.arms))
-                elif attr in _GETTERS and call.args \
+                if attr in _GETTERS and call.args \
                         and _const_str(call.args[0]) is not None:
                     scope.reads.setdefault(var, []).append(
                         (call.lineno, call.args[0].value, _GETTERS[attr]))
                 if var == "self":
                     scope.self_calls.add(attr)
-            if func.attr in _SENDS:
-                scope.sends.append(call)
-        if self.arms and isinstance(func, ast.Name) and func.id == "Xrl":
-            self.arms_of[call] = self.arms
+            if func.attr == "sender":
+                self._declaration(call)
         if _callee_name(call) == "import_module" and call.args:
             package = _repro_package(_const_str(call.args[0]))
             if package is not None:
                 self.out.imports.append((package, call.lineno))
-        elif (isinstance(func, ast.Name) and func.id == "Xrl"
-              and len(call.args) >= 4
-              and all(isinstance(a, ast.Name) for a in call.args[1:4])):
-            # Interface, version and method all come from parameters of an
-            # enclosing def: that def is a candidate helper wrapper.
-            for outer in self.functions:
-                if not isinstance(outer, _DEFS) or outer in self.wrapper_roles:
-                    continue
-                params = [a.arg for a in outer.args.args]
-                roles = {a.id: position
-                         for position, a in enumerate(call.args[:4])
-                         if isinstance(a, ast.Name) and a.id in params}
-                if all(position in roles.values() for position in (1, 2, 3)):
-                    self.wrapper_roles[outer] = roles
-
-    def _wrapper(self, fn: ast.AST, roles: Dict[str, int]) -> None:
-        """Keep *fn* as a wrapper if its body also sends what it builds."""
-        scope = self.scopes[fn]
-        if not scope.sends:
-            return
-        wrapper = _Wrapper(tuple(a.arg for a in fn.args.args), roles)
-        reply_vars = set()
-        for call in scope.sends:
-            if call.func.attr == "send_sync":
-                wrapper.sync = True
-                target = self.result_target.get(call)
-                if isinstance(target, ast.Tuple) and len(target.elts) == 2 \
-                        and isinstance(target.elts[1], ast.Name):
-                    reply_vars.add(target.elts[1].id)
-        wrapper.returns_args = bool(reply_vars & scope.returns)
-        self.wrappers[fn.name] = wrapper
 
     # -- send sites ----------------------------------------------------------
     def _site(self, line: int) -> str:
         return "/".join(self.module.logical) + f".py:{line}"
 
-    def _send_site(self, call: ast.Call, interface: str,
+    def _send_site(self, line: int, interface: str,
                    method_lines: List[Tuple[str, int]], via: str,
                    **fields: object) -> SendSite:
-        site = SendSite(self.package, self._site(call.lineno), call.lineno,
-                        self.path, interface, tuple(method_lines), via,
-                        **fields)
-        self.out.sends.append(site)
-        return site
+        return SendSite(self.package, self._site(line), line, self.path,
+                        interface, tuple(method_lines), via, **fields)
 
     def _dynamic(self, call: ast.Call) -> None:
         self.out.dynamic.append(DynamicSite(self.package,
                                             self._site(call.lineno)))
 
-    def _construction(self, call: ast.Call, fn: Optional[ast.AST],
-                      scope: Scope) -> None:
-        if not (_constructed_class(call) == "Xrl" and len(call.args) >= 4):
+    def _declaration(self, call: ast.Call) -> None:
+        """``X_IDL.sender("method", ...)``: unsent until a call of it
+        resolves."""
+        named = _interface_named(call.func.value)
+        if named is None or named[1] is None:
+            return                  # not an interface, or no import at all
+        method = _const_str(call.args[0]) if call.args else None
+        if method is None:
+            self._dynamic(call)
             return
-        iface, version = _const_str(call.args[1]), _const_str(call.args[2])
-        if iface is None or version is None:
-            # A non-constant interface is a dynamic send, unless it is a
-            # wrapper's own constructor: its resolved call sites stand
-            # for it.
-            if not (isinstance(fn, _DEFS) and fn.name in self.wrappers):
-                self._dynamic(call)
-            return
-        args_node = call.args[4] if len(call.args) >= 5 else None
-        for keyword in call.keywords:
-            if keyword.arg == "args":
-                args_node = keyword.value
-        atoms: Optional[Tuple[Atom, ...]] = ()
-        if args_node is not None:
-            atoms = _arg_chain(args_node)
-            if atoms is None and isinstance(args_node, ast.Name):
-                atoms = self._built(call, args_node.id, scope)
-        self.constructions[call] = self._send_site(
-            call, f"{iface}/{version}",
-            scope.str_values(call.args[3], call.lineno), "ctor",
-            target=_const_str(call.args[0]), sent=False, atoms=atoms,
-            iface_line=call.args[1].lineno,
-            args_line=(args_node or call).lineno)
+        self.declarations[call] = self._send_site(
+            call.lineno, named[1], [(method, call.args[0].lineno)],
+            "declaration", sent=False, iface_line=call.lineno)
 
-    def _built(self, call: ast.Call, name: str,
-               scope: Scope) -> Optional[Tuple[Atom, ...]]:
-        """The atoms of the args variable *name* as *call* reads it.
+    def _sender_call(self, call: ast.Call) -> None:
+        """``NAME(target, ...)``, ``(A if c else B)(target, ...)``: a send
+        of each named module-level sender's method."""
+        func = call.func
+        sites = []
+        for name in ((func.body, func.orelse) if isinstance(func, ast.IfExp)
+                     else (func,)):
+            declared = self.module_calls.get(name.id) \
+                if isinstance(name, ast.Name) else None
+            if declared not in self.declarations:
+                continue
+            self.called.add(declared)
+            site = replace(self.declarations[declared], via="sender",
+                           line=call.lineno, site=self._site(call.lineno),
+                           target=_const_str(call.args[0]) if call.args
+                           else None, reads=[])
+            self.out.sends.append(site)
+            sites.append(site)
+        if sites:
+            self.constructions[call] = sites
 
-        Its latest assignment is followed back through ``name =
-        name.add_*(...)`` to an ``XrlArgs()`` chain.  Any other add to
-        *name* is a mutation the chains do not show, and the atoms are
-        unknown, unless it sits in the other arm of an ``if`` around
-        *call*.
-        """
-        arms = self.arms_of.get(call, ())
-        built: Tuple[Atom, ...] = ()
-        chains: List[ast.stmt] = []
-        line = call.lineno
-        while True:
-            stmt = scope.assignment(name, line)
-            if stmt is None:
-                return None
-            base, atoms = _add_chain(stmt.value)
-            if atoms is None:
-                return None
-            built = atoms + built
-            chains.append(stmt)
-            if not (isinstance(base, ast.Name) and base.id == name):
-                break
-            line = stmt.lineno
-        if _arg_chain(base) is None:
-            return None
-        if all(any(stmt.lineno <= line <= stmt.end_lineno for stmt in chains)
-               or _exclusive(arms, add_arms)
-               for line, add_arms in scope.adds.get(name, ())):
-            return built
-        return None
+    def _hand_built(self, call: ast.Call, cls: Optional[ast.ClassDef]) -> None:
+        """An ``Xrl`` built by hand is a send the graph cannot attribute;
+        the one :class:`~repro.xrl.idl.XrlSender` builds is every
+        declaration's."""
+        if isinstance(call.func, ast.Name) and call.func.id == "Xrl" \
+                and (cls is None or cls.name != "XrlSender"):
+            self._dynamic(call)
 
     def _textual(self, call: ast.Call) -> None:
         textual = _textual_xrl(call)
@@ -794,61 +627,12 @@ class _Scan:
                                            f"bad XRL literal: {exc}"))
             return
         site = self._send_site(
-            call, f"{xrl.interface}/{xrl.version}", [(xrl.method, line)],
-            "textual", target=xrl.target, sync=sends, sent=sends,
-            atoms=tuple((atom.name, atom.type.value) for atom in xrl.args),
-            iface_line=line, args_line=line)
+            call.lineno, f"{xrl.interface}/{xrl.version}",
+            [(xrl.method, line)], "textual", target=xrl.target, sync=sends,
+            sent=sends, iface_line=line)
+        self.out.sends.append(site)
         if not sends:
-            self.constructions[call] = site
-
-    def _stub_call(self, call: ast.Call, scope: Scope,
-                   cls: Optional[ast.ClassDef]) -> None:
-        """``stub = X_IDL.client(...); stub.method(cb, name=...)``."""
-        if not isinstance(call.func, ast.Attribute):
-            return
-        receiver = call.func.value
-        values: List[ast.AST] = []
-        if isinstance(receiver, ast.Name):
-            stmt = scope.assignment(receiver.id, call.lineno)
-            values = [stmt.value] if stmt is not None else []
-        elif _is_self_attr(receiver) and cls is not None:
-            values = self.class_attrs.get(cls, {}).get(receiver.attr, [])
-        stub = next(filter(None, map(_stub_interface, values)), None)
-        if stub is None:
-            return
-        named = call.keywords and all(k.arg is not None for k in call.keywords)
-        site = self._send_site(
-            call, stub[0], [(call.func.attr, call.lineno)], "stub",
-            target=stub[1], iface_line=call.lineno, args_line=call.lineno,
-            atoms=(tuple((k.arg, None) for k in call.keywords)
-                   if named else None))
-        self._reply_reads(site, call.args[0] if call.args else None,
-                          scope, cls)
-
-    def _wrapper_call(self, call: ast.Call, scope: Scope) -> None:
-        wrapper = self.wrappers.get(_callee_name(call))
-        if wrapper is None:
-            return
-        params = list(wrapper.params)
-        if params and params[0] == "self" \
-                and isinstance(call.func, ast.Attribute):
-            params = params[1:]
-        by_param: Dict[str, ast.AST] = dict(zip(params, call.args))
-        by_param.update({k.arg: k.value for k in call.keywords
-                         if k.arg is not None})
-        by_role = {position: by_param.get(param)
-                   for param, position in wrapper.roles.items()}
-        iface, version = _const_str(by_role[1]), _const_str(by_role[2])
-        if iface is None or version is None:
-            return
-        site = self._send_site(
-            call, f"{iface}/{version}",
-            scope.str_values(by_role[3], call.lineno), "wrapper",
-            target=_const_str(by_role.get(0)), sync=wrapper.sync,
-            iface_line=call.lineno, args_line=call.lineno)
-        reply = self.result_target.get(call)
-        if wrapper.returns_args and isinstance(reply, ast.Name):
-            site.reads.extend(scope.reads_of(reply.id, call.lineno))
+            self.constructions[call] = [site]
 
     def _reply_reads(self, site: SendSite, callback: Optional[ast.AST],
                      scope: Scope, cls: Optional[ast.ClassDef]) -> None:
@@ -875,27 +659,28 @@ class _Scan:
         if isinstance(sent, ast.Name):
             stmt = scope.assignment(sent.id, call.lineno)
             sent = stmt.value if stmt is not None else None
-        site = self.constructions.get(sent)
+        sites = self.constructions.get(sent)
         attr = call.func.attr
-        if site is None:
+        if sites is None:
             self.out.deferred_sync |= attr == "send_sync"
             return
-        site.sent = True
-        if attr == "send_sync":
-            site.sync = True
-            reply = self.result_target.get(call)
-            if isinstance(reply, ast.Tuple) and len(reply.elts) == 2 \
-                    and isinstance(reply.elts[1], ast.Name) \
-                    and not reply.elts[1].id.startswith("_"):
-                site.reads.extend(scope.reads_of(reply.elts[1].id,
-                                                 call.lineno))
-            return
-        callback = call.args[1] if attr == "send" and len(call.args) > 1 \
-            else None
-        for keyword in call.keywords:
-            if keyword.arg in ("callback", "on_reply"):
-                callback = keyword.value
-        self._reply_reads(site, callback, scope, cls)
+        for site in sites:
+            site.sent = True
+            if attr == "send_sync":
+                site.sync = True
+                reply = self.result_target.get(call)
+                if isinstance(reply, ast.Tuple) and len(reply.elts) == 2 \
+                        and isinstance(reply.elts[1], ast.Name) \
+                        and not reply.elts[1].id.startswith("_"):
+                    site.reads.extend(scope.reads_of(reply.elts[1].id,
+                                                     call.lineno))
+                continue
+            callback = call.args[1] if attr == "send" and len(call.args) > 1 \
+                else None
+            for keyword in call.keywords:
+                if keyword.arg in ("callback", "on_reply"):
+                    callback = keyword.value
+            self._reply_reads(site, callback, scope, cls)
 
     # -- bind sites ----------------------------------------------------------
     def _bind(self, call: ast.Call, scope: Scope,
@@ -920,11 +705,10 @@ class _Scan:
                 impl = cls
             else:
                 stmt = scope.assignment(impl_node.id, call.lineno)
-                impl = _constructed_class(stmt.value) if stmt is not None \
-                    else None
+                impl = _called(stmt.value) if stmt is not None else None
         elif _is_self_attr(impl_node) and cls is not None:
             values = self.class_attrs.get(cls, {}).get(impl_node.attr, [])
-            impl = next(filter(None, map(_constructed_class, values)), None)
+            impl = next(filter(None, map(_called, values)), None)
         self.out.binds.append(BindSite(
             self.package, self._site(call.lineno), call.lineno, self.path,
             fullname, iface_node.lineno, impl=impl))

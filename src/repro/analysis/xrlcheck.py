@@ -1,17 +1,18 @@
 """XRL conformance: every send and bind site against the IDL catalogue.
 
-This is the static half of what XORP's ``xrlc`` did at build time
-(paper §6.1: "interface specification, automatic stub code generation,
-and basic error checking").  The runtime already rejects bad calls when
-they happen; this checker rejects them when they are *written*.  The
-sites come from :mod:`repro.analysis.sites`; each rule is a function of
-one site, the catalogue and (for handlers) the class index:
+XORP's ``xrlc`` checked every stub against the ``.xif`` files at build
+time (paper §6.1: "interface specification, automatic stub code
+generation, and basic error checking").  Here the calling side is checked
+when its module is imported: every send is an
+:class:`~repro.xrl.idl.XrlSender`, whose declaration raises ``IdlError``
+for a method the interface lacks or parameter names that differ from the
+declared ones, and every dispatch checks the arguments again.  What no
+import checks is left to this checker.  The sites come from
+:mod:`repro.analysis.sites`; each rule is a function of one site, the
+catalogue and (for handlers) the class index:
 
-* a :class:`~repro.analysis.sites.SendSite` — ``Xrl(...)`` construction,
-  client-stub call, textual literal, helper-wrapper call — must name an
-  interface/version the catalogue has (XRL001) and methods it declares
-  (XRL002), and where its arguments resolve statically they must match
-  the declared names/types/arity (XRL003);
+* a textual XRL literal must name an interface/version the catalogue has
+  (XRL001) and a method it declares (XRL002);
 * a :class:`~repro.analysis.sites.BindSite` must name a known interface
   (XRL001); a raw registration a declared method (XRL002); each handler
   a ``bind()`` finds on its implementation class must accept the
@@ -24,11 +25,10 @@ one site, the catalogue and (for handlers) the class index:
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterable, Iterator, Optional
+from typing import Dict, Iterator, Optional
 
 from repro.analysis.core import Finding, ModuleInfo
 from repro.analysis.sites import (
-    Atom,
     BindSite,
     ModuleSites,
     ProjectIndex,
@@ -47,38 +47,18 @@ def check_xrl(module: ModuleInfo, sites: ModuleSites,
         yield from check_bind(bind, catalogue, project)
 
 
-def _describe(atoms: Iterable[Atom]) -> str:
-    return "&".join(f"{n}:{t}" if t else n for n, t in atoms) or "<none>"
-
-
 def check_send(site: SendSite, catalogue: Dict[str, object]
                ) -> Iterator[Finding]:
-    """XRL001–XRL003 for one send site."""
+    """XRL001/XRL002 for one send site; a sender passed them at import."""
     iface = catalogue.get(site.interface)
     if iface is None:
         yield Finding(site.path, site.iface_line, "XRL001",
                       f"unknown interface {site.interface!r}")
         return
-    unknown = [(m, line) for m, line in site.method_lines
-               if m not in iface.methods]
-    for method, line in unknown:
-        yield Finding(site.path, line, "XRL002",
-                      f"{site.interface} declares no method {method!r}")
-    if unknown or not site.method_lines or site.atoms is None:
-        return
-    # Stub keywords and run-time atom types carry names only: compare on
-    # what the site knows.
-    typed = all(tag is not None for _name, tag in site.atoms)
-    atoms = {(n, t if typed else None) for n, t in site.atoms}
-    wanted = [[(n, t if typed else None)
-               for n, t in iface.methods[m].signature[0]]
-              for m in site.methods]
-    if not any(atoms == set(want) for want in wanted):
-        yield Finding(
-            site.path, site.args_line, "XRL003",
-            f"arguments {_describe(site.atoms)} do not match "
-            f"{site.interface}/{'|'.join(site.methods)} "
-            f"({' | '.join(map(_describe, wanted))})")
+    for method, line in site.method_lines:
+        if method not in iface.methods:
+            yield Finding(site.path, line, "XRL002",
+                          f"{site.interface} declares no method {method!r}")
 
 
 def check_bind(site: BindSite, catalogue: Dict[str, object],

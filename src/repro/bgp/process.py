@@ -20,12 +20,17 @@ from repro.bgp.route import BGPRoute
 from repro.core.process import Host, XorpProcess
 from repro.core.stages import OriginStage, RouteTableStage
 from repro.core.txqueue import RouteStream
-from repro.interfaces import BGP_IDL, COMMON_IDL, POLICY_IDL, RIB_CLIENT_IDL
+from repro.interfaces import (
+    BGP_IDL,
+    COMMON_IDL,
+    POLICY_IDL,
+    RIB_CLIENT_IDL,
+    RIB_IDL,
+)
 from repro.net import IPNet, IPv4
 from repro.profiler import PROFILER_IDL, Profiler
-from repro.xrl import XrlArgs, XrlAtom, XrlAtomType, XrlError
+from repro.xrl import Xrl, XrlArgs, XrlAtom, XrlAtomType, XrlError
 from repro.xrl.error import XrlErrorCode
-from repro.xrl.xrl import Xrl
 
 #: policy hook signature: (route, peer_handler) -> route | None
 PolicyHook = Callable[[BGPRoute, Any], Optional[BGPRoute]]
@@ -34,6 +39,17 @@ LOCAL_PEER_ID = "local"
 
 _IPV4NET, _IPV4, _U32 = (XrlAtomType.IPV4NET, XrlAtomType.IPV4,
                          XrlAtomType.U32)
+
+_ADD_EGP_TABLE4 = RIB_IDL.sender("add_egp_table4", "protocol")
+_REGISTER_INTEREST4 = RIB_IDL.sender("register_interest4", "target", "addr")
+_ADD_ROUTE4 = RIB_IDL.sender("add_route4", "protocol", "net", "nexthop",
+                             "metric", "policytags")
+_REPLACE_ROUTE4 = RIB_IDL.sender("replace_route4", "protocol", "net",
+                                 "nexthop", "metric", "policytags")
+_DELETE_ROUTE4 = RIB_IDL.sender("delete_route4", "protocol", "net")
+_ADD_ROUTES4 = RIB_IDL.sender("add_routes4", "protocol", "nets", "nexthops",
+                              "metrics")
+_DELETE_ROUTES4 = RIB_IDL.sender("delete_routes4", "protocol", "nets")
 
 
 class BgpProcess(XorpProcess):
@@ -129,9 +145,7 @@ class BgpProcess(XorpProcess):
         self.txq.pause()
         for protocol in ("ebgp", "ibgp"):
             self._tables_unanswered += 1
-            args = XrlArgs().add_txt("protocol", protocol)
-            send(Xrl(self.rib_target, "rib", "1.0",
-                     "add_egp_table4", args),
+            send(_ADD_EGP_TABLE4(self.rib_target, protocol),
                  self._rib_table_answered, retry=self.retry_policy)
 
     def _rib_table_answered(self, error: XrlError, args: XrlArgs) -> None:
@@ -161,9 +175,8 @@ class BgpProcess(XorpProcess):
             self.loop.call_soon(
                 reply_cb, IPNet(nexthop, 32), True, 0)
             return
-        args = (XrlArgs().add_txt("target", self.xrl.class_name)
-                .add_ipv4("addr", nexthop))
-        xrl = Xrl(self.rib_target, "rib", "1.0", "register_interest4", args)
+        xrl = _REGISTER_INTEREST4(self.rib_target, self.xrl.class_name,
+                                  nexthop)
 
         def completion(error: XrlError, response: XrlArgs) -> None:
             if not error.is_okay:
@@ -218,38 +231,28 @@ class BgpProcess(XorpProcess):
         Two or more routes leave as one vectorized ``add_routes4`` /
         ``delete_routes4`` (parallel lists, like ``fea_fib/1.0``'s
         ``add_entries4``); a lone route keeps the singular wire shape —
-        the rule the RIB→FEA hop applies too.  Method names stay literal
-        so the XRL001/XRL002 checks and the protocol graph resolve them.
+        the rule the RIB→FEA hop applies too.
         """
         target = self.rib_target
         if len(routes) == 1:
             route = routes[0]
-            args = (XrlArgs().add_txt("protocol", protocol)
-                    .add_ipv4net("net", route.net))
             if op == "delete":
-                xrl = Xrl(target, "rib", "1.0", "delete_route4", args)
+                xrl = _DELETE_ROUTE4(target, protocol, route.net)
             else:
-                args = (args.add_ipv4("nexthop", route.nexthop)
-                        .add_u32("metric", route.igp_metric or 0)
-                        .add_list("policytags", []))
-                method = "add_route4" if op == "add" else "replace_route4"
-                xrl = Xrl(target, "rib", "1.0", method, args)
+                xrl = (_ADD_ROUTE4 if op == "add" else _REPLACE_ROUTE4)(
+                    target, protocol, route.net, route.nexthop,
+                    route.igp_metric or 0, [])
         else:
-            args = (XrlArgs().add_txt("protocol", protocol)
-                    .add_list("nets", [XrlAtom("net", _IPV4NET, route.net)
-                                       for route in routes]))
+            nets = [XrlAtom("net", _IPV4NET, route.net) for route in routes]
             if op == "delete":
-                xrl = Xrl(target, "rib", "1.0", "delete_routes4", args)
+                xrl = _DELETE_ROUTES4(target, protocol, nets)
             else:
-                args = (args
-                        .add_list("nexthops",
-                                  [XrlAtom("nexthop", _IPV4, route.nexthop)
-                                   for route in routes])
-                        .add_list("metrics",
-                                  [XrlAtom("metric", _U32,
-                                           route.igp_metric or 0)
-                                   for route in routes]))
-                xrl = Xrl(target, "rib", "1.0", "add_routes4", args)
+                xrl = _ADD_ROUTES4(
+                    target, protocol, nets,
+                    [XrlAtom("nexthop", _IPV4, route.nexthop)
+                     for route in routes],
+                    [XrlAtom("metric", _U32, route.igp_metric or 0)
+                     for route in routes])
         if self._prof_sent_rib.enabled:
             self._prof_sent_rib.log_each(
                 [f"{op} {route.net}" for route in routes])

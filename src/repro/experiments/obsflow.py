@@ -30,11 +30,15 @@ from typing import Dict, List, Optional
 from repro.analysis.core import Finding
 from repro.core.process import Host, XorpProcess
 from repro.eventloop import EventLoop, SimulatedClock
-from repro.interfaces import TRACE_IDL
+from repro.interfaces import BGP_IDL, METRICS_IDL, TRACE_IDL
 from repro.net import IPNet, IPv4
 from repro.obs import Observability
 from repro.rtrmgr import RouterManager
-from repro.xrl import Xrl, XrlArgs
+
+_ORIGINATE_ROUTE4 = BGP_IDL.sender("originate_route4", "net", "next_hop",
+                                   "unicast")
+_GET_METRICS = METRICS_IDL.sender("get_metrics")
+_GET_SPANS = TRACE_IDL.sender("get_spans", "trace_id")
 
 #: The router under test: BGP with no peers, and the interface the
 #: traced routes' nexthop resolves through.
@@ -153,10 +157,8 @@ def run_obs_flow(route_count: int = 6, *,
         for prefix in prefixes:
             obs.trace(prefix)
         for prefix in prefixes:
-            args = (XrlArgs().add_ipv4net("net", prefix)
-                    .add_ipv4("next_hop", "10.0.0.1").add_bool("unicast", True))
             error, __ = scraper.send_sync(
-                Xrl("bgp", "bgp", "1.0", "originate_route4", args),
+                _ORIGINATE_ROUTE4("bgp", prefix, "10.0.0.1", True),
                 deadline=10)
             if not error.is_okay:
                 raise RuntimeError(str(error))
@@ -167,14 +169,13 @@ def run_obs_flow(route_count: int = 6, *,
         # The external scrape: one metrics/1.0 call per process, plus the
         # span trees over trace/1.0.
         for target in ("bgp", "rib", "fea"):
-            error, returns = scraper.send_sync(
-                Xrl(target, "metrics", "1.0", "get_metrics"), deadline=10)
+            error, returns = scraper.send_sync(_GET_METRICS(target),
+                                               deadline=10)
             report.scrapes[target] = (returns.get_txt("report")
                                       if error.is_okay else f"error: {error}")
         for trace_id in sorted(obs.tracer._traces):
-            error, returns = scraper.send_sync(
-                Xrl("bgp", "trace", "1.0", "get_spans",
-                    XrlArgs().add_u32("trace_id", trace_id)), deadline=10)
+            error, returns = scraper.send_sync(_GET_SPANS("bgp", trace_id),
+                                               deadline=10)
             if not error.is_okay:
                 report.findings.append(Finding(
                     path="obsflow", line=0, rule="OBS002",

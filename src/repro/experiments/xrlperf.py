@@ -21,8 +21,11 @@ import time
 from typing import Dict, List, Optional
 
 from repro.eventloop import EventLoop, SystemClock
-from repro.xrl import Finder, Xrl, XrlArgs, XrlRouter
+from repro.interfaces import interface
+from repro.xrl import Finder, XrlRouter
 from repro.xrl.transport import IntraProcessFamily, TcpFamily, UdpFamily
+
+_NOARGS = interface("bench/1.0").sender("noargs")
 
 
 class XrlPerfResult:
@@ -60,10 +63,9 @@ def _measure_transaction(loop: EventLoop, client: XrlRouter, target: str,
                          arg_count: int, transaction_size: int,
                          window: int) -> float:
     """One transaction; returns XRLs/sec (wall clock)."""
-    args = XrlArgs()
-    for index in range(arg_count):
-        args.add_u32(f"a{index}", index)
-    xrl = Xrl(target, "bench", "1.0", "noargs", args)
+    xrl = _NOARGS(target)
+    for index in range(arg_count):      # the raw endpoint takes any atoms
+        xrl.args.add_u32(f"a{index}", index)
     completed = [0]
     sent = [0]
 

@@ -16,14 +16,17 @@ from repro.interfaces import (
     FEA_IFMGR_IDL,
     FEA_MFIB_IDL,
     FEA_RAWPKT4_IDL,
+    FEA_RAWPKT_CLIENT4_IDL,
     parallel_values,
 )
 from repro.net import IPNet, IPv4
 from repro.profiler import PROFILER_IDL, Profiler
-from repro.xrl import XrlArgs, XrlAtomType, XrlError
+from repro.xrl import XrlAtomType, XrlError
 from repro.xrl.error import XrlErrorCode
 from repro.xrl.router import DeferredReply
-from repro.xrl.xrl import Xrl
+
+_RECV_UDP = FEA_RAWPKT_CLIENT4_IDL.sender("recv_udp", "ifname", "src", "port",
+                                          "payload")
 
 
 class MfcEntry:
@@ -284,10 +287,7 @@ class FeaProcess(XorpProcess):
 
     def _notify_recv_udp(self, creator: str, ifname: str, src: IPv4,
                          port: int, payload: bytes) -> None:
-        args = (XrlArgs().add_txt("ifname", ifname).add_ipv4("src", src)
-                .add_u32("port", port).add_binary("payload", payload))
-        xrl = Xrl(creator, "fea_rawpkt_client4", "1.0", "recv_udp", args)
-        self.xrl.send(xrl)
+        self.xrl.send(_RECV_UDP(creator, ifname, src, port, payload))
 
     # -- fea_mfib/1.0 (PIM installs multicast routes directly, Figure 1) -----
     def xrl_add_mfc4(self, source, group, iif, oifs) -> None:

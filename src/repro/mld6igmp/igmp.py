@@ -13,11 +13,13 @@ import struct
 from typing import Dict, List, Optional, Set
 
 from repro.core.process import Host, XorpProcess
-from repro.interfaces import COMMON_IDL, MLD6IGMP_IDL
+from repro.interfaces import COMMON_IDL, MLD6IGMP_CLIENT_IDL, MLD6IGMP_IDL
 from repro.net import IPv4
-from repro.xrl import XrlArgs, XrlError
+from repro.xrl import XrlError
 from repro.xrl.error import XrlErrorCode
-from repro.xrl.xrl import Xrl
+
+_MEMBERSHIP_CHANGE4 = MLD6IGMP_CLIENT_IDL.sender(
+    "membership_change4", "ifname", "group", "joined")
 
 IGMP_MEMBERSHIP_QUERY = 0x11
 IGMP_V2_MEMBERSHIP_REPORT = 0x16
@@ -113,10 +115,7 @@ class Mld6igmpProcess(XorpProcess):
 
     def _notify(self, ifname: str, group: IPv4, joined: bool) -> None:
         for target in self.notify_targets:
-            args = (XrlArgs().add_txt("ifname", ifname)
-                    .add_ipv4("group", group).add_bool("joined", joined))
-            self.xrl.send(Xrl(target, "mld6igmp_client", "0.1",
-                              "membership_change4", args))
+            self.xrl.send(_MEMBERSHIP_CHANGE4(target, ifname, group, joined))
 
     # -- mld6igmp/0.1 -----------------------------------------------------
     def xrl_add_membership4(self, ifname: str, group) -> None:

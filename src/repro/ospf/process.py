@@ -5,7 +5,13 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.core.process import Host, XorpProcess
-from repro.interfaces import COMMON_IDL, FEA_RAWPKT_CLIENT4_IDL, OSPF_IDL
+from repro.interfaces import (
+    COMMON_IDL,
+    FEA_RAWPKT4_IDL,
+    FEA_RAWPKT_CLIENT4_IDL,
+    OSPF_IDL,
+    RIB_IDL,
+)
 from repro.net import IPNet, IPv4
 from repro.ospf.packets import (
     ALL_SPF_ROUTERS,
@@ -16,12 +22,21 @@ from repro.ospf.packets import (
     decode_packet,
 )
 from repro.ospf.spf import shortest_path_routes
-from repro.xrl import XrlArgs, XrlAtom, XrlAtomType, XrlError
+from repro.xrl import XrlAtom, XrlAtomType, XrlError
 from repro.xrl.error import XrlErrorCode
-from repro.xrl.xrl import Xrl
 
 #: stand-in UDP port for IP protocol 89 over the FEA relay (see DESIGN.md)
 OSPF_PORT = 89
+
+_ADD_IGP_TABLE4 = RIB_IDL.sender("add_igp_table4", "protocol")
+_ADD_ROUTE4 = RIB_IDL.sender("add_route4", "protocol", "net", "nexthop",
+                             "metric", "policytags")
+_REPLACE_ROUTE4 = RIB_IDL.sender("replace_route4", "protocol", "net",
+                                 "nexthop", "metric", "policytags")
+_DELETE_ROUTES4 = RIB_IDL.sender("delete_routes4", "protocol", "nets")
+_OPEN_UDP = FEA_RAWPKT4_IDL.sender("open_udp", "creator", "ifname", "port")
+_SEND_UDP = FEA_RAWPKT4_IDL.sender("send_udp", "ifname", "dst", "port",
+                                   "payload")
 
 NEIGHBOR_DOWN = "Down"
 NEIGHBOR_INIT = "Init"
@@ -89,8 +104,7 @@ class OspfProcess(XorpProcess):
         self.xrl.bind(FEA_RAWPKT_CLIENT4_IDL, self)
         self.xrl.bind(COMMON_IDL, self)
         if rib_target is not None:
-            self.xrl.send(Xrl(rib_target, "rib", "1.0", "add_igp_table4",
-                              XrlArgs().add_txt("protocol", "ospf")))
+            self.xrl.send(_ADD_IGP_TABLE4(rib_target, "ospf"))
         self.loop.call_periodic(refresh_interval, self._refresh_lsa,
                                 name="ospf-refresh")
 
@@ -103,10 +117,8 @@ class OspfProcess(XorpProcess):
         interface = OspfInterface(ifname, addr, int(prefix_len),
                                   max(1, int(cost)))
         self.interfaces[ifname] = interface
-        args = (XrlArgs().add_txt("creator", self.xrl.class_name)
-                .add_txt("ifname", ifname).add_u32("port", OSPF_PORT))
-        self.xrl.send(Xrl(self.fea_target, "fea_rawpkt4", "1.0",
-                          "open_udp", args))
+        self.xrl.send(_OPEN_UDP(self.fea_target, self.xrl.class_name, ifname,
+                                OSPF_PORT))
         self._send_hello(interface)
         interface.hello_timer = self.loop.call_periodic(
             self.hello_interval, lambda: self._send_hello(interface),
@@ -226,11 +238,8 @@ class OspfProcess(XorpProcess):
 
     # -- packet I/O through the FEA relay -----------------------------------
     def _send_packet(self, interface: OspfInterface, payload: bytes) -> None:
-        args = (XrlArgs().add_txt("ifname", interface.ifname)
-                .add_ipv4("dst", ALL_SPF_ROUTERS).add_u32("port", OSPF_PORT)
-                .add_binary("payload", payload))
-        self.xrl.send(Xrl(self.fea_target, "fea_rawpkt4", "1.0",
-                          "send_udp", args))
+        self.xrl.send(_SEND_UDP(self.fea_target, interface.ifname,
+                                ALL_SPF_ROUTERS, OSPF_PORT, payload))
 
     def xrl_recv_udp(self, ifname, src, port, payload) -> None:
         interface = self.interfaces.get(ifname)
@@ -273,22 +282,19 @@ class OspfProcess(XorpProcess):
             # Everything one SPF run retires leaves as one XRL.
             for prefix in gone:
                 del self._installed[prefix]
-            args = (XrlArgs().add_txt("protocol", "ospf")
-                    .add_list("nets", [XrlAtom("net", XrlAtomType.IPV4NET,
-                                               prefix) for prefix in gone]))
-            self.xrl.send(Xrl(self.rib_target, "rib", "1.0",
-                              "delete_routes4", args), batch=True)
+            self.xrl.send(_DELETE_ROUTES4(
+                self.rib_target, "ospf",
+                [XrlAtom("net", XrlAtomType.IPV4NET, prefix)
+                 for prefix in gone]), batch=True)
         for prefix, (metric, nexthop) in desired.items():
             current = self._installed.get(prefix)
             if current == (metric, nexthop):
                 continue
-            args = (XrlArgs().add_txt("protocol", "ospf")
-                    .add_ipv4net("net", prefix).add_ipv4("nexthop", nexthop)
-                    .add_u32("metric", metric).add_list("policytags", []))
-            method = "add_route4" if current is None else "replace_route4"
             # A whole SPF install runs in one turn: coalesce on the wire.
-            self.xrl.send(Xrl(self.rib_target, "rib", "1.0", method, args),
-                          batch=True)
+            self.xrl.send(
+                (_ADD_ROUTE4 if current is None else _REPLACE_ROUTE4)(
+                    self.rib_target, "ospf", prefix, nexthop, metric, []),
+                batch=True)
             self._installed[prefix] = (metric, nexthop)
 
     def shutdown(self) -> None:

@@ -22,14 +22,23 @@ from typing import Dict, List, Optional, Set, Tuple
 from repro.core.process import Host, XorpProcess
 from repro.interfaces import (
     COMMON_IDL,
+    FEA_FIB_IDL,
+    FEA_MFIB_IDL,
     MLD6IGMP_CLIENT_IDL,
     PIM_IDL,
     RIB_CLIENT_IDL,
+    RIB_IDL,
 )
 from repro.net import IPNet, IPv4
-from repro.xrl import XrlArgs, XrlError
+from repro.xrl import XrlError
 from repro.xrl.error import XrlErrorCode
-from repro.xrl.xrl import Xrl
+
+_ADD_MFC4 = FEA_MFIB_IDL.sender("add_mfc4", "source", "group", "iif", "oifs")
+_DELETE_MFC4 = FEA_MFIB_IDL.sender("delete_mfc4", "source", "group")
+_REGISTER_INTEREST4 = RIB_IDL.sender("register_interest4", "target", "addr")
+_DEREGISTER_INTEREST4 = RIB_IDL.sender("deregister_interest4", "target",
+                                       "subnet")
+_LOOKUP_ENTRY4 = FEA_FIB_IDL.sender("lookup_entry4", "addr")
 
 
 class GroupState:
@@ -132,24 +141,19 @@ class PimProcess(XorpProcess):
             return
         # Last receiver gone: tear the entry down.
         if state.installed:
-            args = (XrlArgs().add_ipv4("source", state.rp or IPv4(0))
-                    .add_ipv4("group", state.group))
-            self.xrl.send(Xrl(self.fea_target, "fea_mfib", "1.0",
-                              "delete_mfc4", args))
+            self.xrl.send(_DELETE_MFC4(self.fea_target, state.rp or IPv4(0),
+                                       state.group))
         if state.rpf_subnet is not None:
-            dereg = (XrlArgs().add_txt("target", self.xrl.class_name)
-                     .add_ipv4net("subnet", state.rpf_subnet))
-            self.xrl.send(Xrl(self.rib_target, "rib", "1.0",
-                              "deregister_interest4", dereg))
+            self.xrl.send(_DEREGISTER_INTEREST4(
+                self.rib_target, self.xrl.class_name, state.rpf_subnet))
         del self.groups[state.group.to_int()]
 
     # -- RPF resolution through the RIB ----------------------------------------
     def _resolve_rpf(self, state: GroupState) -> None:
         if state.rp is None:
             return
-        args = (XrlArgs().add_txt("target", self.xrl.class_name)
-                .add_ipv4("addr", state.rp))
-        xrl = Xrl(self.rib_target, "rib", "1.0", "register_interest4", args)
+        xrl = _REGISTER_INTEREST4(self.rib_target, self.xrl.class_name,
+                                  state.rp)
 
         def completion(error, response) -> None:
             if not error.is_okay:
@@ -164,8 +168,7 @@ class PimProcess(XorpProcess):
         self.xrl.send(xrl, completion)
 
     def _lookup_rpf_interface(self, state: GroupState) -> None:
-        args = XrlArgs().add_ipv4("addr", state.rp)
-        xrl = Xrl(self.fea_target, "fea_fib", "1.0", "lookup_entry4", args)
+        xrl = _LOOKUP_ENTRY4(self.fea_target, state.rp)
 
         def completion(error, response) -> None:
             if not error.is_okay or not response.get_bool("resolves"):
@@ -189,10 +192,7 @@ class PimProcess(XorpProcess):
     def _install(self, state: GroupState) -> None:
         if not state.iif or not state.oifs:
             return
-        args = (XrlArgs().add_ipv4("source", state.rp or IPv4(0))
-                .add_ipv4("group", state.group)
-                .add_txt("iif", state.iif)
-                .add_txt("oifs", ",".join(sorted(state.oifs))))
         state.installed = True
-        self.xrl.send(Xrl(self.fea_target, "fea_mfib", "1.0",
-                          "add_mfc4", args))
+        self.xrl.send(_ADD_MFC4(self.fea_target, state.rp or IPv4(0),
+                                state.group, state.iif,
+                                ",".join(sorted(state.oifs))))

@@ -16,6 +16,7 @@ from repro.core.stages import OriginStage, RouteTableStage
 from repro.core.txqueue import RouteStream
 from repro.interfaces import (
     COMMON_IDL,
+    FEA_FIB_IDL,
     REDIST4_IDL,
     RIB_CLIENT_IDL,
     RIB_IDL,
@@ -29,9 +30,25 @@ from repro.rib.redist import RedistStage
 from repro.rib.register import RegisterStage
 from repro.rib.route import ADMIN_DISTANCES, RibRoute
 from repro.trie import SnapshotWalk
-from repro.xrl import XrlArgs, XrlAtom, XrlAtomType, XrlError
+from repro.xrl import Xrl, XrlAtom, XrlAtomType, XrlError
 from repro.xrl.error import XrlErrorCode
-from repro.xrl.xrl import Xrl
+
+_ADD_ENTRY4 = FEA_FIB_IDL.sender("add_entry4", "net", "nexthop", "ifname")
+_ADD_ENTRY6 = FEA_FIB_IDL.sender("add_entry6", "net", "nexthop", "ifname")
+_DELETE_ENTRY4 = FEA_FIB_IDL.sender("delete_entry4", "net")
+_DELETE_ENTRY6 = FEA_FIB_IDL.sender("delete_entry6", "net")
+_ADD_ENTRIES4 = FEA_FIB_IDL.sender("add_entries4", "nets", "nexthops",
+                                   "ifnames")
+_ADD_ENTRIES6 = FEA_FIB_IDL.sender("add_entries6", "nets", "nexthops",
+                                   "ifnames")
+_DELETE_ENTRIES4 = FEA_FIB_IDL.sender("delete_entries4", "nets")
+_DELETE_ENTRIES6 = FEA_FIB_IDL.sender("delete_entries6", "nets")
+_ROUTE_INFO_INVALID4 = RIB_CLIENT_IDL.sender("route_info_invalid4", "subnet")
+_REDIST_ADD_ROUTE4 = REDIST4_IDL.sender(
+    "redist_add_route4", "net", "nexthop", "metric", "admin_distance",
+    "protocol", "policytags")
+_REDIST_DELETE_ROUTE4 = REDIST4_IDL.sender("redist_delete_route4", "net",
+                                           "protocol")
 
 
 class _FeaDistributorStage(RouteTableStage):
@@ -169,10 +186,10 @@ class RibProcess(XorpProcess):
     # which pumps same-(family, op) runs back out through _fea_segment —
     # so v4 and v6 share segmenting, profiling, and the window.
 
-    #: family bits -> (method suffix, net atom type, nexthop atom type)
+    #: family bits -> (net atom type, nexthop atom type)
     _FEA_FAMILY = {
-        32: ("4", XrlAtomType.IPV4NET, XrlAtomType.IPV4),
-        128: ("6", XrlAtomType.IPV6NET, XrlAtomType.IPV6),
+        32: (XrlAtomType.IPV4NET, XrlAtomType.IPV4),
+        128: (XrlAtomType.IPV6NET, XrlAtomType.IPV6),
     }
 
     #: one vectorized XRL carries at most this many routes; larger stage
@@ -191,44 +208,29 @@ class RibProcess(XorpProcess):
 
     def _fea_segment(self, family: int, op: str, routes: List[Any]) -> Xrl:
         """One same-op run as a singular or vectorized FIB XRL."""
-        __, net_type, nexthop_type = self._FEA_FAMILY[family]
-        # Method names stay literal (per family, via the conditional) and
-        # each arm's args are one chain, so the XRL001-XRL003 static
-        # conformance checks resolve them.
+        target = self.fea_target
+        v4 = family == 32
         if len(routes) == 1:
             route = routes[0]
-            args = XrlArgs().add(XrlAtom("net", net_type, route.net))
             if op == "delete":
-                xrl = Xrl(self.fea_target, "fea_fib", "1.0",
-                          "delete_entry4" if family == 32
-                          else "delete_entry6", args)
+                xrl = (_DELETE_ENTRY4 if v4 else _DELETE_ENTRY6)(
+                    target, route.net)
             else:
-                args = (args.add(XrlAtom("nexthop", nexthop_type,
-                                         route.nexthop))
-                        .add_txt("ifname", route.ifname))
-                xrl = Xrl(self.fea_target, "fea_fib", "1.0",
-                          "add_entry4" if family == 32 else "add_entry6",
-                          args)
+                xrl = (_ADD_ENTRY4 if v4 else _ADD_ENTRY6)(
+                    target, route.net, route.nexthop, route.ifname)
         else:
+            net_type, nexthop_type = self._FEA_FAMILY[family]
             nets = [XrlAtom("net", net_type, route.net) for route in routes]
             if op == "add":
-                args = (XrlArgs()
-                        .add_list("nets", nets)
-                        .add_list("nexthops",
-                                  [XrlAtom("nexthop", nexthop_type,
-                                           route.nexthop)
-                                   for route in routes])
-                        .add_list("ifnames",
-                                  [XrlAtom("ifname", XrlAtomType.TXT,
-                                           route.ifname)
-                                   for route in routes]))
+                xrl = (_ADD_ENTRIES4 if v4 else _ADD_ENTRIES6)(
+                    target, nets,
+                    [XrlAtom("nexthop", nexthop_type, route.nexthop)
+                     for route in routes],
+                    [XrlAtom("ifname", XrlAtomType.TXT, route.ifname)
+                     for route in routes])
             else:
-                args = XrlArgs().add_list("nets", nets)
-            method = (("add_entries4" if family == 32 else "add_entries6")
-                      if op == "add" else
-                      ("delete_entries4" if family == 32
-                       else "delete_entries6"))
-            xrl = Xrl(self.fea_target, "fea_fib", "1.0", method, args)
+                xrl = (_DELETE_ENTRIES4 if v4 else _DELETE_ENTRIES6)(
+                    target, nets)
         if self._prof_sent_fea.enabled:
             self._prof_sent_fea.log_each(
                 [f"{op} {route.net}" for route in routes])
@@ -263,9 +265,7 @@ class RibProcess(XorpProcess):
 
     # -- invalidation notifications (paper §5.2.1) ----------------------------
     def _notify_invalid4(self, client: str, subnet: IPNet) -> None:
-        args = XrlArgs().add_ipv4net("subnet", subnet)
-        xrl = Xrl(client, "rib_client", "0.1", "route_info_invalid4", args)
-        self.xrl.send(xrl)
+        self.xrl.send(_ROUTE_INFO_INVALID4(client, subnet))
 
     # -- rib/1.0 handlers ---------------------------------------------------
     def xrl_add_igp_table4(self, protocol: str) -> None:
@@ -429,18 +429,12 @@ class RibProcess(XorpProcess):
                          routes: List[Any]) -> Xrl:
         (route,) = routes
         if op == "add":
-            args = (XrlArgs().add_ipv4net("net", route.net)
-                    .add_ipv4("nexthop", route.nexthop)
-                    .add_u32("metric", route.metric)
-                    .add_u32("admin_distance", route.admin_distance)
-                    .add_txt("protocol", route.protocol)
-                    .add_list("policytags",
-                              [XrlAtom(f"tag{i}", XrlAtomType.U32, tag)
-                               for i, tag in enumerate(route.policytags)]))
-            return Xrl(target, "redist4", "0.1", "redist_add_route4", args)
-        args = (XrlArgs().add_ipv4net("net", route.net)
-                .add_txt("protocol", route.protocol))
-        return Xrl(target, "redist4", "0.1", "redist_delete_route4", args)
+            return _REDIST_ADD_ROUTE4(
+                target, route.net, route.nexthop, route.metric,
+                route.admin_distance, route.protocol,
+                [XrlAtom(f"tag{i}", XrlAtomType.U32, tag)
+                 for i, tag in enumerate(route.policytags)])
+        return _REDIST_DELETE_ROUTE4(target, route.net, route.protocol)
 
     def xrl_get_protocol_admin_distance(self, protocol: str) -> dict:
         return {"admin_distance":

@@ -7,8 +7,10 @@ from typing import Dict, List, Optional
 from repro.core.process import Host, XorpProcess
 from repro.interfaces import (
     COMMON_IDL,
+    FEA_RAWPKT4_IDL,
     FEA_RAWPKT_CLIENT4_IDL,
     REDIST4_IDL,
+    RIB_IDL,
     RIP_IDL,
 )
 from repro.net import IPNet, IPv4
@@ -23,9 +25,19 @@ from repro.rip.packets import (
     RipPacket,
     RipPacketError,
 )
-from repro.xrl import XrlArgs, XrlError
+from repro.xrl import XrlError
 from repro.xrl.error import XrlErrorCode
-from repro.xrl.xrl import Xrl
+
+_ADD_IGP_TABLE4 = RIB_IDL.sender("add_igp_table4", "protocol")
+_ADD_ROUTE4 = RIB_IDL.sender("add_route4", "protocol", "net", "nexthop",
+                             "metric", "policytags")
+_REPLACE_ROUTE4 = RIB_IDL.sender("replace_route4", "protocol", "net",
+                                 "nexthop", "metric", "policytags")
+_DELETE_ROUTE4 = RIB_IDL.sender("delete_route4", "protocol", "net")
+_OPEN_UDP = FEA_RAWPKT4_IDL.sender("open_udp", "creator", "ifname", "port")
+_CLOSE_UDP = FEA_RAWPKT4_IDL.sender("close_udp", "creator", "ifname", "port")
+_SEND_UDP = FEA_RAWPKT4_IDL.sender("send_udp", "ifname", "dst", "port",
+                                   "payload")
 
 
 class RipPort:
@@ -101,8 +113,7 @@ class RipProcess(XorpProcess):
         self.xrl.bind(REDIST4_IDL, self)
         self.xrl.bind(COMMON_IDL, self)
         if rib_target is not None:
-            self.xrl.send(Xrl(rib_target, "rib", "1.0", "add_igp_table4",
-                              XrlArgs().add_txt("protocol", "rip")))
+            self.xrl.send(_ADD_IGP_TABLE4(rib_target, "rip"))
 
     # -- rip/1.0 -----------------------------------------------------------
     def xrl_add_rip_address(self, ifname: str, addr) -> None:
@@ -114,10 +125,8 @@ class RipProcess(XorpProcess):
         self.ports[ifname] = port
         # Open UDP 520 through the FEA relay (paper §7) and solicit the
         # neighbours' tables.
-        args = (XrlArgs().add_txt("creator", self.xrl.class_name)
-                .add_txt("ifname", ifname).add_u32("port", RIP_PORT))
-        self.xrl.send(Xrl(self.fea_target, "fea_rawpkt4", "1.0",
-                          "open_udp", args))
+        self.xrl.send(_OPEN_UDP(self.fea_target, self.xrl.class_name, ifname,
+                                RIP_PORT))
         self._send_packet(port, RipPacket.whole_table_request(),
                           RIP_MCAST_GROUP)
         port.update_timer = self.loop.call_periodic(
@@ -130,10 +139,8 @@ class RipProcess(XorpProcess):
             return
         if port.update_timer is not None:
             port.update_timer.cancel()
-        args = (XrlArgs().add_txt("creator", self.xrl.class_name)
-                .add_txt("ifname", ifname).add_u32("port", RIP_PORT))
-        self.xrl.send(Xrl(self.fea_target, "fea_rawpkt4", "1.0",
-                          "close_udp", args))
+        self.xrl.send(_CLOSE_UDP(self.fea_target, self.xrl.class_name, ifname,
+                                 RIP_PORT))
 
     def xrl_set_cost(self, ifname: str, cost: int) -> None:
         port = self.ports.get(ifname)
@@ -306,20 +313,14 @@ class RipProcess(XorpProcess):
         if self.rib_target is None:
             return
         if op == "delete":
-            args = (XrlArgs().add_txt("protocol", "rip")
-                    .add_ipv4net("net", entry.net))
-            method = "delete_route4"
+            xrl = _DELETE_ROUTE4(self.rib_target, "rip", entry.net)
         else:
-            args = (XrlArgs().add_txt("protocol", "rip")
-                    .add_ipv4net("net", entry.net)
-                    .add_ipv4("nexthop", entry.nexthop)
-                    .add_u32("metric", entry.metric)
-                    .add_list("policytags", []))
-            method = "add_route4" if op == "add" else "replace_route4"
+            xrl = (_ADD_ROUTE4 if op == "add" else _REPLACE_ROUTE4)(
+                self.rib_target, "rip", entry.net, entry.nexthop,
+                entry.metric, [])
         # Triggered updates and full-table processing arrive in bursts
         # within one turn; let the wire coalesce them.
-        self.xrl.send(Xrl(self.rib_target, "rib", "1.0", method, args),
-                      batch=True)
+        self.xrl.send(xrl, batch=True)
 
     # -- update generation --------------------------------------------------
     def _advertised_entries(self, port: RipPort,
@@ -386,11 +387,8 @@ class RipProcess(XorpProcess):
     def _send_packet(self, port: RipPort, packet: RipPacket,
                      dst: IPv4) -> None:
         port.packets_out += 1
-        args = (XrlArgs().add_txt("ifname", port.ifname)
-                .add_ipv4("dst", dst).add_u32("port", RIP_PORT)
-                .add_binary("payload", packet.encode()))
-        self.xrl.send(Xrl(self.fea_target, "fea_rawpkt4", "1.0",
-                          "send_udp", args))
+        self.xrl.send(_SEND_UDP(self.fea_target, port.ifname, dst, RIP_PORT,
+                                packet.encode()))
 
     def shutdown(self) -> None:
         for port in self.ports.values():

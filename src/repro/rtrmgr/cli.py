@@ -15,10 +15,20 @@ from __future__ import annotations
 import shlex
 from typing import Callable, Dict, List
 
+from repro.interfaces import BGP_IDL, OSPF_IDL
 from repro.rtrmgr.config_tree import ConfigError
 from repro.rtrmgr.rtrmgr import CommitError, RouterManager
 from repro.rtrmgr.template import TemplateError
-from repro.xrl.xrl import Xrl
+from repro.xrl import XrlError
+
+_GET_PEER_LIST = BGP_IDL.sender("get_peer_list")
+_GET_NEIGHBORS = OSPF_IDL.sender("get_neighbors")
+_GET_LSDB = OSPF_IDL.sender("get_lsdb")
+
+
+def _okay(error: XrlError) -> None:
+    if not error.is_okay:
+        raise CommitError(str(error))
 
 
 class Cli:
@@ -108,22 +118,15 @@ class Cli:
     def _show_modules(self, args: List[str]) -> str:
         return "\n".join(sorted(self.rtrmgr.modules)) or "(none)"
 
-    def _sync(self, target: str, interface: str, version: str, method: str):
-        from repro.xrl import XrlArgs
-
-        error, result = self.rtrmgr.xrl.send_sync(
-            Xrl(target, interface, version, method, XrlArgs()), deadline=10)
-        if not error.is_okay:
-            raise CommitError(str(error))
-        return result
-
     def _show_bgp(self, args: List[str]) -> str:
         bgp = self.rtrmgr.modules.get("bgp")
         if bgp is None:
             return "BGP is not running"
         if args and args[0] == "routes":
             return self._show_bgp_routes(bgp)
-        result = self._sync("bgp", "bgp", "1.0", "get_peer_list")
+        error, result = self.rtrmgr.xrl.send_sync(_GET_PEER_LIST("bgp"),
+                                                  deadline=10)
+        _okay(error)
         lines = [f"local AS: {bgp.local_as}", f"BGP ID: {bgp.bgp_id}"]
         for peer_id in filter(None, result.get_txt("peers").split(",")):
             handler = bgp.peers[peer_id]
@@ -160,8 +163,12 @@ class Cli:
         ospf = self.rtrmgr.modules.get("ospf")
         if ospf is None:
             return "OSPF is not running"
-        neighbors = self._sync("ospf", "ospf", "0.1", "get_neighbors")
-        lsdb = self._sync("ospf", "ospf", "0.1", "get_lsdb")
+        router = self.rtrmgr.xrl
+        error, neighbors = router.send_sync(_GET_NEIGHBORS("ospf"),
+                                            deadline=10)
+        _okay(error)
+        error, lsdb = router.send_sync(_GET_LSDB("ospf"), deadline=10)
+        _okay(error)
         lines = [f"router id: {ospf.router_id}",
                  f"neighbors: {neighbors.get_txt('neighbors') or '(none)'}",
                  f"lsdb: {lsdb.get_txt('lsdb') or '(empty)'}",

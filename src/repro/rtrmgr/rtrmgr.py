@@ -30,7 +30,7 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, Iterable, Optional, Tuple
 
 from repro.core.process import Host, XorpProcess
-from repro.interfaces import COMMON_IDL, RTRMGR_IDL
+from repro.interfaces import COMMON_IDL, FEA_IFMGR_IDL, RIB_IDL, RTRMGR_IDL
 from repro.net import IPv4
 from repro.rtrmgr.config_tree import CommitError, ConfigError, ConfigTree
 from repro.rtrmgr.launcher import InProcessLauncher
@@ -38,8 +38,16 @@ from repro.rtrmgr.modules import STOCK, ModuleSpec
 from repro.rtrmgr.supervisor import Supervisor, SupervisorPolicy
 from repro.rtrmgr.template import DEFAULT_TEMPLATE, parse_template
 from repro.rtrmgr.translate import translate
-from repro.xrl import XrlArgs, XrlError
-from repro.xrl.xrl import Xrl
+from repro.xrl import Xrl, XrlError
+
+_FLUSH_TABLE4 = RIB_IDL.sender("flush_table4", "protocol")
+_GET_INTERFACE_ADDR4 = FEA_IFMGR_IDL.sender("get_interface_addr4", "ifname")
+
+
+def _okay(xrl: Xrl, error: XrlError) -> None:
+    if not error.is_okay:
+        raise CommitError(f"{xrl.target}/{xrl.method}: {error}")
+
 
 class RouterManager(XorpProcess):
     process_name = "rtrmgr"
@@ -138,8 +146,7 @@ class RouterManager(XorpProcess):
         """Purge a dead module's origin tables from the RIB (§3)."""
         if self.host.finder.known_target("rib"):
             for protocol in protocols:
-                self.xrl.send(Xrl("rib", "rib", "1.0", "flush_table4",
-                                  XrlArgs().add_txt("protocol", protocol)))
+                self.xrl.send(_FLUSH_TABLE4("rib", protocol))
 
     # -- commit -------------------------------------------------------------
     def commit(self) -> None:
@@ -164,16 +171,14 @@ class RouterManager(XorpProcess):
         self.committed = self.config.copy()
         self.commit_count += 1
 
-    def _send(self, xrl: Xrl) -> XrlArgs:
-        error, result = self.xrl.send_sync(xrl, deadline=30)
-        if not error.is_okay:
-            raise CommitError(f"{xrl.target}/{xrl.method}: {error}")
-        return result
+    def _send(self, xrl: Xrl) -> None:
+        _okay(xrl, self.xrl.send_sync(xrl, deadline=30)[0])
 
     def _ifaddr(self, ifname: str) -> Tuple[IPv4, int]:
         """An interface the configuration does not itself define: ask the FEA."""
-        reply = self._send(Xrl("fea", "fea_ifmgr", "1.0", "get_interface_addr4",
-                               XrlArgs().add_txt("ifname", ifname)))
+        xrl = _GET_INTERFACE_ADDR4("fea", ifname)
+        error, reply = self.xrl.send_sync(xrl, deadline=30)
+        _okay(xrl, error)
         return reply.get_ipv4("addr"), reply.get_u32("prefix_len")
 
     def shutdown(self) -> None:

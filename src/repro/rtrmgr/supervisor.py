@@ -32,14 +32,16 @@ from __future__ import annotations
 import random
 from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple
 
+from repro.interfaces import COMMON_IDL
 from repro.xrl import XrlArgs, XrlError
 from repro.xrl.finder import BIRTH, DEATH
-from repro.xrl.xrl import Xrl
 
 UP = "up"
 DOWN = "down"
 RESTARTING = "restarting"
 FAILED = "failed"
+
+_GET_STATUS = COMMON_IDL.sender("get_status")
 
 
 class SupervisorPolicy(NamedTuple):
@@ -201,7 +203,7 @@ class Supervisor:
                 self._ping(state)
 
     def _ping(self, state: _ModuleState) -> None:
-        xrl = Xrl(state.class_name, "common", "0.1", "get_status", XrlArgs())
+        xrl = _GET_STATUS(state.class_name)
 
         def completion(error: XrlError, args: XrlArgs) -> None:
             if state.status != UP:

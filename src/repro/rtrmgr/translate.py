@@ -26,9 +26,18 @@ from __future__ import annotations
 from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
                     Sequence, Tuple)
 
+from repro.interfaces import (
+    BGP_IDL,
+    FEA_IFMGR_IDL,
+    OSPF_IDL,
+    PIM_IDL,
+    POLICY_IDL,
+    RIB_IDL,
+    RIP_IDL,
+    STATIC_ROUTES_IDL,
+)
 from repro.net import IPNet, IPv4
 from repro.rtrmgr.config_tree import CommitError, ConfigTree
-from repro.xrl import XrlArgs
 from repro.xrl.xrl import Xrl
 
 #: ``ifaddr(ifname)`` -> (address, prefix length), or raises CommitError
@@ -42,6 +51,34 @@ RIP = ("protocols", "rip")
 OSPF_INTERFACE = ("protocols", "ospf", "interface")
 STATIC_ROUTE = ("protocols", "static", "route")
 PIM_RP = ("protocols", "pim", "rp")
+
+_ADD_ROUTE4 = RIB_IDL.sender("add_route4", "protocol", "net", "nexthop",
+                             "metric", "policytags")
+_REDIST_ENABLE4 = RIB_IDL.sender("redist_enable4", "target", "from_protocol")
+_REDIST_DISABLE4 = RIB_IDL.sender("redist_disable4", "target",
+                                  "from_protocol")
+_CREATE_INTERFACE = FEA_IFMGR_IDL.sender("create_interface", "ifname", "addr",
+                                         "prefix_len")
+_SET_INTERFACE_ENABLED = FEA_IFMGR_IDL.sender("set_interface_enabled",
+                                              "ifname", "enabled")
+_CONFIGURE_FILTER = POLICY_IDL.sender("configure_filter", "filter_id",
+                                      "policy_source")
+_ADD_PEER = BGP_IDL.sender("add_peer", "peer", "as", "next_hop", "holdtime")
+_DELETE_PEER = BGP_IDL.sender("delete_peer", "peer")
+_ENABLE_PEER = BGP_IDL.sender("enable_peer", "peer")
+_DISABLE_PEER = BGP_IDL.sender("disable_peer", "peer")
+_ORIGINATE_ROUTE4 = BGP_IDL.sender("originate_route4", "net", "next_hop",
+                                   "unicast")
+_WITHDRAW_ROUTE4 = BGP_IDL.sender("withdraw_route4", "net")
+_STATIC_ADD_ROUTE4 = STATIC_ROUTES_IDL.sender("add_route4", "net", "nexthop",
+                                              "metric")
+_STATIC_DELETE_ROUTE4 = STATIC_ROUTES_IDL.sender("delete_route4", "net")
+_ADD_RIP_ADDRESS = RIP_IDL.sender("add_rip_address", "ifname", "addr")
+_REMOVE_RIP_ADDRESS = RIP_IDL.sender("remove_rip_address", "ifname", "addr")
+_SET_COST = RIP_IDL.sender("set_cost", "ifname", "cost")
+_ADD_OSPF_INTERFACE = OSPF_IDL.sender("add_ospf_interface", "ifname", "addr",
+                                      "prefix_len", "cost")
+_SET_RP = PIM_IDL.sender("set_rp", "group_prefix", "rp")
 
 
 def translate(old: ConfigTree, new: ConfigTree, ifaddr: IfAddr,
@@ -90,11 +127,8 @@ def _address(tree: ConfigTree, ifname: str, ifaddr: IfAddr
 
 def _connected(addr: IPv4, prefix_len: int) -> Xrl:
     """The interface's subnet into the RIB, filed as the FEA's owner would."""
-    return Xrl("rib", "rib", "1.0", "add_route4",
-               XrlArgs().add_txt("protocol", "connected")
-               .add_ipv4net("net", IPNet(addr, prefix_len))
-               .add_ipv4("nexthop", IPv4(0)).add_u32("metric", 0)
-               .add_list("policytags", []))
+    return _ADD_ROUTE4("rib", "connected", IPNet(addr, prefix_len), IPv4(0),
+                       0, [])
 
 
 def _interfaces(old: ConfigTree, new: ConfigTree, ifaddr: IfAddr
@@ -109,12 +143,8 @@ def _interfaces(old: ConfigTree, new: ConfigTree, ifaddr: IfAddr
         created = addr is not None \
             and had.get(ifname) != (ifname, addr, prefix_len)
         if created:
-            yield Xrl("fea", "fea_ifmgr", "1.0", "create_interface",
-                      XrlArgs().add_txt("ifname", ifname).add_ipv4("addr", addr)
-                      .add_u32("prefix_len", prefix_len))
-        yield Xrl("fea", "fea_ifmgr", "1.0", "set_interface_enabled",
-                  XrlArgs().add_txt("ifname", ifname)
-                  .add_bool("enabled", enabled))
+            yield _CREATE_INTERFACE("fea", ifname, addr, prefix_len)
+        yield _SET_INTERFACE_ENABLED("fea", ifname, enabled)
         if created:
             yield _connected(addr, prefix_len)
 
@@ -133,36 +163,25 @@ def _bgp(old: ConfigTree, new: ConfigTree, ifaddr: IfAddr) -> Iterator[Xrl]:
     for direction, filter_id in (("import-policy", 1), ("export-policy", 4)):
         source = _policy_source(new, direction)
         if source is not None and source != _policy_source(old, direction):
-            yield Xrl("bgp", "policy", "0.1", "configure_filter",
-                      XrlArgs().add_u32("filter_id", filter_id)
-                      .add_txt("policy_source", source))
+            yield _CONFIGURE_FILTER("bgp", filter_id, source)
     peer = (*BGP, "peer")
     gone, come = _diff(old, new, peer, ("as", "local-ip", "holdtime"),
                        mandatory=("as", "local-ip"))
     for addr, *__ in gone:
-        yield Xrl("bgp", "bgp", "1.0", "delete_peer",
-                  XrlArgs().add_ipv4("peer", addr))
+        yield _DELETE_PEER("bgp", addr)
     for addr, peer_as, local_ip, holdtime in come:
-        yield Xrl("bgp", "bgp", "1.0", "add_peer",
-                  XrlArgs().add_ipv4("peer", addr).add_u32("as", peer_as)
-                  .add_ipv4("next_hop", local_ip)
-                  .add_u32("holdtime", holdtime))
+        yield _ADD_PEER("bgp", addr, peer_as, local_ip, holdtime)
     born = {str(addr) for addr, *__ in come}     # a peer is born disabled
     was_enabled = _rows(old, peer, ("enabled",))
     for key, (addr, enabled) in _rows(new, peer, ("enabled",)).items():
         if enabled != (False if key in born else was_enabled[key][1]):
-            yield Xrl("bgp", "bgp", "1.0",
-                      "enable_peer" if enabled else "disable_peer",
-                      XrlArgs().add_ipv4("peer", addr))
+            yield (_ENABLE_PEER if enabled else _DISABLE_PEER)("bgp", addr)
     gone, come = _diff(old, new, (*BGP, "network"), ("next-hop",),
                        mandatory=("next-hop",))
     for net, __ in gone:
-        yield Xrl("bgp", "bgp", "1.0", "withdraw_route4",
-                  XrlArgs().add_ipv4net("net", net))
+        yield _WITHDRAW_ROUTE4("bgp", net)
     for net, nexthop in come:
-        yield Xrl("bgp", "bgp", "1.0", "originate_route4",
-                  XrlArgs().add_ipv4net("net", net)
-                  .add_ipv4("next_hop", nexthop).add_bool("unicast", True))
+        yield _ORIGINATE_ROUTE4("bgp", net, nexthop, True)
 
 
 def _static(old: ConfigTree, new: ConfigTree, ifaddr: IfAddr) -> Iterator[Xrl]:
@@ -171,37 +190,26 @@ def _static(old: ConfigTree, new: ConfigTree, ifaddr: IfAddr) -> Iterator[Xrl]:
     kept = {net for net, *__ in come}     # add_route4 replaces a held prefix
     for net, *__ in gone:
         if net not in kept:
-            yield Xrl("static_routes", "static_routes", "0.1", "delete_route4",
-                      XrlArgs().add_ipv4net("net", net))
+            yield _STATIC_DELETE_ROUTE4("static_routes", net)
     for net, nexthop, metric in come:
-        yield Xrl("static_routes", "static_routes", "0.1", "add_route4",
-                  XrlArgs().add_ipv4net("net", net)
-                  .add_ipv4("nexthop", nexthop).add_u32("metric", metric))
+        yield _STATIC_ADD_ROUTE4("static_routes", net, nexthop, metric)
 
 
 def _rip(old: ConfigTree, new: ConfigTree, ifaddr: IfAddr) -> Iterator[Xrl]:
     port = (*RIP, "interface")
     gone, come = _diff(old, new, port)
     for ifname, in gone:
-        yield Xrl("rip", "rip", "1.0", "remove_rip_address",
-                  XrlArgs().add_txt("ifname", ifname)
-                  .add_ipv4("addr", _address(old, ifname, ifaddr)[0]))
+        yield _REMOVE_RIP_ADDRESS("rip", ifname,
+                                  _address(old, ifname, ifaddr)[0])
     for ifname, in come:
-        yield Xrl("rip", "rip", "1.0", "add_rip_address",
-                  XrlArgs().add_txt("ifname", ifname)
-                  .add_ipv4("addr", _address(new, ifname, ifaddr)[0]))
+        yield _ADD_RIP_ADDRESS("rip", ifname, _address(new, ifname, ifaddr)[0])
     for ifname, cost in _diff(old, new, port, ("cost",))[1]:
-        yield Xrl("rip", "rip", "1.0", "set_cost",
-                  XrlArgs().add_txt("ifname", ifname).add_u32("cost", cost))
+        yield _SET_COST("rip", ifname, cost)
     gone, come = _diff(old, new, (*RIP, "redistribute"))
     for protocol, in gone:
-        yield Xrl("rib", "rib", "1.0", "redist_disable4",
-                  XrlArgs().add_txt("target", "rip")
-                  .add_txt("from_protocol", protocol))
+        yield _REDIST_DISABLE4("rib", "rip", protocol)
     for protocol, in come:
-        yield Xrl("rib", "rib", "1.0", "redist_enable4",
-                  XrlArgs().add_txt("target", "rip")
-                  .add_txt("from_protocol", protocol))
+        yield _REDIST_ENABLE4("rib", "rip", protocol)
 
 
 def _ospf(old: ConfigTree, new: ConfigTree, ifaddr: IfAddr) -> Iterator[Xrl]:
@@ -211,14 +219,10 @@ def _ospf(old: ConfigTree, new: ConfigTree, ifaddr: IfAddr) -> Iterator[Xrl]:
     for ifname, cost in _rows(new, OSPF_INTERFACE, ("cost",)).values():
         if ifname not in known:
             addr, prefix_len = _address(new, ifname, ifaddr)
-            yield Xrl("ospf", "ospf", "0.1", "add_ospf_interface",
-                      XrlArgs().add_txt("ifname", ifname).add_ipv4("addr", addr)
-                      .add_u32("prefix_len", prefix_len).add_u32("cost", cost))
+            yield _ADD_OSPF_INTERFACE("ospf", ifname, addr, prefix_len, cost)
 
 
 def _pim(old: ConfigTree, new: ConfigTree, ifaddr: IfAddr) -> Iterator[Xrl]:
     for prefix, rp_addr in _diff(old, new, PIM_RP, ("address",),
                                  mandatory=("address",))[1]:
-        yield Xrl("pim", "pim", "0.1", "set_rp",
-                  XrlArgs().add_ipv4net("group_prefix", prefix)
-                  .add_ipv4("rp", rp_addr))
+        yield _SET_RP("pim", prefix, rp_addr)

@@ -10,11 +10,16 @@ from __future__ import annotations
 from typing import Dict, Optional
 
 from repro.core.process import Host, XorpProcess
-from repro.interfaces import COMMON_IDL, STATIC_ROUTES_IDL
+from repro.interfaces import COMMON_IDL, RIB_IDL, STATIC_ROUTES_IDL
 from repro.net import IPNet
-from repro.xrl import XrlArgs, XrlError
+from repro.xrl import XrlError
 from repro.xrl.error import XrlErrorCode
-from repro.xrl.xrl import Xrl
+
+_ADD_ROUTE4 = RIB_IDL.sender("add_route4", "protocol", "net", "nexthop",
+                             "metric", "policytags")
+_REPLACE_ROUTE4 = RIB_IDL.sender("replace_route4", "protocol", "net",
+                                 "nexthop", "metric", "policytags")
+_DELETE_ROUTE4 = RIB_IDL.sender("delete_route4", "protocol", "net")
 
 
 class StaticRoutesProcess(XorpProcess):
@@ -33,11 +38,8 @@ class StaticRoutesProcess(XorpProcess):
     def xrl_add_route4(self, net, nexthop, metric) -> None:
         is_replace = net in self.routes
         self.routes[net] = (nexthop, metric)
-        args = (XrlArgs().add_txt("protocol", "static")
-                .add_ipv4net("net", net).add_ipv4("nexthop", nexthop)
-                .add_u32("metric", metric).add_list("policytags", []))
-        method = "replace_route4" if is_replace else "add_route4"
-        self.xrl.send(Xrl(self.rib_target, "rib", "1.0", method, args))
+        self.xrl.send((_REPLACE_ROUTE4 if is_replace else _ADD_ROUTE4)(
+            self.rib_target, "static", net, nexthop, metric, []))
 
     def xrl_delete_route4(self, net) -> None:
         if net not in self.routes:
@@ -45,6 +47,4 @@ class StaticRoutesProcess(XorpProcess):
                 XrlErrorCode.COMMAND_FAILED, f"no static route for {net}"
             )
         del self.routes[net]
-        args = (XrlArgs().add_txt("protocol", "static")
-                .add_ipv4net("net", net))
-        self.xrl.send(Xrl(self.rib_target, "rib", "1.0", "delete_route4", args))
+        self.xrl.send(_DELETE_ROUTE4(self.rib_target, "static", net))

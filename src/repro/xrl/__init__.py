@@ -15,8 +15,8 @@ The pieces:
 * :mod:`repro.xrl.types` / :mod:`repro.xrl.args` — the core argument atom
   types and their textual + binary marshaling;
 * :mod:`repro.xrl.xrl` — the :class:`Xrl` object itself;
-* :mod:`repro.xrl.idl` — the interface definition language, stub
-  generation and signature checking;
+* :mod:`repro.xrl.idl` — the interface definition language, the
+  import-time-checked senders and signature checking;
 * :mod:`repro.xrl.finder` — the Finder broker: registration, resolution
   with 16-byte per-method access keys, caching + invalidation, component
   lifetime notification, and XRL access control (paper §7);

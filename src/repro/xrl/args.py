@@ -16,9 +16,9 @@ from repro.xrl.types import XrlAtom, XrlAtomType
 class XrlArgs:
     """Ordered, name-addressable argument list.
 
-    Construction is chainable, mirroring XORP's ``XrlArgs``::
-
-        args = XrlArgs().add_u32("as", 1777).add_ipv4("peer", "10.0.0.1")
+    Each ``add_*`` returns the list, mirroring XORP's ``XrlArgs``.  The
+    arguments of a send are built by its sender
+    (:class:`~repro.xrl.idl.XrlSender`), in the declared order.
     """
 
     __slots__ = ("_atoms", "_index")

@@ -18,12 +18,22 @@ import itertools
 import os
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
-from repro.interfaces import txt_atoms, txt_values
+from repro.interfaces import FINDER_IDL, txt_atoms, txt_values
 from repro.xrl.args import XrlArgs
 from repro.xrl.error import XrlError, XrlErrorCode
 from repro.xrl.finder import (BIRTH, DEATH, FINDER_KEY, INVALIDATE,
                               ResolveDone, WatchCallback)
 from repro.xrl.xrl import Xrl
+
+_REGISTER_TARGET = FINDER_IDL.sender(
+    "register_target", "class_name", "instance_name", "singleton", "key",
+    "families", "addresses", "methods")
+_ADD_METHODS = FINDER_IDL.sender("add_methods", "instance_name", "methods")
+_DEREGISTER_TARGET = FINDER_IDL.sender("deregister_target", "instance_name")
+_RESOLVE = FINDER_IDL.sender("resolve", "caller", "target", "method_path")
+_WATCH = FINDER_IDL.sender("watch", "class_name")
+_UNWATCH = FINDER_IDL.sender("unwatch", "class_name")
+_NEXT_EVENTS = FINDER_IDL.sender("next_events")
 
 
 class RemoteFinder:
@@ -120,25 +130,18 @@ class RemoteFinder:
     def _declare(self, instance_name: str, methods: list) -> None:
         registration = self._unregistered.pop(instance_name, None)
         if registration is None:
-            self.send(Xrl("finder", "finder", "1.0", "add_methods",
-                          XrlArgs().add_txt("instance_name", instance_name)
-                          .add_list("methods", methods)), self._settled)
+            self.send(_ADD_METHODS("finder", instance_name, methods),
+                      self._settled)
             return
         class_name, singleton, key, addresses = registration
-        self.send(Xrl("finder", "finder", "1.0", "register_target",
-                      XrlArgs().add_txt("class_name", class_name)
-                      .add_txt("instance_name", instance_name)
-                      .add_bool("singleton", singleton)
-                      .add_txt("key", key)
-                      .add_list("families", txt_atoms("family", addresses))
-                      .add_list("addresses",
-                                txt_atoms("address", addresses.values()))
-                      .add_list("methods", methods)), self._settled)
+        self.send(_REGISTER_TARGET(
+            "finder", class_name, instance_name, singleton, key,
+            txt_atoms("family", addresses),
+            txt_atoms("address", addresses.values()), methods),
+            self._settled)
 
     def deregister_component(self, instance_name: str, secret: str) -> None:
-        self.send(Xrl("finder", "finder", "1.0", "deregister_target",
-                      XrlArgs().add_txt("instance_name", instance_name)),
-                  self._settled)
+        self.send(_DEREGISTER_TARGET("finder", instance_name), self._settled)
 
     # -- resolution --------------------------------------------------------
     def resolve_async(self, caller, target: str, method_path: str,
@@ -155,10 +158,8 @@ class RemoteFinder:
                         list(zip(families, addresses)),
                         reply.get_txt("target_class")))
 
-        self.send(Xrl("finder", "finder", "1.0", "resolve",
-                      XrlArgs().add_txt("caller", caller.instance_name)
-                      .add_txt("target", target)
-                      .add_txt("method_path", method_path)), answered)
+        self.send(_RESOLVE("finder", caller.instance_name, target,
+                           method_path), answered)
 
     # -- lifetime notification ---------------------------------------------
     def watch(self, watcher_name: str, class_name: str,
@@ -167,9 +168,7 @@ class RemoteFinder:
         not inside this call; a later watcher of the class gets them again."""
         if class_name not in self._watched:
             self._watched[class_name] = ({}, [])
-            self.send(Xrl("finder", "finder", "1.0", "watch",
-                          XrlArgs().add_txt("class_name", class_name)),
-                      self._settled)
+            self.send(_WATCH("finder", class_name), self._settled)
         live, callbacks = self._watched[class_name]
         callbacks.append((watcher_name, callback))
         for instance_name in list(live):
@@ -183,9 +182,7 @@ class RemoteFinder:
                         if name != watcher_name]
         if not callbacks:
             del self._watched[class_name]
-            self.send(Xrl("finder", "finder", "1.0", "unwatch",
-                          XrlArgs().add_txt("class_name", class_name)),
-                      self._settled)
+            self.send(_UNWATCH("finder", class_name), self._settled)
 
     def class_instances(self, class_name: str) -> List[str]:
         """Live instances of a class this process watches, as of the
@@ -198,8 +195,7 @@ class RemoteFinder:
 
     # -- event delivery ----------------------------------------------------
     def _poll(self) -> None:
-        self.send(Xrl("finder", "finder", "1.0", "next_events"),
-                  self._on_events)
+        self.send(_NEXT_EVENTS("finder"), self._on_events)
 
     def _on_events(self, error: XrlError, reply: XrlArgs) -> None:
         if not error.is_okay:

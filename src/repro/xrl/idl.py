@@ -13,17 +13,28 @@ The concrete syntax follows XORP's ``.xif`` files::
         lookup_route ? addr:ipv4 -> net:ipv4net & nexthop:ipv4 & metric:u32;
     }
 
-:func:`parse_idl` turns that into :class:`XrlInterface` objects.  Stubs are
-generated at runtime: ``iface.client(router, "rib")`` yields a proxy whose
-methods compose and dispatch XRLs; ``iface.bind(router, impl)`` registers a
-Python object's methods as XRL handlers with signature checking on both
-sides.
+:func:`parse_idl` turns that into :class:`XrlInterface` objects.  The
+calling side of a method is an :class:`XrlSender`, declared once at
+module level in the module that sends it and checked when that module is
+imported::
+
+    _ADD_ROUTE4 = RIB_IDL.sender("add_route4", "protocol", "net",
+                                 "nexthop", "metric", "policytags")
+    ...
+    self.xrl.send(_ADD_ROUTE4("rib", "static", net, nexthop, 0, []))
+
+The declaration names every parameter in its declared order, so a
+misspelt method or argument, a missing one or an IDL reorder is an
+``IdlError`` at import, before any XRL is built.  The serving side is
+``iface.bind(router, impl)``: it registers a Python object's methods as
+XRL handlers, and every dispatch checks the arguments against the
+signature.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.xrl.args import XrlArgs
 from repro.xrl.error import XrlError, XrlErrorCode
@@ -191,10 +202,9 @@ class XrlInterface:
                 XrlErrorCode.NO_SUCH_METHOD, f"{self.fullname} has no {name!r}"
             ) from exc
 
-    # -- stub generation -----------------------------------------------------
-    def client(self, router, target: str) -> "XrlClientStub":
-        """A client proxy sending this interface's XRLs to *target*."""
-        return XrlClientStub(self, router, target)
+    def sender(self, method: str, *names: str) -> "XrlSender":
+        """The sender of *method*, whose parameters are *names* in order."""
+        return XrlSender(self, method, names)
 
     def bind(self, router, impl: Any, *, prefix: str = "xrl_") -> None:
         """Register *impl*'s methods as handlers on *router*.
@@ -216,30 +226,45 @@ class XrlInterface:
             router.register_method(self, method, handler)
 
 
-class XrlClientStub:
-    """Dynamically generated client stub for one interface and target."""
+class XrlSender:
+    """Builds the XRLs of one declared method: ``sender(target, *values)``.
 
-    def __init__(self, interface: XrlInterface, router, target: str):
-        self._interface = interface
-        self._router = router
-        self._target = target
+    Refuses, when declared, a method the interface lacks and parameter
+    names that differ from the declaration's in spelling, number or
+    order.  Each value is validated as :class:`XrlAtom` validates it.
+    """
 
-    def __getattr__(self, method_name: str) -> Callable:
-        method = self._interface.method(method_name)
+    __slots__ = ("interface", "version", "method", "names", "types")
 
-        def invoke(callback: Optional[Callable] = None, **values: Any):
-            args = method.build_args(values)
-            xrl = Xrl(self._target, self._interface.name,
-                      self._interface.version, method.name, args)
-            return self._router.send(xrl, callback)
+    def __init__(self, interface: XrlInterface, method: str,
+                 names: Tuple[str, ...]):
+        declared = interface.methods.get(method)
+        if declared is None:
+            raise IdlError(f"{interface.fullname} declares no method "
+                           f"{method!r}")
+        wanted = tuple(name for name, _type in declared.params)
+        if names != wanted:
+            raise IdlError(f"{interface.fullname}/{method} takes "
+                           f"({', '.join(wanted)}), not ({', '.join(names)})")
+        self.interface = interface.name
+        self.version = interface.version
+        self.method = method
+        self.names = names
+        self.types = tuple(atom_type for _name, atom_type in declared.params)
 
-        invoke.__name__ = method_name
-        return invoke
-
-    def __repr__(self) -> str:
-        return (
-            f"<XrlClientStub {self._interface.fullname} -> {self._target!r}>"
-        )
+    def __call__(self, target: str, *values: Any) -> Xrl:
+        names = self.names
+        if len(values) != len(names):
+            raise XrlError(
+                XrlErrorCode.BAD_ARGS,
+                f"{self.method}: expected {len(names)} values, "
+                f"got {len(values)}")
+        # One pass, in C: parse_idl refuses duplicate parameter names, so
+        # the list needs none of XrlArgs.add's per-atom duplicate checks.
+        args = XrlArgs.__new__(XrlArgs)
+        atoms = args._atoms = list(map(XrlAtom, names, self.types, values))
+        args._index = dict(zip(names, atoms))
+        return Xrl(target, self.interface, self.version, self.method, args)
 
 
 def parse_idl(text: str) -> Dict[str, XrlInterface]:

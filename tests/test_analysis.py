@@ -4,19 +4,22 @@ Five layers:
 
 * fixture snippets — one known-good and one known-bad case per checker,
   run through :func:`analyze_source` (per-module rules) or
-  :func:`analyze_sources` (multi-module protocol-graph rules);
-* mutation tests mirroring the acceptance criteria — a misspelled XRL
-  method, an inserted ``time.sleep()``, a deleted ``bind()``, a
-  synchronous back-call, and a renamed reply atom against copies of the
-  *real* source tree must each be caught by exactly its intended rule;
+  :func:`analyze_sources` (multi-module protocol-graph rules), and what
+  the walk makes of sender declarations and calls;
+* mutation tests mirroring the acceptance criteria — an inserted
+  ``time.sleep()``, a deleted ``bind()``, a synchronous back-call, and a
+  renamed reply atom against copies of the *real* source tree must each
+  be caught by exactly its intended rule;
 * the rule × seeded-mutation matrix — one seed of the shipped tree per
-  rule, and the checks that catch the seeds of deleted rules;
+  rule, and the checks that catch the seeds of deleted rules: a
+  misspelt XRL method or argument fails the import of its module;
 * the protocol graph itself — byte-stable export, correct edges;
 * the CI gate — the shipped ``src/repro`` tree has no findings at all,
   and a whole-tree run walks each module once.
 """
 
 import ast
+import importlib.util
 import json
 import subprocess
 import sys
@@ -31,8 +34,9 @@ from repro.analysis import (
     build_protocol_graph,
     collect_modules,
 )
-from repro.analysis.core import RULES, scan_suppressions
+from repro.analysis.core import RULES, ModuleInfo, scan_suppressions
 from repro.analysis.runner import clear_module_cache
+from repro.analysis.sites import sites_of
 from repro.core.process import Host
 from repro.rib.rib import RibProcess
 from repro.xrl import IdlError
@@ -51,119 +55,35 @@ def rules_of(findings):
 class TestXrlConformance:
     def test_good_send_site_clean(self):
         source = (
-            "from repro.xrl import XrlArgs\n"
-            "from repro.xrl.xrl import Xrl\n"
+            "from repro.interfaces import RIB_IDL\n"
+            "_ADD_IGP_TABLE4 = RIB_IDL.sender('add_igp_table4', 'protocol')\n"
             "def go(router):\n"
-            "    args = XrlArgs().add_txt('protocol', 'rip')\n"
-            "    router.send(Xrl('rib', 'rib', '1.0', 'add_igp_table4',"
-            " args))\n"
+            "    router.send(_ADD_IGP_TABLE4('rib', 'rip'))\n"
         )
         assert analyze_source(source, logical=("rip", "process.py")) == []
 
     def test_unknown_interface_xrl001(self):
         source = (
-            "from repro.xrl.xrl import Xrl\n"
+            "from repro.xrl.call_xrl import call_xrl\n"
             "def go(router):\n"
-            "    router.send(Xrl('rib', 'ribx', '1.0', 'add_igp_table4'))\n"
+            "    call_xrl(router, 'finder://rib/ribx/1.0/add_igp_table4"
+            "?protocol:txt=rip')\n"
         )
-        findings = analyze_source(source, logical=("rip", "process.py"))
+        findings = analyze_source(source, logical=("rtrmgr", "template.py"))
         assert rules_of(findings) == ["XRL001"]
         assert findings[0].line == 3
         assert "ribx" in findings[0].message
 
     def test_unknown_method_xrl002(self):
         source = (
-            "from repro.xrl.xrl import Xrl\n"
+            "from repro.xrl.call_xrl import call_xrl\n"
             "def go(router):\n"
-            "    router.send(Xrl('rib', 'rib', '1.0', 'add_igp_table9'))\n"
+            "    call_xrl(router, 'finder://rib/rib/1.0/add_igp_table9"
+            "?protocol:txt=rip')\n"
         )
-        findings = analyze_source(source, logical=("rip", "process.py"))
+        findings = analyze_source(source, logical=("rtrmgr", "template.py"))
         assert rules_of(findings) == ["XRL002"]
         assert "add_igp_table9" in findings[0].message
-
-    def test_conditional_method_names_resolved(self):
-        source = (
-            "from repro.xrl.xrl import Xrl\n"
-            "def go(router, replace):\n"
-            "    method = 'replace_route9' if replace else 'add_route4'\n"
-            "    router.send(Xrl('rib', 'rib', '1.0', method))\n"
-        )
-        findings = analyze_source(source, logical=("rip", "process.py"))
-        assert rules_of(findings) == ["XRL002"]
-        assert "replace_route9" in findings[0].message
-
-    def test_wrong_arg_name_xrl003(self):
-        source = (
-            "from repro.xrl import XrlArgs\n"
-            "from repro.xrl.xrl import Xrl\n"
-            "def go(router):\n"
-            "    args = XrlArgs().add_txt('protokol', 'rip')\n"
-            "    router.send(Xrl('rib', 'rib', '1.0', 'add_igp_table4',"
-            " args))\n"
-        )
-        findings = analyze_source(source, logical=("rip", "process.py"))
-        assert rules_of(findings) == ["XRL003"]
-
-    def test_annotated_args_assignment_xrl003(self):
-        # ``args: XrlArgs = ...`` is the same build chain as ``args = ...``.
-        source = (
-            "from repro.xrl import XrlArgs\n"
-            "from repro.xrl.xrl import Xrl\n"
-            "def go(router, x):\n"
-            "    args: XrlArgs = XrlArgs().add_txt('nme', x)\n"
-            "    router.send(Xrl('rib', 'rib', '1.0', 'add_igp_table4',"
-            " args))\n"
-        )
-        findings = analyze_source(source, logical=("rip", "process.py"))
-        assert rules_of(findings) == ["XRL003"]
-        assert "nme" in findings[0].message
-
-    def test_mutated_args_not_checked(self):
-        # The chain resolver must bail out (no XRL003) when the args
-        # variable is mutated after construction.
-        source = (
-            "from repro.xrl import XrlArgs\n"
-            "from repro.xrl.xrl import Xrl\n"
-            "def go(router, extra):\n"
-            "    args = XrlArgs().add_txt('protokol', 'rip')\n"
-            "    args.add_txt('protocol', extra)\n"
-            "    router.send(Xrl('rib', 'rib', '1.0', 'add_igp_table4',"
-            " args))\n"
-        )
-        assert analyze_source(source, logical=("rip", "process.py")) == []
-
-    def test_an_add_in_the_other_arm_is_not_a_mutation(self):
-        # Only one arm of the ``if`` runs: the add in the ``else`` cannot
-        # touch what the first arm sends, so the send is still checked.
-        source = (
-            "from repro.xrl import XrlArgs\n"
-            "from repro.xrl.xrl import Xrl\n"
-            "def go(router, extra):\n"
-            "    args = XrlArgs().add_txt('protokol', 'rip')\n"
-            "    if extra:\n"
-            "        router.send(Xrl('rib', 'rib', '1.0', 'add_igp_table4',"
-            " args))\n"
-            "    else:\n"
-            "        args = args.add_txt('protocol', extra)\n"
-        )
-        findings = analyze_source(source, logical=("rip", "process.py"))
-        assert rules_of(findings) == ["XRL003"]
-        assert findings[0].line == 6
-
-    @pytest.mark.parametrize("atom, rules", [("net", []),
-                                             ("nett", ["XRL003"])])
-    def test_a_chain_on_the_variable_is_followed_back(self, atom, rules):
-        source = (
-            "from repro.xrl import XrlArgs\n"
-            "from repro.xrl.xrl import Xrl\n"
-            "def go(router, net):\n"
-            "    args = XrlArgs().add_txt('protocol', 'rip')\n"
-            f"    args = (args\n            .add_ipv4net('{atom}', net))\n"
-            "    router.send(Xrl('rib', 'rib', '1.0', 'delete_route4',"
-            " args))\n"
-        )
-        findings = analyze_source(source, logical=("rip", "process.py"))
-        assert rules_of(findings) == rules
 
     def test_bound_handlers_complete_clean(self):
         source = (
@@ -245,6 +165,65 @@ class TestXrlConformance:
 # ---------------------------------------------------------------------------
 # Isolation
 # ---------------------------------------------------------------------------
+
+class TestSendSites:
+    """What the walk makes of senders: their declarations and calls."""
+
+    DECLARED = (
+        "from repro.interfaces import RIB_IDL\n"
+        "_ADD = RIB_IDL.sender('add_route4', 'protocol', 'net', 'nexthop',"
+        " 'metric', 'policytags')\n"
+        "_REPLACE = RIB_IDL.sender('replace_route4', 'protocol', 'net',"
+        " 'nexthop', 'metric', 'policytags')\n"
+    )
+
+    def sends(self, body):
+        return sites_of(ModuleInfo.from_source(
+            self.DECLARED + body, Path("rip/process.py"),
+            logical=("rip", "process")))
+
+    def test_a_call_is_a_site_of_its_declaration(self):
+        sites = self.sends(
+            "def go(router, net, nexthop):\n"
+            "    router.send(_ADD('rib', 'rip', net, nexthop, 1, []))\n")
+        site, unsent = sites.sends
+        assert unsent.methods == ("replace_route4",) and not unsent.sent
+        assert (site.interface, site.methods, site.target, site.line,
+                site.via, site.sent) == ("rib/1.0", ("add_route4",), "rib",
+                                         5, "sender", True)
+
+    def test_a_sender_picked_at_run_time_sends_each_method(self):
+        sites = self.sends(
+            "def go(router, new, net, nexthop):\n"
+            "    xrl = (_ADD if new else _REPLACE)('rib', 'rip', net,"
+            " nexthop, 1, [])\n"
+            "    error, reply = router.send_sync(xrl)\n"
+            "    return reply.get_u32('metric')\n")
+        assert sorted((s.methods, s.sync, tuple(s.reads))
+                      for s in sites.sends) == [
+            (("add_route4",), True, (("metric", "u32"),)),
+            (("replace_route4",), True, (("metric", "u32"),))]
+
+    def test_a_declaration_no_call_resolves_is_an_unsent_site(self):
+        sites = self.sends(
+            "def go(router, net, nexthop):\n"
+            "    router.send([_ADD][0]('rib', 'rip', net, nexthop, 1, []))\n")
+        assert sorted((s.methods, s.line, s.via, s.sent)
+                      for s in sites.sends) == [
+            (("add_route4",), 2, "declaration", False),
+            (("replace_route4",), 3, "declaration", False)]
+
+    def test_an_xrl_built_by_hand_is_dynamic(self):
+        sites = self.sends(
+            "from repro.xrl.xrl import Xrl\n"
+            "def go(router):\n"
+            "    router.send(Xrl('rib', 'rib', '1.0', 'add_igp_table4'))\n")
+        assert [d.site for d in sites.dynamic] == ["rip/process.py:6"]
+
+    def test_a_sender_of_a_method_named_at_run_time_is_dynamic(self):
+        sites = self.sends("SEND = RIB_IDL.sender(METHOD)\n")
+        assert [d.site for d in sites.dynamic] == ["rip/process.py:4"]
+
 
 class TestIsolation:
     def test_process_importing_sibling_iso001(self):
@@ -644,23 +623,6 @@ class TestTreeGate:
         result = analysis_cli_runs[0]
         assert result.returncode == 0, result.stdout + result.stderr
 
-    def test_misspelled_xrl_method_one_finding(self, mutable_tree):
-        tree = mutable_tree
-        rib = tree / "rib" / "rib.py"
-        text = rib.read_text()
-        assert '"add_entry4"' in text
-        mutated_line = next(
-            i for i, line in enumerate(text.splitlines(), start=1)
-            if '"add_entry4"' in line)
-        rib.write_text(text.replace('"add_entry4"', '"add_entyr4"', 1))
-        errors = analyze_paths([tree])
-        assert len(errors) == 1
-        finding = errors[0]
-        assert finding.rule == "XRL002"
-        assert finding.path.endswith("rib/rib.py")
-        assert finding.line == mutated_line
-        assert "add_entyr4" in finding.message
-
     def test_inserted_sleep_one_finding(self, mutable_tree):
         tree = mutable_tree
         bgp = tree / "bgp" / "process.py"
@@ -761,15 +723,16 @@ class TestProtographMutations:
         fea = tree / "fea" / "fea.py"
         fea.write_text(fea.read_text() + (
             "\n\n"
+            "from repro.interfaces import RIB_IDL\n"
+            "_LOOKUP = RIB_IDL.sender('lookup_route_by_dest4', 'addr')\n"
+            "\n\n"
             "class _RouteConfirmer:\n"
             "    def __init__(self, xrl):\n"
             "        self.xrl = xrl\n"
             "\n"
             "    def confirm(self, addr):\n"
-            "        return self.xrl.send_sync(\n"
-            '            Xrl("rib", "rib", "1.0", "lookup_route_by_dest4",\n'
-            '                XrlArgs().add_ipv4("addr", addr)),\n'
-            "            deadline=5)\n"
+            "        return self.xrl.send_sync(_LOOKUP('rib', addr),\n"
+            "                                  deadline=5)\n"
         ))
         errors = analyze_paths([tree])
         assert len(errors) == 1
@@ -790,6 +753,18 @@ class TestProtographMutations:
         assert "'statuz'" in errors[0].message
         assert errors[0].path.endswith("rtrmgr/supervisor.py")
 
+    def test_renamed_ifaddr_read_pro003(self, mutable_tree):
+        # The manager reads the FEA's interface address where it sends
+        # the query, so the read is checked against the reply spec.
+        rtrmgr = mutable_tree / "rtrmgr" / "rtrmgr.py"
+        text = rtrmgr.read_text()
+        assert text.count('get_ipv4("addr")') == 1
+        rtrmgr.write_text(text.replace('get_ipv4("addr")', 'get_ipv4("adr")'))
+        errors = analyze_paths([mutable_tree])
+        assert rules_of(errors) == ["PRO003"]
+        assert "'adr'" in errors[0].message
+        assert "get_interface_addr4" in errors[0].message
+
 
 # ---------------------------------------------------------------------------
 # The rule × seeded-mutation matrix (DESIGN.md, "Static guarantees")
@@ -799,12 +774,10 @@ class TestProtographMutations:
 #: text, what replaces its first occurrence).  An empty text appends to
 #: the file; None creates it.
 SEEDS = {
-    "XRL001": [("rib/rib.py",
-                'Xrl(self.fea_target, "fea_fib", "1.0", method, args)',
-                'Xrl(self.fea_target, "fea_fibx", "1.0", method, args)')],
-    "XRL002": [("rib/rib.py", '"add_entry4"', '"add_entyr4"')],
-    "XRL003": [("rtrmgr/translate.py", '.add_u32("as", peer_as)',
-                '.add_u32("asn", peer_as)')],
+    "XRL001": [("rib/rib.py", "self.xrl.bind(PROFILER_IDL, self.profiler)",
+                "self.xrl.bind(PROFILE_IDL, self.profiler)")],
+    "XRL002": [("experiments/xrlperf.py", '"bench/1.0/noargs"',
+                '"bench/1.0/noargz"')],
     "XRL005": [("rib/rib.py", "def xrl_delete_routes4(self, protocol, nets)",
                 "def xrl_delete_routes4(self, protocol, nets, cause)")],
     "XRL006": [("experiments/xrlperf.py", '"bench/1.0/noargs"',
@@ -842,13 +815,12 @@ SEEDS = {
                 "                else make_backend(")],
     "PRO001": [("rib/rib.py", "self.xrl.bind(RIB_IDL, self)\n", "pass\n")],
     "PRO002": [("fea/fea.py", "",
+                "\n\nfrom repro.interfaces import RIB_IDL\n"
+                "_LOOKUP = RIB_IDL.sender('lookup_route_by_dest4', 'addr')\n"
                 "\n\nclass _RouteConfirmer:\n"
                 "    def confirm(self, addr):\n"
-                "        return self.xrl.send_sync(\n"
-                '            Xrl("rib", "rib", "1.0", '
-                '"lookup_route_by_dest4",\n'
-                '                XrlArgs().add_ipv4("addr", addr)),\n'
-                "            deadline=5)\n")],
+                "        return self.xrl.send_sync(_LOOKUP('rib', addr),\n"
+                "                                  deadline=5)\n")],
     "PRO003": [("rtrmgr/supervisor.py", 'get_txt("status")',
                 'get_txt("statuz")')],
     "SUP001": [("rib/rib.py", "        if self._prof_sent_fea.enabled:",
@@ -861,8 +833,22 @@ SEEDS = {
 }
 
 #: seeds another rule reports too: a raw registration that does not
-#: parse binds nothing, so what was sent to it is unhandled
-ALSO = {"XRL006": {"PRO001"}}
+#: parse, or names a method the interface lacks, binds nothing, so what
+#: was sent to it is unhandled
+ALSO = {"XRL002": {"PRO001"}, "XRL006": {"PRO001"}}
+
+#: seeds that fail the import of their module, as (file under repro/,
+#: text, what replaces its first occurrence, what the IdlError names):
+#: each sender checks its declaration when the module is imported
+IMPORT_SEEDS = {
+    "method": ("rib/rib.py", '"add_entry4"', '"add_entyr4"', "add_entyr4"),
+    "argument": ("rtrmgr/translate.py", '"peer", "as", "next_hop"',
+                 '"peer", "asn", "next_hop"', "asn"),
+    "rib lone route": ("rib/rib.py", '"add_entry4", "net", "nexthop"',
+                       '"add_entry4", "net", "nexthopp"', "nexthopp"),
+    "bgp lone route": ("bgp/process.py", '"delete_route4", "protocol", "net"',
+                       '"delete_route4", "protocol", "nett"', "nett"),
+}
 
 #: the methods the traced two-router flow of
 #: ``test_full_router_integration.py`` sends on each process hop
@@ -907,39 +893,17 @@ class TestRuleMatrix:
         found = {finding.rule for finding in analyze_paths([mutable_tree])}
         assert found == {rule} | ALSO.get(rule, set())
 
-    def test_bgp_lone_route_sends_are_checked(self, mutable_tree):
-        # The lone-route branch of BGP's RIB segment builds its args in
-        # two steps, the add arm extending the delete arm's chain: a
-        # misspelt atom in the shared chain is reported at both sends.
-        bgp = mutable_tree / "bgp" / "process.py"
-        text = bgp.read_text()
-        chain = '.add_ipv4net("net", route.net))'
-        assert text.count(chain) == 1
-        bgp.write_text(text.replace(chain, chain.replace('"net"', '"nett"')))
-        findings = analyze_paths([mutable_tree])
-        assert {f.rule for f in findings} == {"XRL003"}
-        assert all("nett" in f.message for f in findings)
-        reported = {method for f in findings
-                    for method in ("delete_route4", "add_route4")
-                    if method in f.message}
-        assert reported == {"delete_route4", "add_route4"}
-
-    def test_rib_lone_route_sends_are_checked(self, mutable_tree):
-        # The lone-route branch of the RIB's FEA segment builds each arm's
-        # args as one chain, the add arm extending the delete arm's: a
-        # misspelt atom in it is reported at both families' add sends.
-        rib = mutable_tree / "rib" / "rib.py"
-        text = rib.read_text()
-        atom = 'args.add(XrlAtom("nexthop", nexthop_type'
-        assert text.count(atom) == 1
-        rib.write_text(text.replace(atom, atom.replace('"nexthop"',
-                                                       '"nexthopp"')))
-        findings = analyze_paths([mutable_tree])
-        assert {f.rule for f in findings} == {"XRL003"}
-        assert all("nexthopp" in f.message for f in findings)
-        assert {"add_entry4|add_entry6"} == {
-            f.message.split("fea_fib/1.0/")[1].split(" ")[0]
-            for f in findings}
+    @pytest.mark.parametrize("kind", sorted(IMPORT_SEEDS))
+    def test_a_bad_declaration_fails_its_import(self, kind, mutable_tree):
+        relpath, text, replacement, named = IMPORT_SEEDS[kind]
+        path = mutable_tree / relpath
+        source = path.read_text()
+        assert text in source, kind
+        path.write_text(source.replace(text, replacement, 1))
+        spec = importlib.util.spec_from_file_location(
+            "seeded_" + path.stem, path)
+        with pytest.raises(IdlError, match=named):
+            spec.loader.exec_module(importlib.util.module_from_spec(spec))
 
     def test_a_missing_handler_is_refused_at_bind(self):
         # The seed of the deleted missing-handler rule: a handler gone
@@ -951,20 +915,20 @@ class TestRuleMatrix:
         with pytest.raises(IdlError, match="lookup_route_by_dest4"):
             HandlerGone(Host())
 
-    def test_a_send_the_site_model_cannot_see_leaves_the_graph(
-            self, mutable_tree):
-        # The deleted runtime edge check's seed: BGP's add_routes4 built
-        # through an expression the site model does not resolve.  The
-        # traced flow pinned in the graph test is what catches it.
+    @pytest.mark.parametrize("callee", ["(_ADD_ROUTES4 if routes else None)",
+                                        "[_ADD_ROUTES4][0]"])
+    def test_a_send_through_an_expression_stays_in_the_graph(
+            self, callee, mutable_tree):
+        # BGP's add_routes4 sent through a callee the walk resolves (one
+        # arm of a conditional) or does not (a subscript): the sender's
+        # declaration keeps the method on the bgp -> rib edge either way.
         bgp = mutable_tree / "bgp" / "process.py"
         text = bgp.read_text()
-        ctor = 'xrl = Xrl(target, "rib", "1.0", "add_routes4", args)'
-        assert ctor in text
-        bgp.write_text(text.replace(ctor, ctor.replace(
-            "Xrl(", "(Xrl if args else None)(")))
+        assert text.count("_ADD_ROUTES4(") == 1
+        bgp.write_text(text.replace("_ADD_ROUTES4(", callee + "("))
         modules, _errors = collect_modules([mutable_tree])
         graph = build_protocol_graph(modules)
-        assert untraced(graph) == {("bgp", "rib", "add_routes4")}
+        assert untraced(graph) == set()
 
 
 class TestProtographFixtures:
@@ -987,21 +951,20 @@ class TestProtographFixtures:
 
     def test_send_without_any_bind_pro001(self):
         sender = (
-            "from repro.xrl import XrlArgs\n"
-            "from repro.xrl.xrl import Xrl\n"
+            "from repro.interfaces import RIB_IDL\n"
+            "_ADD_IGP_TABLE4 = RIB_IDL.sender('add_igp_table4', 'protocol')\n"
             "def go(router):\n"
-            "    args = XrlArgs().add_txt('protocol', 'rip')\n"
-            "    router.send(Xrl('rib', 'rib', '1.0', 'add_igp_table4',"
-            " args))\n"
+            "    router.send(_ADD_IGP_TABLE4('rib', 'rip'))\n"
         )
         findings = analyze_sources({"bgp/feed.py": sender})
         assert rules_of(findings) == ["PRO001"]
 
     def test_send_with_bind_resolves(self):
         sender = (
-            "from repro.xrl.xrl import Xrl\n"
+            "from repro.interfaces import COMMON_IDL\n"
+            "_GET_STATUS = COMMON_IDL.sender('get_status')\n"
             "def go(router):\n"
-            "    router.send(Xrl('p', 'common', '0.1', 'get_status'))\n"
+            "    router.send(_GET_STATUS('p'))\n"
         )
         findings = analyze_sources({"bgp/probe.py": sender,
                                     "rib/p.py": self.BINDER})
@@ -1025,8 +988,8 @@ class TestProtographGraph:
         assert ("rib", "bgp") in pairs      # redistribution back-channel
         sync_pairs = {(e.src, e.dst) for e in graph.edges.values() if e.sync}
         assert ("rtrmgr", "rib") in sync_pairs   # rtrmgr configures sync
-        # The vectorized route stream resolves from its literal method
-        # names: both frames ride the bgp -> rib edge, asynchronously.
+        # The route stream's senders, singular and vectorized, all ride
+        # the bgp -> rib edge, asynchronously.
         stream = graph.edges[("bgp", "rib", "rib/1.0", False)]
         assert {"add_routes4", "delete_routes4",
                 "add_route4", "delete_route4"} <= stream.methods

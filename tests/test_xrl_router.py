@@ -360,21 +360,15 @@ class TestLifetimeNotification:
         assert events == []
 
 
-class TestStubs:
-    def test_client_stub(self):
+class TestSendersAndBind:
+    def test_a_sender_round_trips_through_a_bound_handler(self):
         loop, __, __, client, iface = build_pair(IntraProcessFamily, None, True)
-        stub = iface.client(client, "echo")
+        echo = iface.sender("echo", "value")
         results = []
-        stub.echo(callback=lambda err, args: results.append(args.get_u32("value")),
-                  value=7)
+        client.send(echo("echo", 7),
+                    lambda err, args: results.append(args.get_u32("value")))
         assert loop.run_until(lambda: bool(results), timeout=5)
         assert results == [7]
-
-    def test_stub_rejects_bad_kwargs(self):
-        loop, __, __, client, iface = build_pair(IntraProcessFamily, None, True)
-        stub = iface.client(client, "echo")
-        with pytest.raises(XrlError):
-            stub.echo(value=1, extra=2)
 
     def test_bind_requires_all_methods(self):
         loop = EventLoop(SimulatedClock())
