@@ -52,9 +52,11 @@ _OUT_OF_REACH = 2 ** 31 - 1
 now = time.monotonic
 
 #: middle-generation collections since the last full one.  Every loop
-#: turn compares this integer with PROMOTIONS_PER_FULL and nothing else,
-#: so while CPython runs the full collection (before a process's first
-#: loop turn, and after a hand-back) it stays there: the next turn looks.
+#: turn calls :func:`between_events`, which compares this integer with
+#: PROMOTIONS_PER_FULL and, below it, does nothing else; so a turn costs
+#: the loop the same whatever the heap did.  While CPython runs the full
+#: collection (before a process's first loop turn, and after a
+#: hand-back) it stays there: the next turn looks.
 promoted = PROMOTIONS_PER_FULL
 
 #: per generation: collections run, seconds they took
@@ -72,8 +74,10 @@ _started = 0.0
 
 
 def between_events() -> None:
-    """A loop is between two events and ``promoted`` says to look."""
+    """A loop is between two events: the full collection, if it is due."""
     global promoted, _stock
+    if promoted < PROMOTIONS_PER_FULL:
+        return
     if _stock is None:
         if _on_collection not in gc.callbacks:
             gc.callbacks.append(_on_collection)

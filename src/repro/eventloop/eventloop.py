@@ -18,7 +18,6 @@ from typing import Any, Callable, Deque, List, Optional, Tuple
 
 from repro.eventloop import collector
 from repro.eventloop.clock import Clock, SimulatedClock, SystemClock
-from repro.eventloop.collector import PROMOTIONS_PER_FULL
 from repro.eventloop.tasks import BackgroundTask, TaskPriority, TaskScheduler
 from repro.eventloop.timers import Timer, TimerList
 
@@ -178,8 +177,7 @@ class EventLoop:
         """
         if self.corked:
             self._write_corked()
-        if collector.promoted >= PROMOTIONS_PER_FULL:
-            collector.between_events()
+        collector.between_events()
         ran = False
 
         if self._deferred:

@@ -15,13 +15,14 @@ and so on; a module directly under ``repro`` books to ``repro``.  A call
 into code outside the package — the stdlib — is booked to the nearest
 ``repro`` frame below it on the stack, so a layer pays for the library
 calls it makes.  Every frame it books traces opcodes, and each
-instruction goes to the same layer as the frame's call.  Calls made by
-nothing in ``repro`` (the code that runs the phase) are not booked, nor
-are the garbage collector's (its accounting hook and the loop's
-between-event check, :data:`_UNBOOKED`): when those run depends on the
-heap and the wall clock, not on the phase.  C functions are free: the
-count is blind to work done in C, which is what a faster data structure
-moves work into.
+instruction goes to the same layer as the frame's call.  The code that
+runs the phase is not booked, whether it is outside ``repro`` or is the
+work gate's own harness (:mod:`repro.experiments.workbudget`), nor are
+the garbage collector's calls (its accounting hook and the loop's
+between-event check): what they do depends on the heap and the wall
+clock, not on the phase.  Those two modules are :data:`_UNBOOKED`.  C
+functions are free: the count is blind to work done in C, which is what
+a faster data structure moves work into.
 """
 
 from __future__ import annotations
@@ -34,7 +35,8 @@ from typing import Callable, Dict, List, Optional, Tuple
 #: ``.../repro/``: a code object whose file is under it belongs to a layer
 _ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__))) + os.sep
 #: modules whose calls, and the calls made from them, are not booked
-_UNBOOKED = {os.path.join(_ROOT, "eventloop", "collector.py")}
+_UNBOOKED = {os.path.join(_ROOT, "eventloop", "collector.py"),
+             os.path.join(_ROOT, "experiments", "workbudget.py")}
 
 
 class CallCounter:

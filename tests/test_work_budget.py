@@ -31,7 +31,9 @@ from pathlib import Path
 import pytest
 
 import repro
+from repro.eventloop import collector
 from repro.experiments.workbudget import run_work_budget
+from repro.profiler.workcount import CallCounter
 from repro.rib.redist import RedistStage
 from repro.trie import RouteTrie, trie as trie_module
 
@@ -86,6 +88,31 @@ def test_two_runs_agree_within_a_thousandth_per_layer(measured):
             for layer, value in table.items():
                 assert again[count][phase][layer] == \
                     pytest.approx(value, rel=1e-3), (count, phase, layer)
+
+
+def test_the_collector_moves_no_count(monkeypatch):
+    """A loop turn costs the loop the same whatever the collector has to
+    consider, and the harness that runs the phases books nothing.  Counted
+    from a collector that has just collected, from one a
+    middle-generation collection away from looking, and from one looking
+    on every turn with no full collection allowed, every layer reads the
+    same."""
+    enter = CallCounter.__enter__
+    tables = []
+    for promoted, due in ((0, 0.0),
+                          (collector.PROMOTIONS_PER_FULL - 1, 0.0),
+                          (collector.PROMOTIONS_PER_FULL, float("inf"))):
+        def armed(self, promoted=promoted, due=due):
+            collector.promoted, collector._full_due = promoted, due
+            return enter(self)
+
+        monkeypatch.setattr(CallCounter, "__enter__", armed)
+        tables.append(run_work_budget())
+    assert tables[1] == tables[0]
+    assert tables[2] == tables[0]
+    assert not any("experiments" in table
+                   for phases in tables[0].values()
+                   for table in phases.values())
 
 
 def _extra_call(route):
