@@ -20,8 +20,8 @@ Everything the XRL rules need to know about a source file is a *site*:
 The other rules read the rest of what the same walk records: the
 module's ``repro`` imports (ISO), every call with its enclosing function
 and class (DET, CB, STG, BKD), every class (the class index) and a
-:class:`Scope` per function — what it assigns, rebinds, mutates, reads,
-defines, names and returns, indexed by name — so every "what was this
+:class:`Scope` per function — what it assigns, rebinds, reads,
+defines and names, indexed by name — so every "what was this
 name assigned" or "does this callback check liveness" question is a
 dictionary lookup rather than another walk.  :func:`sites_of` walks the
 module once and keeps the result on the
